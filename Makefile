@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke
+.PHONY: test race bench bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke
 
 build:
 	$(GO) build ./...
@@ -17,17 +17,31 @@ checkdoc:
 test:
 	$(GO) test ./...
 
-# The concurrent fast paths (engine queues, pooled trees, supervisor) and
-# the multi-tenant scheduler's no-double-lease invariant — plus the
-# randomized scheduler property test, the ingest gate's sharded-registry
-# and concurrent-clients-vs-shed-threshold-flips tests, the group-commit
-# WAL's concurrent appenders, the simulator and the scenario generator's
-# determinism properties, the decision log's
-# deciders-vs-drainer-vs-scrape-vs-sampling-knob storm, and the tracer's
-# emitters-vs-drainer-vs-assembler-vs-scrape storm, all under -race here
-# exactly as in CI.
+# The whole module under the race detector, exactly as in CI (~3 min;
+# internal/experiments is 150 s of it). The concurrent packages carry
+# dedicated storms — engine queues and pooled trees, the scheduler's
+# no-double-lease property test, the ingest gate's sharded registry, the
+# group-commit WAL's appenders, the worker tier's equivalence harness, and
+# the obs pipeline's emitters-vs-drainer-vs-scrape-vs-knob storms for both
+# instantiations — but nothing is exempt.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/loop/... ./internal/metrics/... ./internal/cluster/... ./internal/sim/... ./internal/ingest/... ./internal/scenario/... ./internal/wal/... ./internal/worker/... ./internal/obs/...
+	$(GO) test -race ./...
+
+# The exported-API tripwire: benchmark/ is its own module compiled against
+# this one, so a changed exported name, config field or signature it uses
+# fails here before the benchmark driver finds out.
+bench-check:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Code lines (no blanks, no comment-only lines, no tests, no benchmark/)
+# per package and in total — the count simplicity PRs are judged by.
+loc_count = find $(1) -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | grep -vcE '^[[:space:]]*(//.*)?$$'
+loc:
+	@for p in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/||" | grep -v "^$$PWD$$"); do \
+		printf '%6d  %s\n' "$$($(call loc_count,$$p))" "$$p"; \
+	done
+	@printf '%6d  . (root package)\n' "$$($(call loc_count,. -maxdepth 1))"
+	@printf '%6d  total\n' "$$($(call loc_count,.))"
 
 # Native fuzzing smoke: a short budget per target keeps it CI-sized; raise
 # FUZZTIME locally for real hunting. Seed corpora live in each package's

@@ -24,6 +24,20 @@ import (
 	"github.com/drs-repro/drs/internal/worker"
 )
 
+// Slowloris guards on both daemons' HTTP listeners: a client gets this
+// long to finish its request headers, and a keep-alive connection this
+// long between requests, before the server reclaims the connection.
+// Bodies and responses stay unbounded (a pprof profile streams for 30 s).
+const (
+	httpReadHeaderTimeout = 5 * time.Second
+	httpIdleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps a daemon mux in a server with the timeouts set.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: httpReadHeaderTimeout, IdleTimeout: httpIdleTimeout}
+}
+
 // serveInterrupts yields the channel cmdServe waits on for shutdown
 // signals. A package var so the shutdown test can inject a signal
 // without delivering a real SIGINT to the test process.
@@ -59,7 +73,7 @@ func cmdServe(tf topoFile, args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: durable admission (ACK after append) with crash-recovery replay on boot (empty = non-durable)")
 	decisionDir := fs.String("decision-log", "", "decision log directory: every control-plane verdict (grants, preemptions, shed plans, re-fits, heals) as rotating NDJSON (empty = disabled)")
-	decisionSample := fs.Int("decision-sample", 1000, "decision log sampling rate in permille (1000 = keep everything)")
+	decisionSample := fs.Int("decision-sample", 1000, "decision log sampling rate in permille, 1-1000 (1000 = keep everything; omit -decision-log to disable)")
 	workerListen := fs.String("worker-listen", "", "worker registration address: `drsctl worker` processes host executors over framed TCP (empty = all in-process)")
 	minWorkers := fs.Int("min-workers", 0, "workers to wait for before opening the ingest listeners")
 	traceDir := fs.String("trace", "", "trace directory: sampled per-tuple root spans from gate to ack as rotating NDJSON (empty = disabled)")
@@ -78,8 +92,11 @@ func cmdServe(tf topoFile, args []string) error {
 	if *minWorkers > 0 && *workerListen == "" {
 		return fmt.Errorf("-min-workers needs -worker-listen")
 	}
-	if *decisionSample < 0 || *decisionSample > 1000 {
-		return fmt.Errorf("-decision-sample wants permille in [0,1000], got %d", *decisionSample)
+	// 0 is rejected, not read as "log nothing": obs.NewLog takes a
+	// non-positive rate as "default", i.e. everything. A disabled log is
+	// spelled by omitting -decision-log.
+	if *decisionSample < 1 || *decisionSample > 1000 {
+		return fmt.Errorf("-decision-sample wants permille in [1,1000], got %d", *decisionSample)
 	}
 	if *traceSample < 1 || *traceSample > 1000 {
 		return fmt.Errorf("-trace-sample wants permille in [1,1000], got %d", *traceSample)
@@ -485,7 +502,7 @@ func cmdServe(tf topoFile, args []string) error {
 			registerPprof(mux)
 			fmt.Printf("pprof on http://%s/debug/pprof/\n", l.Addr())
 		}
-		httpSrv = &http.Server{Handler: mux}
+		httpSrv = newHTTPServer(mux)
 		go httpSrv.Serve(l)
 		fmt.Printf("HTTP ingest on http://%s/ingest (stats on /stats, Prometheus on /metrics)\n", l.Addr())
 	}

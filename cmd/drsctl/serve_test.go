@@ -98,3 +98,19 @@ func TestServeSignalDrain(t *testing.T) {
 		t.Errorf("checkpoint admitted %d, want >= %d", ckpt.Admitted, posted)
 	}
 }
+
+// TestServeRejectsSamplingOutOfRange: both sampling knobs take permille in
+// [1,1000]. Zero in particular must be refused up front — obs reads a
+// non-positive rate as "default" (keep everything), the opposite of what
+// the flag would appear to say.
+func TestServeRejectsSamplingOutOfRange(t *testing.T) {
+	path := writeTopo(t, fastTopo)
+	for _, flagName := range []string{"-decision-sample", "-trace-sample"} {
+		for _, v := range []string{"0", "-1", "1001"} {
+			err := run([]string{"-topology", path, "serve", "-tmax-ms", "200", flagName, v})
+			if err == nil || !strings.Contains(err.Error(), flagName+" wants permille in [1,1000]") {
+				t.Errorf("serve %s %s = %v, want a [1,1000] range error", flagName, v, err)
+			}
+		}
+	}
+}

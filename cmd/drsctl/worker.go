@@ -100,7 +100,7 @@ func cmdWorker(tf topoFile, args []string) error {
 			registerPprof(mux)
 			fmt.Printf("worker %q: pprof on http://%s/debug/pprof/\n", *name, l.Addr())
 		}
-		go func() { _ = http.Serve(l, mux) }()
+		go func() { _ = newHTTPServer(mux).Serve(l) }()
 		fmt.Printf("worker %q: Prometheus on http://%s/metrics\n", *name, l.Addr())
 	}
 

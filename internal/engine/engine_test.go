@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -492,6 +493,17 @@ func TestStopIsIdempotentAndFinal(t *testing.T) {
 	}
 }
 
+// popTasks takes the whole ring in one popAll — the queue's only consumer
+// call — and returns the queued task ids in FIFO order; ok is false once
+// the queue is closed and empty.
+func popTasks(q *queue) (tasks []int, ok bool) {
+	ring, head, n, ok := q.popAll(nil)
+	for i := 0; i < n; i++ {
+		tasks = append(tasks, ring[(head+i)&(len(ring)-1)].task)
+	}
+	return tasks, ok
+}
+
 func TestQueueBasics(t *testing.T) {
 	q := newQueue()
 	if !q.push(queueItem{task: 1}) {
@@ -500,35 +512,38 @@ func TestQueueBasics(t *testing.T) {
 	if got := q.len(); got != 1 {
 		t.Errorf("len = %d, want 1", got)
 	}
-	it, ok := q.pop()
-	if !ok || it.task != 1 {
-		t.Errorf("pop = (%+v, %v)", it, ok)
+	if got, ok := popTasks(q); !ok || !slices.Equal(got, []int{1}) {
+		t.Errorf("popAll = (%v, %v), want [1]", got, ok)
 	}
 	q.close()
 	if q.push(queueItem{}) {
 		t.Error("push after close should fail")
 	}
-	if _, ok := q.pop(); ok {
-		t.Error("pop on closed empty queue should report closed")
+	if q.pushBatch([]queueItem{{task: 2}, {task: 3}}) {
+		t.Error("pushBatch after close should fail")
+	}
+	if got, ok := popTasks(q); ok {
+		t.Errorf("popAll on closed empty queue = (%v, true), should report closed", got)
 	}
 }
 
 func TestQueueDrainsAfterClose(t *testing.T) {
 	q := newQueue()
 	q.push(queueItem{task: 1})
-	q.push(queueItem{task: 2})
+	q.pushBatch([]queueItem{{task: 2}, {task: 3}})
 	q.close()
-	for want := 1; want <= 2; want++ {
-		it, ok := q.pop()
-		if !ok || it.task != want {
-			t.Fatalf("pop %d = (%+v, %v)", want, it, ok)
-		}
+	if got, ok := popTasks(q); !ok || !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("popAll after close = (%v, %v), want the backlog [1 2 3]", got, ok)
 	}
-	if _, ok := q.pop(); ok {
+	if _, ok := popTasks(q); ok {
 		t.Error("queue should be exhausted")
 	}
 }
 
+// TestQueueConcurrentProducersConsumers is the queue's real contract: many
+// producers (single pushes and batches) against the one consumer an
+// executor is, which must see every item exactly once and each
+// producer's items in the order that producer pushed them.
 func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	q := newQueue()
 	const producers, per = 4, 1000
@@ -537,30 +552,35 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < per; i++ {
-				q.push(queueItem{task: i})
+			for i := 0; i < per; i += 4 {
+				base := p*per + i
+				q.push(queueItem{task: base})
+				q.pushBatch([]queueItem{{task: base + 1}, {task: base + 2}, {task: base + 3}})
 			}
 		}()
 	}
-	var consumed atomic.Int64
-	var cg sync.WaitGroup
-	for c := 0; c < 3; c++ {
-		cg.Add(1)
-		go func() {
-			defer cg.Done()
-			for {
-				if _, ok := q.pop(); !ok {
-					return
-				}
-				consumed.Add(1)
+	go func() {
+		wg.Wait()
+		q.close()
+	}()
+	consumed := 0
+	next := [producers]int{}
+	for {
+		tasks, ok := popTasks(q)
+		if !ok {
+			break
+		}
+		for _, task := range tasks {
+			p, i := task/per, task%per
+			if i != next[p] {
+				t.Fatalf("producer %d: got item %d, want %d (per-producer FIFO violated)", p, i, next[p])
 			}
-		}()
+			next[p]++
+			consumed++
+		}
 	}
-	wg.Wait()
-	q.close()
-	cg.Wait()
-	if got := consumed.Load(); got != producers*per {
-		t.Errorf("consumed %d, want %d", got, producers*per)
+	if consumed != producers*per {
+		t.Errorf("consumed %d, want %d", consumed, producers*per)
 	}
 }
 

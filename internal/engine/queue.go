@@ -40,7 +40,7 @@ const yieldDepth = 512
 
 // queue is an unbounded MPSC blocking queue, batch-aware on both ends:
 // producers can push a slice of items under one lock round, and the
-// consumer drains up to a buffer's worth per lock round. Storage is a
+// single consumer takes the whole ring per lock round (popAll). Storage is a
 // power-of-two ring, so steady-state traffic recirculates one buffer
 // instead of growing an append-only slice. Unbounded matters: with loop
 // topologies (FPD's detector notifies itself) a bounded queue lets an
@@ -175,71 +175,8 @@ func (q *queue) popAll(spare []queueItem) (ring []queueItem, head, n int, ok boo
 	}
 }
 
-// pop blocks until an item is available or the queue is closed and empty.
-func (q *queue) pop() (queueItem, bool) {
-	var buf [1]queueItem
-	out, ok := q.popBatch(buf[:0])
-	if !ok {
-		return queueItem{}, false
-	}
-	return out[0], true
-}
-
-// popBatch blocks until items are available (or the queue is closed and
-// empty), then moves up to cap(buf) of them into buf under one lock round.
-// The returned slice aliases buf.
-func (q *queue) popBatch(buf []queueItem) ([]queueItem, bool) {
-	max := cap(buf)
-	if max == 0 {
-		max = 1
-		buf = make([]queueItem, 0, 1)
-	}
-	q.mu.Lock()
-	for {
-		if q.n > 0 {
-			take := q.n
-			if take > max {
-				take = max
-			}
-			out := buf[:take]
-			q.copyOutLocked(out)
-			// Release the ring's references to the moved items.
-			first := q.head
-			if tail := cap(q.buf) - first; tail < take {
-				clear(q.buf[first:])
-				clear(q.buf[:take-tail])
-			} else {
-				clear(q.buf[first : first+take])
-			}
-			q.head = (first + take) & (cap(q.buf) - 1)
-			q.n -= take
-			if q.n == 0 {
-				q.resetLocked()
-			}
-			q.mu.Unlock()
-			return out, true
-		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, false
-		}
-		q.waiting++
-		q.cond.Wait()
-		q.waiting--
-	}
-}
-
-// resetLocked rewinds an emptied queue, releasing an oversized ring whose
-// burst peak no longer justifies its capacity.
-func (q *queue) resetLocked() {
-	q.head = 0
-	if cap(q.buf) > shrinkCap && q.peak*4 < cap(q.buf) {
-		q.buf = nil
-	}
-	q.peak = 0
-}
-
-// close wakes all poppers; pending items are still drained by pop.
+// close wakes the parked consumer; pending items are still drained by
+// popAll.
 func (q *queue) close() {
 	q.mu.Lock()
 	q.closed = true

@@ -3,15 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"log/slog"
-	"math"
 	"strings"
-	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/ingest"
-	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/scenario"
 	"github.com/drs-repro/drs/internal/sim"
@@ -132,184 +126,6 @@ type ChaosResult struct {
 	FinalState cluster.SchedulerState
 }
 
-// chaosTenant bundles one tenant's simulator, supervisor, lease and
-// admission-gate twin.
-type chaosTenant struct {
-	spec   scenario.TenantSpec
-	client *overloadClient
-	lease  *cluster.Tenant
-	s      *sim.Sim
-	sup    *loop.Supervisor
-	// lastShed is the previous round's shed reading (phase attribution).
-	lastShed int64
-}
-
-// newChaosTenant starts one supervised two-stage tenant whose source
-// follows the timeline's arrival envelope behind an admission gate, and
-// whose stages serve the timeline's service distribution (exponential, or
-// mean-pinned Pareto for heavy-tailed tenants).
-func newChaosTenant(tl *scenario.Timeline, ts scenario.TenantSpec, lease *cluster.Tenant,
-	clock loop.Clock, failures *loopFailures, interval float64, seed uint64, dlog *obs.Log) (*chaosTenant, error) {
-	weight := ts.Weight
-	if weight <= 0 {
-		weight = 1
-	}
-	ct := &chaosTenant{
-		spec:   ts,
-		client: &overloadClient{name: ts.Name, weight: weight, permille: 1000},
-		lease:  lease,
-	}
-	arrivals, err := tl.Arrivals(ts.Name)
-	if err != nil {
-		return nil, err
-	}
-	service, err := tl.Service(ts.Name, chaosMu)
-	if err != nil {
-		return nil, err
-	}
-	emit, err := sim.NewFractionalEmission(1)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(sim.Config{
-		Operators: []sim.OperatorSpec{
-			{Name: "stage1", Service: service},
-			{Name: "stage2", Service: service},
-		},
-		Sources: []sim.SourceSpec{{Op: 0, Arrivals: arrivals, Admit: ct.client.admit}},
-		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
-		Alloc:   []int{3, 3},
-		Seed:    seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.EnableSeries(60)
-	ct.s = s
-	names := []string{"stage1", "stage2"}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode:                  core.ModeMinResource,
-		Tmax:                  chaosTmax,
-		MinGain:               0.05,
-		ScaleInSlack:          chaosSlack,
-		MaxScaleInUtilization: 0.6,
-	})
-	if err != nil {
-		return nil, err
-	}
-	ct.sup, err = loop.New(loop.Config{
-		Target:      simTarget{s: s, names: names},
-		Operators:   names,
-		Stepper:     ctrl,
-		Pool:        lease,
-		Interval:    secondsToDuration(interval),
-		Cooldown:    secondsToDuration(4 * interval),
-		Clock:       clock,
-		Logger:      slog.New(failures),
-		Tenant:      ts.Name,
-		DecisionLog: dlog,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ct, nil
-}
-
-// chaosDriver resolves timeline events against the live pool at fire time.
-type chaosDriver struct {
-	pool  *cluster.Pool
-	sched *cluster.Scheduler
-	// byName maps tenant names to their runtime bundles.
-	byName map[string]*chaosTenant
-	// killedOf and stragglerOf map a nominal event machine to the actual
-	// pool machine its opening event resolved to, so the closing event
-	// (recover, straggler-off) targets the same machine.
-	killedOf, stragglerOf map[int]int
-}
-
-// apply fires one timeline event and returns its resolved log line.
-func (d *chaosDriver) apply(ev scenario.Event) (string, error) {
-	switch ev.Kind {
-	case scenario.KindFail:
-		live := d.pool.LiveMachines()
-		if len(live) == 0 {
-			return "", fmt.Errorf("chaos: no live machine left to kill at t=%.0fs", ev.At)
-		}
-		victim := live[len(live)-1].ID
-		if err := d.sched.FailMachine(victim); err != nil {
-			return "", fmt.Errorf("chaos: killing machine %d: %w", victim, err)
-		}
-		d.killedOf[ev.Machine] = victim
-		return fmt.Sprintf("t=%5.0fs fail machine %d", ev.At, victim), nil
-	case scenario.KindRecover:
-		id, ok := d.killedOf[ev.Machine]
-		if !ok {
-			return "", fmt.Errorf("chaos: recovery at t=%.0fs pairs with no applied failure", ev.At)
-		}
-		delete(d.killedOf, ev.Machine)
-		if err := d.sched.RecoverMachine(id); err != nil {
-			return "", fmt.Errorf("chaos: recovering machine %d: %w", id, err)
-		}
-		return fmt.Sprintf("t=%5.0fs recover machine %d", ev.At, id), nil
-	case scenario.KindStragglerOn:
-		victim := -1
-		for _, m := range d.pool.LiveMachines() {
-			if !m.Straggler {
-				victim = m.ID
-				break
-			}
-		}
-		if victim < 0 {
-			return "", fmt.Errorf("chaos: no healthy machine to mark straggler at t=%.0fs", ev.At)
-		}
-		if err := d.sched.MarkStraggler(victim, true); err != nil {
-			return "", fmt.Errorf("chaos: marking straggler %d: %w", victim, err)
-		}
-		d.stragglerOf[ev.Machine] = victim
-		return fmt.Sprintf("t=%5.0fs straggler-on machine %d", ev.At, victim), nil
-	case scenario.KindStragglerOff:
-		id, ok := d.stragglerOf[ev.Machine]
-		if !ok {
-			return "", fmt.Errorf("chaos: straggler clear at t=%.0fs pairs with no applied mark", ev.At)
-		}
-		delete(d.stragglerOf, ev.Machine)
-		if err := d.sched.MarkStraggler(id, false); err != nil {
-			return "", fmt.Errorf("chaos: clearing straggler %d: %w", id, err)
-		}
-		return fmt.Sprintf("t=%5.0fs straggler-off machine %d", ev.At, id), nil
-	case scenario.KindDecommission:
-		live := d.pool.LiveMachines()
-		if len(live) == 0 {
-			return "", fmt.Errorf("chaos: no live machine left to decommission at t=%.0fs", ev.At)
-		}
-		victim := live[len(live)-1].ID
-		// Decommission takes only failed machines (live ones leave through
-		// scale-in), so a scheduled retirement is a fail + return-to-provider.
-		if err := d.sched.FailMachine(victim); err != nil {
-			return "", fmt.Errorf("chaos: failing machine %d for decommission: %w", victim, err)
-		}
-		if err := d.pool.Decommission(victim); err != nil {
-			return "", fmt.Errorf("chaos: decommissioning machine %d: %w", victim, err)
-		}
-		return fmt.Sprintf("t=%5.0fs decommission machine %d", ev.At, victim), nil
-	case scenario.KindPriority:
-		ct, ok := d.byName[ev.Tenant]
-		if !ok {
-			return "", fmt.Errorf("chaos: priority change targets unknown tenant %q", ev.Tenant)
-		}
-		if err := ct.lease.SetPriority(ev.Priority); err != nil {
-			return "", fmt.Errorf("chaos: setting %s priority: %w", ev.Tenant, err)
-		}
-		return fmt.Sprintf("t=%5.0fs priority %s=%d", ev.At, ev.Tenant, ev.Priority), nil
-	case scenario.KindSurgeStart, scenario.KindSurgeEnd:
-		// Informational: the arrival envelope already carries the rate
-		// change; the marker only segments the phase audit.
-		return fmt.Sprintf("t=%5.0fs %s %s x%.1f", ev.At, ev.Kind, ev.Tenant, ev.Factor), nil
-	default:
-		return "", fmt.Errorf("chaos: unknown event kind %v", ev.Kind)
-	}
-}
-
 // eventLabel is the short per-phase descriptor of one event.
 func eventLabel(ev scenario.Event) string {
 	switch ev.Kind {
@@ -367,159 +183,93 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 	enableAt := duration / 8
 	res := ChaosResult{Scenario: spec, Tmax: chaosTmax}
 
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: chaosSlots,
-		MaxMachines:     chaosMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        3 * time.Second,
-			MachineColdStart: 4777 * time.Millisecond,
-			MachineRelease:   1113 * time.Millisecond,
-		},
-	}, 1)
+	a, err := newArc("chaos", chaosSlots, chaosMachines, o.DecisionLog)
 	if err != nil {
 		return res, err
 	}
-	clock := &simClock{}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: clock, DecisionLog: o.DecisionLog})
-	if err != nil {
-		return res, err
-	}
-	failures := &loopFailures{}
-	interval := 10.0
-	driver := &chaosDriver{
-		pool: pool, sched: sched,
-		byName:      make(map[string]*chaosTenant, len(spec.Tenants)),
-		killedOf:    make(map[int]int),
-		stragglerOf: make(map[int]int),
-	}
-	tenants := make([]*chaosTenant, 0, len(spec.Tenants))
+	// Every tenant's source follows the timeline's arrival envelope behind
+	// an admission-gate twin, and its stages serve the timeline's service
+	// distribution (exponential, or mean-pinned Pareto for heavy tails).
+	clients := make([]*overloadClient, len(spec.Tenants))
 	for i, ts := range spec.Tenants {
-		lease, err := sched.Register(cluster.TenantConfig{
+		weight := ts.Weight
+		if weight <= 0 {
+			weight = 1
+		}
+		clients[i] = &overloadClient{name: ts.Name, weight: weight, permille: 1000}
+		arrivals, err := tl.Arrivals(ts.Name)
+		if err != nil {
+			return res, err
+		}
+		service, err := tl.Service(ts.Name, chaosMu)
+		if err != nil {
+			return res, err
+		}
+		_, err = a.tenant(cluster.TenantConfig{
 			Name: ts.Name, Priority: ts.Priority,
 			MinSlots: chaosFloor, InitialSlots: chaosInitial,
-		})
+		}, twoStageParams{service: service, tmax: chaosTmax, slack: chaosSlack},
+			o.Seed+uint64(i), sim.SourceSpec{Arrivals: arrivals, Admit: clients[i].admit})
 		if err != nil {
 			return res, err
 		}
-		ct, err := newChaosTenant(tl, ts, lease, clock, failures, interval, o.Seed+uint64(i), o.DecisionLog)
-		if err != nil {
-			return res, err
-		}
-		tenants = append(tenants, ct)
-		driver.byName[ts.Name] = ct
 	}
 
-	events := tl.Events()
-	nextEvent := 0
-	res.Phases = chaosPhases(events, duration)
+	a.events = tl.Events()
+	res.Phases = chaosPhases(a.events, duration)
 	phase := 0
-	maxSlots := chaosSlots * chaosMachines
 	var lastDropped int64
-	for t := interval; t <= duration+1e-9; t += interval {
-		for _, ct := range tenants {
-			ct.s.RunUntil(t)
-		}
-		clock.set(t)
-		for nextEvent < len(events) && events[nextEvent].At <= t+1e-9 {
-			line, err := driver.apply(events[nextEvent])
-			nextEvent++
-			if err != nil {
-				return res, err
-			}
-			res.Applied = append(res.Applied, line)
-		}
-		for _, ct := range tenants {
-			if t < enableAt {
-				ct.sup.Observe()
-			} else {
-				ct.sup.Tick()
-			}
-		}
-		for phase+1 < len(res.Phases) && t > res.Phases[phase].Until+1e-9 {
+	err = a.run(duration, enableAt, func(r arcRound) {
+		for phase+1 < len(res.Phases) && r.t > res.Phases[phase].Until+1e-9 {
 			phase++
 		}
 		ph := &res.Phases[phase]
 		ph.Rounds++
-		// Replan each tenant's admission exactly as the live gate does: read
-		// the supervisor's latest (demand-scaled) snapshot, size the
-		// sustainable rate, and thin the source to it.
 		var dropped int64
-		for _, ct := range tenants {
-			c := ct.client
-			rate := float64(c.offered-c.lastOffered) / interval
-			admittedDelta := c.admitted - c.lastAdmitted
-			shedDelta := c.shed - ct.lastShed
-			ph.Offered += c.offered - c.lastOffered
-			ph.Admitted += admittedDelta
-			ph.Shed += shedDelta
-			c.lastOffered, c.lastAdmitted, ct.lastShed = c.offered, c.admitted, c.shed
-			plan := ingest.Plan{AdmitFraction: 1, SustainableRate: rate, ScaleOutViable: true}
-			if snap, ok := ct.sup.LastSnapshot(); ok {
-				// The gate's default 10% headroom below the hard target.
-				plan = ingest.PlanAdmission(snap, chaosTmax*0.9, maxSlots, rate)
-			}
-			p := ingest.AdmitPermilles(plan, []float64{c.weight}, []string{c.name}, []float64{rate})
-			c.permille = p[0]
-			if o.DecisionLog != nil {
-				// One auditable record per tenant per round, stamped with
-				// simulated time and carrying the round's admitted/shed
-				// deltas — the reconcile test sums these per phase against
-				// the phase books.
-				o.DecisionLog.Emit(&obs.Record{
-					At:   simEpoch.Add(secondsToDuration(t)).UnixNano(),
-					Kind: obs.KindShedPlan, Tenant: c.name,
-					Fraction: plan.AdmitFraction, Rate: plan.SustainableRate,
-					Lambda0: rate, Flag: plan.ScaleOutViable,
-					Gain: float64(admittedDelta), Loss: float64(shedDelta),
-				})
-			}
-			for _, d := range ct.s.Dropped() {
-				dropped += d
-			}
+		gp := ChaosGrantPoint{AtSeconds: r.t, Capacity: r.st.Capacity, Machines: r.st.Machines}
+		for i, tn := range a.tenants {
+			g := replan(clients[i:i+1], tn.sup, chaosTmax, chaosSlots*chaosMachines)
+			ph.Offered += g.offered
+			ph.Admitted += g.admitted
+			ph.Shed += g.shed
+			// One auditable record per tenant per round, stamped with
+			// simulated time and carrying the round's admitted/shed deltas —
+			// the reconcile test sums these per phase against the phase
+			// books. (Emit is a no-op on a nil log.)
+			o.DecisionLog.Emit(&obs.Record{
+				At:   simEpoch.Add(secondsToDuration(r.t)).UnixNano(),
+				Kind: obs.KindShedPlan, Tenant: clients[i].name,
+				Fraction: g.plan.AdmitFraction, Rate: g.plan.SustainableRate,
+				Lambda0: g.offeredRate, Flag: g.plan.ScaleOutViable,
+				Gain: float64(g.admitted), Loss: float64(g.shed),
+			})
+			dropped += tn.dropped()
+			gp.Grants = append(gp.Grants, tn.lease.Kmax())
 		}
 		ph.Dropped += dropped - lastDropped
 		lastDropped = dropped
-
-		st := sched.State()
-		gp := ChaosGrantPoint{AtSeconds: t, Capacity: st.Capacity, Machines: st.Machines}
-		for _, ct := range tenants {
-			gp.Grants = append(gp.Grants, ct.lease.Kmax())
-		}
 		res.Grants = append(res.Grants, gp)
-		if over := st.Leased - st.Capacity; over > 0 {
-			if over > res.MaxLeaseOverCapacity {
-				res.MaxLeaseOverCapacity = over
-			}
-			if over > ph.MaxLeaseOverCapacity {
-				ph.MaxLeaseOverCapacity = over
-			}
-		}
-		placed := 0
-		badPlacement := false
-		for _, row := range st.Placement {
-			if row.Reserved+row.Leased > row.Slots {
-				badPlacement = true
-			}
-			placed += row.Leased
-		}
-		if placed != st.Leased || badPlacement {
-			res.PlacementViolations++
+		ph.MaxLeaseOverCapacity = max(ph.MaxLeaseOverCapacity, r.over)
+		if r.badPlacement {
 			ph.PlacementViolations++
 		}
+	})
+	res.Applied = a.applied
+	res.MaxLeaseOverCapacity, res.PlacementViolations = a.maxOver, a.placementViolations
+	if err != nil {
+		return res, err
 	}
-	if err := failures.err(); err != nil {
-		return res, fmt.Errorf("experiments: chaos run: %w", err)
-	}
-	res.SchedulerHistory = sched.History()
-	res.FinalState = sched.State()
-	for _, ct := range tenants {
+	res.SchedulerHistory = a.sched.History()
+	res.FinalState = a.sched.State()
+	for i, tn := range a.tenants {
+		c := clients[i]
 		ts := ChaosTenantStats{
-			Name: ct.client.name, Weight: ct.client.weight,
-			Offered: ct.client.offered, Admitted: ct.client.admitted, Shed: ct.client.shed,
-			SimShed:     ct.s.ShedArrivals(),
-			SlotsLost:   ct.lease.LostSlots(),
-			Series:      ct.s.Series(),
-			Transitions: transitionsFrom(ct.sup),
+			Name: c.name, Weight: c.weight,
+			Offered: c.offered, Admitted: c.admitted, Shed: c.shed,
+			SimShed:     tn.s.ShedArrivals(),
+			SlotsLost:   tn.lease.LostSlots(),
+			Series:      tn.s.Series(),
+			Transitions: transitionsFrom(tn.sup),
 		}
 		if ts.Offered > 0 {
 			ts.ShedFraction = float64(ts.Shed) / float64(ts.Offered)
@@ -527,10 +277,8 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 		res.Tenants = append(res.Tenants, ts)
 		res.ShedTotal += ts.Shed
 		res.SimShedTotal += ts.SimShed
-		for _, d := range ct.s.Dropped() {
-			res.DroppedTuples += d
-		}
-		res.PendingAtEnd += ct.s.PendingRoots()
+		res.DroppedTuples += tn.dropped()
+		res.PendingAtEnd += tn.s.PendingRoots()
 	}
 	res.BooksAgree = res.ShedTotal == res.SimShedTotal
 	return res, nil
@@ -562,27 +310,9 @@ func (r ChaosResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%s:%d ", strings.Join(cols, "/"), g.Capacity)
 	}
 	fmt.Fprintln(w)
-	for i, ts := range r.Tenants {
-		fmt.Fprintf(w, "%s E[T] by minute (ms): ", ts.Name)
-		for _, pt := range ts.Series {
-			if math.IsNaN(pt.MeanSojourn) {
-				fmt.Fprint(w, "    - ")
-				continue
-			}
-			fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
-		}
-		fmt.Fprintln(w)
-		for _, tr := range ts.Transitions {
-			mark := ""
-			switch {
-			case tr.SlotsLost:
-				mark = " [slots-lost]"
-			case tr.Preempted:
-				mark = " [preempted]"
-			}
-			fmt.Fprintf(w, "  %-6s t=%5.0fs %-10s -> %s, Kmax=%d (pause %.1fs)%s: %s\n",
-				names[i], tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
-		}
+	for _, ts := range r.Tenants {
+		printSojournCurve(w, ts.Name, ts.Series)
+		printTransitions(w, ts.Name, ts.Transitions)
 	}
 	fmt.Fprintf(w, "%-40s %11s %6s %5s %5s %8s %8s %7s %5s\n",
 		"phase", "window", "rounds", "over", "viol", "offered", "admitted", "shed", "drop")
@@ -597,10 +327,7 @@ func (r ChaosResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%-8s %7.0f %10d %10d %10d %6.1f%% %6d\n",
 			ts.Name, ts.Weight, ts.Offered, ts.Admitted, ts.Shed, ts.ShedFraction*100, ts.SlotsLost)
 	}
-	fmt.Fprintln(w, "scheduler history:")
-	for _, ev := range r.SchedulerHistory {
-		fmt.Fprintf(w, "  t=%5.0fs %s\n", ev.At.Sub(simEpoch).Seconds(), ev)
-	}
+	printSchedulerHistory(w, r.SchedulerHistory)
 	fmt.Fprintf(w, "books agree (gate shed %d == sim shed %d): %v\n",
 		r.ShedTotal, r.SimShedTotal, r.BooksAgree)
 	fmt.Fprintf(w, "double-leased slots: %d; placement violations: %d; dropped tuples: %d; pending at end: %d\n",

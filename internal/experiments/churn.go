@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/scenario"
 	"github.com/drs-repro/drs/internal/sim"
+	"github.com/drs-repro/drs/internal/stats"
 )
 
 // The machine-churn experiment: the contention setting made lossy. Two
@@ -129,135 +129,62 @@ func RunChurn(o Options) (ChurnResult, error) {
 	res := ChurnResult{Tmax: churnTmax, StepFrom: stepFrom, StepUntil: stepUntil,
 		KillAt: killAt, RecoverAt: killAt + killDown}
 
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: churnSlots,
-		MaxMachines:     churnMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        3 * time.Second,
-			MachineColdStart: 4777 * time.Millisecond,
-			MachineRelease:   1113 * time.Millisecond,
-		},
-	}, 1)
+	a, err := newArc("churn", churnSlots, churnMachines, nil)
 	if err != nil {
 		return res, err
 	}
-	clock := &simClock{}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: clock})
-	if err != nil {
-		return res, err
-	}
-	steadyLease, err := sched.Register(cluster.TenantConfig{
+	p := twoStageParams{service: stats.Exponential{Rate: churnMu}, tmax: churnTmax, slack: churnSlack}
+	steady, err := a.tenant(cluster.TenantConfig{
 		Name: "steady", Priority: 0, MinSlots: churnFloor, InitialSlots: churnInitial,
-	})
+	}, p, o.Seed, sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: churnBaseRate}})
 	if err != nil {
 		return res, err
 	}
-	burstyLease, err := sched.Register(cluster.TenantConfig{
+	bursty, err := a.tenant(cluster.TenantConfig{
 		Name: "bursty", Priority: 1, MinSlots: churnFloor, InitialSlots: churnInitial,
-	})
+	}, p, o.Seed+1, sim.SourceSpec{Arrivals: &sim.SteppedRate{
+		Base:   sim.PoissonArrivals{Rate: churnBaseRate},
+		Factor: churnStepFactor, From: stepFrom, Until: stepUntil,
+	}})
 	if err != nil {
 		return res, err
 	}
 
-	failures := &loopFailures{}
-	interval := 10.0
-	steady, err := newChurnTenant(churnBaseRate, []int{3, 3}, steadyLease,
-		clock, failures, interval, o.Seed, nil)
-	if err != nil {
-		return res, err
-	}
-	bursty, err := newChurnTenant(churnBaseRate, []int{3, 3}, burstyLease,
-		clock, failures, interval, o.Seed+1,
-		&sim.SteppedRate{Factor: churnStepFactor, From: stepFrom, Until: stepUntil})
-	if err != nil {
-		return res, err
-	}
-
-	// The outage schedule. The machine IDs are resolved at fire time —
-	// the *set* of live machines varies as the demand-driven negotiation
-	// grows and shrinks the pool (IDs are never reused, but old ones
-	// retire and new ones appear) — so the script's Machine fields are
-	// placeholders: each kill takes the newest live machine, and each
-	// recovery returns exactly one of the machines killed.
-	churnEvents := sim.Script(
+	// The outage schedule. The script's Machine fields are nominal: the
+	// arc resolves each kill to the newest live machine at fire time, and
+	// each recovery to the machine its kill took.
+	for _, ev := range sim.Script(
 		sim.Kill{Machine: 0, At: killAt, Down: killDown},
 		sim.Kill{Machine: 1, At: killAt, Down: killDown},
-	)
-	nextChurn := 0
-	var killed []int
-	applyChurn := func(now float64) error {
-		for nextChurn < len(churnEvents) && churnEvents[nextChurn].At <= now+1e-9 {
-			ev := churnEvents[nextChurn]
-			nextChurn++
-			if ev.Fail {
-				live := pool.LiveMachines()
-				if len(live) == 0 {
-					return fmt.Errorf("churn: no live machine left to kill at t=%.0fs", now)
-				}
-				victim := live[len(live)-1].ID
-				if err := sched.FailMachine(victim); err != nil {
-					return fmt.Errorf("churn: killing machine %d: %w", victim, err)
-				}
-				killed = append(killed, victim)
-			} else if len(killed) > 0 {
-				id := killed[0]
-				killed = killed[1:]
-				if err := sched.RecoverMachine(id); err != nil {
-					return fmt.Errorf("churn: recovering machine %d: %w", id, err)
-				}
-			}
+	) {
+		kind := scenario.KindRecover
+		if ev.Fail {
+			kind = scenario.KindFail
 		}
-		return nil
+		a.events = append(a.events, scenario.Event{At: ev.At, Kind: kind, Machine: ev.Machine})
 	}
 
-	for t := interval; t <= duration+1e-9; t += interval {
-		steady.s.RunUntil(t)
-		bursty.s.RunUntil(t)
-		clock.set(t)
-		if err := applyChurn(t); err != nil {
-			return res, err
-		}
-		if t < enableAt {
-			steady.sup.Observe()
-			bursty.sup.Observe()
-		} else {
-			steady.sup.Tick()
-			bursty.sup.Tick()
-		}
-		st := sched.State()
+	err = a.run(duration, enableAt, func(r arcRound) {
 		res.Grants = append(res.Grants, ChurnGrantPoint{
-			AtSeconds: t,
-			Steady:    steadyLease.Kmax(),
-			Bursty:    burstyLease.Kmax(),
-			Capacity:  st.Capacity,
-			Machines:  st.Machines,
+			AtSeconds: r.t,
+			Steady:    steady.lease.Kmax(),
+			Bursty:    bursty.lease.Kmax(),
+			Capacity:  r.st.Capacity,
+			Machines:  r.st.Machines,
 		})
-		if over := st.Leased - st.Capacity; over > res.MaxLeaseOverCapacity {
-			res.MaxLeaseOverCapacity = over
-		}
-		placed := 0
-		badPlacement := false
-		for _, row := range st.Placement {
-			if row.Reserved+row.Leased > row.Slots {
-				badPlacement = true
-			}
-			placed += row.Leased
-		}
-		if placed != st.Leased || badPlacement {
-			res.PlacementViolations++
-		}
-	}
-	if err := failures.err(); err != nil {
-		return res, fmt.Errorf("experiments: churn run: %w", err)
+	})
+	res.MaxLeaseOverCapacity, res.PlacementViolations = a.maxOver, a.placementViolations
+	if err != nil {
+		return res, err
 	}
 	res.SeriesSteady = steady.s.Series()
 	res.SeriesBursty = bursty.s.Series()
 	res.TransitionsSteady = transitionsFrom(steady.sup)
 	res.TransitionsBursty = transitionsFrom(bursty.sup)
-	res.SchedulerHistory = sched.History()
-	res.FinalState = sched.State()
-	res.SlotsLostSteady = steadyLease.LostSlots()
-	res.SlotsLostBursty = burstyLease.LostSlots()
+	res.SchedulerHistory = a.sched.History()
+	res.FinalState = a.sched.State()
+	res.SlotsLostSteady = steady.lease.LostSlots()
+	res.SlotsLostBursty = bursty.lease.LostSlots()
 	for _, ev := range res.SchedulerHistory {
 		at := ev.At.Sub(simEpoch).Seconds()
 		if ev.Kind == "pool" && ev.Detail == "scale-out" && at >= killAt && at < res.RecoverAt {
@@ -277,12 +204,7 @@ func RunChurn(o Options) (ChurnResult, error) {
 			}
 		}
 	}
-	for _, d := range steady.s.Dropped() {
-		res.DroppedTuples += d
-	}
-	for _, d := range bursty.s.Dropped() {
-		res.DroppedTuples += d
-	}
+	res.DroppedTuples = steady.dropped() + bursty.dropped()
 	res.PendingAtEnd = steady.s.PendingRoots() + bursty.s.PendingRoots()
 	res.ConvergedAtSeconds, res.RecoverySeconds = churnConvergence(res)
 	return res, nil
@@ -331,20 +253,6 @@ func churnConvergence(res ChurnResult) (convergedAt, recovery float64) {
 	return convergedAt, recovery
 }
 
-// newChurnTenant starts one supervised tenant against its lease — the
-// contention tenant with the churn experiment's chain parameters.
-func newChurnTenant(lambda0 float64, initial []int, lease *cluster.Tenant,
-	clock loop.Clock, failures *loopFailures, interval float64, seed uint64,
-	step *sim.SteppedRate) (*contentionTenant, error) {
-	return newTwoStageTenant(twoStageParams{
-		mu: churnMu, tmax: churnTmax, slack: churnSlack,
-		// 0.6 keeps a noisy snapshot from shrinking past the designed
-		// steady-state sizes: the next-smaller allocation of either tenant
-		// runs a stage at ρ > 0.6.
-		maxScaleInUtil: 0.6,
-	}, lambda0, initial, lease, clock, failures, interval, seed, step)
-}
-
 // Print renders the arc: the outage timeline, the grant and capacity
 // series, both sojourn curves, each supervisor's transitions and the
 // scheduler's decision history.
@@ -359,38 +267,11 @@ func (r ChurnResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%d/%d:%d ", g.Steady, g.Bursty, g.Capacity)
 	}
 	fmt.Fprintln(w)
-	printCurve := func(name string, series []sim.SeriesPoint) {
-		fmt.Fprintf(w, "%s E[T] by minute (ms): ", name)
-		for _, pt := range series {
-			if math.IsNaN(pt.MeanSojourn) {
-				fmt.Fprint(w, "    - ")
-				continue
-			}
-			fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
-		}
-		fmt.Fprintln(w)
-	}
-	printCurve("steady", r.SeriesSteady)
-	printCurve("bursty", r.SeriesBursty)
-	printTransitions := func(name string, trs []Transition) {
-		for _, tr := range trs {
-			mark := ""
-			switch {
-			case tr.SlotsLost:
-				mark = " [slots-lost]"
-			case tr.Preempted:
-				mark = " [preempted]"
-			}
-			fmt.Fprintf(w, "  %-6s t=%5.0fs %-10s -> %s, Kmax=%d (pause %.1fs)%s: %s\n",
-				name, tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
-		}
-	}
-	printTransitions("steady", r.TransitionsSteady)
-	printTransitions("bursty", r.TransitionsBursty)
-	fmt.Fprintln(w, "scheduler history:")
-	for _, ev := range r.SchedulerHistory {
-		fmt.Fprintf(w, "  t=%5.0fs %s\n", ev.At.Sub(simEpoch).Seconds(), ev)
-	}
+	printSojournCurve(w, "steady", r.SeriesSteady)
+	printSojournCurve(w, "bursty", r.SeriesBursty)
+	printTransitions(w, "steady", r.TransitionsSteady)
+	printTransitions(w, "bursty", r.TransitionsBursty)
+	printSchedulerHistory(w, r.SchedulerHistory)
 	fmt.Fprintf(w, "killed machines %v; replacement negotiated within cap: %v\n",
 		r.KilledMachines, r.ReplacementNegotiated)
 	fmt.Fprintf(w, "slots lost to failures: steady=%d bursty=%d; failover shrinks: %d; preempt shrinks: %d\n",

@@ -3,13 +3,8 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"log/slog"
-	"math"
-	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/sim"
 	"github.com/drs-repro/drs/internal/stats"
 )
@@ -97,102 +92,6 @@ type ContentionResult struct {
 	FinalState cluster.SchedulerState
 }
 
-// twoStageParams fixes one tenant chain's model constants — the contention
-// and churn experiments share the tenant scaffolding but differ in rates
-// and thresholds.
-type twoStageParams struct {
-	// mu is the per-processor service rate of both stages.
-	mu float64
-	// tmax, slack and maxScaleInUtil parameterize the tenant's controller.
-	tmax, slack, maxScaleInUtil float64
-}
-
-// twoStageSimConfig builds one tenant's two-stage chain. A non-nil step
-// wraps the source in a SteppedRate surge.
-func twoStageSimConfig(p twoStageParams, lambda0 float64, alloc []int, seed uint64, step *sim.SteppedRate) (sim.Config, error) {
-	emit, err := sim.NewFractionalEmission(1)
-	if err != nil {
-		return sim.Config{}, err
-	}
-	var arrivals sim.ArrivalProcess = sim.PoissonArrivals{Rate: lambda0}
-	if step != nil {
-		step.Base = arrivals
-		arrivals = step
-	}
-	return sim.Config{
-		Operators: []sim.OperatorSpec{
-			{Name: "stage1", Service: stats.Exponential{Rate: p.mu}},
-			{Name: "stage2", Service: stats.Exponential{Rate: p.mu}},
-		},
-		Sources: []sim.SourceSpec{{Op: 0, Arrivals: arrivals}},
-		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
-		Alloc:   alloc,
-		Seed:    seed,
-	}, nil
-}
-
-// contentionTenant bundles one tenant's simulator and supervisor.
-type contentionTenant struct {
-	s   *sim.Sim
-	sup *loop.Supervisor
-}
-
-// newTwoStageTenant starts one supervised two-stage tenant against its
-// lease.
-func newTwoStageTenant(p twoStageParams, lambda0 float64, initial []int, lease *cluster.Tenant,
-	clock loop.Clock, failures *loopFailures, interval float64, seed uint64,
-	step *sim.SteppedRate) (*contentionTenant, error) {
-	cfg, err := twoStageSimConfig(p, lambda0, initial, seed, step)
-	if err != nil {
-		return nil, err
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	s.EnableSeries(60)
-	names := []string{"stage1", "stage2"}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode:                  core.ModeMinResource,
-		Tmax:                  p.tmax,
-		MinGain:               0.05,
-		ScaleInSlack:          p.slack,
-		MaxScaleInUtilization: p.maxScaleInUtil,
-		// Slots are granted individually by the scheduler — machine
-		// quantization happens below the leases, not per tenant.
-	})
-	if err != nil {
-		return nil, err
-	}
-	sup, err := loop.New(loop.Config{
-		Target:    simTarget{s: s, names: names},
-		Operators: names,
-		Stepper:   ctrl,
-		Pool:      lease,
-		Interval:  secondsToDuration(interval),
-		Cooldown:  secondsToDuration(4 * interval),
-		Clock:     clock,
-		Logger:    slog.New(failures),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &contentionTenant{s: s, sup: sup}, nil
-}
-
-// newContentionTenant starts one supervised tenant against its lease.
-func newContentionTenant(lambda0 float64, initial []int, lease *cluster.Tenant,
-	clock loop.Clock, failures *loopFailures, interval float64, seed uint64,
-	step *sim.SteppedRate) (*contentionTenant, error) {
-	return newTwoStageTenant(twoStageParams{
-		mu: contentionMu, tmax: contentionTmax, slack: contentionSlack,
-		// 0.6 pins the scale-in floor at the designed steady-state sizes:
-		// the next-smaller allocation of either tenant runs an operator at
-		// ρ > 0.6, so a noisy (optimistic) snapshot cannot shrink past it.
-		maxScaleInUtil: 0.6,
-	}, lambda0, initial, lease, clock, failures, interval, seed, step)
-}
-
 // RunContention runs the two-tenant arbitration experiment: 27 simulated
 // minutes, controllers enabled from minute 3, the bursty tenant surging
 // ×2.5 between minutes 9 and 18.
@@ -208,91 +107,49 @@ func RunContention(o Options) (ContentionResult, error) {
 	}
 	res := ContentionResult{Tmax: contentionTmax, StepFrom: stepFrom, StepUntil: stepUntil}
 
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: contentionSlots,
-		MaxMachines:     contentionMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        3 * time.Second,
-			MachineColdStart: 4777 * time.Millisecond,
-			MachineRelease:   1113 * time.Millisecond,
-		},
-	}, 1)
+	a, err := newArc("contention", contentionSlots, contentionMachines, nil)
 	if err != nil {
 		return res, err
 	}
-	clock := &simClock{}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: clock})
-	if err != nil {
-		return res, err
-	}
-	steadyLease, err := sched.Register(cluster.TenantConfig{
+	p := twoStageParams{service: stats.Exponential{Rate: contentionMu}, tmax: contentionTmax, slack: contentionSlack}
+	steady, err := a.tenant(cluster.TenantConfig{
 		Name: "steady", Priority: 0, MinSlots: contentionFloor, InitialSlots: steadyInitial,
-	})
+	}, p, o.Seed, sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: steadyRate}})
 	if err != nil {
 		return res, err
 	}
-	burstyLease, err := sched.Register(cluster.TenantConfig{
+	bursty, err := a.tenant(cluster.TenantConfig{
 		Name: "bursty", Priority: 1, MinSlots: contentionFloor, InitialSlots: burstyInitial,
-	})
+	}, p, o.Seed+1, sim.SourceSpec{Arrivals: &sim.SteppedRate{
+		Base:   sim.PoissonArrivals{Rate: burstyBaseRate},
+		Factor: burstyStepFactor, From: stepFrom, Until: stepUntil,
+	}})
 	if err != nil {
 		return res, err
 	}
 
-	failures := &loopFailures{}
-	interval := 10.0
-	steady, err := newContentionTenant(steadyRate, []int{5, 5}, steadyLease,
-		clock, failures, interval, o.Seed, nil)
-	if err != nil {
-		return res, err
-	}
-	bursty, err := newContentionTenant(burstyBaseRate, []int{4, 4}, burstyLease,
-		clock, failures, interval, o.Seed+1,
-		&sim.SteppedRate{Factor: burstyStepFactor, From: stepFrom, Until: stepUntil})
-	if err != nil {
-		return res, err
-	}
-
-	preStepSteady := steadyLease.Kmax()
-	for t := interval; t <= duration+1e-9; t += interval {
-		steady.s.RunUntil(t)
-		bursty.s.RunUntil(t)
-		clock.set(t)
-		if t < enableAt {
-			steady.sup.Observe()
-			bursty.sup.Observe()
-		} else {
-			steady.sup.Tick()
-			bursty.sup.Tick()
-		}
-		st := sched.State()
+	preStepSteady := steady.lease.Kmax()
+	err = a.run(duration, enableAt, func(r arcRound) {
+		sg, bg := steady.lease.Kmax(), bursty.lease.Kmax()
 		res.Grants = append(res.Grants, ContentionGrantPoint{
-			AtSeconds: t,
-			Steady:    steadyLease.Kmax(),
-			Bursty:    burstyLease.Kmax(),
-			Capacity:  st.Capacity,
+			AtSeconds: r.t, Steady: sg, Bursty: bg, Capacity: r.st.Capacity,
 		})
-		if over := st.Leased - st.Capacity; over > res.MaxLeaseOverCapacity {
-			res.MaxLeaseOverCapacity = over
-		}
-		if taken := preStepSteady - steadyLease.Kmax(); taken > res.PreemptedSlots {
-			res.PreemptedSlots = taken
-		}
-		if g := burstyLease.Kmax(); g > res.BurstyPeakGrant {
-			res.BurstyPeakGrant = g
-		}
-		if t >= stepUntil && steadyLease.Kmax() >= preStepSteady {
+		res.PreemptedSlots = max(res.PreemptedSlots, preStepSteady-sg)
+		res.BurstyPeakGrant = max(res.BurstyPeakGrant, bg)
+		if r.t >= stepUntil && sg >= preStepSteady {
 			res.SteadyRestored = true
 		}
-	}
-	if err := failures.err(); err != nil {
-		return res, fmt.Errorf("experiments: contention run: %w", err)
+	})
+	res.MaxLeaseOverCapacity = a.maxOver
+	if err != nil {
+		return res, err
 	}
 	res.SeriesSteady = steady.s.Series()
 	res.SeriesBursty = bursty.s.Series()
 	res.TransitionsSteady = transitionsFrom(steady.sup)
 	res.TransitionsBursty = transitionsFrom(bursty.sup)
-	res.SchedulerHistory = sched.History()
-	res.FinalState = sched.State()
+	res.SchedulerHistory = a.sched.History()
+	res.FinalState = a.sched.State()
 	return res, nil
 }
 
@@ -309,35 +166,11 @@ func (r ContentionResult) Print(w io.Writer) {
 		fmt.Fprintf(w, "%d/%d ", g.Steady, g.Bursty)
 	}
 	fmt.Fprintln(w)
-	printCurve := func(name string, series []sim.SeriesPoint) {
-		fmt.Fprintf(w, "%s E[T] by minute (ms): ", name)
-		for _, pt := range series {
-			if math.IsNaN(pt.MeanSojourn) {
-				fmt.Fprint(w, "    - ")
-				continue
-			}
-			fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
-		}
-		fmt.Fprintln(w)
-	}
-	printCurve("steady", r.SeriesSteady)
-	printCurve("bursty", r.SeriesBursty)
-	printTransitions := func(name string, trs []Transition) {
-		for _, tr := range trs {
-			mark := ""
-			if tr.Preempted {
-				mark = " [preempted]"
-			}
-			fmt.Fprintf(w, "  %-6s t=%5.0fs %-10s -> %s, Kmax=%d (pause %.1fs)%s: %s\n",
-				name, tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
-		}
-	}
-	printTransitions("steady", r.TransitionsSteady)
-	printTransitions("bursty", r.TransitionsBursty)
-	fmt.Fprintln(w, "scheduler history:")
-	for _, ev := range r.SchedulerHistory {
-		fmt.Fprintf(w, "  t=%5.0fs %s\n", ev.At.Sub(simEpoch).Seconds(), ev)
-	}
+	printSojournCurve(w, "steady", r.SeriesSteady)
+	printSojournCurve(w, "bursty", r.SeriesBursty)
+	printTransitions(w, "steady", r.TransitionsSteady)
+	printTransitions(w, "bursty", r.TransitionsBursty)
+	printSchedulerHistory(w, r.SchedulerHistory)
 	fmt.Fprintf(w, "max slots preempted from steady: %d; bursty peak grant: %d\n",
 		r.PreemptedSlots, r.BurstyPeakGrant)
 	fmt.Fprintf(w, "steady restored to pre-step grant: %v; double-leased slots: %d\n",

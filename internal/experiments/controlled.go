@@ -69,7 +69,7 @@ type controlLoopConfig struct {
 	interval float64 // measurement pull period Tm
 	seed     uint64
 	// stepper overrides the DRS controller (baseline comparisons); when
-	// nil, core.NewController(ctrl) decides.
+	// nil, the DRS controller built from ctrl decides.
 	stepper core.Stepper
 }
 

@@ -3,12 +3,9 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"log/slog"
 	"math"
-	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/ingest"
 	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/sim"
@@ -70,8 +67,9 @@ type overloadClient struct {
 	offered  int64
 	admitted int64
 	shed     int64
-	// lastOffered / lastAdmitted are the previous replan round's readings.
-	lastOffered, lastAdmitted int64
+	// lastOffered / lastAdmitted / lastShed are the previous replan
+	// round's readings.
+	lastOffered, lastAdmitted, lastShed int64
 }
 
 // admit is the sim-side twin of ingest's Offer fast path: the same
@@ -87,6 +85,47 @@ func (c *overloadClient) admit(float64) bool {
 	}
 	c.admitted++
 	return true
+}
+
+// gateRound is one replan round's front-door reading: the plan put in
+// force for the next round, and what the clients offered, got admitted
+// and had shed since the previous one.
+type gateRound struct {
+	plan                      ingest.Plan
+	offeredRate, admittedRate float64 // tuples/s over the round
+	offered, admitted, shed   int64   // record deltas over the round
+}
+
+// replan re-aims the clients' admission exactly as the live gate does
+// each round: read the supervisor's latest (demand-scaled) snapshot, size
+// the sustainable rate for maxSlots under tmax, and split it by client
+// weight.
+func replan(clients []*overloadClient, sup *loop.Supervisor, tmax float64, maxSlots int) gateRound {
+	var g gateRound
+	rates := make([]float64, len(clients))
+	weights := make([]float64, len(clients))
+	ids := make([]string, len(clients))
+	for i, c := range clients {
+		rates[i] = float64(c.offered-c.lastOffered) / arcInterval
+		g.offeredRate += rates[i]
+		g.admittedRate += float64(c.admitted-c.lastAdmitted) / arcInterval
+		g.offered += c.offered - c.lastOffered
+		g.admitted += c.admitted - c.lastAdmitted
+		g.shed += c.shed - c.lastShed
+		c.lastOffered, c.lastAdmitted, c.lastShed = c.offered, c.admitted, c.shed
+		weights[i], ids[i] = c.weight, c.name
+	}
+	g.plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.offeredRate, ScaleOutViable: true}
+	if snap, ok := sup.LastSnapshot(); ok {
+		// The gate's default 10% headroom: plan against a tightened
+		// target so the admitted traffic keeps a noise margin below
+		// the hard limit.
+		g.plan = ingest.PlanAdmission(snap, tmax*0.9, maxSlots, g.offeredRate)
+	}
+	for i, p := range ingest.AdmitPermilles(g.plan, weights, ids, rates) {
+		clients[i].permille = p
+	}
+	return g
 }
 
 // OverloadPoint samples the front door once per control round.
@@ -169,146 +208,51 @@ func RunOverload(o Options) (OverloadResult, error) {
 
 	gold := &overloadClient{name: "gold", weight: goldWeight, permille: 1000}
 	bronze := &overloadClient{name: "bronze", weight: bronzeWeight, permille: 1000}
-	emit, err := sim.NewFractionalEmission(1)
+	a, err := newArc("overload", overloadSlots, overloadMachines, nil)
 	if err != nil {
 		return res, err
 	}
-	cfg := sim.Config{
-		Operators: []sim.OperatorSpec{
-			{Name: "stage1", Service: stats.Exponential{Rate: overloadMu}},
-			{Name: "stage2", Service: stats.Exponential{Rate: overloadMu}},
-		},
-		Sources: []sim.SourceSpec{
-			{Op: 0, Arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}, Admit: gold.admit},
-			{Op: 0, Arrivals: &sim.SteppedRate{
-				Base:   sim.PoissonArrivals{Rate: overloadBronzeRate},
-				Factor: overloadStepFactor, From: stepFrom, Until: stepUntil,
-			}, Admit: bronze.admit},
-		},
-		Edges: []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
-		Alloc: []int{3, 3},
-		Seed:  o.Seed,
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return res, err
-	}
-	s.EnableSeries(60)
-
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: overloadSlots,
-		MaxMachines:     overloadMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        3 * time.Second,
-			MachineColdStart: 4777 * time.Millisecond,
-			MachineRelease:   1113 * time.Millisecond,
-		},
-	}, 1)
-	if err != nil {
-		return res, err
-	}
-	clock := &simClock{}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: clock})
-	if err != nil {
-		return res, err
-	}
-	lease, err := sched.Register(cluster.TenantConfig{
-		Name: "front", MinSlots: 2, InitialSlots: overloadInitial,
-	})
-	if err != nil {
-		return res, err
-	}
-	names := []string{"stage1", "stage2"}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode:                  core.ModeMinResource,
-		Tmax:                  overloadTmax,
-		MinGain:               0.05,
-		ScaleInSlack:          overloadSlack,
-		MaxScaleInUtilization: 0.6,
-	})
-	if err != nil {
-		return res, err
-	}
-	failures := &loopFailures{}
-	interval := 10.0
-	sup, err := loop.New(loop.Config{
-		Target:    simTarget{s: s, names: names},
-		Operators: names,
-		Stepper:   ctrl,
-		Pool:      lease,
-		Interval:  secondsToDuration(interval),
-		Cooldown:  secondsToDuration(4 * interval),
-		Clock:     clock,
-		Logger:    slog.New(failures),
-	})
+	front, err := a.tenant(cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: overloadInitial},
+		twoStageParams{service: stats.Exponential{Rate: overloadMu}, tmax: overloadTmax, slack: overloadSlack},
+		o.Seed,
+		sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}, Admit: gold.admit},
+		sim.SourceSpec{Arrivals: &sim.SteppedRate{
+			Base:   sim.PoissonArrivals{Rate: overloadBronzeRate},
+			Factor: overloadStepFactor, From: stepFrom, Until: stepUntil,
+		}, Admit: bronze.admit})
 	if err != nil {
 		return res, err
 	}
 
-	maxSlots := overloadSlots * overloadMachines
 	clients := []*overloadClient{gold, bronze}
-	for t := interval; t <= duration+1e-9; t += interval {
-		s.RunUntil(t)
-		clock.set(t)
-		if t < enableAt {
-			sup.Observe()
-		} else {
-			sup.Tick()
-		}
-		// Replan admission exactly as the live gate does each round: read
-		// the supervisor's latest (demand-scaled) snapshot, size the
-		// sustainable rate for the grant, and split it by client weight.
-		offeredRate, admittedRate := 0.0, 0.0
-		rates := make([]float64, len(clients))
-		for i, c := range clients {
-			rates[i] = float64(c.offered-c.lastOffered) / interval
-			offeredRate += rates[i]
-			admittedRate += float64(c.admitted-c.lastAdmitted) / interval
-			c.lastOffered, c.lastAdmitted = c.offered, c.admitted
-		}
-		plan := ingest.Plan{AdmitFraction: 1, SustainableRate: offeredRate, ScaleOutViable: true}
-		if snap, ok := sup.LastSnapshot(); ok {
-			// The gate's default 10% headroom: plan against a tightened
-			// target so the admitted traffic keeps a noise margin below
-			// the hard limit.
-			plan = ingest.PlanAdmission(snap, overloadTmax*0.9, maxSlots, offeredRate)
-		}
-		weights := make([]float64, len(clients))
-		ids := make([]string, len(clients))
-		for i, c := range clients {
-			weights[i], ids[i] = c.weight, c.name
-		}
-		for i, p := range ingest.AdmitPermilles(plan, weights, ids, rates) {
-			clients[i].permille = p
-		}
+	err = a.run(duration, enableAt, func(r arcRound) {
+		g := replan(clients, front.sup, overloadTmax, overloadSlots*overloadMachines)
 		pt := OverloadPoint{
-			AtSeconds:      t,
-			OfferedRate:    offeredRate,
-			AdmittedRate:   admittedRate,
-			AdmitFraction:  plan.AdmitFraction,
-			ScaleOutViable: plan.ScaleOutViable,
-			Grant:          lease.Kmax(),
-			Capacity:       sched.State().Capacity,
+			AtSeconds:      r.t,
+			OfferedRate:    g.offeredRate,
+			AdmittedRate:   g.admittedRate,
+			AdmitFraction:  g.plan.AdmitFraction,
+			ScaleOutViable: g.plan.ScaleOutViable,
+			Grant:          front.lease.Kmax(),
+			Capacity:       r.st.Capacity,
 		}
 		res.Points = append(res.Points, pt)
-		if pt.Grant > res.PeakGrant {
-			res.PeakGrant = pt.Grant
-		}
-		if t >= stepFrom && t < stepUntil && plan.AdmitFraction < 1 {
+		res.PeakGrant = max(res.PeakGrant, pt.Grant)
+		if r.t >= stepFrom && r.t < stepUntil && g.plan.AdmitFraction < 1 {
 			res.ShedDuringSurge = true
-			if !plan.ScaleOutViable {
+			if !g.plan.ScaleOutViable {
 				res.PersistentShedSeen = true
 			}
 		}
-		if t >= stepUntil && plan.AdmitFraction >= 1 {
+		if r.t >= stepUntil && g.plan.AdmitFraction >= 1 {
 			res.AdmitAllRestored = true
 		}
+	})
+	if err != nil {
+		return res, err
 	}
-	if err := failures.err(); err != nil {
-		return res, fmt.Errorf("experiments: overload run: %w", err)
-	}
-	res.Series = s.Series()
-	res.Transitions = transitionsFrom(sup)
+	res.Series = front.s.Series()
+	res.Transitions = transitionsFrom(front.sup)
 	for _, c := range clients {
 		cs := OverloadClientStats{Name: c.name, Weight: c.weight,
 			Offered: c.offered, Admitted: c.admitted, Shed: c.shed}
@@ -318,10 +262,8 @@ func RunOverload(o Options) (OverloadResult, error) {
 		res.Clients = append(res.Clients, cs)
 		res.ShedTotal += c.shed
 	}
-	for _, d := range s.Dropped() {
-		res.DroppedTuples += d
-	}
-	res.PendingAtEnd = s.PendingRoots()
+	res.DroppedTuples = front.dropped()
+	res.PendingAtEnd = front.s.PendingRoots()
 	for _, pt := range res.Series {
 		if !math.IsNaN(pt.MeanSojourn) {
 			res.FinalSojournMillis = pt.MeanSojourn * 1e3
@@ -351,15 +293,7 @@ func (r OverloadResult) Print(w io.Writer) {
 	row("admitted (tuples/s)", func(p OverloadPoint) string { return fmt.Sprintf("%.1f", p.AdmittedRate) })
 	row("admit fraction", func(p OverloadPoint) string { return fmt.Sprintf("%.2f", p.AdmitFraction) })
 	row("grant (slots)", func(p OverloadPoint) string { return fmt.Sprintf("%d/%d", p.Grant, p.Capacity) })
-	fmt.Fprint(w, "admitted E[T] by minute (ms): ")
-	for _, pt := range r.Series {
-		if math.IsNaN(pt.MeanSojourn) {
-			fmt.Fprint(w, "    - ")
-			continue
-		}
-		fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
-	}
-	fmt.Fprintln(w)
+	printSojournCurve(w, "admitted", r.Series)
 	fmt.Fprintf(w, "%-8s %7s %10s %10s %10s %7s\n", "client", "weight", "offered", "admitted", "shed", "shed%")
 	for _, c := range r.Clients {
 		fmt.Fprintf(w, "%-8s %7.0f %10d %10d %10d %6.1f%%\n",

@@ -138,21 +138,30 @@ type wireRecord struct {
 	Detail      string  `json:"detail"`
 }
 
+// decodeStrict is the strict-decode prologue both wire formats share:
+// exactly one JSON object per line, decoded into the shadow struct w.
+// Unknown fields, malformed JSON and anything but whitespace after the
+// object are errors naming what ("record", "span") failed to parse.
+func decodeStrict(line []byte, what string, w any) error {
+	dec := json.NewDecoder(bytes.NewReader(line))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(w); err != nil {
+		return fmt.Errorf("obs: parse %s: %w", what, err)
+	}
+	var extra json.RawMessage
+	if err := dec.Decode(&extra); err != io.EOF {
+		return fmt.Errorf("obs: parse %s: trailing data after object", what)
+	}
+	return nil
+}
+
 // ParseRecord decodes one canonical JSON record line. Unknown fields,
 // malformed JSON, trailing data and unknown kind names are errors; a
 // successful parse re-encodes (AppendRecord) to a stable canonical form.
 func ParseRecord(line []byte) (Record, error) {
 	var w wireRecord
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return Record{}, fmt.Errorf("obs: parse record: %w", err)
-	}
-	// One JSON value per line: anything but whitespace after the object
-	// is corruption.
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return Record{}, fmt.Errorf("obs: parse record: trailing data after object")
+	if err := decodeStrict(line, "record", &w); err != nil {
+		return Record{}, err
 	}
 	kind, ok := KindFromString(w.Kind)
 	if !ok {

@@ -1,17 +1,18 @@
-// Package obs is the control plane's observability layer: a structured,
-// bounded, allocation-disciplined decision log plus a hand-rolled
-// Prometheus-format metrics registry. It follows the decision-log plugin
-// idiom popularized by OPA: deciders emit fixed-shape records into a
-// sharded ring buffer (sample-then-store, drop-counter on overflow, never
-// block), and a single drainer goroutine encodes NDJSON to a sink off the
-// hot path. The package depends only on the standard library so every
+// Package obs is the observability layer: a structured, bounded,
+// allocation-disciplined decision log for the control plane, a sampled
+// per-tuple tracer for the data plane, and a hand-rolled Prometheus-format
+// metrics registry. Log and Tracer are two instantiations of one record
+// pipeline (pipe.go) on the decision-log plugin idiom popularized by OPA:
+// emitters copy fixed-shape records into a sharded ring buffer
+// (sample-then-store, drop-counter on overflow, never block), and a single
+// drainer goroutine encodes NDJSON to a sink off the hot path. The
+// package depends only on the standard library so every
 // subsystem (engine, cluster, ingest, loop, worker, wal) can emit into it
 // without import cycles.
 package obs
 
 import (
-	"slices"
-	"sync"
+	"cmp"
 	"sync/atomic"
 	"time"
 )
@@ -144,15 +145,6 @@ type Record struct {
 	Detail      string  // short constant tag (action word, reason)
 }
 
-// shard is one ring of the log. Emission appends under the shard mutex;
-// the drainer swaps the filled region out wholesale. Fixed-capacity, drop
-// on overflow: a slow drainer costs records (counted), never latency.
-type shard struct {
-	mu  sync.Mutex
-	buf []Record // append cursor is len(buf); capacity fixed at build
-	_   [32]byte // pad to keep neighbouring shards off one cache line
-}
-
 // Config sizes a Log. The zero value is usable: 4 shards x 1024 records,
 // sampling every record, no sink (manual Sweep only).
 type Config struct {
@@ -174,79 +166,27 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Log is a bounded, sharded, sampled decision log. All methods are
-// nil-safe: a nil *Log ignores emissions, so wiring is optional
-// everywhere and the disabled path costs one branch.
+// Log is a bounded, sharded, sampled decision log: the pipe[Record]
+// instantiation. Its own policy is the seq-thinning sampler and the At
+// stamp. All methods are nil-safe: a nil *Log ignores emissions, so
+// wiring is optional everywhere and the disabled path costs one branch.
 type Log struct {
-	shards []*shard
-	mask   uint64
-	now    func() time.Time
-
-	seq      atomic.Uint64 // emissions offered (pre-sampling)
-	permille atomic.Int64  // sampling knob, flippable at runtime
-	dropped  atomic.Uint64 // records lost to ring overflow
-	thinned  atomic.Uint64 // records skipped by sampling
-
-	sink       Sink
-	flushEvery time.Duration
-	drainBuf   []Record // drainer-owned scratch, reused every sweep
-	encBuf     []byte   // drainer-owned encode scratch
-	stop       chan struct{}
-	done       chan struct{}
-	closeOnce  sync.Once
+	p       pipe[Record]
+	now     func() time.Time
+	thinned atomic.Uint64 // records skipped by sampling
 }
 
 // NewLog builds a decision log. If cfg.Sink is non-nil a single drainer
 // goroutine starts sweeping the rings; Close stops it and flushes.
 func NewLog(cfg Config) *Log {
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = 4
+	l := &Log{now: cfg.Now}
+	if l.now == nil {
+		l.now = time.Now
 	}
-	// Round up to a power of two so shard choice is a mask, not a mod.
-	pow := 1
-	for pow < nshards {
-		pow <<= 1
-	}
-	capacity := cfg.ShardCapacity
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	permille := cfg.SamplePermille
-	if permille <= 0 || permille > permilleScale {
-		permille = permilleScale
-	}
-	flush := cfg.FlushEvery
-	if flush <= 0 {
-		flush = 250 * time.Millisecond
-	}
-	now := cfg.Now
-	if now == nil {
-		now = time.Now
-	}
-	l := &Log{
-		shards:     make([]*shard, pow),
-		mask:       uint64(pow - 1),
-		now:        now,
-		sink:       cfg.Sink,
-		flushEvery: flush,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	for i := range l.shards {
-		l.shards[i] = &shard{buf: make([]Record, 0, capacity)}
-	}
-	l.permille.Store(int64(permille))
-	if l.sink != nil {
-		go l.drain()
-	} else {
-		close(l.done)
-	}
+	l.p.init(cfg.Shards, cfg.ShardCapacity, cfg.SamplePermille, cfg.FlushEvery, cfg.Sink,
+		func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) }, AppendRecord, nil)
 	return l
 }
-
-// permilleScale is the denominator of the sampling knob.
-const permilleScale = 1000
 
 // thinAdmit reports whether the seq-th emission survives permille
 // sampling — the same deterministic thinning the ingest gate uses: admit
@@ -273,8 +213,8 @@ func (l *Log) Emit(r *Record) {
 	if l == nil {
 		return
 	}
-	seq := l.seq.Add(1)
-	if !thinAdmit(seq, l.permille.Load()) {
+	seq := l.p.seq.Add(1)
+	if !thinAdmit(seq, l.p.permille.Load()) {
 		l.thinned.Add(1)
 		return
 	}
@@ -282,34 +222,19 @@ func (l *Log) Emit(r *Record) {
 	if at == 0 {
 		at = l.now().UnixNano()
 	}
-	s := l.shards[seq&l.mask]
-	s.mu.Lock()
-	if len(s.buf) == cap(s.buf) {
-		s.mu.Unlock()
-		l.dropped.Add(1)
-		return
+	if slot, mu := l.p.put(seq, r); slot != nil {
+		slot.Seq, slot.At = seq, at
+		mu.Unlock()
 	}
-	s.buf = append(s.buf, *r)
-	rec := &s.buf[len(s.buf)-1]
-	rec.Seq = seq
-	rec.At = at
-	s.mu.Unlock()
 }
 
 // SetSample re-aims the sampling knob to keep permille records per 1000
 // emissions, effective for subsequent emissions. Values are clamped to
 // [0, 1000]. Safe on a nil log and during concurrent emission.
 func (l *Log) SetSample(permille int) {
-	if l == nil {
-		return
+	if l != nil {
+		l.p.setSample(permille)
 	}
-	if permille < 0 {
-		permille = 0
-	}
-	if permille > permilleScale {
-		permille = permilleScale
-	}
-	l.permille.Store(int64(permille))
 }
 
 // Stats is a point-in-time account of the log's traffic.
@@ -325,9 +250,9 @@ func (l *Log) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{
-		Offered: l.seq.Load(),
+		Offered: l.p.seq.Load(),
 		Thinned: l.thinned.Load(),
-		Dropped: l.dropped.Load(),
+		Dropped: l.p.dropped.Load(),
 	}
 }
 
@@ -340,65 +265,10 @@ func (l *Log) Sweep(fn func(*Record)) {
 	if l == nil {
 		return
 	}
-	recs := l.collect()
+	recs := l.p.collect()
 	for i := range recs {
 		fn(&recs[i])
 	}
-}
-
-// collect moves all buffered records into the drainer scratch, sorted by
-// emission sequence, and resets the rings.
-func (l *Log) collect() []Record {
-	l.drainBuf = l.drainBuf[:0]
-	for _, s := range l.shards {
-		s.mu.Lock()
-		l.drainBuf = append(l.drainBuf, s.buf...)
-		s.buf = s.buf[:0]
-		s.mu.Unlock()
-	}
-	slices.SortFunc(l.drainBuf, func(a, b Record) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
-	return l.drainBuf
-}
-
-// drain is the single background drainer: every FlushEvery it sweeps the
-// rings, encodes the batch as NDJSON into a reused scratch buffer, and
-// writes it to the sink. One goroutine, one encode buffer — encoding cost
-// never lands on a decider.
-func (l *Log) drain() {
-	defer close(l.done)
-	t := time.NewTicker(l.flushEvery)
-	defer t.Stop()
-	for {
-		select {
-		case <-t.C:
-			l.flushOnce()
-		case <-l.stop:
-			l.flushOnce()
-			return
-		}
-	}
-}
-
-// flushOnce sweeps and encodes one batch to the sink.
-func (l *Log) flushOnce() {
-	recs := l.collect()
-	if len(recs) == 0 {
-		return
-	}
-	l.encBuf = l.encBuf[:0]
-	for i := range recs {
-		l.encBuf = AppendRecord(l.encBuf, &recs[i])
-		l.encBuf = append(l.encBuf, '\n')
-	}
-	l.sink.Write(l.encBuf)
 }
 
 // Close stops the drainer (if any), flushes buffered records to the sink,
@@ -407,10 +277,5 @@ func (l *Log) Close() error {
 	if l == nil {
 		return nil
 	}
-	l.closeOnce.Do(func() { close(l.stop) })
-	<-l.done
-	if l.sink != nil {
-		return l.sink.Close()
-	}
-	return nil
+	return l.p.close()
 }

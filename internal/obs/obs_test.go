@@ -63,25 +63,6 @@ func TestLogNilSafe(t *testing.T) {
 	}
 }
 
-func TestLogDropsOnOverflowNeverBlocks(t *testing.T) {
-	l := NewLog(Config{Shards: 1, ShardCapacity: 8, Now: fixedClock()})
-	for i := 0; i < 20; i++ {
-		l.Emit(&Record{Kind: KindShedPlan, Tenant: "t"})
-	}
-	st := l.Stats()
-	if st.Offered != 20 {
-		t.Fatalf("offered %d, want 20", st.Offered)
-	}
-	if st.Dropped != 12 {
-		t.Fatalf("dropped %d, want 12 (capacity 8)", st.Dropped)
-	}
-	n := 0
-	l.Sweep(func(*Record) { n++ })
-	if n != 8 {
-		t.Fatalf("swept %d, want the 8 retained records", n)
-	}
-}
-
 func TestLogSamplingDeterministicAndRetunable(t *testing.T) {
 	l := NewLog(Config{Shards: 2, ShardCapacity: 2048, SamplePermille: 100, Now: fixedClock()})
 	for i := 0; i < 1000; i++ {

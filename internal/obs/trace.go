@@ -10,9 +10,7 @@
 package obs
 
 import (
-	"slices"
-	"sync"
-	"sync/atomic"
+	"cmp"
 	"time"
 )
 
@@ -87,14 +85,6 @@ type SpanRecord struct {
 	DurNS   int64    // segment duration in nanoseconds
 }
 
-// spanShard is one ring of the tracer. Same discipline as the decision
-// log's shard: append under the mutex, drop-newest on overflow.
-type spanShard struct {
-	mu  sync.Mutex
-	buf []SpanRecord // append cursor is len(buf); capacity fixed at build
-	_   [32]byte     // pad to keep neighbouring shards off one cache line
-}
-
 // TracerConfig sizes a Tracer. The zero value is usable: 4 shards x 1024
 // spans, sampling every root, no sink or assembler (manual Close only).
 type TracerConfig struct {
@@ -117,69 +107,39 @@ type TracerConfig struct {
 }
 
 // Tracer is a bounded, sharded span buffer with deterministic trace
-// sampling. All methods are nil-safe: a nil *Tracer samples nothing and
-// ignores spans, so the disabled path costs one branch.
+// sampling: the pipe[SpanRecord] instantiation. Its own policy is the
+// id-hash sampler and the assembler feed. All methods are nil-safe: a nil
+// *Tracer samples nothing and ignores spans, so the disabled path costs
+// one branch.
 type Tracer struct {
-	shards []*spanShard
-	mask   uint64
-
-	seq      atomic.Uint64 // spans offered
-	permille atomic.Int64  // sampling knob, flippable at runtime
-	dropped  atomic.Uint64 // spans lost to ring overflow
-
-	sink       Sink
-	asm        *Assembler
-	flushEvery time.Duration
-	drainBuf   []SpanRecord // drainer-owned scratch, reused every sweep
-	encBuf     []byte       // drainer-owned encode scratch
-	stop       chan struct{}
-	done       chan struct{}
-	closeOnce  sync.Once
+	p   pipe[SpanRecord]
+	asm *Assembler
 }
 
 // NewTracer builds a tracer. If cfg.Sink or cfg.Assembler is non-nil a
 // single drainer goroutine starts sweeping the rings; Close stops it,
 // flushes, and finalizes the assembler.
 func NewTracer(cfg TracerConfig) *Tracer {
-	nshards := cfg.Shards
-	if nshards <= 0 {
-		nshards = 4
+	t := &Tracer{asm: cfg.Assembler}
+	var fold func([]SpanRecord)
+	if t.asm != nil {
+		fold = t.feed
 	}
-	pow := 1
-	for pow < nshards {
-		pow <<= 1
-	}
-	capacity := cfg.ShardCapacity
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	permille := cfg.SamplePermille
-	if permille <= 0 || permille > permilleScale {
-		permille = permilleScale
-	}
-	flush := cfg.FlushEvery
-	if flush <= 0 {
-		flush = 250 * time.Millisecond
-	}
-	t := &Tracer{
-		shards:     make([]*spanShard, pow),
-		mask:       uint64(pow - 1),
-		sink:       cfg.Sink,
-		asm:        cfg.Assembler,
-		flushEvery: flush,
-		stop:       make(chan struct{}),
-		done:       make(chan struct{}),
-	}
-	for i := range t.shards {
-		t.shards[i] = &spanShard{buf: make([]SpanRecord, 0, capacity)}
-	}
-	t.permille.Store(int64(permille))
-	if t.sink != nil || t.asm != nil {
-		go t.drain()
-	} else {
-		close(t.done)
-	}
+	t.p.init(cfg.Shards, cfg.ShardCapacity, cfg.SamplePermille, cfg.FlushEvery, cfg.Sink,
+		func(a, b SpanRecord) int { return cmp.Compare(a.Seq, b.Seq) }, AppendSpan, fold)
 	return t
+}
+
+// feed folds one sweep into the assembler, on the drainer goroutine. The
+// assembler sees the batch boundary (endBatch) so it can hold a freshly
+// rooted trace one sweep before finalizing: a segment emitted before the
+// root span is guaranteed to be in the rings by the time the root is
+// observed, hence collected no later than the next sweep.
+func (t *Tracer) feed(recs []SpanRecord) {
+	for i := range recs {
+		t.asm.observe(&recs[i])
+	}
+	t.asm.endBatch()
 }
 
 // traceMix is the splitmix64 finalizer: a cheap, well-distributed 64-bit
@@ -201,7 +161,7 @@ func (t *Tracer) SampleTrace(id uint64) bool {
 	if t == nil || id == 0 {
 		return false
 	}
-	p := t.permille.Load()
+	p := t.p.permille.Load()
 	if p <= 0 {
 		return false
 	}
@@ -221,33 +181,20 @@ func (t *Tracer) EmitSpan(r *SpanRecord) {
 	if t == nil {
 		return
 	}
-	seq := t.seq.Add(1)
-	s := t.shards[seq&t.mask]
-	s.mu.Lock()
-	if len(s.buf) == cap(s.buf) {
-		s.mu.Unlock()
-		t.dropped.Add(1)
-		return
+	seq := t.p.seq.Add(1)
+	if slot, mu := t.p.put(seq, r); slot != nil {
+		slot.Seq = seq
+		mu.Unlock()
 	}
-	s.buf = append(s.buf, *r)
-	s.buf[len(s.buf)-1].Seq = seq
-	s.mu.Unlock()
 }
 
 // SetSample re-aims the sampling knob to trace permille roots per 1000,
 // effective for subsequent SampleTrace calls. Values are clamped to
 // [0, 1000]. Safe on a nil tracer and during concurrent emission.
 func (t *Tracer) SetSample(permille int) {
-	if t == nil {
-		return
+	if t != nil {
+		t.p.setSample(permille)
 	}
-	if permille < 0 {
-		permille = 0
-	}
-	if permille > permilleScale {
-		permille = permilleScale
-	}
-	t.permille.Store(int64(permille))
 }
 
 // TraceStats is a point-in-time account of the tracer's traffic.
@@ -261,7 +208,7 @@ func (t *Tracer) Stats() TraceStats {
 	if t == nil {
 		return TraceStats{}
 	}
-	return TraceStats{Spans: t.seq.Load(), Dropped: t.dropped.Load()}
+	return TraceStats{Spans: t.p.seq.Load(), Dropped: t.p.dropped.Load()}
 }
 
 // Assembler returns the attached trace assembler (nil when none). Safe
@@ -273,74 +220,6 @@ func (t *Tracer) Assembler() *Assembler {
 	return t.asm
 }
 
-// collect moves all buffered spans into the drainer scratch, sorted by
-// emission sequence, and resets the rings.
-func (t *Tracer) collect() []SpanRecord {
-	t.drainBuf = t.drainBuf[:0]
-	for _, s := range t.shards {
-		s.mu.Lock()
-		t.drainBuf = append(t.drainBuf, s.buf...)
-		s.buf = s.buf[:0]
-		s.mu.Unlock()
-	}
-	slices.SortFunc(t.drainBuf, func(a, b SpanRecord) int {
-		switch {
-		case a.Seq < b.Seq:
-			return -1
-		case a.Seq > b.Seq:
-			return 1
-		}
-		return 0
-	})
-	return t.drainBuf
-}
-
-// drain is the single background drainer: every FlushEvery it sweeps the
-// rings, feeds the assembler, encodes the batch as NDJSON into a reused
-// scratch buffer, and writes it to the sink. One goroutine, one encode
-// buffer — assembly and encoding cost never land on an executor.
-func (t *Tracer) drain() {
-	defer close(t.done)
-	tick := time.NewTicker(t.flushEvery)
-	defer tick.Stop()
-	for {
-		select {
-		case <-tick.C:
-			t.flushOnce()
-		case <-t.stop:
-			t.flushOnce()
-			return
-		}
-	}
-}
-
-// flushOnce sweeps one batch through the assembler and the sink. The
-// assembler sees the batch boundary (endBatch) so it can hold a freshly
-// rooted trace one sweep before finalizing: a segment emitted before the
-// root span is guaranteed to be in the rings by the time the root is
-// observed, hence collected no later than the next sweep.
-func (t *Tracer) flushOnce() {
-	recs := t.collect()
-	if len(recs) == 0 && t.asm == nil {
-		return
-	}
-	if t.asm != nil {
-		for i := range recs {
-			t.asm.observe(&recs[i])
-		}
-		t.asm.endBatch()
-	}
-	if t.sink == nil || len(recs) == 0 {
-		return
-	}
-	t.encBuf = t.encBuf[:0]
-	for i := range recs {
-		t.encBuf = AppendSpan(t.encBuf, &recs[i])
-		t.encBuf = append(t.encBuf, '\n')
-	}
-	t.sink.Write(t.encBuf)
-}
-
 // Close stops the drainer (if any), flushes buffered spans, finalizes
 // every rooted trace in the assembler, and closes the sink. Safe on a
 // nil tracer and safe to call twice.
@@ -348,13 +227,9 @@ func (t *Tracer) Close() error {
 	if t == nil {
 		return nil
 	}
-	t.closeOnce.Do(func() { close(t.stop) })
-	<-t.done
+	err := t.p.close()
 	if t.asm != nil {
 		t.asm.finalizeAll()
 	}
-	if t.sink != nil {
-		return t.sink.Close()
-	}
-	return nil
+	return err
 }

@@ -186,23 +186,6 @@ func TestTracerNilSafe(t *testing.T) {
 	}
 }
 
-func TestTracerDropsOnOverflowNeverBlocks(t *testing.T) {
-	tr := NewTracer(TracerConfig{Shards: 1, ShardCapacity: 8})
-	for i := 0; i < 20; i++ {
-		tr.EmitSpan(&SpanRecord{Trace: uint64(i + 1), Kind: SpanRoot})
-	}
-	st := tr.Stats()
-	if st.Spans != 20 {
-		t.Fatalf("spans %d, want 20", st.Spans)
-	}
-	if st.Dropped != 12 {
-		t.Fatalf("dropped %d, want 12 (capacity 8)", st.Dropped)
-	}
-	if err := tr.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
 // TestTracerAssemblesAndSinks drives the full pipeline: spans for two
 // traces (one with a remote hop) through the rings, the drainer, the
 // assembler and the NDJSON sink, then checks the reassembled traces'

@@ -1,10 +1,7 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"strconv"
 )
 
@@ -69,14 +66,8 @@ type wireSpan struct {
 // a successful parse re-encodes (AppendSpan) to a stable canonical form.
 func ParseSpan(line []byte) (SpanRecord, error) {
 	var w wireSpan
-	dec := json.NewDecoder(bytes.NewReader(line))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return SpanRecord{}, fmt.Errorf("obs: parse span: %w", err)
-	}
-	var extra json.RawMessage
-	if err := dec.Decode(&extra); err != io.EOF {
-		return SpanRecord{}, fmt.Errorf("obs: parse span: trailing data after object")
+	if err := decodeStrict(line, "span", &w); err != nil {
+		return SpanRecord{}, err
 	}
 	kind, ok := SpanKindFromString(w.Kind)
 	if !ok {
