@@ -76,7 +76,8 @@ worker-smoke:
 
 # Hot-path benchmarks -> BENCH_<PR>.json (see scripts/bench.sh). PR
 # defaults to the next point on the perf trajectory (highest existing
-# BENCH_<n>.json + 1).
+# BENCH_<n>.json + 1). Each benchmark runs six times; a row is the median
+# with min and max.
 PR ?=
 BENCHTIME ?= 2s
 bench:

@@ -175,21 +175,51 @@ func (r *Run) RemoteBound(bolt string) (int, error) {
 
 // pinBatch pins the queue items of one in-flight remote batch — tree
 // references included — until the transport's done callback resolves them.
-// Pins recycle through a pool so the steady shuttle path allocates nothing.
+// Pins recycle through a pool so the steady shuttle path allocates nothing:
+// the completion handed to the transport is done, the method value of
+// complete bound once per pin, reading its per-send context from the fields.
 type pinBatch struct {
 	items []queueItem
+	// r, br, em, ex and sentNS are what complete needs, set by the drain
+	// loop before each ProcessBatch and dropped by put.
+	r      *Run
+	br     *boltRuntime
+	em     *emitter
+	ex     *executor
+	sentNS int64
+	done   func(RemoteResult, error)
 }
 
-var pinPool = sync.Pool{New: func() any {
-	return &pinBatch{items: make([]queueItem, 0, RemoteBatchCap)}
-}}
+// pinPool has no New: complete reaches put, so a New referring to complete
+// would be an initialization cycle. getPin builds a pin on a pool miss.
+var pinPool sync.Pool
 
-func getPin() *pinBatch { return pinPool.Get().(*pinBatch) }
+func getPin() *pinBatch {
+	if p, ok := pinPool.Get().(*pinBatch); ok {
+		return p
+	}
+	p := &pinBatch{items: make([]queueItem, 0, RemoteBatchCap)}
+	p.done = p.complete
+	return p
+}
 
 func (p *pinBatch) put() {
 	clear(p.items)
-	p.items = p.items[:0]
+	*p = pinBatch{items: p.items[:0], done: p.done}
 	pinPool.Put(p)
+}
+
+// complete is the transport's done callback for this pin: apply the result
+// (or replay the batch on a transport error), then free the window slot.
+// Both paths put the pin back, so ex is read before either runs.
+func (p *pinBatch) complete(res RemoteResult, rerr error) {
+	ex := p.ex
+	defer func() { <-ex.sem }()
+	if rerr != nil {
+		p.r.replayPin(p.br, ex, p)
+		return
+	}
+	p.r.applyRemote(p.br, p.em, ex, p, res, p.sentNS)
 }
 
 // runRemoteExecutor is the drain loop of a remote-bound executor: the same
@@ -244,14 +274,11 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 			if hasTraced {
 				sentNS = time.Now().UnixNano()
 			}
-			err := ex.remote.ProcessBatch(br.spec.name, items[:cnt], func(res RemoteResult, rerr error) {
-				defer func() { <-ex.sem }()
-				if rerr != nil {
-					r.replayPin(br, ex, pin)
-					return
-				}
-				r.applyRemote(br, em, ex, pin, res, sentNS)
-			})
+			pin.r, pin.br, pin.em, pin.ex, pin.sentNS = r, br, em, ex, sentNS
+			err := ex.remote.ProcessBatch(br.spec.name, items[:cnt], pin.done)
+			// The transport has encoded the batch; drop the scratch's hold
+			// on its Values so an idle executor pins none of them.
+			clear(items[:cnt])
 			if err != nil {
 				<-ex.sem
 				// This batch was pinned but never handed off; it strands

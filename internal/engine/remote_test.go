@@ -2,9 +2,12 @@ package engine
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
+
+	"github.com/drs-repro/drs/internal/obs"
 )
 
 // fakeRemote is an in-process RemoteExecutor: it "hosts" a stateless bolt
@@ -214,5 +217,67 @@ func waitRemoteUnbound(t *testing.T, run *Run, bolt string) {
 			t.Fatal("remote binding never self-healed")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// lockstepSpout emits the same preallocated tuple once per token on step, so
+// the caller paces the topology one root (and so one remote batch) at a time.
+type lockstepSpout struct{ step chan struct{} }
+
+func (s *lockstepSpout) Run(ctx SpoutContext) error {
+	v := Values{"x"}
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-s.step:
+			ctx.Emit(v)
+		}
+	}
+}
+
+// ackRemote is a RemoteExecutor that allocates nothing: every batch resolves
+// at once with no emissions.
+type ackRemote struct{}
+
+func (ackRemote) ProcessBatch(_ string, items []RemoteItem, done func(RemoteResult, error)) error {
+	done(RemoteResult{Served: int64(len(items))}, nil)
+	return nil
+}
+
+// TestRemoteBatchAllocs guards the drain loop's per-batch constants: a
+// one-item batch through a remote-bound executor — pin, completion, apply,
+// ack — costs no more allocations than the root tuple itself, so neither a
+// per-batch closure nor a per-batch pin can come back unnoticed.
+func TestRemoteBatchAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	sp := &lockstepSpout{step: make(chan struct{})}
+	topo, err := NewTopology().
+		Spout("src", 1, func(int) Spout { return sp }).
+		Bolt("sink", 1, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+		Shuffle("src", "sink").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := startTopo(t, topo, map[string]int{"sink": 1})
+	var done int64
+	one := func() {
+		sp.step <- struct{}{}
+		done++
+		for n, _ := run.Completions(); n < done; n, _ = run.Completions() {
+			runtime.Gosched()
+		}
+	}
+	local := testing.AllocsPerRun(2000, one)
+	if err := run.BindExecutor("sink", 0, &ackRemote{}); err != nil {
+		t.Fatal(err)
+	}
+	remote := testing.AllocsPerRun(2000, one)
+	t.Logf("allocs per root: local %.2f, remote %.2f", local, remote)
+	if remote > local {
+		t.Errorf("a one-item remote batch costs %.2f allocs per root, the local path %.2f", remote, local)
 	}
 }

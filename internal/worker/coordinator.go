@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -328,7 +329,7 @@ func (s *Shuttle) ProcessBatch(bolt string, items []engine.RemoteItem, done func
 		// left, the engine keeps the items and degrades to local.
 		return err
 	}
-	s.wbuf = frame
+	s.wbuf = trimScratch(frame)
 	// Register before writing: the result can race back before Write
 	// returns.
 	s.mu.Lock()
@@ -354,12 +355,14 @@ func (s *Shuttle) ProcessBatch(bolt string, items []engine.RemoteItem, done func
 // heartbeats renew the lease (the read deadline). On any read error every
 // pending batch fails — serially, on this goroutine.
 func (s *Shuttle) readLoop(lease time.Duration) {
+	rd := bufio.NewReaderSize(s.conn, readBufBytes)
 	var buf []byte
 	var res resultMsg
+	var sl slab // every emitted tuple this connection delivers is carved from it
 	var err error
 	for {
 		_ = s.conn.SetReadDeadline(time.Now().Add(lease))
-		buf, err = readFrame(s.conn, buf)
+		buf, err = readFrame(rd, trimScratch(buf))
 		if err != nil {
 			break
 		}
@@ -370,7 +373,7 @@ func (s *Shuttle) readLoop(lease time.Duration) {
 		case kindHeartbeat:
 			// The successful read already renewed the lease.
 		case kindResult:
-			if derr := decodeResult(buf, &res); derr != nil {
+			if derr := decodeResult(buf, &res, &sl); derr != nil {
 				err = derr
 				goto out
 			}
@@ -391,6 +394,10 @@ func (s *Shuttle) readLoop(lease time.Duration) {
 					TraceServiceNS: res.ServiceNS,
 				}, nil)
 			}
+			// The lists were lent for the callback only; clearing the
+			// headers too drops any array sl.emits outgrew mid-frame.
+			clear(sl.emits)
+			clear(res.Emitted)
 		default:
 			err = fmt.Errorf("worker: unexpected frame kind 0x%02x from worker %d", buf[0], s.machine)
 			goto out

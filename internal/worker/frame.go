@@ -12,7 +12,9 @@
 // frames (hello, welcome) are small and JSON-encoded; data frames (batch,
 // result) use a compact binary layout with per-value type tags, encoded
 // into reused buffers so the steady shuttle path allocates nothing on the
-// send side. Decoding is strict — unknown kinds, unknown tags, truncated
+// send side, and decoded into a per-reader bump slab (see slab) so the
+// receive side allocates only the interface box Go makes per value.
+// Decoding is strict — unknown kinds, unknown tags, truncated
 // bodies, forged counts and trailing garbage are all errors — which is what
 // lets the fuzz harness assert "any byte stream either decodes cleanly or
 // errors, never panics, never over-allocates".
@@ -98,8 +100,9 @@ type welcomeMsg struct {
 type batchMsg struct {
 	// Seq matches a result to its batch on the answering connection.
 	Seq uint64
-	// Bolt names the destination bolt.
-	Bolt string
+	// Bolt names the destination bolt, in a buffer the message reuses
+	// across frames.
+	Bolt []byte
 	// Items are the tuples; Task selects the bolt task (its state) on the
 	// worker. Traced flags ride the frame's trace block — the ascending
 	// item indices the serve side wants measured individually.
@@ -115,7 +118,9 @@ type resultMsg struct {
 	// Seq echoes the batch sequence number.
 	Seq uint64
 	// Emitted is index-aligned with the batch items: the payloads each
-	// item's processing emitted, stream tags in-band.
+	// item's processing emitted, stream tags in-band. The per-item lists
+	// are borrowed — sub-slices of a scratch its producer reuses (runBolt's
+	// emits, the decoding slab's) — valid until the next frame.
 	Emitted [][]engine.Values
 	// Served, Sampled, BusyNanos, BusySqMicros and Errors are the
 	// executor-probe aggregates measured on the worker.
@@ -148,14 +153,33 @@ func finishFrame(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
+// maxScratch caps what a frame scratch buffer keeps between frames: one
+// huge frame must not pin up to MaxFrameBytes per connection for good.
+const maxScratch = 1 << 20
+
+// trimScratch returns buf for reuse, or nil when it outgrew maxScratch.
+func trimScratch(buf []byte) []byte {
+	if cap(buf) > maxScratch {
+		return nil
+	}
+	return buf
+}
+
+// readBufBytes sizes the bufio.Reader each read loop puts between the
+// socket and readFrame, so a header and its body (and any frames queued
+// behind them) cost one read(2), not two.
+const readBufBytes = 32 << 10
+
 // readFrame reads one frame from r into buf (grown as needed, reused
 // otherwise) and returns the checksum-verified payload.
 func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [8]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	// The header is read into buf too: a local array would escape through
+	// the io.Reader and cost an allocation per frame.
+	buf = beginFrame(buf)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	n := int(binary.BigEndian.Uint32(hdr[0:4]))
+	n, sum := int(binary.BigEndian.Uint32(buf[0:4])), binary.BigEndian.Uint32(buf[4:8])
 	if n > MaxFrameBytes {
 		return buf, ErrFrameTooBig
 	}
@@ -166,7 +190,7 @@ func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return buf, err
 	}
-	if crc32.Checksum(buf, castagnoli) != binary.BigEndian.Uint32(hdr[4:8]) {
+	if crc32.Checksum(buf, castagnoli) != sum {
 		return buf, ErrBadCRC
 	}
 	return buf, nil
@@ -310,12 +334,47 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 	}
 }
 
+// slab is the bump allocator one connection reader decodes into. Every
+// decoded Values and []byte payload is carved off the unused tail of the
+// current chunk with a full slice expression (cap == len, so a bolt's
+// append can never write into a neighbour), and a chunk too full for the
+// next carve is dropped and replaced — never rewound, never pooled. Carved
+// memory is therefore ordinary GC-owned memory its receiver may keep
+// forever; the price is that a retained value keeps its whole chunk alive.
+// Anything above a quarter chunk gets its own allocation.
+type slab struct {
+	vals  []any           // unused tail of the current value chunk
+	buf   []byte          // unused tail of the current byte chunk
+	emits []engine.Values // decodeResult's flat emit-list scratch, reused per frame
+}
+
+// Chunk sizes: 256 interface slots (4 KiB) and 32 KiB of payload bytes.
+const slabVals, slabBytes = 256, 32 << 10
+
+// carve returns a zeroed n-element slice with cap == len, cut from *chunk
+// (refilled with a fresh size-element chunk when n does not fit) or, above a
+// quarter chunk, allocated on its own. A nil chunk is refilled even for
+// n == 0, so an empty payload decodes to an empty non-nil slice, as make did.
+func carve[T any](chunk *[]T, size, n int) []T {
+	if n > size/4 {
+		return make([]T, n)
+	}
+	if n > len(*chunk) || *chunk == nil {
+		*chunk = make([]T, size)
+	}
+	out := (*chunk)[:n:n]
+	*chunk = (*chunk)[n:]
+	return out
+}
+
 // wire is a strict cursor over one frame payload: every read is
-// bounds-checked, and the first failure sticks.
+// bounds-checked, and the first failure sticks. Decoded values are carved
+// from s.
 type wire struct {
 	b   []byte
 	off int
 	err error
+	s   *slab
 }
 
 func (c *wire) fail() {
@@ -390,8 +449,8 @@ func (c *wire) done() error {
 	return nil
 }
 
-// decodeValue decodes one tagged value. Byte strings are copied out: the
-// frame buffer is reused for the next read.
+// decodeValue decodes one tagged value. Byte strings are copied out (into
+// the slab): the frame buffer is reused for the next read.
 func (c *wire) decodeValue() any {
 	switch tag := c.u8(); tag {
 	case tagNil:
@@ -412,7 +471,7 @@ func (c *wire) decodeValue() any {
 		return string(c.take(int(c.u32())))
 	case tagBytes:
 		b := c.take(int(c.u32()))
-		out := make([]byte, len(b))
+		out := carve(&c.s.buf, slabBytes, len(b))
 		copy(out, b)
 		return out
 	case tagStream:
@@ -426,7 +485,7 @@ func (c *wire) decodeValue() any {
 	}
 }
 
-// decodeValues decodes one tuple payload into a fresh Values slice.
+// decodeValues decodes one tuple payload into a Values carved from the slab.
 func (c *wire) decodeValues() engine.Values {
 	n := int(c.u16())
 	if n == 0 || n > c.remaining() { // every value is at least 1 byte
@@ -435,22 +494,22 @@ func (c *wire) decodeValues() engine.Values {
 		}
 		return nil
 	}
-	vs := make(engine.Values, 0, n)
+	vs := carve(&c.s.vals, slabVals, n)
 	for i := 0; i < n && c.err == nil; i++ {
-		vs = append(vs, c.decodeValue())
+		vs[i] = c.decodeValue()
 	}
 	return vs
 }
 
 // decodeBatch decodes a kindBatch payload (kind byte included) into m,
-// reusing m.Items capacity.
-func decodeBatch(payload []byte, m *batchMsg) error {
-	c := &wire{b: payload}
+// reusing m.Items and m.Bolt capacity and carving the tuples from s.
+func decodeBatch(payload []byte, m *batchMsg, s *slab) error {
+	c := &wire{b: payload, s: s}
 	if c.u8() != kindBatch {
 		return errors.New("worker: not a batch frame")
 	}
 	m.Seq = c.u64()
-	m.Bolt = string(c.take(int(c.u16())))
+	m.Bolt = append(m.Bolt[:0], c.take(int(c.u16()))...)
 	n := int(c.u32())
 	// A task id plus an empty value list is 6 bytes; reject counts the
 	// remaining bytes cannot possibly hold before allocating.
@@ -481,9 +540,10 @@ func decodeBatch(payload []byte, m *batchMsg) error {
 }
 
 // decodeResult decodes a kindResult payload (kind byte included) into m,
-// reusing m.Emitted capacity.
-func decodeResult(payload []byte, m *resultMsg) error {
-	c := &wire{b: payload}
+// reusing m.Emitted capacity and carving the tuples from s. The per-item
+// emit lists are sub-slices of s.emits: borrowed until the next decode.
+func decodeResult(payload []byte, m *resultMsg, s *slab) error {
+	c := &wire{b: payload, s: s}
 	if c.u8() != kindResult {
 		return errors.New("worker: not a result frame")
 	}
@@ -495,6 +555,7 @@ func decodeResult(payload []byte, m *resultMsg) error {
 		return errTruncated
 	}
 	m.Emitted = m.Emitted[:0]
+	s.emits = s.emits[:0]
 	for i := 0; i < n && c.err == nil; i++ {
 		ne := int(c.u16())
 		if ne > c.remaining()/2 {
@@ -502,10 +563,11 @@ func decodeResult(payload []byte, m *resultMsg) error {
 		}
 		var emits []engine.Values
 		if ne > 0 {
-			emits = make([]engine.Values, 0, ne)
+			start := len(s.emits)
 			for j := 0; j < ne && c.err == nil; j++ {
-				emits = append(emits, c.decodeValues())
+				s.emits = append(s.emits, c.decodeValues())
 			}
+			emits = s.emits[start:len(s.emits):len(s.emits)]
 		}
 		m.Emitted = append(m.Emitted, emits)
 	}

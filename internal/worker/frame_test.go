@@ -13,7 +13,7 @@ import (
 func testBatch() batchMsg {
 	return batchMsg{
 		Seq:  42,
-		Bolt: "fan",
+		Bolt: []byte("fan"),
 		Items: []engine.RemoteItem{
 			{Task: 0, Values: engine.Values{7, "alpha", []byte{1, 2, 3}}},
 			{Task: 3, Values: engine.Values{int64(-9), uint64(1 << 60), 2.5, true, false, nil}},
@@ -39,7 +39,7 @@ func testResult() resultMsg {
 // re-encoding.
 func TestBatchRoundTrip(t *testing.T) {
 	in := testBatch()
-	frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+	frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,13 +48,13 @@ func TestBatchRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out batchMsg
-	if err := decodeBatch(payload, &out); err != nil {
+	if err := decodeBatch(payload, &out, new(slab)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", in, out)
 	}
-	again, err := appendBatchFrame(nil, out.Seq, out.Bolt, out.Items)
+	again, err := appendBatchFrame(nil, out.Seq, string(out.Bolt), out.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestResultRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out resultMsg
-	if err := decodeResult(payload, &out); err != nil {
+	if err := decodeResult(payload, &out, new(slab)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -135,7 +135,7 @@ func TestControlRoundTrip(t *testing.T) {
 // reader must reject each without panicking.
 func TestFrameTampering(t *testing.T) {
 	in := testBatch()
-	frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+	frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestFrameTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m batchMsg
-		if err := decodeBatch(got, &m); err == nil {
+		if err := decodeBatch(got, &m, new(slab)); err == nil {
 			t.Fatal("clipped batch decoded cleanly")
 		}
 	})
@@ -197,7 +197,7 @@ func TestFrameTampering(t *testing.T) {
 			t.Fatal(err)
 		}
 		var m batchMsg
-		if err := decodeBatch(got, &m); err == nil {
+		if err := decodeBatch(got, &m, new(slab)); err == nil {
 			t.Fatal("padded batch decoded cleanly")
 		}
 	})
@@ -211,7 +211,7 @@ func TestFrameTampering(t *testing.T) {
 		off := 1 + 8 + 2 + len(testBatch().Bolt)
 		forged[off], forged[off+1], forged[off+2], forged[off+3] = 0x7F, 0xFF, 0xFF, 0xFF
 		var m batchMsg
-		if err := decodeBatch(forged, &m); err == nil {
+		if err := decodeBatch(forged, &m, new(slab)); err == nil {
 			t.Fatal("forged item count decoded cleanly")
 		}
 	})
@@ -230,7 +230,7 @@ func testBatchTraced() batchMsg {
 // flags survive encode/decode and the re-encoding stays canonical.
 func TestBatchRoundTripTraced(t *testing.T) {
 	in := testBatchTraced()
-	frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+	frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,13 +239,13 @@ func TestBatchRoundTripTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out batchMsg
-	if err := decodeBatch(payload, &out); err != nil {
+	if err := decodeBatch(payload, &out, new(slab)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", in, out)
 	}
-	again, err := appendBatchFrame(nil, out.Seq, out.Bolt, out.Items)
+	again, err := appendBatchFrame(nil, out.Seq, string(out.Bolt), out.Items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +270,7 @@ func TestResultRoundTripTraced(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out resultMsg
-	if err := decodeResult(payload, &out); err != nil {
+	if err := decodeResult(payload, &out, new(slab)); err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(in, out) {
@@ -284,7 +284,7 @@ func TestResultRoundTripTraced(t *testing.T) {
 func TestTraceBlockTampering(t *testing.T) {
 	t.Run("batch forged trace count", func(t *testing.T) {
 		in := testBatch()
-		frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+		frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,13 +297,13 @@ func TestTraceBlockTampering(t *testing.T) {
 		off := len(forged) - 4
 		forged[off], forged[off+1], forged[off+2], forged[off+3] = 0x7F, 0xFF, 0xFF, 0xFF
 		var m batchMsg
-		if err := decodeBatch(forged, &m); err == nil {
+		if err := decodeBatch(forged, &m, new(slab)); err == nil {
 			t.Fatal("forged trace count decoded cleanly")
 		}
 	})
 	t.Run("batch trace index out of range", func(t *testing.T) {
 		in := testBatchTraced()
-		frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+		frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -316,13 +316,13 @@ func TestTraceBlockTampering(t *testing.T) {
 		forged := append([]byte(nil), payload...)
 		forged[len(forged)-1] = 9
 		var m batchMsg
-		if err := decodeBatch(forged, &m); err == nil {
+		if err := decodeBatch(forged, &m, new(slab)); err == nil {
 			t.Fatal("out-of-range trace index decoded cleanly")
 		}
 	})
 	t.Run("batch trace index out of order", func(t *testing.T) {
 		in := testBatchTraced()
-		frame, err := appendBatchFrame(nil, in.Seq, in.Bolt, in.Items)
+		frame, err := appendBatchFrame(nil, in.Seq, string(in.Bolt), in.Items)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -334,7 +334,7 @@ func TestTraceBlockTampering(t *testing.T) {
 		forged := append([]byte(nil), payload...)
 		forged[len(forged)-5], forged[len(forged)-1] = 2, 0
 		var m batchMsg
-		if err := decodeBatch(forged, &m); err == nil {
+		if err := decodeBatch(forged, &m, new(slab)); err == nil {
 			t.Fatal("out-of-order trace indices decoded cleanly")
 		}
 	})
@@ -365,7 +365,7 @@ func TestTraceBlockTampering(t *testing.T) {
 		first, second := len(forged)-40, len(forged)-20
 		forged[first+3], forged[second+3] = 2, 0
 		var m resultMsg
-		if err := decodeResult(forged, &m); err == nil {
+		if err := decodeResult(forged, &m, new(slab)); err == nil {
 			t.Fatal("out-of-order result trace indices decoded cleanly")
 		}
 	})

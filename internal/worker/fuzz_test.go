@@ -2,8 +2,10 @@ package worker
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"runtime"
 	"testing"
 
 	"github.com/drs-repro/drs/internal/engine"
@@ -13,15 +15,16 @@ import (
 // reader and payload decoders — torn frames, oversized length prefixes,
 // flipped CRCs, forged counts, unknown kinds and tags. The invariants: no
 // panic, no over-allocation (forged counts are rejected against the
-// payload size before any allocation), and every *accepted* batch or
-// result payload is canonical — re-encoding the decoded message reproduces
-// the input bytes exactly, so a decode can never quietly reinterpret a
-// frame.
+// payload size before any allocation: what one decode takes from the heap,
+// slab chunks included, stays within decodeAllocBound of its payload), and
+// every *accepted* batch or result payload is canonical — re-encoding the
+// decoded message reproduces the input bytes exactly, so a decode can never
+// quietly reinterpret a frame.
 func FuzzWorkerFrame(f *testing.F) {
 	// Seed corpus: one valid frame of each kind, plus torn/flipped/forged
 	// variants of the data frames.
 	b := testBatch()
-	batchFrame, err := appendBatchFrame(nil, b.Seq, b.Bolt, b.Items)
+	batchFrame, err := appendBatchFrame(nil, b.Seq, string(b.Bolt), b.Items)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -31,7 +34,7 @@ func FuzzWorkerFrame(f *testing.F) {
 		f.Fatal(err)
 	}
 	bt := testBatchTraced()
-	tracedBatchFrame, err := appendBatchFrame(nil, bt.Seq, bt.Bolt, bt.Items)
+	tracedBatchFrame, err := appendBatchFrame(nil, bt.Seq, string(bt.Bolt), bt.Items)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -73,10 +76,44 @@ func FuzzWorkerFrame(f *testing.F) {
 	f.Add(forged)
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
+	// Slab seeds, in the value chunk so they stay small enough to mutate
+	// (the byte chunk's twins are TestSlab*). Five tuples of just under a
+	// quarter chunk: the fifth would straddle the chunk boundary, so the
+	// chunk is replaced. Then one tuple larger than a whole chunk.
+	wide := make(engine.Values, slabVals+1)
+	for i := range wide {
+		wide[i] = i%2 == 0
+	}
+	straddle := make([]engine.RemoteItem, 5)
+	for i := range straddle {
+		straddle[i] = engine.RemoteItem{Task: i, Values: wide[:slabVals/4-1]}
+	}
+	for _, items := range [][]engine.RemoteItem{straddle, {{Values: wide}}} {
+		frame, err := appendBatchFrame(nil, 9, "fan", items)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	// Forged element counts under a valid CRC: the item count, then the
+	// first tuple's value count, claim more than the payload can hold.
+	countAt := 8 + 1 + 8 + 2 + len(b.Bolt)
+	for _, forge := range []func(p []byte){
+		func(p []byte) { binary.BigEndian.PutUint32(p[countAt:], 1<<24) },
+		func(p []byte) { binary.BigEndian.PutUint16(p[countAt+8:], 0xFFFF) },
+	} {
+		frame := append([]byte(nil), batchFrame...)
+		forge(frame)
+		if frame, err = finishFrame(frame); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rd := bytes.NewReader(data)
 		var buf []byte
+		var sl slab
 		for {
 			var err error
 			buf, err = readFrame(rd, buf)
@@ -94,8 +131,8 @@ func FuzzWorkerFrame(f *testing.F) {
 			switch payload[0] {
 			case kindBatch:
 				var m batchMsg
-				if decodeBatch(payload, &m) == nil {
-					reencoded, err := appendBatchFrame(nil, m.Seq, m.Bolt, m.Items)
+				if decodeWithinBound(t, payload, func() error { return decodeBatch(payload, &m, &sl) }) == nil {
+					reencoded, err := appendBatchFrame(nil, m.Seq, string(m.Bolt), m.Items)
 					if err != nil {
 						t.Fatalf("accepted batch failed to re-encode: %v", err)
 					}
@@ -105,7 +142,7 @@ func FuzzWorkerFrame(f *testing.F) {
 				}
 			case kindResult:
 				var m resultMsg
-				if decodeResult(payload, &m) == nil {
+				if decodeWithinBound(t, payload, func() error { return decodeResult(payload, &m, &sl) }) == nil {
 					reencoded, err := appendResultFrame(nil, &m)
 					if err != nil {
 						t.Fatalf("accepted result failed to re-encode: %v", err)
@@ -123,9 +160,30 @@ func FuzzWorkerFrame(f *testing.F) {
 			case kindHeartbeat:
 				// No body.
 			}
-			// Regardless of kind, decoded values must round-trip through
-			// the engine types without panicking.
-			_ = engine.Values(nil)
 		}
 	})
+}
+
+// decodeAllocBound is the most heap one decode of an n-byte payload may
+// take. The slab refills each chunk kind once per 3/4 chunk it carves (a
+// replaced chunk drops under a quarter unused), and the densest payloads —
+// a 1-byte bool filling a 16-byte slot, a 6-byte empty tuple growing Items
+// or the emit scratch by a doubling append — stay under 64 heap bytes per
+// payload byte. The last term absorbs whatever else the process allocates
+// meanwhile: the counter is process-wide.
+func decodeAllocBound(n int) uint64 {
+	return uint64(64*n + 16*slabVals + slabBytes + 64<<10)
+}
+
+// decodeWithinBound runs one decode and fails the test if the heap it took
+// exceeds decodeAllocBound: a forged count that reached a make would.
+func decodeWithinBound(t *testing.T, payload []byte, decode func() error) error {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := decode()
+	runtime.ReadMemStats(&after)
+	if got, max := after.TotalAlloc-before.TotalAlloc, decodeAllocBound(len(payload)); got > max {
+		t.Fatalf("decoding a %d-byte payload allocated %d bytes, bound %d", len(payload), got, max)
+	}
+	return err
 }

@@ -1,6 +1,7 @@
 package worker
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -53,7 +54,6 @@ type Worker struct {
 // goroutine (task instances hold state, so batches for one bolt never run
 // concurrently) fed by the connection reader.
 type hostedBolt struct {
-	name      string
 	factory   engine.BoltFactory
 	instances map[int]engine.Bolt
 	batches   chan *batchMsg
@@ -194,10 +194,12 @@ func (w *Worker) Close() {
 // readLoop decodes inbound frames and routes batches to their bolt's
 // processing goroutine.
 func (w *Worker) readLoop() error {
+	rd := bufio.NewReaderSize(w.conn, readBufBytes)
 	var buf []byte
+	var sl slab // every tuple this connection delivers is carved from it
 	for {
 		var err error
-		buf, err = readFrame(w.conn, buf)
+		buf, err = readFrame(rd, trimScratch(buf))
 		if err != nil {
 			return err
 		}
@@ -207,7 +209,7 @@ func (w *Worker) readLoop() error {
 		switch buf[0] {
 		case kindBatch:
 			m := getBatchMsg()
-			if err := decodeBatch(buf, m); err != nil {
+			if err := decodeBatch(buf, m, &sl); err != nil {
 				putBatchMsg(m)
 				return fmt.Errorf("worker: bad batch frame: %w", err)
 			}
@@ -227,19 +229,19 @@ func (w *Worker) readLoop() error {
 }
 
 // boltRunner returns (starting on first use) the serialized processing
-// goroutine of one hosted bolt.
-func (w *Worker) boltRunner(name string) (*hostedBolt, error) {
+// goroutine of one hosted bolt. The steady-state lookup converts no string.
+func (w *Worker) boltRunner(bolt []byte) (*hostedBolt, error) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if h, ok := w.hosted[name]; ok {
+	if h, ok := w.hosted[string(bolt)]; ok {
 		return h, nil
 	}
+	name := string(bolt)
 	factory, ok := w.factories[name]
 	if !ok {
 		return nil, fmt.Errorf("worker: batch for unhosted bolt %q", name)
 	}
 	h := &hostedBolt{
-		name:      name,
 		factory:   factory,
 		instances: make(map[int]engine.Bolt),
 		batches:   make(chan *batchMsg, RemoteQueueDepth),
@@ -263,6 +265,8 @@ const RemoteQueueDepth = 64
 func (w *Worker) runBolt(h *hostedBolt) {
 	defer close(h.done)
 	var res resultMsg
+	// emits is the batch's flat emission scratch: res.Emitted lends out
+	// sub-slices of it, which writeResult encodes before the next batch.
 	var emits []engine.Values
 	emit := engine.Emit(func(v engine.Values) { emits = append(emits, v) })
 	for m := range h.batches {
@@ -282,7 +286,7 @@ func (w *Worker) runBolt(h *hostedBolt) {
 				inst = h.factory(it.Task)
 				h.instances[it.Task] = inst
 			}
-			emits = emits[:0]
+			first := len(emits)
 			start := time.Now()
 			err := inst.Process(engine.Tuple{Values: it.Values}, emit)
 			d := time.Since(start)
@@ -299,10 +303,16 @@ func (w *Worker) runBolt(h *hostedBolt) {
 				res.WaitNS = append(res.WaitNS, int64(start.Sub(m.arrived)))
 				res.ServiceNS = append(res.ServiceNS, int64(d))
 			}
-			res.Emitted = append(res.Emitted, append([]engine.Values(nil), emits...))
+			res.Emitted = append(res.Emitted, emits[first:len(emits):len(emits)])
 		}
 		putBatchMsg(m)
-		if err := w.writeResult(&res); err != nil {
+		err := w.writeResult(&res)
+		// An idle runner pins no delivered tuple: not through the scratch,
+		// nor through a lent header into an array emits outgrew mid-batch.
+		clear(emits)
+		clear(res.Emitted)
+		emits = emits[:0]
+		if err != nil {
 			_ = w.conn.Close() // the read loop surfaces the error
 			for m := range h.batches {
 				putBatchMsg(m)
@@ -320,7 +330,7 @@ func (w *Worker) writeResult(res *resultMsg) error {
 	if err != nil {
 		return err
 	}
-	w.wbuf = frame
+	w.wbuf = trimScratch(frame)
 	_ = w.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	_, err = w.conn.Write(frame)
 	return err

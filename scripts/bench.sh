@@ -1,6 +1,11 @@
 #!/usr/bin/env sh
 # bench.sh — run the hot-path benchmarks and emit BENCH_<n>.json, seeding
 # the repository's perf trajectory (ns/op, B/op, allocs/op per benchmark).
+# Every benchmark runs six times (go test -count 6); a row reports the
+# median ns/op as ns_per_op next to ns_min, ns_max and runs, so a reader of
+# two trajectory points can tell a move from this machine's run-to-run
+# spread. (Points up to BENCH_10 are single runs and carry no spread. The
+# regression-gated figures are benchmark/'s, not these — see README.)
 #
 # Usage: scripts/bench.sh [PR-number] [benchtime]
 #   PR-number  suffix for the output file; when omitted (or empty) it is
@@ -43,20 +48,22 @@ BENCHTIME="${2:-2s}"
 OUT="BENCH_${PR}.json"
 PATTERN='BenchmarkEngineThroughput|BenchmarkIngest|BenchmarkSimThroughput|BenchmarkFig9VLD$|BenchmarkSupervisorTick|BenchmarkSchedulerArbitration|BenchmarkSchedulerFailover|BenchmarkBucketShard|BenchmarkWALAppend|BenchmarkDecisionLog|BenchmarkTraceSpan|BenchmarkMetricsScrape'
 
-RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" .)"
+RAW="$(go test -run '^$' -bench "$PATTERN" -benchmem -benchtime "$BENCHTIME" -count 6 .)"
 echo "$RAW"
 
 echo "$RAW" | awk -v out="$OUT" '
 /^Benchmark/ {
     name = $1
     sub(/-[0-9]+$/, "", name)      # strip -GOMAXPROCS suffix
-    iters = $2
-    nsop = ""; bop = ""; allocs = ""
+    nsop = ""
     for (i = 3; i < NF; i++) {
         if ($(i+1) == "ns/op") nsop = $i
-        if ($(i+1) == "B/op") bop = $i
-        if ($(i+1) == "allocs/op") allocs = $i
+        if ($(i+1) == "B/op") bop[name] = $i
+        if ($(i+1) == "allocs/op") allocs[name] = $i
     }
+    iters[name] = $2
+    ns[name, ++runs[name]] = nsop
+    if (runs[name] > 1) next
     # Group twins with their base: the group key strips the Logged/Traced
     # twin suffixes, groups keep first-appearance order, rows keep run
     # order within a group (the base always runs before its twins).
@@ -65,8 +72,7 @@ echo "$RAW" | awk -v out="$OUT" '
     sub(/-logged$/, "", base); sub(/-traced$/, "", base)
     if (!(base in gidx)) gidx[base] = ++groups
     gi = gidx[base]
-    rows[gi, ++gn[gi]] = sprintf("    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}",
-                                 name, iters, nsop, bop, allocs)
+    rows[gi, ++gn[gi]] = name
     total++
 }
 END {
@@ -74,8 +80,15 @@ END {
     k = 0
     for (i = 1; i <= groups; i++)
         for (j = 1; j <= gn[i]; j++) {
+            name = rows[i, j]; n = runs[name]
+            for (a = 2; a <= n; a++)            # insertion sort of the runs
+                for (b = a; b > 1 && ns[name, b-1] + 0 > ns[name, b] + 0; b--) {
+                    t = ns[name, b]; ns[name, b] = ns[name, b-1]; ns[name, b-1] = t
+                }
+            med = (n % 2) ? ns[name, (n+1)/2] : (ns[name, n/2] + ns[name, n/2+1]) / 2
             k++
-            printf "%s%s\n", rows[i, j], (k < total ? "," : "") >> out
+            printf "    {\"name\": \"%s\", \"iterations\": %s, \"ns_per_op\": %s, \"ns_min\": %s, \"ns_max\": %s, \"runs\": %d, \"bytes_per_op\": %s, \"allocs_per_op\": %s}%s\n", \
+                name, iters[name], med, ns[name, 1], ns[name, n], n, bop[name], allocs[name], (k < total ? "," : "") >> out
         }
     printf "  ]\n}\n" >> out
 }
