@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke
+.PHONY: test race bench bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -34,14 +34,20 @@ bench-check:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Code lines (no blanks, no comment-only lines, no tests, no benchmark/)
-# per package and in total — the count simplicity PRs are judged by.
-loc_count = find $(1) -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | grep -vcE '^[[:space:]]*(//.*)?$$'
+# per package and in total — the count simplicity PRs are judged by. The
+# benchmark module (non-test) is a row of its own below the root total,
+# and the last row sums both modules.
+loc_files = find $(1) -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*'
+loc_lines = xargs cat | grep -vcE '^[[:space:]]*(//.*)?$$'
+loc_count = $(call loc_files,$(1)) -not -path './benchmark/*' | $(loc_lines)
 loc:
 	@for p in $$($(GO) list -f '{{.Dir}}' ./... | sed "s|^$$PWD/||" | grep -v "^$$PWD$$"); do \
 		printf '%6d  %s\n' "$$($(call loc_count,$$p))" "$$p"; \
 	done
 	@printf '%6d  . (root package)\n' "$$($(call loc_count,. -maxdepth 1))"
 	@printf '%6d  total\n' "$$($(call loc_count,.))"
+	@printf '%6d  benchmark/ (own module)\n' "$$($(call loc_files,benchmark) | $(loc_lines))"
+	@printf '%6d  both modules\n' "$$($(call loc_files,.) | $(loc_lines))"
 
 # Native fuzzing smoke: a short budget per target keeps it CI-sized; raise
 # FUZZTIME locally for real hunting. Seed corpora live in each package's
@@ -73,6 +79,14 @@ restart-smoke:
 # the lease, executors heal in-process, no admitted record is lost.
 worker-smoke:
 	sh scripts/worker_smoke.sh
+
+# The four live examples in turn (~3 min of wall-clock sleeps, so opt-in
+# and not in CI): each is self-checking and exits 1 when its own
+# assertions fail.
+examples-smoke:
+	@for e in autoscale churn multitenant ingest; do \
+		echo "=== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
+	done
 
 # Hot-path benchmarks -> BENCH_<PR>.json (see scripts/bench.sh). PR
 # defaults to the next point on the perf trajectory (highest existing

@@ -3,15 +3,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strconv"
 	"strings"
 	"time"
 
-	drs "github.com/drs-repro/drs"
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/node"
 )
 
 // cmdSchedule runs several topology files live on ONE shared machine pool:
@@ -80,16 +79,12 @@ func cmdSchedule(args []string) error {
 	pool, err := cluster.NewPool(cluster.PoolConfig{
 		SlotsPerMachine: *slots,
 		MaxMachines:     *maxMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        200 * time.Millisecond,
-			MachineColdStart: 500 * time.Millisecond,
-			MachineRelease:   200 * time.Millisecond,
-		},
+		Costs:           liveCosts,
 	}, 1)
 	if err != nil {
 		return err
 	}
-	sched, err := drs.NewScheduler(drs.SchedulerConfig{
+	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{
 		Pool:             pool,
 		CostWindow:       30 * time.Second,
 		ReplaceOnFailure: *replace,
@@ -97,21 +92,16 @@ func cmdSchedule(args []string) error {
 	if err != nil {
 		return err
 	}
-	level := slog.LevelWarn
-	if *verbose {
-		level = slog.LevelInfo
-	}
-	logger := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
+	logger := node.Logger(*verbose)
 
 	type tenantRun struct {
 		name string
-		sup  *drs.Supervisor
-		stop func()
+		*node.Tenant
 	}
 	var runs []tenantRun
 	defer func() {
 		for _, r := range runs {
-			r.stop()
+			_ = r.Stop()
 		}
 	}()
 	for i, path := range paths {
@@ -119,52 +109,38 @@ func cmdSchedule(args []string) error {
 		if err != nil {
 			return fmt.Errorf("topology %d (%s): %w", i, path, err)
 		}
-		initial := make([]int, len(tf.Operators))
-		for j := range initial {
-			initial[j] = 1
-		}
 		floor := len(tf.Operators)
 		if floors != nil {
 			floor = floors[i]
 		}
 		name := tenantName(path, i)
-		lease, err := sched.Register(drs.TenantConfig{
+		lease, err := sched.Register(cluster.TenantConfig{
 			Name:         name,
 			Weight:       ws[i],
 			Priority:     prios[i],
 			MinSlots:     floor,
-			InitialSlots: len(initial),
+			InitialSlots: len(tf.Operators),
 		})
 		if err != nil {
 			return fmt.Errorf("registering %s: %w", name, err)
 		}
-		run, names, err := startLiveTopology(tf, initial, *tasks, *seed+int64(i)*100003)
+		t, err := node.NewTenant(node.TenantConfig{
+			Name:  name,
+			Build: liveTopology(tf, *tasks, *seed+int64(i)*100003),
+			Controller: core.ControllerConfig{
+				Mode:                  core.ModeMinResource,
+				Tmax:                  tmaxes[i] / 1e3,
+				ScaleInSlack:          0.2,
+				MaxScaleInUtilization: 0.9,
+			},
+			Pool:     lease,
+			Interval: time.Duration(*intervalMS) * time.Millisecond,
+			Logger:   logger,
+		})
 		if err != nil {
 			return fmt.Errorf("starting %s: %w", name, err)
 		}
-		runs = append(runs, tenantRun{name: name, stop: func() { _ = run.Stop() }})
-		ctrl, err := drs.NewController(drs.ControllerConfig{
-			Mode:                  drs.ModeMinResource,
-			Tmax:                  tmaxes[i] / 1e3,
-			MinGain:               0.05,
-			ScaleInSlack:          0.2,
-			MaxScaleInUtilization: 0.9,
-		})
-		if err != nil {
-			return err
-		}
-		sup, err := drs.NewSupervisor(drs.SupervisorConfig{
-			Target:    loop.EngineTarget(run),
-			Operators: names,
-			Stepper:   ctrl,
-			Pool:      lease,
-			Interval:  time.Duration(*intervalMS) * time.Millisecond,
-			Logger:    logger.With(slog.String("tenant", name)),
-		})
-		if err != nil {
-			return err
-		}
-		runs[len(runs)-1].sup = sup
+		runs = append(runs, tenantRun{name, t})
 	}
 
 	st := sched.State()
@@ -175,7 +151,7 @@ func cmdSchedule(args []string) error {
 			ts.Name, ts.Weight, ts.Priority, ts.MinSlots, ts.Granted)
 	}
 	for _, r := range runs {
-		if err := r.sup.Start(); err != nil {
+		if err := r.Start(); err != nil {
 			return err
 		}
 	}
@@ -228,19 +204,12 @@ func cmdSchedule(args []string) error {
 	time.Sleep(secondsDuration(*duration))
 	<-churnDone
 	for _, r := range runs {
-		r.sup.Stop()
+		r.Sup.Stop()
 	}
 
 	for _, r := range runs {
-		fmt.Printf("\n%s: %d control rounds, decision history:\n", r.name, r.sup.Rounds())
-		events := r.sup.History()
-		if len(events) == 0 {
-			fmt.Println("  (none: the loop held steady every round)")
-		}
-		for _, ev := range events {
-			fmt.Printf("  %s\n", ev)
-		}
-		if snap, ok := r.sup.LastSnapshot(); ok {
+		r.WriteHistory(os.Stdout, r.name)
+		if snap, ok := r.Sup.LastSnapshot(); ok {
 			fmt.Printf("  final: lambda0 = %.2f tuples/s, measured E[T] = %.1f ms, granted = %d\n",
 				snap.Lambda0, snap.MeasuredSojourn*1e3, snap.Kmax)
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -112,5 +113,79 @@ func TestServeRejectsSamplingOutOfRange(t *testing.T) {
 				t.Errorf("serve %s %s = %v, want a [1,1000] range error", flagName, v, err)
 			}
 		}
+	}
+}
+
+// slowTopo serves 20 ms per tuple per stage on one executor each: a burst
+// sits in the executor queues for the better part of a second.
+const slowTopo = `{
+  "operators": [
+    {"name": "extract", "service_rate": 50, "external_rate": 10},
+    {"name": "match", "service_rate": 50}
+  ],
+  "edges": [
+    {"from": "extract", "to": "match", "selectivity": 1.0}
+  ]
+}`
+
+// TestServeReportAfterQuiesce: the final report is read after the engine
+// has finished everything admitted, not beside it. A burst into slow
+// bolts followed by an immediate signal must still print
+// `engine: N completions` with N equal to the printed `admitted` — the
+// inequality worker_smoke.sh asserts on real processes.
+func TestServeReportAfterQuiesce(t *testing.T) {
+	path := writeTopo(t, slowTopo)
+	addr := freeAddr(t)
+
+	sigC := make(chan os.Signal, 1)
+	orig := serveInterrupts
+	serveInterrupts = func() <-chan os.Signal { return sigC }
+	defer func() { serveInterrupts = orig }()
+
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	errC := make(chan error, 1)
+	go func() {
+		errC <- run([]string{"-topology", path, "serve",
+			"-tmax-ms", "5000", "-duration", "300", "-interval-ms", "100", "-http", addr})
+		w.Close()
+	}()
+
+	// One NDJSON burst, as soon as the listener is up.
+	burst := strings.Repeat("rec\n", 30)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		resp, err := http.Post("http://"+addr+"/ingest", "application/x-ndjson", strings.NewReader(burst))
+		if err == nil {
+			resp.Body.Close()
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("listener never came up: %v", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	sigC <- os.Interrupt
+
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errC; err != nil {
+		t.Fatalf("serve returned %v", err)
+	}
+	admitted, completions := int64(-1), int64(-1)
+	for _, line := range strings.Split(string(out), "\n") {
+		var skip int64
+		fmt.Sscanf(line, "ingest: offered %d, admitted %d", &skip, &admitted)
+		fmt.Sscanf(line, "engine: %d completions", &completions)
+	}
+	if admitted <= 0 || completions != admitted {
+		t.Errorf("report printed admitted %d but engine: %d completions\n%s", admitted, completions, out)
 	}
 }

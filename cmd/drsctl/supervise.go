@@ -3,16 +3,14 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log/slog"
-	"math"
-	"math/rand"
 	"os"
 	"time"
 
-	drs "github.com/drs-repro/drs"
 	"github.com/drs-repro/drs/internal/cluster"
+	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/node"
 )
 
 // cmdSupervise materializes the topology file as a live engine run —
@@ -50,6 +48,11 @@ func cmdSupervise(tf topoFile, args []string) error {
 			return err
 		}
 	}
+	alloc, total := make(map[string]int, len(initial)), 0
+	for i, op := range tf.Operators {
+		alloc[op.Name] = initial[i]
+		total += initial[i]
+	}
 
 	// Tasks cap executor parallelism per operator, and the optimizer may
 	// concentrate nearly the whole budget on one operator — a decision the
@@ -73,201 +76,70 @@ func cmdSupervise(tf topoFile, args []string) error {
 		*tasks = maxBudget
 	}
 
-	run, names, err := startLiveTopology(tf, initial, *tasks, *seed)
-	if err != nil {
-		return err
-	}
-	defer run.Stop()
-
-	var pool drs.SupervisorPool
-	var ctrlCfg drs.ControllerConfig
-	total := 0
-	for _, k := range initial {
-		total += k
-	}
+	var pool loop.Pool
+	var ctrlCfg core.ControllerConfig
 	if *kmax > 0 {
 		if total > *kmax {
 			return fmt.Errorf("initial allocation needs %d processors, budget is %d", total, *kmax)
 		}
-		pool = drs.FixedPool(*kmax)
-		ctrlCfg = drs.ControllerConfig{Mode: drs.ModeMinLatency, Kmax: *kmax, MinGain: 0.05}
+		pool = loop.FixedPool(*kmax)
+		ctrlCfg = core.ControllerConfig{Mode: core.ModeMinLatency, Kmax: *kmax}
 	} else {
 		machines := (total + *reserved + *slots - 1) / *slots
 		cp, err := cluster.NewPool(cluster.PoolConfig{
 			SlotsPerMachine: *slots,
 			ReservedSlots:   *reserved,
 			MaxMachines:     *maxMachines,
-			Costs: cluster.CostModel{
-				Rebalance:        200 * time.Millisecond,
-				MachineColdStart: 500 * time.Millisecond,
-				MachineRelease:   200 * time.Millisecond,
-			},
+			Costs:           liveCosts,
 		}, machines)
 		if err != nil {
 			return err
 		}
 		pool = cp
-		ctrlCfg = drs.ControllerConfig{
-			Mode:                  drs.ModeMinResource,
+		ctrlCfg = core.ControllerConfig{
+			Mode:                  core.ModeMinResource,
 			Tmax:                  *tmaxMS / 1e3,
-			MinGain:               0.05,
 			ScaleInSlack:          0.35,
 			MaxScaleInUtilization: 0.9,
 			SlotsPerMachine:       *slots,
 			ReservedSlots:         *reserved,
 		}
 	}
-	ctrl, err := drs.NewController(ctrlCfg)
-	if err != nil {
-		return err
-	}
-	level := slog.LevelWarn
-	if *verbose {
-		level = slog.LevelInfo
-	}
-	sup, err := drs.NewSupervisor(drs.SupervisorConfig{
-		Target:    loop.EngineTarget(run),
-		Operators: names,
-		Stepper:   ctrl,
-		Pool:      pool,
-		Interval:  time.Duration(*intervalMS) * time.Millisecond,
-		Logger:    slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level})),
+	t, err := node.NewTenant(node.TenantConfig{
+		Build:      liveTopology(tf, *tasks, *seed),
+		Alloc:      alloc,
+		Controller: ctrlCfg,
+		Pool:       pool,
+		Interval:   time.Duration(*intervalMS) * time.Millisecond,
+		Logger:     node.Logger(*verbose),
 	})
 	if err != nil {
 		return err
 	}
+	defer t.Stop()
 	fmt.Printf("supervising %d operators for %.0fs (Tm = %dms, %s), Kmax = %d, alloc = %v\n",
-		len(names), *duration, *intervalMS, ctrlCfg.Mode, pool.Kmax(), initial)
-	if err := sup.Start(); err != nil {
+		len(tf.Operators), *duration, *intervalMS, ctrlCfg.Mode, pool.Kmax(), initial)
+	if err := t.Start(); err != nil {
 		return err
 	}
 	time.Sleep(secondsDuration(*duration))
-	sup.Stop()
+	t.Sup.Stop()
 
-	fmt.Printf("\n%d control rounds, decision history:\n", sup.Rounds())
-	events := sup.History()
-	if len(events) == 0 {
-		fmt.Println("  (none: the loop held steady every round)")
-	}
-	for _, ev := range events {
-		fmt.Printf("  %s\n", ev)
-	}
-	if snap, ok := sup.LastSnapshot(); ok {
+	t.WriteHistory(os.Stdout, "")
+	if snap, ok := t.Sup.LastSnapshot(); ok {
 		fmt.Printf("\nfinal: lambda0 = %.2f tuples/s, measured E[T] = %.1f ms, Kmax = %d, alloc = %v\n",
-			snap.Lambda0, snap.MeasuredSojourn*1e3, pool.Kmax(), run.Allocation())
+			snap.Lambda0, snap.MeasuredSojourn*1e3, pool.Kmax(), t.Run.Allocation())
 	}
 	return nil
 }
 
-// liveOperatorFactories builds the per-operator bolt factories the live
-// commands share: each bolt busies an exponential service time per tuple
-// and forwards on a named stream per edge so each edge applies its own
-// selectivity independently. The factories are pure functions of (file,
-// seed), which is the whole point — `drsctl worker` calls this with the
-// seed from the coordinator's welcome and hosts instances bit-identical
-// to the ones the serve process would have built in-process.
-func liveOperatorFactories(tf topoFile, seed int64) map[string]engine.BoltFactory {
-	type outEdge struct {
-		stream      string
-		selectivity float64
-	}
-	outs := make(map[string][]outEdge)
-	for i, e := range tf.Edges {
-		outs[e.From] = append(outs[e.From], outEdge{stream: fmt.Sprintf("e%d", i), selectivity: e.Selectivity})
-	}
-	factories := make(map[string]engine.BoltFactory, len(tf.Operators))
-	for i, op := range tf.Operators {
-		op := op
-		edges := outs[op.Name]
-		taskSeed := seed + int64(i)*1009
-		factories[op.Name] = func(task int) engine.Bolt {
-			rng := rand.New(rand.NewSource(taskSeed + int64(task)))
-			return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-				time.Sleep(time.Duration(rng.ExpFloat64() / op.ServiceRate * float64(time.Second)))
-				for _, e := range edges {
-					n := int(math.Floor(e.selectivity))
-					if rng.Float64() < e.selectivity-math.Floor(e.selectivity) {
-						n++
-					}
-					to := emit.To(e.stream)
-					for j := 0; j < n; j++ {
-						to(engine.Values{0})
-					}
-				}
-				return nil
-			})
-		}
-	}
-	return factories
-}
-
-// addLiveOperators declares the topology file's operators as live bolts
-// (via liveOperatorFactories) plus the inter-operator edges. It returns
-// the operator names in file order and the initial allocation map. Shared
-// by `supervise` (which adds Poisson spouts for the external rates) and
-// `serve` (which feeds the entry operator from the network ingest tier
-// instead).
-func addLiveOperators(b *engine.TopologyBuilder, tf topoFile, initial []int, tasks int, seed int64) ([]string, map[string]int) {
-	factories := liveOperatorFactories(tf, seed)
-	names := make([]string, len(tf.Operators))
-	alloc := make(map[string]int, len(tf.Operators))
-	for i, op := range tf.Operators {
-		names[i] = op.Name
-		alloc[op.Name] = initial[i]
-		b.Bolt(op.Name, tasks, factories[op.Name])
-	}
-	for i, e := range tf.Edges {
-		b.ShuffleOn(fmt.Sprintf("e%d", i), e.From, e.To)
-	}
-	return names, alloc
-}
-
-// startLiveTopology builds and starts the engine realization of the
-// topology file: one Poisson spout per operator with an external rate plus
-// the live bolts of addLiveOperators.
-func startLiveTopology(tf topoFile, initial []int, tasks int, seed int64) (*engine.Run, []string, error) {
-	b := engine.NewTopology()
-	names, alloc := addLiveOperators(b, tf, initial, tasks, seed)
-	for i, op := range tf.Operators {
-		if op.ExternalRate > 0 {
-			spoutName := "src-" + op.Name
-			rate := op.ExternalRate
-			spoutSeed := seed + int64(i)*7919
-			b.Spout(spoutName, 1, func(int) engine.Spout {
-				return &ratedSpout{rate: rate, seed: spoutSeed}
-			})
-			b.Shuffle(spoutName, op.Name)
-		}
-	}
-	topo, err := b.Build()
-	if err != nil {
-		return nil, nil, err
-	}
-	run, err := topo.Start(engine.RunConfig{Alloc: alloc, QuiesceTimeout: 30 * time.Second})
-	if err != nil {
-		return nil, nil, err
-	}
-	return run, names, nil
-}
-
-// ratedSpout emits tuples with exponential inter-arrival times.
-type ratedSpout struct {
-	rate float64
-	seed int64
-}
-
-func (s *ratedSpout) Run(ctx engine.SpoutContext) error {
-	rng := rand.New(rand.NewSource(s.seed))
-	for {
-		wait := time.Duration(rng.ExpFloat64() / s.rate * float64(time.Second))
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(wait):
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{0})
-			}
-		}
+// liveTopology is the engine realization of the topology file — one
+// Poisson spout per operator with an external rate plus the live bolts —
+// as `supervise` and each `schedule` tenant declare it.
+func liveTopology(tf topoFile, tasks int, seed int64) func(*engine.TopologyBuilder) {
+	return func(b *engine.TopologyBuilder) {
+		node.AddOperators(b, tf, tasks, seed)
+		node.AddSources(b, tf, seed)
 	}
 }
 

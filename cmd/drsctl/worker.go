@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/drs-repro/drs/internal/engine"
+	"github.com/drs-repro/drs/internal/node"
 	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/worker"
 )
@@ -54,7 +55,7 @@ func cmdWorker(tf topoFile, args []string) error {
 		Addr: *connect,
 		Name: *name,
 		Build: func(seed int64) (map[string]engine.BoltFactory, error) {
-			return liveOperatorFactories(tf, seed), nil
+			return node.OperatorFactories(tf, seed), nil
 		},
 	}
 	// The serve process and its workers race to boot; retry the dial until
@@ -97,10 +98,9 @@ func cmdWorker(tf topoFile, args []string) error {
 		mux := http.NewServeMux()
 		mux.Handle("/metrics", reg.Handler())
 		if *pprofFlag {
-			registerPprof(mux)
 			fmt.Printf("worker %q: pprof on http://%s/debug/pprof/\n", *name, l.Addr())
 		}
-		go func() { _ = newHTTPServer(mux).Serve(l) }()
+		go func() { _ = node.NewHTTPServer(mux, *pprofFlag).Serve(l) }()
 		fmt.Printf("worker %q: Prometheus on http://%s/metrics\n", *name, l.Addr())
 	}
 
@@ -118,18 +118,4 @@ func cmdWorker(tf topoFile, args []string) error {
 		}
 		return nil
 	}
-}
-
-// applyWorkerPlacement spreads the run's current allocation over the live
-// workers, slotsPerMachine executors each in ascending machine order;
-// whatever the worker tier cannot absorb stays in-process. Re-applied
-// every control interval and on churn, so rebalances and worker deaths
-// converge back to the intended split without coordination.
-func applyWorkerPlacement(run *engine.Run, coord *worker.Coordinator, slotsPerMachine int) worker.BindingPlan {
-	machines := coord.Workers()
-	placement := make(map[int]int, len(machines))
-	for _, m := range machines {
-		placement[m] = slotsPerMachine
-	}
-	return worker.ApplyPlacement(run, run.Allocation(), placement, 0, coord.Remote)
 }

@@ -20,17 +20,15 @@ package main
 import (
 	"fmt"
 	"log"
-	"log/slog"
-	"math"
-	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
-	drs "github.com/drs-repro/drs"
 	"github.com/drs-repro/drs/internal/cluster"
+	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/node"
+	"github.com/drs-repro/drs/internal/topology"
 )
 
 // Demo parameters: millisecond-scale services keep the whole run under a
@@ -48,39 +46,14 @@ const (
 	phase3 = 20 * time.Second // load drops: supervisor may scale in
 )
 
-// poissonSpout emits tuples with exponential inter-arrival times at a
-// switchable rate.
-type poissonSpout struct {
-	rate *atomic.Uint64 // math.Float64bits of tuples/s
-	rng  *rand.Rand
-}
-
-func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
-	for {
-		rate := math.Float64frombits(s.rate.Load())
-		wait := time.Duration(s.rng.ExpFloat64() / rate * float64(time.Second))
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(wait):
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{0})
-			}
-		}
-	}
-}
-
-// serviceBolt sleeps an exponential service time and forwards the tuple —
-// an M/M/k server when run across k executors.
-func serviceBolt(mu float64) engine.BoltFactory {
-	return func(task int) engine.Bolt {
-		rng := rand.New(rand.NewSource(int64(task) + 1))
-		return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-			time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
-			emit(engine.Values{0})
-			return nil
-		})
-	}
+// pipeline is extract -> match with exponential services — an M/M/k
+// server per operator when run across k executors.
+var pipeline = topology.File{
+	Operators: []topology.FileOperator{
+		{Name: "extract", ServiceRate: muExtract, ExternalRate: lowRate},
+		{Name: "match", ServiceRate: muMatch},
+	},
+	Edges: []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
 }
 
 func main() {
@@ -100,61 +73,38 @@ func main() {
 		log.Fatal(err)
 	}
 
-	rate := &atomic.Uint64{}
-	rate.Store(math.Float64bits(lowRate))
-	topo, err := engine.NewTopology().
-		Spout("source", 1, func(int) engine.Spout {
-			return &poissonSpout{rate: rate, rng: rand.New(rand.NewSource(42))}
-		}).
-		// 16 tasks per bolt: above the largest budget the pool can offer
-		// (4 machines × 4 slots − 1 = 15), so the engine can absorb any
-		// allocation the controller negotiates, even if a backlog-inflated
-		// measurement concentrates the whole pool on one operator.
-		Bolt("extract", 16, serviceBolt(muExtract)).
-		Bolt("match", 16, serviceBolt(muMatch)).
-		Shuffle("source", "extract").
-		Shuffle("extract", "match").
-		Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := topo.Start(engine.RunConfig{
-		Alloc:          map[string]int{"extract": 1, "match": 2},
-		QuiesceTimeout: 20 * time.Second,
+	var rates map[string]*node.Rate
+	t, err := node.NewTenant(node.TenantConfig{
+		Build: func(b *engine.TopologyBuilder) {
+			// 16 tasks per bolt: above the largest budget the pool can offer
+			// (4 machines × 4 slots − 1 = 15), so the engine can absorb any
+			// allocation the controller negotiates, even if a backlog-inflated
+			// measurement concentrates the whole pool on one operator.
+			node.AddOperators(b, pipeline, 16, 1)
+			rates = node.AddSources(b, pipeline, 42)
+		},
+		Alloc: map[string]int{"extract": 1, "match": 2},
+		Controller: core.ControllerConfig{
+			Mode:                  core.ModeMinResource,
+			Tmax:                  tmax,
+			ScaleInSlack:          0.35,
+			MaxScaleInUtilization: 0.9,
+			SlotsPerMachine:       4,
+			ReservedSlots:         1,
+		},
+		Pool:     pool,
+		Interval: time.Second,
+		Cooldown: 4 * time.Second,
+		Logger:   node.Logger(false),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer run.Stop()
-
-	ctrl, err := drs.NewController(drs.ControllerConfig{
-		Mode:                  drs.ModeMinResource,
-		Tmax:                  tmax,
-		MinGain:               0.05,
-		ScaleInSlack:          0.35,
-		MaxScaleInUtilization: 0.9,
-		SlotsPerMachine:       4,
-		ReservedSlots:         1,
-	})
-	if err != nil {
+	defer t.Stop()
+	if err := t.Start(); err != nil {
 		log.Fatal(err)
 	}
-	sup, err := drs.NewSupervisor(drs.SupervisorConfig{
-		Target:    loop.EngineTarget(run),
-		Operators: run.BoltNames(),
-		Stepper:   ctrl,
-		Pool:      pool,
-		Interval:  time.Second,
-		Cooldown:  4 * time.Second,
-		Logger:    slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	if err := sup.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer sup.Stop()
+	rate, sup, run := rates["extract"], t.Sup, t.Run
 
 	fmt.Printf("target E[T] <= %.0f ms; machines=%d Kmax=%d alloc=%v\n\n",
 		tmax*1e3, pool.Machines(), pool.Kmax(), run.Allocation())
@@ -164,11 +114,11 @@ func main() {
 	reportLoop(sup, run, pool, start, phase1)
 
 	fmt.Printf("\nphase 2: lambda0 steps to %.0f tuples/s\n", highRate)
-	rate.Store(math.Float64bits(highRate))
+	rate.Set(highRate)
 	reportLoop(sup, run, pool, start, phase1+phase2)
 
 	fmt.Printf("\nphase 3: lambda0 drops back to %.0f tuples/s\n", lowRate)
-	rate.Store(math.Float64bits(lowRate))
+	rate.Set(lowRate)
 	reportLoop(sup, run, pool, start, phase1+phase2+phase3)
 
 	sup.Stop()
@@ -176,7 +126,7 @@ func main() {
 	scaledOut := false
 	for _, ev := range sup.History() {
 		fmt.Printf("  t=%4.1fs %s\n", ev.At.Sub(start).Seconds(), ev)
-		if ev.Action == drs.ActionScaleOut && ev.Applied {
+		if ev.Action == core.ActionScaleOut && ev.Applied {
 			scaledOut = true
 		}
 	}
@@ -196,8 +146,7 @@ func main() {
 
 // reportLoop prints the supervisor's live view every 2 s until the demo
 // clock reaches until.
-func reportLoop(sup *drs.Supervisor, run interface{ Allocation() map[string]int },
-	pool *cluster.Pool, start time.Time, until time.Duration) {
+func reportLoop(sup *loop.Supervisor, run *engine.Run, pool *cluster.Pool, start time.Time, until time.Duration) {
 	for time.Since(start) < until {
 		time.Sleep(2 * time.Second)
 		snap, ok := sup.LastSnapshot()

@@ -29,16 +29,14 @@ package main
 import (
 	"fmt"
 	"log"
-	"log/slog"
-	"math"
-	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	drs "github.com/drs-repro/drs"
+	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
-	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/node"
+	"github.com/drs-repro/drs/internal/topology"
 )
 
 // Demo parameters: millisecond-scale services keep the run under a minute
@@ -58,101 +56,53 @@ const (
 	recovery = 12 * time.Second // machine back; slots must return
 )
 
-// poissonSpout emits tuples with exponential inter-arrival times.
-type poissonSpout struct {
-	rate *atomic.Uint64 // math.Float64bits of tuples/s
-	rng  *rand.Rand
-}
-
-func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
-	for {
-		rate := math.Float64frombits(s.rate.Load())
-		wait := time.Duration(s.rng.ExpFloat64() / rate * float64(time.Second))
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(wait):
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{0})
-			}
-		}
-	}
-}
-
-// serviceBolt sleeps an exponential service time and forwards the tuple.
-func serviceBolt(mu float64) engine.BoltFactory {
-	return func(task int) engine.Bolt {
-		rng := rand.New(rand.NewSource(int64(task) + 1))
-		return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-			time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
-			emit(engine.Values{0})
-			return nil
-		})
-	}
-}
-
 // tenant bundles one supervised pipeline and its lease.
 type tenant struct {
-	name  string
-	run   *engine.Run
+	name string
+	*node.Tenant
 	lease *drs.Tenant
-	sup   *drs.Supervisor
 }
 
-// startTenant builds, registers and supervises one pipeline.
+// startTenant registers one extract -> match pipeline with the scheduler
+// and builds its supervised run. floor is the preemption floor (size it
+// at the pipeline's stable minimum); alloc is the starting executor
+// split, which also fixes the initial grant.
 func startTenant(sched *drs.Scheduler, name string, prio int, weight, tmax, rate float64,
 	floor int, alloc map[string]int, seed int64) (*tenant, error) {
-	r := &atomic.Uint64{}
-	r.Store(math.Float64bits(rate))
-	topo, err := engine.NewTopology().
-		Spout("source", 1, func(int) engine.Spout {
-			return &poissonSpout{rate: r, rng: rand.New(rand.NewSource(seed))}
-		}).
-		Bolt("extract", 9, serviceBolt(muExtract)).
-		Bolt("match", 9, serviceBolt(muMatch)).
-		Shuffle("source", "extract").
-		Shuffle("extract", "match").
-		Build()
-	if err != nil {
-		return nil, err
-	}
-	initial := 0
-	for _, k := range alloc {
-		initial += k
+	pipeline := topology.File{
+		Operators: []topology.FileOperator{
+			{Name: "extract", ServiceRate: muExtract, ExternalRate: rate},
+			{Name: "match", ServiceRate: muMatch},
+		},
+		Edges: []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
 	}
 	lease, err := sched.Register(drs.TenantConfig{
-		Name: name, Weight: weight, Priority: prio, MinSlots: floor, InitialSlots: initial,
+		Name: name, Weight: weight, Priority: prio, MinSlots: floor, InitialSlots: alloc["extract"] + alloc["match"],
 	})
 	if err != nil {
 		return nil, err
 	}
-	run, err := topo.Start(engine.RunConfig{Alloc: alloc, QuiesceTimeout: 20 * time.Second})
-	if err != nil {
-		return nil, err
-	}
-	ctrl, err := drs.NewController(drs.ControllerConfig{
-		Mode:                  drs.ModeMinResource,
-		Tmax:                  tmax,
-		MinGain:               0.05,
-		ScaleInSlack:          0.25,
-		MaxScaleInUtilization: 0.9,
+	t, err := node.NewTenant(node.TenantConfig{
+		Name: name,
+		Build: func(b *engine.TopologyBuilder) {
+			// 9 tasks per bolt: the whole pool (3 machines x 3 slots) could in
+			// principle land on one operator.
+			node.AddOperators(b, pipeline, 9, 1)
+			node.AddSources(b, pipeline, seed)
+		},
+		Alloc: alloc,
+		Controller: core.ControllerConfig{
+			Mode: core.ModeMinResource, Tmax: tmax, ScaleInSlack: 0.25, MaxScaleInUtilization: 0.9,
+		},
+		Pool:     lease,
+		Interval: time.Second,
+		Cooldown: 3 * time.Second,
+		Logger:   node.Logger(false),
 	})
 	if err != nil {
 		return nil, err
 	}
-	sup, err := drs.NewSupervisor(drs.SupervisorConfig{
-		Target:    loop.EngineTarget(run),
-		Operators: run.BoltNames(),
-		Stepper:   ctrl,
-		Pool:      lease,
-		Interval:  time.Second,
-		Cooldown:  3 * time.Second,
-		Logger:    slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &tenant{name: name, run: run, lease: lease, sup: sup}, nil
+	return &tenant{name: name, Tenant: t, lease: lease}, nil
 }
 
 func main() {
@@ -185,7 +135,7 @@ func main() {
 	}
 	tenants := []*tenant{analytics, checkout}
 	for _, t := range tenants {
-		if err := t.sup.Start(); err != nil {
+		if err := t.Start(); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -224,7 +174,7 @@ func main() {
 	if err := sched.FailMachine(victim); err != nil {
 		log.Fatal(err)
 	}
-	replayed, err := analytics.run.FailExecutor("extract", 0)
+	replayed, err := analytics.Run.FailExecutor("extract", 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -238,13 +188,13 @@ func main() {
 	report(settle + outage + recovery)
 
 	for _, t := range tenants {
-		t.sup.Stop()
+		t.Sup.Stop()
 	}
 	// Stop drains in-flight trees; a nil error is the zero-lost proof —
 	// every external tuple, the replayed backlog included, completed.
 	lost := false
 	for _, t := range tenants {
-		if err := t.run.Stop(); err != nil {
+		if err := t.Run.Stop(); err != nil {
 			fmt.Printf("  %s: stop: %v\n", t.name, err)
 			lost = true
 		}
@@ -262,13 +212,13 @@ func main() {
 		}
 	}
 	supSlotsLost := false
-	for _, ev := range analytics.sup.History() {
+	for _, ev := range analytics.Sup.History() {
 		if ev.SlotsLost && ev.Applied {
 			supSlotsLost = true
 		}
 	}
 	fmt.Printf("\nanalytics: lost-to-failure=%d, executor crashes=%d, tuples replayed=%d\n",
-		analytics.lease.LostSlots(), analytics.run.ExecutorFailures(), analytics.run.Replayed())
+		analytics.lease.LostSlots(), analytics.Run.ExecutorFailures(), analytics.Run.Replayed())
 	fmt.Printf("slots-lost arbitration: %v; supervisor SlotsLost re-fit: %v; machine recovered: %v\n",
 		sawSlotsLost, supSlotsLost, sawRecover)
 	fmt.Printf("double-leased: %v; tuples lost: %v; final grants: analytics=%d checkout=%d of %d\n",

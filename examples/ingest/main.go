@@ -24,9 +24,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"log/slog"
-	"math/rand"
-	"net"
 	"net/http"
 	"os"
 	"strings"
@@ -35,10 +32,10 @@ import (
 	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/ingest"
-	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/node"
+	"github.com/drs-repro/drs/internal/topology"
 )
 
 const (
@@ -57,18 +54,10 @@ const (
 	phase3 = 10 * time.Second // recovery: admit-all, scale-in
 )
 
-// serviceBolt sleeps an exponential service time; forward=true emits.
-func serviceBolt(seed int64, forward bool) engine.BoltFactory {
-	return func(task int) engine.Bolt {
-		rng := rand.New(rand.NewSource(seed + int64(task)))
-		return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-			time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
-			if forward {
-				emit(engine.Values{0})
-			}
-			return nil
-		})
-	}
+// pipeline is extract -> match, exponential 20 ms services.
+var pipeline = topology.File{
+	Operators: []topology.FileOperator{{Name: "extract", ServiceRate: mu}, {Name: "match", ServiceRate: mu}},
+	Edges:     []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
 }
 
 // pacedTCPClient pushes records over one ingest TCP connection at a
@@ -108,103 +97,38 @@ func (c *pacedTCPClient) run(addr string, stop <-chan struct{}, wg *sync.WaitGro
 }
 
 func main() {
-	// The front door.
-	gate := ingest.NewGate(ingest.GateConfig{
-		Tmax: tmax, MaxSlots: slots * cap4,
-		RingCapacity: 4096, ReplanEvery: 250 * time.Millisecond,
-	})
-
-	// The engine behind it: NetworkSpout -> extract -> match.
-	topo, err := engine.NewTopology().
-		Spout("front", 1, func(int) engine.Spout {
-			return &engine.NetworkSpout{Source: gate.Ring(), MaxBatch: 64}
-		}).
-		Bolt("extract", 8, serviceBolt(1, true)).
-		Bolt("match", 8, serviceBolt(1000, false)).
-		Shuffle("front", "extract").
-		Shuffle("extract", "match").
-		Build()
-	if err != nil {
-		log.Fatal(err)
-	}
-	run, err := topo.Start(engine.RunConfig{
-		Alloc:          map[string]int{"extract": 1, "match": 1},
-		QuiesceTimeout: 30 * time.Second,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer run.Stop()
-
-	// The cluster: a single tenant leased through the Scheduler, so a
-	// beyond-cap scale-out request is granted partially (up to the cap)
-	// instead of refused.
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: slots, MaxMachines: cap4,
+	// The whole stack in boot order: gate, NetworkSpout -> extract ->
+	// match, a single tenant leased through the Scheduler (so a beyond-cap
+	// scale-out is granted partially, up to the cap, instead of refused),
+	// the control loop, then loopback listeners — the clients below are
+	// real network clients.
+	n, err := node.Start(node.Config{
+		Build:           func(b *engine.TopologyBuilder) { node.AddOperators(b, pipeline, 8, 1) },
+		Entry:           "extract",
+		Tasks:           8,
+		Tmax:            tmax,
+		Interval:        500 * time.Millisecond,
+		Cooldown:        1500 * time.Millisecond,
+		SlotsPerMachine: slots,
+		MaxMachines:     cap4,
 		Costs: cluster.CostModel{
 			Rebalance:        50 * time.Millisecond,
 			MachineColdStart: 100 * time.Millisecond,
 			MachineRelease:   50 * time.Millisecond,
 		},
-	}, 1)
-	if err != nil {
-		log.Fatal(err)
-	}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool})
-	if err != nil {
-		log.Fatal(err)
-	}
-	lease, err := sched.Register(cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: 2})
-	if err != nil {
-		log.Fatal(err)
-	}
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode: core.ModeMinResource, Tmax: tmax,
-		MinGain: 0.05, ScaleInSlack: 0.3, MaxScaleInUtilization: 0.6,
+		Clients:  ingest.ListenerConfig{Weights: map[string]float64{"gold": 4, "bronze": 1, "web": 2}},
+		TCPAddr:  "127.0.0.1:0",
+		HTTPAddr: "127.0.0.1:0",
+		Logger:   node.Logger(false),
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sup, err := loop.New(loop.Config{
-		Target:    ingest.SupervisedTarget{Inner: loop.EngineTarget(run), Gate: gate},
-		Operators: run.BoltNames(),
-		Stepper:   ctrl,
-		Pool:      lease,
-		Interval:  500 * time.Millisecond,
-		Cooldown:  1500 * time.Millisecond,
-		Logger:    slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	gate.SetControl(sup)
-	if err := gate.Start(); err != nil {
-		log.Fatal(err)
-	}
-	if err := sup.Start(); err != nil {
-		log.Fatal(err)
-	}
-	defer sup.Stop()
-
-	// Listeners on loopback: the clients below are real network clients.
-	tcpL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	lcfg := ingest.ListenerConfig{Weights: map[string]float64{"gold": 4, "bronze": 1, "web": 2}}
-	go func() {
-		if err := ingest.ServeTCP(tcpL, gate, lcfg); err != nil {
-			log.Println("tcp ingest listener died:", err)
-		}
-	}()
-	httpL, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	httpSrv := &http.Server{Handler: ingest.Handler(gate, lcfg)}
-	go httpSrv.Serve(httpL)
+	defer n.Close()
+	addrs := n.Status()
+	tcpAddr, httpAddr := addrs.TCPAddr, addrs.HTTPAddr
 	fmt.Printf("ingest: tcp://%s and http://%s/ingest; target E[T] <= %.0f ms, cap %d slots\n\n",
-		tcpL.Addr(), httpL.Addr(), tmax*1e3, slots*cap4)
+		tcpAddr, httpAddr, tmax*1e3, slots*cap4)
 
 	// The clients.
 	stop := make(chan struct{})
@@ -214,13 +138,13 @@ func main() {
 	bronze := &pacedTCPClient{id: "bronze"}
 	bronze.rate.Store(uint64(bronzeBase))
 	wg.Add(2)
-	go gold.run(tcpL.Addr().String(), stop, &wg)
-	go bronze.run(tcpL.Addr().String(), stop, &wg)
+	go gold.run(tcpAddr, stop, &wg)
+	go bronze.run(tcpAddr, stop, &wg)
 	var http2xx, http429 atomic.Int64
 	wg.Add(1)
 	go func() { // a low-rate HTTP client rides along
 		defer wg.Done()
-		url := "http://" + httpL.Addr().String() + "/ingest"
+		url := "http://" + httpAddr + "/ingest"
 		for {
 			select {
 			case <-stop:
@@ -246,17 +170,17 @@ func main() {
 	report := func(until time.Duration) {
 		for time.Since(start) < until {
 			time.Sleep(2 * time.Second)
-			st := gate.Stats()
+			st := n.Status()
 			snapStr := "warming up"
-			if snap, ok := sup.LastSnapshot(); ok {
+			if st.Measured {
 				// The supervisor's snapshot is demand-scaled: its λ0 IS the
 				// offered rate; the admit fraction shows the shed side.
 				snapStr = fmt.Sprintf("offered %5.1f/s E[T] %5.0f ms",
-					snap.OfferedLambda0, snap.MeasuredSojourn*1e3)
+					st.Snapshot.OfferedLambda0, st.Snapshot.MeasuredSojourn*1e3)
 			}
 			fmt.Printf("  t=%4.1fs %s | admit %3.0f%% | grant %d slots, %d machines, alloc %v\n",
-				time.Since(start).Seconds(), snapStr, st.AdmitFraction*100,
-				lease.Kmax(), pool.Machines(), run.Allocation())
+				time.Since(start).Seconds(), snapStr, st.Gate.AdmitFraction*100,
+				st.Granted, st.Machines, st.Alloc)
 		}
 	}
 
@@ -265,42 +189,30 @@ func main() {
 	fmt.Printf("\nphase 2: bronze surges to %.0f/s — beyond the provider cap\n", bronzePeak)
 	bronze.rate.Store(uint64(bronzePeak))
 	report(phase1 + phase2)
-	grantAtPeak := lease.Kmax()
+	grantAtPeak := n.Status().Granted
 	goldShedSurge, bronzeShedSurge := gold.shed.Load(), bronze.shed.Load()
 	fmt.Printf("\nphase 3: bronze drops back to %.0f/s — un-shed and scale in\n", bronzeBase)
 	bronze.rate.Store(uint64(bronzeBase))
 	report(phase1 + phase2 + phase3)
 
-	// Orderly shutdown: clients, listeners, gate (ring), drain, engine.
+	// Orderly shutdown: the clients, then the node's drain — listeners,
+	// gate (ring), every admitted record finished, engine.
 	close(stop)
 	wg.Wait()
-	httpSrv.Close()
-	tcpL.Close()
-	gate.Close()
-	for gate.Ring().Len() > 0 {
-		time.Sleep(10 * time.Millisecond)
-	}
-	time.Sleep(200 * time.Millisecond)
-	sup.Stop()
-	if err := run.Stop(); err != nil {
-		log.Fatal(err)
-	}
-
-	st := gate.Stats()
-	completions, meanSojourn := run.Completions()
-	finalFraction := st.AdmitFraction
+	rep := n.Drain()
+	st, completions := rep.Gate, rep.Completions
 	fmt.Printf("\nverdicts: offered %d, admitted %d, shed %d (overload %d, backlog %d); http %d×2xx / %d×429\n",
 		st.Offered, st.Admitted, st.ShedOverload+st.ShedBacklog+st.ShedRateLimit,
 		st.ShedOverload, st.ShedBacklog, http2xx.Load(), http429.Load())
 	fmt.Printf("clients: gold shed %d, bronze shed %d (weight-ordered shedding)\n",
 		goldShedSurge, bronzeShedSurge)
 	fmt.Printf("engine: %d completions, mean E[T] %.0f ms; grant at peak %d slots\n",
-		completions, meanSojourn.Seconds()*1e3, grantAtPeak)
+		completions, rep.MeanSojourn.Seconds()*1e3, grantAtPeak)
 
 	shedHappened := st.ShedOverload > 0
 	scaledToCap := grantAtPeak == slots*cap4
 	weightOrdered := bronzeShedSurge > 0 && goldShedSurge*5 < bronzeShedSurge
-	admitAllRestored := finalFraction >= 0.99
+	admitAllRestored := st.AdmitFraction >= 0.99
 	zeroLoss := completions == st.Admitted
 	fmt.Printf("\nshed under overload: %v; scaled out to the cap: %v; weight-ordered: %v; admit-all restored: %v; zero admitted-tuple loss: %v\n",
 		shedHappened, scaledToCap, weightOrdered, admitAllRestored, zeroLoss)

@@ -29,16 +29,14 @@ package main
 import (
 	"fmt"
 	"log"
-	"log/slog"
-	"math"
-	"math/rand"
 	"os"
-	"sync/atomic"
 	"time"
 
 	drs "github.com/drs-repro/drs"
+	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
-	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/node"
+	"github.com/drs-repro/drs/internal/topology"
 )
 
 // Demo parameters: millisecond-scale services keep the run under a minute
@@ -59,114 +57,55 @@ const (
 	phase3 = 16 * time.Second // surge over: slots must come back
 )
 
-// poissonSpout emits tuples with exponential inter-arrival times at a
-// switchable rate.
-type poissonSpout struct {
-	rate *atomic.Uint64 // math.Float64bits of tuples/s
-	rng  *rand.Rand
-}
-
-func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
-	for {
-		rate := math.Float64frombits(s.rate.Load())
-		wait := time.Duration(s.rng.ExpFloat64() / rate * float64(time.Second))
-		select {
-		case <-ctx.Done():
-			return nil
-		case <-time.After(wait):
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{0})
-			}
-		}
-	}
-}
-
-// serviceBolt sleeps an exponential service time and forwards the tuple.
-func serviceBolt(mu float64) engine.BoltFactory {
-	return func(task int) engine.Bolt {
-		rng := rand.New(rand.NewSource(int64(task) + 1))
-		return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-			time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
-			emit(engine.Values{0})
-			return nil
-		})
-	}
-}
-
-// tenant bundles one supervised pipeline and its lease.
+// tenant bundles one supervised pipeline, its load knob and its lease.
 type tenant struct {
-	name  string
-	rate  *atomic.Uint64
-	run   *engine.Run
+	name string
+	*node.Tenant
+	rate  *node.Rate
 	lease *drs.Tenant
-	sup   *drs.Supervisor
 }
 
-// startTenant builds, registers and supervises one pipeline. floor is the
-// preemption floor (size it at the pipeline's stable minimum); alloc is
-// the starting executor split, which also fixes the initial grant.
+// startTenant registers one extract -> match pipeline with the scheduler
+// and builds its supervised run. floor is the preemption floor (size it
+// at the pipeline's stable minimum); alloc is the starting executor
+// split, which also fixes the initial grant.
 func startTenant(sched *drs.Scheduler, name string, prio int, weight, tmax, rate float64,
 	floor int, alloc map[string]int, seed int64) (*tenant, error) {
-	r := &atomic.Uint64{}
-	r.Store(math.Float64bits(rate))
-	topo, err := engine.NewTopology().
-		Spout("source", 1, func(int) engine.Spout {
-			return &poissonSpout{rate: r, rng: rand.New(rand.NewSource(seed))}
-		}).
-		// 9 tasks per bolt: the whole pool (3 machines x 3 slots) could in
-		// principle land on one operator.
-		Bolt("extract", 9, serviceBolt(muExtract)).
-		Bolt("match", 9, serviceBolt(muMatch)).
-		Shuffle("source", "extract").
-		Shuffle("extract", "match").
-		Build()
-	if err != nil {
-		return nil, err
-	}
-	initial := 0
-	for _, k := range alloc {
-		initial += k
+	pipeline := topology.File{
+		Operators: []topology.FileOperator{
+			{Name: "extract", ServiceRate: muExtract, ExternalRate: rate},
+			{Name: "match", ServiceRate: muMatch},
+		},
+		Edges: []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
 	}
 	lease, err := sched.Register(drs.TenantConfig{
-		Name:         name,
-		Weight:       weight,
-		Priority:     prio,
-		MinSlots:     floor,
-		InitialSlots: initial,
+		Name: name, Weight: weight, Priority: prio, MinSlots: floor, InitialSlots: alloc["extract"] + alloc["match"],
 	})
 	if err != nil {
 		return nil, err
 	}
-	run, err := topo.Start(engine.RunConfig{
-		Alloc:          alloc,
-		QuiesceTimeout: 20 * time.Second,
+	var rates map[string]*node.Rate
+	t, err := node.NewTenant(node.TenantConfig{
+		Name: name,
+		Build: func(b *engine.TopologyBuilder) {
+			// 9 tasks per bolt: the whole pool (3 machines x 3 slots) could in
+			// principle land on one operator.
+			node.AddOperators(b, pipeline, 9, 1)
+			rates = node.AddSources(b, pipeline, seed)
+		},
+		Alloc: alloc,
+		Controller: core.ControllerConfig{
+			Mode: core.ModeMinResource, Tmax: tmax, ScaleInSlack: 0.25, MaxScaleInUtilization: 0.9,
+		},
+		Pool:     lease,
+		Interval: time.Second,
+		Cooldown: 3 * time.Second,
+		Logger:   node.Logger(false),
 	})
 	if err != nil {
 		return nil, err
 	}
-	ctrl, err := drs.NewController(drs.ControllerConfig{
-		Mode:                  drs.ModeMinResource,
-		Tmax:                  tmax,
-		MinGain:               0.05,
-		ScaleInSlack:          0.25,
-		MaxScaleInUtilization: 0.9,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sup, err := drs.NewSupervisor(drs.SupervisorConfig{
-		Target:    loop.EngineTarget(run),
-		Operators: run.BoltNames(),
-		Stepper:   ctrl,
-		Pool:      lease,
-		Interval:  time.Second,
-		Cooldown:  3 * time.Second,
-		Logger:    slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: slog.LevelWarn})),
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &tenant{name: name, rate: r, run: run, lease: lease, sup: sup}, nil
+	return &tenant{name: name, Tenant: t, rate: rates["extract"], lease: lease}, nil
 }
 
 func main() {
@@ -195,19 +134,18 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer analytics.run.Stop()
+	defer analytics.Stop()
 	checkout, err := startTenant(sched, "checkout", 1, 1, checkoutTmax, checkoutLow,
 		2, map[string]int{"extract": 1, "match": 1}, 11)
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer checkout.run.Stop()
+	defer checkout.Stop()
 
 	for _, t := range []*tenant{analytics, checkout} {
-		if err := t.sup.Start(); err != nil {
+		if err := t.Start(); err != nil {
 			log.Fatal(err)
 		}
-		defer t.sup.Stop()
 	}
 	st := sched.State()
 	fmt.Printf("pool: %d machines, %d slots; checkout Tmax %.0f ms (priority 1), analytics Tmax %.0f ms (priority 0)\n\n",
@@ -223,7 +161,7 @@ func main() {
 			}
 			line := fmt.Sprintf("  t=%4.1fs capacity=%-2d", time.Since(start).Seconds(), st.Capacity)
 			for _, t := range []*tenant{checkout, analytics} {
-				if snap, ok := t.sup.LastSnapshot(); ok {
+				if snap, ok := t.Sup.LastSnapshot(); ok {
 					line += fmt.Sprintf("  %s: %d slots E[T]=%5.1fms", t.name, t.lease.Kmax(), snap.MeasuredSojourn*1e3)
 				} else {
 					line += fmt.Sprintf("  %s: %d slots (warming)", t.name, t.lease.Kmax())
@@ -236,14 +174,14 @@ func main() {
 	fmt.Printf("phase 1: checkout %.0f/s, analytics %.0f/s — both settle\n", checkoutLow, analyticsLoad)
 	report(phase1)
 	fmt.Printf("\nphase 2: checkout surges to %.0f/s — the arbiter must shift slots\n", checkoutHigh)
-	checkout.rate.Store(math.Float64bits(checkoutHigh))
+	checkout.rate.Set(checkoutHigh)
 	report(phase1 + phase2)
 	fmt.Printf("\nphase 3: checkout drops back to %.0f/s — slots must return\n", checkoutLow)
-	checkout.rate.Store(math.Float64bits(checkoutLow))
+	checkout.rate.Set(checkoutLow)
 	report(phase1 + phase2 + phase3)
 
 	for _, t := range []*tenant{analytics, checkout} {
-		t.sup.Stop()
+		t.Sup.Stop()
 	}
 	fmt.Println("\nscheduler history:")
 	preempted := false
@@ -254,7 +192,7 @@ func main() {
 		}
 	}
 	checkoutPeak := 0
-	for _, ev := range checkout.sup.History() {
+	for _, ev := range checkout.Sup.History() {
 		if ev.Applied && ev.Kmax > checkoutPeak {
 			checkoutPeak = ev.Kmax
 		}

@@ -14,27 +14,24 @@ import (
 // share: how an id maps to a shedding weight and what per-client token
 // bucket new clients get.
 type ListenerConfig struct {
-	// DefaultWeight is the shedding weight of unknown client ids
-	// (default 1).
-	DefaultWeight float64
-	// Weights overrides the weight per client id (e.g. gold=4, bronze=1).
+	// Weights overrides the shedding weight per client id (e.g. gold=4,
+	// bronze=1); unknown ids weigh defaultWeight.
 	Weights map[string]float64
 	// Rate and Burst parameterize each client's token bucket (Rate <= 0
 	// disables per-client rate limiting; Burst defaults to Rate).
 	Rate  float64
 	Burst int
-	// MaxRecordBytes bounds one record (default 1 MiB); larger frames or
-	// bodies are rejected outright.
-	MaxRecordBytes int
 }
 
+const (
+	// defaultWeight is the shedding weight of unknown client ids.
+	defaultWeight = 1.0
+	// maxRecordBytes bounds one record; larger frames or bodies are
+	// rejected outright.
+	maxRecordBytes = 1 << 20
+)
+
 func (c ListenerConfig) withDefaults() ListenerConfig {
-	if c.DefaultWeight <= 0 {
-		c.DefaultWeight = 1
-	}
-	if c.MaxRecordBytes <= 0 {
-		c.MaxRecordBytes = 1 << 20
-	}
 	if c.Burst <= 0 && c.Rate > 0 {
 		c.Burst = int(c.Rate)
 	}
@@ -44,7 +41,7 @@ func (c ListenerConfig) withDefaults() ListenerConfig {
 // client registers (or fetches) the client for an id under the config's
 // weight and bucket defaults.
 func (c ListenerConfig) client(g *Gate, id string) *Client {
-	w := c.DefaultWeight
+	w := defaultWeight
 	if ov, ok := c.Weights[id]; ok {
 		w = ov
 	}
@@ -77,12 +74,12 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 			id = "anonymous"
 		}
 		cl := cfg.client(g, id)
-		body, err := io.ReadAll(io.LimitReader(r.Body, int64(cfg.MaxRecordBytes)+1))
+		body, err := io.ReadAll(io.LimitReader(r.Body, maxRecordBytes+1))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		if len(body) > cfg.MaxRecordBytes {
+		if len(body) > maxRecordBytes {
 			http.Error(w, "record too large", http.StatusRequestEntityTooLarge)
 			return
 		}
@@ -104,7 +101,7 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 		mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
 		if mediaType == "application/x-ndjson" {
 			sc := bufio.NewScanner(bytes.NewReader(body))
-			sc.Buffer(nil, cfg.MaxRecordBytes)
+			sc.Buffer(nil, maxRecordBytes)
 			for sc.Scan() {
 				if len(sc.Bytes()) == 0 {
 					continue

@@ -49,7 +49,7 @@ func ServeTCP(l net.Listener, g *Gate, cfg ListenerConfig) error {
 // serveConn drives one client connection: hello frame, then records.
 func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 	defer conn.Close()
-	id, err := readFrame(conn, cfg.MaxRecordBytes, nil)
+	id, err := readFrame(conn, nil)
 	if err != nil {
 		return
 	}
@@ -57,7 +57,7 @@ func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 	var reply [5]byte
 	var buf []byte // reused frame buffer; admitted payloads are copied out
 	for {
-		buf, err = readFrame(conn, cfg.MaxRecordBytes, buf[:0])
+		buf, err = readFrame(conn, buf[:0])
 		if err != nil {
 			return
 		}
@@ -81,14 +81,14 @@ func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 
 // readFrame reads one length-prefixed frame into buf (growing it as
 // needed) and returns the payload.
-func readFrame(r io.Reader, max int, buf []byte) ([]byte, error) {
+func readFrame(r io.Reader, buf []byte) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
 	n := int(binary.BigEndian.Uint32(hdr[:]))
-	if n > max {
-		return nil, fmt.Errorf("ingest: %d-byte frame exceeds the %d-byte limit", n, max)
+	if n > maxRecordBytes {
+		return nil, fmt.Errorf("ingest: %d-byte frame exceeds the %d-byte limit", n, maxRecordBytes)
 	}
 	if cap(buf) < n {
 		buf = make([]byte, n)

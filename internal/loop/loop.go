@@ -148,6 +148,17 @@ type Source interface {
 
 var _ Source = (*metrics.Measurer)(nil)
 
+const (
+	// failureThreshold is how many failures of one action kind within
+	// the failure window (failureWindowCooldowns·Cooldown) suppress that
+	// kind; the window also bounds how long a suppression lasts.
+	failureThreshold       = 3
+	failureWindowCooldowns = 10
+	// maxHistory caps the retained Event log; the oldest events are
+	// dropped past it, keeping a long-lived daemon's memory bounded.
+	maxHistory = 1024
+)
+
 // Config assembles a supervisor.
 type Config struct {
 	// Target is the system under supervision (required).
@@ -172,16 +183,6 @@ type Config struct {
 	// matching the paper's guidance that Tm spans several collection
 	// rounds after a reconfiguration.
 	Cooldown time.Duration
-	// FailureThreshold is how many failures of one action kind within
-	// FailureWindow suppress that kind (default 3).
-	FailureThreshold int
-	// FailureWindow bounds how long failures are remembered and how long a
-	// suppression lasts (default 10·Cooldown).
-	FailureWindow time.Duration
-	// MaxHistory caps the retained Event log; the oldest events are
-	// dropped past it, keeping a long-lived daemon's memory bounded
-	// (default 1024).
-	MaxHistory int
 	// Logger receives structured loop events; nil discards them.
 	Logger *slog.Logger
 	// Clock defaults to the wall clock.
@@ -288,7 +289,7 @@ type Supervisor struct {
 	// last look; a higher reading marks the next forced shrink as
 	// failover (SlotsLost) rather than preemption.
 	seenLostSlots int
-	history       []Event // ring once MaxHistory is reached
+	history       []Event // ring once maxHistory is reached
 	histStart     int     // oldest event's index once the ring is full
 	rounds        int64
 	suppressing   map[string]bool // action kinds in an ongoing suppression episode
@@ -325,20 +326,11 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Interval <= 0 {
 		return nil, errors.New("loop: Interval must be positive")
 	}
-	if cfg.Cooldown < 0 || cfg.FailureThreshold < 0 || cfg.FailureWindow < 0 || cfg.MaxHistory < 0 {
-		return nil, errors.New("loop: negative hysteresis parameters")
+	if cfg.Cooldown < 0 {
+		return nil, errors.New("loop: negative Cooldown")
 	}
 	if cfg.Cooldown == 0 {
 		cfg.Cooldown = 4 * cfg.Interval
-	}
-	if cfg.FailureThreshold == 0 {
-		cfg.FailureThreshold = 3
-	}
-	if cfg.FailureWindow == 0 {
-		cfg.FailureWindow = 10 * cfg.Cooldown
-	}
-	if cfg.MaxHistory == 0 {
-		cfg.MaxHistory = 1024
 	}
 	if cfg.Source == nil {
 		m, err := metrics.NewMeasurer(metrics.MeasurerConfig{
@@ -360,7 +352,7 @@ func New(cfg Config) (*Supervisor, error) {
 		cfg:         cfg,
 		clock:       cfg.Clock,
 		log:         cfg.Logger,
-		fails:       newFailureTracker(cfg.FailureThreshold, cfg.FailureWindow, cfg.Logger),
+		fails:       newFailureTracker(failureThreshold, failureWindowCooldowns*cfg.Cooldown, cfg.Logger),
 		suppressing: make(map[string]bool),
 	}
 	if r := cfg.Resume; r != nil {
@@ -917,7 +909,7 @@ func (s *Supervisor) record(ev Event) {
 	s.appendLocked(ev)
 }
 
-// appendLocked appends under s.mu. Once MaxHistory events exist the slice
+// appendLocked appends under s.mu. Once maxHistory events exist the slice
 // becomes a ring and the oldest event is overwritten in place — O(1) per
 // event, so a long-lived daemon neither grows nor re-copies its log. Every
 // appended event is mirrored into the decision log (hold rounds never
@@ -939,7 +931,7 @@ func (s *Supervisor) appendLocked(ev Event) {
 			Flag: ev.Preempted || ev.SlotsLost, Detail: ev.Reason,
 		})
 	}
-	if len(s.history) < s.cfg.MaxHistory {
+	if len(s.history) < maxHistory {
 		s.history = append(s.history, ev)
 		return
 	}

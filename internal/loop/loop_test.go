@@ -235,8 +235,8 @@ func TestCooldown(t *testing.T) {
 }
 
 // TestFailureSuppression drives repeated ErrQuiesceTimeout failures: after
-// FailureThreshold of them the supervisor must stop trying that action
-// kind until FailureWindow expires, then probe again.
+// failureThreshold of them the supervisor must stop trying that action
+// kind until the failure window (ten cooldowns) expires, then probe again.
 func TestFailureSuppression(t *testing.T) {
 	clock := newFakeClock()
 	target := &fakeTarget{
@@ -250,16 +250,14 @@ func TestFailureSuppression(t *testing.T) {
 		Lambda0: 1, Ops: []core.OpRates{{Name: "a", Lambda: 1, Mu: 2}},
 	}}
 	sup, err := New(Config{
-		Target:           target,
-		Operators:        []string{"a"},
-		Stepper:          stepper,
-		Pool:             FixedPool(4),
-		Source:           src,
-		Interval:         time.Second,
-		Cooldown:         time.Second,
-		FailureThreshold: 3,
-		FailureWindow:    time.Minute,
-		Clock:            clock,
+		Target:    target,
+		Operators: []string{"a"},
+		Stepper:   stepper,
+		Pool:      FixedPool(4),
+		Source:    src,
+		Interval:  time.Second,
+		Cooldown:  time.Second,
+		Clock:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -268,8 +266,8 @@ func TestFailureSuppression(t *testing.T) {
 		sup.Tick()
 		clock.advance(time.Second)
 	}
-	if n := target.rebalances(); n != 3 {
-		t.Fatalf("want exactly FailureThreshold=3 attempts, got %d", n)
+	if n := target.rebalances(); n != failureThreshold {
+		t.Fatalf("want exactly failureThreshold=%d attempts, got %d", failureThreshold, n)
 	}
 	var failed, suppressed int
 	for _, ev := range sup.History() {
@@ -425,24 +423,23 @@ func TestHistoryCap(t *testing.T) {
 		Lambda0: 1, Ops: []core.OpRates{{Name: "a", Lambda: 1, Mu: 2}},
 	}}
 	sup, err := New(Config{
-		Target:     target,
-		Operators:  []string{"a"},
-		Stepper:    stepper,
-		Pool:       FixedPool(4),
-		Source:     src,
-		Interval:   time.Second,
-		Cooldown:   time.Second,
-		MaxHistory: 8,
-		Clock:      clock,
+		Target:    target,
+		Operators: []string{"a"},
+		Stepper:   stepper,
+		Pool:      FixedPool(4),
+		Source:    src,
+		Interval:  time.Second,
+		Cooldown:  time.Second,
+		Clock:     clock,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 50; i++ {
+	for i := 0; i < maxHistory+50; i++ {
 		sup.Tick()
 		clock.advance(time.Second)
 	}
-	if n := len(sup.History()); n != 8 {
+	if n := len(sup.History()); n != maxHistory {
 		t.Fatalf("history not capped: %d events", n)
 	}
 }

@@ -1,17 +1,11 @@
-package main
+package node
 
 import (
 	"fmt"
 	"sync"
 
-	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/engine"
-	"github.com/drs-repro/drs/internal/ingest"
-	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/obs"
-	"github.com/drs-repro/drs/internal/wal"
-	"github.com/drs-repro/drs/internal/worker"
 )
 
 // sojournBounds are the bucket boundaries (seconds) for the per-tenant
@@ -29,22 +23,22 @@ var shedFracBounds = []float64{0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9}
 // target.
 var traceBoundsNS = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9, 1e10}
 
-// serveMetrics is the serve daemon's exposition state: the registry the
+// metrics is the node's exposition state: the registry the
 // /metrics handler scrapes and the per-tenant histograms the control loop
 // observes into. Built in two steps because the histograms must exist
 // before loop.New while most scrape sources exist only after.
-type serveMetrics struct {
+type metrics struct {
 	reg      *obs.Registry
 	sojourn  *obs.Histogram
 	shedFrac *obs.Histogram
 }
 
-// newServeMetrics creates the registry and the per-tenant histograms that
+// newMetrics creates the registry and the per-tenant histograms that
 // loop.Config needs up front.
-func newServeMetrics(tenant string) *serveMetrics {
+func newMetrics(tenant string) *metrics {
 	reg := obs.NewRegistry()
 	tl := fmt.Sprintf("tenant=%q", tenant)
-	return &serveMetrics{
+	return &metrics{
 		reg: reg,
 		sojourn: reg.Histogram("drs_tenant_sojourn_seconds",
 			"Measured mean sojourn per control round, by tenant.", sojournBounds, tl),
@@ -58,7 +52,7 @@ func newServeMetrics(tenant string) *serveMetrics {
 // breakdown histograms plus per-bolt queue-wait and service families. The
 // assembler runs on the tracer's drainer goroutine; histograms are
 // atomic, so scrapes never block it.
-func (m *serveMetrics) traceAssembler(bolts []string) *obs.Assembler {
+func (m *metrics) traceAssembler(bolts []string) *obs.Assembler {
 	reg := m.reg
 	boltQ := make(map[string]*obs.Histogram, len(bolts))
 	boltS := make(map[string]*obs.Histogram, len(bolts))
@@ -81,15 +75,16 @@ func (m *serveMetrics) traceAssembler(bolts []string) *obs.Assembler {
 	})
 }
 
-// register wires every serve-side metric family against the live
+// register wires every metric family against the assembled node's live
 // components. Nil components (no WAL, no worker tier, no decision log)
 // skip their families, so the exposition always reflects what is actually
 // running. All reads go through the components' own thread-safe accessors
 // at scrape time.
-func (m *serveMetrics) register(gate *ingest.Gate, run *engine.Run, bolts []string,
-	sup *loop.Supervisor, lease *cluster.Tenant, pool *cluster.Pool,
-	walLog *wal.Log, coord *worker.Coordinator, dlog *obs.Log, tracer *obs.Tracer) {
+func (m *metrics) register(n *Node) {
 	reg := m.reg
+	gate, run, sup := n.gate, n.tenant.Run, n.tenant.Sup
+	lease, pool := n.lease, n.pool
+	walLog, coord, dlog, tracer := n.walLog, n.coord, n.dlog, n.tracer
 
 	// Admission gate: offered/admitted and the shed split are cumulative
 	// counters; the plan echoes are gauges.
@@ -123,7 +118,7 @@ func (m *serveMetrics) register(gate *ingest.Gate, run *engine.Run, bolts []stri
 		obs.Counter, "", func() float64 { _, c, _ := run.RootTotals(); return float64(c) })
 	reg.Func("drs_engine_sojourn_seconds_total", "Summed end-to-end sojourn of completed root tuples.",
 		obs.Counter, "", func() float64 { _, _, ns := run.RootTotals(); return float64(ns) / 1e9 })
-	for _, b := range bolts {
+	for _, b := range run.BoltNames() {
 		bolt := b
 		labels := fmt.Sprintf("bolt=%q", bolt)
 		reg.Func("drs_engine_bolt_arrivals_total", "Tuples that arrived at each bolt.",

@@ -1,0 +1,356 @@
+package node
+
+import (
+	"bytes"
+	"log/slog"
+	"net"
+	"runtime"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"github.com/drs-repro/drs/internal/engine"
+	"github.com/drs-repro/drs/internal/ingest"
+	"github.com/drs-repro/drs/internal/topology"
+	"github.com/drs-repro/drs/internal/wal"
+	"github.com/drs-repro/drs/internal/worker"
+)
+
+// fastFile has sub-millisecond services, so a burst drains within a test.
+var fastFile = topology.File{
+	Operators: []topology.FileOperator{
+		{Name: "extract", ServiceRate: 5000},
+		{Name: "match", ServiceRate: 5000},
+	},
+	Edges: []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
+}
+
+// syncBuffer is a goroutine-safe log capture.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) count(msg string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return strings.Count(s.b.String(), `msg="`+msg+`"`)
+}
+
+// testConfig is a small node on a loopback TCP listener whose lifecycle
+// notices land in the returned buffer.
+func testConfig() (Config, *syncBuffer) {
+	logs := &syncBuffer{}
+	return Config{
+		Build:           func(b *engine.TopologyBuilder) { AddOperators(b, fastFile, 8, 1) },
+		Entry:           "extract",
+		Tasks:           8,
+		Tmax:            0.2,
+		Interval:        50 * time.Millisecond,
+		SlotsPerMachine: 2,
+		MaxMachines:     4,
+		TCPAddr:         "127.0.0.1:0",
+		Logger:          slog.New(slog.NewTextHandler(logs, &slog.HandlerOptions{Level: LevelNotice})),
+	}, logs
+}
+
+// waitFor polls cond until it holds; the deadline only bounds a hang.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(20 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// freeAddr reserves a loopback port and releases it for the node to claim
+// (a small race, fine for a test).
+func freeAddr(t *testing.T) string {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	return l.Addr().String()
+}
+
+// send pushes n records over one TCP connection and returns how many were
+// acknowledged.
+func send(t *testing.T, addr, id, prefix string, n int) (admitted int) {
+	t.Helper()
+	conn, err := ingest.DialTCP(addr, id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	for i := 0; i < n; i++ {
+		ok, _, err := conn.Send([]byte(prefix))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ok {
+			admitted++
+		}
+	}
+	return admitted
+}
+
+// TestBooksBalance: records offered over a real loopback TCP listener are
+// each either acknowledged and fully processed or refused and counted —
+// after Drain, admitted == completed and the shed counters add up.
+func TestBooksBalance(t *testing.T) {
+	cfg, _ := testConfig()
+	// A tight token bucket, so the burst is part admitted, part shed.
+	cfg.Clients = ingest.ListenerConfig{Rate: 100, Burst: 150}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	const offered = 600
+	acked := send(t, n.Status().TCPAddr, "burst", "rec", offered)
+	rep := n.Drain()
+	st := rep.Gate
+	if st.Offered != offered {
+		t.Errorf("gate saw %d offers, client made %d", st.Offered, offered)
+	}
+	if st.Admitted != int64(acked) || acked == 0 || acked == offered {
+		t.Errorf("gate admitted %d, client saw %d acks of %d (want a split)", st.Admitted, acked, offered)
+	}
+	if shed := st.ShedRateLimit + st.ShedOverload + st.ShedBacklog; st.Admitted+shed != st.Offered {
+		t.Errorf("books: admitted %d + shed %d != offered %d", st.Admitted, shed, st.Offered)
+	}
+	if rep.Completions != st.Admitted {
+		t.Errorf("engine completed %d of %d admitted", rep.Completions, st.Admitted)
+	}
+}
+
+// TestDurableRestart: a node dropped without Drain replays exactly its
+// unacked records on the next boot, before any listener accepts; a drained
+// node leaves nothing to replay.
+func TestDurableRestart(t *testing.T) {
+	const old = 2000
+	// The entry bolt records the order payloads arrive in; one executor,
+	// so its queue order is the ring's order.
+	var (
+		mu    sync.Mutex
+		order []string
+	)
+	cfg, _ := testConfig()
+	cfg.WALDir = t.TempDir()
+	cfg.TCPAddr = freeAddr(t)
+	// No tick inside the test: the watermark is only synced by Drain, so a
+	// dropped node leaves every admitted record unacked on disk.
+	cfg.Interval = time.Hour
+	cfg.Tasks = 1
+	cfg.Build = func(b *engine.TopologyBuilder) {
+		b.Bolt("extract", 1, func(int) engine.Bolt {
+			return engine.BoltFunc(func(tu engine.Tuple, _ engine.Emit) error {
+				mu.Lock()
+				order = append(order, string(tu.Values[0].([]byte)))
+				mu.Unlock()
+				return nil
+			})
+		})
+	}
+
+	first, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if acked := send(t, first.Status().TCPAddr, "c", "old", old); acked != old {
+		t.Fatalf("first life admitted %d of %d", acked, old)
+	}
+	first.Close() // the crash: no watermark sync, no final checkpoint
+
+	l, _, err := wal.Open(wal.Options{Dir: cfg.WALDir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	unacked := len(l.Unacked())
+	l.Close()
+	if unacked != old {
+		t.Fatalf("dropped node left %d unacked records on disk, want %d", unacked, old)
+	}
+
+	// A client hammers the address from before the second boot: were the
+	// listener to open before the replay finished, its records would land
+	// among the replayed ones.
+	mu.Lock()
+	order = nil
+	mu.Unlock()
+	fresh := make(chan int, 1)
+	go func() {
+		for {
+			conn, err := ingest.DialTCP(cfg.TCPAddr, "c")
+			if err != nil {
+				time.Sleep(100 * time.Microsecond)
+				continue
+			}
+			sent := 0
+			for ; sent < 50; sent++ {
+				if ok, _, err := conn.Send([]byte("new")); err != nil || !ok {
+					break
+				}
+			}
+			conn.Close()
+			fresh <- sent
+			return
+		}
+	}()
+	second, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer second.Close()
+	if got := second.Status().Gate.Replayed; got != int64(unacked) {
+		t.Errorf("second life replayed %d records, want the %d unacked", got, unacked)
+	}
+	sent := <-fresh
+	rep := second.Drain()
+	if rep.Completions != int64(unacked+sent) {
+		t.Errorf("second life completed %d, want %d replayed + %d fresh", rep.Completions, unacked, sent)
+	}
+	mu.Lock()
+	for i, p := range order {
+		if i < unacked && p != "old" {
+			t.Errorf("record %d through the entry bolt is %q: fresh traffic interleaved with the replay", i, p)
+			break
+		}
+	}
+	mu.Unlock()
+
+	third, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer third.Close()
+	if got := third.Status().Gate.Replayed; got != 0 {
+		t.Errorf("third life replayed %d records after a drained shutdown, want 0", got)
+	}
+}
+
+// TestWorkerGate: MinWorkers keeps Start from returning until that many
+// workers joined; a killed worker surfaces as a failed pool machine, its
+// executors heal, and the books still balance.
+func TestWorkerGate(t *testing.T) {
+	cfg, logs := testConfig()
+	cfg.WorkerAddr = freeAddr(t)
+	cfg.MinWorkers = 2
+	cfg.Seed = 7
+	dial := func(name string) *worker.Worker {
+		var w *worker.Worker
+		waitFor(t, "the registration endpoint", func() bool {
+			var err error
+			w, err = worker.Dial(worker.Config{Addr: cfg.WorkerAddr, Name: name,
+				Build: func(seed int64) (map[string]engine.BoltFactory, error) {
+					return OperatorFactories(fastFile, seed), nil
+				}})
+			return err == nil
+		})
+		go w.Run()
+		t.Cleanup(w.Close)
+		return w
+	}
+
+	started := make(chan *Node, 1)
+	go func() {
+		n, err := Start(cfg)
+		if err != nil {
+			t.Error(err)
+		}
+		started <- n
+	}()
+	w1 := dial("w1")
+	waitFor(t, "the first join", func() bool { return logs.count("worker joined") == 1 })
+	select {
+	case <-started:
+		t.Fatal("Start returned with one of two workers joined")
+	default:
+	}
+	dial("w2")
+	n := <-started
+	if n == nil {
+		t.FailNow()
+	}
+	defer n.Close()
+	if got := len(n.coord.Workers()); got != 2 {
+		t.Fatalf("%d workers registered after Start, want 2", got)
+	}
+
+	// Both executors sit on the first machine (two slots each, ascending
+	// order); kill the worker behind it.
+	waitFor(t, "placement onto the workers", func() bool {
+		bound, _ := n.tenant.Run.RemoteBound("extract")
+		return bound == 1
+	})
+	w1.Close()
+	waitFor(t, "the machine failure", func() bool {
+		for _, m := range n.pool.MachineList() {
+			if m.ID == w1.Machine() {
+				return m.Failed
+			}
+		}
+		return false
+	})
+	waitFor(t, "the death notice", func() bool { return logs.count("worker died, executors heal local") == 1 })
+	acked := send(t, n.Status().TCPAddr, "c", "rec", 300)
+	rep := n.Drain()
+	if rep.Completions != int64(acked) || acked == 0 {
+		t.Errorf("after the kill: %d admitted, %d completed", acked, rep.Completions)
+	}
+}
+
+// TestDrainIdempotentAndFailedStartLeaksNothing: a second Drain returns
+// the first's report, Close after it is a no-op, and a Start that fails at
+// its very last step — a taken TCP port, after the WAL, the engine, the
+// worker endpoint and the HTTP listener are all up — gives everything
+// back.
+func TestDrainIdempotentAndFailedStartLeaksNothing(t *testing.T) {
+	cfg, _ := testConfig()
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	send(t, n.Status().TCPAddr, "c", "rec", 20)
+	first := n.Drain()
+	if again := n.Drain(); again.Completions != first.Completions || again.Rounds != first.Rounds || first.Completions != 20 {
+		t.Errorf("second Drain reported %+v, first %+v", again, first)
+	}
+	n.Close()
+
+	taken, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer taken.Close()
+	before := runtime.NumGoroutine()
+	cfg.WALDir = t.TempDir()
+	cfg.WorkerAddr = freeAddr(t)
+	cfg.HTTPAddr = freeAddr(t)
+	cfg.TCPAddr = taken.Addr().String()
+	if n, err := Start(cfg); err == nil {
+		n.Close()
+		t.Fatal("Start succeeded on a taken TCP port")
+	}
+	waitFor(t, "the failed Start's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
+	for _, addr := range []string{cfg.HTTPAddr, cfg.WorkerAddr} {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			t.Errorf("listener on %s leaked: %v", addr, err)
+			continue
+		}
+		l.Close()
+	}
+}

@@ -1,0 +1,189 @@
+package node
+
+import (
+	"fmt"
+	"io"
+	"log/slog"
+	"os"
+	"time"
+
+	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/engine"
+	"github.com/drs-repro/drs/internal/ingest"
+	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/obs"
+)
+
+// One value in use across every live caller, so constants, not options.
+const (
+	// quiesceTimeout bounds the engine's drain wait on rebalance and stop.
+	quiesceTimeout = 30 * time.Second
+	// minGain is the controller's rebalance threshold: the modelled
+	// sojourn must improve by this share before executors move.
+	minGain = 0.05
+)
+
+// LevelNotice is the level of lifecycle events — recovery, listeners up,
+// worker churn, shutdown: above the loop's per-decision Info chatter, so
+// the default logger shows them, below the warnings.
+const LevelNotice = slog.Level(2)
+
+// Logger is the live callers' one logger: text on stderr, lifecycle
+// notices and warnings by default, every loop event when verbose.
+func Logger(verbose bool) *slog.Logger {
+	level := LevelNotice
+	if verbose {
+		level = slog.LevelInfo
+	}
+	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{
+		Level: level,
+		ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+			if a.Key == slog.LevelKey && a.Value.Any() == LevelNotice {
+				a.Value = slog.StringValue("NOTICE")
+			}
+			return a
+		},
+	}))
+}
+
+// TenantConfig describes one supervised live topology.
+type TenantConfig struct {
+	// Name labels the tenant in its log lines and decision records
+	// (optional).
+	Name string
+	// Build declares the topology — spouts, bolts, edges — on the builder
+	// (required). Bolt declaration order is the operator order.
+	Build func(*engine.TopologyBuilder)
+	// Alloc is the initial executor count per bolt; nil starts every bolt
+	// on one executor.
+	Alloc map[string]int
+	// Controller is the decision policy; MinGain is filled in here.
+	Controller core.ControllerConfig
+	// Pool is the resource negotiator: a loop.FixedPool, a private
+	// cluster.Pool or a scheduler lease (required).
+	Pool loop.Pool
+	// Interval is the measurement cadence Tm (required); Cooldown is the
+	// observe-only window after an action (default 4·Interval).
+	Interval, Cooldown time.Duration
+	// Logger receives the loop's events; nil discards them.
+	Logger *slog.Logger
+}
+
+// front is what a Node puts around its tenant: the gate whose sheds
+// complete the offered count, the observability sinks, the hysteresis
+// carried over from the previous process life.
+type front struct {
+	gate              *ingest.Gate
+	dlog              *obs.Log
+	tracer            *obs.Tracer
+	resume            *loop.PersistedState
+	sojourn, shedFrac *obs.Histogram
+}
+
+// Tenant is one supervised live topology: a started engine run and the
+// DRS supervisor — measurer, controller, negotiator — in charge of it.
+type Tenant struct {
+	// Run is the live engine run.
+	Run *engine.Run
+	// Sup is the control loop over Run.
+	Sup *loop.Supervisor
+}
+
+// NewTenant builds the topology, starts it on the initial allocation and
+// assembles its control loop; Start sets the loop ticking.
+func NewTenant(cfg TenantConfig) (*Tenant, error) {
+	topo, err := buildTopology(cfg.Build)
+	if err != nil {
+		return nil, err
+	}
+	return newTenant(topo, cfg, front{})
+}
+
+func buildTopology(build func(*engine.TopologyBuilder)) (*engine.Topology, error) {
+	b := engine.NewTopology()
+	build(b)
+	return b.Build()
+}
+
+func newTenant(topo *engine.Topology, cfg TenantConfig, f front) (*Tenant, error) {
+	alloc := cfg.Alloc
+	if alloc == nil {
+		alloc = make(map[string]int)
+		for _, name := range topo.BoltNames() {
+			alloc[name] = 1
+		}
+	}
+	run, err := topo.Start(engine.RunConfig{
+		Alloc: alloc, QuiesceTimeout: quiesceTimeout, DecisionLog: f.dlog, Tracer: f.tracer,
+	})
+	if err != nil {
+		return nil, err
+	}
+	cfg.Controller.MinGain = minGain
+	ctrl, err := core.NewController(cfg.Controller)
+	if err != nil {
+		_ = run.Stop()
+		return nil, err
+	}
+	target := loop.EngineTarget(run)
+	if f.gate != nil {
+		target = ingest.SupervisedTarget{Inner: target, Gate: f.gate}
+	}
+	logger := cfg.Logger
+	if logger != nil && cfg.Name != "" {
+		logger = logger.With(slog.String("tenant", cfg.Name))
+	}
+	sup, err := loop.New(loop.Config{
+		Target:      target,
+		Operators:   run.BoltNames(),
+		Stepper:     ctrl,
+		Pool:        cfg.Pool,
+		Interval:    cfg.Interval,
+		Cooldown:    cfg.Cooldown,
+		Logger:      logger,
+		Resume:      f.resume,
+		Tenant:      cfg.Name,
+		DecisionLog: f.dlog,
+		Sojourn:     f.sojourn,
+		ShedFrac:    f.shedFrac,
+	})
+	if err != nil {
+		_ = run.Stop()
+		return nil, err
+	}
+	if f.gate != nil {
+		f.gate.SetControl(sup)
+	}
+	return &Tenant{Run: run, Sup: sup}, nil
+}
+
+// Start sets the control loop ticking.
+func (t *Tenant) Start() error { return t.Sup.Start() }
+
+// Stop halts the control loop, then the run: spouts first, a drain of the
+// trees in flight, then the executors. A nil error is the zero-loss
+// proof — every injected tuple completed.
+func (t *Tenant) Stop() error {
+	t.Sup.Stop()
+	return t.Run.Stop()
+}
+
+// WriteHistory renders the supervisor's closing account — the round count
+// and every recorded decision — the way all the live commands print it.
+// label, when set, prefixes the heading with the tenant's name.
+func (t *Tenant) WriteHistory(w io.Writer, label string) {
+	writeHistory(w, label, t.Sup.Rounds(), t.Sup.History())
+}
+
+func writeHistory(w io.Writer, label string, rounds int64, events []loop.Event) {
+	if label != "" {
+		label += ": "
+	}
+	fmt.Fprintf(w, "\n%s%d control rounds, decision history:\n", label, rounds)
+	if len(events) == 0 {
+		fmt.Fprintln(w, "  (none: the loop held steady every round)")
+	}
+	for _, ev := range events {
+		fmt.Fprintf(w, "  %s\n", ev)
+	}
+}

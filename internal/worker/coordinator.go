@@ -42,8 +42,6 @@ type CoordinatorConfig struct {
 	// zero means the defaults.
 	Heartbeat time.Duration
 	Lease     time.Duration
-	// WriteTimeout bounds each outbound frame write.
-	WriteTimeout time.Duration
 	// Bind assigns a registering worker its machine identity (a cluster
 	// pool machine id). An error refuses the registration.
 	Bind func(worker string, pid int) (machine int, err error)
@@ -64,9 +62,6 @@ func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
 	}
 	if c.Lease <= 0 {
 		c.Lease = DefaultLease
-	}
-	if c.WriteTimeout <= 0 {
-		c.WriteTimeout = DefaultWriteTimeout
 	}
 	return c
 }
@@ -146,15 +141,14 @@ func (c *Coordinator) handle(conn net.Conn) {
 	if err != nil {
 		return
 	}
-	_ = conn.SetWriteDeadline(time.Now().Add(c.cfg.WriteTimeout))
+	_ = conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	if _, err := conn.Write(frame); err != nil {
 		return
 	}
 	s := &Shuttle{
-		machine:      machine,
-		conn:         conn,
-		writeTimeout: c.cfg.WriteTimeout,
-		pending:      make(map[uint64]func(engine.RemoteResult, error)),
+		machine: machine,
+		conn:    conn,
+		pending: make(map[uint64]func(engine.RemoteResult, error)),
 	}
 	if !c.register(machine, s) {
 		return
@@ -298,9 +292,8 @@ func (c *Coordinator) Close() {
 // results come back on the same connection, and the reader goroutine —
 // the single place done callbacks run — matches them up.
 type Shuttle struct {
-	machine      int
-	conn         net.Conn
-	writeTimeout time.Duration
+	machine int
+	conn    net.Conn
 
 	writeMu sync.Mutex
 	wbuf    []byte
@@ -340,7 +333,7 @@ func (s *Shuttle) ProcessBatch(bolt string, items []engine.RemoteItem, done func
 	}
 	s.pending[seq] = done
 	s.mu.Unlock()
-	_ = s.conn.SetWriteDeadline(time.Now().Add(s.writeTimeout))
+	_ = s.conn.SetWriteDeadline(time.Now().Add(DefaultWriteTimeout))
 	_, werr := s.conn.Write(frame)
 	s.writeMu.Unlock()
 	if werr != nil {

@@ -13,6 +13,9 @@ import (
 	"github.com/drs-repro/drs/internal/engine"
 )
 
+// dialTimeout bounds the TCP connect and, separately, the handshake.
+const dialTimeout = 5 * time.Second
+
 // Config parameterizes one worker daemon.
 type Config struct {
 	// Addr is the coordinator's worker-listen address.
@@ -25,8 +28,6 @@ type Config struct {
 	// key is the bolt name; the factory is called once per task, on
 	// demand.
 	Build func(seed int64) (map[string]engine.BoltFactory, error)
-	// DialTimeout bounds the TCP connect + handshake; zero means 5s.
-	DialTimeout time.Duration
 }
 
 // Worker is one connected worker daemon: it hosts bolt task instances and
@@ -64,16 +65,11 @@ type hostedBolt struct {
 // ready to Run. The welcome's seed drives cfg.Build so the hosted bolts
 // match the serve process's.
 func Dial(cfg Config) (*Worker, error) {
-	timeout := cfg.DialTimeout
-	if timeout <= 0 {
-		timeout = 5 * time.Second
-	}
-	conn, err := net.DialTimeout("tcp", cfg.Addr, timeout)
+	conn, err := net.DialTimeout("tcp", cfg.Addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
-	deadline := time.Now().Add(timeout)
-	_ = conn.SetDeadline(deadline)
+	_ = conn.SetDeadline(time.Now().Add(dialTimeout))
 	hello, err := appendJSONFrame(nil, kindHello, helloMsg{Worker: cfg.Name, Pid: os.Getpid()})
 	if err != nil {
 		conn.Close()

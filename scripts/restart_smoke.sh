@@ -74,9 +74,9 @@ echo "killed -9 with $ADMITTED records ACKed"
 echo "--- restarted serve report ---"
 cat "$TMP/serve2.out"
 
-RECOVERED_TAIL=$(sed -n 's/^wal: recovered .* tail seq \([0-9]*\),.*/\1/p' "$TMP/serve2.out")
-RECOVERED_WM=$(sed -n 's/^wal: recovered .* watermark \([0-9]*\) .*/\1/p' "$TMP/serve2.out")
-REPLAYED=$(sed -n 's/^wal: replaying \([0-9]*\) unacked.*/\1/p' "$TMP/serve2.out")
+RECOVERED_TAIL=$(sed -n 's/.*msg="wal recovered" .* tail_seq=\([0-9]*\) .*/\1/p' "$TMP/serve2.out")
+RECOVERED_WM=$(sed -n 's/.*msg="wal recovered" .* watermark=\([0-9]*\) .*/\1/p' "$TMP/serve2.out")
+REPLAYED=$(sed -n 's/.*msg="wal replay through the spout" unacked=\([0-9]*\).*/\1/p' "$TMP/serve2.out")
 FINAL_WM=$(sed -n 's/^wal: tail seq [0-9]*, watermark \([0-9]*\),.*/\1/p' "$TMP/serve2.out")
 FINAL_TAIL=$(sed -n 's/^wal: tail seq \([0-9]*\),.*/\1/p' "$TMP/serve2.out")
 for v in "$RECOVERED_TAIL" "$RECOVERED_WM" "$REPLAYED" "$FINAL_WM" "$FINAL_TAIL"; do

@@ -81,12 +81,12 @@ wait "$SERVE_PID"
 echo "--- serve report ---"
 cat "$TMP/serve.out"
 
-JOINS=$(grep -c 'worker tier: machine .* joined' "$TMP/serve.out" || true)
+JOINS=$(grep -c 'msg="worker joined"' "$TMP/serve.out" || true)
 if [ "$JOINS" -lt 2 ]; then
   echo "smoke FAILED: expected 2 worker joins, saw $JOINS"
   exit 1
 fi
-if ! grep -q 'died, executors heal local' "$TMP/serve.out"; then
+if ! grep -q 'msg="worker died, executors heal local"' "$TMP/serve.out"; then
   echo "smoke FAILED: the kill -9 never surfaced as a worker death"
   exit 1
 fi
