@@ -10,7 +10,8 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Missing-doc linter: package comments + docs on every exported decl.
+# Exported-surface linter: package comments + docs on every exported decl,
+# and no exported package-level name that no non-test file names.
 checkdoc:
 	$(GO) run ./internal/tools/checkdoc ./...
 
@@ -55,7 +56,6 @@ loc:
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME) ./internal/topology
-	$(GO) test -run '^$$' -fuzz FuzzParseConfig -fuzztime $(FUZZTIME) ./internal/config
 	$(GO) test -run '^$$' -fuzz FuzzParseScenario -fuzztime $(FUZZTIME) ./internal/scenario
 	$(GO) test -run '^$$' -fuzz FuzzWALSegment -fuzztime $(FUZZTIME) ./internal/wal
 	$(GO) test -run '^$$' -fuzz FuzzWorkerFrame -fuzztime $(FUZZTIME) ./internal/worker

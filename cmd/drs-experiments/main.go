@@ -22,7 +22,9 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 
 	"github.com/drs-repro/drs/internal/experiments"
 	"github.com/drs-repro/drs/internal/scenario"
@@ -33,6 +35,118 @@ func main() {
 		fmt.Fprintln(os.Stderr, "drs-experiments:", err)
 		os.Exit(1)
 	}
+}
+
+// env is what the command line gives an experiment.
+type env struct {
+	apps     []experiments.App
+	opts     experiments.Options
+	iters    int
+	scenario string
+}
+
+// experiment is one row of the table the command is: the usage line, the
+// "need exactly one experiment" error and `all` are all read off it.
+type experiment struct {
+	name string
+	run  func(env) error
+	// wallClock marks a measurement of real elapsed time; `all` runs it
+	// after every simulation.
+	wallClock bool
+}
+
+var table = []experiment{
+	{name: "fig6", run: perApp(experiments.RunFigure6)},
+	{name: "fig7", run: perApp(experiments.RunFigure7)},
+	{name: "fig8", run: once(experiments.RunFigure8)},
+	{name: "fig9", run: perApp(experiments.RunFigure9)},
+	{name: "fig10", run: func(e env) error {
+		for _, exp := range []experiments.Fig10Experiment{experiments.ExpA, experiments.ExpB} {
+			if err := show(experiments.RunFigure10(exp, e.opts)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}},
+	{name: "table2", wallClock: true, run: func(e env) error { return show(experiments.RunTable2(e.iters)) }},
+	{name: "baseline", run: perApp(experiments.RunBaseline)},
+	{name: "shedding", run: once(experiments.RunShedding)},
+	{name: "overload", run: once(experiments.RunOverload)},
+	{name: "contention", run: once(experiments.RunContention)},
+	{name: "churn", run: once(experiments.RunChurn)},
+	// chaos replays the built-in everything-at-once scenario, or the spec
+	// loaded from -scenario when that names a file.
+	{name: "chaos", run: func(e env) error {
+		if e.scenario == "" {
+			return show(experiments.RunChaos(e.opts))
+		}
+		_, spec, err := scenario.Load(e.scenario)
+		if err != nil {
+			return err
+		}
+		return show(experiments.RunChaosSpec(spec, e.opts))
+	}},
+	{name: "restart", run: once(experiments.RunRestart)},
+	{name: "trace", run: once(experiments.RunTrace)},
+}
+
+// printer is what every experiment's result is: something that renders
+// the rows the paper plots.
+type printer interface{ Print(io.Writer) }
+
+// show prints one experiment's result to stdout.
+func show[R printer](r R, err error) error {
+	if err != nil {
+		return err
+	}
+	r.Print(os.Stdout)
+	return nil
+}
+
+// once adapts an experiment that takes only the options.
+func once[R printer](f func(experiments.Options) (R, error)) func(env) error {
+	return func(e env) error { return show(f(e.opts)) }
+}
+
+// perApp adapts a per-application figure: one result per -app value.
+func perApp[R printer](f func(experiments.App, experiments.Options) (R, error)) func(env) error {
+	return func(e env) error {
+		for _, app := range e.apps {
+			if err := show(f(app, e.opts)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
+// names lists what the positional argument accepts, in usage order.
+func names() []string {
+	out := make([]string, 0, len(table)+1)
+	for _, x := range table {
+		out = append(out, x.name)
+	}
+	return append(out, "all")
+}
+
+// plan resolves the positional argument to the experiments to run: one
+// table row, or for "all" the whole table in order, wall-clock rows last.
+func plan(arg string) ([]experiment, error) {
+	var sims, timed []experiment
+	for _, x := range table {
+		switch {
+		case x.name == arg:
+			return []experiment{x}, nil
+		case x.wallClock:
+			timed = append(timed, x)
+		default:
+			sims = append(sims, x)
+		}
+	}
+	if arg != "all" {
+		return nil, fmt.Errorf("unknown experiment %q", arg)
+	}
+	return append(sims, timed...), nil
 }
 
 func run(args []string) error {
@@ -47,177 +161,21 @@ func run(args []string) error {
 	}
 	if fs.NArg() != 1 {
 		fs.Usage()
-		return fmt.Errorf("need exactly one experiment: fig6 fig7 fig8 fig9 fig10 table2 baseline shedding overload contention churn chaos restart trace all")
+		return fmt.Errorf("need exactly one experiment: %s", strings.Join(names(), " "))
 	}
-	opts := experiments.Options{Seed: *seed, Duration: *duration}
 	apps, err := appsFor(*app)
 	if err != nil {
 		return err
 	}
-	switch fs.Arg(0) {
-	case "fig6":
-		return runFig6(apps, opts)
-	case "fig7":
-		return runFig7(apps, opts)
-	case "fig8":
-		return runFig8(opts)
-	case "fig9":
-		return runFig9(apps, opts)
-	case "fig10":
-		return runFig10(opts)
-	case "table2":
-		return runTable2(*iters)
-	case "baseline":
-		return runBaseline(apps, opts)
-	case "shedding":
-		return runShedding(opts)
-	case "overload":
-		return runOverload(opts)
-	case "contention":
-		return runContention(opts)
-	case "churn":
-		return runChurn(opts)
-	case "chaos":
-		return runChaos(opts, *scenarioPath)
-	case "restart":
-		return runRestart(opts)
-	case "trace":
-		return runTrace(opts)
-	case "all":
-		if err := runFig6(apps, opts); err != nil {
-			return err
-		}
-		if err := runFig7(apps, opts); err != nil {
-			return err
-		}
-		if err := runFig8(opts); err != nil {
-			return err
-		}
-		if err := runFig9(apps, opts); err != nil {
-			return err
-		}
-		if err := runFig10(opts); err != nil {
-			return err
-		}
-		if err := runBaseline(apps, opts); err != nil {
-			return err
-		}
-		if err := runShedding(opts); err != nil {
-			return err
-		}
-		if err := runOverload(opts); err != nil {
-			return err
-		}
-		if err := runContention(opts); err != nil {
-			return err
-		}
-		if err := runChurn(opts); err != nil {
-			return err
-		}
-		if err := runChaos(opts, *scenarioPath); err != nil {
-			return err
-		}
-		if err := runRestart(opts); err != nil {
-			return err
-		}
-		if err := runTrace(opts); err != nil {
-			return err
-		}
-		return runTable2(*iters)
-	default:
-		return fmt.Errorf("unknown experiment %q", fs.Arg(0))
-	}
-}
-
-func runContention(opts experiments.Options) error {
-	r, err := experiments.RunContention(opts)
+	todo, err := plan(fs.Arg(0))
 	if err != nil {
 		return err
 	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-func runChurn(opts experiments.Options) error {
-	r, err := experiments.RunChurn(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-// runChaos replays the built-in everything-at-once scenario, or the spec
-// loaded from path when -scenario names one.
-func runChaos(opts experiments.Options, path string) error {
-	var (
-		r   experiments.ChaosResult
-		err error
-	)
-	if path == "" {
-		r, err = experiments.RunChaos(opts)
-	} else {
-		var spec scenario.Spec
-		if _, spec, err = scenario.Load(path); err != nil {
+	e := env{apps: apps, opts: experiments.Options{Seed: *seed, Duration: *duration}, iters: *iters, scenario: *scenarioPath}
+	for _, x := range todo {
+		if err := x.run(e); err != nil {
 			return err
 		}
-		r, err = experiments.RunChaosSpec(spec, opts)
-	}
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-// runRestart replays the kill -9 mid-surge arc against the durable
-// ingest stack: WAL recovery, checkpointed watermarks and replay.
-func runRestart(opts experiments.Options) error {
-	r, err := experiments.RunRestart(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-// runTrace replays the chaos workload through the real engine with
-// per-tuple tracing on, locally and across live workers, and prints the
-// measured sojourn decomposition plus the determinism audit.
-func runTrace(opts experiments.Options) error {
-	r, err := experiments.RunTrace(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-func runOverload(opts experiments.Options) error {
-	r, err := experiments.RunOverload(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-func runShedding(opts experiments.Options) error {
-	r, err := experiments.RunShedding(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-func runBaseline(apps []experiments.App, opts experiments.Options) error {
-	for _, app := range apps {
-		r, err := experiments.RunBaseline(app, opts)
-		if err != nil {
-			return err
-		}
-		r.Print(os.Stdout)
 	}
 	return nil
 }
@@ -233,66 +191,4 @@ func appsFor(flagVal string) ([]experiments.App, error) {
 	default:
 		return nil, fmt.Errorf("unknown app %q (want vld, fpd or both)", flagVal)
 	}
-}
-
-func runFig6(apps []experiments.App, opts experiments.Options) error {
-	for _, app := range apps {
-		r, err := experiments.RunFigure6(app, opts)
-		if err != nil {
-			return err
-		}
-		r.Print(os.Stdout)
-	}
-	return nil
-}
-
-func runFig7(apps []experiments.App, opts experiments.Options) error {
-	for _, app := range apps {
-		r, err := experiments.RunFigure7(app, opts)
-		if err != nil {
-			return err
-		}
-		r.Print(os.Stdout)
-	}
-	return nil
-}
-
-func runFig8(opts experiments.Options) error {
-	r, err := experiments.RunFigure8(opts)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
-}
-
-func runFig9(apps []experiments.App, opts experiments.Options) error {
-	for _, app := range apps {
-		r, err := experiments.RunFigure9(app, opts)
-		if err != nil {
-			return err
-		}
-		r.Print(os.Stdout)
-	}
-	return nil
-}
-
-func runFig10(opts experiments.Options) error {
-	for _, exp := range []experiments.Fig10Experiment{experiments.ExpA, experiments.ExpB} {
-		r, err := experiments.RunFigure10(exp, opts)
-		if err != nil {
-			return err
-		}
-		r.Print(os.Stdout)
-	}
-	return nil
-}
-
-func runTable2(iters int) error {
-	r, err := experiments.RunTable2(iters)
-	if err != nil {
-		return err
-	}
-	r.Print(os.Stdout)
-	return nil
 }

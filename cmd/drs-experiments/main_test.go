@@ -1,6 +1,9 @@
 package main
 
 import (
+	"go/parser"
+	"go/token"
+	"strings"
 	"testing"
 
 	"github.com/drs-repro/drs/internal/experiments"
@@ -29,6 +32,45 @@ func TestRunArgumentValidation(t *testing.T) {
 	}
 	if err := run([]string{"-app", "nope", "fig6"}); err == nil {
 		t.Error("unknown app should error")
+	}
+}
+
+// TestTableDrivesUsageAndAll pins the one table: every row is in the
+// package doc's usage line and in the "need exactly one experiment" error,
+// in table order, and `all` visits the table in order with table2 last.
+func TestTableDrivesUsageAndAll(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "<" + strings.Join(names(), "|") + ">"; !strings.Contains(f.Doc.Text(), want) {
+		t.Errorf("package doc usage line does not list %s", want)
+	}
+	err = run(nil)
+	if err == nil || !strings.HasSuffix(err.Error(), ": "+strings.Join(names(), " ")) {
+		t.Errorf("no-argument error = %v, want the table's names in order", err)
+	}
+	todo, err := plan("all")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got, want []string
+	for _, x := range todo {
+		got = append(got, x.name)
+	}
+	for _, x := range table {
+		if x.name != "table2" {
+			want = append(want, x.name)
+		}
+	}
+	want = append(want, "table2")
+	if strings.Join(got, " ") != strings.Join(want, " ") || len(got) != len(table) {
+		t.Errorf("all visits %v, want %v", got, want)
+	}
+	for _, x := range table {
+		if one, err := plan(x.name); err != nil || len(one) != 1 || one[0].name != x.name {
+			t.Errorf("plan(%q) = %v, %v", x.name, one, err)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strconv"
 	"testing"
 )
 
@@ -58,6 +59,27 @@ func TestParseAlloc(t *testing.T) {
 		if _, err := parseAlloc(bad, 3); err == nil {
 			t.Errorf("parseAlloc(%q) should error", bad)
 		}
+	}
+}
+
+// TestParseListRejectsNonIntegers: integer flags of `drsctl schedule` used
+// to parse through ParseFloat and truncate — "-min-slots 2.9" became 2 and
+// "-priorities 1e3" was accepted.
+func TestParseListRejectsNonIntegers(t *testing.T) {
+	got, err := parseList("2, 3", 2, "min-slots", strconv.Atoi)
+	if err != nil || got[0] != 2 || got[1] != 3 {
+		t.Fatalf("parseList ints = %v, %v", got, err)
+	}
+	if got, err := parseList("7", 3, "priorities", strconv.Atoi); err != nil || len(got) != 3 || got[2] != 7 {
+		t.Errorf("single value should broadcast: %v, %v", got, err)
+	}
+	for _, bad := range []string{"2.9", "1e3", "1,2.0", "", "1,2,3"} {
+		if _, err := parseList(bad, 2, "min-slots", strconv.Atoi); err == nil {
+			t.Errorf("parseList(%q) as ints should error", bad)
+		}
+	}
+	if fs, err := parseList("2.9,1e3", 2, "tmax-ms", parseFloat); err != nil || fs[0] != 2.9 || fs[1] != 1000 {
+		t.Errorf("parseList floats = %v, %v", fs, err)
 	}
 }
 

@@ -45,11 +45,11 @@ func cmdSchedule(args []string) error {
 	}
 	paths := strings.Split(*topos, ",")
 	n := len(paths)
-	tmaxes, err := parseFloatList(*tmaxMS, n, "tmax-ms")
+	tmaxes, err := parseList(*tmaxMS, n, "tmax-ms", parseFloat)
 	if err != nil {
 		return err
 	}
-	ws, err := parseFloatList(*weights, n, "weights")
+	ws, err := parseList(*weights, n, "weights", parseFloat)
 	if err != nil {
 		return err
 	}
@@ -58,13 +58,13 @@ func cmdSchedule(args []string) error {
 		prios[i] = i
 	}
 	if *priorities != "" {
-		if prios, err = parseIntList(*priorities, n, "priorities"); err != nil {
+		if prios, err = parseList(*priorities, n, "priorities", strconv.Atoi); err != nil {
 			return err
 		}
 	}
 	var floors []int
 	if *minSlots != "" {
-		if floors, err = parseIntList(*minSlots, n, "min-slots"); err != nil {
+		if floors, err = parseList(*minSlots, n, "min-slots", strconv.Atoi); err != nil {
 			return err
 		}
 	}
@@ -236,19 +236,21 @@ func tenantName(path string, i int) string {
 	return fmt.Sprintf("%s-%d", base, i)
 }
 
-// parseFloatList parses a comma list, broadcasting a single value to n.
-func parseFloatList(s string, n int, flagName string) ([]float64, error) {
+// parseList parses a comma list with parse (strconv.Atoi for integer
+// flags, so a fractional or exponent entry is a flag error, not a silent
+// truncation), broadcasting a single value to n.
+func parseList[T any](s string, n int, flagName string, parse func(string) (T, error)) ([]T, error) {
 	parts := strings.Split(s, ",")
 	if len(parts) != 1 && len(parts) != n {
 		return nil, fmt.Errorf("-%s needs 1 or %d values, got %d", flagName, n, len(parts))
 	}
-	out := make([]float64, n)
+	out := make([]T, n)
 	for i := range out {
 		p := parts[0]
 		if len(parts) == n {
 			p = parts[i]
 		}
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
+		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("bad -%s entry %q: %w", flagName, p, err)
 		}
@@ -257,15 +259,5 @@ func parseFloatList(s string, n int, flagName string) ([]float64, error) {
 	return out, nil
 }
 
-// parseIntList parses a comma list, broadcasting a single value to n.
-func parseIntList(s string, n int, flagName string) ([]int, error) {
-	fs, err := parseFloatList(s, n, flagName)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]int, n)
-	for i, v := range fs {
-		out[i] = int(v)
-	}
-	return out, nil
-}
+// parseFloat is strconv.ParseFloat at the one precision the flags use.
+func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }

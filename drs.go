@@ -72,7 +72,6 @@ package drs
 
 import (
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/config"
 	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/metrics"
@@ -165,11 +164,6 @@ type Stepper = core.Stepper
 // reactive-policy family); it needs no queueing model and exists for
 // comparison against DRS (see experiments' baseline run).
 type ThresholdController = core.ThresholdController
-
-// HeteroAssignment maps operators to the processor speed factors they
-// received from Model.AssignHeterogeneous — the §III-A heterogeneous
-// processors extension.
-type HeteroAssignment = core.HeteroAssignment
 
 // Measurer implements the paper's measurer module: it aggregates
 // per-interval operator counters into smoothed rate estimates and produces
@@ -362,14 +356,3 @@ func SaveWALCheckpoint(dir string, c WALCheckpoint) error { return wal.SaveCheck
 func LoadWALCheckpoint(dir string) (c WALCheckpoint, ok bool, err error) {
 	return wal.LoadCheckpoint(dir)
 }
-
-// Config is the full DRS parameter set (the configuration-reader module),
-// with JSON load/save.
-type Config = config.Config
-
-// DefaultConfig returns the paper's experiment configuration where stated
-// and sensible values elsewhere.
-func DefaultConfig() Config { return config.Default() }
-
-// LoadConfig reads and validates a configuration file.
-func LoadConfig(path string) (Config, error) { return config.Load(path) }

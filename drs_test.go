@@ -1,7 +1,13 @@
 package drs_test
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"os"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -81,10 +87,8 @@ func TestPublicMeasurerPath(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := drs.NewExecutorProbe(1)
-	for i := 0; i < 100; i++ {
-		probe.TupleArrived()
-		probe.TupleServed(10 * time.Millisecond)
-	}
+	probe.TuplesArrived(100)
+	probe.TuplesServed(100, 100, int64(100*10*time.Millisecond), 0)
 	c := probe.Drain()
 	err = meas.AddInterval(drs.IntervalReport{
 		Duration:         time.Second,
@@ -111,16 +115,49 @@ func TestPublicMeasurerPath(t *testing.T) {
 	}
 }
 
-func TestPublicConfig(t *testing.T) {
-	cfg := drs.DefaultConfig()
-	if err := cfg.Validate(); err != nil {
+// TestFacadeSurface holds package drs's exported names to
+// testdata/facade.golden, so the module's only importable surface changes
+// on purpose: a new, renamed or dropped name fails here — edit the golden
+// by hand, deliberately (DESIGN.md §16 records why the facade is what it
+// is).
+func TestFacadeSurface(t *testing.T) {
+	f, err := parser.ParseFile(token.NewFileSet(), "drs.go", nil, 0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cfg.ControllerConfig(); err != nil {
+	var lines []string
+	add := func(kind string, id *ast.Ident) {
+		if id.IsExported() {
+			lines = append(lines, kind+" "+id.Name)
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add("func", d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add("type", sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(d.Tok.String(), id)
+					}
+				}
+			}
+		}
+	}
+	sort.Strings(lines)
+	got := strings.Join(lines, "\n") + "\n"
+	want, err := os.ReadFile("testdata/facade.golden")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := drs.LoadConfig("/nonexistent/drs.json"); err == nil {
-		t.Error("missing config file should error")
+	if got != string(want) {
+		t.Errorf("package drs's exported surface changed:\n--- got\n%s--- want\n%s", got, want)
 	}
 }
 

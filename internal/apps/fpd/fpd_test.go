@@ -152,24 +152,6 @@ func TestIsSubset(t *testing.T) {
 	}
 }
 
-func TestKeyRoundTrip(t *testing.T) {
-	for _, s := range []Itemset{nil, {5}, {1, 2, 99}} {
-		got := ParseKey(s.Key())
-		if len(got) != len(s) {
-			t.Errorf("round trip of %v = %v", s, got)
-			continue
-		}
-		for i := range s {
-			if got[i] != s[i] {
-				t.Errorf("round trip of %v = %v", s, got)
-			}
-		}
-	}
-	if ParseKey("not-a-key") != nil {
-		t.Error("garbage key should parse to nil")
-	}
-}
-
 func TestHashStability(t *testing.T) {
 	a := Itemset{1, 2, 3}.Hash()
 	b := Itemset{1, 2, 3}.Hash()
@@ -245,7 +227,7 @@ func distributedMFP(window []Transaction, cfg CandidateConfig, threshold, tasks 
 	}
 	out := make(map[string]bool)
 	for _, st := range stores {
-		for _, k := range st.Maximal() {
+		for k := range st.mfp {
 			out[k] = true
 		}
 	}
@@ -313,7 +295,7 @@ func TestMFPWithSlidingDeletions(t *testing.T) {
 	want := BruteForceMFP(all[150:], cfg, threshold)
 	got := make(map[string]bool)
 	for _, st := range stores {
-		for _, k := range st.Maximal() {
+		for k := range st.mfp {
 			got[k] = true
 		}
 	}

@@ -38,23 +38,6 @@ func (s Itemset) Key() string {
 	return b.String()
 }
 
-// ParseKey reverses Key.
-func ParseKey(key string) Itemset {
-	if key == "" {
-		return nil
-	}
-	parts := strings.Split(key, ",")
-	out := make(Itemset, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			return nil
-		}
-		out[i] = v
-	}
-	return out
-}
-
 // IsSubset reports whether s ⊆ t (both canonical).
 func (s Itemset) IsSubset(t Itemset) bool {
 	if len(s) > len(t) {
@@ -259,23 +242,12 @@ func (st *MFPStore) isMaximal(set Itemset) bool {
 	return true
 }
 
-// Maximal returns the keys of locally-owned itemsets currently flagged MFP.
-func (st *MFPStore) Maximal() []string {
-	out := make([]string, 0, len(st.mfp))
-	for k := range st.mfp {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Count reports the current occurrence count of an itemset key.
-func (st *MFPStore) Count(key string) int { return st.counts[key] }
-
 // BruteForceMFP computes the maximal frequent itemsets of a window of
 // transactions directly: count every candidate subset, keep those at or
 // above the threshold, and discard any with a frequent strict superset.
 // Exponential — reference implementation for tests.
+//
+//checkdoc:testonly reference: the distributed MFP protocol is tested against it
 func BruteForceMFP(window []Transaction, cfg CandidateConfig, threshold int) map[string]int {
 	counts := make(map[string]int)
 	sets := make(map[string]Itemset)

@@ -31,8 +31,6 @@ type PipelineConfig struct {
 	Vocabulary int
 	// Threshold is the absolute support count for "frequent".
 	Threshold int
-	// Candidates bounds the pattern generator's expansion.
-	Candidates CandidateConfig
 	// Tasks bounds per-bolt parallelism.
 	Tasks int
 	// Seed drives generation and pacing.
@@ -41,6 +39,9 @@ type PipelineConfig struct {
 	// (called from executor goroutines; must be safe for concurrent use).
 	OnReport func(MFPChange)
 }
+
+// liveCandidates bounds the live pattern generator's expansion.
+var liveCandidates = CandidateConfig{MaxItems: 6, MaxLen: 3}
 
 func (c *PipelineConfig) fillDefaults() {
 	if c.TweetsPerSecond <= 0 {
@@ -54,12 +55,6 @@ func (c *PipelineConfig) fillDefaults() {
 	}
 	if c.Threshold <= 0 {
 		c.Threshold = 20
-	}
-	if c.Candidates.MaxItems == 0 {
-		c.Candidates.MaxItems = 6
-	}
-	if c.Candidates.MaxLen == 0 {
-		c.Candidates.MaxLen = 3
 	}
 	if c.Tasks <= 0 {
 		c.Tasks = 16
@@ -212,7 +207,7 @@ func Pipeline(cfg PipelineConfig) (*engine.Topology, error) {
 		Bolt("generate", cfg.Tasks, func(int) engine.Bolt {
 			return engine.BoltFunc(func(t engine.Tuple, emit engine.Emit) error {
 				ev := t.Values[0].(windowEvent)
-				for _, set := range cfg.Candidates.Candidates(ev.txn) {
+				for _, set := range liveCandidates.Candidates(ev.txn) {
 					emit(engine.Values{candidate{set: set, delta: ev.delta}})
 				}
 				return nil

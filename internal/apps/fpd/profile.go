@@ -33,10 +33,9 @@ import (
 const (
 	// TweetsPerSecond is the Poisson arrival rate of tweets (§V-B).
 	TweetsPerSecond = 320.0
-	// WindowSize is the sliding window length in tweets (§V-B).
-	WindowSize = 50000
 	// EventsPerSecond is the external event rate: each tweet produces one
-	// "+" event entering the window and one "−" event leaving it.
+	// "+" event entering the 50000-tweet sliding window (§V-B) and one "−"
+	// event leaving it.
 	EventsPerSecond = 2 * TweetsPerSecond
 
 	// CandidatesPerEvent is the mean candidate itemsets per window event

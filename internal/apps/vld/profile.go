@@ -138,6 +138,3 @@ func Figure6Allocations() [][]int {
 
 // RecommendedAllocation is DRS's pick at Kmax = 22.
 func RecommendedAllocation() []int { return []int{10, 11, 1} }
-
-// SmallPoolAllocation is DRS's pick at Kmax = 17 (Fig. 10 initial state).
-func SmallPoolAllocation() []int { return []int{8, 8, 1} }

@@ -28,7 +28,7 @@ func TestModelReproducesPaperAllocations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := SmallPoolAllocation(); !equal(k17, want) {
+	if want := []int{8, 8, 1}; !equal(k17, want) { // Fig. 10 initial state
 		t.Errorf("AssignProcessors(17) = %v, want %v (paper Fig. 10)", k17, want)
 	}
 }

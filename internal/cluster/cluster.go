@@ -99,8 +99,7 @@ func (c PoolConfig) Validate() error {
 
 // Transition describes one applied pool change, with its modeled cost.
 type Transition struct {
-	// Kind is "rebalance", "scale-out", "scale-in", "machine-fail" or
-	// "machine-recover".
+	// Kind is "rebalance", "scale-out" or "scale-in".
 	Kind string
 	// MachinesBefore and MachinesAfter bracket the change (live machines).
 	MachinesBefore, MachinesAfter int
@@ -146,7 +145,6 @@ type Pool struct {
 	cfg        PoolConfig
 	fleet      []machine // provisioned machines (live and failed), id order
 	nextID     int
-	history    []Transition
 	churn      func(ChurnEvent)   // owner subscriber, called after mu is released
 	churnExtra []func(ChurnEvent) // additional listeners (see AddChurnListener)
 	workers    map[int]string     // machine id -> registered worker process
@@ -183,14 +181,6 @@ func (p *Pool) Machines() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.liveLocked()
-}
-
-// Provisioned reports how many machines the pool holds from the provider,
-// failed ones included — the count the MaxMachines cap applies to.
-func (p *Pool) Provisioned() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.fleet)
 }
 
 // MachineList returns every provisioned machine's state, in ID order.
@@ -262,7 +252,6 @@ func (p *Pool) Fail(id int) error {
 	}
 	before := p.liveLocked()
 	m.failed = true
-	p.history = append(p.history, Transition{Kind: "machine-fail", MachinesBefore: before, MachinesAfter: before - 1})
 	notify := p.notifiersLocked()
 	p.mu.Unlock()
 	for _, fn := range notify {
@@ -286,7 +275,6 @@ func (p *Pool) Recover(id int) error {
 	}
 	before := p.liveLocked()
 	m.failed = false
-	p.history = append(p.history, Transition{Kind: "machine-recover", MachinesBefore: before, MachinesAfter: before + 1})
 	notify := p.notifiersLocked()
 	p.mu.Unlock()
 	for _, fn := range notify {
@@ -402,14 +390,12 @@ func (p *Pool) Rebalance() Transition {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	live := p.liveLocked()
-	tr := Transition{
+	return Transition{
 		Kind:           "rebalance",
 		MachinesBefore: live,
 		MachinesAfter:  live,
 		Pause:          p.cfg.Costs.Rebalance,
 	}
-	p.history = append(p.history, tr)
-	return tr
 }
 
 // Resize negotiates the pool to the given Kmax (quantized up to whole live
@@ -442,7 +428,6 @@ func (p *Pool) Resize(targetKmax int) (Transition, error) {
 		tr.Kind = "rebalance"
 		tr.Pause = p.cfg.Costs.Rebalance
 	}
-	p.history = append(p.history, tr)
 	return tr, nil
 }
 
@@ -477,13 +462,6 @@ func (p *Pool) machinesForLocked(processors int) (machines, kmax int, err error)
 			ErrNoCapacity, machines, p.cfg.MaxMachines, p.failedLocked())
 	}
 	return machines, machines*p.cfg.SlotsPerMachine - p.cfg.ReservedSlots, nil
-}
-
-// History returns a copy of all applied transitions, in order.
-func (p *Pool) History() []Transition {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]Transition(nil), p.history...)
 }
 
 // PaperPool is the experiment cluster of §V-B: 6 machines, one reserved

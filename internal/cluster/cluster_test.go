@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -151,32 +152,6 @@ func TestRebalanceCheaperThanDefault(t *testing.T) {
 	}
 }
 
-func TestHistoryRecordsTransitions(t *testing.T) {
-	p := paperPool(t, 4)
-	p.Rebalance()
-	if _, err := p.Resize(22); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Resize(17); err != nil {
-		t.Fatal(err)
-	}
-	h := p.History()
-	if len(h) != 3 {
-		t.Fatalf("history length = %d, want 3", len(h))
-	}
-	kinds := []string{"rebalance", "scale-out", "scale-in"}
-	for i, k := range kinds {
-		if h[i].Kind != k {
-			t.Errorf("history[%d].Kind = %q, want %q", i, h[i].Kind, k)
-		}
-	}
-	// Returned slice is a copy.
-	h[0].Kind = "mutated"
-	if p.History()[0].Kind == "mutated" {
-		t.Error("History must return a copy")
-	}
-}
-
 func TestPoolConcurrentAccess(t *testing.T) {
 	p := paperPool(t, 4)
 	var wg sync.WaitGroup
@@ -189,7 +164,7 @@ func TestPoolConcurrentAccess(t *testing.T) {
 					_, _ = p.Resize(17 + (i%2)*5)
 				} else {
 					_ = p.Kmax()
-					_ = p.History()
+					_ = p.MachineList()
 				}
 			}
 		}(g)
@@ -197,6 +172,37 @@ func TestPoolConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if m := p.Machines(); m != 4 && m != 5 {
 		t.Errorf("machines = %d after churn", m)
+	}
+}
+
+// TestPoolTransitionsRetainNothing is the regression guard for the
+// unbounded Pool.history a long-lived `drsctl serve` used to leak into:
+// the heap a pool holds must not grow with the number of control actions
+// applied to it. 10 000 retained Transitions were ~400 KiB.
+func TestPoolTransitionsRetainNothing(t *testing.T) {
+	p := paperPool(t, 4)
+	drive := func(n int) {
+		for i := 0; i < n; i++ {
+			p.Rebalance()
+			if _, err := p.Resize(17 + (i%2)*5); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	drive(100) // warm: fleet slice and worker map at their steady size
+	before := heap()
+	drive(5000) // 10 000 transitions
+	after := heap()
+	runtime.KeepAlive(p)
+	if grown := int64(after) - int64(before); grown > 64<<10 {
+		t.Errorf("pool retained %d bytes across 10000 transitions, want none", grown)
 	}
 }
 

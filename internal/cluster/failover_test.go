@@ -14,14 +14,14 @@ func TestPoolMachineLifecycle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pool.Machines() != 3 || pool.Kmax() != 6 || pool.Provisioned() != 3 {
-		t.Fatalf("fresh pool: live=%d kmax=%d provisioned=%d", pool.Machines(), pool.Kmax(), pool.Provisioned())
+	if pool.Machines() != 3 || pool.Kmax() != 6 || len(pool.MachineList()) != 3 {
+		t.Fatalf("fresh pool: live=%d kmax=%d provisioned=%d", pool.Machines(), pool.Kmax(), len(pool.MachineList()))
 	}
 	if err := pool.Fail(2); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Machines() != 2 || pool.Kmax() != 4 || pool.Provisioned() != 3 {
-		t.Fatalf("after fail: live=%d kmax=%d provisioned=%d", pool.Machines(), pool.Kmax(), pool.Provisioned())
+	if pool.Machines() != 2 || pool.Kmax() != 4 || len(pool.MachineList()) != 3 {
+		t.Fatalf("after fail: live=%d kmax=%d provisioned=%d", pool.Machines(), pool.Kmax(), len(pool.MachineList()))
 	}
 	// The wreck occupies the cap: only one more machine is provisionable.
 	if pool.MaxKmax() != 6 {
@@ -51,16 +51,8 @@ func TestPoolMachineLifecycle(t *testing.T) {
 	if err := pool.Decommission(1); err != nil {
 		t.Fatal(err)
 	}
-	if pool.Provisioned() != 2 || pool.MaxKmax() != 8 {
-		t.Fatalf("after decommission: provisioned=%d maxKmax=%d", pool.Provisioned(), pool.MaxKmax())
-	}
-	// Lifecycle transitions land in the history.
-	kinds := map[string]int{}
-	for _, tr := range pool.History() {
-		kinds[tr.Kind]++
-	}
-	if kinds["machine-fail"] != 2 || kinds["machine-recover"] != 1 {
-		t.Fatalf("history kinds = %v", kinds)
+	if len(pool.MachineList()) != 2 || pool.MaxKmax() != 8 {
+		t.Fatalf("after decommission: provisioned=%d maxKmax=%d", len(pool.MachineList()), pool.MaxKmax())
 	}
 }
 
@@ -177,8 +169,8 @@ func TestSchedulerReplacementNegotiation(t *testing.T) {
 	if got := a.Kmax(); got != 6 {
 		t.Fatalf("grant after replaced crash = %d, want 6", got)
 	}
-	if pool.Machines() != 3 || pool.Provisioned() != 3 {
-		t.Fatalf("pool after replacement: live=%d provisioned=%d, want 3/3", pool.Machines(), pool.Provisioned())
+	if pool.Machines() != 3 || len(pool.MachineList()) != 3 {
+		t.Fatalf("pool after replacement: live=%d provisioned=%d, want 3/3", pool.Machines(), len(pool.MachineList()))
 	}
 	// The replacement is a fresh machine, not the wreck.
 	for _, m := range pool.MachineList() {

@@ -28,8 +28,9 @@ import (
 // maxed out — preempting slots from lower-priority tenants, guarded by the
 // Appendix-B cost/benefit test on the tenants' reported marginal utilities.
 
-// ErrTenantReleased is returned by lease operations after Release.
-var ErrTenantReleased = errors.New("cluster: tenant lease released")
+// maxHistory caps the retained decision history; the oldest events are
+// overwritten past it.
+const maxHistory = 256
 
 // Clock abstracts time for the scheduler's decision history; virtual-time
 // drivers (the experiments) inject their own.
@@ -115,8 +116,6 @@ type SchedulerConfig struct {
 	// the cold-start pause). When false, the wreck occupies the cap until
 	// Recover and the tenants ride out the outage on shrunken grants.
 	ReplaceOnFailure bool
-	// MaxHistory caps the retained decision history (default 256).
-	MaxHistory int
 	// Clock defaults to the wall clock.
 	Clock Clock
 	// DecisionLog, when set, receives every arbitration outcome as a
@@ -133,9 +132,9 @@ type SchedulerEvent struct {
 	// At is the scheduler clock time of the event.
 	At time.Time
 	// Kind is "register", "grant", "shrink" (voluntary), "preempt"
-	// (involuntary), "slots-lost" (involuntary, machine failure),
-	// "release" (tenant gone), "pool" (negotiated machine change),
-	// "priority" (a tenant's rank changed) or a machine lifecycle kind
+	// (involuntary), "slots-lost" (involuntary, machine failure), "pool"
+	// (negotiated machine change), "priority" (a tenant's rank changed)
+	// or a machine lifecycle kind
 	// ("machine-fail", "machine-recover", "straggler", "straggler-clear").
 	Kind string
 	// Tenant names the affected tenant ("" for pool events).
@@ -232,14 +231,11 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	if cfg.Pool == nil {
 		return nil, errors.New("cluster: scheduler requires a pool")
 	}
-	if cfg.CostWindow < 0 || cfg.MaxHistory < 0 {
+	if cfg.CostWindow < 0 {
 		return nil, errors.New("cluster: negative scheduler parameters")
 	}
 	if cfg.CostWindow == 0 {
 		cfg.CostWindow = time.Minute
-	}
-	if cfg.MaxHistory == 0 {
-		cfg.MaxHistory = 256
 	}
 	if cfg.Clock == nil {
 		cfg.Clock = schedWallClock{}
@@ -313,7 +309,6 @@ type Tenant struct {
 	placement  map[int]int // machine id -> slots of the current grant
 	report     TenantReport
 	haveReport bool
-	released   bool
 
 	// Per-arbitration scratch (guarded by s.mu, meaningful only inside one
 	// arbitrateLocked call): the grant entering the arbitration, whether
@@ -349,7 +344,6 @@ func (s *Scheduler) Register(cfg TenantConfig) (*Tenant, error) {
 	if t.granted < cfg.InitialSlots {
 		s.tenants = s.tenants[:len(s.tenants)-1]
 		t.demand, t.granted = 0, 0
-		t.released = true
 		s.arbitrateLocked(0)
 		return nil, fmt.Errorf("%w: tenant %q needs %d initial slots", ErrNoCapacity, cfg.Name, cfg.InitialSlots)
 	}
@@ -388,7 +382,7 @@ func (s *Scheduler) History() []SchedulerEvent {
 	return out
 }
 
-// recordLocked appends an event, overwriting the oldest past MaxHistory,
+// recordLocked appends an event, overwriting the oldest past maxHistory,
 // and mirrors it into the decision log. Preempt events are the exception:
 // arbitrateLocked emits those itself so they carry the Appendix-B verdict
 // inputs the history line compresses away.
@@ -402,7 +396,7 @@ func (s *Scheduler) recordLocked(ev SchedulerEvent) {
 			})
 		}
 	}
-	if len(s.history) < s.cfg.MaxHistory {
+	if len(s.history) < maxHistory {
 		s.history = append(s.history, ev)
 		return
 	}
@@ -750,9 +744,6 @@ func (t *Tenant) Resize(target int) (Transition, error) {
 	}
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.released {
-		return Transition{}, ErrTenantReleased
-	}
 	old := t.granted
 	machinesBefore := t.s.cfg.Pool.Machines()
 	t.demand = target
@@ -826,9 +817,6 @@ func (t *Tenant) Placement() map[int]int {
 func (t *Tenant) SetPriority(priority int) error {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
-	if t.released {
-		return ErrTenantReleased
-	}
 	if t.cfg.Priority == priority {
 		return nil
 	}
@@ -839,29 +827,4 @@ func (t *Tenant) SetPriority(priority int) error {
 		Tenant: t.cfg.Name, From: old, To: priority})
 	t.s.arbitrateLocked(0)
 	return nil
-}
-
-// Release withdraws the tenant: its slots return to the pool and the
-// remaining tenants' pending demands are re-arbitrated. Further lease
-// operations fail with ErrTenantReleased.
-func (t *Tenant) Release() {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	if t.released {
-		return
-	}
-	old := t.granted
-	t.released = true
-	t.demand, t.granted = 0, 0
-	t.placement = nil // the slots return to the pool; no stale mapping
-	delete(t.s.preempts, t.cfg.Name)
-	for i, other := range t.s.tenants {
-		if other == t {
-			t.s.tenants = append(t.s.tenants[:i], t.s.tenants[i+1:]...)
-			break
-		}
-	}
-	t.s.recordLocked(SchedulerEvent{At: t.s.clock.Now(), Kind: "release",
-		Tenant: t.cfg.Name, From: old, To: 0})
-	t.s.arbitrateLocked(0)
 }

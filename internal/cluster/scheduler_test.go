@@ -385,7 +385,8 @@ func TestSchedulerPoolElasticity(t *testing.T) {
 }
 
 // TestRegisterAndRelease: registration fails cleanly when the initial
-// grant cannot fit, and Release returns slots to the survivors.
+// grant cannot fit, and a shrink to zero releases the slots to the
+// survivors.
 func TestRegisterAndRelease(t *testing.T) {
 	s := newTestScheduler(t, flatPool(t, 1, 10))
 	a, err := s.Register(TenantConfig{Name: "a", MinSlots: 8, InitialSlots: 8})
@@ -406,22 +407,20 @@ func TestRegisterAndRelease(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// b wants more; nothing free until a releases.
+	// b wants more; nothing free until a shrinks.
 	if _, err := b.Resize(10); err != nil && !errors.Is(err, ErrNoCapacity) {
 		t.Fatal(err)
 	}
 	before := grants(s)["b"]
-	a.Release()
+	if _, err := a.Resize(0); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := b.Resize(10); err != nil {
 		t.Fatal(err)
 	}
 	if got := grants(s)["b"]; got != 10 || got <= before {
-		t.Fatalf("release did not free slots: b = %d", got)
+		t.Fatalf("shrink did not free slots: b = %d", got)
 	}
-	if _, err := a.Resize(1); !errors.Is(err, ErrTenantReleased) {
-		t.Fatalf("want ErrTenantReleased, got %v", err)
-	}
-	a.Release() // idempotent
 }
 
 // checkSchedulerInvariants asserts, from one State snapshot, everything an
@@ -542,14 +541,11 @@ func TestSchedulerPropertyRandomOps(t *testing.T) {
 			case 0:
 				register(rng.Intn(4))
 			case 1:
-				if len(leases) > 1 {
-					i := rng.Intn(len(leases))
-					leases[i].Release()
-					leases = append(leases[:i], leases[i+1:]...)
+				if _, err := pick().Resize(0); err != nil {
+					t.Fatalf("%s: shrink to zero: %v", ctx, err)
 				}
 			case 2, 3, 4, 5:
-				if _, err := pick().Resize(rng.Intn(20)); err != nil &&
-					!errors.Is(err, ErrNoCapacity) && !errors.Is(err, ErrTenantReleased) {
+				if _, err := pick().Resize(rng.Intn(20)); err != nil && !errors.Is(err, ErrNoCapacity) {
 					t.Fatalf("%s: resize: %v", ctx, err)
 				}
 			case 6, 7:
@@ -570,8 +566,7 @@ func TestSchedulerPropertyRandomOps(t *testing.T) {
 			case 10:
 				_ = s.MarkStraggler(someMachine(), rng.Intn(2) == 0)
 			case 11:
-				if err := pick().SetPriority(rng.Intn(3)); err != nil &&
-					!errors.Is(err, ErrTenantReleased) {
+				if err := pick().SetPriority(rng.Intn(3)); err != nil {
 					t.Fatalf("%s: set priority: %v", ctx, err)
 				}
 			}
@@ -581,7 +576,7 @@ func TestSchedulerPropertyRandomOps(t *testing.T) {
 }
 
 // TestNoDoubleLeaseUnderConcurrency hammers the scheduler from many
-// goroutines — resizes, reports, registrations, releases — and checks
+// goroutines — resizes, reports, registrations, shrinks to zero — and checks
 // after every operation that the grant total never exceeds capacity and
 // that each lease is internally consistent. Run with -race.
 func TestNoDoubleLeaseUnderConcurrency(t *testing.T) {
@@ -620,13 +615,15 @@ func TestNoDoubleLeaseUnderConcurrency(t *testing.T) {
 				}
 				check()
 			}
-			lease.Release()
+			if _, err := lease.Resize(0); err != nil {
+				t.Error(err)
+			}
 			check()
 		}(g)
 	}
 	wg.Wait()
 	st := s.State()
-	if st.Leased != 0 || len(st.Tenants) != 0 {
-		t.Fatalf("leaked grants after all releases: %+v", st)
+	if st.Leased != 0 {
+		t.Fatalf("leaked grants after every tenant shrank to zero: %+v", st)
 	}
 }

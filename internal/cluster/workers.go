@@ -63,22 +63,3 @@ func (p *Pool) UnbindWorker(id int) {
 	defer p.mu.Unlock()
 	delete(p.workers, id)
 }
-
-// WorkerFor reports the worker process backing a machine, if any.
-func (p *Pool) WorkerFor(id int) (string, bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	w, ok := p.workers[id]
-	return w, ok
-}
-
-// WorkerBindings snapshots the machine -> worker lease table.
-func (p *Pool) WorkerBindings() map[int]string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	out := make(map[int]string, len(p.workers))
-	for id, w := range p.workers {
-		out[id] = w
-	}
-	return out
-}

@@ -8,12 +8,16 @@ import "math"
 // AssignProcessorsScan runs the paper's literal Algorithm 1 formulation —
 // a full δ_i rescan per increment, O(Kmax·N) — instead of the heap-based
 // production implementation. Results are E[T]-equivalent.
+//
+//checkdoc:testonly reference: the heap-based AssignProcessors is tested and benchmarked against it
 func AssignProcessorsScan(m *Model, kmax int) ([]int, error) {
 	return m.assignProcessorsScan(kmax)
 }
 
 // BruteForceAssign enumerates every allocation of kmax processors and
 // returns the best with its E[T]. Exponential in N; small instances only.
+//
+//checkdoc:testonly reference: Theorem 1's greedy optimality is tested against the exhaustive optimum
 func BruteForceAssign(m *Model, kmax int) ([]int, float64, error) {
 	return m.bruteForceAssign(kmax)
 }
@@ -25,6 +29,8 @@ func BruteForceAssign(m *Model, kmax int) ([]int, float64, error) {
 // than one fast one, which distorts marginal benefits; the ablation test
 // shows where its allocations lose to Algorithm 1 under the true M/M/k
 // objective.
+//
+//checkdoc:testonly reference: the ablation baseline Algorithm 1 is tested to beat
 func NaiveAssignProcessors(m *Model, kmax int) ([]int, error) {
 	k, used, err := m.MinAllocation()
 	if err != nil {

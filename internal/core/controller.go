@@ -207,9 +207,6 @@ func NewController(cfg ControllerConfig) (*Controller, error) {
 	return &Controller{cfg: cfg}, nil
 }
 
-// Config returns the controller's configuration.
-func (c *Controller) Config() ControllerConfig { return c.cfg }
-
 // Step evaluates one measurement snapshot and returns a decision. It never
 // mutates the snapshot and never retains its slices.
 func (c *Controller) Step(s Snapshot) (Decision, error) {

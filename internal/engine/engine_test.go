@@ -241,18 +241,25 @@ func TestBroadcastReachesEveryTask(t *testing.T) {
 	var counts [tasks]atomic.Int64
 	topo, err := NewTopology().
 		Spout("src", 1, func(int) Spout { return &burstSpout{n: n} }).
+		Bolt("relay", 1, func(int) Bolt {
+			return BoltFunc(func(t Tuple, emit Emit) error {
+				emit.To("all")(t.Values)
+				return nil
+			})
+		}).
 		Bolt("sink", tasks, func(task int) Bolt {
 			return BoltFunc(func(Tuple, Emit) error {
 				counts[task].Add(1)
 				return nil
 			})
 		}).
-		Broadcast("src", "sink").
+		Shuffle("src", "relay").
+		BroadcastOn("all", "relay", "sink").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := startTopo(t, topo, map[string]int{"sink": 3})
+	run := startTopo(t, topo, map[string]int{"relay": 1, "sink": 3})
 	waitCompleted(t, run, n)
 	for task := 0; task < tasks; task++ {
 		if got := counts[task].Load(); got != n {
@@ -621,80 +628,6 @@ func TestBoltNames(t *testing.T) {
 	names := topo.BoltNames()
 	if len(names) != 2 || names[0] != "b1" || names[1] != "b2" {
 		t.Errorf("BoltNames = %v", names)
-	}
-}
-
-// slowBolt sleeps per tuple, long enough to blow a tight tuple timeout.
-type slowBolt struct{ d time.Duration }
-
-func (b slowBolt) Process(Tuple, Emit) error {
-	time.Sleep(b.d)
-	return nil
-}
-
-func TestTupleTimeoutCountsLateTrees(t *testing.T) {
-	topo, err := NewTopology().
-		Spout("src", 1, func(int) Spout { return &burstSpout{n: 30} }).
-		Bolt("slow", 2, func(int) Bolt { return slowBolt{d: 5 * time.Millisecond} }).
-		Shuffle("src", "slow").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// One executor at 5ms/tuple with a 10ms timeout: most of the 30 queued
-	// tuples miss their deadline.
-	run, err := topo.Start(RunConfig{
-		Alloc:        map[string]int{"slow": 1},
-		TupleTimeout: 10 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = run.Stop() })
-	waitCompleted(t, run, 30)
-	if late := run.LateTuples(); late < 20 {
-		t.Errorf("late tuples = %d, want most of 30", late)
-	}
-}
-
-func TestTupleTimeoutDisabledByDefault(t *testing.T) {
-	_, factory := sharedCollector()
-	topo, err := NewTopology().
-		Spout("src", 1, func(int) Spout { return &burstSpout{n: 10} }).
-		Bolt("sink", 2, factory).
-		Shuffle("src", "sink").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := startTopo(t, topo, map[string]int{"sink": 1})
-	waitCompleted(t, run, 10)
-	if late := run.LateTuples(); late != 0 {
-		t.Errorf("late tuples = %d without a timeout configured", late)
-	}
-}
-
-func TestTupleTimeoutFastTopologyHasNoLateTuples(t *testing.T) {
-	_, factory := sharedCollector()
-	topo, err := NewTopology().
-		Spout("src", 1, func(int) Spout { return &burstSpout{n: 50} }).
-		Bolt("sink", 4, factory).
-		Shuffle("src", "sink").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := topo.Start(RunConfig{
-		Alloc:        map[string]int{"sink": 4},
-		TupleTimeout: 2 * time.Second,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = run.Stop() })
-	waitCompleted(t, run, 50)
-	if late := run.LateTuples(); late != 0 {
-		t.Errorf("late tuples = %d on an over-provisioned topology", late)
 	}
 }
 

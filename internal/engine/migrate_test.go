@@ -117,6 +117,8 @@ func TestPlanAssignmentNoChangeMeansNoMoves(t *testing.T) {
 	}
 }
 
+// TestRebalanceReportsMoves: a live Rebalance installs the migration-aware
+// plan — the moves are read off the bolt's route tables before and after.
 func TestRebalanceReportsMoves(t *testing.T) {
 	_, factory := sharedCollector()
 	topo, err := NewTopology().
@@ -129,19 +131,25 @@ func TestRebalanceReportsMoves(t *testing.T) {
 	}
 	run := startTopo(t, topo, map[string]int{"sink": 3})
 	waitCompleted(t, run, 20)
-	if err := run.Rebalance(map[string]int{"sink": 4}); err != nil {
-		t.Fatal(err)
+	rebalance := func(n int) (moved int) {
+		t.Helper()
+		before := run.bolts[0].route.Load().assign
+		if err := run.Rebalance(map[string]int{"sink": n}); err != nil {
+			t.Fatal(err)
+		}
+		for task, e := range run.bolts[0].route.Load().assign {
+			if e != before[task] {
+				moved++
+			}
+		}
+		return moved
 	}
-	moves := run.LastRebalanceMoves()
 	// 12 tasks, 3 -> 4 executors: quotas 4,4,4 -> 3,3,3,3; exactly 3 move.
-	if got := moves["sink"]; got != 3 {
+	if got := rebalance(4); got != 3 {
 		t.Errorf("moved = %d tasks, want 3 (migration-aware)", got)
 	}
-	// No-op rebalance leaves the report unchanged but must not fabricate moves.
-	if err := run.Rebalance(map[string]int{"sink": 4}); err != nil {
-		t.Fatal(err)
-	}
-	if got := run.LastRebalanceMoves()["sink"]; got != 3 {
-		t.Errorf("no-op rebalance altered the move report: %d", got)
+	// A no-op rebalance must not move anything.
+	if got := rebalance(4); got != 0 {
+		t.Errorf("no-op rebalance moved %d tasks", got)
 	}
 }

@@ -28,10 +28,6 @@ type RunConfig struct {
 	// QuiesceTimeout bounds the drain wait during rebalance and stop.
 	// Default 10s.
 	QuiesceTimeout time.Duration
-	// TupleTimeout, when positive, counts external tuples whose processing
-	// tree does not complete within the window — Storm's message-timeout
-	// signal, exposed via LateTuples. Zero disables tracking.
-	TupleTimeout time.Duration
 	// DecisionLog, when set, receives engine self-heal events (a failed
 	// remote binding swapped for a local replacement). Emission happens on
 	// the heal path, never per tuple.
@@ -155,7 +151,6 @@ type Run struct {
 
 	spoutErrCount atomic.Int64
 	spoutLastErr  atomic.Pointer[error]
-	timeouts      *timeoutWatch
 
 	// Failure-domain accounting: executor crashes injected, and tuples
 	// re-delivered after landing on (or being bound for) a dead executor.
@@ -176,12 +171,11 @@ type Run struct {
 	lastCompleted int64
 	lastNanos     int64
 
-	mu        sync.Mutex // serializes Rebalance/Stop; guards lastMoves
-	lastMoves map[string]int
-	stopped   atomic.Bool
-	done      chan struct{}
-	wg        sync.WaitGroup // spout goroutines
-	execWG    sync.WaitGroup // executor goroutines
+	mu      sync.Mutex // serializes Rebalance/Stop
+	stopped atomic.Bool
+	done    chan struct{}
+	wg      sync.WaitGroup // spout goroutines
+	execWG  sync.WaitGroup // executor goroutines
 }
 
 // Start launches the topology.
@@ -197,7 +191,6 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 		cfg:       cfg,
 		done:      make(chan struct{}),
 		lastDrain: time.Now(),
-		timeouts:  &timeoutWatch{timeout: cfg.TupleTimeout},
 	}
 	r.bolts = make([]*boltRuntime, len(t.bolts))
 	for i, spec := range t.bolts {
@@ -250,18 +243,17 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 // install tasks are spread round-robin; on a rebalance the new assignment
 // is migration-aware — it keeps as many tasks as possible on their current
 // executor index (planAssignment), minimizing moved state per the paper's
-// future-work direction [42]. It returns how many tasks changed executor.
-func (r *Run) installExecutors(br *boltRuntime, n int) int {
+// future-work direction [42].
+func (r *Run) installExecutors(br *boltRuntime, n int) {
 	old := br.route.Load()
 	rt := &routeTable{execs: make([]*executor, n)}
-	moved := 0
 	if old == nil {
 		rt.assign = make([]int, br.spec.tasks)
 		for task := 0; task < br.spec.tasks; task++ {
 			rt.assign[task] = task % n
 		}
 	} else {
-		rt.assign, moved = planAssignment(old.assign, len(old.execs), n)
+		rt.assign, _ = planAssignment(old.assign, len(old.execs), n)
 	}
 	for i := 0; i < n; i++ {
 		ex := &executor{
@@ -274,7 +266,6 @@ func (r *Run) installExecutors(br *boltRuntime, n int) int {
 		go r.runExecutor(br, ex)
 	}
 	br.route.Store(rt)
-	return moved
 }
 
 // runExecutor is the executor hot loop: it drains its input queue in
@@ -418,8 +409,7 @@ func (c *spoutCtx) Emit(v Values) {
 		return
 	}
 	now := time.Now()
-	entry := r.timeouts.watch(now)
-	tree := newRootFor(r, now, entry)
+	tree := newRootFor(r, now)
 	r.roots.start(tree.shard)
 	c.em.beginRoot(tree)
 	c.em.emit(r.spouts[c.spoutIdx].outEdges, v)
@@ -443,8 +433,7 @@ func (c *spoutCtx) EmitBatch(vs []Values) {
 	// (a childless root completes inside its seal).
 	r.roots.startN(c.shard, int64(len(vs)))
 	for _, v := range vs {
-		entry := r.timeouts.watch(now)
-		tree := newRootFor(r, now, entry)
+		tree := newRootFor(r, now)
 		c.em.beginRoot(tree)
 		c.em.emit(edges, v)
 		c.em.sealRoot(now)
@@ -474,8 +463,7 @@ func (c *spoutCtx) EmitBatchAcked(vs []Values, done func()) {
 	edges := r.spouts[c.spoutIdx].outEdges
 	r.roots.startN(c.shard, int64(len(vs)))
 	for _, v := range vs {
-		entry := r.timeouts.watch(now)
-		tree := newRootFor(r, now, entry)
+		tree := newRootFor(r, now)
 		tree.batch = b
 		c.em.beginRoot(tree)
 		c.em.emit(edges, v)
@@ -513,8 +501,7 @@ func (c *spoutCtx) EmitBatchTraced(vs []Values, traces []uint64, done func()) {
 	edges := r.spouts[c.spoutIdx].outEdges
 	r.roots.startN(c.shard, int64(len(vs)))
 	for i, v := range vs {
-		entry := r.timeouts.watch(now)
-		tree := newRootFor(r, now, entry)
+		tree := newRootFor(r, now)
 		tree.batch = b
 		if traces[i] != 0 {
 			tree.trace = traces[i]
@@ -600,12 +587,6 @@ func (r *Run) LoadSkew(bolt string) (float64, error) {
 		return float64(maxServed) / mean, nil
 	}
 	return 0, fmt.Errorf("engine: unknown bolt %q", bolt)
-}
-
-// LateTuples reports external tuples whose processing tree missed the
-// configured TupleTimeout (0 when disabled).
-func (r *Run) LateTuples() int64 {
-	return r.timeouts.lateCount(time.Now())
 }
 
 // SpoutErrors reports how many spout instances failed and the last failure.
@@ -716,11 +697,10 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 	if !r.quiesce(r.cfg.QuiesceTimeout) {
 		return ErrQuiesceTimeout
 	}
-	moves := make(map[string]int, len(changed))
 	for i, n := range changed {
 		br := r.bolts[i]
 		old := br.route.Load()
-		moves[br.spec.name] = r.installExecutors(br, n)
+		r.installExecutors(br, n)
 		for _, ex := range old.execs {
 			ex.q.close()
 		}
@@ -728,21 +708,7 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 			<-ex.done
 		}
 	}
-	r.lastMoves = moves
 	return nil
-}
-
-// LastRebalanceMoves reports, for the most recent successful Rebalance, how
-// many tasks of each changed bolt migrated to a different executor — the
-// state-movement cost the migration-aware planner minimizes.
-func (r *Run) LastRebalanceMoves() map[string]int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int, len(r.lastMoves))
-	for k, v := range r.lastMoves {
-		out[k] = v
-	}
-	return out
 }
 
 // quiesce waits until no external tuple trees are pending. The caller

@@ -97,45 +97,6 @@ func TestSpoutCannotUseNamedStreams(t *testing.T) {
 	}
 }
 
-func TestFieldsOnNamedStream(t *testing.T) {
-	const n = 100
-	var mu atomicMap
-	topo, err := NewTopology().
-		Spout("src", 1, func(int) Spout {
-			return &burstSpout{n: n, values: func(i int) Values { return Values{i % 5} }}
-		}).
-		Bolt("relay", 2, func(int) Bolt {
-			return BoltFunc(func(t Tuple, emit Emit) error {
-				emit.To("keyed")(Values{t.Values[0]})
-				return nil
-			})
-		}).
-		Bolt("sink", 8, func(task int) Bolt {
-			return BoltFunc(func(t Tuple, _ Emit) error {
-				mu.record(t.Values[0].(int), task)
-				return nil
-			})
-		}).
-		Shuffle("src", "relay").
-		FieldsOn("keyed", "relay", "sink", func(v Values) uint64 { return uint64(v[0].(int)) }).
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := startTopo(t, topo, map[string]int{"relay": 1, "sink": 3})
-	waitCompleted(t, run, n)
-	if mu.conflicted() {
-		t.Error("FieldsOn sent one key to multiple tasks")
-	}
-	if _, err := NewTopology().
-		Spout("s", 1, func(int) Spout { return &burstSpout{n: 0} }).
-		Bolt("a", 1, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
-		FieldsOn("x", "a", "a", nil).
-		Build(); err == nil {
-		t.Error("nil key on FieldsOn should be rejected")
-	}
-}
-
 // atomicMap tracks key->task with conflict detection.
 type atomicMap struct {
 	mu       sync.Mutex

@@ -201,22 +201,8 @@ func (b *TopologyBuilder) Fields(from, to string, key KeyFunc) *TopologyBuilder 
 	return b.connect(from, to, "", GroupFields, key)
 }
 
-// FieldsOn is Fields for a named output stream of from.
-func (b *TopologyBuilder) FieldsOn(stream, from, to string, key KeyFunc) *TopologyBuilder {
-	if key == nil {
-		b.errs = append(b.errs, fmt.Errorf("engine: fields edge %s->%s: nil key func", from, to))
-		return b
-	}
-	return b.connect(from, to, stream, GroupFields, key)
-}
-
-// Broadcast connects from -> to delivering a copy to every task of to, on
-// the default stream.
-func (b *TopologyBuilder) Broadcast(from, to string) *TopologyBuilder {
-	return b.connect(from, to, "", GroupBroadcast, nil)
-}
-
-// BroadcastOn is Broadcast for a named output stream of from.
+// BroadcastOn connects from -> to delivering a copy of every tuple on the
+// named output stream of from to every task of to.
 func (b *TopologyBuilder) BroadcastOn(stream, from, to string) *TopologyBuilder {
 	return b.connect(from, to, stream, GroupBroadcast, nil)
 }

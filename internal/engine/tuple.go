@@ -36,7 +36,6 @@ type ackTree struct {
 	arrived time.Time
 	pending atomic.Int64
 	run     *Run
-	entry   *timeoutEntry
 	// batch, when non-nil, is the EmitBatchAcked countdown this root
 	// belongs to; completion decrements it (see batchAck).
 	batch *batchAck
@@ -69,15 +68,14 @@ var treePool = sync.Pool{New: func() any {
 	return &ackTree{shard: treeShardSeq.Add(1)}
 }}
 
-// newRootFor starts a pooled tree completing into r's root log and
-// timeout watch. pending is zero here (both for fresh and recycled trees —
-// completion leaves it at zero); the emitter's sealRoot installs the
-// child count before any child is enqueued.
-func newRootFor(r *Run, now time.Time, entry *timeoutEntry) *ackTree {
+// newRootFor starts a pooled tree completing into r's root log. pending
+// is zero here (both for fresh and recycled trees — completion leaves it
+// at zero); the emitter's sealRoot installs the child count before any
+// child is enqueued.
+func newRootFor(r *Run, now time.Time) *ackTree {
 	t := treePool.Get().(*ackTree)
 	t.arrived = now
 	t.run = r
-	t.entry = entry
 	return t
 }
 
@@ -139,13 +137,12 @@ func (t *ackTree) complete(now time.Time) {
 		}
 		t.trace, t.arrivedNS = 0, 0
 	}
-	r.timeouts.resolve(t.entry, now)
 	r.roots.complete(t.shard, sojourn)
 	if b := t.batch; b != nil {
 		t.batch = nil
 		b.ack()
 	}
-	t.run, t.entry = nil, nil
+	t.run = nil
 	treePool.Put(t)
 }
 
@@ -227,91 +224,4 @@ func (c *rootLog) pending() (n int64) {
 		n += c.shards[i].started.Load()
 	}
 	return n
-}
-
-// timeoutWatch tracks tuple-tree completion deadlines, like Storm's
-// message-timeout: an external tuple whose tree has not completed within
-// the timeout is counted as late (Storm would replay it; this engine
-// surfaces the count so DRS's latency violations are observable even when
-// individual results eventually arrive).
-type timeoutWatch struct {
-	timeout time.Duration
-	late    atomic.Int64
-	mu      sync.Mutex
-	// entries holds completion deadlines of in-flight roots, FIFO;
-	// completion marks the entry resolved instead of searching the queue.
-	entries []*timeoutEntry
-}
-
-type timeoutEntry struct {
-	deadline time.Time
-	// resolved is set at completion time; lateness is decided right there
-	// (a tree finishing after its deadline counts immediately), so the
-	// expirer only counts trees that never finished.
-	resolved atomic.Bool
-}
-
-var entryPool = sync.Pool{New: func() any { return new(timeoutEntry) }}
-
-// watch registers a new root; returns nil when timeouts are disabled.
-func (w *timeoutWatch) watch(now time.Time) *timeoutEntry {
-	if w == nil || w.timeout <= 0 {
-		return nil
-	}
-	e := entryPool.Get().(*timeoutEntry)
-	e.deadline = now.Add(w.timeout)
-	e.resolved.Store(false)
-	w.mu.Lock()
-	w.entries = append(w.entries, e)
-	w.expireLocked(now)
-	w.mu.Unlock()
-	return e
-}
-
-// resolve records a tree completion, counting it late if past deadline.
-// The deadline is read before the CAS: once the CAS lands, the expirer may
-// recycle the entry concurrently.
-func (w *timeoutWatch) resolve(e *timeoutEntry, now time.Time) {
-	if w == nil || e == nil {
-		return
-	}
-	deadline := e.deadline
-	if e.resolved.CompareAndSwap(false, true) && now.After(deadline) {
-		w.late.Add(1)
-	}
-}
-
-// expireLocked pops expired leading entries. An entry already resolved at
-// trim time has no remaining referent and is recycled; an unresolved one is
-// counted late here (keeping "stuck forever" trees visible), marked so
-// resolve's CAS skips it, and left to the GC — its tree still holds the
-// pointer and may resolve much later.
-func (w *timeoutWatch) expireLocked(now time.Time) {
-	i := 0
-	for ; i < len(w.entries); i++ {
-		e := w.entries[i]
-		if e.deadline.After(now) {
-			break
-		}
-		if e.resolved.CompareAndSwap(false, true) {
-			w.late.Add(1)
-		} else {
-			entryPool.Put(e)
-		}
-		w.entries[i] = nil
-	}
-	if i > 0 {
-		w.entries = append(w.entries[:0], w.entries[i:]...)
-	}
-}
-
-// lateCount reports roots that missed their deadline so far.
-func (w *timeoutWatch) lateCount(now time.Time) int64 {
-	if w == nil || w.timeout <= 0 {
-		return 0
-	}
-	w.mu.Lock()
-	w.expireLocked(now)
-	w.mu.Unlock()
-	return w.late.Load()
 }

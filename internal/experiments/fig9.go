@@ -23,7 +23,6 @@ type Fig9Curve struct {
 // Fig9Result is Figure 9 for one application.
 type Fig9Result struct {
 	App    App
-	Tmax   float64 // unused in min-latency mode; kept 0
 	Curves []Fig9Curve
 	// Converged reports the paper's claim: after re-balancing is enabled
 	// every curve ends on the same (optimal) allocation.

@@ -117,9 +117,6 @@ type GateConfig struct {
 	// MaxSlots is the provider cap in executor slots, for the Appendix-B
 	// scale-out-viability verdict (0 = uncapped).
 	MaxSlots int
-	// Control is the supervisor the plan reads (optional; settable later
-	// with SetControl; without one the gate admits everything).
-	Control ControlSource
 	// RingCapacity bounds the hand-off ring (default 4096).
 	RingCapacity int
 	// ReplanEvery is the admission replanning cadence (default 1s).
@@ -251,7 +248,6 @@ func NewGate(cfg GateConfig) *Gate {
 		cfg:     cfg,
 		ring:    NewRing(cfg.RingCapacity),
 		clients: newClientMap(),
-		control: cfg.Control,
 	}
 	g.ring.tracer = cfg.Tracer
 	g.admitFraction.store(1)
@@ -263,10 +259,11 @@ func NewGate(cfg GateConfig) *Gate {
 // drains.
 func (g *Gate) Ring() *Ring { return g.ring }
 
-// SetControl installs (or replaces) the supervisor the plan reads. The
-// gate and the supervisor reference each other — the supervisor's target
-// is wrapped by the gate's probe, the gate reads the supervisor's
-// snapshots — so one of the two is always wired after construction.
+// SetControl installs (or replaces) the supervisor the plan reads; without
+// one the gate admits everything. The gate and the supervisor reference
+// each other — the supervisor's target is wrapped by the gate's probe, the
+// gate reads the supervisor's snapshots — so one of the two is always
+// wired after construction.
 func (g *Gate) SetControl(c ControlSource) {
 	g.mu.Lock()
 	g.control = c
@@ -498,26 +495,10 @@ type Client struct {
 	admitPermille atomic.Uint32
 
 	offered     atomic.Int64
-	admitted    atomic.Int64
-	shed        atomic.Int64
+	shed        atomic.Int64 // all refusals; read by the weighted-shedding tests
 	rlShed      atomic.Int64
 	lastOffered int64 // replan-loop snapshot (guarded by g.mu)
 }
-
-// ID returns the client's identifier.
-func (c *Client) ID() string { return c.id }
-
-// Weight returns the client's shedding weight.
-func (c *Client) Weight() float64 { return c.weight }
-
-// Offered reports how many records the client has presented in total.
-func (c *Client) Offered() int64 { return c.offered.Load() }
-
-// Admitted reports how many of the client's records entered the ring.
-func (c *Client) Admitted() int64 { return c.admitted.Load() }
-
-// Shed reports how many of the client's records were refused.
-func (c *Client) Shed() int64 { return c.shed.Load() }
 
 // drainOfferedRate reports the client's offered rate — net of its own
 // rate-limit refusals — since the last replan round. Called under g.mu by
@@ -599,7 +580,6 @@ func (c *Client) Offer(v engine.Values) Verdict {
 				StartNS: walStart, DurNS: g.cfg.Now().UnixNano() - walStart}
 			tr.EmitSpan(&span)
 		}
-		c.admitted.Add(1)
 		g.admitted.Add(1)
 		return Verdict{Admitted: true}
 	}
@@ -618,7 +598,6 @@ func (c *Client) Offer(v engine.Values) Verdict {
 			StartNS: g.cfg.Now().UnixNano()}
 		g.cfg.Tracer.EmitSpan(&span)
 	}
-	c.admitted.Add(1)
 	g.admitted.Add(1)
 	return Verdict{Admitted: true}
 }

@@ -52,8 +52,8 @@ func twoStageSnap(lambda, mu float64, k, kmax int) core.Snapshot {
 
 func TestRingOrderAndBackpressure(t *testing.T) {
 	r := NewRing(4)
-	if r.Cap() != 4 {
-		t.Fatalf("cap %d, want 4", r.Cap())
+	if len(r.buf) != 4 {
+		t.Fatalf("cap %d, want 4", len(r.buf))
 	}
 	for i := 0; i < 4; i++ {
 		if !r.TryPush(engine.Values{i}) {
@@ -213,9 +213,10 @@ func TestGateShedsByWeight(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 	control := &scriptedControl{}
 	g := NewGate(GateConfig{
-		Tmax: 1.5, MaxSlots: 16, Control: control,
+		Tmax: 1.5, MaxSlots: 16,
 		RingCapacity: 1 << 14, ReplanEvery: time.Second, Headroom: -1, Now: clock,
 	})
+	g.SetControl(control)
 	gold := g.Client("gold", 4, 0, 0)
 	bronze := g.Client("bronze", 1, 0, 0)
 	payload := engine.Values{[]byte("r")}
@@ -249,13 +250,13 @@ func TestGateShedsByWeight(t *testing.T) {
 	if st.AdmitFraction >= 1 {
 		t.Fatalf("admit fraction %.2f, want shedding against 18/s offered", st.AdmitFraction)
 	}
-	goldBefore, bronzeBefore := gold.Shed(), bronze.Shed()
+	goldBefore, bronzeBefore := gold.shed.Load(), bronze.shed.Load()
 	for i := 0; i < 2000; i++ {
 		gold.Offer(payload)
 		bronze.Offer(payload)
 	}
-	goldShed := gold.Shed() - goldBefore
-	bronzeShed := bronze.Shed() - bronzeBefore
+	goldShed := gold.shed.Load() - goldBefore
+	bronzeShed := bronze.shed.Load() - bronzeBefore
 	if goldShed != 0 {
 		t.Fatalf("gold shed %d records; its 4/s fits inside the sustainable rate", goldShed)
 	}
@@ -411,6 +412,79 @@ func TestTCPListener(t *testing.T) {
 	}
 }
 
+// quickDeadlineConn is a net.Pipe end whose read deadlines run 1000x
+// fast, so a test sits out the front door's 5 s / 2 min stalls in 5 ms /
+// 120 ms while the spans serveConn asked for are recorded as asked.
+type quickDeadlineConn struct {
+	net.Conn
+	mu    sync.Mutex
+	asked []time.Duration
+}
+
+func (c *quickDeadlineConn) SetReadDeadline(t time.Time) error {
+	d := time.Until(t)
+	c.mu.Lock()
+	c.asked = append(c.asked, d)
+	c.mu.Unlock()
+	return c.Conn.SetReadDeadline(time.Now().Add(d / 1000))
+}
+
+// TestTCPStalledClientIsDisconnected: a client that connects and never
+// sends its hello, and one that goes silent mid-stream (mid-frame, even),
+// each used to pin a goroutine and a descriptor in readFrame forever. The
+// hello deadline and the per-frame idle deadline now end both.
+func TestTCPStalledClientIsDisconnected(t *testing.T) {
+	g := NewGate(GateConfig{RingCapacity: 64})
+	defer g.Close()
+	serve := func() (client net.Conn, server *quickDeadlineConn, done chan struct{}) {
+		c, s := net.Pipe()
+		server = &quickDeadlineConn{Conn: s}
+		done = make(chan struct{})
+		go func() {
+			serveConn(server, g, ListenerConfig{}.withDefaults())
+			close(done)
+		}()
+		return c, server, done
+	}
+	wait := func(what string, done chan struct{}) {
+		t.Helper()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s: serveConn still blocked on the stalled client", what)
+		}
+	}
+	near := func(got, want time.Duration) bool { return got > want-time.Second && got <= want }
+
+	silent, server, done := serve()
+	defer silent.Close()
+	wait("no hello", done)
+	if len(server.asked) != 1 || !near(server.asked[0], tcpHelloTimeout) {
+		t.Errorf("hello deadlines asked = %v, want one of %v", server.asked, tcpHelloTimeout)
+	}
+
+	cl, server, done := serve()
+	defer cl.Close()
+	tc := &TCPClient{conn: cl}
+	if err := tc.writeFrame([]byte("staller")); err != nil {
+		t.Fatal(err)
+	}
+	if admitted, _, err := tc.Send([]byte("rec0")); err != nil || !admitted {
+		t.Fatalf("first record: admitted=%v err=%v", admitted, err)
+	}
+	if _, err := cl.Write([]byte{0, 0, 0, 9, 'h', 'a'}); err != nil { // 2 of 9 bytes, then silence
+		t.Fatal(err)
+	}
+	wait("silent mid-frame", done)
+	// hello, then one idle deadline armed before each of the two frames.
+	if len(server.asked) != 3 || !near(server.asked[1], tcpIdleTimeout) || !near(server.asked[2], tcpIdleTimeout) {
+		t.Errorf("deadlines asked = %v, want hello then two of %v", server.asked, tcpIdleTimeout)
+	}
+	if _, err := cl.Write([]byte("x")); err == nil {
+		t.Error("server end still open after the stall")
+	}
+}
+
 // TestFreshClientInheritsPlan: a client id first seen while the gate is
 // shedding must start at the plan-wide fraction — client ids are
 // client-chosen, so an admit-all first round per id would let id
@@ -421,9 +495,10 @@ func TestFreshClientInheritsPlan(t *testing.T) {
 	control := &scriptedControl{}
 	control.set(twoStageSnap(3, 2, 1, 2)) // starved grant: sheds nearly everything
 	g := NewGate(GateConfig{
-		Tmax: 1.5, MaxSlots: 16, Control: control,
+		Tmax: 1.5, MaxSlots: 16,
 		RingCapacity: 1 << 12, ReplanEvery: time.Second, Headroom: -1, Now: clock,
 	})
+	g.SetControl(control)
 	// Establish a shedding plan with one known client.
 	seed := g.Client("seed", 1, 0, 0)
 	for i := 0; i < 100; i++ {

@@ -163,7 +163,7 @@ func TestLiveOverloadArc(t *testing.T) {
 	setRate(surgeBrz)
 	time.Sleep(8 * time.Second)
 	surgeStats := gate.Stats()
-	goldShedSurge, bronzeShedSurge := gold.Shed(), bronze.Shed()
+	goldShedSurge, bronzeShedSurge := gold.shed.Load(), bronze.shed.Load()
 	grantAtPeak := lease.Kmax()
 
 	// Phase 3: surge ends; the gate must return to admit-all.

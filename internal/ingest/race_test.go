@@ -31,9 +31,10 @@ func (c *flippingControl) LastSnapshot() (core.Snapshot, bool) {
 // the admitted payloads).
 func TestGateRace(t *testing.T) {
 	g := NewGate(GateConfig{
-		Tmax: 1.5, MaxSlots: 16, Control: &flippingControl{},
+		Tmax: 1.5, MaxSlots: 16,
 		RingCapacity: 1 << 12, ReplanEvery: time.Millisecond,
 	})
+	g.SetControl(&flippingControl{})
 	if err := g.Start(); err != nil {
 		t.Fatal(err)
 	}

@@ -54,9 +54,6 @@ func NewRing(capacity int) *Ring {
 	}
 }
 
-// Cap reports the ring's fixed capacity.
-func (r *Ring) Cap() int { return len(r.buf) }
-
 // Len reports the current backlog.
 func (r *Ring) Len() int {
 	r.mu.Lock()

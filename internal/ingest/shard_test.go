@@ -31,8 +31,8 @@ func TestShardedRegistryFirstContactRace(t *testing.T) {
 			t.Fatal("racing first contacts returned distinct clients")
 		}
 	}
-	if got[0].Weight() != 2 {
-		t.Fatalf("winner weight %g, want 2", got[0].Weight())
+	if got[0].weight != 2 {
+		t.Fatalf("winner weight %g, want 2", got[0].weight)
 	}
 
 	const perWorker = 500
@@ -64,7 +64,7 @@ func TestShardedRegistryFirstContactRace(t *testing.T) {
 	seen := make(map[*Client]bool)
 	for _, c := range g.clients.snapshot(nil) {
 		if seen[c] {
-			t.Fatalf("client %s snapshotted twice", c.ID())
+			t.Fatalf("client %s snapshotted twice", c.id)
 		}
 		seen[c] = true
 	}

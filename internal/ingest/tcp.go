@@ -29,6 +29,15 @@ const (
 	TCPNack = 0x01
 )
 
+// Read deadlines on the TCP front door, equal to the HTTP side's slowloris
+// guards (node/http.go): a client gets tcpHelloTimeout to deliver its
+// hello frame and tcpIdleTimeout to deliver each record frame after it
+// before the server reclaims the connection's goroutine and descriptor.
+const (
+	tcpHelloTimeout = 5 * time.Second
+	tcpIdleTimeout  = 2 * time.Minute
+)
+
 // ServeTCP accepts length-prefixed record streams on l until the listener
 // closes (or the gate is closed). Each connection runs on its own
 // goroutine; per-connection errors end that connection only.
@@ -46,9 +55,14 @@ func ServeTCP(l net.Listener, g *Gate, cfg ListenerConfig) error {
 	}
 }
 
-// serveConn drives one client connection: hello frame, then records.
+// serveConn drives one client connection: hello frame, then records. A
+// client that stalls — before its hello or mid-stream — is disconnected
+// when the read deadline armed before each frame passes.
 func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 	defer conn.Close()
+	if err := conn.SetReadDeadline(time.Now().Add(tcpHelloTimeout)); err != nil {
+		return
+	}
 	id, err := readFrame(conn, nil)
 	if err != nil {
 		return
@@ -57,12 +71,16 @@ func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 	var reply [5]byte
 	var buf []byte // reused frame buffer; admitted payloads are copied out
 	for {
+		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
+			return
+		}
 		buf, err = readFrame(conn, buf[:0])
 		if err != nil {
 			return
 		}
-		// The frame buffer is reused for the next read, so the admitted
-		// payload gets its own copy; a shed record costs no allocation.
+		// The frame buffer is reused for the next read, so every offered
+		// record gets its own copy before Offer decides: a shed record
+		// costs the allocation too.
 		rec := make([]byte, len(buf))
 		copy(rec, buf)
 		v := cl.Offer(valuesFor(rec))

@@ -37,15 +37,6 @@ type OpInterval struct {
 	BusySqSeconds float64
 }
 
-// Merge adds o's counters into i.
-func (i *OpInterval) Merge(o OpInterval) {
-	i.Arrivals += o.Arrivals
-	i.Served += o.Served
-	i.Sampled += o.Sampled
-	i.BusyTime += o.BusyTime
-	i.BusySqSeconds += o.BusySqSeconds
-}
-
 // IntervalReport carries everything measured during one Tm interval.
 type IntervalReport struct {
 	// Duration is the wall-clock (or simulated) length of the interval.

@@ -93,9 +93,14 @@ func TestSmoothingSpec(t *testing.T) {
 
 func TestProbeSamplingEveryNm(t *testing.T) {
 	p := NewExecutorProbe(10)
-	for i := 0; i < 100; i++ {
-		p.TupleArrived()
-		p.TupleServed(5 * time.Millisecond)
+	// The caller owns the stride: it times every SampleStride()-th tuple.
+	for i := int64(1); i <= 100; i++ {
+		p.TuplesArrived(1)
+		if i%p.SampleStride() == 0 {
+			p.TuplesServed(1, 1, int64(5*time.Millisecond), 5000*5000)
+		} else {
+			p.TuplesServed(1, 0, 0, 0)
+		}
 	}
 	c := p.Drain()
 	if c.Arrivals != 100 || c.Served != 100 {
@@ -115,10 +120,8 @@ func TestProbeSamplingEveryNm(t *testing.T) {
 
 func TestProbeNmFloor(t *testing.T) {
 	p := NewExecutorProbe(0) // clamps to 1: sample everything
-	p.TupleServed(time.Millisecond)
-	p.TupleServed(time.Millisecond)
-	if c := p.Drain(); c.Sampled != 2 {
-		t.Errorf("sampled = %d, want 2", c.Sampled)
+	if got := p.SampleStride(); got != 1 {
+		t.Errorf("stride = %d, want 1", got)
 	}
 }
 
@@ -131,8 +134,8 @@ func TestProbeConcurrency(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				p.TupleArrived()
-				p.TupleServed(time.Microsecond)
+				p.TuplesArrived(1)
+				p.TuplesServed(1, 1, int64(time.Microsecond), 1)
 			}
 		}()
 	}
@@ -322,15 +325,6 @@ func TestMeasurerConfigValidation(t *testing.T) {
 		Smoothing:     SmoothingSpec{Kind: "bogus"},
 	}); err == nil {
 		t.Error("bad smoothing spec should be rejected")
-	}
-}
-
-func TestOpIntervalMerge(t *testing.T) {
-	a := OpInterval{Arrivals: 1, Served: 2, Sampled: 3, BusyTime: time.Second}
-	b := OpInterval{Arrivals: 10, Served: 20, Sampled: 30, BusyTime: 2 * time.Second}
-	a.Merge(b)
-	if a.Arrivals != 11 || a.Served != 22 || a.Sampled != 33 || a.BusyTime != 3*time.Second {
-		t.Errorf("merge = %+v", a)
 	}
 }
 

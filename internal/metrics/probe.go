@@ -9,8 +9,8 @@ import (
 // operator) with the paper's first sampling layer: arrivals are counted at
 // the tail of the input queue (Appendix C notes the position matters), and
 // the service duration of every Nm-th tuple is recorded. All methods are
-// safe for concurrent use and cheap enough for per-tuple call sites —
-// two atomic adds on the fast path.
+// safe for concurrent use; the executor folds a whole batch in a constant
+// number of atomic adds.
 type ExecutorProbe struct {
 	nm int64
 
@@ -34,32 +34,14 @@ func NewExecutorProbe(nm int) *ExecutorProbe {
 	return &ExecutorProbe{nm: int64(nm)}
 }
 
-// TupleArrived counts one tuple entering this executor's input queue.
-func (p *ExecutorProbe) TupleArrived() {
-	p.arrivals.Add(1)
-}
-
 // TuplesArrived counts n tuples entering this executor's input queue in
 // one batch — one atomic add for a whole batched enqueue.
 func (p *ExecutorProbe) TuplesArrived(n int64) {
 	p.arrivals.Add(n)
 }
 
-// TupleServed counts one completed tuple; the service duration is recorded
-// only for every Nm-th completion.
-func (p *ExecutorProbe) TupleServed(d time.Duration) {
-	p.servedTotal.Add(1)
-	n := p.served.Add(1)
-	if n%p.nm == 0 {
-		p.sampled.Add(1)
-		p.busyNanos.Add(int64(d))
-		us := d.Microseconds()
-		p.busySqMicros.Add(us * us)
-	}
-}
-
-// SampleStride reports Nm, for callers that accumulate observations
-// locally and apply the sampling stride themselves (see TuplesServed).
+// SampleStride reports Nm: callers accumulate observations locally and
+// apply the sampling stride themselves (see TuplesServed).
 func (p *ExecutorProbe) SampleStride() int64 { return p.nm }
 
 // TuplesServed folds a locally accumulated batch of observations in a

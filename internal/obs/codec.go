@@ -158,6 +158,8 @@ func decodeStrict(line []byte, what string, w any) error {
 // ParseRecord decodes one canonical JSON record line. Unknown fields,
 // malformed JSON, trailing data and unknown kind names are errors; a
 // successful parse re-encodes (AppendRecord) to a stable canonical form.
+//
+//checkdoc:testonly strict decoder: FuzzDecisionRecord round-trips the wire format through it
 func ParseRecord(line []byte) (Record, error) {
 	var w wireRecord
 	if err := decodeStrict(line, "record", &w); err != nil {

@@ -33,7 +33,7 @@ const (
 	KindShrink         // voluntary shrink; From -> To slots
 	KindPreempt        // Appendix-B guarded transfer; see Gain/Loss/Lambda0 fields
 	KindSlotsLost      // machine failure took slots; From -> To
-	KindRelease        // tenant lease released
+	KindRelease        // tenant lease released (no longer emitted; kept so older logs decode)
 	KindPool           // pool capacity changed; From -> To slots
 	KindPriority       // tenant priority changed; To = new priority
 	KindMachineFail    // machine failed; To = machine id

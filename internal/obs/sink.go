@@ -126,6 +126,8 @@ type WriterSink struct {
 }
 
 // NewWriterSink wraps w as a Sink.
+//
+//checkdoc:testonly test hook: tests of the obs pipeline and its emitters read the log back from a buffer
 func NewWriterSink(w io.Writer) *WriterSink { return &WriterSink{w: w} }
 
 // Write forwards one batch to the wrapped writer.

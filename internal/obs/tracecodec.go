@@ -64,6 +64,8 @@ type wireSpan struct {
 // ParseSpan decodes one canonical JSON span line. Unknown fields,
 // malformed JSON, trailing data and unknown span kind names are errors;
 // a successful parse re-encodes (AppendSpan) to a stable canonical form.
+//
+//checkdoc:testonly strict decoder: FuzzTraceRecord round-trips the wire format through it
 func ParseSpan(line []byte) (SpanRecord, error) {
 	var w wireSpan
 	if err := decodeStrict(line, "span", &w); err != nil {

@@ -28,10 +28,6 @@ var ErrUnstable = errors.New("queueing: operator unstable (k <= lambda/mu)")
 // ErrInvalidRates is returned when λ < 0 or µ ≤ 0.
 var ErrInvalidRates = errors.New("queueing: rates must satisfy lambda >= 0, mu > 0")
 
-// OfferedLoad returns a = λ/µ, the load in Erlangs. It is the minimum
-// amount of service capacity (in servers) the operator needs for stability.
-func OfferedLoad(lambda, mu float64) float64 { return lambda / mu }
-
 // ErlangB computes the Erlang-B blocking probability B(k, a) for k servers
 // at offered load a, via the standard recurrence. It returns 1 for k == 0.
 func ErlangB(k int, a float64) float64 {
@@ -87,26 +83,6 @@ func ExpectedSojourn(lambda, mu float64, k int) float64 {
 		return w
 	}
 	return w + 1/mu
-}
-
-// ExpectedQueueLength returns Lq, the expected number of tuples waiting in
-// the operator's input queue (excluding those in service). +Inf when
-// unstable, NaN for invalid rates.
-func ExpectedQueueLength(lambda, mu float64, k int) float64 {
-	w := ExpectedWait(lambda, mu, k)
-	if math.IsNaN(w) || math.IsInf(w, 1) {
-		return w
-	}
-	return lambda * w // Little's law
-}
-
-// Utilization returns ρ = λ/(kµ), the fraction of time each server is busy
-// (may exceed 1 for unstable settings).
-func Utilization(lambda, mu float64, k int) float64 {
-	if k <= 0 {
-		return math.Inf(1)
-	}
-	return lambda / (float64(k) * mu)
 }
 
 // P0 computes the normalization term π₀ of Equation (2) — the steady-state
@@ -174,44 +150,4 @@ func MinStableServers(lambda, mu float64) (int, error) {
 		return 1, nil
 	}
 	return int(math.Floor(lambda/mu)) + 1, nil
-}
-
-// MarginalBenefit returns λ·(E[T](k) − E[T](k+1)): the decrease in the
-// network-level objective of Equation (3) contributed by granting this
-// operator one more server. By convexity of E[T](k) (Inequality (5)) it is
-// non-negative and non-increasing in k, which is what makes the greedy
-// allocation of Algorithm 1 exactly optimal (Theorem 1).
-// It returns +Inf when the operator is currently unstable (any finite
-// improvement from infinity dominates) and 0 when k+1 is still unstable.
-func MarginalBenefit(lambda, mu float64, k int) float64 {
-	cur := ExpectedSojourn(lambda, mu, k)
-	next := ExpectedSojourn(lambda, mu, k+1)
-	switch {
-	case math.IsInf(next, 1):
-		return 0 // even k+1 servers cannot stabilize it; no finite benefit yet
-	case math.IsInf(cur, 1):
-		return math.Inf(1)
-	default:
-		return lambda * (cur - next)
-	}
-}
-
-// MinServersForSojourn returns the smallest k such that
-// ExpectedSojourn(λ, µ, k) ≤ target. Returns an error if the target is
-// unreachable (target < 1/µ, the bare service time) or rates are invalid.
-func MinServersForSojourn(lambda, mu, target float64) (int, error) {
-	if lambda < 0 || mu <= 0 {
-		return 0, ErrInvalidRates
-	}
-	if target < 1/mu {
-		return 0, fmt.Errorf("queueing: target %g below service time %g", target, 1/mu)
-	}
-	k, err := MinStableServers(lambda, mu)
-	if err != nil {
-		return 0, err
-	}
-	for ExpectedSojourn(lambda, mu, k) > target {
-		k++
-	}
-	return k, nil
 }

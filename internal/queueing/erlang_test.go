@@ -270,12 +270,14 @@ func TestConvexityProperty(t *testing.T) {
 	}
 }
 
+// TestMarginalBenefit checks Theorem 1's premise on the M/M/k case
+// (CV² = 1) of the production marginal-benefit function.
 func TestMarginalBenefit(t *testing.T) {
 	lambda, mu := 20.0, 3.0
 	minK, _ := MinStableServers(lambda, mu)
 	prev := math.Inf(1)
 	for k := minK; k < minK+15; k++ {
-		mb := MarginalBenefit(lambda, mu, k)
+		mb := MarginalBenefitCorrected(lambda, mu, k, 1)
 		if mb < 0 {
 			t.Fatalf("MarginalBenefit(k=%d) = %g < 0", k, mb)
 		}
@@ -284,30 +286,11 @@ func TestMarginalBenefit(t *testing.T) {
 		}
 		prev = mb
 	}
-	if mb := MarginalBenefit(10, 1, 5); mb != 0 {
+	if mb := MarginalBenefitCorrected(10, 1, 5, 1); mb != 0 {
 		t.Errorf("benefit when k+1 still unstable = %g, want 0", mb)
 	}
-	if mb := MarginalBenefit(10, 1, 10); !math.IsInf(mb, 1) {
+	if mb := MarginalBenefitCorrected(10, 1, 10, 1); !math.IsInf(mb, 1) {
 		t.Errorf("benefit when exactly stabilizing = %g, want +Inf", mb)
-	}
-}
-
-func TestMinServersForSojourn(t *testing.T) {
-	lambda, mu, target := 13.0, 1.45, 0.9
-	k, err := MinServersForSojourn(lambda, mu, target)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ExpectedSojourn(lambda, mu, k); got > target {
-		t.Errorf("k=%d gives E[T]=%g > target %g", k, got, target)
-	}
-	if k > 1 {
-		if got := ExpectedSojourn(lambda, mu, k-1); got <= target {
-			t.Errorf("k-1=%d already meets target (E[T]=%g); k not minimal", k-1, got)
-		}
-	}
-	if _, err := MinServersForSojourn(10, 2, 0.4); err == nil {
-		t.Error("target below service time must error")
 	}
 }
 
@@ -316,17 +299,9 @@ func TestExpectedQueueLengthMM1(t *testing.T) {
 	lambda, mu := 3.0, 4.0
 	rho := lambda / mu
 	want := rho * rho / (1 - rho)
-	if got := ExpectedQueueLength(lambda, mu, 1); !almostEqual(got, want, 1e-10) {
+	got := lambda * ExpectedWait(lambda, mu, 1) // Little's law
+	if !almostEqual(got, want, 1e-10) {
 		t.Errorf("Lq = %g, want %g", got, want)
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	if got := Utilization(10, 2, 10); !almostEqual(got, 0.5, 1e-12) {
-		t.Errorf("Utilization = %g, want 0.5", got)
-	}
-	if got := Utilization(10, 2, 0); !math.IsInf(got, 1) {
-		t.Errorf("Utilization with k=0 = %g, want +Inf", got)
 	}
 }
 

@@ -40,10 +40,16 @@ func ExpectedSojournCorrected(lambda, mu float64, k int, cv2 float64) float64 {
 	return w + 1/mu
 }
 
-// MarginalBenefitCorrected is MarginalBenefit under the corrected sojourn.
-// Because the correction scales the (convex, decreasing) wait by a positive
-// constant, convexity — and with it Theorem 1's greedy optimality — is
-// preserved.
+// MarginalBenefitCorrected returns λ·(E[T](k) − E[T](k+1)) under the
+// corrected sojourn: the decrease in the network-level objective of
+// Equation (3) contributed by granting this operator one more server. By
+// convexity of E[T](k) (Inequality (5)) it is non-negative and
+// non-increasing in k, which is what makes the greedy allocation of
+// Algorithm 1 exactly optimal (Theorem 1); the correction scales the
+// (convex, decreasing) wait by a positive constant, so convexity is
+// preserved. It returns +Inf when the operator is currently unstable (any
+// finite improvement from infinity dominates) and 0 when k+1 is still
+// unstable.
 func MarginalBenefitCorrected(lambda, mu float64, k int, cv2 float64) float64 {
 	cur := ExpectedSojournCorrected(lambda, mu, k, cv2)
 	next := ExpectedSojournCorrected(lambda, mu, k+1, cv2)

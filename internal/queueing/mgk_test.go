@@ -82,7 +82,7 @@ func TestMarginalBenefitCorrected(t *testing.T) {
 	lambda, mu := 20.0, 3.0
 	// At cv2 > 1 waits are larger, so marginal benefits are larger too.
 	k := 8
-	plain := MarginalBenefit(lambda, mu, k)
+	plain := MarginalBenefitCorrected(lambda, mu, k, 1)
 	heavy := MarginalBenefitCorrected(lambda, mu, k, 3)
 	if heavy <= plain {
 		t.Errorf("heavy-tail benefit %g should exceed plain %g", heavy, plain)

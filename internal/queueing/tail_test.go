@@ -145,9 +145,12 @@ func TestMinServersForQuantile(t *testing.T) {
 	}
 	// The quantile constraint needs at least as many servers as the mean
 	// constraint at the same threshold.
-	kMean, err := MinServersForSojourn(lambda, mu, target)
+	kMean, err := MinStableServers(lambda, mu)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for ExpectedSojourn(lambda, mu, kMean) > target {
+		kMean++
 	}
 	if k < kMean {
 		t.Errorf("quantile servers %d < mean servers %d", k, kMean)

@@ -15,7 +15,7 @@ import (
 func randomSpec(r *stats.RNG) Spec {
 	s := Spec{
 		Name:            "prop",
-		Seed:            r.Uint64(),
+		Seed:            uint64(r.IntN(1 << 62)),
 		DurationSeconds: r.Uniform(100, 2000),
 	}
 	names := []string{"t0", "t1", "t2", "t3"}[:1+r.IntN(4)]

@@ -616,12 +616,6 @@ func tenantIndex(ts []TenantSpec, name string) int {
 	return -1
 }
 
-// Spec returns the compiled spec.
-func (tl *Timeline) Spec() Spec { return tl.spec }
-
-// Horizon returns the scenario duration in seconds.
-func (tl *Timeline) Horizon() float64 { return tl.spec.DurationSeconds }
-
 // Events returns the merged schedule, sorted by time (a copy; callers may
 // consume it destructively).
 func (tl *Timeline) Events() []Event { return append([]Event(nil), tl.events...) }

@@ -313,8 +313,8 @@ func TestChaosCompiles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tl.Horizon() != 1440 {
-		t.Fatalf("horizon %g", tl.Horizon())
+	if tl.spec.DurationSeconds != 1440 {
+		t.Fatalf("horizon %g", tl.spec.DurationSeconds)
 	}
 	if n := len(tl.Events()); n == 0 {
 		t.Fatal("chaos compiled to an empty timeline")

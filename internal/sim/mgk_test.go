@@ -96,8 +96,8 @@ func TestMeasurerRecoversServiceCV(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 5; i++ {
-				s.RunFor(200)
+			for i := 1; i <= 5; i++ {
+				s.RunUntil(float64(i) * 200)
 				if err := meas.AddInterval(s.DrainInterval()); err != nil {
 					t.Fatal(err)
 				}
@@ -120,7 +120,7 @@ func TestServiceCVOffByDefault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.RunFor(100)
+	s.RunUntil(100)
 	if err := meas.AddInterval(s.DrainInterval()); err != nil {
 		t.Fatal(err)
 	}

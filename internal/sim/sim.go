@@ -229,7 +229,9 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) SetWarmup(t float64) { s.warmup = t }
 
 // KeepCompletionSample retains every post-warmup sojourn for quantile
-// queries (costs memory; use for bounded runs).
+// queries (costs memory; use for bounded runs). No program calls it: it is
+// the hook TestSojournQuantilesMatchClosedForm validates
+// queueing.SojournQuantile against the simulator through.
 func (s *Sim) KeepCompletionSample() { s.keepSample = true }
 
 // EnableSeries records mean sojourn per bucket of the given width in
@@ -238,9 +240,6 @@ func (s *Sim) EnableSeries(bucketSeconds float64) {
 	s.bucket = bucketSeconds
 	s.bucketStart = s.clock
 }
-
-// Clock reports the current simulated time in seconds.
-func (s *Sim) Clock() float64 { return s.clock }
 
 // Allocation returns the current per-operator processor counts.
 func (s *Sim) Allocation() []int {
@@ -299,9 +298,6 @@ func (s *Sim) RunUntil(t float64) {
 	}
 	s.advanceClock(t)
 }
-
-// RunFor advances the simulation by d seconds.
-func (s *Sim) RunFor(d float64) { s.RunUntil(s.clock + d) }
 
 func (s *Sim) advanceClock(t float64) {
 	if t < s.clock {
@@ -515,15 +511,6 @@ func (s *Sim) ShedArrivals() int64 { return s.shedTotal }
 // resolved — in-flight work. After arrivals stop and the queues drain it
 // returns to zero; anything else means tuples were lost forever.
 func (s *Sim) PendingRoots() int64 { return s.liveRoots }
-
-// QueueLengths reports the instantaneous queue length per operator.
-func (s *Sim) QueueLengths() []int {
-	q := make([]int, len(s.stations))
-	for i := range s.stations {
-		q[i] = s.stations[i].queue.len()
-	}
-	return q
-}
 
 func secondsToDuration(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))

@@ -310,7 +310,7 @@ func TestMaxQueueDropsAndCounts(t *testing.T) {
 	if d := s.Dropped()[0]; d == 0 {
 		t.Error("overloaded bounded queue should drop tuples")
 	}
-	if q := s.QueueLengths()[0]; q > 5 {
+	if q := queued(s, 0); q > 5 {
 		t.Errorf("queue length %d exceeds bound 5", q)
 	}
 }
@@ -342,8 +342,8 @@ func TestDrainIntervalFeedsMeasurer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 10; i++ {
-		s.RunFor(30)
+	for i := 1; i <= 10; i++ {
+		s.RunUntil(float64(i) * 30)
 		if err := m.AddInterval(s.DrainInterval()); err != nil {
 			t.Fatal(err)
 		}
@@ -464,10 +464,13 @@ func TestRunUntilIdempotentPast(t *testing.T) {
 	if s.CompletedStats().Count() != c1 {
 		t.Error("RunUntil into the past must not re-run events")
 	}
-	if s.Clock() != 10 {
-		t.Errorf("clock = %g, want 10", s.Clock())
+	if s.clock != 10 {
+		t.Errorf("clock = %g, want 10", s.clock)
 	}
 }
+
+// queued is operator op's instantaneous queue length.
+func queued(s *Sim, op int) int { return s.stations[op].queue.len() }
 
 func TestTupleConservationProperty(t *testing.T) {
 	// Property: served counts per operator must equal what the emission
@@ -495,10 +498,10 @@ func TestTupleConservationProperty(t *testing.T) {
 		s.RunUntil(50)
 		// Drain: no further external arrivals matter; run until queues empty.
 		for i := 0; i < 100; i++ {
-			if q := s.QueueLengths(); q[0] == 0 && q[1] == 0 && q[2] == 0 {
+			if queued(s, 0)+queued(s, 1)+queued(s, 2) == 0 {
 				break
 			}
-			s.RunFor(1)
+			s.RunUntil(s.clock + 1)
 		}
 		rep := s.DrainInterval()
 		for i, op := range rep.Ops {
@@ -507,7 +510,7 @@ func TestTupleConservationProperty(t *testing.T) {
 			}
 			// After draining, everything that arrived was served (modulo
 			// tuples still in flight via pending source events).
-			if op.Arrivals-op.Served > int64(s.QueueLengths()[i]+5) {
+			if op.Arrivals-op.Served > int64(queued(s, i)+5) {
 				t.Errorf("seed %d op %d: %d tuples unaccounted", seed, i, op.Arrivals-op.Served)
 			}
 		}

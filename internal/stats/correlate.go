@@ -6,7 +6,7 @@ import (
 	"sort"
 )
 
-// ErrShortSeries is returned when a correlation or regression is requested
+// ErrShortSeries is returned when a correlation is requested
 // over fewer than two points.
 var ErrShortSeries = errors.New("stats: need at least two points")
 
@@ -70,60 +70,6 @@ func ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return out
-}
-
-// LinearFit is the result of an ordinary least squares fit y = Slope*x + Intercept.
-type LinearFit struct {
-	Slope     float64
-	Intercept float64
-	R2        float64
-}
-
-// FitLinear performs ordinary least squares over the two series.
-func FitLinear(xs, ys []float64) (LinearFit, error) {
-	if len(xs) != len(ys) {
-		return LinearFit{}, errors.New("stats: series length mismatch")
-	}
-	n := len(xs)
-	if n < 2 {
-		return LinearFit{}, ErrShortSeries
-	}
-	mx, my := meanOf(xs), meanOf(ys)
-	var sxy, sxx, syy float64
-	for i := range xs {
-		dx, dy := xs[i]-mx, ys[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 {
-		return LinearFit{}, errors.New("stats: zero variance in x")
-	}
-	slope := sxy / sxx
-	fit := LinearFit{Slope: slope, Intercept: my - slope*mx}
-	if syy > 0 {
-		fit.R2 = (sxy * sxy) / (sxx * syy)
-	}
-	return fit, nil
-}
-
-// IsMonotone reports whether ys is strictly increasing when the points are
-// ordered by xs — the Fig. 7 "order preserved" property.
-func IsMonotone(xs, ys []float64) bool {
-	if len(xs) != len(ys) || len(xs) < 2 {
-		return false
-	}
-	idx := make([]int, len(xs))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return xs[idx[a]] < xs[idx[b]] })
-	for i := 1; i < len(idx); i++ {
-		if ys[idx[i]] <= ys[idx[i-1]] {
-			return false
-		}
-	}
-	return true
 }
 
 func meanOf(xs []float64) float64 {

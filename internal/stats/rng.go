@@ -38,9 +38,6 @@ func (r *RNG) Float64() float64 { return r.src.Float64() }
 // IntN returns a uniform sample in [0, n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
-// Uint64 returns a uniform 64-bit sample.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
-
 // Exp returns an exponential sample with the given rate (mean 1/rate).
 // It panics if rate <= 0.
 func (r *RNG) Exp(rate float64) float64 {

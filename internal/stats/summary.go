@@ -1,59 +1,24 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
 
-// Summary accumulates online mean and variance using Welford's algorithm,
-// plus min and max. The zero value is ready to use.
+// Summary accumulates online mean and variance using Welford's algorithm.
+// The zero value is ready to use.
 type Summary struct {
 	n    int64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add incorporates one observation.
 func (s *Summary) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
-}
-
-// Merge combines another summary into s. Min/max and moments are exact.
-func (s *Summary) Merge(o Summary) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := s.n + o.n
-	delta := o.mean - s.mean
-	mean := s.mean + delta*float64(o.n)/float64(n)
-	m2 := s.m2 + o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n, s.mean, s.m2 = n, mean, m2
 }
 
 // Count reports the number of observations.
@@ -73,22 +38,12 @@ func (s Summary) Var() float64 {
 // StdDev reports the sample standard deviation.
 func (s Summary) StdDev() float64 { return math.Sqrt(s.Var()) }
 
-// Min reports the smallest observation (0 when empty).
-func (s Summary) Min() float64 { return s.min }
-
-// Max reports the largest observation (0 when empty).
-func (s Summary) Max() float64 { return s.max }
-
-// String renders "mean=... sd=... n=...".
-func (s Summary) String() string {
-	return fmt.Sprintf("mean=%.3f sd=%.3f n=%d", s.Mean(), s.StdDev(), s.n)
-}
-
 // Reset clears the summary back to empty.
 func (s *Summary) Reset() { *s = Summary{} }
 
-// Sample retains all observations for quantile queries. Use for bounded
-// experiment outputs, not for unbounded streams.
+// Sample retains all observations for quantile queries — the hook behind
+// sim.Sim.KeepCompletionSample, which the simulator-vs-closed-form
+// quantile test reads. Use for bounded runs, not for unbounded streams.
 type Sample struct {
 	xs     []float64
 	sorted bool
@@ -98,36 +53,6 @@ type Sample struct {
 func (p *Sample) Add(x float64) {
 	p.xs = append(p.xs, x)
 	p.sorted = false
-}
-
-// Count reports the number of observations.
-func (p *Sample) Count() int { return len(p.xs) }
-
-// Mean reports the sample mean (0 when empty).
-func (p *Sample) Mean() float64 {
-	if len(p.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range p.xs {
-		sum += x
-	}
-	return sum / float64(len(p.xs))
-}
-
-// StdDev reports the sample standard deviation (n-1 denominator).
-func (p *Sample) StdDev() float64 {
-	n := len(p.xs)
-	if n < 2 {
-		return 0
-	}
-	m := p.Mean()
-	ss := 0.0
-	for _, x := range p.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n-1))
 }
 
 // Quantile reports the q-quantile (0 <= q <= 1) by linear interpolation.
@@ -153,53 +78,4 @@ func (p *Sample) Quantile(q float64) float64 {
 		return p.xs[n-1]
 	}
 	return p.xs[i]*(1-frac) + p.xs[i+1]*frac
-}
-
-// Values returns a copy of the observations (sorted if a quantile was taken).
-func (p *Sample) Values() []float64 {
-	out := make([]float64, len(p.xs))
-	copy(out, p.xs)
-	return out
-}
-
-// Histogram counts observations into fixed-width buckets over [Lo, Hi).
-// Observations outside the range land in the under/overflow counters.
-type Histogram struct {
-	Lo, Hi    float64
-	Buckets   []int64
-	Underflow int64
-	Overflow  int64
-}
-
-// NewHistogram builds a histogram with n buckets over [lo, hi).
-func NewHistogram(lo, hi float64, n int) *Histogram {
-	if n <= 0 || hi <= lo {
-		panic("stats: invalid histogram shape")
-	}
-	return &Histogram{Lo: lo, Hi: hi, Buckets: make([]int64, n)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(x float64) {
-	switch {
-	case x < h.Lo:
-		h.Underflow++
-	case x >= h.Hi:
-		h.Overflow++
-	default:
-		i := int((x - h.Lo) / (h.Hi - h.Lo) * float64(len(h.Buckets)))
-		if i >= len(h.Buckets) { // guard against float rounding at the edge
-			i = len(h.Buckets) - 1
-		}
-		h.Buckets[i]++
-	}
-}
-
-// Total reports the number of observations including out-of-range ones.
-func (h *Histogram) Total() int64 {
-	t := h.Underflow + h.Overflow
-	for _, b := range h.Buckets {
-		t += b
-	}
-	return t
 }

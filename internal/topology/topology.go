@@ -51,11 +51,8 @@ type Edge struct {
 
 // Topology is an immutable operator network. Build one with a Builder.
 type Topology struct {
-	ops    []Operator
-	edges  []Edge
-	byName map[string]int
-	// out[i] lists indices into edges for edges leaving operator i.
-	out [][]int
+	ops   []Operator
+	edges []Edge
 }
 
 // Builder accumulates operators and edges and validates them into a Topology.
@@ -134,16 +131,8 @@ func (b *Builder) Build() (*Topology, error) {
 		return nil, errors.New("topology: no external arrivals (lambda0 = 0)")
 	}
 	t := &Topology{
-		ops:    append([]Operator(nil), b.ops...),
-		edges:  append([]Edge(nil), b.edges...),
-		byName: make(map[string]int, len(b.index)),
-		out:    make([][]int, len(b.ops)),
-	}
-	for name, i := range b.index {
-		t.byName[name] = i
-	}
-	for ei, e := range t.edges {
-		t.out[e.From] = append(t.out[e.From], ei)
+		ops:   append([]Operator(nil), b.ops...),
+		edges: append([]Edge(nil), b.edges...),
 	}
 	if _, err := t.ArrivalRates(); err != nil {
 		return nil, err
@@ -156,34 +145,6 @@ func (t *Topology) N() int { return len(t.ops) }
 
 // Operator returns the i-th operator.
 func (t *Topology) Operator(i int) Operator { return t.ops[i] }
-
-// Operators returns a copy of all operators in index order.
-func (t *Topology) Operators() []Operator {
-	return append([]Operator(nil), t.ops...)
-}
-
-// Edges returns a copy of all edges.
-func (t *Topology) Edges() []Edge {
-	return append([]Edge(nil), t.edges...)
-}
-
-// OutEdges returns the edges leaving operator i.
-func (t *Topology) OutEdges(i int) []Edge {
-	out := make([]Edge, 0, len(t.out[i]))
-	for _, ei := range t.out[i] {
-		out = append(out, t.edges[ei])
-	}
-	return out
-}
-
-// Index returns the index of the named operator.
-func (t *Topology) Index(name string) (int, error) {
-	i, ok := t.byName[name]
-	if !ok {
-		return 0, fmt.Errorf("%w %q", ErrUnknownOperator, name)
-	}
-	return i, nil
-}
 
 // ExternalRate reports λ0, the total rate of tuples entering the network
 // from outside.

@@ -68,10 +68,7 @@ func TestSplitJoinRates(t *testing.T) {
 	}
 	want := map[string]float64{"A": 5, "B": 3.5, "C": 1.5, "D": 2, "E": 3.5}
 	for name, w := range want {
-		i, err := topo.Index(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		i := indexOf(t, topo, name)
 		if !almostEqual(lam[i], w) {
 			t.Errorf("lambda[%s] = %g, want %g", name, lam[i], w)
 		}
@@ -122,7 +119,7 @@ func TestFigure2FullTopologyWithLoop(t *testing.T) {
 	// lE = 0.4*lA + 4; lA = 10 + 0.2*lA + 2 => lA = 15; lE = 10; lB = 9; lC = 6.
 	want := map[string]float64{"A": 15, "B": 9, "C": 6, "D": 4, "E": 10}
 	for name, w := range want {
-		i, _ := topo.Index(name)
+		i := indexOf(t, topo, name)
 		if !almostEqual(lam[i], w) {
 			t.Errorf("lambda[%s] = %g, want %g", name, lam[i], w)
 		}
@@ -226,41 +223,22 @@ func TestAccessors(t *testing.T) {
 	if topo.N() != 3 {
 		t.Fatalf("N = %d, want 3", topo.N())
 	}
-	i, err := topo.Index("match")
-	if err != nil {
-		t.Fatal(err)
-	}
+	i := indexOf(t, topo, "match")
 	if op := topo.Operator(i); op.Name != "match" || op.ServiceRate != 65 {
 		t.Errorf("Operator(%d) = %+v", i, op)
 	}
-	if _, err := topo.Index("nope"); !errors.Is(err, ErrUnknownOperator) {
-		t.Errorf("unknown name: err = %v", err)
-	}
-	ext, _ := topo.Index("extract")
-	out := topo.OutEdges(ext)
-	if len(out) != 1 || out[0].Selectivity != 50 {
-		t.Errorf("OutEdges(extract) = %+v", out)
-	}
-	if got := len(topo.Edges()); got != 2 {
-		t.Errorf("Edges count = %d, want 2", got)
-	}
-	if got := len(topo.Operators()); got != 3 {
-		t.Errorf("Operators count = %d, want 3", got)
-	}
 }
 
-func TestImmutabilityOfReturnedSlices(t *testing.T) {
-	topo := buildVLDChain(t)
-	ops := topo.Operators()
-	ops[0].Name = "mutated"
-	if topo.Operator(0).Name == "mutated" {
-		t.Error("Operators() must return a copy")
+// indexOf finds the named operator's index through the exported accessors.
+func indexOf(t *testing.T, topo *Topology, name string) int {
+	t.Helper()
+	for i := 0; i < topo.N(); i++ {
+		if topo.Operator(i).Name == name {
+			return i
+		}
 	}
-	edges := topo.Edges()
-	edges[0].Selectivity = 999
-	if topo.Edges()[0].Selectivity == 999 {
-		t.Error("Edges() must return a copy")
-	}
+	t.Fatalf("no operator %q", name)
+	return -1
 }
 
 func TestTrafficEquationsSubstitutionProperty(t *testing.T) {
@@ -297,7 +275,7 @@ func TestTrafficEquationsSubstitutionProperty(t *testing.T) {
 		// Substitute back.
 		for i := 0; i < topo.N(); i++ {
 			want := topo.Operator(i).ExternalRate
-			for _, e := range topo.Edges() {
+			for _, e := range topo.edges {
 				if e.To == i {
 					want += lam[e.From] * e.Selectivity
 				}

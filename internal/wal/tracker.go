@@ -74,10 +74,3 @@ func (t *Tracker) Watermark() uint64 {
 	defer t.mu.Unlock()
 	return t.watermark
 }
-
-// Pending reports how many delivered ranges have not yet completed.
-func (t *Tracker) Pending() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.pending)
-}

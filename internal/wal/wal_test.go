@@ -344,7 +344,7 @@ func TestTracker(t *testing.T) {
 	if w := tr.Watermark(); w != 22 {
 		t.Fatalf("watermark = %d, want 22", w)
 	}
-	if p := tr.Pending(); p != 0 {
+	if p := len(tr.pending); p != 0 {
 		t.Fatalf("pending = %d, want 0", p)
 	}
 	// Recovered start: watermark resumes past the prior life.

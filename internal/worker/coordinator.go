@@ -305,9 +305,6 @@ type Shuttle struct {
 	failed  error
 }
 
-// Machine reports the pool machine id this shuttle embodies.
-func (s *Shuttle) Machine() int { return s.machine }
-
 // ProcessBatch implements engine.RemoteExecutor: encode, register the
 // completion, write the frame. A write error does not invoke done inline —
 // it closes the connection and lets the reader goroutine fail all pending
