@@ -61,6 +61,8 @@ test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzWorkerFrame -fuzztime $(FUZZTIME) ./internal/worker
 	$(GO) test -run '^$$' -fuzz FuzzDecisionRecord -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -run '^$$' -fuzz FuzzTraceRecord -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -run '^$$' -fuzz FuzzIngestStream -fuzztime $(FUZZTIME) ./internal/ingest
+	$(GO) test -run '^$$' -fuzz FuzzNDJSONSplit -fuzztime $(FUZZTIME) ./internal/ingest
 
 # Boots `drsctl serve` on a loopback port, pushes a client burst through
 # the HTTP front door and asserts a 2xx/429 split (admitted + backpressure).

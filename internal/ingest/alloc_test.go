@@ -1,6 +1,10 @@
 package ingest
 
 import (
+	"bytes"
+	"io"
+	"net"
+	"net/http/httptest"
 	"testing"
 
 	"github.com/drs-repro/drs/internal/engine"
@@ -37,5 +41,105 @@ func TestOfferZeroAllocsWithDecisionLog(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Offer allocated %.3f/op with the decision log on; want 0", allocs)
+	}
+}
+
+// TestServeConnSteadyStateAllocs pins the TCP front door's cost per record
+// to the one allocation Go itself makes — boxing the record's []byte into
+// the payload's `any` slot — plus the slab's chunk refills, amortised: the
+// record bytes, the one-slot Values, the burst scratch, the replies and the
+// reply vector cost nothing per frame. Measured end to end over loopback,
+// so the client's writes and reads and the ring's consumer are in the count
+// too (and add nothing).
+func TestServeConnSteadyStateAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	g := NewGate(GateConfig{RingCapacity: 1 << 12})
+	defer g.Close()
+	stop := make(chan struct{})
+	defer close(stop)
+	go func() {
+		buf := make([]engine.Values, 0, 1<<10)
+		for {
+			if _, ok := g.Ring().PopBatch(stop, buf); !ok {
+				return
+			}
+		}
+	}()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	go ServeTCP(l, g, ListenerConfig{})
+	conn, err := net.Dial("tcp", l.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(frame(nil, []byte("alloc"))); err != nil {
+		t.Fatal(err)
+	}
+	const depth = 64
+	var window []byte
+	for i := 0; i < depth; i++ {
+		window = frame(window, bytes.Repeat([]byte{byte(i)}, 128))
+	}
+	replies := make([]byte, 5*depth)
+	round := func() {
+		if _, err := conn.Write(window); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(conn, replies); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20; i++ { // grow the burst scratch, open the chunks
+		round()
+	}
+	perFrame := testing.AllocsPerRun(200, round) / depth
+	t.Logf("TCP front door: %.3f allocs per frame", perFrame)
+	if perFrame > 1.1 {
+		t.Fatalf("TCP front door allocates %.3f per frame, want <= 1.1 (the []byte box)", perFrame)
+	}
+}
+
+// TestHandlerNDJSONAllocsPerLine pins the HTTP front door's marginal cost
+// of one more NDJSON line to the same single allocation: a 256-line request
+// may cost what a 1-line request costs plus one box per extra line. The
+// per-request part — the body, the slot array, the request and recorder of
+// the test itself — is whatever the 1-line request measures.
+func TestHandlerNDJSONAllocsPerLine(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	g := NewGate(GateConfig{RingCapacity: 1 << 12})
+	defer g.Close()
+	h := Handler(g, ListenerConfig{})
+	buf := make([]engine.Values, 0, 1<<12)
+	post := func(body []byte) func() {
+		return func() {
+			req := httptest.NewRequest("POST", "/ingest", bytes.NewReader(body))
+			req.Header.Set("Content-Type", "application/x-ndjson")
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			if w.Code != 202 {
+				t.Fatalf("status %d: %s", w.Code, w.Body)
+			}
+			g.Ring().PopBatch(nil, buf)
+		}
+	}
+	const lines = 256
+	line := append(bytes.Repeat([]byte{'r'}, 128), '\n')
+	one, many := post(line), post(bytes.Repeat(line, lines))
+	one()
+	many()
+	perRequest := testing.AllocsPerRun(100, one) - 1
+	got := testing.AllocsPerRun(100, many)
+	t.Logf("HTTP front door: %.0f allocs for 1 line, %.0f for %d", perRequest+1, got, lines)
+	if got > perRequest+lines+2 {
+		t.Fatalf("a %d-line request allocates %.0f, a 1-line request %.0f: %.3f per extra line, want <= 1",
+			lines, got, perRequest+1, (got-perRequest-1)/(lines-1))
 	}
 }

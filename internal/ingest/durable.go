@@ -1,7 +1,8 @@
 // Durable mode: the gate's at-least-once contract across process death.
-// With a WAL attached, Offer appends each admitted record to the log
-// *before* returning the admitted verdict — the listener's ACK (HTTP 2xx
-// / TCP ACK) therefore implies the record survives kill -9. On boot,
+// With a WAL attached, admit appends the records a burst pushed to the log
+// — one AppendBatch for all of them — *before* any of them reads admitted;
+// the listener's ACK (HTTP 2xx / TCP ACK) therefore implies the record
+// survives kill -9. On boot,
 // AttachWAL reconciles the log against its compacted ack watermark and
 // Replay re-injects every possibly-unprocessed record through the normal
 // ring → NetworkSpout path; the completion callbacks of the acked spout
@@ -107,26 +108,41 @@ func (g *Gate) Source() engine.BatchSource {
 }
 
 // Replay re-injects the recovered unacked records through the ring in log
-// order, blocking while the ring is full (the spout must already be
-// draining — call after the engine run starts, before listeners open so
-// replayed and fresh traffic cannot interleave). It returns the number of
-// records re-injected. Replayed records are already in the log and are
-// not re-appended.
+// order, a burst per lock round, blocking while the ring is full (the
+// spout must already be draining — call after the engine run starts,
+// before listeners open so replayed and fresh traffic cannot interleave).
+// It returns the number of records re-injected. Replayed records are
+// already in the log and are not re-appended.
 func (g *Gate) Replay() (int, error) {
 	g.mu.Lock()
 	pending := g.pendingReplay
 	g.pendingReplay = nil
 	g.mu.Unlock()
-	for i, rec := range pending {
-		v := engine.Values{rec.Payload}
-		for {
-			if _, _, ok := g.ring.tryPushSeq(v); ok {
+	var (
+		sl   engine.Slab
+		b    burst
+		done int
+	)
+	for start := 0; start < len(pending); start += burstMax {
+		b.reset()
+		for _, rec := range pending[start:min(start+burstMax, len(pending))] {
+			v := sl.Values(1)
+			v[0] = rec.Payload
+			b.offers = append(b.offers, offer{v: v, verdict: Verdict{Admitted: true}})
+		}
+		// What a full ring refuses is a candidate again a millisecond later.
+		for rest := b.offers; ; time.Sleep(time.Millisecond) {
+			_, pushed, _ := g.ring.pushBurst(rest, 0)
+			done += pushed
+			if rest = rest[pushed:]; len(rest) == 0 {
 				break
 			}
 			if g.closed.Load() {
-				return i, ErrClosed
+				return done, ErrClosed
 			}
-			time.Sleep(time.Millisecond)
+			for i := range rest {
+				rest[i].verdict = Verdict{Admitted: true}
+			}
 		}
 	}
 	g.replayed.Add(int64(len(pending)))
@@ -177,9 +193,8 @@ func (g *Gate) Watermark() uint64 {
 }
 
 // recordBytes extracts the loggable record from a listener payload. The
-// listeners produce single-field []byte payloads (valuesFor); durable
-// mode requires that shape so the log can reconstruct the tuple on
-// replay.
+// listeners produce single-field []byte payloads; durable mode requires
+// that shape so the log can reconstruct the tuple on replay.
 func recordBytes(v engine.Values) ([]byte, bool) {
 	if len(v) != 1 {
 		return nil, false

@@ -1,13 +1,14 @@
 package ingest
 
 import (
-	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"mime"
 	"net/http"
 	"strconv"
+	"sync"
 )
 
 // ListenerConfig carries the client-registration defaults both listeners
@@ -48,6 +49,120 @@ func (c ListenerConfig) client(g *Gate, id string) *Client {
 	return g.Client(id, w, c.Rate, c.Burst)
 }
 
+// burstPool recycles the HTTP handler's admit scratch across requests; a
+// burst is reset — holding no payload — before it goes back.
+var burstPool = sync.Pool{New: func() any { return new(burst) }}
+
+var (
+	newline     = []byte{'\n'}
+	errTooLarge = errors.New("record too large")
+)
+
+// readBody reads a request body in one piece — into a buffer sized by
+// Content-Length when the client declared one, by doubling reads when it
+// did not — and never more than maxRecordBytes+1 bytes of it. On failure
+// it returns the HTTP status to answer with.
+func readBody(r *http.Request) (body []byte, status int, err error) {
+	if r.ContentLength > maxRecordBytes {
+		return nil, http.StatusRequestEntityTooLarge, errTooLarge
+	}
+	if r.ContentLength >= 0 {
+		body = make([]byte, r.ContentLength)
+		if _, err := io.ReadFull(r.Body, body); err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+		return body, 0, nil
+	}
+	body = make([]byte, 0, 4<<10)
+	for {
+		if len(body) == cap(body) {
+			body = append(make([]byte, 0, min(2*cap(body), maxRecordBytes+1)), body...)
+		}
+		n, err := r.Body.Read(body[len(body):cap(body)])
+		if body = body[:len(body)+n]; len(body) > maxRecordBytes {
+			return nil, http.StatusRequestEntityTooLarge, errTooLarge
+		}
+		if err == io.EOF {
+			return body, 0, nil
+		}
+		if err != nil {
+			return nil, http.StatusBadRequest, err
+		}
+	}
+}
+
+// nextLine cuts the first line off an NDJSON body exactly as
+// bufio.ScanLines tokenizes: the line ends at the first newline (or the end
+// of the body), one trailing carriage return is dropped, and the line is
+// returned in place, cap == len, with what follows it.
+func nextLine(body []byte) (line, rest []byte) {
+	line = body
+	if i := bytes.IndexByte(body, '\n'); i >= 0 {
+		line, rest = body[:i], body[i+1:]
+	}
+	if n := len(line); n > 0 && line[n-1] == '\r' {
+		line = line[:n-1]
+	}
+	return line[:len(line):len(line)], rest
+}
+
+// offerBody admits the records of one request body — the body itself, or
+// each non-empty line of an NDJSON one — in bursts of up to burstMax, and
+// tallies the verdicts: how many were admitted, how many shed, and the
+// refusal with the longest retry-after (the request's Retry-After).
+func offerBody(cl *Client, body []byte, ndjson bool) (admitted, shed int, worst Verdict) {
+	lines := 1
+	if ndjson {
+		lines = bytes.Count(body, newline) + 1
+	}
+	// A record is a sub-slice of the body and its one-slot Values a
+	// sub-slice of slots: two allocations a request, plus the []byte box Go
+	// makes per record. The topology may keep either, so neither is pooled;
+	// the burst scratch, which it never sees, is.
+	slots := make([]any, 0, lines)
+	b := burstPool.Get().(*burst)
+	flush := func() {
+		b.admit(cl)
+		for i := range b.offers {
+			v := b.offers[i].verdict
+			if v.Admitted {
+				admitted++
+				continue
+			}
+			shed++
+			if v.RetryAfter > worst.RetryAfter {
+				worst = v
+			} else if worst.Reason == ShedNone {
+				worst.Reason = v.Reason
+			}
+		}
+		b.reset()
+	}
+	offer := func(rec []byte) {
+		slots = append(slots, rec)
+		k := len(slots)
+		b.add(slots[k-1 : k : k])
+		if len(b.offers) == burstMax {
+			flush()
+		}
+	}
+	if ndjson {
+		for rest := body; len(rest) > 0; {
+			var line []byte
+			if line, rest = nextLine(rest); len(line) > 0 {
+				offer(line)
+			}
+		}
+	} else {
+		offer(body)
+	}
+	if len(b.offers) > 0 {
+		flush()
+	}
+	burstPool.Put(b)
+	return admitted, shed, worst
+}
+
 // ClientIDHeader names the request header carrying the client id.
 const ClientIDHeader = "X-Client-ID"
 
@@ -74,45 +189,13 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 			id = "anonymous"
 		}
 		cl := cfg.client(g, id)
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxRecordBytes+1))
+		body, refusal, err := readBody(r)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+			http.Error(w, err.Error(), refusal)
 			return
-		}
-		if len(body) > maxRecordBytes {
-			http.Error(w, "record too large", http.StatusRequestEntityTooLarge)
-			return
-		}
-		admitted, shed := 0, 0
-		var worst Verdict
-		offer := func(rec []byte) {
-			v := cl.Offer(valuesFor(rec))
-			if v.Admitted {
-				admitted++
-				return
-			}
-			shed++
-			if v.RetryAfter > worst.RetryAfter {
-				worst = v
-			} else if worst.Reason == ShedNone {
-				worst.Reason = v.Reason
-			}
 		}
 		mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-		if mediaType == "application/x-ndjson" {
-			sc := bufio.NewScanner(bytes.NewReader(body))
-			sc.Buffer(nil, maxRecordBytes)
-			for sc.Scan() {
-				if len(sc.Bytes()) == 0 {
-					continue
-				}
-				rec := make([]byte, len(sc.Bytes()))
-				copy(rec, sc.Bytes())
-				offer(rec)
-			}
-		} else {
-			offer(body)
-		}
+		admitted, shed, worst := offerBody(cl, body, mediaType == "application/x-ndjson")
 		w.Header().Set("Content-Type", "application/json")
 		status := http.StatusAccepted
 		if shed > 0 {

@@ -10,7 +10,8 @@
 // The pieces, client to spout:
 //
 //   - Listeners (ServeTCP, Handler): length-prefixed TCP frames and HTTP
-//     POST bodies decode client records into tuple payloads. Refusals are
+//     POST bodies decode client records into tuple payloads, carved from
+//     an engine.Slab (TCP) or cut in place from the request body (HTTP). Refusals are
 //     explicit backpressure — HTTP 429 or a TCP NACK, both carrying a
 //     retry-after hint — never silent drops or blocked connections.
 //   - Gate: per-client token buckets (contract enforcement) in front of a
@@ -29,8 +30,15 @@
 //     that closes the loop (metrics.Measurer smooths the two series
 //     independently; loop.Supervisor scales decisions to offered load).
 //
-// The admit fast path — Client.Offer — is two atomic counters, one token
-// bucket and one bounded-ring push: zero allocations in steady state.
+// Both listeners work per burst, not per record: what arrived together —
+// the frames one TCP read delivered, the lines of one HTTP body — goes
+// through Client.admit as a unit: the per-record verdict rules in arrival
+// order, one ring lock round, in durable mode one WAL append that returns
+// before any record of the burst is acknowledged, one vectored reply.
+// Client.Offer is the same path for a burst of one: two atomic counters,
+// one token bucket and one bounded-ring push, zero allocations. A listener
+// pays one allocation per record, the box Go makes when the record's
+// []byte becomes the payload's `any`.
 package ingest
 
 import (
@@ -513,91 +521,220 @@ func (c *Client) drainOfferedRate(dt float64) float64 {
 // Offer is the admit fast path — decode → admit → ring, zero allocations:
 // the client's token bucket, the cluster thinning verdict and a bounded
 // ring push. The payload v must not be mutated by the caller afterwards;
-// it becomes the tuple the topology processes.
+// it becomes the tuple the topology processes. It is admit for a burst of
+// one, on the stack.
 func (c *Client) Offer(v engine.Values) Verdict {
+	var o [1]offer
+	var rec [1][]byte
+	o[0].v = v
+	c.admit(o[:], rec[:0])
+	return o[0].verdict
+}
+
+// burstMax bounds how many records a listener admits as one unit: the
+// frames one TCP read delivered, a run of one request's NDJSON lines. It
+// bounds the per-connection scratch and how long one burst holds the ring
+// lock.
+const burstMax = 256
+
+// offer is one record on its way through admit: the payload in, the
+// verdict out.
+type offer struct {
+	v       engine.Values
+	verdict Verdict
+	trace   uint64 // set by the ring push: the trace id of a sampled admit, else 0
+}
+
+// burst is a listener's unit of admission: the records that arrived
+// together, in arrival order. The listener adds the payloads, admits them
+// and answers from the verdicts; it may reuse the burst after reset,
+// because the ring takes its own copy of each admitted payload header.
+type burst struct {
+	offers []offer
+	recs   [][]byte // admit's scratch, kept across bursts
+}
+
+// add appends one offered payload.
+func (b *burst) add(v engine.Values) { b.offers = append(b.offers, offer{v: v}) }
+
+// admit offers the burst on behalf of client c.
+func (b *burst) admit(c *Client) { b.recs = c.admit(b.offers, b.recs[:0]) }
+
+// reset empties the burst, dropping its references to the payloads.
+func (b *burst) reset() {
+	clear(b.offers)
+	clear(b.recs)
+	b.offers, b.recs = b.offers[:0], b.recs[:0]
+}
+
+// admit is the one admission path, for a burst of any size. Per record, in
+// arrival order, the verdict rules: the client's token bucket, the cluster
+// thinning verdict and — in durable mode, where the log must be able to
+// rebuild the tuple — the payload shape, checked before the push so a
+// refusal leaves no orphan in the ring. Then one ring lock round that
+// pushes as many of the survivors as fit under consecutive admission seqs
+// and refuses the rest as backlog, and the durable and traced tail (seal).
+// Every offer leaves with its verdict set, and offered == admitted + shed
+// holds on the gate's and the client's books. recs is scratch for the
+// durable append — it comes back, grown if it had to, for the next burst —
+// and with room in it admit allocates nothing.
+func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 	g := c.g
-	c.offered.Add(1)
-	g.offered.Add(1)
+	c.offered.Add(int64(len(offers)))
+	g.offered.Add(int64(len(offers)))
 	if g.closed.Load() {
-		c.shed.Add(1)
-		g.shedBacklog.Add(1)
-		return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
+		c.refuseClosed(offers)
+		return recs
 	}
+	l := g.wal.Load()
+	var now int64
 	if c.bucket.rate > 0 { // skip the clock read entirely when unlimited
-		if ok, retry := c.bucket.take(g.cfg.Now().UnixNano()); !ok {
-			c.shed.Add(1)
-			c.rlShed.Add(1)
-			g.shedRateLimit.Add(1)
-			return Verdict{Reason: ShedRateLimit, RetryAfter: retry}
+		now = g.cfg.Now().UnixNano()
+	}
+	permille := c.admitPermille.Load()
+	survivors := 0
+	for i := range offers {
+		o := &offers[i]
+		if c.bucket.rate > 0 {
+			if ok, retry := c.bucket.take(now); !ok {
+				o.verdict = Verdict{Reason: ShedRateLimit, RetryAfter: retry}
+				continue
+			}
+		}
+		if permille < permilleScale && !ThinAdmit(c.seq.Add(1), permille) {
+			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.RetryAfter}
+			continue
+		}
+		if l != nil {
+			rec, ok := recordBytes(o.v)
+			if !ok {
+				o.verdict = g.backlog()
+				continue
+			}
+			recs = append(recs, rec)
+		}
+		o.verdict = Verdict{Admitted: true} // a survivor; the ring may still refuse it
+		survivors++
+	}
+	pushed := 0
+	if survivors > 0 {
+		var first uint64
+		var sampled bool
+		first, pushed, sampled = g.ring.pushBurst(offers, g.cfg.RetryAfter)
+		if pushed > 0 && (l != nil || sampled) {
+			pushed = c.seal(offers, recs, l, first, pushed, sampled)
 		}
 	}
-	if p := c.admitPermille.Load(); p < permilleScale {
-		if !ThinAdmit(c.seq.Add(1), p) {
-			c.shed.Add(1)
-			g.shedOverload.Add(1)
-			g.intervalShed.Add(1)
-			return Verdict{Reason: ShedOverload, RetryAfter: g.cfg.RetryAfter}
+	if pushed > 0 {
+		g.admitted.Add(int64(pushed))
+	}
+	if pushed < len(offers) {
+		c.countRefusals(offers)
+	}
+	return recs
+}
+
+// backlog is the refusal of a record the gate has no room for.
+func (g *Gate) backlog() Verdict {
+	return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
+}
+
+// refuseClosed refuses a burst offered to a closed gate.
+func (c *Client) refuseClosed(offers []offer) {
+	for i := range offers {
+		offers[i].verdict = c.g.backlog()
+	}
+	c.shed.Add(int64(len(offers)))
+	c.g.shedBacklog.Add(int64(len(offers)))
+}
+
+// countRefusals books a burst's refusals from the verdicts handed out, so
+// the counters say what the client was told. Overload and backlog refusals
+// are demand that never reached a spout — they feed the offered-load
+// probe; a client past its own rate limit is not.
+func (c *Client) countRefusals(offers []offer) {
+	var rateLimited, overload, backlogged int64
+	for i := range offers {
+		switch v := offers[i].verdict; {
+		case v.Admitted:
+		case v.Reason == ShedRateLimit:
+			rateLimited++
+		case v.Reason == ShedOverload:
+			overload++
+		default:
+			backlogged++
 		}
 	}
-	if l := g.wal.Load(); l != nil {
-		// Durable admit: the WAL append must complete before the admitted
-		// verdict — the listener's ACK rides on it. The payload shape is
-		// checked before the push so a refusal leaves no orphan in the ring.
-		rec, ok := recordBytes(v)
-		if !ok {
-			c.shed.Add(1)
-			g.shedBacklog.Add(1)
-			g.intervalShed.Add(1)
-			return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
-		}
-		seq, trace, pushed := g.ring.tryPushSeq(v)
-		if !pushed {
-			c.shed.Add(1)
-			g.shedBacklog.Add(1)
-			g.intervalShed.Add(1)
-			return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
-		}
-		// Sampled admits bracket the WAL append with wall stamps; the
-		// sampled-out path never reads a clock for tracing.
-		var walStart int64
-		if trace != 0 {
-			walStart = g.cfg.Now().UnixNano()
-		}
-		if err := l.Append(seq, rec); err != nil {
-			// The record is in the ring and may process, but the client is
+	g := c.g
+	c.shed.Add(rateLimited + overload + backlogged)
+	if rateLimited > 0 {
+		c.rlShed.Add(rateLimited)
+		g.shedRateLimit.Add(rateLimited)
+	}
+	if overload > 0 {
+		g.shedOverload.Add(overload)
+	}
+	if backlogged > 0 {
+		g.shedBacklog.Add(backlogged)
+	}
+	if overload+backlogged > 0 {
+		g.intervalShed.Add(overload + backlogged)
+	}
+}
+
+// seal is the tail of an admit whose ring push left work to do: with a log
+// l, one WAL append covering the pushed records — the first survivors, so
+// their loggable bytes are the first of recs — which must return before any
+// of them keeps its Admitted verdict (the listener's ACK rides on it, and
+// when it fails none does); and the spans of the sampled ones. It returns
+// how many records stay admitted: pushed, or none.
+func (c *Client) seal(offers []offer, recs [][]byte, l *wal.Log, first uint64, pushed int, sampled bool) int {
+	g := c.g
+	// Sampled admits bracket the WAL append with wall stamps; a burst with
+	// none never reads a clock for tracing.
+	var start int64
+	if sampled {
+		start = g.cfg.Now().UnixNano()
+	}
+	if l != nil {
+		if err := l.AppendBatch(first, recs[:pushed]); err != nil {
+			// The records are in the ring and may process, but the client is
 			// NOT acknowledged — on its retry at-least-once may duplicate,
 			// never lose.
-			c.shed.Add(1)
-			g.shedBacklog.Add(1)
-			g.intervalShed.Add(1)
-			return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
+			for i := range offers {
+				if offers[i].verdict.Admitted {
+					offers[i].verdict = g.backlog()
+				}
+			}
+			return 0
 		}
-		if trace != 0 {
-			tr := g.cfg.Tracer
-			span := obs.SpanRecord{Trace: trace, Kind: obs.SpanGate, Tenant: c.id, StartNS: walStart}
-			tr.EmitSpan(&span)
-			span = obs.SpanRecord{Trace: trace, Kind: obs.SpanWAL, Tenant: c.id,
-				StartNS: walStart, DurNS: g.cfg.Now().UnixNano() - walStart}
+	}
+	if sampled {
+		c.emitAdmitSpans(offers, start, l != nil)
+	}
+	return pushed
+}
+
+// emitAdmitSpans marks each sampled admit of a burst. The gate span is the
+// admit mark: zero duration, stamped when the burst entered the ring,
+// labeled with the client id so the assembler can attribute the whole
+// trace to a tenant. In durable mode a WAL span covers the append the
+// record's ACK waited for.
+func (c *Client) emitAdmitSpans(offers []offer, start int64, durable bool) {
+	tr := c.g.cfg.Tracer
+	var walNS int64
+	if durable {
+		walNS = c.g.cfg.Now().UnixNano() - start
+	}
+	for i := range offers {
+		if offers[i].trace == 0 {
+			continue
+		}
+		span := obs.SpanRecord{Trace: offers[i].trace, Kind: obs.SpanGate, Tenant: c.id, StartNS: start}
+		tr.EmitSpan(&span)
+		if durable {
+			span = obs.SpanRecord{Trace: offers[i].trace, Kind: obs.SpanWAL, Tenant: c.id, StartNS: start, DurNS: walNS}
 			tr.EmitSpan(&span)
 		}
-		g.admitted.Add(1)
-		return Verdict{Admitted: true}
 	}
-	_, trace, pushed := g.ring.tryPushSeq(v)
-	if !pushed {
-		c.shed.Add(1)
-		g.shedBacklog.Add(1)
-		g.intervalShed.Add(1)
-		return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
-	}
-	if trace != 0 {
-		// The gate span is the admit mark: zero duration, stamped at the
-		// moment the record entered the ring, labeled with the client id so
-		// the assembler can attribute the whole trace to a tenant.
-		span := obs.SpanRecord{Trace: trace, Kind: obs.SpanGate, Tenant: c.id,
-			StartNS: g.cfg.Now().UnixNano()}
-		g.cfg.Tracer.EmitSpan(&span)
-	}
-	g.admitted.Add(1)
-	return Verdict{Admitted: true}
 }

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"sync"
+	"time"
 
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/obs"
@@ -64,37 +65,50 @@ func (r *Ring) Len() int {
 // TryPush enqueues one payload without blocking. It returns false when the
 // ring is full (the backpressure signal) or closed.
 func (r *Ring) TryPush(v engine.Values) bool {
-	_, _, ok := r.tryPushSeq(v)
-	return ok
+	o := [1]offer{{v: v, verdict: Verdict{Admitted: true}}}
+	_, pushed, _ := r.pushBurst(o[:], 0)
+	return pushed == 1
 }
 
-// tryPushSeq is TryPush returning the payload's admission sequence number
-// — the count of successful pushes, assigned under the ring lock so seq
-// order IS ring FIFO order — and the payload's trace id (nonzero only when
-// a tracer is wired and the seq wins its deterministic sampling hash; the
-// trace id IS the seq, so a trace names the admission that spawned it and
-// the sampled set is identical across runs and processes). The durable
-// gate logs each record under this seq and the pop side reconstructs
-// batch seq ranges by counting.
-func (r *Ring) tryPushSeq(v engine.Values) (seq, trace uint64, ok bool) {
+// pushBurst enqueues, in order and under one lock round, the offers whose
+// verdict reads Admitted — as many as fit; the rest (all of them on a
+// closed ring) are refused as ShedBacklog with the retry-after hint given.
+// The pushed ones take the consecutive admission sequence numbers first,
+// first+1, … — the count of successful pushes, assigned under the ring lock
+// so seq order IS ring FIFO order; the durable gate logs them under these
+// seqs and the pop side reconstructs batch seq ranges by counting. A pushed
+// offer whose seq wins the tracer's deterministic sampling hash gets that
+// seq as its trace id (so a trace names the admission that spawned it and
+// the sampled set is identical across runs and processes), riding the ring
+// beside its payload and reported in offer.trace, 0 for the others; sampled
+// says whether any did.
+func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64, pushed int, sampled bool) {
 	r.mu.Lock()
-	if r.closed || r.n == len(r.buf) {
-		r.mu.Unlock()
-		return 0, 0, false
+	first = r.pushed + 1
+	wake := r.n == 0
+	for i := range offers {
+		o := &offers[i]
+		if !o.verdict.Admitted {
+			continue
+		}
+		if r.closed || r.n == len(r.buf) {
+			o.verdict = Verdict{Reason: ShedBacklog, RetryAfter: retryAfter}
+			continue
+		}
+		r.pushed++
+		o.trace = 0
+		if r.tracer.SampleTrace(r.pushed) {
+			o.trace, sampled = r.pushed, true
+		}
+		r.buf[(r.head+r.n)&(len(r.buf)-1)] = slot{v: o.v, trace: o.trace}
+		r.n++
+		pushed++
 	}
-	r.pushed++
-	seq = r.pushed
-	if r.tracer.SampleTrace(seq) {
-		trace = seq
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = slot{v: v, trace: trace}
-	r.n++
-	wake := r.n == 1
 	r.mu.Unlock()
-	if wake {
+	if wake && pushed > 0 {
 		r.signal()
 	}
-	return seq, trace, true
+	return first, pushed, sampled
 }
 
 // Pushed reports the total successful pushes — the high end of the

@@ -1,6 +1,7 @@
 package ingest
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -10,9 +11,6 @@ import (
 
 	"github.com/drs-repro/drs/internal/engine"
 )
-
-// valuesFor wraps one decoded client record as a tuple payload.
-func valuesFor(rec []byte) engine.Values { return engine.Values{rec} }
 
 // TCP wire protocol: every frame is a 4-byte big-endian length followed by
 // that many payload bytes. The first frame of a connection carries the
@@ -55,67 +53,153 @@ func ServeTCP(l net.Listener, g *Gate, cfg ListenerConfig) error {
 	}
 }
 
-// serveConn drives one client connection: hello frame, then records. A
-// client that stalls — before its hello or mid-stream — is disconnected
-// when the read deadline armed before each frame passes.
+// tcpReadBuffer is the one read buffer a connection owns: every frame a
+// read(2) delivered whole is admitted without going back to the socket.
+const tcpReadBuffer = 64 << 10
+
+// connState is what one connection's loop reuses from burst to burst. It
+// is one heap object so that handing its reply vector to the connection
+// costs no allocation per burst.
+type connState struct {
+	slab    engine.Slab // every record and its one-slot Values is carved from it
+	burst   burst
+	replies [burstMax][5]byte
+	vec     net.Buffers // the replies of one burst, one 5-byte slice each
+	out     net.Buffers // what WriteTo consumes: vec's header, re-aimed per burst
+}
+
+// serveConn drives one client connection: hello frame, then bursts of
+// records. Each round blocks for one frame, takes every further frame the
+// read buffer already holds whole (up to burstMax), admits them as a unit
+// and answers them with one vectored write — so the loop never waits on the
+// socket while replies are unsent, and a client that sends one frame and
+// waits for its verdict is served as promptly as one that pipelines. A
+// client that stalls — before its hello or mid-frame — is disconnected when
+// the read deadline armed before each blocking read passes.
 func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 	defer conn.Close()
 	if err := conn.SetReadDeadline(time.Now().Add(tcpHelloTimeout)); err != nil {
 		return
 	}
-	id, err := readFrame(conn, nil)
+	rd := bufio.NewReaderSize(conn, tcpReadBuffer)
+	st := new(connState)
+	n, err := frameLen(rd)
+	if err != nil {
+		return
+	}
+	id, err := readRecord(rd, &st.slab, n)
 	if err != nil {
 		return
 	}
 	cl := cfg.client(g, string(id))
-	var reply [5]byte
-	var buf []byte // reused frame buffer; admitted payloads are copied out
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
 			return
 		}
-		buf, err = readFrame(conn, buf[:0])
+		n, err := frameLen(rd)
 		if err != nil {
 			return
 		}
-		// The frame buffer is reused for the next read, so every offered
-		// record gets its own copy before Offer decides: a shed record
-		// costs the allocation too.
-		rec := make([]byte, len(buf))
-		copy(rec, buf)
-		v := cl.Offer(valuesFor(rec))
-		if v.Admitted {
-			reply[0] = TCPAck
-			binary.BigEndian.PutUint32(reply[1:], 0)
-		} else {
-			reply[0] = TCPNack
-			binary.BigEndian.PutUint32(reply[1:], uint32(v.RetryAfter/time.Millisecond))
+		for n >= 0 {
+			// Every offered record gets its own bytes before admit decides: a
+			// shed record costs the carve too.
+			rec, err := readRecord(rd, &st.slab, n)
+			if err != nil {
+				return
+			}
+			v := st.slab.Values(1)
+			v[0] = rec
+			st.burst.add(v)
+			if len(st.burst.offers) == burstMax {
+				break
+			}
+			n = bufferedFrameLen(rd)
 		}
-		if _, err := conn.Write(reply[:]); err != nil {
+		st.burst.admit(cl)
+		if err := st.reply(conn); err != nil {
 			return
 		}
 	}
 }
 
-// readFrame reads one length-prefixed frame into buf (growing it as
-// needed) and returns the payload.
-func readFrame(r io.Reader, buf []byte) ([]byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return nil, err
+// reply answers the admitted burst, a 5-byte reply per offer in frame
+// order, and empties it. The replies go out as a net.Buffers: one writev
+// on a TCP connection, and one Write per reply through anything that wraps
+// one — an observer of the stream sees the same 5-byte writes either way.
+func (st *connState) reply(conn net.Conn) error {
+	st.vec = st.vec[:0]
+	for i := range st.burst.offers {
+		r := &st.replies[i]
+		r[0] = TCPAck
+		var retryMS uint32
+		if v := st.burst.offers[i].verdict; !v.Admitted {
+			r[0] = TCPNack
+			retryMS = uint32(v.RetryAfter / time.Millisecond)
+		}
+		binary.BigEndian.PutUint32(r[1:], retryMS)
+		st.vec = append(st.vec, r[:])
 	}
-	n := int(binary.BigEndian.Uint32(hdr[:]))
+	st.burst.reset()
+	st.out = st.vec // WriteTo consumes the header it is given
+	_, err := st.out.WriteTo(conn)
+	return err
+}
+
+// readRecord reads the n payload bytes of a frame into bytes of their own.
+// A record the slab carves from a chunk, or one the read buffer already
+// holds whole, is taken in one step. A larger one is read as it arrives,
+// into a buffer that doubles up to n: what a connection makes the server
+// allocate is bounded by what it has actually sent, not by the length it
+// claims.
+func readRecord(rd *bufio.Reader, sl *engine.Slab, n int) ([]byte, error) {
+	if n <= engine.SlabBytesChunk/4 || n <= rd.Buffered() {
+		rec := sl.Bytes(n)
+		_, err := io.ReadFull(rd, rec)
+		return rec, err
+	}
+	rec := make([]byte, 0, min(n, tcpReadBuffer))
+	for len(rec) < n {
+		if len(rec) == cap(rec) {
+			rec = append(make([]byte, 0, min(n, 2*cap(rec))), rec...)
+		}
+		k, err := rd.Read(rec[len(rec):cap(rec)])
+		if rec = rec[:len(rec)+k]; err != nil {
+			return nil, err
+		}
+	}
+	return rec[:n:n], nil
+}
+
+// frameLen blocks for the next frame's 4-byte length prefix and consumes
+// it. A length above maxRecordBytes is an error: the caller disconnects.
+func frameLen(rd *bufio.Reader) (int, error) {
+	hdr, err := rd.Peek(4)
+	if err != nil {
+		return 0, err
+	}
+	n := int(binary.BigEndian.Uint32(hdr))
 	if n > maxRecordBytes {
-		return nil, fmt.Errorf("ingest: %d-byte frame exceeds the %d-byte limit", n, maxRecordBytes)
+		return 0, fmt.Errorf("ingest: %d-byte frame exceeds the %d-byte limit", n, maxRecordBytes)
 	}
-	if cap(buf) < n {
-		buf = make([]byte, n)
+	_, err = rd.Discard(4)
+	return n, err
+}
+
+// bufferedFrameLen is frameLen for a frame the read buffer already holds
+// whole: it never touches the socket, and answers -1 when the next frame
+// is not all there yet — or is oversize, which the next blocking frameLen
+// reports once the frames before it have been answered.
+func bufferedFrameLen(rd *bufio.Reader) int {
+	if rd.Buffered() < 4 {
+		return -1
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
+	hdr, _ := rd.Peek(4)
+	n := int(binary.BigEndian.Uint32(hdr))
+	if n > maxRecordBytes || rd.Buffered() < 4+n {
+		return -1
 	}
-	return buf, nil
+	_, _ = rd.Discard(4) // the bytes are buffered: it cannot fail
+	return n
 }
 
 // DialTCP opens a client connection speaking the ingest TCP protocol and

@@ -22,12 +22,18 @@ const (
 // permilleScale is the denominator of the sampling knob.
 const permilleScale = 1000
 
+// initialShardCapacity is what a shard starts with. A pipe sized for its
+// worst sweep (the benchmark's tracer: 8 x 65 536 x 88 B = 44 MiB) would
+// otherwise pre-zero that much live heap nobody writes to, and the GC goal
+// is twice the live heap: floating garbage then scales with throughput.
+const initialShardCapacity = 64
+
 // shard is one ring of a pipe. Emission appends under the shard mutex;
-// the drainer swaps the filled region out wholesale. Fixed-capacity, drop
-// on overflow: a slow drainer costs records (counted), never latency.
+// the drainer swaps the filled region out wholesale. Bounded, drop on
+// overflow: a slow drainer costs records (counted), never latency.
 type shard[T any] struct {
 	mu  sync.Mutex
-	buf []T      // append cursor is len(buf); capacity fixed at build
+	buf []T      // append cursor is len(buf); doubles on demand up to pipe.max, never shrinks
 	_   [32]byte // pad to keep neighbouring shards off one cache line
 }
 
@@ -37,6 +43,7 @@ type shard[T any] struct {
 type pipe[T any] struct {
 	shards []*shard[T]
 	mask   uint64
+	max    int // per-shard bound (ShardCapacity): a shard this full drops
 
 	seq      atomic.Uint64 // emissions offered
 	permille atomic.Int64  // sampling knob, flippable at runtime
@@ -81,9 +88,9 @@ func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration,
 	}
 	p.shards = make([]*shard[T], pow)
 	for i := range p.shards {
-		p.shards[i] = &shard[T]{buf: make([]T, 0, capacity)}
+		p.shards[i] = &shard[T]{buf: make([]T, 0, min(initialShardCapacity, capacity))}
 	}
-	p.mask = uint64(pow - 1)
+	p.mask, p.max = uint64(pow-1), capacity
 	p.permille.Store(int64(permille))
 	p.bySeq, p.enc, p.fold = bySeq, enc, fold
 	p.sink, p.flushEvery = sink, flushEvery
@@ -95,18 +102,24 @@ func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration,
 	}
 }
 
-// put copies *r into the next free slot of seq's shard — no allocation,
-// no blocking — and returns the slot with its shard still locked, so the
-// caller stamps Seq (and whatever else it owns) into the ring rather than
-// into the emitter's record, then unlocks. A full shard drops the record,
+// put copies *r into the next free slot of seq's shard — no blocking, and
+// no allocation once the shard has grown to its working size — and returns
+// the slot with its shard still locked, so the caller stamps Seq (and
+// whatever else it owns) into the ring rather than into the emitter's
+// record, then unlocks. A shard holding max records drops the record,
 // counts it, and returns nil with nothing held.
 func (p *pipe[T]) put(seq uint64, r *T) (*T, *sync.Mutex) {
 	s := p.shards[seq&p.mask]
 	s.mu.Lock()
 	if len(s.buf) == cap(s.buf) {
-		s.mu.Unlock()
-		p.dropped.Add(1)
-		return nil, nil
+		if len(s.buf) >= p.max {
+			s.mu.Unlock()
+			p.dropped.Add(1)
+			return nil, nil
+		}
+		grown := make([]T, len(s.buf), min(2*cap(s.buf), p.max))
+		copy(grown, s.buf)
+		s.buf = grown
 	}
 	s.buf = append(s.buf, *r)
 	return &s.buf[len(s.buf)-1], &s.mu

@@ -52,7 +52,8 @@ func pipeInstantiations(live bool, shards, capacity int, sink Sink) map[string]p
 
 // TestPipeContract holds both instantiations to the pipeline's four
 // promises: overflow drops the newest record and counts it without
-// blocking; a sweep is seq-ordered across shards; Close is idempotent and
+// blocking, at ShardCapacity however far the shard had to grow to get
+// there; a sweep is seq-ordered across shards; Close is idempotent and
 // flushes the tail to the sink; a nil receiver is safe.
 func TestPipeContract(t *testing.T) {
 	cases := []struct {
@@ -64,6 +65,9 @@ func TestPipeContract(t *testing.T) {
 		wantKept         int // records 1..wantKept reach the sink, in order
 	}{
 		{name: "overflow drops newest", live: true, shards: 1, capacity: 8, emits: 20, wantDropped: 12, wantKept: 8},
+		// 200 is past the initial shard size and not a doubling of it: the
+		// shard grows 64 -> 128 -> 200 and the bound is the configured one.
+		{name: "fills to exactly ShardCapacity, then drops", live: true, shards: 1, capacity: 200, emits: 230, wantDropped: 30, wantKept: 200},
 		{name: "sweep is seq-ordered across shards", live: true, shards: 4, capacity: 64, emits: 40, wantKept: 40},
 		{name: "nil receiver", live: false, emits: 3},
 	}

@@ -334,37 +334,12 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 	}
 }
 
-// slab is the bump allocator one connection reader decodes into. Every
-// decoded Values and []byte payload is carved off the unused tail of the
-// current chunk with a full slice expression (cap == len, so a bolt's
-// append can never write into a neighbour), and a chunk too full for the
-// next carve is dropped and replaced — never rewound, never pooled. Carved
-// memory is therefore ordinary GC-owned memory its receiver may keep
-// forever; the price is that a retained value keeps its whole chunk alive.
-// Anything above a quarter chunk gets its own allocation.
+// slab is what one connection reader decodes into: the shared bump
+// allocator every decoded Values and []byte payload is carved from (see
+// engine.Slab for the ownership rules), plus the emit-list scratch.
 type slab struct {
-	vals  []any           // unused tail of the current value chunk
-	buf   []byte          // unused tail of the current byte chunk
+	engine.Slab
 	emits []engine.Values // decodeResult's flat emit-list scratch, reused per frame
-}
-
-// Chunk sizes: 256 interface slots (4 KiB) and 32 KiB of payload bytes.
-const slabVals, slabBytes = 256, 32 << 10
-
-// carve returns a zeroed n-element slice with cap == len, cut from *chunk
-// (refilled with a fresh size-element chunk when n does not fit) or, above a
-// quarter chunk, allocated on its own. A nil chunk is refilled even for
-// n == 0, so an empty payload decodes to an empty non-nil slice, as make did.
-func carve[T any](chunk *[]T, size, n int) []T {
-	if n > size/4 {
-		return make([]T, n)
-	}
-	if n > len(*chunk) || *chunk == nil {
-		*chunk = make([]T, size)
-	}
-	out := (*chunk)[:n:n]
-	*chunk = (*chunk)[n:]
-	return out
 }
 
 // wire is a strict cursor over one frame payload: every read is
@@ -471,7 +446,7 @@ func (c *wire) decodeValue() any {
 		return string(c.take(int(c.u32())))
 	case tagBytes:
 		b := c.take(int(c.u32()))
-		out := carve(&c.s.buf, slabBytes, len(b))
+		out := c.s.Bytes(len(b))
 		copy(out, b)
 		return out
 	case tagStream:
@@ -494,7 +469,7 @@ func (c *wire) decodeValues() engine.Values {
 		}
 		return nil
 	}
-	vs := carve(&c.s.vals, slabVals, n)
+	vs := c.s.Values(n)
 	for i := 0; i < n && c.err == nil; i++ {
 		vs[i] = c.decodeValue()
 	}

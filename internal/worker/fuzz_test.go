@@ -80,13 +80,13 @@ func FuzzWorkerFrame(f *testing.F) {
 	// (the byte chunk's twins are TestSlab*). Five tuples of just under a
 	// quarter chunk: the fifth would straddle the chunk boundary, so the
 	// chunk is replaced. Then one tuple larger than a whole chunk.
-	wide := make(engine.Values, slabVals+1)
+	wide := make(engine.Values, engine.SlabValuesChunk+1)
 	for i := range wide {
 		wide[i] = i%2 == 0
 	}
 	straddle := make([]engine.RemoteItem, 5)
 	for i := range straddle {
-		straddle[i] = engine.RemoteItem{Task: i, Values: wide[:slabVals/4-1]}
+		straddle[i] = engine.RemoteItem{Task: i, Values: wide[:engine.SlabValuesChunk/4-1]}
 	}
 	for _, items := range [][]engine.RemoteItem{straddle, {{Values: wide}}} {
 		frame, err := appendBatchFrame(nil, 9, "fan", items)
@@ -172,7 +172,7 @@ func FuzzWorkerFrame(f *testing.F) {
 // payload byte. The last term absorbs whatever else the process allocates
 // meanwhile: the counter is process-wide.
 func decodeAllocBound(n int) uint64 {
-	return uint64(64*n + 16*slabVals + slabBytes + 64<<10)
+	return uint64(64*n + 16*engine.SlabValuesChunk + engine.SlabBytesChunk + 64<<10)
 }
 
 // decodeWithinBound runs one decode and fails the test if the heap it took

@@ -208,37 +208,32 @@ func TestSlabAppendCannotReachNeighbour(t *testing.T) {
 	checkRecTuples(t, "neighbour of an appended-to tuple", []engine.Values{second}, 2)
 }
 
-// TestSlabLargePayloadOwnAllocation: a payload above a quarter chunk
-// round-trips in an allocation of its own and consumes no slab.
+// TestSlabLargePayloadOwnAllocation: a record and a tuple above a quarter
+// chunk — which engine.Slab gives allocations of their own, consuming no
+// chunk (engine.TestSlabLargeCarveOwnAllocation) — round-trip through the
+// codec, and the small tuple decoded after them is intact.
 func TestSlabLargePayloadOwnAllocation(t *testing.T) {
-	big := bytes.Repeat([]byte{0xAB}, slabBytes/4+1)
-	wide := make(engine.Values, slabVals/4+1)
+	big := bytes.Repeat([]byte{0xAB}, engine.SlabBytesChunk/4+1)
+	wide := make(engine.Values, engine.SlabValuesChunk/4+1)
 	for i := range wide {
 		wide[i] = true
 	}
-	frame, err := appendBatchFrame(nil, 1, "parse", []engine.RemoteItem{{Values: engine.Values{big}}, {Values: wide}})
+	frame, err := appendBatchFrame(nil, 1, "parse", []engine.RemoteItem{{Values: engine.Values{big}}, {Values: wide}, {Values: recTuple(9, true)}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sl slab
 	var bm batchMsg
-	if err := decodeBatch(recBatch(t, 1, 1, false), &bm, &sl); err != nil { // open both chunks
-		t.Fatal(err)
-	}
-	vals, buf := len(sl.vals), len(sl.buf)
 	if err := decodeBatch(frame[8:], &bm, &sl); err != nil {
 		t.Fatal(err)
 	}
-	if got := decodedBytes(t, bm.Items[0].Values); !bytes.Equal(got, big) {
-		t.Fatal("large payload did not round-trip")
+	if got := decodedBytes(t, bm.Items[0].Values); !bytes.Equal(got, big) || cap(got) != len(got) {
+		t.Fatal("large payload did not round-trip with cap == len")
 	}
 	if got := bm.Items[1].Values; len(got) != len(wide) || got[len(got)-1] != true {
 		t.Fatal("wide tuple did not round-trip")
 	}
-	// The one-slot Values holding big is the only carve.
-	if len(sl.vals) != vals-1 || len(sl.buf) != buf {
-		t.Fatalf("large values consumed slab: vals %d -> %d, bytes %d -> %d", vals, len(sl.vals), buf, len(sl.buf))
-	}
+	checkRecTuples(t, "small tuple after the large ones", []engine.Values{bm.Items[2].Values}, 9)
 }
 
 // TestTrimScratchDropsOversizedBuffers: a frame scratch that grew past
