@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke examples-smoke
+.PHONY: test race bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke examples-smoke
 
 build:
 	$(GO) build ./...
@@ -82,19 +82,8 @@ restart-smoke:
 worker-smoke:
 	sh scripts/worker_smoke.sh
 
-# The four live examples in turn (~3 min of wall-clock sleeps, so opt-in
-# and not in CI): each is self-checking and exits 1 when its own
-# assertions fail.
+# The one live example (~55 s of wall-clock sleeps, so opt-in and not in
+# CI): examples/autoscale is self-checking — it exits 1 unless the loop
+# scaled out under the load step and ended converged under Tmax.
 examples-smoke:
-	@for e in autoscale churn multitenant ingest; do \
-		echo "=== examples/$$e"; $(GO) run ./examples/$$e || exit 1; \
-	done
-
-# Hot-path benchmarks -> BENCH_<PR>.json (see scripts/bench.sh). PR
-# defaults to the next point on the perf trajectory (highest existing
-# BENCH_<n>.json + 1). Each benchmark runs six times; a row is the median
-# with min and max.
-PR ?=
-BENCHTIME ?= 2s
-bench:
-	sh scripts/bench.sh "$(PR)" $(BENCHTIME)
+	$(GO) run ./examples/autoscale

@@ -31,7 +31,8 @@ import (
 )
 
 // benchOpts shrinks experiment durations so one benchmark iteration stays
-// in the hundreds of milliseconds.
+// in the hundreds of milliseconds: a positive Duration scales a figure's
+// whole paper timeline (warm-up, enable point) to that horizon.
 var benchOpts = experiments.Options{Duration: 120, Warmup: 20, Seed: 1}
 
 func BenchmarkFig6VLD(b *testing.B) {
@@ -40,7 +41,7 @@ func BenchmarkFig6VLD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Rows) != 6 {
+		if len(r.Points) != 6 {
 			b.Fatal("missing rows")
 		}
 	}
@@ -52,7 +53,7 @@ func BenchmarkFig6FPD(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(r.Rows) != 6 {
+		if len(r.Points) != 6 {
 			b.Fatal("missing rows")
 		}
 	}
@@ -87,7 +88,7 @@ func BenchmarkFig8(b *testing.B) {
 }
 
 func BenchmarkFig9VLD(b *testing.B) {
-	opts := experiments.Options{Duration: 360, Seed: 1} // controller run, halved enable point
+	opts := experiments.Options{Duration: 360, Seed: 1}
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.RunFigure9(experiments.VLD, opts); err != nil {
 			b.Fatal(err)
@@ -884,8 +885,7 @@ func BenchmarkIngest(b *testing.B) {
 // traffic (millions registered, a hot set doing most of the talking)
 // through the full request path — resolve id, token-bucket check,
 // thinning verdict, ring push — with a drainer keeping the ring open.
-// scripts/bench.sh records the numbers in BENCH_<n>.json; the admit
-// target is ≤150 ns/admit.
+// The admit target is ≤150 ns/admit (EXPERIMENTS.md, "Hot-path trajectory").
 func BenchmarkBucketShard(b *testing.B) {
 	const nClients = 1 << 20 // 1,048,576 distinct buckets
 	ids := make([]string, nClients)

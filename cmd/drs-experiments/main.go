@@ -4,13 +4,15 @@
 //
 // Usage:
 //
-//	drs-experiments [flags] <fig6|fig7|fig8|fig9|fig10|table2|baseline|shedding|overload|contention|churn|chaos|restart|trace|all>
+//	drs-experiments [flags] <fig6|fig7|fig8|fig9|fig10|baseline|shedding|overload|contention|churn|chaos|restart|trace|table2|all>
 //
 // Flags:
 //
-//	-app vld|fpd|both   application for fig6/fig7/fig9 (default both)
+//	-app vld|fpd|both   application for fig6/fig7/fig9/baseline (default both)
 //	-seed N             simulation seed (default 1)
-//	-duration S         steady-state span in simulated seconds (default 600)
+//	-duration S         horizon in simulated seconds; a positive value scales
+//	                    the experiment's whole timeline to it (default 0: the
+//	                    paper's durations)
 //	-iters N            iterations per Table II cell (default 10000)
 //	-scenario FILE      chaos only: replay a scenario spec from a JSON file
 //	                    instead of the built-in everything-at-once arc
@@ -50,8 +52,9 @@ type env struct {
 type experiment struct {
 	name string
 	run  func(env) error
-	// wallClock marks a measurement of real elapsed time; `all` runs it
-	// after every simulation.
+	// wallClock marks a measurement of real elapsed time, whose printed
+	// cells differ run to run; these rows close the table, so `all` runs
+	// them after every simulation.
 	wallClock bool
 }
 
@@ -68,7 +71,6 @@ var table = []experiment{
 		}
 		return nil
 	}},
-	{name: "table2", wallClock: true, run: func(e env) error { return show(experiments.RunTable2(e.iters)) }},
 	{name: "baseline", run: perApp(experiments.RunBaseline)},
 	{name: "shedding", run: once(experiments.RunShedding)},
 	{name: "overload", run: once(experiments.RunOverload)},
@@ -87,7 +89,8 @@ var table = []experiment{
 		return show(experiments.RunChaosSpec(spec, e.opts))
 	}},
 	{name: "restart", run: once(experiments.RunRestart)},
-	{name: "trace", run: once(experiments.RunTrace)},
+	{name: "trace", wallClock: true, run: once(experiments.RunTrace)},
+	{name: "table2", wallClock: true, run: func(e env) error { return show(experiments.RunTable2(e.iters)) }},
 }
 
 // printer is what every experiment's result is: something that renders
@@ -130,30 +133,24 @@ func names() []string {
 }
 
 // plan resolves the positional argument to the experiments to run: one
-// table row, or for "all" the whole table in order, wall-clock rows last.
+// table row, or for "all" the whole table.
 func plan(arg string) ([]experiment, error) {
-	var sims, timed []experiment
+	if arg == "all" {
+		return table, nil
+	}
 	for _, x := range table {
-		switch {
-		case x.name == arg:
+		if x.name == arg {
 			return []experiment{x}, nil
-		case x.wallClock:
-			timed = append(timed, x)
-		default:
-			sims = append(sims, x)
 		}
 	}
-	if arg != "all" {
-		return nil, fmt.Errorf("unknown experiment %q", arg)
-	}
-	return append(sims, timed...), nil
+	return nil, fmt.Errorf("unknown experiment %q", arg)
 }
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("drs-experiments", flag.ContinueOnError)
 	app := fs.String("app", "both", "application for per-app figures: vld, fpd or both")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	duration := fs.Float64("duration", 600, "steady-state span in simulated seconds")
+	duration := fs.Float64("duration", 0, "horizon in simulated seconds: a positive value scales the experiment's whole timeline to it; 0 runs the paper's durations")
 	iters := fs.Int("iters", 10000, "iterations per Table II cell")
 	scenarioPath := fs.String("scenario", "", "chaos: replay this scenario JSON file instead of the built-in arc")
 	if err := fs.Parse(args); err != nil {

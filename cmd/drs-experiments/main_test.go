@@ -37,7 +37,8 @@ func TestRunArgumentValidation(t *testing.T) {
 
 // TestTableDrivesUsageAndAll pins the one table: every row is in the
 // package doc's usage line and in the "need exactly one experiment" error,
-// in table order, and `all` visits the table in order with table2 last.
+// in table order, and `all` visits the table in order — the wall-clock
+// rows (trace, table2) after every simulation.
 func TestTableDrivesUsageAndAll(t *testing.T) {
 	f, err := parser.ParseFile(token.NewFileSet(), "main.go", nil, parser.ParseComments|parser.PackageClauseOnly)
 	if err != nil {
@@ -51,21 +52,22 @@ func TestTableDrivesUsageAndAll(t *testing.T) {
 		t.Errorf("no-argument error = %v, want the table's names in order", err)
 	}
 	todo, err := plan("all")
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(todo) != len(table) {
+		t.Fatalf("plan(all) = %d rows, %v; want the whole table", len(todo), err)
 	}
-	var got, want []string
-	for _, x := range todo {
-		got = append(got, x.name)
-	}
-	for _, x := range table {
-		if x.name != "table2" {
-			want = append(want, x.name)
+	var timed []string
+	for i, x := range todo {
+		if x.name != table[i].name {
+			t.Errorf("all visits %q at %d, want %q", x.name, i, table[i].name)
+		}
+		if x.wallClock {
+			timed = append(timed, x.name)
+		} else if len(timed) > 0 {
+			t.Errorf("simulation row %q runs after wall-clock rows %v", x.name, timed)
 		}
 	}
-	want = append(want, "table2")
-	if strings.Join(got, " ") != strings.Join(want, " ") || len(got) != len(table) {
-		t.Errorf("all visits %v, want %v", got, want)
+	if got := strings.Join(timed, " "); got != "trace table2" {
+		t.Errorf("wall-clock rows = %q, want trace then table2", got)
 	}
 	for _, x := range table {
 		if one, err := plan(x.name); err != nil || len(one) != 1 || one[0].name != x.name {

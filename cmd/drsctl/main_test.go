@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -145,6 +148,85 @@ func TestSuperviseSubcommand(t *testing.T) {
 		if err := run(bad); err == nil {
 			t.Errorf("run(%v) should error", bad)
 		}
+	}
+}
+
+// busyTopo offers 150 tuples/s to an extract stage one executor serves at
+// 100/s: its tenant must grow past its two-slot registration grant.
+const busyTopo = `{
+  "operators": [
+    {"name": "extract", "service_rate": 100, "external_rate": 150},
+    {"name": "match", "service_rate": 80}
+  ],
+  "edges": [
+    {"from": "extract", "to": "match", "selectivity": 1.0}
+  ]
+}`
+
+// TestScheduleSubcommand runs `schedule` end to end: two live supervised
+// topologies lease one pool through the cluster Scheduler, the overloaded
+// tenant's supervisor measures its way to a larger grant, a machine is
+// killed and recovered mid-run, and the books close with nothing leased
+// beyond capacity — the live two-tenant arc examples/multitenant and
+// examples/churn used to check by hand.
+func TestScheduleSubcommand(t *testing.T) {
+	if testing.Short() {
+		t.Skip("seconds-long live run")
+	}
+	dir := t.TempDir()
+	idle, busy := filepath.Join(dir, "idle.json"), filepath.Join(dir, "busy.json")
+	for path, content := range map[string]string{idle: fastTopo, busy: busyTopo} {
+		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stdout := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	errC := make(chan error, 1)
+	go func() {
+		errC <- run([]string{"schedule", "-topologies", idle + "," + busy, "-tmax-ms", "200,100",
+			"-slots", "3", "-max-machines", "3", "-interval-ms", "200", "-duration", "5",
+			"-fail-after", "2.5", "-fail-machines", "1", "-fail-down", "1"})
+		w.Close()
+	}()
+	out, err := io.ReadAll(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-errC; err != nil {
+		t.Fatalf("schedule returned %v\n%s", err, out)
+	}
+	var killed, recovered bool
+	granted := map[string]int{} // tenant -> final grant
+	capacity, leased, tenant := -1, -1, ""
+	for _, line := range strings.Split(string(out), "\n") {
+		killed = killed || strings.Contains(line, "killed (capacity now")
+		recovered = recovered || strings.Contains(line, "recovered (capacity now")
+		if name, _, ok := strings.Cut(line, ": "); ok && strings.HasSuffix(line, "decision history:") {
+			tenant = name
+		}
+		if _, rest, ok := strings.Cut(line, ", granted = "); ok {
+			granted[tenant], _ = strconv.Atoi(rest)
+		}
+		var machines int
+		fmt.Sscanf(line, "final: machines=%d capacity=%d leased=%d", &machines, &capacity, &leased)
+	}
+	if !killed || !recovered {
+		t.Errorf("machine kill/recovery not reported (killed %v, recovered %v)", killed, recovered)
+	}
+	if granted["busy-1"] <= 2 {
+		t.Errorf("overloaded tenant never grew past its 2-slot registration grant: %v", granted)
+	}
+	if capacity <= 0 || leased > capacity {
+		t.Errorf("final books: leased %d of capacity %d", leased, capacity)
+	}
+	if t.Failed() {
+		t.Logf("output:\n%s", out)
 	}
 }
 

@@ -28,7 +28,6 @@ func cmdSchedule(args []string) error {
 	minSlots := fs.String("min-slots", "", "preemption floor(s); default: one slot per operator")
 	duration := fs.Float64("duration", 30, "wall-clock seconds to run")
 	intervalMS := fs.Int("interval-ms", 1000, "measurement cadence Tm in ms")
-	tasks := fs.Int("tasks", 0, "tasks per operator (default: the full pool budget)")
 	slots := fs.Int("slots", 4, "executor slots per machine")
 	maxMachines := fs.Int("max-machines", 8, "machine cap the negotiator may provision")
 	seed := fs.Int64("seed", 1, "workload seed")
@@ -69,12 +68,9 @@ func cmdSchedule(args []string) error {
 		}
 	}
 
-	maxBudget := *slots * *maxMachines
-	if *tasks == 0 {
-		*tasks = maxBudget
-	} else if *tasks < maxBudget {
-		return fmt.Errorf("-tasks %d cannot absorb the %d-slot pool; raise -tasks or shrink the pool", *tasks, maxBudget)
-	}
+	// Tasks cap executor parallelism per operator, and the arbiter may
+	// grant one tenant — and its optimizer one operator — the whole pool.
+	tasks := *slots * *maxMachines
 
 	pool, err := cluster.NewPool(cluster.PoolConfig{
 		SlotsPerMachine: *slots,
@@ -126,7 +122,7 @@ func cmdSchedule(args []string) error {
 		}
 		t, err := node.NewTenant(node.TenantConfig{
 			Name:  name,
-			Build: liveTopology(tf, *tasks, *seed+int64(i)*100003),
+			Build: liveTopology(tf, tasks, *seed+int64(i)*100003),
 			Controller: core.ControllerConfig{
 				Mode:                  core.ModeMinResource,
 				Tmax:                  tmaxes[i] / 1e3,

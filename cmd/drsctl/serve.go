@@ -52,13 +52,9 @@ func cmdServe(tf topoFile, args []string) error {
 	tcpAddr := fs.String("tcp", "", "length-prefixed TCP listen address (empty disables)")
 	duration := fs.Float64("duration", 60, "wall-clock seconds to serve")
 	intervalMS := fs.Int("interval-ms", 500, "measurement cadence Tm in ms")
-	entry := fs.String("entry", "", "operator ingested records enter at (default: first with an external rate, else the first operator)")
-	tasks := fs.Int("tasks", 16, "tasks per operator (caps executor parallelism)")
 	slots := fs.Int("slots", 4, "executor slots per machine")
 	maxMachines := fs.Int("max-machines", 4, "machine cap the negotiator may provision")
-	ringCap := fs.Int("ring", 4096, "ingest ring capacity (bounded hand-off to the engine)")
-	clientRate := fs.Float64("client-rate", 0, "per-client token-bucket rate in records/s (0 = unlimited)")
-	clientBurst := fs.Int("client-burst", 0, "per-client token-bucket burst (default = rate)")
+	clientRate := fs.Float64("client-rate", 0, "per-client token-bucket rate in records/s, burst of one second's worth (0 = unlimited)")
 	weights := fs.String("client-weights", "", "shedding weights per client id, e.g. gold=4,bronze=1")
 	seed := fs.Int64("seed", 1, "workload seed")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: durable admission (ACK after append) with crash-recovery replay on boot (empty = non-durable)")
@@ -98,26 +94,19 @@ func cmdServe(tf topoFile, args []string) error {
 	if err != nil {
 		return err
 	}
-	entryOp, err := entryOperator(tf, *entry)
-	if err != nil {
-		return err
-	}
 	// Tasks cap executor parallelism per operator, and the optimizer may
 	// concentrate the whole pool on one.
-	if maxSlots := *slots * *maxMachines; *tasks < maxSlots {
-		*tasks = maxSlots
-	}
+	tasks := *slots * *maxMachines
 	cfg := node.Config{
-		Build:           func(b *engine.TopologyBuilder) { node.AddOperators(b, tf, *tasks, *seed) },
-		Entry:           entryOp,
-		Tasks:           *tasks,
+		Build:           func(b *engine.TopologyBuilder) { node.AddOperators(b, tf, tasks, *seed) },
+		Entry:           entryOperator(tf),
+		Tasks:           tasks,
 		Tmax:            *tmaxMS / 1e3,
 		Interval:        time.Duration(*intervalMS) * time.Millisecond,
 		SlotsPerMachine: *slots,
 		MaxMachines:     *maxMachines,
 		Costs:           liveCosts,
-		RingCapacity:    *ringCap,
-		Clients:         ingest.ListenerConfig{Weights: weightMap, Rate: *clientRate, Burst: *clientBurst},
+		Clients:         ingest.ListenerConfig{Weights: weightMap, Rate: *clientRate},
 		HTTPAddr:        *httpAddr,
 		TCPAddr:         *tcpAddr,
 		WorkerAddr:      *workerListen,
@@ -170,23 +159,15 @@ func cmdServe(tf topoFile, args []string) error {
 	return nil
 }
 
-// entryOperator resolves -entry: the named operator, or by default the
-// first with an external rate, else the first operator.
-func entryOperator(tf topoFile, name string) (string, error) {
-	if name == "" {
-		name = tf.Operators[0].Name
-		for _, op := range tf.Operators {
-			if op.ExternalRate > 0 {
-				return op.Name, nil
-			}
-		}
-	}
+// entryOperator is where ingested records enter the topology: the first
+// operator with an external rate, else the first operator.
+func entryOperator(tf topoFile) string {
 	for _, op := range tf.Operators {
-		if op.Name == name {
-			return name, nil
+		if op.ExternalRate > 0 {
+			return op.Name
 		}
 	}
-	return "", fmt.Errorf("entry operator %q is not in the topology", name)
+	return tf.Operators[0].Name
 }
 
 // parseWeights reads a "id=weight,id=weight" list.

@@ -25,7 +25,6 @@ func cmdSupervise(tf topoFile, args []string) error {
 	duration := fs.Float64("duration", 30, "wall-clock seconds to run")
 	intervalMS := fs.Int("interval-ms", 1000, "measurement cadence Tm in ms")
 	allocStr := fs.String("alloc", "", "initial executors per operator (default 1 each)")
-	tasks := fs.Int("tasks", 16, "tasks per operator (caps executor parallelism)")
 	slots := fs.Int("slots", 4, "executor slots per machine (min-resource mode)")
 	reserved := fs.Int("reserved-slots", 1, "slots reserved off the pool (min-resource mode)")
 	maxMachines := fs.Int("max-machines", 8, "machine cap the negotiator may provision")
@@ -55,25 +54,10 @@ func cmdSupervise(tf topoFile, args []string) error {
 	}
 
 	// Tasks cap executor parallelism per operator, and the optimizer may
-	// concentrate nearly the whole budget on one operator — a decision the
-	// engine would then reject round after round until it is suppressed.
-	// Grow the default to cover the worst case; an explicit -tasks below
-	// the budget is a user error worth stopping on.
-	maxBudget := *kmax
+	// concentrate nearly the whole budget on one operator.
+	tasks := *kmax
 	if *tmaxMS > 0 {
-		maxBudget = *slots**maxMachines - *reserved
-	}
-	tasksSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "tasks" {
-			tasksSet = true
-		}
-	})
-	if *tasks < maxBudget {
-		if tasksSet {
-			return fmt.Errorf("-tasks %d cannot absorb the %d-processor budget a decision may assign one operator; raise -tasks or shrink the pool", *tasks, maxBudget)
-		}
-		*tasks = maxBudget
+		tasks = *slots**maxMachines - *reserved
 	}
 
 	var pool loop.Pool
@@ -106,7 +90,7 @@ func cmdSupervise(tf topoFile, args []string) error {
 		}
 	}
 	t, err := node.NewTenant(node.TenantConfig{
-		Build:      liveTopology(tf, *tasks, *seed),
+		Build:      liveTopology(tf, tasks, *seed),
 		Alloc:      alloc,
 		Controller: ctrlCfg,
 		Pool:       pool,

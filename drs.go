@@ -30,8 +30,8 @@
 //     fairness over free capacity, and preemption toward a Tmax-violating
 //     higher-priority tenant under the Appendix-B cost/benefit guard,
 //     comparing marginal sojourn-time utilities across tenants via the
-//     Eq. 3 model. examples/multitenant runs two live topologies on one
-//     pool through a load surge.
+//     Eq. 3 model. `drsctl schedule` runs live topologies on one pool;
+//     `drs-experiments contention` measures the arbitration.
 //   - The failure domain: pool machines have identity and a lifecycle
 //     (Fail / Recover / straggler flag), the Scheduler re-arbitrates every
 //     lease out of band the moment capacity moves — shrinking grants
@@ -40,8 +40,9 @@
 //     re-fit their allocations to the surviving grant outside the
 //     cooldown gate (SlotsLost events). The engine recovers crashed
 //     executors by replaying their backlog onto a replacement, so
-//     at-least-once semantics hold through the crash. examples/churn runs
-//     the whole arc live; `drs-experiments churn` measures it.
+//     at-least-once semantics hold through the crash. `drsctl schedule
+//     -fail-after` runs the whole arc live; `drs-experiments churn`
+//     measures it.
 //   - The durability layer: a segmented, CRC-framed write-ahead log with
 //     group-commit batching (WAL/OpenWAL), completion-tracking watermarks
 //     and periodic checkpoints, so an ACKed record survives kill -9 of the

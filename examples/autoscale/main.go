@@ -94,7 +94,6 @@ func main() {
 		},
 		Pool:     pool,
 		Interval: time.Second,
-		Cooldown: 4 * time.Second,
 		Logger:   node.Logger(false),
 	})
 	if err != nil {

@@ -4,11 +4,12 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math"
+	"strings"
 	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/ingest"
 	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/scenario"
@@ -16,30 +17,209 @@ import (
 	"github.com/drs-repro/drs/internal/stats"
 )
 
-// arc.go is the one place a supervised tenant is wired to a leased pool
-// on a virtual clock. The multi-tenant experiments (contention, churn,
-// overload, chaos) are each a script over this harness: they choose the
-// pool shape, the tenants' traffic and the events, and read the arc back
-// out of the per-round callback.
+// arc.go is the multi-tenant runner: the one place supervised tenants are
+// wired to a leased pool on a virtual clock, stepped, audited and booked.
+// The multi-tenant experiments (contention, churn, overload, chaos) are
+// each a spec for it — the pool shape, the tenants' traffic and the
+// events — plus the claims they derive from the Arc it returns.
 
-// arcInterval is the control period of every arc, in simulated seconds:
-// one measurement pull and one supervisor round per interval.
-const arcInterval = 10.0
-
-// twoStageParams fixes one tenant chain's model constants — the arcs share
-// the tenant scaffolding but differ in service law and thresholds.
-type twoStageParams struct {
-	// service is the per-tuple service time of both stages.
-	service stats.Dist
-	// tmax and slack parameterize the tenant's controller.
-	tmax, slack float64
+// arcSource is one traffic source of an arc tenant.
+type arcSource struct {
+	// name labels the client behind the admission gate.
+	name     string
+	arrivals sim.ArrivalProcess
+	// weight, when positive, puts the source behind the tenant's admission
+	// gate: every round the DRS admission policy (ingest.PlanAdmission —
+	// the same code the network gate runs) sizes what the provider cap
+	// holds under Tmax and sheds the rest lowest-weight-first.
+	weight float64
 }
 
-// arcTenant bundles one tenant's lease, simulator and supervisor.
+// arcTenantSpec is one supervised two-stage tenant: a selectivity-1 chain
+// fed by sources (all on stage 1), both stages serving service per tuple,
+// starting from an even split of the registration grant.
+type arcTenantSpec struct {
+	lease   cluster.TenantConfig
+	service stats.Dist
+	sources []arcSource
+}
+
+// expTenant is an ungated tenant with exponential service at rate mu per
+// processor and a preemption floor, fed by one source.
+func expTenant(name string, priority, floor, initial int, mu float64, arrivals sim.ArrivalProcess) arcTenantSpec {
+	return arcTenantSpec{
+		lease:   cluster.TenantConfig{Name: name, Priority: priority, MinSlots: floor, InitialSlots: initial},
+		service: stats.Exponential{Rate: mu},
+		sources: []arcSource{{arrivals: arrivals}},
+	}
+}
+
+// step is a Poisson source at base tuples/s, multiplied by factor inside
+// the timeline's load-step window.
+func (tl timeline) step(base, factor float64) *sim.SteppedRate {
+	return &sim.SteppedRate{Base: sim.PoissonArrivals{Rate: base}, Factor: factor, From: tl.stepFrom, Until: tl.stepUntil}
+}
+
+// arcSpec is one scripted run as data: N tenants leasing slots from one
+// machine pool of up to maxMachines machines of slotsPerMachine slots (one
+// live at the start) under the measured cost model, every tenant's
+// controller in min-resource mode under tmax with scale-in slack, and the
+// time-ordered infrastructure events.
+type arcSpec struct {
+	// name labels errors ("chaos: ...", "experiments: chaos run: ...").
+	name                         string
+	slotsPerMachine, maxMachines int
+	tmax, slack                  float64
+	tenants                      []arcTenantSpec
+	events                       []scenario.Event
+}
+
+// ClientStats is one gated client's front-door books.
+type ClientStats struct {
+	// Name and Weight identify the client.
+	Name   string
+	Weight float64
+	// Offered, Admitted and Shed are cumulative record counts.
+	Offered, Admitted, Shed int64
+	// ShedFraction is Shed/Offered.
+	ShedFraction float64
+}
+
+// gateClient is one virtual-time traffic source behind the admission
+// gate: the sim source's Admit hook applies the live gate's thinning
+// verdict (ingest.ThinAdmit), driven by the per-round plan.
+type gateClient struct {
+	ClientStats
+	seq      uint64
+	permille uint32
+	// last is the previous replan round's reading.
+	last ClientStats
+}
+
+// admit is the sim-side twin of ingest's Offer fast path: the same
+// thinning verdict, minus the network.
+func (c *gateClient) admit(float64) bool {
+	c.Offered++
+	if p := c.permille; p < 1000 {
+		c.seq++
+		if !ingest.ThinAdmit(c.seq, p) {
+			c.Shed++
+			return false
+		}
+	}
+	c.Admitted++
+	return true
+}
+
+// GateRound is one replan round's front-door reading for one tenant: the
+// plan put in force for the next round, and what its clients offered, got
+// admitted and had shed since the previous one.
+type GateRound struct {
+	Plan                      ingest.Plan
+	OfferedRate, AdmittedRate float64 // tuples/s over the round
+	Offered, Admitted, Shed   int64   // record deltas over the round
+}
+
+// replan re-aims the clients' admission exactly as the live gate does
+// each round: read the supervisor's latest (demand-scaled) snapshot, size
+// the sustainable rate for maxSlots under tmax, and split it by client
+// weight.
+func replan(clients []*gateClient, sup *loop.Supervisor, tmax float64, maxSlots int) GateRound {
+	var g GateRound
+	rates := make([]float64, len(clients))
+	weights := make([]float64, len(clients))
+	ids := make([]string, len(clients))
+	for i, c := range clients {
+		rates[i] = float64(c.Offered-c.last.Offered) / controlInterval
+		g.OfferedRate += rates[i]
+		g.AdmittedRate += float64(c.Admitted-c.last.Admitted) / controlInterval
+		g.Offered += c.Offered - c.last.Offered
+		g.Admitted += c.Admitted - c.last.Admitted
+		g.Shed += c.Shed - c.last.Shed
+		c.last = c.ClientStats
+		weights[i], ids[i] = c.Weight, c.Name
+	}
+	g.Plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.OfferedRate, ScaleOutViable: true}
+	if snap, ok := sup.LastSnapshot(); ok {
+		// The gate's default 10% headroom: plan against a tightened
+		// target so the admitted traffic keeps a noise margin below
+		// the hard limit.
+		g.Plan = ingest.PlanAdmission(snap, tmax*0.9, maxSlots, g.OfferedRate)
+	}
+	for i, p := range ingest.AdmitPermilles(g.Plan, weights, ids, rates) {
+		clients[i].permille = p
+	}
+	return g
+}
+
+// ArcRound samples the arc once per control round, after the supervisors
+// ran.
+type ArcRound struct {
+	// AtSeconds is the round's simulated time.
+	AtSeconds float64
+	// Grants holds each tenant's slot grant, in spec order.
+	Grants []int
+	// Capacity is the live slot count.
+	Capacity int
+	// Over is Leased − Capacity (> 0 means a slot double-leased);
+	// BadPlacement reports an overcommitted machine or placed ≠ leased
+	// totals.
+	Over         int
+	BadPlacement bool
+	// Gates holds each tenant's front-door reading, in spec order (the
+	// zero value for a tenant without gated sources).
+	Gates []GateRound
+	// Dropped is the cumulative queue-drop count over every tenant.
+	Dropped int64
+}
+
+// ArcTenant is one tenant's account of the whole arc.
+type ArcTenant struct {
+	Name string
+	// InitialGrant is the registration grant.
+	InitialGrant int
+	// Series is the per-minute sojourn curve of admitted tuples.
+	Series []sim.SeriesPoint
+	// Transitions are the tenant supervisor's applied decisions, failover
+	// and preemption shrinks included.
+	Transitions []Transition
+	// SlotsLost is the scheduler's cumulative failure-loss attribution.
+	SlotsLost int
+	// Dropped and Pending audit the zero-loss claim: queue drops over both
+	// stages, and processing trees still unresolved at the end of the run
+	// (bounded by in-flight work; a leak would grow it).
+	Dropped, Pending int64
+	// SimShed is the simulator's own count of gate-refused arrivals; the
+	// books agree when it equals the Clients' Shed sum.
+	SimShed int64
+	// Clients are the gated sources' front-door books.
+	Clients []ClientStats
+}
+
+// Arc is the multi-tenant runner's result.
+type Arc struct {
+	// Applied logs every scripted event as resolved at fire time.
+	Applied []string
+	// Rounds samples the arbitration once per control round.
+	Rounds []ArcRound
+	// Tenants holds the per-tenant accounts, in spec order.
+	Tenants []ArcTenant
+	// SchedulerHistory is the cluster-wide decision log.
+	SchedulerHistory []cluster.SchedulerEvent
+	// MaxLeaseOverCapacity is the worst Over of any round; it must never
+	// exceed zero. PlacementViolations counts the BadPlacement rounds.
+	MaxLeaseOverCapacity, PlacementViolations int
+	// DroppedTuples and PendingAtEnd total the tenants' zero-loss audit.
+	DroppedTuples, PendingAtEnd int64
+}
+
+// arcTenant bundles one running tenant's lease, simulator, supervisor and
+// gate clients.
 type arcTenant struct {
-	lease *cluster.Tenant
-	s     *sim.Sim
-	sup   *loop.Supervisor
+	lease   *cluster.Tenant
+	s       *sim.Sim
+	sup     *loop.Supervisor
+	clients []*gateClient
 }
 
 // dropped sums the tenant's queue drops over both stages.
@@ -50,41 +230,104 @@ func (t *arcTenant) dropped() (n int64) {
 	return n
 }
 
-// arc is one scripted run: N supervised two-stage tenants leasing slots
-// from one machine pool through the cluster Scheduler, stepped in lock
-// step on a shared virtual clock.
-type arc struct {
-	// name labels errors ("chaos: ...", "experiments: chaos run: ...").
-	name     string
+// arcRun is the live state of one arc: the pool and its scheduler on the
+// arc's virtual clock, and the tenants in spec order — also the order
+// inside every round.
+type arcRun struct {
+	spec     arcSpec
 	pool     *cluster.Pool
 	sched    *cluster.Scheduler
 	clock    *simClock
 	failures *loopFailures
 	dlog     *obs.Log
-	// tenants in registration order — also the order inside every round.
-	tenants []*arcTenant
-	// events is the time-ordered script run fires; applied logs each one
-	// as resolved at fire time.
-	events  []scenario.Event
-	applied []string
+	tenants  []*arcTenant
 	// killedOf and stragglerOf map a nominal event machine to the actual
 	// pool machine its opening event resolved to, so the closing event
 	// (recover, straggler-off) targets the same machine.
 	killedOf, stragglerOf map[int]int
-	// maxOver is the worst Leased − Capacity over every round (> 0 means a
-	// slot double-leased); placementViolations counts rounds whose slot →
-	// machine mapping was inconsistent.
-	maxOver, placementViolations int
 }
 
-// newArc builds the shared substrate: a pool of up to maxMachines machines
-// of slotsPerMachine slots (one live at the start) under the measured cost
-// model, and its scheduler on the arc's virtual clock. A non-nil dlog
-// receives the scheduler's and every tenant supervisor's decisions.
-func newArc(name string, slotsPerMachine, maxMachines int, dlog *obs.Log) (*arc, error) {
+// start registers a lease and starts one supervised tenant against it.
+func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
+	lease, err := a.sched.Register(ts.lease)
+	if err != nil {
+		return err
+	}
+	emit, err := sim.NewFractionalEmission(1)
+	if err != nil {
+		return err
+	}
+	t := &arcTenant{lease: lease}
+	sources := make([]sim.SourceSpec, len(ts.sources))
+	for i, src := range ts.sources {
+		sources[i].Arrivals = src.arrivals
+		if src.weight > 0 {
+			c := &gateClient{ClientStats: ClientStats{Name: src.name, Weight: src.weight}, permille: 1000}
+			t.clients = append(t.clients, c)
+			sources[i].Admit = c.admit
+		}
+	}
+	names := []string{"stage1", "stage2"}
+	t.s, err = sim.New(sim.Config{
+		Operators: []sim.OperatorSpec{
+			{Name: names[0], Service: ts.service},
+			{Name: names[1], Service: ts.service},
+		},
+		Sources: sources,
+		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
+		Alloc:   []int{ts.lease.InitialSlots / 2, ts.lease.InitialSlots / 2},
+		Seed:    seed,
+	})
+	if err != nil {
+		return err
+	}
+	t.s.EnableSeries(60)
+	// Slots are granted individually by the scheduler — machine
+	// quantization happens below the leases, not per tenant.
+	ctrl, err := core.NewController(core.ControllerConfig{
+		Mode:         core.ModeMinResource,
+		Tmax:         a.spec.tmax,
+		MinGain:      0.05,
+		ScaleInSlack: a.spec.slack,
+		// 0.6 pins the scale-in floor at the designed steady-state sizes:
+		// the next-smaller allocation of every tenant runs a stage at
+		// ρ > 0.6, so a noisy (optimistic) snapshot cannot shrink past it.
+		MaxScaleInUtilization: 0.6,
+	})
+	if err != nil {
+		return err
+	}
+	t.sup, err = loop.New(loop.Config{
+		Target:      simTarget{s: t.s, names: names},
+		Operators:   names,
+		Stepper:     ctrl,
+		Pool:        lease,
+		Interval:    secondsToDuration(controlInterval),
+		Cooldown:    secondsToDuration(4 * controlInterval),
+		Clock:       a.clock,
+		Logger:      slog.New(a.failures),
+		Tenant:      ts.lease.Name,
+		DecisionLog: a.dlog,
+	})
+	if err != nil {
+		return err
+	}
+	a.tenants = append(a.tenants, t)
+	return nil
+}
+
+// runArc steps the spec's tenants in lock step on a shared virtual clock
+// to tl.horizon. Every round: advance each tenant's simulator, set the
+// clock, fire the due events, let each supervisor measure (before
+// tl.enableAt) or decide (from it on), audit the leases and the placement,
+// re-aim every admission gate, and book the round. A non-nil
+// o.DecisionLog receives the scheduler's and every supervisor's decisions
+// and one shed-plan record per gated tenant per round.
+func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
+	var res Arc
 	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: slotsPerMachine,
-		MaxMachines:     maxMachines,
+		SlotsPerMachine: spec.slotsPerMachine,
+		MaxMachines:     spec.maxMachines,
 		Costs: cluster.CostModel{
 			Rebalance:        3 * time.Second,
 			MachineColdStart: 4777 * time.Millisecond,
@@ -92,141 +335,102 @@ func newArc(name string, slotsPerMachine, maxMachines int, dlog *obs.Log) (*arc,
 		},
 	}, 1)
 	if err != nil {
-		return nil, err
+		return res, err
 	}
-	clock := &simClock{}
-	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: clock, DecisionLog: dlog})
-	if err != nil {
-		return nil, err
-	}
-	return &arc{
-		name: name, pool: pool, sched: sched, clock: clock,
-		failures: &loopFailures{}, dlog: dlog,
+	a := &arcRun{
+		spec: spec, pool: pool, clock: &simClock{}, failures: &loopFailures{}, dlog: o.DecisionLog,
 		killedOf: make(map[int]int), stragglerOf: make(map[int]int),
-	}, nil
-}
+	}
+	a.sched, err = cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: a.clock, DecisionLog: a.dlog})
+	if err != nil {
+		return res, err
+	}
+	for i, ts := range spec.tenants {
+		if err := a.start(ts, o.seed()+uint64(i)); err != nil {
+			return res, err
+		}
+		res.Tenants = append(res.Tenants, ArcTenant{Name: ts.lease.Name, InitialGrant: a.tenants[i].lease.Kmax()})
+	}
 
-// tenant registers a lease and starts one supervised two-stage tenant
-// against it: a selectivity-1 chain fed by sources (all on stage 1; each
-// may carry an admission hook), starting from an even split of the
-// registration grant.
-func (a *arc) tenant(lc cluster.TenantConfig, p twoStageParams, seed uint64, sources ...sim.SourceSpec) (*arcTenant, error) {
-	lease, err := a.sched.Register(lc)
-	if err != nil {
-		return nil, err
-	}
-	emit, err := sim.NewFractionalEmission(1)
-	if err != nil {
-		return nil, err
-	}
-	names := []string{"stage1", "stage2"}
-	s, err := sim.New(sim.Config{
-		Operators: []sim.OperatorSpec{
-			{Name: names[0], Service: p.service},
-			{Name: names[1], Service: p.service},
-		},
-		Sources: sources,
-		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
-		Alloc:   []int{lc.InitialSlots / 2, lc.InitialSlots / 2},
-		Seed:    seed,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.EnableSeries(60)
-	// Slots are granted individually by the scheduler — machine
-	// quantization happens below the leases, not per tenant.
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode:         core.ModeMinResource,
-		Tmax:         p.tmax,
-		MinGain:      0.05,
-		ScaleInSlack: p.slack,
-		// 0.6 pins the scale-in floor at the designed steady-state sizes:
-		// the next-smaller allocation of every tenant runs a stage at
-		// ρ > 0.6, so a noisy (optimistic) snapshot cannot shrink past it.
-		MaxScaleInUtilization: 0.6,
-	})
-	if err != nil {
-		return nil, err
-	}
-	sup, err := loop.New(loop.Config{
-		Target:      simTarget{s: s, names: names},
-		Operators:   names,
-		Stepper:     ctrl,
-		Pool:        lease,
-		Interval:    secondsToDuration(arcInterval),
-		Cooldown:    secondsToDuration(4 * arcInterval),
-		Clock:       a.clock,
-		Logger:      slog.New(a.failures),
-		Tenant:      lc.Name,
-		DecisionLog: a.dlog,
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := &arcTenant{lease: lease, s: s, sup: sup}
-	a.tenants = append(a.tenants, t)
-	return t, nil
-}
-
-// arcRound is what the per-round callback sees after the supervisors ran.
-type arcRound struct {
-	// t is the round's simulated time, st the arbitration state at it.
-	t  float64
-	st cluster.SchedulerState
-	// over is this round's Leased − Capacity; badPlacement reports an
-	// overcommitted machine or placed ≠ leased totals.
-	over         int
-	badPlacement bool
-}
-
-// run steps the arc to duration. Every round: advance each tenant's
-// simulator, set the clock, fire the due events, let each supervisor
-// measure (before enableAt) or decide (from it on), audit the leases and
-// the placement, then hand the round to the driver's callback.
-func (a *arc) run(duration, enableAt float64, round func(arcRound)) error {
 	next := 0
-	for t := arcInterval; t <= duration+1e-9; t += arcInterval {
+	for t := controlInterval; t <= tl.horizon+1e-9; t += controlInterval {
 		for _, tn := range a.tenants {
 			tn.s.RunUntil(t)
 		}
 		a.clock.set(t)
-		for ; next < len(a.events) && a.events[next].At <= t+1e-9; next++ {
-			line, err := a.apply(a.events[next])
+		for ; next < len(spec.events) && spec.events[next].At <= t+1e-9; next++ {
+			line, err := a.apply(spec.events[next])
 			if err != nil {
-				return fmt.Errorf("%s: %w", a.name, err)
+				return res, fmt.Errorf("%s: %w", spec.name, err)
 			}
-			a.applied = append(a.applied, line)
+			res.Applied = append(res.Applied, line)
 		}
 		for _, tn := range a.tenants {
-			if t < enableAt {
+			if t < tl.enableAt {
 				tn.sup.Observe() // measure, but leave the controller disabled
 			} else {
 				tn.sup.Tick()
 			}
 		}
-		r := arcRound{t: t, st: a.sched.State()}
-		r.over = r.st.Leased - r.st.Capacity
-		a.maxOver = max(a.maxOver, r.over)
+		st := a.sched.State()
+		r := ArcRound{
+			AtSeconds: t, Capacity: st.Capacity, Over: st.Leased - st.Capacity,
+			Gates: make([]GateRound, len(a.tenants)),
+		}
 		placed := 0
-		for _, row := range r.st.Placement {
+		for _, row := range st.Placement {
 			if row.Reserved+row.Leased > row.Slots {
-				r.badPlacement = true
+				r.BadPlacement = true
 			}
 			placed += row.Leased
 		}
-		if placed != r.st.Leased {
-			r.badPlacement = true
+		if placed != st.Leased {
+			r.BadPlacement = true
 		}
-		if r.badPlacement {
-			a.placementViolations++
+		res.MaxLeaseOverCapacity = max(res.MaxLeaseOverCapacity, r.Over)
+		if r.BadPlacement {
+			res.PlacementViolations++
 		}
-		round(r)
+		for i, tn := range a.tenants {
+			r.Grants = append(r.Grants, tn.lease.Kmax())
+			r.Dropped += tn.dropped()
+			if len(tn.clients) == 0 {
+				continue
+			}
+			g := replan(tn.clients, tn.sup, spec.tmax, spec.slotsPerMachine*spec.maxMachines)
+			r.Gates[i] = g
+			// One auditable record per gated tenant per round, stamped with
+			// simulated time and carrying the round's admitted/shed deltas.
+			// (Emit is a no-op on a nil log.)
+			a.dlog.Emit(&obs.Record{
+				At:   simEpoch.Add(secondsToDuration(t)).UnixNano(),
+				Kind: obs.KindShedPlan, Tenant: res.Tenants[i].Name,
+				Fraction: g.Plan.AdmitFraction, Rate: g.Plan.SustainableRate,
+				Lambda0: g.OfferedRate, Flag: g.Plan.ScaleOutViable,
+				Gain: float64(g.Admitted), Loss: float64(g.Shed),
+			})
+		}
+		res.Rounds = append(res.Rounds, r)
 	}
 	if err := a.failures.err(); err != nil {
-		return fmt.Errorf("experiments: %s run: %w", a.name, err)
+		return res, fmt.Errorf("experiments: %s run: %w", spec.name, err)
 	}
-	return nil
+	res.SchedulerHistory = a.sched.History()
+	for i, tn := range a.tenants {
+		ts := &res.Tenants[i]
+		ts.Series, ts.Transitions = tn.s.Series(), transitionsFrom(tn.sup)
+		ts.SlotsLost = tn.lease.LostSlots()
+		ts.Dropped, ts.Pending, ts.SimShed = tn.dropped(), tn.s.PendingRoots(), tn.s.ShedArrivals()
+		for _, c := range tn.clients {
+			if c.Offered > 0 {
+				c.ShedFraction = float64(c.Shed) / float64(c.Offered)
+			}
+			ts.Clients = append(ts.Clients, c.ClientStats)
+		}
+		res.DroppedTuples += ts.Dropped
+		res.PendingAtEnd += ts.Pending
+	}
+	return res, nil
 }
 
 // apply fires one scripted event and returns its resolved log line.
@@ -237,7 +441,7 @@ func (a *arc) run(duration, enableAt float64, round func(arcRound)) error {
 // live machine, a straggler mark the oldest healthy one, a decommission
 // fails the newest live machine and returns it to the provider, and a
 // recovery or straggler clear takes whatever its opening event took.
-func (a *arc) apply(ev scenario.Event) (string, error) {
+func (a *arcRun) apply(ev scenario.Event) (string, error) {
 	newestLive := func() (int, error) {
 		live := a.pool.LiveMachines()
 		if len(live) == 0 {
@@ -326,24 +530,42 @@ func (a *arc) apply(ev scenario.Event) (string, error) {
 	}
 }
 
-// printSojournCurve renders one per-minute E[T] curve, a dash for minutes
-// without completions.
-func printSojournCurve(w io.Writer, name string, series []sim.SeriesPoint) {
-	fmt.Fprintf(w, "%s E[T] by minute (ms): ", name)
-	for _, pt := range series {
-		if math.IsNaN(pt.MeanSojourn) {
-			fmt.Fprint(w, "    - ")
+// printGrants renders the arbitration timeline, one column per minute:
+// the tenants' grants, and after a colon the capacity when withCapacity.
+func (r Arc) printGrants(w io.Writer, withCapacity bool) {
+	names := make([]string, len(r.Tenants))
+	for i, ts := range r.Tenants {
+		names[i] = ts.Name
+	}
+	fmt.Fprintf(w, "grants (%s of capacity), one column per minute:\n  ", strings.Join(names, "/"))
+	for i, round := range r.Rounds {
+		if i%6 != 5 { // 10 s rounds -> print once per minute
 			continue
 		}
-		fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
+		cols := make([]string, len(round.Grants))
+		for j, k := range round.Grants {
+			cols[j] = fmt.Sprintf("%d", k)
+		}
+		fmt.Fprint(w, strings.Join(cols, "/"))
+		if withCapacity {
+			fmt.Fprintf(w, ":%d", round.Capacity)
+		}
+		fmt.Fprint(w, " ")
 	}
 	fmt.Fprintln(w)
 }
 
-// printTransitions renders one tenant's applied decisions, forced shrinks
+// printCurve renders one per-minute E[T] curve.
+func printCurve(w io.Writer, name string, series []sim.SeriesPoint) {
+	fmt.Fprintf(w, "%s E[T] by minute (ms): ", name)
+	printMinutes(w, series)
+	fmt.Fprintln(w)
+}
+
+// printTransitions renders the tenant's applied decisions, forced shrinks
 // marked by cause.
-func printTransitions(w io.Writer, name string, trs []Transition) {
-	for _, tr := range trs {
+func (ts ArcTenant) printTransitions(w io.Writer) {
+	for _, tr := range ts.Transitions {
 		mark := ""
 		switch {
 		case tr.SlotsLost:
@@ -352,14 +574,31 @@ func printTransitions(w io.Writer, name string, trs []Transition) {
 			mark = " [preempted]"
 		}
 		fmt.Fprintf(w, "  %-6s t=%5.0fs %-10s -> %s, Kmax=%d (pause %.1fs)%s: %s\n",
-			name, tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
+			ts.Name, tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
+	}
+}
+
+// printTenants renders every tenant's curve, then every tenant's
+// transitions.
+func (r Arc) printTenants(w io.Writer) {
+	for _, ts := range r.Tenants {
+		printCurve(w, ts.Name, ts.Series)
+	}
+	for _, ts := range r.Tenants {
+		ts.printTransitions(w)
 	}
 }
 
 // printSchedulerHistory renders the cluster-wide decision log.
-func printSchedulerHistory(w io.Writer, history []cluster.SchedulerEvent) {
+func (r Arc) printSchedulerHistory(w io.Writer) {
 	fmt.Fprintln(w, "scheduler history:")
-	for _, ev := range history {
+	for _, ev := range r.SchedulerHistory {
 		fmt.Fprintf(w, "  t=%5.0fs %s\n", ev.At.Sub(simEpoch).Seconds(), ev)
 	}
+}
+
+// print renders the client's books as one table row, without the newline.
+func (c ClientStats) print(w io.Writer) {
+	fmt.Fprintf(w, "%-8s %7.0f %10d %10d %10d %6.1f%%",
+		c.Name, c.Weight, c.Offered, c.Admitted, c.Shed, c.ShedFraction*100)
 }

@@ -6,9 +6,7 @@ import (
 	"strings"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/scenario"
-	"github.com/drs-repro/drs/internal/sim"
 )
 
 // The chaos experiment: every stressor the stack knows, layered in one
@@ -45,16 +43,6 @@ const (
 	chaosFloor    = 4   // every tenant's preemption floor
 )
 
-// ChaosGrantPoint samples the arbitration once per control round.
-type ChaosGrantPoint struct {
-	// AtSeconds is the simulated time of the sample.
-	AtSeconds float64
-	// Grants holds each tenant's slot grant, in spec order.
-	Grants []int
-	// Capacity is the live slot count; Machines the live machine count.
-	Capacity, Machines int
-}
-
 // ChaosPhase is one segment of the arc between consecutive timeline
 // events, carrying that segment's own invariant audit.
 type ChaosPhase struct {
@@ -75,55 +63,20 @@ type ChaosPhase struct {
 	Offered, Admitted, Shed, Dropped int64
 }
 
-// ChaosTenantStats summarizes one tenant's run.
-type ChaosTenantStats struct {
-	// Name and Weight identify the tenant.
-	Name   string
-	Weight float64
-	// Offered, Admitted and Shed are cumulative front-door counts.
-	Offered, Admitted, Shed int64
-	// ShedFraction is Shed/Offered.
-	ShedFraction float64
-	// SimShed is the simulator's own count of gate-refused arrivals for
-	// this tenant; the books agree when it equals Shed.
-	SimShed int64
-	// SlotsLost is the scheduler's cumulative failure-loss attribution.
-	SlotsLost int
-	// Series is the per-minute sojourn curve of admitted tuples.
-	Series []sim.SeriesPoint
-	// Transitions are the tenant supervisor's applied decisions.
-	Transitions []Transition
-}
-
-// ChaosResult carries the full arc of the scenario-driven run.
+// ChaosResult is the scenario-driven arc (Tenants in spec order, each
+// behind its own one-client gate) and its claims.
 type ChaosResult struct {
+	Arc
 	// Scenario is the (possibly scaled) spec the run replayed.
 	Scenario scenario.Spec
 	// Tmax is the shared latency target.
 	Tmax float64
-	// Applied logs every timeline event as resolved at fire time.
-	Applied []string
-	// Tenants holds the per-tenant summaries, in spec order.
-	Tenants []ChaosTenantStats
-	// Grants samples the arbitration once per control round.
-	Grants []ChaosGrantPoint
 	// Phases segments the arc at event times, each with its own audit.
 	Phases []ChaosPhase
-	// SchedulerHistory is the cluster-wide decision log.
-	SchedulerHistory []cluster.SchedulerEvent
-	// MaxLeaseOverCapacity is the worst observed Leased − Capacity over
-	// the whole run; it must never exceed zero.
-	MaxLeaseOverCapacity int
-	// PlacementViolations counts rounds with an inconsistent placement.
-	PlacementViolations int
-	// DroppedTuples and PendingAtEnd audit the zero-admitted-loss claim.
-	DroppedTuples, PendingAtEnd int64
 	// ShedTotal and SimShedTotal are the two shed ledgers (gate clients
 	// vs simulator); BooksAgree reports them equal.
 	ShedTotal, SimShedTotal int64
 	BooksAgree              bool
-	// FinalState is the arbitration state at the end of the run.
-	FinalState cluster.SchedulerState
 }
 
 // eventLabel is the short per-phase descriptor of one event.
@@ -168,35 +121,29 @@ func RunChaos(o Options) (ChaosResult, error) {
 }
 
 // RunChaosSpec replays an arbitrary scenario spec against the full stack.
-// A non-default Options.Duration scales the whole spec (Spec.Scaled) to
-// that horizon — a shorter day, not a gentler one.
+// A positive Options.Duration scales the whole spec (Spec.Scaled) to that
+// horizon — a shorter day, not a gentler one.
 func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
-	o = o.withDefaults()
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		spec = spec.Scaled(o.Duration / spec.DurationSeconds)
-	}
+	spec = spec.Scaled(o.scale(spec.DurationSeconds))
 	tl, err := scenario.Compile(spec)
 	if err != nil {
 		return ChaosResult{}, err
 	}
 	duration := spec.DurationSeconds
-	enableAt := duration / 8
 	res := ChaosResult{Scenario: spec, Tmax: chaosTmax}
 
-	a, err := newArc("chaos", chaosSlots, chaosMachines, o.DecisionLog)
-	if err != nil {
-		return res, err
-	}
 	// Every tenant's source follows the timeline's arrival envelope behind
 	// an admission-gate twin, and its stages serve the timeline's service
 	// distribution (exponential, or mean-pinned Pareto for heavy tails).
-	clients := make([]*overloadClient, len(spec.Tenants))
-	for i, ts := range spec.Tenants {
+	arc := arcSpec{
+		name: "chaos", slotsPerMachine: chaosSlots, maxMachines: chaosMachines,
+		tmax: chaosTmax, slack: chaosSlack, events: tl.Events(),
+	}
+	for _, ts := range spec.Tenants {
 		weight := ts.Weight
 		if weight <= 0 {
 			weight = 1
 		}
-		clients[i] = &overloadClient{name: ts.Name, weight: weight, permille: 1000}
 		arrivals, err := tl.Arrivals(ts.Name)
 		if err != nil {
 			return res, err
@@ -205,80 +152,44 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 		if err != nil {
 			return res, err
 		}
-		_, err = a.tenant(cluster.TenantConfig{
-			Name: ts.Name, Priority: ts.Priority,
-			MinSlots: chaosFloor, InitialSlots: chaosInitial,
-		}, twoStageParams{service: service, tmax: chaosTmax, slack: chaosSlack},
-			o.Seed+uint64(i), sim.SourceSpec{Arrivals: arrivals, Admit: clients[i].admit})
-		if err != nil {
-			return res, err
-		}
+		arc.tenants = append(arc.tenants, arcTenantSpec{
+			lease: cluster.TenantConfig{
+				Name: ts.Name, Priority: ts.Priority,
+				MinSlots: chaosFloor, InitialSlots: chaosInitial,
+			},
+			service: service,
+			sources: []arcSource{{name: ts.Name, weight: weight, arrivals: arrivals}},
+		})
+	}
+	res.Arc, err = runArc(arc, timeline{horizon: duration, enableAt: duration / 8}, o)
+	if err != nil {
+		return res, err
 	}
 
-	a.events = tl.Events()
-	res.Phases = chaosPhases(a.events, duration)
+	res.Phases = chaosPhases(arc.events, duration)
 	phase := 0
 	var lastDropped int64
-	err = a.run(duration, enableAt, func(r arcRound) {
-		for phase+1 < len(res.Phases) && r.t > res.Phases[phase].Until+1e-9 {
+	for _, r := range res.Rounds {
+		for phase+1 < len(res.Phases) && r.AtSeconds > res.Phases[phase].Until+1e-9 {
 			phase++
 		}
 		ph := &res.Phases[phase]
 		ph.Rounds++
-		var dropped int64
-		gp := ChaosGrantPoint{AtSeconds: r.t, Capacity: r.st.Capacity, Machines: r.st.Machines}
-		for i, tn := range a.tenants {
-			g := replan(clients[i:i+1], tn.sup, chaosTmax, chaosSlots*chaosMachines)
-			ph.Offered += g.offered
-			ph.Admitted += g.admitted
-			ph.Shed += g.shed
-			// One auditable record per tenant per round, stamped with
-			// simulated time and carrying the round's admitted/shed deltas —
-			// the reconcile test sums these per phase against the phase
-			// books. (Emit is a no-op on a nil log.)
-			o.DecisionLog.Emit(&obs.Record{
-				At:   simEpoch.Add(secondsToDuration(r.t)).UnixNano(),
-				Kind: obs.KindShedPlan, Tenant: clients[i].name,
-				Fraction: g.plan.AdmitFraction, Rate: g.plan.SustainableRate,
-				Lambda0: g.offeredRate, Flag: g.plan.ScaleOutViable,
-				Gain: float64(g.admitted), Loss: float64(g.shed),
-			})
-			dropped += tn.dropped()
-			gp.Grants = append(gp.Grants, tn.lease.Kmax())
+		for _, g := range r.Gates {
+			ph.Offered += g.Offered
+			ph.Admitted += g.Admitted
+			ph.Shed += g.Shed
 		}
-		ph.Dropped += dropped - lastDropped
-		lastDropped = dropped
-		res.Grants = append(res.Grants, gp)
-		ph.MaxLeaseOverCapacity = max(ph.MaxLeaseOverCapacity, r.over)
-		if r.badPlacement {
+		ph.Dropped += r.Dropped - lastDropped
+		lastDropped = r.Dropped
+		ph.MaxLeaseOverCapacity = max(ph.MaxLeaseOverCapacity, r.Over)
+		if r.BadPlacement {
 			ph.PlacementViolations++
 		}
-	})
-	res.Applied = a.applied
-	res.MaxLeaseOverCapacity, res.PlacementViolations = a.maxOver, a.placementViolations
-	if err != nil {
-		return res, err
 	}
-	res.SchedulerHistory = a.sched.History()
-	res.FinalState = a.sched.State()
-	for i, tn := range a.tenants {
-		c := clients[i]
-		ts := ChaosTenantStats{
-			Name: c.name, Weight: c.weight,
-			Offered: c.offered, Admitted: c.admitted, Shed: c.shed,
-			SimShed:     tn.s.ShedArrivals(),
-			SlotsLost:   tn.lease.LostSlots(),
-			Series:      tn.s.Series(),
-			Transitions: transitionsFrom(tn.sup),
-		}
-		if ts.Offered > 0 {
-			ts.ShedFraction = float64(ts.Shed) / float64(ts.Offered)
-		}
-		res.Tenants = append(res.Tenants, ts)
-		res.ShedTotal += ts.Shed
+	for _, ts := range res.Tenants {
+		res.ShedTotal += ts.Clients[0].Shed
 		res.SimShedTotal += ts.SimShed
-		res.DroppedTuples += tn.dropped()
-		res.PendingAtEnd += tn.s.PendingRoots()
 	}
 	res.BooksAgree = res.ShedTotal == res.SimShedTotal
 	return res, nil
@@ -294,25 +205,10 @@ func (r ChaosResult) Print(w io.Writer) {
 	for _, line := range r.Applied {
 		fmt.Fprintf(w, "  %s\n", line)
 	}
-	names := make([]string, len(r.Tenants))
-	for i, ts := range r.Tenants {
-		names[i] = ts.Name
-	}
-	fmt.Fprintf(w, "grants (%s of capacity), one column per minute:\n  ", strings.Join(names, "/"))
-	for i, g := range r.Grants {
-		if i%6 != 5 { // 10 s rounds -> print once per minute
-			continue
-		}
-		cols := make([]string, len(g.Grants))
-		for j, k := range g.Grants {
-			cols[j] = fmt.Sprintf("%d", k)
-		}
-		fmt.Fprintf(w, "%s:%d ", strings.Join(cols, "/"), g.Capacity)
-	}
-	fmt.Fprintln(w)
+	r.printGrants(w, true)
 	for _, ts := range r.Tenants {
-		printSojournCurve(w, ts.Name, ts.Series)
-		printTransitions(w, ts.Name, ts.Transitions)
+		printCurve(w, ts.Name, ts.Series)
+		ts.printTransitions(w)
 	}
 	fmt.Fprintf(w, "%-40s %11s %6s %5s %5s %8s %8s %7s %5s\n",
 		"phase", "window", "rounds", "over", "viol", "offered", "admitted", "shed", "drop")
@@ -324,10 +220,10 @@ func (r ChaosResult) Print(w io.Writer) {
 	fmt.Fprintf(w, "%-8s %7s %10s %10s %10s %7s %6s\n",
 		"tenant", "weight", "offered", "admitted", "shed", "shed%", "lost")
 	for _, ts := range r.Tenants {
-		fmt.Fprintf(w, "%-8s %7.0f %10d %10d %10d %6.1f%% %6d\n",
-			ts.Name, ts.Weight, ts.Offered, ts.Admitted, ts.Shed, ts.ShedFraction*100, ts.SlotsLost)
+		ts.Clients[0].print(w)
+		fmt.Fprintf(w, " %6d\n", ts.SlotsLost)
 	}
-	printSchedulerHistory(w, r.SchedulerHistory)
+	r.printSchedulerHistory(w)
 	fmt.Fprintf(w, "books agree (gate shed %d == sim shed %d): %v\n",
 		r.ShedTotal, r.SimShedTotal, r.BooksAgree)
 	fmt.Fprintf(w, "double-leased slots: %d; placement violations: %d; dropped tuples: %d; pending at end: %d\n",

@@ -17,10 +17,7 @@ func TestChaosArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 simulated minutes of two supervised topologies")
 	}
-	r, err := RunChaos(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := chaos(t)
 
 	// Every scheduled event applied, resolved against the live pool.
 	tl, err := scenario.Compile(scenario.Chaos())
@@ -78,7 +75,7 @@ func TestChaosArc(t *testing.T) {
 	}
 	var offered int64
 	for _, ts := range r.Tenants {
-		offered += ts.Offered
+		offered += ts.Clients[0].Offered
 	}
 	if phaseOffered != offered || phaseShed != r.ShedTotal {
 		t.Fatalf("phase books disagree with tenant books: offered %d vs %d, shed %d vs %d",
@@ -90,9 +87,9 @@ func TestChaosArc(t *testing.T) {
 
 	// The weighted split: bronze (the flash-crowd tenant) absorbs the shed,
 	// gold rides through with a far smaller fraction.
-	byName := map[string]ChaosTenantStats{}
+	byName := map[string]ClientStats{}
 	for _, ts := range r.Tenants {
-		byName[ts.Name] = ts
+		byName[ts.Name] = ts.Clients[0]
 	}
 	gold, bronze := byName["gold"], byName["bronze"]
 	if bronze.ShedFraction < 0.3 {
@@ -121,7 +118,7 @@ func TestChaosArc(t *testing.T) {
 	}
 
 	// Floors hold at every sample, through kill, inversion and decommission.
-	for _, g := range r.Grants {
+	for _, g := range r.Rounds {
 		for i, k := range g.Grants {
 			if k < chaosFloor {
 				t.Fatalf("tenant %d under floor at t=%.0fs: %+v", i, g.AtSeconds, g)
@@ -137,10 +134,7 @@ func TestChaosGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 simulated minutes of two supervised topologies")
 	}
-	r, err := RunChaos(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := chaos(t)
 	var buf bytes.Buffer
 	r.Print(&buf)
 	golden(t, "chaos.golden", buf.Bytes())

@@ -5,10 +5,8 @@ import (
 	"io"
 	"math"
 
-	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/scenario"
 	"github.com/drs-repro/drs/internal/sim"
-	"github.com/drs-repro/drs/internal/stats"
 )
 
 // The machine-churn experiment: the contention setting made lossy. Two
@@ -56,18 +54,17 @@ const (
 	churnKillCount  = 2   // machines crashed mid-surge
 )
 
-// ChurnGrantPoint samples the arbitration state once per control round.
-type ChurnGrantPoint struct {
-	// AtSeconds is the simulated time of the sample.
-	AtSeconds float64
-	// Steady and Bursty are the tenants' slot grants.
-	Steady, Bursty int
-	// Capacity is the live slot count; Machines the live machine count.
-	Capacity, Machines int
+// churnPaper is the churn timeline: contention's 27 minutes, enable point
+// and surge window, plus a 2-minute outage starting at minute 11.
+var churnPaper = timeline{
+	horizon: 27 * 60, enableAt: 3 * 60, stepFrom: 9 * 60, stepUntil: 18 * 60,
+	killAt: 11 * 60, killDown: 2 * 60,
 }
 
-// ChurnResult carries the full arc of the failure run.
+// ChurnResult is the failure arc (Tenants and Grants in the order steady,
+// bursty) and its claims.
 type ChurnResult struct {
+	Arc
 	// Tmax is the (shared) latency target.
 	Tmax float64
 	// StepFrom and StepUntil bound the bursty tenant's surge window.
@@ -76,126 +73,59 @@ type ChurnResult struct {
 	KillAt, RecoverAt float64
 	// KilledMachines lists the crashed machines' pool IDs.
 	KilledMachines []int
-	// SeriesSteady and SeriesBursty are the per-minute sojourn curves.
-	SeriesSteady, SeriesBursty []sim.SeriesPoint
-	// TransitionsSteady and TransitionsBursty are each supervisor's
-	// applied decisions, failover and preemption shrinks included.
-	TransitionsSteady, TransitionsBursty []Transition
-	// Grants samples the arbitration once per control round.
-	Grants []ChurnGrantPoint
-	// SchedulerHistory is the cluster-wide decision log.
-	SchedulerHistory []cluster.SchedulerEvent
-	// MaxLeaseOverCapacity is the worst observed Leased − Capacity over
-	// every sample; it must never exceed zero (no slot double-leased).
-	MaxLeaseOverCapacity int
-	// PlacementViolations counts samples whose slot → machine mapping was
-	// inconsistent (overcommitted machine, or placed ≠ leased totals).
-	PlacementViolations int
 	// ReplacementNegotiated reports whether the scheduler provisioned a
 	// fresh machine during the outage (the within-cap replacement).
 	ReplacementNegotiated bool
 	// FailoverShrinks and PreemptShrinks count the supervisors' forced
-	// re-fits by cause; SlotsLostSteady/Bursty are the scheduler-side
-	// cumulative per-tenant failure losses.
-	FailoverShrinks, PreemptShrinks  int
-	SlotsLostSteady, SlotsLostBursty int
+	// re-fits by cause.
+	FailoverShrinks, PreemptShrinks int
 	// ConvergedAtSeconds is the start of the first post-kill minute from
 	// which both tenants stay under Tmax through the rest of the surge
 	// window; RecoverySeconds counts from machine recovery to there.
 	ConvergedAtSeconds, RecoverySeconds float64
-	// DroppedTuples and PendingAtEnd audit the zero-loss claim: queue
-	// drops across both tenants, and processing trees still unresolved at
-	// the end of the run (bounded by in-flight work; a leak would grow it).
-	DroppedTuples, PendingAtEnd int64
-	// FinalState is the arbitration state at the end of the run.
-	FinalState cluster.SchedulerState
 }
 
-// RunChurn runs the machine-failure experiment: 27 simulated minutes,
-// controllers enabled from minute 3, the bursty tenant surging ×2 between
-// minutes 9 and 18, and a 2-machine, 2-minute outage starting at minute 11.
+// RunChurn runs the machine-failure experiment.
 func RunChurn(o Options) (ChurnResult, error) {
-	o = o.withDefaults()
-	duration := 27 * 60.0
-	enableAt := 3 * 60.0
-	stepFrom, stepUntil := 9*60.0, 18*60.0
-	killAt, killDown := 11*60.0, 2*60.0
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		f := o.Duration / duration
-		duration = o.Duration
-		enableAt, stepFrom, stepUntil = enableAt*f, stepFrom*f, stepUntil*f
-		killAt, killDown = killAt*f, killDown*f
+	tl := churnPaper.at(o)
+	res := ChurnResult{Tmax: churnTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil,
+		KillAt: tl.killAt, RecoverAt: tl.killAt + tl.killDown}
+	spec := arcSpec{
+		name: "churn", slotsPerMachine: churnSlots, maxMachines: churnMachines,
+		tmax: churnTmax, slack: churnSlack,
+		tenants: []arcTenantSpec{
+			expTenant("steady", 0, churnFloor, churnInitial, churnMu, sim.PoissonArrivals{Rate: churnBaseRate}),
+			expTenant("bursty", 1, churnFloor, churnInitial, churnMu, tl.step(churnBaseRate, churnStepFactor)),
+		},
 	}
-	res := ChurnResult{Tmax: churnTmax, StepFrom: stepFrom, StepUntil: stepUntil,
-		KillAt: killAt, RecoverAt: killAt + killDown}
-
-	a, err := newArc("churn", churnSlots, churnMachines, nil)
-	if err != nil {
-		return res, err
-	}
-	p := twoStageParams{service: stats.Exponential{Rate: churnMu}, tmax: churnTmax, slack: churnSlack}
-	steady, err := a.tenant(cluster.TenantConfig{
-		Name: "steady", Priority: 0, MinSlots: churnFloor, InitialSlots: churnInitial,
-	}, p, o.Seed, sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: churnBaseRate}})
-	if err != nil {
-		return res, err
-	}
-	bursty, err := a.tenant(cluster.TenantConfig{
-		Name: "bursty", Priority: 1, MinSlots: churnFloor, InitialSlots: churnInitial,
-	}, p, o.Seed+1, sim.SourceSpec{Arrivals: &sim.SteppedRate{
-		Base:   sim.PoissonArrivals{Rate: churnBaseRate},
-		Factor: churnStepFactor, From: stepFrom, Until: stepUntil,
-	}})
-	if err != nil {
-		return res, err
-	}
-
 	// The outage schedule. The script's Machine fields are nominal: the
 	// arc resolves each kill to the newest live machine at fire time, and
 	// each recovery to the machine its kill took.
 	for _, ev := range sim.Script(
-		sim.Kill{Machine: 0, At: killAt, Down: killDown},
-		sim.Kill{Machine: 1, At: killAt, Down: killDown},
+		sim.Kill{Machine: 0, At: tl.killAt, Down: tl.killDown},
+		sim.Kill{Machine: 1, At: tl.killAt, Down: tl.killDown},
 	) {
 		kind := scenario.KindRecover
 		if ev.Fail {
 			kind = scenario.KindFail
 		}
-		a.events = append(a.events, scenario.Event{At: ev.At, Kind: kind, Machine: ev.Machine})
+		spec.events = append(spec.events, scenario.Event{At: ev.At, Kind: kind, Machine: ev.Machine})
 	}
-
-	err = a.run(duration, enableAt, func(r arcRound) {
-		res.Grants = append(res.Grants, ChurnGrantPoint{
-			AtSeconds: r.t,
-			Steady:    steady.lease.Kmax(),
-			Bursty:    bursty.lease.Kmax(),
-			Capacity:  r.st.Capacity,
-			Machines:  r.st.Machines,
-		})
-	})
-	res.MaxLeaseOverCapacity, res.PlacementViolations = a.maxOver, a.placementViolations
-	if err != nil {
+	var err error
+	if res.Arc, err = runArc(spec, tl, o); err != nil {
 		return res, err
 	}
-	res.SeriesSteady = steady.s.Series()
-	res.SeriesBursty = bursty.s.Series()
-	res.TransitionsSteady = transitionsFrom(steady.sup)
-	res.TransitionsBursty = transitionsFrom(bursty.sup)
-	res.SchedulerHistory = a.sched.History()
-	res.FinalState = a.sched.State()
-	res.SlotsLostSteady = steady.lease.LostSlots()
-	res.SlotsLostBursty = bursty.lease.LostSlots()
 	for _, ev := range res.SchedulerHistory {
 		at := ev.At.Sub(simEpoch).Seconds()
-		if ev.Kind == "pool" && ev.Detail == "scale-out" && at >= killAt && at < res.RecoverAt {
+		if ev.Kind == "pool" && ev.Detail == "scale-out" && at >= res.KillAt && at < res.RecoverAt {
 			res.ReplacementNegotiated = true
 		}
 		if ev.Kind == "machine-fail" {
 			res.KilledMachines = append(res.KilledMachines, machineOf(ev.Detail))
 		}
 	}
-	for _, trs := range [][]Transition{res.TransitionsSteady, res.TransitionsBursty} {
-		for _, tr := range trs {
+	for _, ts := range res.Tenants {
+		for _, tr := range ts.Transitions {
 			switch {
 			case tr.SlotsLost:
 				res.FailoverShrinks++
@@ -204,8 +134,6 @@ func RunChurn(o Options) (ChurnResult, error) {
 			}
 		}
 	}
-	res.DroppedTuples = steady.dropped() + bursty.dropped()
-	res.PendingAtEnd = steady.s.PendingRoots() + bursty.s.PendingRoots()
 	res.ConvergedAtSeconds, res.RecoverySeconds = churnConvergence(res)
 	return res, nil
 }
@@ -225,19 +153,14 @@ func machineOf(detail string) int {
 // window. A minute with no completions counts as violating — a stalled
 // tenant is not a converged one.
 func churnConvergence(res ChurnResult) (convergedAt, recovery float64) {
-	bad := func(series []sim.SeriesPoint) float64 {
-		last := -1.0
-		for _, pt := range series {
-			if pt.Start < res.KillAt || pt.Start >= res.StepUntil {
-				continue
-			}
+	lastBad := -1.0
+	for _, ts := range res.Tenants {
+		for _, pt := range window(ts.Series, res.KillAt, res.StepUntil) {
 			if math.IsNaN(pt.MeanSojourn) || pt.MeanSojourn > res.Tmax {
-				last = pt.Start
+				lastBad = math.Max(lastBad, pt.Start)
 			}
 		}
-		return last
 	}
-	lastBad := math.Max(bad(res.SeriesSteady), bad(res.SeriesBursty))
 	if lastBad < 0 {
 		return res.KillAt, 0 // never violated after the kill
 	}
@@ -259,23 +182,13 @@ func churnConvergence(res ChurnResult) (convergedAt, recovery float64) {
 func (r ChurnResult) Print(w io.Writer) {
 	header(w, fmt.Sprintf("Churn: 2-machine kill at t=%.0fs (recover t=%.0fs) through a x%.1f surge during [%.0fs, %.0fs); Tmax = %.0f ms",
 		r.KillAt, r.RecoverAt, churnStepFactor, r.StepFrom, r.StepUntil, r.Tmax*1e3))
-	fmt.Fprint(w, "grants (steady/bursty of capacity), one column per minute:\n  ")
-	for i, g := range r.Grants {
-		if i%6 != 5 { // 10 s rounds -> print once per minute
-			continue
-		}
-		fmt.Fprintf(w, "%d/%d:%d ", g.Steady, g.Bursty, g.Capacity)
-	}
-	fmt.Fprintln(w)
-	printSojournCurve(w, "steady", r.SeriesSteady)
-	printSojournCurve(w, "bursty", r.SeriesBursty)
-	printTransitions(w, "steady", r.TransitionsSteady)
-	printTransitions(w, "bursty", r.TransitionsBursty)
-	printSchedulerHistory(w, r.SchedulerHistory)
+	r.printGrants(w, true)
+	r.printTenants(w)
+	r.printSchedulerHistory(w)
 	fmt.Fprintf(w, "killed machines %v; replacement negotiated within cap: %v\n",
 		r.KilledMachines, r.ReplacementNegotiated)
 	fmt.Fprintf(w, "slots lost to failures: steady=%d bursty=%d; failover shrinks: %d; preempt shrinks: %d\n",
-		r.SlotsLostSteady, r.SlotsLostBursty, r.FailoverShrinks, r.PreemptShrinks)
+		r.Tenants[0].SlotsLost, r.Tenants[1].SlotsLost, r.FailoverShrinks, r.PreemptShrinks)
 	fmt.Fprintf(w, "re-converged under Tmax at t=%.0fs (%.0fs after recovery)\n",
 		r.ConvergedAtSeconds, r.RecoverySeconds)
 	fmt.Fprintf(w, "double-leased slots: %d; placement violations: %d; dropped tuples: %d; pending at end: %d\n",

@@ -2,14 +2,9 @@ package experiments
 
 import (
 	"bytes"
-	"flag"
-	"os"
-	"path/filepath"
+	"slices"
 	"testing"
 )
-
-// update regenerates the golden files: go test ./internal/experiments -run Golden -update
-var update = flag.Bool("update", false, "rewrite the experiment golden files")
 
 // TestChurnArc runs the full machine-failure experiment and checks the
 // whole failure-domain story: the kill lands mid-surge, a replacement
@@ -21,10 +16,7 @@ func TestChurnArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of two supervised topologies")
 	}
-	r, err := RunChurn(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := churn(t)
 	if len(r.KilledMachines) != churnKillCount {
 		t.Fatalf("killed %v, want %d machines down", r.KilledMachines, churnKillCount)
 	}
@@ -52,7 +44,7 @@ func TestChurnArc(t *testing.T) {
 	if r.PreemptShrinks == 0 {
 		t.Fatal("no supervisor recorded a preemption shrink during the outage")
 	}
-	if r.SlotsLostSteady+r.SlotsLostBursty == 0 {
+	if r.Tenants[0].SlotsLost+r.Tenants[1].SlotsLost == 0 {
 		t.Fatal("the scheduler attributed no slots to the machine failures")
 	}
 	if r.ConvergedAtSeconds <= 0 {
@@ -63,43 +55,18 @@ func TestChurnArc(t *testing.T) {
 	}
 	// During the outage the floors must hold against capacity: neither
 	// grant may drop below the preemption floor.
-	for _, g := range r.Grants {
+	for _, g := range r.Rounds {
 		if g.AtSeconds >= r.KillAt && g.AtSeconds < r.RecoverAt {
-			if g.Steady < churnFloor || g.Bursty < churnFloor {
+			if g.Grants[0] < churnFloor || g.Grants[1] < churnFloor {
 				t.Fatalf("grant under floor during the outage at t=%.0fs: %+v", g.AtSeconds, g)
 			}
 		}
 	}
 	// Failover shrinks must land at (or right after) the kill, not before.
-	for _, tr := range append(r.TransitionsSteady, r.TransitionsBursty...) {
+	for _, tr := range slices.Concat(r.Tenants[0].Transitions, r.Tenants[1].Transitions) {
 		if tr.SlotsLost && tr.AtSeconds < r.KillAt {
 			t.Fatalf("failover shrink before the kill: %+v", tr)
 		}
-	}
-}
-
-// golden compares rendered experiment output against a checked-in file,
-// regenerating it under -update. The renders are deterministic: seeded
-// simulations on a virtual clock.
-func golden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./internal/experiments -run Golden -update` to create it)", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from its golden file.\n--- got ---\n%s\n--- want ---\n%s\nRegenerate deliberately with -update.",
-			name, got, want)
 	}
 }
 
@@ -110,10 +77,7 @@ func TestContentionGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of two supervised topologies")
 	}
-	r, err := RunContention(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := contention(t)
 	var buf bytes.Buffer
 	r.Print(&buf)
 	golden(t, "contention.golden", buf.Bytes())
@@ -124,10 +88,7 @@ func TestChurnGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of two supervised topologies")
 	}
-	r, err := RunChurn(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := churn(t)
 	var buf bytes.Buffer
 	r.Print(&buf)
 	golden(t, "churn.golden", buf.Bytes())

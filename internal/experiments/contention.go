@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/sim"
-	"github.com/drs-repro/drs/internal/stats"
 )
 
 // The multi-tenant contention experiment: two supervised topologies share
@@ -51,32 +49,19 @@ const (
 	contentionFloor    = 8    // both tenants' preemption floor (stable)
 )
 
-// ContentionGrantPoint samples the arbitration state once per control
-// round: who holds how many slots, against what capacity.
-type ContentionGrantPoint struct {
-	// AtSeconds is the simulated time of the sample.
-	AtSeconds float64
-	// Steady and Bursty are the tenants' slot grants.
-	Steady, Bursty int
-	// Capacity is the pool's total slot count at the sample.
-	Capacity int
-}
+// contentionPaper is the contention timeline: 27 simulated minutes,
+// controllers enabled from minute 3, the bursty tenant surging between
+// minutes 9 and 18.
+var contentionPaper = timeline{horizon: 27 * 60, enableAt: 3 * 60, stepFrom: 9 * 60, stepUntil: 18 * 60}
 
-// ContentionResult carries the full arc of the two-tenant run.
+// ContentionResult is the two-tenant arc (Tenants and Grants in the order
+// steady, bursty) and its claims.
 type ContentionResult struct {
+	Arc
 	// Tmax is the (shared) latency target.
 	Tmax float64
 	// StepFrom and StepUntil bound the bursty tenant's surge window.
 	StepFrom, StepUntil float64
-	// SeriesSteady and SeriesBursty are the per-minute sojourn curves.
-	SeriesSteady, SeriesBursty []sim.SeriesPoint
-	// TransitionsSteady and TransitionsBursty are each supervisor's applied
-	// decisions, preemption shrinks included.
-	TransitionsSteady, TransitionsBursty []Transition
-	// Grants samples the arbitration once per control round.
-	Grants []ContentionGrantPoint
-	// SchedulerHistory is the cluster-wide decision log.
-	SchedulerHistory []cluster.SchedulerEvent
 	// PreemptedSlots is the largest number of slots taken from steady.
 	PreemptedSlots int
 	// BurstyPeakGrant is bursty's largest grant during the run.
@@ -85,71 +70,33 @@ type ContentionResult struct {
 	// pre-step level after the surge window closed (a later voluntary
 	// scale-in may shrink it again).
 	SteadyRestored bool
-	// MaxLeaseOverCapacity is the worst observed Leased − Capacity over
-	// every sample; it must never exceed zero (no slot double-leased).
-	MaxLeaseOverCapacity int
-	// FinalState is the arbitration state at the end of the run.
-	FinalState cluster.SchedulerState
 }
 
-// RunContention runs the two-tenant arbitration experiment: 27 simulated
-// minutes, controllers enabled from minute 3, the bursty tenant surging
-// ×2.5 between minutes 9 and 18.
+// RunContention runs the two-tenant arbitration experiment.
 func RunContention(o Options) (ContentionResult, error) {
-	o = o.withDefaults()
-	duration := 27 * 60.0
-	enableAt := 3 * 60.0
-	stepFrom, stepUntil := 9*60.0, 18*60.0
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		duration = o.Duration
-		enableAt = duration / 9
-		stepFrom, stepUntil = duration/3, 2*duration/3
-	}
-	res := ContentionResult{Tmax: contentionTmax, StepFrom: stepFrom, StepUntil: stepUntil}
-
-	a, err := newArc("contention", contentionSlots, contentionMachines, nil)
+	tl := contentionPaper.at(o)
+	res := ContentionResult{Tmax: contentionTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil}
+	var err error
+	res.Arc, err = runArc(arcSpec{
+		name: "contention", slotsPerMachine: contentionSlots, maxMachines: contentionMachines,
+		tmax: contentionTmax, slack: contentionSlack,
+		tenants: []arcTenantSpec{
+			expTenant("steady", 0, contentionFloor, steadyInitial, contentionMu, sim.PoissonArrivals{Rate: steadyRate}),
+			expTenant("bursty", 1, contentionFloor, burstyInitial, contentionMu, tl.step(burstyBaseRate, burstyStepFactor)),
+		},
+	}, tl, o)
 	if err != nil {
 		return res, err
 	}
-	p := twoStageParams{service: stats.Exponential{Rate: contentionMu}, tmax: contentionTmax, slack: contentionSlack}
-	steady, err := a.tenant(cluster.TenantConfig{
-		Name: "steady", Priority: 0, MinSlots: contentionFloor, InitialSlots: steadyInitial,
-	}, p, o.Seed, sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: steadyRate}})
-	if err != nil {
-		return res, err
-	}
-	bursty, err := a.tenant(cluster.TenantConfig{
-		Name: "bursty", Priority: 1, MinSlots: contentionFloor, InitialSlots: burstyInitial,
-	}, p, o.Seed+1, sim.SourceSpec{Arrivals: &sim.SteppedRate{
-		Base:   sim.PoissonArrivals{Rate: burstyBaseRate},
-		Factor: burstyStepFactor, From: stepFrom, Until: stepUntil,
-	}})
-	if err != nil {
-		return res, err
-	}
-
-	preStepSteady := steady.lease.Kmax()
-	err = a.run(duration, enableAt, func(r arcRound) {
-		sg, bg := steady.lease.Kmax(), bursty.lease.Kmax()
-		res.Grants = append(res.Grants, ContentionGrantPoint{
-			AtSeconds: r.t, Steady: sg, Bursty: bg, Capacity: r.st.Capacity,
-		})
+	preStepSteady := res.Tenants[0].InitialGrant
+	for _, r := range res.Rounds {
+		sg, bg := r.Grants[0], r.Grants[1]
 		res.PreemptedSlots = max(res.PreemptedSlots, preStepSteady-sg)
 		res.BurstyPeakGrant = max(res.BurstyPeakGrant, bg)
-		if r.t >= stepUntil && sg >= preStepSteady {
+		if r.AtSeconds >= tl.stepUntil && sg >= preStepSteady {
 			res.SteadyRestored = true
 		}
-	})
-	res.MaxLeaseOverCapacity = a.maxOver
-	if err != nil {
-		return res, err
 	}
-	res.SeriesSteady = steady.s.Series()
-	res.SeriesBursty = bursty.s.Series()
-	res.TransitionsSteady = transitionsFrom(steady.sup)
-	res.TransitionsBursty = transitionsFrom(bursty.sup)
-	res.SchedulerHistory = a.sched.History()
-	res.FinalState = a.sched.State()
 	return res, nil
 }
 
@@ -158,19 +105,9 @@ func RunContention(o Options) (ContentionResult, error) {
 func (r ContentionResult) Print(w io.Writer) {
 	header(w, fmt.Sprintf("Contention: two tenants, one pool; Tmax = %.0f ms, surge x%.1f during [%.0fs, %.0fs)",
 		r.Tmax*1e3, burstyStepFactor, r.StepFrom, r.StepUntil))
-	fmt.Fprint(w, "grants (steady/bursty of capacity), one column per minute:\n  ")
-	for i, g := range r.Grants {
-		if i%6 != 5 { // 10 s rounds -> print once per minute
-			continue
-		}
-		fmt.Fprintf(w, "%d/%d ", g.Steady, g.Bursty)
-	}
-	fmt.Fprintln(w)
-	printSojournCurve(w, "steady", r.SeriesSteady)
-	printSojournCurve(w, "bursty", r.SeriesBursty)
-	printTransitions(w, "steady", r.TransitionsSteady)
-	printTransitions(w, "bursty", r.TransitionsBursty)
-	printSchedulerHistory(w, r.SchedulerHistory)
+	r.printGrants(w, false)
+	r.printTenants(w)
+	r.printSchedulerHistory(w)
 	fmt.Fprintf(w, "max slots preempted from steady: %d; bursty peak grant: %d\n",
 		r.PreemptedSlots, r.BurstyPeakGrant)
 	fmt.Fprintf(w, "steady restored to pre-step grant: %v; double-leased slots: %d\n",

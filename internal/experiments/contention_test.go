@@ -11,10 +11,7 @@ func TestContentionArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of two supervised topologies")
 	}
-	r, err := RunContention(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := contention(t)
 	if r.MaxLeaseOverCapacity > 0 {
 		t.Fatalf("double-leased slots: %d over capacity", r.MaxLeaseOverCapacity)
 	}
@@ -34,7 +31,7 @@ func TestContentionArc(t *testing.T) {
 			preempts++
 		}
 	}
-	for _, tr := range r.TransitionsSteady {
+	for _, tr := range r.Tenants[0].Transitions {
 		if tr.Preempted {
 			steadyShrinks++
 			if tr.AtSeconds < r.StepFrom {
@@ -51,8 +48,8 @@ func TestContentionArc(t *testing.T) {
 	// The preemption floor must have held for the victim. (A tenant may
 	// still scale *itself* below MinSlots — the floor only guards against
 	// involuntary shrinks, and steady never volunteers below 8 here.)
-	for _, g := range r.Grants {
-		if g.Steady < contentionFloor {
+	for _, g := range r.Rounds {
+		if g.Grants[0] < contentionFloor {
 			t.Fatalf("steady preempted below its floor at t=%.0fs: %+v", g.AtSeconds, g)
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"sync"
 	"time"
 
@@ -58,19 +59,61 @@ func transitionsFrom(sup *loop.Supervisor) []Transition {
 	return transitions
 }
 
-// controlLoopConfig assembles one controller-in-the-loop simulation.
-type controlLoopConfig struct {
-	profile  appProfile
-	initial  []int
-	pool     *cluster.Pool
+// runSpec is one controller-in-the-loop simulation as data.
+type runSpec struct {
+	profile appProfile
+	initial []int
+	// machines sizes the paper's cluster pool at the start.
+	machines int
 	ctrl     core.ControllerConfig
-	enableAt float64 // seconds; controller acts only from here on
-	duration float64 // seconds
-	interval float64 // measurement pull period Tm
-	seed     uint64
 	// stepper overrides the DRS controller (baseline comparisons); when
 	// nil, the DRS controller built from ctrl decides.
 	stepper core.Stepper
+	// seedOffset separates the runs of one figure.
+	seedOffset uint64
+}
+
+// Run is the supervised single-tenant runner's result.
+type Run struct {
+	// Initial is the allocation the run started from.
+	Initial []int
+	// Series is the per-minute mean sojourn curve, as plotted in the paper.
+	Series []sim.SeriesPoint
+	// Transitions are the re-scheduling events the supervisor applied.
+	Transitions []Transition
+	// FinalAlloc is the allocation in force at the end of the run.
+	FinalAlloc []int
+	// InitialMachines/FinalMachines and the Kmax's bracket the pool.
+	InitialMachines, FinalMachines int
+	InitialKmax, FinalKmax         int
+}
+
+// window returns the buckets of a per-minute series whose start lies in
+// [from, until).
+func window(series []sim.SeriesPoint, from, until float64) []sim.SeriesPoint {
+	var out []sim.SeriesPoint
+	for _, pt := range series {
+		if pt.Start >= from && pt.Start < until {
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// meanSojourn averages the buckets that saw completions, in seconds; NaN
+// when none did.
+func meanSojourn(series []sim.SeriesPoint) float64 {
+	sum, n := 0.0, 0
+	for _, pt := range series {
+		if !math.IsNaN(pt.MeanSojourn) {
+			sum += pt.MeanSojourn
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
 }
 
 // simEpoch anchors the virtual clock: simulated second t maps to
@@ -169,24 +212,29 @@ func (c *loopFailures) Handle(_ context.Context, r slog.Record) error {
 // production supervisor (internal/loop) owns the simulator as its target,
 // polling the measurer every interval and applying decisions with their
 // cluster-modeled pauses — the Figures 9 and 10 machinery, on the same
-// loop the live engine uses.
-func runControlled(c controlLoopConfig) (*sim.Sim, []Transition, error) {
-	cfg, err := c.profile.simConfig(c.initial, c.seed)
+// loop the live engine uses. The controller only measures before
+// tl.enableAt.
+func runControlled(c runSpec, tl timeline, o Options) (Run, error) {
+	run := Run{Initial: c.initial, InitialMachines: c.machines}
+	pool, err := cluster.PaperPool(c.machines)
 	if err != nil {
-		return nil, nil, err
+		return run, err
+	}
+	run.InitialKmax = pool.Kmax()
+	cfg, err := c.profile.simConfig(c.initial, o.seed()+c.seedOffset)
+	if err != nil {
+		return run, err
 	}
 	s, err := sim.New(cfg)
 	if err != nil {
-		return nil, nil, err
+		return run, err
 	}
-	s.EnableSeries(60) // per-minute curves, as plotted in the paper
+	s.EnableSeries(60)
 	stepper := c.stepper
 	if stepper == nil {
-		drsCtrl, err := core.NewController(c.ctrl)
-		if err != nil {
-			return nil, nil, err
+		if stepper, err = core.NewController(c.ctrl); err != nil {
+			return run, err
 		}
-		stepper = drsCtrl
 	}
 	clock := &simClock{}
 	failures := &loopFailures{}
@@ -194,26 +242,28 @@ func runControlled(c controlLoopConfig) (*sim.Sim, []Transition, error) {
 		Target:    simTarget{s: s, names: c.profile.names},
 		Operators: c.profile.names,
 		Stepper:   stepper,
-		Pool:      c.pool,
-		Interval:  secondsToDuration(c.interval),
-		Cooldown:  secondsToDuration(4 * c.interval),
+		Pool:      pool,
+		Interval:  secondsToDuration(controlInterval),
+		Cooldown:  secondsToDuration(4 * controlInterval),
 		Clock:     clock,
 		Logger:    slog.New(failures),
 	})
 	if err != nil {
-		return nil, nil, err
+		return run, err
 	}
-	for t := c.interval; t <= c.duration+1e-9; t += c.interval {
+	for t := controlInterval; t <= tl.horizon+1e-9; t += controlInterval {
 		s.RunUntil(t)
 		clock.set(t)
-		if t < c.enableAt {
+		if t < tl.enableAt {
 			sup.Observe() // measure, but leave the controller disabled
 			continue
 		}
 		sup.Tick()
 	}
 	if err := failures.err(); err != nil {
-		return nil, nil, fmt.Errorf("experiments: supervised run: %w", err)
+		return run, fmt.Errorf("experiments: supervised run: %w", err)
 	}
-	return s, transitionsFrom(sup), nil
+	run.Series, run.Transitions, run.FinalAlloc = s.Series(), transitionsFrom(sup), s.Allocation()
+	run.FinalMachines, run.FinalKmax = pool.Machines(), pool.Kmax()
+	return run, nil
 }

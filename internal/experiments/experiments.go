@@ -1,7 +1,10 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (§V) on top of the simulator substrate. Each RunFigure*/
-// RunTable* function returns structured results plus a Print renderer that
-// writes the same rows/series the paper plots; cmd/drs-experiments and the
+// evaluation (§V) on top of the simulator substrate. A figure is a value
+// over one of three runners — the steady-state sweep (measure), the
+// supervised single-tenant run (runControlled) and the multi-tenant arc
+// (runArc): a spec the runner executes on the figure's paper timeline, the
+// claims derived from the runner's result, and a Print renderer that
+// writes the same rows/series the paper plots. cmd/drs-experiments and the
 // repository-level benchmarks are thin wrappers around this package.
 //
 // Absolute numbers differ from the paper (their substrate is a 6-machine
@@ -65,14 +68,17 @@ func profileFor(app App) (appProfile, error) {
 	}
 }
 
-// Options tune experiment length; the zero value uses paper-faithful
-// durations (10-minute steady-state runs, 27-minute controller runs).
-// Benchmarks shrink them to keep iterations fast.
+// Options tune an experiment; the zero value is the paper's evaluation.
 type Options struct {
-	// Duration is the steady-state measurement span in simulated seconds
-	// (default 600 = 10 minutes, as in Fig. 6).
+	// Duration is the run's horizon in simulated seconds. Zero means the
+	// paper's timeline (10-minute steady-state runs, 27-minute controller
+	// runs, a scenario's own length); any positive value scales the
+	// experiment's whole timeline — warm-up, enable point, surge and
+	// outage windows — to that horizon. Benchmarks and quick tests shrink
+	// runs this way.
 	Duration float64
-	// Warmup discards initial completions (default 60).
+	// Warmup, when positive, replaces the (scaled) span of discarded
+	// initial completions in the steady-state runs (the paper's is 60 s).
 	Warmup float64
 	// Seed feeds the simulations (default 1).
 	Seed uint64
@@ -80,23 +86,60 @@ type Options struct {
 	// run makes — scheduler arbitration and preemptions (with their
 	// Appendix-B inputs), per-round shed plans and supervisor re-fits —
 	// stamped with simulated time, so a replayed scenario's decisions can
-	// be audited against its books. Only the scenario-driven experiments
-	// (chaos) emit today.
+	// be audited against its books. The multi-tenant arcs (contention,
+	// churn, overload, chaos) emit; the other runners ignore it.
 	DecisionLog *obs.Log
 }
 
-func (o Options) withDefaults() Options {
-	if o.Duration <= 0 {
-		o.Duration = 600
-	}
-	if o.Warmup < 0 || (o.Warmup == 0 && o.Duration >= 120) {
-		o.Warmup = 60
-	}
+// seed is the base simulation seed.
+func (o Options) seed() uint64 {
 	if o.Seed == 0 {
-		o.Seed = 1
+		return 1
 	}
-	return o
+	return o.Seed
 }
+
+// scale is the one place a run's length is decided: the factor that maps
+// an experiment's paper timeline, horizon seconds long, onto o.
+func (o Options) scale(horizon float64) float64 {
+	if o.Duration <= 0 {
+		return 1
+	}
+	return o.Duration / horizon
+}
+
+// timeline is an experiment's schedule in simulated seconds, stated as
+// the paper ran it; the marks an experiment does not use stay zero.
+type timeline struct {
+	// horizon ends the run.
+	horizon float64
+	// warmup: steady-state runs discard completions before it.
+	warmup float64
+	// enableAt: supervised runs only measure before it, and decide from it on.
+	enableAt float64
+	// stepFrom and stepUntil bound the load step.
+	stepFrom, stepUntil float64
+	// killAt starts the machine outage, killDown is its length.
+	killAt, killDown float64
+}
+
+// at scales every mark of the paper timeline to o.
+func (tl timeline) at(o Options) timeline {
+	f := o.scale(tl.horizon)
+	tl = timeline{
+		horizon: tl.horizon * f, warmup: tl.warmup * f, enableAt: tl.enableAt * f,
+		stepFrom: tl.stepFrom * f, stepUntil: tl.stepUntil * f,
+		killAt: tl.killAt * f, killDown: tl.killDown * f,
+	}
+	if o.Warmup > 0 {
+		tl.warmup = o.Warmup
+	}
+	return tl
+}
+
+// controlInterval is the control period of every supervised run, in
+// simulated seconds: one measurement pull and one supervisor round.
+const controlInterval = 10.0
 
 // allocString renders (x1:x2:x3) like the paper's x-axis labels.
 func allocString(k []int) string {
@@ -108,26 +151,6 @@ func allocString(k []int) string {
 		s += fmt.Sprintf("%d", v)
 	}
 	return s + ")"
-}
-
-// measureAllocation runs one steady-state simulation and reports the mean
-// and standard deviation of the total sojourn time in milliseconds.
-func measureAllocation(p appProfile, alloc []int, o Options) (mean, stddev float64, err error) {
-	cfg, err := p.simConfig(alloc, o.Seed)
-	if err != nil {
-		return 0, 0, err
-	}
-	s, err := sim.New(cfg)
-	if err != nil {
-		return 0, 0, err
-	}
-	s.SetWarmup(o.Warmup)
-	s.RunUntil(o.Duration)
-	cs := s.CompletedStats()
-	if cs.Count() == 0 {
-		return 0, 0, fmt.Errorf("experiments: no completions for %v", alloc)
-	}
-	return cs.Mean() * 1e3, cs.StdDev() * 1e3, nil
 }
 
 // fmtMillis renders a millisecond quantity compactly.

@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
 	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/sim"
 )
 
 func TestProfileForUnknownApp(t *testing.T) {
@@ -24,14 +24,45 @@ func TestProfileForUnknownApp(t *testing.T) {
 	}
 }
 
+// TestOptionsDefaults pins the one scaling rule: the zero Options run the
+// paper's timeline, and any positive Duration — 600 included, which used to
+// be a sentinel for "paper timeline" — scales every mark to that horizon.
 func TestOptionsDefaults(t *testing.T) {
-	o := Options{}.withDefaults()
-	if o.Duration != 600 || o.Warmup != 60 || o.Seed != 1 {
-		t.Errorf("defaults = %+v", o)
+	if got := (Options{}).seed(); got != 1 {
+		t.Errorf("default seed = %d", got)
 	}
-	o = Options{Duration: 100, Seed: 9}.withDefaults()
-	if o.Duration != 100 || o.Seed != 9 {
-		t.Errorf("overrides lost: %+v", o)
+	if got := (Options{Seed: 9}).seed(); got != 9 {
+		t.Errorf("seed override lost: %d", got)
+	}
+	for _, tc := range []struct {
+		o                         Options
+		paper                     timeline
+		horizon, warmup, enableAt float64
+	}{
+		{Options{}, sweepPaper, 600, 60, 0},
+		{Options{Duration: 100}, sweepPaper, 100, 10, 0},
+		{Options{Duration: 100, Warmup: 20}, sweepPaper, 100, 20, 0},
+		{Options{}, contentionPaper, 1620, 0, 180},
+		{Options{Duration: 1620}, contentionPaper, 1620, 0, 180},
+		{Options{Duration: 600}, contentionPaper, 600, 0, 600 / 9.0},
+		{Options{Duration: 601}, contentionPaper, 601, 0, 601 / 9.0},
+	} {
+		tl := tc.paper.at(tc.o)
+		if math.Abs(tl.horizon-tc.horizon) > 1e-9 || math.Abs(tl.warmup-tc.warmup) > 1e-9 || math.Abs(tl.enableAt-tc.enableAt) > 1e-9 {
+			t.Errorf("%+v on %+v: got %+v, want horizon %g warm-up %g enable point %g",
+				tc.o, tc.paper, tl, tc.horizon, tc.warmup, tc.enableAt)
+		}
+	}
+	// End to end: ten simulated minutes of contention are ten one-minute
+	// buckets, not the 27-minute paper arc.
+	r, err := RunContention(Options{Duration: 600})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range r.Tenants {
+		if len(ts.Series) != 10 {
+			t.Errorf("Duration 600: %s has %d one-minute buckets, want 10", ts.Name, len(ts.Series))
+		}
 	}
 }
 
@@ -45,22 +76,19 @@ func TestFigure6VLD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full 10-minute-per-allocation simulation")
 	}
-	r, err := RunFigure6(VLD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(r.Rows))
+	r := fig6(t, VLD)
+	if len(r.Points) != 6 {
+		t.Fatalf("rows = %d, want 6", len(r.Points))
 	}
 	if !r.BestIsRecommended {
-		t.Errorf("starred allocation did not win: %+v", r.Rows)
+		t.Errorf("starred allocation did not win: %+v", r.Points)
 	}
 	// The paper's second observation: the recommendation also has the
 	// smallest standard deviation (least oscillation).
-	var starred Fig6Row
+	var starred Point
 	minStd := math.Inf(1)
-	for _, row := range r.Rows {
-		if row.Recommended {
+	for _, row := range r.Points {
+		if slices.Equal(row.Alloc, r.Recommended) {
 			starred = row
 		}
 		if row.StdMillis < minStd {
@@ -81,12 +109,8 @@ func TestFigure6FPD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	r, err := RunFigure6(FPD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.BestIsRecommended {
-		t.Errorf("starred allocation did not win: %+v", r.Rows)
+	if r := fig6(t, FPD); !r.BestIsRecommended {
+		t.Errorf("starred allocation did not win: %+v", r.Points)
 	}
 }
 
@@ -95,10 +119,7 @@ func TestFigure7BothApps(t *testing.T) {
 		t.Skip("full simulation")
 	}
 	for _, app := range []App{VLD, FPD} {
-		r, err := RunFigure7(app, Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
+		r := fig7(t, app)
 		if r.Spearman < 0.8 {
 			t.Errorf("%s: Spearman %.3f, want >= 0.8 (ordering mostly preserved)", app, r.Spearman)
 		}
@@ -127,14 +148,7 @@ func TestFigure7OrderingSeparatesApps(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full simulation")
 	}
-	vldRes, err := RunFigure7(VLD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpdRes, err := RunFigure7(FPD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	vldRes, fpdRes := fig7(t, VLD), fig7(t, FPD)
 	if fpdRes.MeanRatio <= vldRes.MeanRatio*1.5 {
 		t.Errorf("FPD underestimation (%.2fx) should far exceed VLD's (%.2fx)",
 			fpdRes.MeanRatio, vldRes.MeanRatio)
@@ -145,22 +159,19 @@ func TestFigure8(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
 	}
-	r, err := RunFigure8(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fig8(t)
 	if len(r.Points) != 6 {
 		t.Fatalf("points = %d, want 6", len(r.Points))
 	}
-	if r.Points[0].Ratio < 20 {
-		t.Errorf("lightest-workload ratio %.1f, want tens (paper shows ~60-100)", r.Points[0].Ratio)
+	ratio := func(i int) float64 { return r.Points[i].MeanMillis / r.Points[i].EstimatedMillis }
+	if ratio(0) < 20 {
+		t.Errorf("lightest-workload ratio %.1f, want tens (paper shows ~60-100)", ratio(0))
 	}
-	last := r.Points[len(r.Points)-1].Ratio
-	if last > 1.5 {
+	if last := ratio(len(r.Points) - 1); last > 1.5 {
 		t.Errorf("heaviest-workload ratio %.2f, want near 1", last)
 	}
 	for i := 1; i < len(r.Points); i++ {
-		if r.Points[i].Ratio >= r.Points[i-1].Ratio {
+		if ratio(i) >= ratio(i-1) {
 			t.Errorf("ratio not decreasing: %+v", r.Points)
 		}
 	}
@@ -170,10 +181,7 @@ func TestFigure9VLDConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27-minute controller simulation")
 	}
-	r, err := RunFigure9(VLD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fig9(t, VLD)
 	if len(r.Curves) != 3 {
 		t.Fatalf("curves = %d, want 3", len(r.Curves))
 	}
@@ -181,7 +189,7 @@ func TestFigure9VLDConvergence(t *testing.T) {
 		t.Fatalf("not all curves converged to %v", r.Recommended)
 	}
 	for _, c := range r.Curves {
-		optimalStart := allocEq(c.Initial, r.Recommended)
+		optimalStart := slices.Equal(c.Initial, r.Recommended)
 		if optimalStart && len(c.Transitions) != 0 {
 			t.Errorf("optimal initial %v should never rebalance; got %d transitions",
 				c.Initial, len(c.Transitions))
@@ -197,11 +205,11 @@ func TestFigure9VLDConvergence(t *testing.T) {
 	}
 	// The paper's claim: after re-balancing, the formerly-bad curves drop.
 	for _, c := range r.Curves {
-		if allocEq(c.Initial, r.Recommended) || len(c.Transitions) == 0 {
+		if slices.Equal(c.Initial, r.Recommended) || len(c.Transitions) == 0 {
 			continue
 		}
-		before := meanSeries(c.Series, 5*60, 13*60)
-		after := meanSeries(c.Series, 17*60, 27*60)
+		before := meanSojourn(window(c.Series, 5*60, 13*60))
+		after := meanSojourn(window(c.Series, 17*60, 27*60))
 		if !(after < before) {
 			t.Errorf("initial %v: sojourn did not improve after re-balancing (%.0fms -> %.0fms)",
 				c.Initial, before*1e3, after*1e3)
@@ -213,41 +221,20 @@ func TestFigure9FPDConvergence(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27-minute controller simulation")
 	}
-	r, err := RunFigure9(FPD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Converged {
+	if r := fig9(t, FPD); !r.Converged {
 		t.Fatalf("not all FPD curves converged to %v", r.Recommended)
 	}
-}
-
-func meanSeries(series []sim.SeriesPoint, fromSec, toSec float64) float64 {
-	sum, n := 0.0, 0
-	for _, pt := range series {
-		if pt.Start >= fromSec && pt.Start < toSec && !math.IsNaN(pt.MeanSojourn) {
-			sum += pt.MeanSojourn
-			n++
-		}
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
 }
 
 func TestFigure10ExpA(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27-minute controller simulation")
 	}
-	r, err := RunFigure10(ExpA, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fig10(t, ExpA)
 	if r.FinalMachines != 5 || r.FinalKmax != 22 {
 		t.Errorf("final pool = %d machines / Kmax %d, want 5 / 22", r.FinalMachines, r.FinalKmax)
 	}
-	if !allocEq(r.FinalAlloc, []int{10, 11, 1}) {
+	if !slices.Equal(r.FinalAlloc, []int{10, 11, 1}) {
 		t.Errorf("final alloc = %v, want (10:11:1)", r.FinalAlloc)
 	}
 	if !r.MeetsTargetAfter {
@@ -274,14 +261,11 @@ func TestFigure10ExpB(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27-minute controller simulation")
 	}
-	r, err := RunFigure10(ExpB, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := fig10(t, ExpB)
 	if r.FinalMachines != 4 || r.FinalKmax != 17 {
 		t.Errorf("final pool = %d machines / Kmax %d, want 4 / 17", r.FinalMachines, r.FinalKmax)
 	}
-	if !allocEq(r.FinalAlloc, []int{8, 8, 1}) {
+	if !slices.Equal(r.FinalAlloc, []int{8, 8, 1}) {
 		t.Errorf("final alloc = %v, want (8:8:1)", r.FinalAlloc)
 	}
 	if !r.MeetsTargetAfter {
@@ -329,19 +313,16 @@ func TestBaselineComparisonVLD(t *testing.T) {
 	if testing.Short() {
 		t.Skip("controller simulation")
 	}
-	r, err := RunBaseline(VLD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := baseline(t, VLD)
 	if len(r.Runs) != 2 {
 		t.Fatalf("runs = %d, want 2", len(r.Runs))
 	}
 	drs, base := r.Runs[0], r.Runs[1]
-	if !allocEq(drs.FinalAlloc, []int{10, 11, 1}) {
+	if !slices.Equal(drs.FinalAlloc, []int{10, 11, 1}) {
 		t.Errorf("DRS final alloc = %v, want (10:11:1)", drs.FinalAlloc)
 	}
-	if drs.Reconfigurations != 1 {
-		t.Errorf("DRS needed %d reconfigurations, want exactly 1 (one-shot)", drs.Reconfigurations)
+	if n := len(drs.Transitions); n != 1 {
+		t.Errorf("DRS needed %d reconfigurations, want exactly 1 (one-shot)", n)
 	}
 	if drs.SteadyMeanMillis > base.SteadyMeanMillis*1.02 {
 		t.Errorf("DRS steady %.1fms worse than threshold baseline %.1fms",
@@ -359,15 +340,12 @@ func TestBaselineThresholdBlindToFPDMisallocation(t *testing.T) {
 	// The instructive case: at (8:12:2) all FPD utilizations are in-band,
 	// so the reactive policy never acts — yet DRS finds a strictly better
 	// allocation. Balanced utilization is not minimal latency.
-	r, err := RunBaseline(FPD, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := baseline(t, FPD)
 	drs, base := r.Runs[0], r.Runs[1]
-	if base.Reconfigurations != 0 {
-		t.Logf("threshold policy acted %d times (still acceptable)", base.Reconfigurations)
+	if n := len(base.Transitions); n != 0 {
+		t.Logf("threshold policy acted %d times (still acceptable)", n)
 	}
-	if !allocEq(drs.FinalAlloc, []int{6, 13, 3}) {
+	if !slices.Equal(drs.FinalAlloc, []int{6, 13, 3}) {
 		t.Errorf("DRS final alloc = %v, want (6:13:3)", drs.FinalAlloc)
 	}
 	if drs.SteadyMeanMillis >= base.SteadyMeanMillis {
@@ -388,7 +366,7 @@ func TestFigure6VLDRobustAcrossSeeds(t *testing.T) {
 			t.Fatal(err)
 		}
 		if !r.BestIsRecommended {
-			t.Errorf("seed %d: starred allocation did not win: %+v", seed, r.Rows)
+			t.Errorf("seed %d: starred allocation did not win: %+v", seed, r.Points)
 		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"math"
 
 	"github.com/drs-repro/drs/internal/cluster"
-	"github.com/drs-repro/drs/internal/ingest"
-	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/sim"
 	"github.com/drs-repro/drs/internal/stats"
 )
@@ -56,117 +54,18 @@ const (
 	bronzeWeight       = 1.0
 )
 
-// overloadClient is one virtual-time traffic source behind the admission
-// gate: the sim source's Admit hook applies the live gate's thinning
-// verdict (ingest.ThinAdmit), driven by the per-round plan.
-type overloadClient struct {
-	name     string
-	weight   float64
-	seq      uint64
-	permille uint32
-	offered  int64
-	admitted int64
-	shed     int64
-	// lastOffered / lastAdmitted / lastShed are the previous replan
-	// round's readings.
-	lastOffered, lastAdmitted, lastShed int64
-}
+// overloadPaper is the overload timeline: 27 simulated minutes,
+// controller enabled from minute 3, bronze surging between minutes 9 and 18.
+var overloadPaper = timeline{horizon: 27 * 60, enableAt: 3 * 60, stepFrom: 9 * 60, stepUntil: 18 * 60}
 
-// admit is the sim-side twin of ingest's Offer fast path: the same
-// thinning verdict, minus the network.
-func (c *overloadClient) admit(float64) bool {
-	c.offered++
-	if p := c.permille; p < 1000 {
-		c.seq++
-		if !ingest.ThinAdmit(c.seq, p) {
-			c.shed++
-			return false
-		}
-	}
-	c.admitted++
-	return true
-}
-
-// gateRound is one replan round's front-door reading: the plan put in
-// force for the next round, and what the clients offered, got admitted
-// and had shed since the previous one.
-type gateRound struct {
-	plan                      ingest.Plan
-	offeredRate, admittedRate float64 // tuples/s over the round
-	offered, admitted, shed   int64   // record deltas over the round
-}
-
-// replan re-aims the clients' admission exactly as the live gate does
-// each round: read the supervisor's latest (demand-scaled) snapshot, size
-// the sustainable rate for maxSlots under tmax, and split it by client
-// weight.
-func replan(clients []*overloadClient, sup *loop.Supervisor, tmax float64, maxSlots int) gateRound {
-	var g gateRound
-	rates := make([]float64, len(clients))
-	weights := make([]float64, len(clients))
-	ids := make([]string, len(clients))
-	for i, c := range clients {
-		rates[i] = float64(c.offered-c.lastOffered) / arcInterval
-		g.offeredRate += rates[i]
-		g.admittedRate += float64(c.admitted-c.lastAdmitted) / arcInterval
-		g.offered += c.offered - c.lastOffered
-		g.admitted += c.admitted - c.lastAdmitted
-		g.shed += c.shed - c.lastShed
-		c.lastOffered, c.lastAdmitted, c.lastShed = c.offered, c.admitted, c.shed
-		weights[i], ids[i] = c.weight, c.name
-	}
-	g.plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.offeredRate, ScaleOutViable: true}
-	if snap, ok := sup.LastSnapshot(); ok {
-		// The gate's default 10% headroom: plan against a tightened
-		// target so the admitted traffic keeps a noise margin below
-		// the hard limit.
-		g.plan = ingest.PlanAdmission(snap, tmax*0.9, maxSlots, g.offeredRate)
-	}
-	for i, p := range ingest.AdmitPermilles(g.plan, weights, ids, rates) {
-		clients[i].permille = p
-	}
-	return g
-}
-
-// OverloadPoint samples the front door once per control round.
-type OverloadPoint struct {
-	// AtSeconds is the simulated time of the sample.
-	AtSeconds float64
-	// OfferedRate and AdmittedRate are tuples/s over the round.
-	OfferedRate, AdmittedRate float64
-	// AdmitFraction is the plan in force for the next round.
-	AdmitFraction float64
-	// ScaleOutViable is the Appendix-B guard verdict of that plan.
-	ScaleOutViable bool
-	// Grant and Capacity are the tenant's slots and the pool's total.
-	Grant, Capacity int
-}
-
-// OverloadClientStats summarizes one client's run.
-type OverloadClientStats struct {
-	// Name and Weight identify the client.
-	Name   string
-	Weight float64
-	// Offered, Admitted and Shed are cumulative record counts.
-	Offered, Admitted, Shed int64
-	// ShedFraction is Shed/Offered.
-	ShedFraction float64
-}
-
-// OverloadResult carries the full arc of the admission-controlled run.
+// OverloadResult is the admission-controlled arc — one tenant, "front",
+// behind the gate of clients gold and bronze — and its claims.
 type OverloadResult struct {
+	Arc
 	// Tmax is the latency target.
 	Tmax float64
 	// StepFrom and StepUntil bound bronze's surge window.
 	StepFrom, StepUntil float64
-	// Series is the per-minute sojourn curve of admitted tuples.
-	Series []sim.SeriesPoint
-	// Points samples the front door once per control round.
-	Points []OverloadPoint
-	// Transitions are the supervisor's applied decisions.
-	Transitions []Transition
-	// Clients summarizes gold and bronze.
-	Clients []OverloadClientStats
 	// PeakGrant is the largest grant the tenant held (the cap, if the
 	// scale-out completed).
 	PeakGrant int
@@ -182,89 +81,42 @@ type OverloadResult struct {
 	// FinalUnderTmax whether it is back under the target.
 	FinalSojournMillis float64
 	FinalUnderTmax     bool
-	// DroppedTuples and PendingAtEnd audit the zero-admitted-loss claim:
-	// queue drops (none — queues are unbounded; overload is handled at the
-	// door) and processing trees unresolved at the end.
-	DroppedTuples, PendingAtEnd int64
-	// ShedTotal is the simulator's own count of gate-refused arrivals; it
-	// must equal the clients' Shed sum (the two books agree).
-	ShedTotal int64
 }
 
-// RunOverload runs the admission-control experiment: 27 simulated minutes,
-// controller enabled from minute 3, bronze surging ×16 between minutes 9
-// and 18.
+// RunOverload runs the admission-control experiment.
 func RunOverload(o Options) (OverloadResult, error) {
-	o = o.withDefaults()
-	duration := 27 * 60.0
-	enableAt := 3 * 60.0
-	stepFrom, stepUntil := 9*60.0, 18*60.0
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		duration = o.Duration
-		enableAt = duration / 9
-		stepFrom, stepUntil = duration/3, 2*duration/3
-	}
-	res := OverloadResult{Tmax: overloadTmax, StepFrom: stepFrom, StepUntil: stepUntil}
-
-	gold := &overloadClient{name: "gold", weight: goldWeight, permille: 1000}
-	bronze := &overloadClient{name: "bronze", weight: bronzeWeight, permille: 1000}
-	a, err := newArc("overload", overloadSlots, overloadMachines, nil)
+	tl := overloadPaper.at(o)
+	res := OverloadResult{Tmax: overloadTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil}
+	var err error
+	res.Arc, err = runArc(arcSpec{
+		name: "overload", slotsPerMachine: overloadSlots, maxMachines: overloadMachines,
+		tmax: overloadTmax, slack: overloadSlack,
+		tenants: []arcTenantSpec{{
+			lease:   cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: overloadInitial},
+			service: stats.Exponential{Rate: overloadMu},
+			sources: []arcSource{
+				{name: "gold", weight: goldWeight, arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}},
+				{name: "bronze", weight: bronzeWeight, arrivals: tl.step(overloadBronzeRate, overloadStepFactor)},
+			},
+		}},
+	}, tl, o)
 	if err != nil {
 		return res, err
 	}
-	front, err := a.tenant(cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: overloadInitial},
-		twoStageParams{service: stats.Exponential{Rate: overloadMu}, tmax: overloadTmax, slack: overloadSlack},
-		o.Seed,
-		sim.SourceSpec{Arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}, Admit: gold.admit},
-		sim.SourceSpec{Arrivals: &sim.SteppedRate{
-			Base:   sim.PoissonArrivals{Rate: overloadBronzeRate},
-			Factor: overloadStepFactor, From: stepFrom, Until: stepUntil,
-		}, Admit: bronze.admit})
-	if err != nil {
-		return res, err
-	}
-
-	clients := []*overloadClient{gold, bronze}
-	err = a.run(duration, enableAt, func(r arcRound) {
-		g := replan(clients, front.sup, overloadTmax, overloadSlots*overloadMachines)
-		pt := OverloadPoint{
-			AtSeconds:      r.t,
-			OfferedRate:    g.offeredRate,
-			AdmittedRate:   g.admittedRate,
-			AdmitFraction:  g.plan.AdmitFraction,
-			ScaleOutViable: g.plan.ScaleOutViable,
-			Grant:          front.lease.Kmax(),
-			Capacity:       r.st.Capacity,
-		}
-		res.Points = append(res.Points, pt)
-		res.PeakGrant = max(res.PeakGrant, pt.Grant)
-		if r.t >= stepFrom && r.t < stepUntil && g.plan.AdmitFraction < 1 {
+	for _, r := range res.Rounds {
+		plan := r.Gates[0].Plan
+		res.PeakGrant = max(res.PeakGrant, r.Grants[0])
+		if r.AtSeconds >= tl.stepFrom && r.AtSeconds < tl.stepUntil && plan.AdmitFraction < 1 {
 			res.ShedDuringSurge = true
-			if !g.plan.ScaleOutViable {
+			if !plan.ScaleOutViable {
 				res.PersistentShedSeen = true
 			}
 		}
-		if r.t >= stepUntil && g.plan.AdmitFraction >= 1 {
+		if r.AtSeconds >= tl.stepUntil && plan.AdmitFraction >= 1 {
 			res.AdmitAllRestored = true
 		}
-	})
-	if err != nil {
-		return res, err
 	}
-	res.Series = front.s.Series()
-	res.Transitions = transitionsFrom(front.sup)
-	for _, c := range clients {
-		cs := OverloadClientStats{Name: c.name, Weight: c.weight,
-			Offered: c.offered, Admitted: c.admitted, Shed: c.shed}
-		if c.offered > 0 {
-			cs.ShedFraction = float64(c.shed) / float64(c.offered)
-		}
-		res.Clients = append(res.Clients, cs)
-		res.ShedTotal += c.shed
-	}
-	res.DroppedTuples = front.dropped()
-	res.PendingAtEnd = front.s.PendingRoots()
-	for _, pt := range res.Series {
+	for _, pt := range res.Tenants[0].Series {
 		if !math.IsNaN(pt.MeanSojourn) {
 			res.FinalSojournMillis = pt.MeanSojourn * 1e3
 		}
@@ -279,9 +131,9 @@ func RunOverload(o Options) (OverloadResult, error) {
 func (r OverloadResult) Print(w io.Writer) {
 	header(w, fmt.Sprintf("Overload, closed-loop: ingest admission in front of one supervised tenant; Tmax = %.0f ms, bronze x%.0f during [%.0fs, %.0fs)",
 		r.Tmax*1e3, overloadStepFactor, r.StepFrom, r.StepUntil))
-	row := func(name string, f func(OverloadPoint) string) {
+	row := func(name string, f func(ArcRound) string) {
 		fmt.Fprintf(w, "%-22s", name)
-		for i, pt := range r.Points {
+		for i, pt := range r.Rounds {
 			if i%6 != 5 { // 10 s rounds -> one column per minute
 				continue
 			}
@@ -289,18 +141,19 @@ func (r OverloadResult) Print(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	row("offered (tuples/s)", func(p OverloadPoint) string { return fmt.Sprintf("%.1f", p.OfferedRate) })
-	row("admitted (tuples/s)", func(p OverloadPoint) string { return fmt.Sprintf("%.1f", p.AdmittedRate) })
-	row("admit fraction", func(p OverloadPoint) string { return fmt.Sprintf("%.2f", p.AdmitFraction) })
-	row("grant (slots)", func(p OverloadPoint) string { return fmt.Sprintf("%d/%d", p.Grant, p.Capacity) })
-	printSojournCurve(w, "admitted", r.Series)
+	row("offered (tuples/s)", func(p ArcRound) string { return fmt.Sprintf("%.1f", p.Gates[0].OfferedRate) })
+	row("admitted (tuples/s)", func(p ArcRound) string { return fmt.Sprintf("%.1f", p.Gates[0].AdmittedRate) })
+	row("admit fraction", func(p ArcRound) string { return fmt.Sprintf("%.2f", p.Gates[0].Plan.AdmitFraction) })
+	row("grant (slots)", func(p ArcRound) string { return fmt.Sprintf("%d/%d", p.Grants[0], p.Capacity) })
+	front := r.Tenants[0]
+	printCurve(w, "admitted", front.Series)
 	fmt.Fprintf(w, "%-8s %7s %10s %10s %10s %7s\n", "client", "weight", "offered", "admitted", "shed", "shed%")
-	for _, c := range r.Clients {
-		fmt.Fprintf(w, "%-8s %7.0f %10d %10d %10d %6.1f%%\n",
-			c.Name, c.Weight, c.Offered, c.Admitted, c.Shed, c.ShedFraction*100)
+	for _, c := range front.Clients {
+		c.print(w)
+		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "supervisor transitions:")
-	for _, tr := range r.Transitions {
+	for _, tr := range front.Transitions {
 		kind := ""
 		if tr.Preempted {
 			kind = " [preempted]"

@@ -16,10 +16,7 @@ func TestOverloadArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of a supervised topology behind the admission gate")
 	}
-	r, err := RunOverload(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := overload(t)
 	if !r.ShedDuringSurge {
 		t.Fatal("the gate never shed during the surge window")
 	}
@@ -44,8 +41,9 @@ func TestOverloadArc(t *testing.T) {
 	if r.PendingAtEnd > 50 {
 		t.Fatalf("%d trees still pending at the end — admitted tuples lost", r.PendingAtEnd)
 	}
-	var gold, bronze OverloadClientStats
-	for _, c := range r.Clients {
+	front := r.Tenants[0]
+	var gold, bronze ClientStats
+	for _, c := range front.Clients {
 		switch c.Name {
 		case "gold":
 			gold = c
@@ -66,15 +64,15 @@ func TestOverloadArc(t *testing.T) {
 			gold.ShedFraction*100, bronze.ShedFraction*100)
 	}
 	// The simulator's own refusal count must agree with the clients' books.
-	if sum := gold.Shed + bronze.Shed; sum != r.ShedTotal {
-		t.Fatalf("shed accounting disagrees: clients %d, simulator %d", sum, r.ShedTotal)
+	if sum := gold.Shed + bronze.Shed; sum != front.SimShed {
+		t.Fatalf("shed accounting disagrees: clients %d, simulator %d", sum, front.SimShed)
 	}
 	// Offered demand kept flowing into the measurer while shedding: some
 	// mid-surge round must have seen offered well above admitted.
 	sawSplit := false
-	for _, pt := range r.Points {
-		if pt.AtSeconds >= r.StepFrom && pt.AtSeconds < r.StepUntil &&
-			pt.OfferedRate > pt.AdmittedRate*1.2 {
+	for _, pt := range r.Rounds {
+		if g := pt.Gates[0]; pt.AtSeconds >= r.StepFrom && pt.AtSeconds < r.StepUntil &&
+			g.OfferedRate > g.AdmittedRate*1.2 {
 			sawSplit = true
 			break
 		}
@@ -90,10 +88,7 @@ func TestOverloadGoldenOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("27 simulated minutes of a supervised topology behind the admission gate")
 	}
-	r, err := RunOverload(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := overload(t)
 	var buf bytes.Buffer
 	r.Print(&buf)
 	golden(t, "overload.golden", buf.Bytes())

@@ -215,13 +215,9 @@ func RunRestart(o Options) (RestartResult, error) {
 
 // RunRestartSpec replays an arbitrary scenario spec as a kill -9 arc:
 // the first scripted kill is the process death, its recovery the
-// restart. A non-default Options.Duration scales the spec to that
-// horizon.
+// restart. A positive Options.Duration scales the spec to that horizon.
 func RunRestartSpec(spec scenario.Spec, o Options) (RestartResult, error) {
-	o = o.withDefaults()
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		spec = spec.Scaled(o.Duration / spec.DurationSeconds)
-	}
+	spec = spec.Scaled(o.scale(spec.DurationSeconds))
 	tl, err := scenario.Compile(spec)
 	if err != nil {
 		return RestartResult{}, err

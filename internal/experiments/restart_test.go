@@ -12,10 +12,7 @@ import (
 // admitted is ever lost, duplicates equal the acked-after-last-sync
 // window, and a third boot has nothing left to replay.
 func TestRestartArc(t *testing.T) {
-	r, err := RunRestart(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t)
 	if r.Lost != 0 {
 		t.Fatalf("%d admitted records lost across the kill", r.Lost)
 	}
@@ -65,10 +62,7 @@ func TestRestartArc(t *testing.T) {
 // RNG), so any drift in recovery, replay or the audit shows up as a
 // textual diff.
 func TestRestartGoldenOutput(t *testing.T) {
-	r, err := RunRestart(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := restart(t)
 	var buf bytes.Buffer
 	r.Print(&buf)
 	golden(t, "restart.golden", buf.Bytes())

@@ -1,0 +1,269 @@
+package experiments
+
+import (
+	"fmt"
+	"io"
+	"math"
+	"slices"
+
+	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/sim"
+)
+
+// runs.go holds the three figures over the supervised single-tenant
+// runner: Figures 9 and 10 and the DRS-vs-threshold baseline are each a
+// list of run specs on a paper timeline, the claims derived from the
+// runs, and a renderer.
+
+// controllerPaper is Figs. 9 and 10's timeline: 27 minutes, DRS passive
+// for the first 13 and active from minute 14 on. The baseline comparison
+// runs 20 minutes with the policy enabled after the first.
+var (
+	controllerPaper = timeline{horizon: 27 * 60, enableAt: 13 * 60}
+	baselinePaper   = timeline{horizon: 20 * 60, enableAt: 60}
+)
+
+// minLatencyCtrl is Program (4) mode with Kmax fixed at the paper pool's 22.
+var minLatencyCtrl = core.ControllerConfig{Mode: core.ModeMinLatency, Kmax: 22, MinGain: 0.05}
+
+// printMinutes renders a per-minute sojourn series in milliseconds, a
+// dash for minutes without completions.
+func printMinutes(w io.Writer, series []sim.SeriesPoint) {
+	for _, pt := range series {
+		if math.IsNaN(pt.MeanSojourn) {
+			fmt.Fprint(w, "    - ")
+			continue
+		}
+		fmt.Fprintf(w, "%5.0f ", pt.MeanSojourn*1e3)
+	}
+}
+
+// Fig9Result is Figure 9 for one application: one curve per initial
+// allocation.
+type Fig9Result struct {
+	App    App
+	Curves []Run
+	// Converged reports the paper's claim: after re-balancing is enabled
+	// every curve ends on the same (optimal) allocation.
+	Converged bool
+	// Recommended is that allocation.
+	Recommended []int
+}
+
+// fig9Initials are the paper's three initial allocations per app.
+var fig9Initials = map[App][][]int{
+	VLD: {{8, 12, 2}, {11, 9, 2}, {10, 11, 1}},
+	FPD: {{8, 12, 2}, {7, 13, 2}, {6, 13, 3}},
+}
+
+// RunFigure9 reproduces the re-balancing experiment, one 27-minute run
+// per initial allocation.
+func RunFigure9(app App, o Options) (Fig9Result, error) {
+	p, err := profileFor(app)
+	if err != nil {
+		return Fig9Result{}, err
+	}
+	res := Fig9Result{App: app, Recommended: p.recommended, Converged: true}
+	for i, initial := range fig9Initials[app] {
+		curve, err := runControlled(runSpec{
+			profile: p, initial: initial, machines: 5, ctrl: minLatencyCtrl, seedOffset: uint64(i),
+		}, controllerPaper.at(o), o)
+		if err != nil {
+			return Fig9Result{}, err
+		}
+		if !slices.Equal(curve.FinalAlloc, p.recommended) {
+			res.Converged = false
+		}
+		res.Curves = append(res.Curves, curve)
+	}
+	return res, nil
+}
+
+// Print renders the per-minute series and events.
+func (r Fig9Result) Print(w io.Writer) {
+	header(w, fmt.Sprintf("Figure 9 (%s): re-balancing disabled until minute 13, enabled from minute 14", r.App))
+	for _, c := range r.Curves {
+		fmt.Fprintf(w, "\ninitial %s -> final %s\n", allocString(c.Initial), allocString(c.FinalAlloc))
+		fmt.Fprint(w, "minute: ")
+		printMinutes(w, c.Series)
+		fmt.Fprintln(w, " (ms)")
+		for _, tr := range c.Transitions {
+			fmt.Fprintf(w, "  t=%4.0fs %-10s -> %s (pause %.1fs): %s\n",
+				tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.PauseSeconds, tr.Reason)
+		}
+	}
+	fmt.Fprintf(w, "\nall curves converged to DRS's recommendation %s: %v\n",
+		allocString(r.Recommended), r.Converged)
+}
+
+// Fig10Experiment identifies the two runs of Figure 10.
+type Fig10Experiment string
+
+// ExpA scales out (tight Tmax, small initial pool); ExpB scales in (loose
+// Tmax, large initial pool).
+const (
+	ExpA Fig10Experiment = "ExpA"
+	ExpB Fig10Experiment = "ExpB"
+)
+
+// fig10Specs states the two experiments. The paper uses Tmax 500 ms and
+// 1000 ms on its hardware; our calibrated VLD runs ~2x slower in absolute
+// terms (EXPERIMENTS.md), so the constraints scale accordingly while
+// preserving the relation
+//
+//	E[T](22 procs) < TmaxA < measured(17 procs)   (ExpA must grow)
+//	measured(17 procs) < TmaxB·(1−slack)          (ExpB may shrink)
+var fig10Specs = map[Fig10Experiment]struct {
+	tmax     float64
+	machines int
+	initial  []int
+}{
+	ExpA: {tmax: 1.25, machines: 4, initial: []int{8, 8, 1}},  // Kmax 17
+	ExpB: {tmax: 2.0, machines: 5, initial: []int{10, 11, 1}}, // Kmax 22
+}
+
+// Fig10Result is one curve of Figure 10.
+type Fig10Result struct {
+	Experiment Fig10Experiment
+	Tmax       float64
+	Run
+	// MeetsTargetAfter reports whether the post-transition steady state
+	// satisfies Tmax (the ExpA claim) — for ExpB the claim is that the
+	// smaller pool still satisfies it.
+	MeetsTargetAfter bool
+}
+
+// RunFigure10 reproduces the Tmax-driven scaling experiment on VLD: after
+// the passive 13 minutes DRS in min-resource mode negotiates machines
+// through the cluster pool.
+func RunFigure10(exp Fig10Experiment, o Options) (Fig10Result, error) {
+	spec, ok := fig10Specs[exp]
+	if !ok {
+		return Fig10Result{}, fmt.Errorf("experiments: unknown Fig. 10 experiment %q", exp)
+	}
+	p, err := profileFor(VLD)
+	if err != nil {
+		return Fig10Result{}, err
+	}
+	tl := controllerPaper.at(o)
+	res := Fig10Result{Experiment: exp, Tmax: spec.tmax}
+	res.Run, err = runControlled(runSpec{
+		profile: p, initial: spec.initial, machines: spec.machines,
+		ctrl: core.ControllerConfig{
+			Mode: core.ModeMinResource,
+			Tmax: spec.tmax,
+			// Hysteresis against flapping: near-tie rebalances are
+			// suppressed, shrinking requires the tightened target to fit,
+			// and scale-in may not push any operator near saturation
+			// (where the exponential-service estimate is optimistic).
+			MinGain:               0.05,
+			ScaleInSlack:          0.35,
+			MaxScaleInUtilization: 0.9,
+			SlotsPerMachine:       5,
+			ReservedSlots:         3,
+		},
+	}, tl, o)
+	if err != nil {
+		return Fig10Result{}, err
+	}
+	// Steady state after the last transition (skip 2 buckets of settling).
+	lastAt := tl.enableAt
+	if n := len(res.Transitions); n > 0 {
+		lastAt = res.Transitions[n-1].AtSeconds
+	}
+	res.MeetsTargetAfter = meanSojourn(window(res.Series, lastAt+120, math.Inf(1))) <= res.Tmax
+	return res, nil
+}
+
+// Print renders the curve and its scaling events.
+func (r Fig10Result) Print(w io.Writer) {
+	header(w, fmt.Sprintf("Figure 10 (%s): Tmax = %.0f ms, re-balancing enabled from minute 14", r.Experiment, r.Tmax*1e3))
+	fmt.Fprintf(w, "initial: %d machines, Kmax=%d, %s\n", r.InitialMachines, r.InitialKmax, allocString(r.Initial))
+	fmt.Fprintf(w, "final:   %d machines, Kmax=%d, %s\n", r.FinalMachines, r.FinalKmax, allocString(r.FinalAlloc))
+	fmt.Fprint(w, "minute: ")
+	printMinutes(w, r.Series)
+	fmt.Fprintln(w, " (ms)")
+	for _, tr := range r.Transitions {
+		fmt.Fprintf(w, "  t=%4.0fs %-10s -> %s, Kmax=%d (pause %.1fs): %s\n",
+			tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, tr.Reason)
+	}
+	fmt.Fprintf(w, "steady state after scaling meets Tmax: %v\n", r.MeetsTargetAfter)
+}
+
+// BaselineRun is one policy's outcome in the DRS-vs-threshold comparison;
+// each of its Transitions paid the rebalance pause.
+type BaselineRun struct {
+	Policy string
+	Run
+	// SteadyMeanMillis is the mean sojourn over the final third of the run.
+	SteadyMeanMillis float64
+}
+
+// BaselineResult compares DRS's model-driven allocation against the
+// utilization-threshold autoscaler on the same workload, same initial
+// misallocation and same budget. Not a paper figure — it is the ablation
+// motivating the queueing model over the obvious reactive policy.
+type BaselineResult struct {
+	App  App
+	Runs []BaselineRun
+	// DRSWins reports whether DRS settled at a steady latency at least as
+	// good as the baseline's while needing at most a couple of moves.
+	// Note the instructive failure mode of the baseline: from (8:12:2)
+	// the FPD utilizations all sit inside the thresholds, so the reactive
+	// policy sees nothing to fix — balanced utilization simply is not
+	// minimal latency, which is the point of the queueing model.
+	DRSWins bool
+}
+
+// baselinePolicies are the two steppers compared, DRS first.
+var baselinePolicies = []struct {
+	name    string
+	stepper core.Stepper
+}{
+	{name: "drs"},
+	{name: "threshold", stepper: core.ThresholdController{High: 0.8, Low: 0.35, Kmax: 22}},
+}
+
+// RunBaseline runs both policies on the application from a deliberately
+// bad initial allocation.
+func RunBaseline(app App, o Options) (BaselineResult, error) {
+	p, err := profileFor(app)
+	if err != nil {
+		return BaselineResult{}, err
+	}
+	tl := baselinePaper.at(o)
+	res := BaselineResult{App: app}
+	for i, pol := range baselinePolicies {
+		run, err := runControlled(runSpec{
+			profile:  p,
+			initial:  []int{8, 12, 2}, // bad for both VLD and FPD profiles
+			machines: 5, ctrl: minLatencyCtrl, stepper: pol.stepper, seedOffset: uint64(i) * 1000,
+		}, tl, o)
+		if err != nil {
+			return BaselineResult{}, err
+		}
+		res.Runs = append(res.Runs, BaselineRun{
+			Policy: pol.name, Run: run,
+			SteadyMeanMillis: meanSojourn(window(run.Series, tl.horizon*2/3, math.Inf(1))) * 1e3,
+		})
+	}
+	drs, base := res.Runs[0], res.Runs[1]
+	res.DRSWins = drs.SteadyMeanMillis <= base.SteadyMeanMillis*1.02 && len(drs.Transitions) <= 2
+	return res, nil
+}
+
+// Print renders the comparison.
+func (r BaselineResult) Print(w io.Writer) {
+	header(w, fmt.Sprintf("Baseline comparison (%s): DRS vs utilization-threshold autoscaler", r.App))
+	fmt.Fprintf(w, "%-10s %18s %14s %20s\n", "policy", "reconfigurations", "final alloc", "steady mean (ms)")
+	for _, run := range r.Runs {
+		fmt.Fprintf(w, "%-10s %18d %14s %20.1f\n",
+			run.Policy, len(run.Transitions), allocString(run.FinalAlloc), run.SteadyMeanMillis)
+	}
+	for _, run := range r.Runs {
+		for _, tr := range run.Transitions {
+			fmt.Fprintf(w, "  [%s] t=%4.0fs -> %s: %s\n", run.Policy, tr.AtSeconds, allocString(tr.Alloc), tr.Reason)
+		}
+	}
+	fmt.Fprintf(w, "DRS at least as good with at most two moves: %v\n", r.DRSWins)
+}

@@ -9,14 +9,11 @@ func TestSheddingStudy(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation run")
 	}
-	r, err := RunShedding(Options{})
-	if err != nil {
-		t.Fatal(err)
+	r := shedding(t)
+	if len(r.Points) != 3 {
+		t.Fatalf("runs = %d, want 3", len(r.Points))
 	}
-	if len(r.Runs) != 3 {
-		t.Fatalf("runs = %d, want 3", len(r.Runs))
-	}
-	overloaded, shedding, drs := r.Runs[0], r.Runs[1], r.Runs[2]
+	overloaded, shed, drs := r.Points[0], r.Points[1], r.Points[2]
 	if overloaded.DropRate != 0 {
 		t.Errorf("unbounded queues dropped %f", overloaded.DropRate)
 	}
@@ -24,7 +21,7 @@ func TestSheddingStudy(t *testing.T) {
 		t.Errorf("overloaded mean %.0fms should blow up (queues grow for 10 min)", overloaded.MeanMillis)
 	}
 	if !r.SheddingLosesData {
-		t.Errorf("shedding run did not exhibit the trade-off: %+v", shedding)
+		t.Errorf("shedding run did not exhibit the trade-off: %+v", shed)
 	}
 	if !r.DRSKeepsDataAndLatency {
 		t.Errorf("DRS run failed its claim: %+v", drs)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -37,6 +37,9 @@ const (
 	// traceSamplePermille is the production-flavored sampling rate of the
 	// local and remote variants (250 of 1000 roots).
 	traceSamplePermille = 250
+	// tracePerTenant is the offered arrivals per tenant on the unscaled
+	// scenario (never fewer than 200 on a scaled one).
+	tracePerTenant = 600
 	// traceRemoteMachines spreads the count stage over this many workers.
 	traceRemoteMachines = 3
 	// traceLocalSpans / traceRemoteSpans are the exact per-trace segment
@@ -352,21 +355,8 @@ func runTraceVariant(mode string, entries []traceEntry, permille, remoteMachines
 		v.SumServiceNS += tr.ServiceNS
 		v.SumShuttleNS += tr.ShuttleNS
 	}
-	sort.Slice(v.SampledIDs, func(i, j int) bool { return v.SampledIDs[i] < v.SampledIDs[j] })
+	slices.Sort(v.SampledIDs)
 	return v, nil
-}
-
-// sampledIDsEqual reports two sorted trace-id sets identical.
-func sampledIDsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // variantBalanced reports the one-trace-per-sampled-root contract for one
@@ -389,17 +379,12 @@ func RunTrace(o Options) (TraceResult, error) {
 }
 
 // RunTraceSpec runs the trace reconciliation arc over an arbitrary
-// scenario spec. A non-default Options.Duration scales both the spec and
-// the per-tenant workload size.
+// scenario spec. A positive Options.Duration scales both the spec and the
+// per-tenant workload size.
 func RunTraceSpec(spec scenario.Spec, o Options) (TraceResult, error) {
-	o = o.withDefaults()
-	if o.Duration != 600 { // scaled-down run (benchmarks, quick tests)
-		spec = spec.Scaled(o.Duration / spec.DurationSeconds)
-	}
-	perTenant := int(o.Duration)
-	if perTenant < 200 {
-		perTenant = 200
-	}
+	f := o.scale(spec.DurationSeconds)
+	spec = spec.Scaled(f)
+	perTenant := max(200, int(tracePerTenant*f))
 	res := TraceResult{Scenario: spec, PerTenant: perTenant}
 	entries, shed, err := traceWorkload(spec, perTenant)
 	if err != nil {
@@ -415,7 +400,7 @@ func RunTraceSpec(spec scenario.Spec, o Options) (TraceResult, error) {
 	if res.Full, err = runTraceVariant("full", entries, 1000, 0, int64(spec.Seed)); err != nil {
 		return res, err
 	}
-	res.SampledSetsIdentical = sampledIDsEqual(res.Local.SampledIDs, res.Remote.SampledIDs) &&
+	res.SampledSetsIdentical = slices.Equal(res.Local.SampledIDs, res.Remote.SampledIDs) &&
 		len(res.Local.SampledIDs) == res.Local.SampledExpected
 	res.TelescopeExact = res.Local.TelescopeViolations == 0 &&
 		res.Remote.TelescopeViolations == 0 && res.Full.TelescopeViolations == 0

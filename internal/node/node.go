@@ -1,6 +1,6 @@
 // Package node is the one live assembly path: every caller that runs the
 // DRS stack against the wall clock — `drsctl serve`, `supervise` and
-// `schedule`, the live examples — builds it here instead of wiring the
+// `schedule`, examples/autoscale — builds it here instead of wiring the
 // packages by hand.
 //
 // It has two layers. A Tenant is one supervised live topology: an engine
@@ -59,8 +59,10 @@ const (
 )
 
 // Config describes a node. Every field is either a deployment setting or
-// a value `drsctl serve` and examples/ingest set differently; everything
-// with one value in use is a constant above. The benchmark's SUT will
+// a value `drsctl serve` and this package's tests set differently;
+// everything with one value in use is a constant above or a default of
+// the package it configures (the cooldown is loop's 4·Interval, the ring
+// capacity ingest's 4096). The benchmark's SUT will
 // need a completion hook, decorator seams (source, target, stepper,
 // listeners) and a control-off mode before it can assemble through Start;
 // each is addable as one more field here and none exists until then.
@@ -77,15 +79,12 @@ type Config struct {
 	// defend (required).
 	Tmax float64
 	// Interval is the measurement cadence Tm — also the gate's replan,
-	// the placement and the checkpoint cadence (required). Cooldown is
-	// the observe-only window after an action (default 4·Interval).
-	Interval, Cooldown time.Duration
+	// the placement and the checkpoint cadence (required).
+	Interval time.Duration
 	// SlotsPerMachine and MaxMachines size the pool the node leases from.
 	SlotsPerMachine, MaxMachines int
 	// Costs are the pool's modelled transition pauses.
 	Costs cluster.CostModel
-	// RingCapacity bounds the gate → spout hand-off (default 4096).
-	RingCapacity int
 	// Clients carries the per-client shedding weights and token buckets.
 	Clients ingest.ListenerConfig
 	// HTTPAddr and TCPAddr are the ingest listen addresses ("" disables
@@ -258,13 +257,12 @@ func (n *Node) boot() error {
 
 	maxSlots := cfg.SlotsPerMachine * cfg.MaxMachines
 	n.gate = ingest.NewGate(ingest.GateConfig{
-		Name:         tenantName,
-		Tmax:         cfg.Tmax,
-		MaxSlots:     maxSlots,
-		RingCapacity: cfg.RingCapacity,
-		ReplanEvery:  cfg.Interval,
-		DecisionLog:  n.dlog,
-		Tracer:       n.tracer,
+		Name:        tenantName,
+		Tmax:        cfg.Tmax,
+		MaxSlots:    maxSlots,
+		ReplanEvery: cfg.Interval,
+		DecisionLog: n.dlog,
+		Tracer:      n.tracer,
 	})
 	if n.walLog != nil {
 		if err := n.gate.AttachWAL(n.walLog); err != nil {
@@ -298,7 +296,6 @@ func (n *Node) boot() error {
 		},
 		Pool:     n.lease,
 		Interval: cfg.Interval,
-		Cooldown: cfg.Cooldown,
 		Logger:   cfg.Logger,
 	}, front{
 		gate: n.gate, dlog: n.dlog, tracer: n.tracer, resume: resume,

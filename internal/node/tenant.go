@@ -62,9 +62,9 @@ type TenantConfig struct {
 	// Pool is the resource negotiator: a loop.FixedPool, a private
 	// cluster.Pool or a scheduler lease (required).
 	Pool loop.Pool
-	// Interval is the measurement cadence Tm (required); Cooldown is the
-	// observe-only window after an action (default 4·Interval).
-	Interval, Cooldown time.Duration
+	// Interval is the measurement cadence Tm (required); the observe-only
+	// window after an action is loop's default, 4·Interval.
+	Interval time.Duration
 	// Logger receives the loop's events; nil discards them.
 	Logger *slog.Logger
 }
@@ -139,7 +139,6 @@ func newTenant(topo *engine.Topology, cfg TenantConfig, f front) (*Tenant, error
 		Stepper:     ctrl,
 		Pool:        cfg.Pool,
 		Interval:    cfg.Interval,
-		Cooldown:    cfg.Cooldown,
 		Logger:      logger,
 		Resume:      f.resume,
 		Tenant:      cfg.Name,
