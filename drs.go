@@ -229,10 +229,6 @@ type SupervisorPool = loop.Pool
 // a SupervisorPool implementation returns.
 type PoolTransition = cluster.Transition
 
-// SupervisorClock abstracts time for deterministic tests and virtual-time
-// (simulator) driving of the loop.
-type SupervisorClock = loop.Clock
-
 // NewSupervisor validates the config, fills defaults (a windowed Measurer
 // over the named operators, 4·Interval cooldown, 3-failure suppression)
 // and builds a supervisor.

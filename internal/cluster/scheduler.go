@@ -32,16 +32,6 @@ import (
 // overwritten past it.
 const maxHistory = 256
 
-// Clock abstracts time for the scheduler's decision history; virtual-time
-// drivers (the experiments) inject their own.
-type Clock interface {
-	Now() time.Time
-}
-
-type schedWallClock struct{}
-
-func (schedWallClock) Now() time.Time { return time.Now() }
-
 // TenantReport is a tenant's latest utility self-assessment, pushed by its
 // supervisor every measurement round. The two marginal rates are in the
 // Equation (3) *numerator* units — sojourn-seconds per second, i.e. tuples
@@ -116,8 +106,10 @@ type SchedulerConfig struct {
 	// the cold-start pause). When false, the wreck occupies the cap until
 	// Recover and the tenants ride out the outage on shrunken grants.
 	ReplaceOnFailure bool
-	// Clock defaults to the wall clock.
-	Clock Clock
+	// Clock reads the time for the scheduler's decision history;
+	// virtual-time drivers (the experiments) inject their own. Nil means
+	// time.Now.
+	Clock func() time.Time
 	// DecisionLog, when set, receives every arbitration outcome as a
 	// structured record — preemptions carry their full Appendix-B verdict
 	// inputs (claimant benefit, victim cost, both arrival rates, the
@@ -205,8 +197,8 @@ type SchedulerState struct {
 // Scheduler arbitrates one machine pool among N tenant topologies. Safe
 // for concurrent use: every lease operation serializes on the scheduler.
 type Scheduler struct {
-	cfg   SchedulerConfig
-	clock Clock
+	cfg SchedulerConfig
+	now func() time.Time
 
 	mu        sync.Mutex
 	tenants   []*Tenant      // registration order; tie-break for fairness
@@ -238,9 +230,9 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 		cfg.CostWindow = time.Minute
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = schedWallClock{}
+		cfg.Clock = time.Now
 	}
-	s := &Scheduler{cfg: cfg, clock: cfg.Clock, preempts: make(map[string]int)}
+	s := &Scheduler{cfg: cfg, now: cfg.Clock, preempts: make(map[string]int)}
 	s.mu.Lock()
 	s.placeLocked()
 	s.mu.Unlock()
@@ -265,7 +257,7 @@ func (s *Scheduler) poolChurn(ev ChurnEvent) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.recordLocked(SchedulerEvent{At: s.clock.Now(), Kind: ev.Kind,
+	s.recordLocked(SchedulerEvent{At: s.now(), Kind: ev.Kind,
 		From: ev.LiveBefore, To: ev.LiveAfter,
 		Detail: fmt.Sprintf("machine %d", ev.Machine)})
 	lost := 0
@@ -347,7 +339,7 @@ func (s *Scheduler) Register(cfg TenantConfig) (*Tenant, error) {
 		s.arbitrateLocked(0)
 		return nil, fmt.Errorf("%w: tenant %q needs %d initial slots", ErrNoCapacity, cfg.Name, cfg.InitialSlots)
 	}
-	s.recordLocked(SchedulerEvent{At: s.clock.Now(), Kind: "register", Tenant: cfg.Name,
+	s.recordLocked(SchedulerEvent{At: s.now(), Kind: "register", Tenant: cfg.Name,
 		From: 0, To: t.granted, Detail: fmt.Sprintf("weight %g priority %d floor %d", cfg.Weight, cfg.Priority, cfg.MinSlots)})
 	return t, nil
 }
@@ -434,7 +426,7 @@ func (s *Scheduler) recordLocked(ev SchedulerEvent) {
 //
 // It returns the pool transition and whether the machine count changed.
 func (s *Scheduler) arbitrateLocked(lostCapacity int) (Transition, bool) {
-	now := s.clock.Now()
+	now := s.now()
 	for _, t := range s.tenants {
 		t.prevGranted = t.granted
 		t.granted = 0
@@ -823,7 +815,7 @@ func (t *Tenant) SetPriority(priority int) error {
 	old := t.cfg.Priority
 	t.cfg.Priority = priority
 	delete(t.s.preempts, t.cfg.Name)
-	t.s.recordLocked(SchedulerEvent{At: t.s.clock.Now(), Kind: "priority",
+	t.s.recordLocked(SchedulerEvent{At: t.s.now(), Kind: "priority",
 		Tenant: t.cfg.Name, From: old, To: priority})
 	t.s.arbitrateLocked(0)
 	return nil

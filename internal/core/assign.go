@@ -89,6 +89,60 @@ func (m *Model) minProcessorsInto(buf []int, h *benefitHeap, tmax float64) ([]in
 	return k, nil
 }
 
+// NeedAt is Program (6) at demand scale s: it re-points the receiver at
+// base scaled by s (see Scale) and returns the total of MinProcessors(tmax)
+// there — how many processors s times base's load needs to meet tmax. The
+// receiver is the search's scratch: its rate storage, allocation vector
+// and heap are reused, so a probe allocates nothing once warm.
+func (m *Model) NeedAt(base *Model, s, tmax float64) (int, error) {
+	if err := m.Scale(base, s); err != nil {
+		return 0, err
+	}
+	k, err := m.minProcessorsInto(m.nbuf, &m.heap, tmax)
+	if err != nil {
+		return 0, err
+	}
+	m.nbuf = k
+	return sum(k), nil
+}
+
+// MaxScale inverts Program (6) over demand: the largest scale s below hi
+// with NeedAt(base, s, tmax) ≤ budget, for a hi that itself needs more
+// than budget. Feasibility is monotone in s (every E[T_i] grows with λ_i
+// at fixed k_i), so 40 halvings of [0, hi] pin the boundary far below
+// measurement noise; each probe scales base afresh. A probe the model
+// cannot price counts as infeasible. The receiver is scratch, as in NeedAt.
+func (m *Model) MaxScale(base *Model, tmax float64, budget int, hi float64) float64 {
+	lo := 0.0
+	for i := 0; i < 40; i++ {
+		mid := (lo + hi) / 2
+		if mid <= 0 {
+			break
+		}
+		if n, err := m.NeedAt(base, mid, tmax); err == nil && n <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// Violates is the one judgment of "missing the target": the measured mean
+// sojourn is above tmax, or Equation (3)'s estimate for alloc is. A
+// non-positive tmax means no target, and an alloc the model cannot price
+// (wrong length) is judged on the measurement alone.
+func (m *Model) Violates(alloc []int, measured, tmax float64) bool {
+	if tmax <= 0 {
+		return false
+	}
+	if measured > tmax {
+		return true
+	}
+	est, err := m.ExpectedSojourn(alloc)
+	return err == nil && est > tmax
+}
+
 // benefitHeap is a max-heap over operator indices keyed by marginal benefit.
 // Entries are lazily refreshed: when an operator is popped we recompute its
 // benefit at the *current* k and re-push if it was stale. Because benefits

@@ -290,17 +290,10 @@ func (c *Controller) stepMinLatency(model *Model, s Snapshot) (Decision, error) 
 // when the model is optimistic near saturation (it assumes exponential
 // service; heavier-tailed reality queues worse).
 func (c *Controller) stepMinResource(model *Model, s Snapshot) (Decision, error) {
-	curKmax := s.Kmax
-	violating := s.MeasuredSojourn > c.cfg.Tmax
-	if !violating && len(s.Alloc) == model.N() {
-		if est, eerr := model.ExpectedSojourn(s.Alloc); eerr == nil && est > c.cfg.Tmax {
-			violating = true
-		}
+	if model.Violates(s.Alloc, s.MeasuredSojourn, c.cfg.Tmax) {
+		return c.scaleOutOrRebalance(model, s, s.Kmax)
 	}
-	if violating {
-		return c.scaleOutOrRebalance(model, s, curKmax)
-	}
-	return c.maybeScaleIn(model, s, curKmax)
+	return c.maybeScaleIn(model, s, s.Kmax)
 }
 
 // scaleOutOrRebalance handles a Tmax violation: grow the pool to the
@@ -363,6 +356,8 @@ func (c *Controller) scaleOutOrRebalance(model *Model, s Snapshot, curKmax int) 
 // maybeScaleIn releases machines only when the tightened target still fits
 // in a smaller pool.
 func (c *Controller) maybeScaleIn(model *Model, s Snapshot, curKmax int) (Decision, error) {
+	// The steady state of a converged deployment is one of these holds,
+	// every Tm forever: the reasons are constants, so it allocates nothing.
 	hold := func(reason string) Decision {
 		est := math.NaN()
 		if len(s.Alloc) == model.N() {
@@ -396,9 +391,9 @@ func (c *Controller) maybeScaleIn(model *Model, s Snapshot, curKmax int) (Decisi
 		return hold("smaller pool would not keep enough headroom"), nil
 	}
 	if cap := c.cfg.MaxScaleInUtilization; cap > 0 {
-		for i, op := range model.Rates() {
+		for i, op := range model.ops {
 			if op.Lambda/(float64(target[i])*op.Mu) > cap {
-				return hold(fmt.Sprintf("scale-in would push %s past %.0f%% utilization", op.Name, cap*100)), nil
+				return hold("scale-in would push an operator past MaxScaleInUtilization"), nil
 			}
 		}
 	}

@@ -54,13 +54,18 @@ func (op OpRates) cv2() float64 {
 }
 
 // Model is the DRS performance model of §III-B: per-operator M/M/k sojourn
-// estimates aggregated over the Jackson network by Equation (3). A Model
-// never mutates after construction; build a new one per metrics snapshot,
-// or re-point a long-lived one at fresh rates with Reset (the controller's
-// per-round path, which reuses the model's storage instead of allocating).
+// estimates aggregated over the Jackson network by Equation (3). Its
+// queries never mutate it; Reset, Scale, NeedAt and MaxScale re-point it
+// at other rates in place, reusing its storage — a module holds one Model
+// per control round instead of building one per question — and must not
+// run concurrently with any other use of the receiver.
 type Model struct {
 	lambda0 float64
 	ops     []OpRates
+	// nbuf and heap are NeedAt's Program (6) scratch, reused across the
+	// probes of one search.
+	nbuf []int
+	heap benefitHeap
 }
 
 // NewModel builds a model directly from measured rates. lambda0 is λ0, the
@@ -75,9 +80,24 @@ func NewModel(lambda0 float64, ops []OpRates) (*Model, error) {
 
 // Reset re-points the model at a fresh snapshot's rates, validating them
 // exactly as NewModel does and reusing the receiver's storage (ops is
-// copied in, never retained). On error the receiver is unchanged. A model
-// being Reset must not be in concurrent use.
+// copied in, never retained). On error the receiver is unchanged.
 func (m *Model) Reset(lambda0 float64, ops []OpRates) error {
+	return m.reset(lambda0, ops, 1)
+}
+
+// Scale re-points the model at base's rates at demand scale s: λ0·s and
+// every λ_i·s, the µ_i as they are — the traffic equations are linear in
+// λ0, so this is the same network under s times the external load. It
+// always multiplies base's rates, never the receiver's current ones, so
+// the probes of a search do not compound rounding. The scaled rates are
+// validated as Reset validates; on error the receiver is unchanged.
+func (m *Model) Scale(base *Model, s float64) error {
+	return m.reset(base.lambda0, base.ops, s)
+}
+
+// reset validates lambda0·s and ops with every λ_i·s, then copies them in.
+func (m *Model) reset(lambda0 float64, ops []OpRates, s float64) error {
+	lambda0 *= s
 	if lambda0 <= 0 || math.IsNaN(lambda0) || math.IsInf(lambda0, 0) {
 		return fmt.Errorf("core: lambda0 %g must be positive and finite", lambda0)
 	}
@@ -85,8 +105,8 @@ func (m *Model) Reset(lambda0 float64, ops []OpRates) error {
 		return errors.New("core: no operators")
 	}
 	for i, op := range ops {
-		if op.Lambda < 0 || math.IsNaN(op.Lambda) || math.IsInf(op.Lambda, 0) {
-			return fmt.Errorf("core: operator %d (%s): lambda %g invalid", i, op.Name, op.Lambda)
+		if l := op.Lambda * s; l < 0 || math.IsNaN(l) || math.IsInf(l, 0) {
+			return fmt.Errorf("core: operator %d (%s): lambda %g invalid", i, op.Name, l)
 		}
 		if op.Mu <= 0 || math.IsNaN(op.Mu) || math.IsInf(op.Mu, 0) {
 			return fmt.Errorf("core: operator %d (%s): mu %g invalid", i, op.Name, op.Mu)
@@ -94,6 +114,9 @@ func (m *Model) Reset(lambda0 float64, ops []OpRates) error {
 	}
 	m.lambda0 = lambda0
 	m.ops = append(m.ops[:0], ops...)
+	for i := range m.ops {
+		m.ops[i].Lambda *= s
+	}
 	return nil
 }
 
@@ -121,6 +144,10 @@ func (m *Model) Lambda0() float64 { return m.lambda0 }
 
 // Rates returns a copy of the per-operator rates.
 func (m *Model) Rates() []OpRates { return append([]OpRates(nil), m.ops...) }
+
+// Ops returns the per-operator rates without copying: a read-only view,
+// valid until the model is next re-pointed.
+func (m *Model) Ops() []OpRates { return m.ops }
 
 // OperatorSojourn returns E[T_i](k_i) of Equation (1) for operator i under
 // k processors (+Inf when unstable), with the M/G/k correction applied

@@ -389,3 +389,89 @@ func TestOperatorSojournConsistentWithQueueing(t *testing.T) {
 		t.Errorf("OperatorSojourn = %g, want %g", got, want)
 	}
 }
+
+// TestMaxScaleInvertsProgram6 is the contract of the demand search on
+// random networks: MaxScale's s* is feasible and tight —
+// need(s*) ≤ budget < need(s*·(1+1e-6)) — s* grows with the budget, every
+// probe scales the base afresh (the base is untouched and a repeated
+// search returns the same bits), and Scale is the linear map it claims.
+func TestMaxScaleInvertsProgram6(t *testing.T) {
+	rng := stats.NewRNG(41)
+	searches := 0
+	for trial := 0; trial < 100; trial++ {
+		ops := make([]OpRates, 1+rng.IntN(4))
+		sumService := 0.0
+		for i := range ops {
+			ops[i] = OpRates{Lambda: 0.5 + rng.Float64()*10, Mu: 1 + rng.Float64()*5, ServiceCV2: rng.Float64() * 2}
+			sumService += ops[i].Lambda / ops[i].Mu
+		}
+		lambda0 := 0.5 + rng.Float64()*3
+		base := mustModel(t, lambda0, ops)
+		tmax := sumService / lambda0 * (1.05 + rng.Float64())
+		const hi = 8.0
+		var probe Model
+		needHi, err := probe.NeedAt(base, hi, tmax)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if probe.Lambda0() != lambda0*hi || probe.Ops()[0].Lambda != ops[0].Lambda*hi || probe.Ops()[0].Mu != ops[0].Mu {
+			t.Fatalf("trial %d: Scale(%g) is not λ0·s, λ_i·s, µ_i", trial, hi)
+		}
+		_, minTotal, err := base.MinAllocation()
+		if err != nil {
+			t.Fatal(err)
+		}
+		prev := 0.0
+		for budget := minTotal + 1; budget < needHi; budget += 1 + (needHi-minTotal)/5 {
+			s := probe.MaxScale(base, tmax, budget, hi)
+			if n, err := probe.NeedAt(base, s, tmax); err != nil || n > budget {
+				t.Fatalf("trial %d budget %d: need(s*=%g) = %d, %v — not feasible", trial, budget, s, n, err)
+			}
+			if n, err := probe.NeedAt(base, s*(1+1e-6), tmax); err == nil && n <= budget {
+				t.Fatalf("trial %d budget %d: need(s*·(1+1e-6)) = %d still fits — s*=%g is not the largest", trial, budget, n, s)
+			}
+			if s < prev {
+				t.Fatalf("trial %d: s* fell %g -> %g as the budget grew to %d", trial, prev, s, budget)
+			}
+			if again := probe.MaxScale(base, tmax, budget, hi); again != s {
+				t.Fatalf("trial %d budget %d: repeated search moved %g -> %g", trial, budget, s, again)
+			}
+			prev = s
+			searches++
+		}
+		if base.Lambda0() != lambda0 || base.Ops()[0].Lambda != ops[0].Lambda {
+			t.Fatalf("trial %d: the search mutated its base", trial)
+		}
+	}
+	if searches < 300 {
+		t.Fatalf("only %d searches ran; the generator no longer exercises the property", searches)
+	}
+}
+
+// TestViolates pins the one "missing the target" judgment both the
+// controller and the supervisor's tenant bid use.
+func TestViolates(t *testing.T) {
+	m := vldLikeModel(t)
+	k, err := m.AssignProcessors(22)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, _ := m.ExpectedSojourn(k)
+	for _, c := range []struct {
+		name           string
+		alloc          []int
+		measured, tmax float64
+		want           bool
+	}{
+		{"within target", k, est, est * 1.1, false},
+		{"measured above", k, est * 1.2, est * 1.1, true},
+		{"model above, measurement not", k, 0, est * 0.9, true},
+		{"no target", k, 1e9, 0, false},
+		{"unpriceable alloc, measured below", k[:1], est, est * 1.1, false},
+		{"unpriceable alloc, measured above", k[:1], est * 1.2, est * 1.1, true},
+	} {
+		if got := m.Violates(c.alloc, c.measured, c.tmax); got != c.want {
+			t.Errorf("%s: Violates = %v, want %v", c.name, got, c.want)
+		}
+	}
+}

@@ -141,10 +141,7 @@ func replan(clients []*gateClient, sup *loop.Supervisor, tmax float64, maxSlots 
 	}
 	g.Plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.OfferedRate, ScaleOutViable: true}
 	if snap, ok := sup.LastSnapshot(); ok {
-		// The gate's default 10% headroom: plan against a tightened
-		// target so the admitted traffic keeps a noise margin below
-		// the hard limit.
-		g.Plan = ingest.PlanAdmission(snap, tmax*0.9, maxSlots, g.OfferedRate)
+		g.Plan = ingest.PlanAdmission(snap, tmax, maxSlots, g.OfferedRate)
 	}
 	for i, p := range ingest.AdmitPermilles(g.Plan, weights, ids, rates) {
 		clients[i].permille = p
@@ -304,7 +301,7 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 		Pool:        lease,
 		Interval:    secondsToDuration(controlInterval),
 		Cooldown:    secondsToDuration(4 * controlInterval),
-		Clock:       a.clock,
+		Clock:       a.clock.Now,
 		Logger:      slog.New(a.failures),
 		Tenant:      ts.lease.Name,
 		DecisionLog: a.dlog,
@@ -341,7 +338,7 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 		spec: spec, pool: pool, clock: &simClock{}, failures: &loopFailures{}, dlog: o.DecisionLog,
 		killedOf: make(map[int]int), stragglerOf: make(map[int]int),
 	}
-	a.sched, err = cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: a.clock, DecisionLog: a.dlog})
+	a.sched, err = cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: a.clock.Now, DecisionLog: a.dlog})
 	if err != nil {
 		return res, err
 	}

@@ -117,10 +117,11 @@ func meanSojourn(series []sim.SeriesPoint) float64 {
 }
 
 // simEpoch anchors the virtual clock: simulated second t maps to
-// simEpoch + t on the supervisor's Clock.
+// simEpoch + t on the supervisor's clock.
 var simEpoch = time.Unix(0, 0).UTC()
 
-// simClock adapts simulated seconds to the supervisor's Clock.
+// simClock adapts simulated seconds to the supervisor's and scheduler's
+// Clock (its Now method value).
 type simClock struct {
 	mu  sync.Mutex
 	sec float64
@@ -245,7 +246,7 @@ func runControlled(c runSpec, tl timeline, o Options) (Run, error) {
 		Pool:      pool,
 		Interval:  secondsToDuration(controlInterval),
 		Cooldown:  secondsToDuration(4 * controlInterval),
-		Clock:     clock,
+		Clock:     clock.Now,
 		Logger:    slog.New(failures),
 	})
 	if err != nil {

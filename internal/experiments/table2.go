@@ -48,15 +48,9 @@ func RunTable2(iterations int) (Table2Result, error) {
 	res := Table2Result{Iterations: iterations}
 	// Scale the offered load with Kmax so larger budgets exercise real
 	// allocation work rather than returning early at zero benefit.
-	baseRates := model.Rates()
+	var scaled core.Model
 	for _, kmax := range Table2Kmaxes() {
-		scale := float64(kmax) / 22.0
-		ops := make([]core.OpRates, len(baseRates))
-		for i, op := range baseRates {
-			ops[i] = core.OpRates{Name: op.Name, Lambda: op.Lambda * scale, Mu: op.Mu}
-		}
-		scaled, err := core.NewModel(model.Lambda0()*scale, ops)
-		if err != nil {
+		if err := scaled.Scale(model, float64(kmax)/22.0); err != nil {
 			return Table2Result{}, err
 		}
 		start := time.Now()

@@ -32,48 +32,37 @@ type Plan struct {
 	ScaleOutViable bool
 }
 
+// headroom tightens the planning target to Tmax·(1−headroom): the admitted
+// traffic keeps a noise margin below the hard limit. It is applied here,
+// where the plan is computed, so the live gate and the virtual-time arcs
+// cannot drift apart.
+const headroom = 0.1
+
 // PlanAdmission computes the admission plan from the supervisor's latest
 // control snapshot. snap carries the measured (admitted) rates, the
-// allocation in force and the granted budget Kmax; offeredRate is the
-// external rate clients are currently offering; maxSlots is the provider
-// cap (0 = uncapped). The policy is the DRS model turned into a front
-// door: find the largest demand scaling of the measured rates whose
-// Program (6) allocation still fits the grant, and admit exactly that
-// much. On any model failure it fails open (admit all) — shedding must be
-// justified by the model, never by its absence.
+// allocation in force and the granted budget Kmax; tmax is the hard
+// latency target, planned against with the headroom above; offeredRate is
+// the external rate clients are currently offering; maxSlots is the
+// provider cap (0 = uncapped). The policy is the DRS model turned into a
+// front door: one core.Model of the snapshot per plan, asked what the
+// offered demand needs (Model.NeedAt) and, when that exceeds the grant,
+// the largest demand scaling whose Program (6) allocation still fits it
+// (Model.MaxScale) — admit exactly that much. On any model failure it
+// fails open (admit all) — shedding must be justified by the model, never
+// by its absence.
 func PlanAdmission(snap core.Snapshot, tmax float64, maxSlots int, offeredRate float64) Plan {
 	admitAll := Plan{SustainableRate: offeredRate, AdmitFraction: 1, ScaleOutViable: true}
 	if tmax <= 0 || offeredRate <= 0 || snap.Lambda0 <= 0 || len(snap.Ops) == 0 || snap.Kmax <= 0 {
 		return admitAll
 	}
-	needAt := func(scale float64) (int, error) {
-		ops := make([]core.OpRates, len(snap.Ops))
-		for i, op := range snap.Ops {
-			op.Lambda *= scale
-			ops[i] = op
-		}
-		model, err := core.NewModel(snap.Lambda0*scale, ops)
-		if err != nil {
-			return 0, err
-		}
-		alloc, err := model.MinProcessors(tmax)
-		if err != nil {
-			return 0, err
-		}
-		total := 0
-		for _, k := range alloc {
-			total += k
-		}
-		return total, nil
+	tmax *= 1 - headroom
+	base, err := core.NewModel(snap.Lambda0, snap.Ops)
+	if err != nil {
+		return admitAll
 	}
-	demandScale := snap.OfferedLambda0 / snap.Lambda0
-	if o := offeredRate / snap.Lambda0; o > demandScale {
-		demandScale = o
-	}
-	if demandScale < 1 {
-		demandScale = 1
-	}
-	need, err := needAt(demandScale)
+	demandScale := max(snap.OfferedLambda0/snap.Lambda0, offeredRate/snap.Lambda0, 1)
+	var probe core.Model // the plan's scratch: every probe re-points it
+	need, err := probe.NeedAt(base, demandScale, tmax)
 	switch {
 	case errors.Is(err, core.ErrUnreachableTarget):
 		// Tmax is below the service-time floor: no allocation — and no
@@ -88,29 +77,11 @@ func PlanAdmission(snap core.Snapshot, tmax float64, maxSlots int, offeredRate f
 		admitAll.ScaleOutViable = viable
 		return drainCorrected(snap, tmax, admitAll)
 	}
-	// The grant cannot hold the offered demand: binary-search the largest
-	// demand scaling it can hold. Feasibility is monotone in the scale
-	// (E[T_i] grows with λ_i at fixed k), so 40 halvings pin the boundary
-	// far below measurement noise.
-	lo, hi := 0.0, demandScale
-	for i := 0; i < 40; i++ {
-		mid := (lo + hi) / 2
-		if mid <= 0 {
-			break
-		}
-		if n, err := needAt(mid); err == nil && n <= snap.Kmax {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	sustainable := lo * snap.Lambda0
-	frac := sustainable / offeredRate
-	if frac > 1 {
-		frac = 1
-	}
+	// The grant cannot hold the offered demand: admit the largest demand
+	// scaling it can hold.
+	sustainable := probe.MaxScale(base, tmax, snap.Kmax, demandScale) * snap.Lambda0
 	return drainCorrected(snap, tmax,
-		Plan{SustainableRate: sustainable, AdmitFraction: frac, ScaleOutViable: viable})
+		Plan{SustainableRate: sustainable, AdmitFraction: min(sustainable/offeredRate, 1), ScaleOutViable: viable})
 }
 
 // drainCorrected applies the backlog-drain feedback: the sustainable rate

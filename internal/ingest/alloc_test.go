@@ -3,10 +3,12 @@ package ingest
 import (
 	"bytes"
 	"io"
+	"math"
 	"net"
 	"net/http/httptest"
 	"testing"
 
+	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/obs"
 )
@@ -141,5 +143,63 @@ func TestHandlerNDJSONAllocsPerLine(t *testing.T) {
 	if got > perRequest+lines+2 {
 		t.Fatalf("a %d-line request allocates %.0f, a 1-line request %.0f: %.3f per extra line, want <= 1",
 			lines, got, perRequest+1, (got-perRequest-1)/(lines-1))
+	}
+}
+
+// TestPlanAdmissionPlanAndAllocs holds the replanning round to two things
+// at once, in both regimes — the grant fits the offered demand, and the
+// gate is shedding: the Plan is bit-equal to what the per-probe
+// NewModel/MinProcessors bisect of commit 82a01d8 returned (literals
+// captured there, at its default 10 % headroom), and computing it costs a
+// handful of allocations — the plan's model and the search's scratch —
+// not eight per probe of a 41-probe search (328 there).
+func TestPlanAdmissionPlanAndAllocs(t *testing.T) {
+	vld := func(measured float64) core.Snapshot {
+		return core.Snapshot{
+			Lambda0: 13, OfferedLambda0: 13,
+			Ops: []core.OpRates{
+				{Name: "extract", Lambda: 13, Mu: 1 / 0.45},
+				{Name: "match", Lambda: 26, Mu: 1 / 0.25, ServiceCV2: 1.7},
+				{Name: "aggregate", Lambda: 13, Mu: 100},
+			},
+			MeasuredSojourn: measured,
+			Alloc:           []int{10, 11, 1},
+			Kmax:            22,
+		}
+	}
+	for _, c := range []struct {
+		name     string
+		snap     core.Snapshot
+		tmax     float64
+		maxSlots int
+		offered  float64
+		rate     uint64 // want SustainableRate, as IEEE-754 bits
+		fraction uint64 // want AdmitFraction, likewise
+		viable   bool
+	}{
+		{name: "two-stage shed, capped", snap: twoStageSnap(3, 2, 3, 6), tmax: 1.5, maxSlots: 16, offered: 18,
+			rate: 0x400e20c3d8790000, fraction: 0x3fcac7ca87880000},
+		{name: "two-stage shed, roomy", snap: twoStageSnap(3, 2, 3, 6), tmax: 1.5, maxSlots: 64, offered: 18,
+			rate: 0x400e20c3d8790000, fraction: 0x3fcac7ca87880000, viable: true},
+		{name: "vld shed", snap: vld(0.9), tmax: 1.2, maxSlots: 40, offered: 41,
+			rate: 0x40307190e2f6feff, fraction: 0x3fd9ab07a0b9bffe},
+		{name: "vld shed, draining", snap: vld(2.5), tmax: 1.2, maxSlots: 0, offered: 29.5,
+			rate: 0x401c6a2146a8b5ec, fraction: 0x3fced294e8d9b853, viable: true},
+		{name: "vld fits", snap: vld(0.9), tmax: 1.2, maxSlots: 40, offered: 13,
+			rate: 0x402a000000000000, fraction: 0x3ff0000000000000, viable: true},
+	} {
+		want := Plan{SustainableRate: math.Float64frombits(c.rate), AdmitFraction: math.Float64frombits(c.fraction), ScaleOutViable: c.viable}
+		if got := PlanAdmission(c.snap, c.tmax, c.maxSlots, c.offered); got != want {
+			t.Errorf("%s: plan %+v (rate %#x, fraction %#x), want %+v", c.name, got,
+				math.Float64bits(got.SustainableRate), math.Float64bits(got.AdmitFraction), want)
+		}
+		if obs.RaceEnabled {
+			continue // AllocsPerRun is unreliable under -race
+		}
+		allocs := testing.AllocsPerRun(100, func() { PlanAdmission(c.snap, c.tmax, c.maxSlots, c.offered) })
+		t.Logf("%s: %.0f allocs/plan", c.name, allocs)
+		if allocs > 16 {
+			t.Errorf("%s: PlanAdmission allocated %.0f/op, want <= 16", c.name, allocs)
+		}
 	}
 }

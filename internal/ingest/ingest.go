@@ -118,20 +118,15 @@ type GateConfig struct {
 	// defends (required for model shedding; 0 disables it, leaving only
 	// token buckets and ring backpressure).
 	Tmax float64
-	// Headroom tightens the planning target to Tmax·(1−Headroom), giving
-	// the admitted traffic a noise margin below the hard limit (default
-	// 0.1; negative disables).
-	Headroom float64
 	// MaxSlots is the provider cap in executor slots, for the Appendix-B
 	// scale-out-viability verdict (0 = uncapped).
 	MaxSlots int
 	// RingCapacity bounds the hand-off ring (default 4096).
 	RingCapacity int
-	// ReplanEvery is the admission replanning cadence (default 1s).
+	// ReplanEvery is the admission replanning cadence (default 1s), and
+	// the backpressure hint of overload/backlog sheds — the earliest the
+	// verdict can change.
 	ReplanEvery time.Duration
-	// RetryAfter is the backpressure hint for overload/backlog sheds
-	// (default ReplanEvery — the earliest the verdict can change).
-	RetryAfter time.Duration
 	// Now overrides the clock (tests); nil uses time.Now.
 	Now func() time.Time
 	// Name labels this gate's records in the decision log (default
@@ -232,19 +227,8 @@ func NewGate(cfg GateConfig) *Gate {
 	if cfg.RingCapacity <= 0 {
 		cfg.RingCapacity = 4096
 	}
-	switch {
-	case cfg.Headroom == 0:
-		cfg.Headroom = 0.1
-	case cfg.Headroom < 0:
-		cfg.Headroom = 0
-	case cfg.Headroom > 0.9:
-		cfg.Headroom = 0.9
-	}
 	if cfg.ReplanEvery <= 0 {
 		cfg.ReplanEvery = time.Second
-	}
-	if cfg.RetryAfter <= 0 {
-		cfg.RetryAfter = cfg.ReplanEvery
 	}
 	if cfg.Now == nil {
 		cfg.Now = time.Now
@@ -385,7 +369,7 @@ func (g *Gate) Replan() {
 	plan.SustainableRate = provisioningRate
 	if control != nil && g.cfg.Tmax > 0 {
 		if snap, ok := control.LastSnapshot(); ok {
-			plan = PlanAdmission(snap, g.cfg.Tmax*(1-g.cfg.Headroom), g.cfg.MaxSlots, provisioningRate)
+			plan = PlanAdmission(snap, g.cfg.Tmax, g.cfg.MaxSlots, provisioningRate)
 		}
 	}
 	g.admitFraction.store(plan.AdmitFraction)
@@ -602,7 +586,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 			}
 		}
 		if permille < permilleScale && !ThinAdmit(c.seq.Add(1), permille) {
-			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.RetryAfter}
+			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.ReplanEvery}
 			continue
 		}
 		if l != nil {
@@ -620,7 +604,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 	if survivors > 0 {
 		var first uint64
 		var sampled bool
-		first, pushed, sampled = g.ring.pushBurst(offers, g.cfg.RetryAfter)
+		first, pushed, sampled = g.ring.pushBurst(offers, g.cfg.ReplanEvery)
 		if pushed > 0 && (l != nil || sampled) {
 			pushed = c.seal(offers, recs, l, first, pushed, sampled)
 		}
@@ -636,7 +620,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 
 // backlog is the refusal of a record the gate has no room for.
 func (g *Gate) backlog() Verdict {
-	return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.RetryAfter}
+	return Verdict{Reason: ShedBacklog, RetryAfter: g.cfg.ReplanEvery}
 }
 
 // refuseClosed refuses a burst offered to a closed gate.

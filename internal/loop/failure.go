@@ -11,6 +11,9 @@ type failureRecord struct {
 	count   int
 	lastErr error
 	lastAt  time.Time
+	// announced marks a suppression episode already reported to the caller;
+	// it dies with the record, on success or expiry.
+	announced bool
 }
 
 // failureTracker suppresses actions that keep failing: a rebalance that
@@ -38,19 +41,24 @@ func newFailureTracker(threshold int, window time.Duration, logger *slog.Logger)
 }
 
 // shouldSkip reports whether the action kind has failed enough times within
-// the window to be suppressed.
-func (ft *failureTracker) shouldSkip(kind string, now time.Time) bool {
+// the window to be suppressed, and whether this is the first time the
+// ongoing episode says so — an episode is recorded once, not every round.
+func (ft *failureTracker) shouldSkip(kind string, now time.Time) (skip, first bool) {
 	ft.mu.Lock()
 	defer ft.mu.Unlock()
 	rec, ok := ft.records[kind]
 	if !ok {
-		return false
+		return false, false
 	}
 	if now.Sub(rec.lastAt) > ft.window {
 		delete(ft.records, kind) // stale: forget and let it try again
-		return false
+		return false, false
 	}
-	return rec.count >= ft.threshold
+	if rec.count < ft.threshold {
+		return false, false
+	}
+	first, rec.announced = !rec.announced, true
+	return true, first
 }
 
 // pruneLocked deletes every record whose window has fully elapsed. Without

@@ -50,7 +50,7 @@ func TestFailureTrackerPrunesStaleKinds(t *testing.T) {
 	// more failures must not suppress (threshold 3).
 	later := now.Add(12 * time.Second)
 	ft.recordFailure("scale-out", errors.New("boom"), later)
-	if ft.shouldSkip("scale-out", later) {
+	if skip, _ := ft.shouldSkip("scale-out", later); skip {
 		t.Fatal("swept kind suppressed after a single fresh failure")
 	}
 }
@@ -95,7 +95,7 @@ func TestSlotsLostShrinkAttribution(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  100 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -8,6 +8,15 @@
 // the goroutine engine (internal/engine) and the discrete-event simulator
 // (internal/sim, driven in virtual time via Observe/Tick).
 //
+// One round is measure → one model → decide / bid / fit → one actuation.
+// The supervisor never builds, scales or searches a queueing model itself:
+// it holds one core.Model per round — at the demand clients offered, and
+// at the admitted rates that flow while an ingest gate sheds — re-pointed
+// in place from the round's snapshot, and the tenant bid, the re-fit of a
+// partial grant, the forced shrink and the /metrics gauge all ask that
+// model. An allocation is put in force through one path (actuate) and a
+// failed round leaves through one (failRound).
+//
 // A supervisor reaches its machines through the Pool interface, which
 // admits two very different providers: a private cluster.Pool (the
 // single-topology deployment the paper evaluates) or a cluster.Tenant
@@ -42,17 +51,6 @@ var ErrRunning = errors.New("loop: supervisor already started")
 
 // ErrFixedPool is returned when a scale decision reaches a FixedPool.
 var ErrFixedPool = errors.New("loop: fixed pool cannot resize")
-
-// Clock abstracts time so tests and virtual-time drivers (the simulator)
-// can step the supervisor deterministically.
-type Clock interface {
-	Now() time.Time
-}
-
-// wallClock is the production clock.
-type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
 
 // Target is the running system under supervision: it yields measurement
 // intervals, reports the allocation in force, and applies a new one.
@@ -185,8 +183,10 @@ type Config struct {
 	Cooldown time.Duration
 	// Logger receives structured loop events; nil discards them.
 	Logger *slog.Logger
-	// Clock defaults to the wall clock.
-	Clock Clock
+	// Clock reads the time; tests and virtual-time drivers (the simulator)
+	// substitute it to step the supervisor deterministically. Nil means
+	// time.Now.
+	Clock func() time.Time
 	// Resume seeds the supervisor from a persisted checkpoint of a prior
 	// process life: the round counter continues instead of restarting at
 	// zero, and any cooldown that was in force at capture time is
@@ -267,19 +267,27 @@ type Event struct {
 // clock, or call Observe/Tick yourself in virtual time.
 type Supervisor struct {
 	cfg   Config
-	clock Clock
+	now   func() time.Time
 	log   *slog.Logger
 	fails *failureTracker
+	// tmax is the stepper's latency target (0 when it has none), read once
+	// from the optional Tmax method a *core.Controller provides.
+	tmax float64
 
 	mu            sync.Mutex
 	cooldownUntil time.Time
-	lastSnap      core.Snapshot
-	// lastRawSnap is lastSnap before demand scaling: the admitted-rate
-	// view. Re-fits fall back to it when a partial grant cannot even hold
-	// the offered-demand rates stably (the admission gate is shedding the
-	// difference, so the admitted rates are what actually flows).
-	lastRawSnap core.Snapshot
-	haveSnap    bool
+	// offered and admitted are the round's model — the one place this
+	// package asks §III-B anything: at the demand clients offered (what the
+	// stepper, the tenant bid and the first fit see) and at the admitted
+	// rates (what actually flows while the gate sheds; the fit's fallback).
+	// Both are re-pointed in place once per round, under mu; modelOK says
+	// the round's rates made a valid model.
+	offered, admitted core.Model
+	modelOK           bool
+	// lastSnap is the round's snapshot as the stepper saw it, minus Ops:
+	// those live in offered.
+	lastSnap core.Snapshot
+	haveSnap bool
 	// lastAllocTotal caches the slot total of the most recent allocation
 	// this supervisor observed or applied, so the per-tick preemption
 	// check can skip the target's Allocation() map walk while the grant
@@ -292,17 +300,12 @@ type Supervisor struct {
 	history       []Event // ring once maxHistory is reached
 	histStart     int     // oldest event's index once the ring is full
 	rounds        int64
-	suppressing   map[string]bool // action kinds in an ongoing suppression episode
-	// allocBuf backs allocVector's result across rounds, and opsBuf /
-	// rawOpsBuf back the Ops slices of lastSnap / lastRawSnap (the
-	// measurer reuses its own snapshot storage, so the retained copy must
-	// be supervisor-owned). Ticks are serialized and every internal reader
-	// consumes these within its round, so reuse keeps the steady-state
-	// hold round allocation-free; the buffers are written only under mu,
-	// and LastSnapshot copies before handing anything out.
-	allocBuf  []int
-	opsBuf    []core.OpRates
-	rawOpsBuf []core.OpRates
+	// allocBuf backs allocVector's result across rounds. Ticks are
+	// serialized and every internal reader consumes it (and the models
+	// above) within its round, so reuse keeps the steady-state hold round
+	// allocation-free; all are written only under mu, and LastSnapshot
+	// copies before handing anything out.
+	allocBuf []int
 
 	runMu   sync.Mutex
 	stop    chan struct{}
@@ -346,14 +349,16 @@ func New(cfg Config) (*Supervisor, error) {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
 	if cfg.Clock == nil {
-		cfg.Clock = wallClock{}
+		cfg.Clock = time.Now
 	}
 	s := &Supervisor{
-		cfg:         cfg,
-		clock:       cfg.Clock,
-		log:         cfg.Logger,
-		fails:       newFailureTracker(failureThreshold, failureWindowCooldowns*cfg.Cooldown, cfg.Logger),
-		suppressing: make(map[string]bool),
+		cfg:   cfg,
+		now:   cfg.Clock,
+		log:   cfg.Logger,
+		fails: newFailureTracker(failureThreshold, failureWindowCooldowns*cfg.Cooldown, cfg.Logger),
+	}
+	if t, ok := cfg.Stepper.(interface{ Tmax() float64 }); ok {
+		s.tmax = t.Tmax()
 	}
 	if r := cfg.Resume; r != nil {
 		s.rounds = r.Rounds
@@ -361,7 +366,7 @@ func New(cfg Config) (*Supervisor, error) {
 			if cd > cfg.Cooldown {
 				cd = cfg.Cooldown
 			}
-			s.cooldownUntil = s.clock.Now().Add(cd)
+			s.cooldownUntil = s.now().Add(cd)
 		}
 	}
 	return s, nil
@@ -370,7 +375,7 @@ func New(cfg Config) (*Supervisor, error) {
 // PersistedState captures the restart-worthy supervisor state (see the
 // type's doc). Safe to call concurrently with the running loop.
 func (s *Supervisor) PersistedState() PersistedState {
-	now := s.clock.Now()
+	now := s.now()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	st := PersistedState{Rounds: s.rounds}
@@ -434,10 +439,10 @@ func (s *Supervisor) Observe() {
 	}
 }
 
-// Tick runs one full control round: observe, snapshot, decide, actuate.
-// Callers driving virtual time call it directly; Start calls it on a
-// wall-clock ticker. Ticks must not run concurrently with each other or
-// with Observe.
+// Tick runs one full control round: measure, re-point the round's model,
+// decide (and bid, under a lease), actuate. Callers driving virtual time
+// call it directly; Start calls it on a wall-clock ticker. Ticks must not
+// run concurrently with each other or with Observe.
 func (s *Supervisor) Tick() {
 	s.Observe()
 	s.mu.Lock()
@@ -445,7 +450,7 @@ func (s *Supervisor) Tick() {
 	cooldownUntil := s.cooldownUntil
 	s.mu.Unlock()
 
-	now := s.clock.Now()
+	now := s.now()
 	// Preemption outranks the cooldown: if the arbiter's grant dropped
 	// below the allocation in force, the slots are gone whether or not
 	// this supervisor cooperates — vacate them now.
@@ -475,32 +480,29 @@ func (s *Supervisor) Tick() {
 	snap.Alloc = alloc
 	snap.Kmax = s.cfg.Pool.Kmax()
 	// Scale-on-offered-load: when an ingest tier is shedding, the admitted
-	// rates describe the post-shed remainder, not the demand. Inflate the
-	// snapshot to the offered rate (every λ̂_i scales linearly with λ̂0 in a
-	// Jackson network) before deciding, so the controller provisions
+	// rates describe the post-shed remainder, not the demand. The stepper
+	// sees the model at the offered rate, so the controller provisions
 	// against what clients are actually sending — and the admission
 	// controller can stop shedding once the grant catches up.
-	raw := snap
-	shedFraction := 0.0
+	shedFraction, scale := 0.0, 1.0
 	if snap.OfferedLambda0 > snap.Lambda0 && snap.Lambda0 > 0 {
 		shedFraction = (snap.OfferedLambda0 - snap.Lambda0) / snap.OfferedLambda0
-		scale := snap.OfferedLambda0 / snap.Lambda0
-		scaled := make([]core.OpRates, len(snap.Ops))
-		for i, op := range snap.Ops {
-			op.Lambda *= scale
-			scaled[i] = op
-		}
-		snap.Ops = scaled
-		snap.Lambda0 = snap.OfferedLambda0
+		scale = snap.OfferedLambda0 / snap.Lambda0
 	}
 	s.mu.Lock()
-	s.lastSnap, s.lastRawSnap, s.haveSnap = snap, raw, true
-	// Re-point the retained snapshots at supervisor-owned storage: snap.Ops
-	// is the measurer's scratch, overwritten by its next Snapshot call.
-	s.opsBuf = append(s.opsBuf[:0], snap.Ops...)
-	s.lastSnap.Ops = s.opsBuf
-	s.rawOpsBuf = append(s.rawOpsBuf[:0], raw.Ops...)
-	s.lastRawSnap.Ops = s.rawOpsBuf
+	// snap.Ops is the measurer's scratch, overwritten by its next Snapshot
+	// call: the models copy it into supervisor-owned storage. An invalid
+	// round (λ̂0 = 0 on an idle front door) goes to the stepper as measured
+	// and is refused there.
+	s.modelOK = s.admitted.Reset(snap.Lambda0, snap.Ops) == nil && s.offered.Scale(&s.admitted, scale) == nil
+	if s.modelOK {
+		snap.Ops = s.offered.Ops()
+	}
+	if shedFraction > 0 {
+		snap.Lambda0 = snap.OfferedLambda0
+	}
+	s.lastSnap, s.haveSnap = snap, true
+	s.lastSnap.Ops = nil
 	s.lastAllocTotal = sumInts(alloc)
 	s.mu.Unlock()
 	s.reportTenant(snap, shedFraction)
@@ -532,38 +534,29 @@ func (s *Supervisor) Tick() {
 		return
 	}
 	kind := d.Action.String()
-	if s.fails.shouldSkip(kind, now) {
-		s.mu.Lock()
-		ongoing := s.suppressing[kind]
-		s.suppressing[kind] = true
-		s.mu.Unlock()
-		if !ongoing { // record the episode once, not every suppressed round
+	if skip, first := s.fails.shouldSkip(kind, now); skip {
+		if first { // record the episode once, not every suppressed round
 			s.record(Event{At: now, Action: d.Action, Target: d.Target, Kmax: snap.Kmax,
 				Estimated: d.Estimated, Reason: d.Reason, Suppressed: true})
 			s.log.Info("decision suppressed", slog.String("action", kind), slog.String("reason", d.Reason))
 		}
 		return
 	}
-	s.mu.Lock()
-	delete(s.suppressing, kind)
-	s.mu.Unlock()
 	s.apply(now, d)
 }
 
-// apply actuates one decision: charge the pool, rebalance the target, and
-// on success reset measurements and enter cooldown. Failures are recorded
-// for suppression and still start a cooldown — after a failed quiesce the
-// engine just spent its timeout paused, and an immediate retry would too.
+// apply actuates one decision: charge the pool, fit a partial grant, and
+// hand the result to actuate. Failures are recorded for suppression and
+// still start a cooldown — after a failed quiesce the engine just spent
+// its timeout paused, and an immediate retry would too.
 func (s *Supervisor) apply(now time.Time, d core.Decision) {
 	kind := d.Action.String()
 	kmaxBefore := s.cfg.Pool.Kmax()
-	var tr cluster.Transition
-	var err error
-	switch d.Action {
-	case core.ActionRebalance:
-		tr = s.cfg.Pool.Rebalance()
-	default:
-		tr, err = s.cfg.Pool.Resize(d.TargetKmax)
+	ev := Event{At: now, Action: d.Action, Target: d.Target, Estimated: d.Estimated, Reason: d.Reason}
+	if d.Action == core.ActionRebalance {
+		ev.Pause = s.cfg.Pool.Rebalance().Pause
+	} else {
+		tr, err := s.cfg.Pool.Resize(d.TargetKmax)
 		if err != nil {
 			// A capacity refusal is a negotiation outcome, not a loop
 			// failure: nothing was disturbed and no pause was paid, so
@@ -575,96 +568,89 @@ func (s *Supervisor) apply(now time.Time, d core.Decision) {
 					slog.Int("target_kmax", d.TargetKmax), slog.Any("err", err))
 				return
 			}
-			s.fails.recordFailure(kind, err, now)
-			s.finishRound(Event{At: now, Action: d.Action, Target: d.Target,
-				Kmax: kmaxBefore, Estimated: d.Estimated, Reason: d.Reason, Err: err})
+			s.failRound(kind, ev, err, kmaxBefore)
 			s.log.Warn("pool resize refused", slog.String("action", kind),
 				slog.Int("target_kmax", d.TargetKmax), slog.Any("err", err))
 			return
 		}
+		ev.Pause = tr.Pause
 	}
 	// Partial grant: an arbitrated pool may have granted fewer slots than
 	// the decision asked for. The decision's allocation was optimized for
 	// the full request, so re-solve it for the budget actually granted.
 	if granted := s.cfg.Pool.Kmax(); granted < d.TargetKmax && d.Target != nil {
-		refit, rerr := s.refitTarget(granted)
-		if rerr != nil {
-			s.fails.recordFailure(kind, rerr, now)
-			if s.cfg.Pool.Kmax() != kmaxBefore {
-				if _, rbErr := s.cfg.Pool.Resize(kmaxBefore); rbErr != nil {
-					s.log.Warn("pool rollback failed", slog.Any("err", rbErr))
-				}
-			}
-			s.finishRound(Event{At: now, Action: d.Action, Target: d.Target,
-				Kmax: s.cfg.Pool.Kmax(), Estimated: d.Estimated, Pause: tr.Pause,
-				Reason: d.Reason, Err: rerr})
+		refit, err := s.fit(granted)
+		if err != nil {
+			s.failRound(kind, ev, err, kmaxBefore)
 			s.log.Warn("partial grant unusable", slog.String("action", kind),
-				slog.Int("granted", granted), slog.Int("requested", d.TargetKmax), slog.Any("err", rerr))
+				slog.Int("granted", granted), slog.Int("requested", d.TargetKmax), slog.Any("err", err))
 			return
 		}
 		s.log.Info("partial grant", slog.Int("requested", d.TargetKmax), slog.Int("granted", granted))
-		d.Target = refit
-		d.TargetKmax = granted
+		ev.Target = refit
 	}
-	alloc, err := d.AllocMap(s.cfg.Operators)
-	if err == nil {
-		err = s.cfg.Target.Rebalance(alloc, tr.Pause)
-	}
-	if err != nil {
-		s.fails.recordFailure(kind, err, now)
-		// Best-effort pool rollback: the allocation never changed, so the
-		// budget the resize negotiated should not stay charged — machines
-		// on a private pool, or granted slots on an arbitrated lease (a
-		// lease's grant can grow without any machine change, and hoarding
-		// it would starve the other tenants).
-		if s.cfg.Pool.Kmax() != kmaxBefore {
-			if _, rbErr := s.cfg.Pool.Resize(kmaxBefore); rbErr != nil {
-				s.log.Warn("pool rollback failed", slog.Any("err", rbErr))
-			}
-		}
-		s.finishRound(Event{At: now, Action: d.Action, Target: d.Target,
-			Kmax: s.cfg.Pool.Kmax(), Estimated: d.Estimated, Pause: tr.Pause,
-			Reason: d.Reason, Err: err})
+	if err := s.actuate(kind, ev, kmaxBefore); err != nil {
 		s.log.Warn("rebalance failed", slog.String("action", kind), slog.Any("err", err))
 		return
 	}
-	s.fails.recordSuccess(kind)
-	// Old measurements do not describe the new configuration.
-	s.cfg.Source.Reset()
-	s.mu.Lock()
-	s.lastAllocTotal = sumInts(d.Target)
-	s.mu.Unlock()
-	s.finishRound(Event{At: now, Action: d.Action, Target: d.Target,
-		Kmax: s.cfg.Pool.Kmax(), Estimated: d.Estimated, Pause: tr.Pause,
-		Reason: d.Reason, Applied: true})
 	s.log.Info("decision applied", slog.String("action", kind),
-		slog.Any("alloc", d.Target), slog.Int("kmax", s.cfg.Pool.Kmax()),
-		slog.Duration("pause", tr.Pause), slog.String("reason", d.Reason))
+		slog.Any("alloc", ev.Target), slog.Int("kmax", s.cfg.Pool.Kmax()),
+		slog.Duration("pause", ev.Pause), slog.String("reason", d.Reason))
 }
 
-// refitTarget re-solves the allocation for the budget an arbitrated pool
-// actually granted, from the most recent snapshot's model. When the
-// demand-scaled (offered-load) rates cannot even run stably on the grant
-// — the regime where the ingest gate is shedding — it falls back to the
-// admitted-rate snapshot: fit what actually flows, and let the next
-// rounds re-negotiate for the rest.
-func (s *Supervisor) refitTarget(granted int) ([]int, error) {
-	s.mu.Lock()
-	snap, raw, have := s.lastSnap, s.lastRawSnap, s.haveSnap
-	s.mu.Unlock()
-	if !have {
+// actuate is the one path that puts an allocation in force: rebalance the
+// target to ev.Target under the pause the pool already charged, then
+// finish the round — on success the old measurements no longer describe
+// the configuration, so the source is reset and the event recorded as
+// Applied; on error the round fails through failRound. Both start the
+// cooldown.
+func (s *Supervisor) actuate(kind string, ev Event, kmaxBefore int) error {
+	alloc, err := core.Decision{Target: ev.Target}.AllocMap(s.cfg.Operators)
+	if err == nil {
+		err = s.cfg.Target.Rebalance(alloc, ev.Pause)
+	}
+	if err != nil {
+		s.failRound(kind, ev, err, kmaxBefore)
+		return err
+	}
+	s.fails.recordSuccess(kind)
+	s.cfg.Source.Reset()
+	ev.Kmax, ev.Applied = s.cfg.Pool.Kmax(), true
+	s.finishRound(ev)
+	return nil
+}
+
+// failRound is the one failure exit of an actuation: count the failure
+// toward suppression, hand back whatever budget the round negotiated, and
+// record the event with its error. The rollback is best-effort: the
+// allocation never changed, so the budget should not stay charged —
+// machines on a private pool, or granted slots on an arbitrated lease (a
+// lease's grant can grow without any machine change, and hoarding it would
+// starve the other tenants).
+func (s *Supervisor) failRound(kind string, ev Event, err error, kmaxBefore int) {
+	s.fails.recordFailure(kind, err, ev.At)
+	if s.cfg.Pool.Kmax() != kmaxBefore {
+		if _, rbErr := s.cfg.Pool.Resize(kmaxBefore); rbErr != nil {
+			s.log.Warn("pool rollback failed", slog.Any("err", rbErr))
+		}
+	}
+	ev.Kmax, ev.Err = s.cfg.Pool.Kmax(), err
+	s.finishRound(ev)
+}
+
+// fit solves Algorithm 1 for budget on the round's model — the re-fit of
+// a partial grant and of a forced shrink. Offered demand first; when that
+// cannot even run stably on the budget (the regime where the ingest gate
+// is shedding) it falls back to the admitted rates: fit what actually
+// flows, and let the next rounds re-negotiate for the rest. Tick-goroutine
+// only, like every reader of the round's model outside mu.
+func (s *Supervisor) fit(budget int) ([]int, error) {
+	if !s.modelOK {
 		return nil, errors.New("loop: no snapshot to re-fit a partial grant from")
 	}
-	fit := func(sn core.Snapshot) ([]int, error) {
-		model, err := core.NewModel(sn.Lambda0, sn.Ops)
-		if err != nil {
-			return nil, err
-		}
-		return model.AssignProcessors(granted)
-	}
-	target, err := fit(snap)
-	if err != nil && raw.Lambda0 < snap.Lambda0 {
-		return fit(raw)
+	target, err := s.offered.AssignProcessors(budget)
+	if err != nil && s.admitted.Lambda0() < s.offered.Lambda0() {
+		return s.admitted.AssignProcessors(budget)
 	}
 	return target, err
 }
@@ -672,42 +658,27 @@ func (s *Supervisor) refitTarget(granted int) ([]int, error) {
 // reportTenant pushes a utility self-assessment to the pool when it is an
 // arbitrated lease: λ̂0, whether the tenant violates its Tmax, the shed
 // fraction of its ingest tier, and the marginal benefit/cost of one slot
-// in the cross-tenant-comparable Equation (3) numerator units. snap is the
-// demand-scaled snapshot, so the bid reflects offered load.
+// in the cross-tenant-comparable Equation (3) numerator units. It asks the
+// model at offered demand, so the bid reflects offered load.
 func (s *Supervisor) reportTenant(snap core.Snapshot, shedFraction float64) {
 	rep, ok := s.cfg.Pool.(TenantReporter)
-	if !ok {
+	if !ok || !s.modelOK {
 		return
 	}
-	model, err := core.NewModel(snap.Lambda0, snap.Ops)
+	grow, err := s.offered.GrowBenefit(snap.Alloc)
 	if err != nil {
 		return
 	}
-	grow, err := model.GrowBenefit(snap.Alloc)
+	shrink, err := s.offered.ShrinkCost(snap.Alloc)
 	if err != nil {
 		return
-	}
-	shrink, err := model.ShrinkCost(snap.Alloc)
-	if err != nil {
-		return
-	}
-	// A shedding tenant is violating by construction: the shed traffic is
-	// demand its grant already failed to serve, whatever the measured
-	// sojourn of the admitted remainder says.
-	violating := shedFraction > 0
-	if t, ok := s.cfg.Stepper.(interface{ Tmax() float64 }); !violating && ok {
-		if tmax := t.Tmax(); tmax > 0 {
-			violating = snap.MeasuredSojourn > tmax
-			if !violating {
-				if est, eerr := model.ExpectedSojourn(snap.Alloc); eerr == nil && est > tmax {
-					violating = true
-				}
-			}
-		}
 	}
 	rep.Report(cluster.TenantReport{
-		Lambda0:      snap.Lambda0,
-		Violating:    violating,
+		Lambda0: snap.Lambda0,
+		// A shedding tenant is violating by construction: the shed traffic
+		// is demand its grant already failed to serve, whatever the
+		// measured sojourn of the admitted remainder says.
+		Violating:    shedFraction > 0 || s.offered.Violates(snap.Alloc, snap.MeasuredSojourn, s.tmax),
 		GrowBenefit:  grow,
 		ShrinkCost:   shrink,
 		ShedFraction: shedFraction,
@@ -765,7 +736,7 @@ func (s *Supervisor) shrinkToGrant(now time.Time) bool {
 	if lost {
 		kind, cause = "failover-shrink", "re-fitting after machine failure"
 	}
-	if s.fails.shouldSkip(kind, now) {
+	if skip, _ := s.fails.shouldSkip(kind, now); skip {
 		return true
 	}
 	target := s.shrunkAlloc(alloc, budget)
@@ -776,32 +747,19 @@ func (s *Supervisor) shrinkToGrant(now time.Time) bool {
 	if allocEqual(target, alloc) {
 		return false
 	}
-	m := make(map[string]int, len(s.cfg.Operators))
-	for i, name := range s.cfg.Operators {
-		m[name] = target[i]
-	}
 	tr := s.cfg.Pool.Rebalance()
-	err := s.cfg.Target.Rebalance(m, tr.Pause)
-	ev := Event{At: now, Action: core.ActionRebalance, Target: target, Kmax: budget,
+	ev := Event{At: now, Action: core.ActionRebalance, Target: target,
 		Pause: tr.Pause, Preempted: !lost, SlotsLost: lost,
 		Reason: fmt.Sprintf("grant shrank to %d below allocation total %d; %s", budget, total, cause)}
-	if err != nil {
-		s.fails.recordFailure(kind, err, now)
-		ev.Err = err
-		s.finishRound(ev)
+	if err := s.actuate(kind, ev, budget); err != nil {
 		s.log.Warn("forced shrink failed", slog.String("kind", kind), slog.Any("err", err))
 		return true
 	}
-	s.fails.recordSuccess(kind)
-	s.cfg.Source.Reset()
-	s.mu.Lock()
-	s.lastAllocTotal = sumInts(target)
-	if lost && lostCum > s.seenLostSlots {
-		s.seenLostSlots = lostCum
+	if lost {
+		s.mu.Lock()
+		s.seenLostSlots = max(s.seenLostSlots, lostCum)
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
-	ev.Applied = true
-	s.finishRound(ev)
 	s.log.Info("shrank to grant", slog.String("cause", cause), slog.Any("alloc", target),
 		slog.Int("kmax", budget), slog.Duration("pause", tr.Pause))
 	return true
@@ -818,9 +776,7 @@ func (s *Supervisor) syncLostSlots() {
 	}
 	cum := cr.LostSlots()
 	s.mu.Lock()
-	if cum > s.seenLostSlots {
-		s.seenLostSlots = cum
-	}
+	s.seenLostSlots = max(s.seenLostSlots, cum)
 	s.mu.Unlock()
 }
 
@@ -851,30 +807,17 @@ func allocEqual(a, b []int) bool {
 	return true
 }
 
-// shrunkAlloc fits the current allocation into a smaller budget.
+// shrunkAlloc fits the current allocation into a smaller budget: the
+// model's fit when there is one, else slots peeled off the largest
+// operators.
 func (s *Supervisor) shrunkAlloc(cur []int, budget int) []int {
-	s.mu.Lock()
-	snaps := [2]core.Snapshot{s.lastSnap, s.lastRawSnap}
-	have := s.haveSnap
-	s.mu.Unlock()
-	if have {
-		// Demand-scaled first; the admitted-rate view as fallback when the
-		// offered load cannot run stably on the shrunken budget.
-		for _, snap := range snaps {
-			if model, err := core.NewModel(snap.Lambda0, snap.Ops); err == nil {
-				if target, aerr := model.AssignProcessors(budget); aerr == nil {
-					return target
-				}
-			}
-		}
+	if target, err := s.fit(budget); err == nil {
+		return target
 	}
 	// No usable model (startup, or the budget is below the minimum stable
 	// allocation): peel slots off the largest operators, never below one.
 	out := append([]int(nil), cur...)
-	total := 0
-	for _, k := range out {
-		total += k
-	}
+	total := sumInts(out)
 	for total > budget {
 		big := -1
 		for i, k := range out {
@@ -894,12 +837,17 @@ func (s *Supervisor) shrunkAlloc(cur []int, budget int) []int {
 // finishRound records an event and starts the cooldown. The cooldown is
 // anchored at the current clock time, not the round's start: a live
 // rebalance can block for its whole quiesce timeout, and anchoring earlier
-// would let the apply consume its own cooldown and retry immediately.
+// would let the apply consume its own cooldown and retry immediately. An
+// applied event's target becomes the allocation total in force — after the
+// record is emitted, whose From is the total before.
 func (s *Supervisor) finishRound(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.cooldownUntil = s.clock.Now().Add(s.cfg.Cooldown)
+	s.cooldownUntil = s.now().Add(s.cfg.Cooldown)
 	s.appendLocked(ev)
+	if ev.Applied {
+		s.lastAllocTotal = sumInts(ev.Target)
+	}
 }
 
 // record appends an event without touching the cooldown.
@@ -981,9 +929,24 @@ func (s *Supervisor) LastSnapshot() (core.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := s.lastSnap
-	snap.Ops = append([]core.OpRates(nil), snap.Ops...)
+	if s.modelOK {
+		snap.Ops = s.offered.Rates()
+	}
 	snap.Alloc = append([]int(nil), snap.Alloc...)
 	return snap, s.haveSnap
+}
+
+// ModelSojourn returns Equation (3)'s E[T], in seconds, of the last
+// round's model at offered demand for the allocation that round measured —
+// the model's verdict beside the measured one — and whether there is one.
+func (s *Supervisor) ModelSojourn() (float64, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if !s.modelOK {
+		return 0, false
+	}
+	est, err := s.offered.ExpectedSojourn(s.lastSnap.Alloc)
+	return est, err == nil
 }
 
 // Rounds reports how many control rounds have run (Ticks, not Observes).

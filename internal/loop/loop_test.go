@@ -1,6 +1,7 @@
 package loop
 
 import (
+	"bytes"
 	"errors"
 	"sync"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/metrics"
+	"github.com/drs-repro/drs/internal/obs"
 )
 
 // fakeClock is a manually-stepped Clock.
@@ -158,7 +160,7 @@ func TestRebalanceConvergence(t *testing.T) {
 		Stepper:   ctrl,
 		Pool:      FixedPool(8),
 		Interval:  10 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -208,7 +210,7 @@ func TestCooldown(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  40 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -257,7 +259,7 @@ func TestFailureSuppression(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +294,19 @@ func TestFailureSuppression(t *testing.T) {
 	}
 }
 
+// memSink is an obs.Sink that keeps the drained NDJSON in memory.
+type memSink struct{ ndjson []byte }
+
+func (m *memSink) Write(batch []byte) { m.ndjson = append(m.ndjson, batch...) }
+func (m *memSink) Close() error       { return nil }
+
 // TestScaleOutChargesPool verifies scale decisions negotiate the pool and
-// that a failed apply rolls the machines back.
+// that a failed apply rolls the machines back — and that both reach the
+// decision log as the executor total before -> the event's target total.
 func TestScaleOutChargesPool(t *testing.T) {
 	clock := newFakeClock()
+	sink := &memSink{}
+	dlog := obs.NewLog(obs.Config{Sink: sink, Now: clock.Now})
 	pool, err := cluster.PaperPool(4) // Kmax 17
 	if err != nil {
 		t.Fatal(err)
@@ -315,7 +326,9 @@ func TestScaleOutChargesPool(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
+
+		DecisionLog: dlog,
 	}
 	sup, err := New(cfg)
 	if err != nil {
@@ -348,6 +361,26 @@ func TestScaleOutChargesPool(t *testing.T) {
 	hist = sup2.History()
 	if len(hist) != 1 || hist[0].Applied || hist[0].Err == nil {
 		t.Fatalf("want failed event, got %+v", hist)
+	}
+
+	// The applied record's From is the total in force before the apply,
+	// not the total it just put in force.
+	if err := dlog.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSpace(sink.ndjson), []byte("\n"))
+	want := []obs.Kind{obs.KindRefit, obs.KindRefitFailed}
+	if len(lines) != len(want) {
+		t.Fatalf("decision log holds %d records, want %d:\n%s", len(lines), len(want), sink.ndjson)
+	}
+	for i, line := range lines {
+		rec, err := obs.ParseRecord(line)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.Kind != want[i] || rec.From != 17 || rec.To != 22 || rec.Detail != "scripted" {
+			t.Errorf("record %d = %s, want kind %v from 17 to 22 with the controller's reason", i, line, want[i])
+		}
 	}
 }
 
@@ -388,7 +421,7 @@ func TestCooldownAnchoredAfterApply(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  4 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -430,7 +463,7 @@ func TestHistoryCap(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -468,7 +501,7 @@ func TestNoCapacityHolds(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  40 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -502,7 +535,7 @@ func TestWarmupHolds(t *testing.T) {
 		Pool:      FixedPool(4),
 		Source:    src,
 		Interval:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -599,7 +632,7 @@ func TestPreemptedGrantShrinksGracefully(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  100 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -656,7 +689,7 @@ func TestPartialGrantRefit(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -692,7 +725,7 @@ func TestShrinkHoldsAtPhysicalFloor(t *testing.T) {
 		Pool:      pool,
 		Source:    src,
 		Interval:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -733,7 +766,7 @@ func TestFailedApplyRollsBackLeaseGrant(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -771,7 +804,7 @@ func TestTenantReportPushed(t *testing.T) {
 		Source:    src,
 		Interval:  time.Second,
 		Cooldown:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -881,7 +914,7 @@ func TestResumeFromPersistedState(t *testing.T) {
 		Source:    &fakeSource{snap: core.Snapshot{Lambda0: 1, Ops: []core.OpRates{{Lambda: 1, Mu: 10}}, Alloc: []int{1}, Kmax: 4}},
 		Interval:  10 * time.Second,
 		Cooldown:  40 * time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 		Resume: &PersistedState{
 			Rounds: 42,
 			// Deliberately above Cooldown: the seed must be capped at it.

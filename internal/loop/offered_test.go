@@ -71,7 +71,7 @@ func TestScaleOnOfferedLoad(t *testing.T) {
 		Pool:      pool,
 		Source:    src,
 		Interval:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +129,7 @@ func TestNoScalingWithoutShedding(t *testing.T) {
 		Pool:      pool,
 		Source:    src,
 		Interval:  time.Second,
-		Clock:     clock,
+		Clock:     clock.Now,
 	})
 	if err != nil {
 		t.Fatal(err)

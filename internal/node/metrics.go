@@ -2,9 +2,7 @@ package node
 
 import (
 	"fmt"
-	"sync"
 
-	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/obs"
 )
 
@@ -161,30 +159,11 @@ func (m *metrics) register(n *Node) {
 
 	// The model's own verdict beside the measured trace decomposition: the
 	// predicted mean sojourn E[T] (Equation 3) for the allocation in force,
-	// recomputed at scrape time from the supervisor's latest snapshot. A
-	// scrape therefore reads measured (drs_trace_*) and predicted sojourn
+	// read at scrape time from the supervisor's model of its latest round.
+	// A scrape therefore reads measured (drs_trace_*) and predicted sojourn
 	// from the same instant — the measured-vs-model comparison is one query.
-	var (
-		modelMu sync.Mutex
-		model   core.Model
-	)
 	reg.Func("drs_model_predicted_sojourn_ns", "Model-predicted mean sojourn E[T] for the current allocation.",
-		obs.Gauge, "", func() float64 {
-			snap, ok := sup.LastSnapshot()
-			if !ok || len(snap.Ops) == 0 || snap.Lambda0 <= 0 || len(snap.Alloc) != len(snap.Ops) {
-				return 0
-			}
-			modelMu.Lock()
-			defer modelMu.Unlock()
-			if err := model.Reset(snap.Lambda0, snap.Ops); err != nil {
-				return 0
-			}
-			et, err := model.ExpectedSojourn(snap.Alloc)
-			if err != nil {
-				return 0
-			}
-			return et * 1e9
-		})
+		obs.Gauge, "", func() float64 { et, _ := sup.ModelSojourn(); return et * 1e9 })
 
 	// Tracing self-accounting — only when the tracer is enabled.
 	if tracer != nil {

@@ -118,10 +118,12 @@ func KindFromString(s string) (Kind, bool) {
 //     Flag = scale-out viable, Gain/Loss = admitted/shed record deltas
 //     since the previous plan (scenario drivers; the live gate leaves
 //     them zero).
-//   - refit/suppress/refit-failed: Tenant = topology, Detail = action,
-//     From -> To = executor total change, Gain = estimated sojourn (s),
-//     PauseNS = estimated rebalance pause, Flag = decision was preempted
-//     by the scheduler rather than chosen by the controller.
+//   - refit/suppress/refit-failed: Tenant = topology, Detail = the
+//     decision's reason (the controller's, or the forced shrink's cause),
+//     From -> To = executor total in force before the event -> the
+//     event's target total, Gain = estimated sojourn (s), PauseNS =
+//     estimated rebalance pause, Flag = the shrink was forced (preemption
+//     or machine failure) rather than chosen by the controller.
 //   - scheduler kinds: Tenant = lease, From -> To = slot change; machine
 //     kinds put the machine id in To.
 //   - heal: Peer = bolt name, To = executor slot index.
@@ -142,7 +144,7 @@ type Record struct {
 	Rate        float64 // sustainable rate (tuples/s)
 	PauseNS     int64   // rebalance pause charged to the decision
 	Flag        bool    // kind-dependent boolean verdict input
-	Detail      string  // short constant tag (action word, reason)
+	Detail      string  // short tag: an action word, or a decision's reason
 }
 
 // Config sizes a Log. The zero value is usable: 4 shards x 1024 records,
