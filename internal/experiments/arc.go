@@ -115,7 +115,10 @@ func (c *gateClient) admit(float64) bool {
 // plan put in force for the next round, and what its clients offered, got
 // admitted and had shed since the previous one.
 type GateRound struct {
-	Plan                      ingest.Plan
+	Plan ingest.Plan
+	// PlannedAlloc and PlannedKmax are the allocation total and the grant
+	// of the snapshot the plan was sized on (0 before the first one).
+	PlannedAlloc, PlannedKmax int
 	OfferedRate, AdmittedRate float64 // tuples/s over the round
 	Offered, Admitted, Shed   int64   // record deltas over the round
 }
@@ -142,8 +145,12 @@ func replan(clients []*gateClient, sup *loop.Supervisor, tmax float64, maxSlots 
 	g.Plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.OfferedRate, ScaleOutViable: true}
 	if snap, ok := sup.LastSnapshot(); ok {
 		g.Plan = ingest.PlanAdmission(snap, tmax, maxSlots, g.OfferedRate)
+		for _, k := range snap.Alloc {
+			g.PlannedAlloc += k
+		}
+		g.PlannedKmax = snap.Kmax
 	}
-	for i, p := range ingest.AdmitPermilles(g.Plan, weights, ids, rates) {
+	for i, p := range ingest.AdmitPermilles(nil, g.Plan, weights, ids, rates) {
 		clients[i].permille = p
 	}
 	return g
@@ -402,6 +409,7 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 			a.dlog.Emit(&obs.Record{
 				At:   simEpoch.Add(secondsToDuration(t)).UnixNano(),
 				Kind: obs.KindShedPlan, Tenant: res.Tenants[i].Name,
+				From: g.PlannedAlloc, To: g.PlannedKmax,
 				Fraction: g.Plan.AdmitFraction, Rate: g.Plan.SustainableRate,
 				Lambda0: g.OfferedRate, Flag: g.Plan.ScaleOutViable,
 				Gain: float64(g.Admitted), Loss: float64(g.Shed),

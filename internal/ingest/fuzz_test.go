@@ -154,8 +154,5 @@ func FuzzNDJSONSplit(f *testing.F) {
 				t.Fatalf("line %d of %q: %q, bufio.ScanLines says %q", i, body, got[i], want[i])
 			}
 		}
-		if n := bytes.Count(body, newline) + 1; len(got) > n {
-			t.Fatalf("%d lines from a body the handler sized for %d", len(got), n)
-		}
 	})
 }

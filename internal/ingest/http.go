@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
+
+	"github.com/drs-repro/drs/internal/engine"
 )
 
 // ListenerConfig carries the client-registration defaults both listeners
@@ -49,25 +51,41 @@ func (c ListenerConfig) client(g *Gate, id string) *Client {
 	return g.Client(id, w, c.Rate, c.Burst)
 }
 
-// burstPool recycles the HTTP handler's admit scratch across requests; a
-// burst is reset — holding no payload — before it goes back.
-var burstPool = sync.Pool{New: func() any { return new(burst) }}
+// httpScratch is what one request borrows from scratchPool: the admit
+// scratch, the slab its records and their one-slot Values are carved from,
+// and the reply body's bytes. The topology may keep a record or its Values
+// forever, so the slab is never rewound — a full chunk is dropped and
+// replaced, and a kept payload keeps its 32 KiB chunk alive (engine.Slab's
+// rule, the TCP listener's too); the burst is reset — holding no payload —
+// before the scratch goes back.
+type httpScratch struct {
+	burst burst
+	slab  engine.Slab
+	reply []byte
+}
 
+var scratchPool = sync.Pool{New: func() any { return new(httpScratch) }}
+
+var errTooLarge = errors.New("record too large")
+
+// The reply's header values, shared by every response: the handler assigns
+// them into the header map, which net/http clones before writing and never
+// mutates.
 var (
-	newline     = []byte{'\n'}
-	errTooLarge = errors.New("record too large")
+	contentTypeJSON = []string{"application/json"}
+	retryAfterOne   = []string{"1"}
 )
 
-// readBody reads a request body in one piece — into a buffer sized by
-// Content-Length when the client declared one, by doubling reads when it
-// did not — and never more than maxRecordBytes+1 bytes of it. On failure
-// it returns the HTTP status to answer with.
-func readBody(r *http.Request) (body []byte, status int, err error) {
+// readBody reads a request body in one piece — carved from sl when the
+// client declared a Content-Length, into a buffer grown by doubling reads
+// when it did not — and never more than maxRecordBytes+1 bytes of it. On
+// failure it returns the HTTP status to answer with.
+func readBody(r *http.Request, sl *engine.Slab) (body []byte, status int, err error) {
 	if r.ContentLength > maxRecordBytes {
 		return nil, http.StatusRequestEntityTooLarge, errTooLarge
 	}
 	if r.ContentLength >= 0 {
-		body = make([]byte, r.ContentLength)
+		body = sl.Bytes(int(r.ContentLength))
 		if _, err := io.ReadFull(r.Body, body); err != nil {
 			return nil, http.StatusBadRequest, err
 		}
@@ -106,65 +124,88 @@ func nextLine(body []byte) (line, rest []byte) {
 	return line[:len(line):len(line)], rest
 }
 
+// tally is one request's verdicts: how many records were admitted, how many
+// shed, and the refusal with the longest retry-after (the request's
+// Retry-After).
+type tally struct {
+	admitted, shed int
+	worst          Verdict
+}
+
+// offer adds one record — a sub-slice of the body, its one-slot Values
+// carved from the slab: nothing a request allocates but the box Go makes
+// for the []byte — and admits the burst when it is full.
+func (sc *httpScratch) offer(cl *Client, rec []byte, t *tally) {
+	v := sc.slab.Values(1)
+	v[0] = rec
+	sc.burst.add(v)
+	if len(sc.burst.offers) == burstMax {
+		sc.flush(cl, t)
+	}
+}
+
+// flush admits the pending burst and books its verdicts.
+func (sc *httpScratch) flush(cl *Client, t *tally) {
+	b := &sc.burst
+	b.admit(cl)
+	for i := range b.offers {
+		v := b.offers[i].verdict
+		if v.Admitted {
+			t.admitted++
+			continue
+		}
+		t.shed++
+		if v.RetryAfter > t.worst.RetryAfter {
+			t.worst = v
+		} else if t.worst.Reason == ShedNone {
+			t.worst.Reason = v.Reason
+		}
+	}
+	b.reset()
+}
+
 // offerBody admits the records of one request body — the body itself, or
-// each non-empty line of an NDJSON one — in bursts of up to burstMax, and
-// tallies the verdicts: how many were admitted, how many shed, and the
-// refusal with the longest retry-after (the request's Retry-After).
-func offerBody(cl *Client, body []byte, ndjson bool) (admitted, shed int, worst Verdict) {
-	lines := 1
-	if ndjson {
-		lines = bytes.Count(body, newline) + 1
-	}
-	// A record is a sub-slice of the body and its one-slot Values a
-	// sub-slice of slots: two allocations a request, plus the []byte box Go
-	// makes per record. The topology may keep either, so neither is pooled;
-	// the burst scratch, which it never sees, is.
-	slots := make([]any, 0, lines)
-	b := burstPool.Get().(*burst)
-	flush := func() {
-		b.admit(cl)
-		for i := range b.offers {
-			v := b.offers[i].verdict
-			if v.Admitted {
-				admitted++
-				continue
-			}
-			shed++
-			if v.RetryAfter > worst.RetryAfter {
-				worst = v
-			} else if worst.Reason == ShedNone {
-				worst.Reason = v.Reason
-			}
-		}
-		b.reset()
-	}
-	offer := func(rec []byte) {
-		slots = append(slots, rec)
-		k := len(slots)
-		b.add(slots[k-1 : k : k])
-		if len(b.offers) == burstMax {
-			flush()
-		}
-	}
+// each non-empty line of an NDJSON one — in bursts of up to burstMax.
+func (sc *httpScratch) offerBody(cl *Client, body []byte, ndjson bool) (t tally) {
 	if ndjson {
 		for rest := body; len(rest) > 0; {
 			var line []byte
 			if line, rest = nextLine(rest); len(line) > 0 {
-				offer(line)
+				sc.offer(cl, line, &t)
 			}
 		}
 	} else {
-		offer(body)
+		sc.offer(cl, body, &t)
 	}
-	if len(b.offers) > 0 {
-		flush()
+	if len(sc.burst.offers) > 0 {
+		sc.flush(cl, &t)
 	}
-	burstPool.Put(b)
-	return admitted, shed, worst
+	return t
+}
+
+// isNDJSON reports whether a Content-Type header names NDJSON. The two
+// values the front door sees — none, and exactly the media type — are
+// answered without parsing; mime.ParseMediaType allocates, and on an empty
+// header allocates its error.
+func isNDJSON(contentType string) bool {
+	const ndjson = "application/x-ndjson"
+	switch contentType {
+	case "":
+		return false
+	case ndjson:
+		return true
+	}
+	mediaType, _, _ := mime.ParseMediaType(contentType)
+	return mediaType == ndjson
 }
 
 // ClientIDHeader names the request header carrying the client id.
 const ClientIDHeader = "X-Client-ID"
+
+// clientIDKey is ClientIDHeader as net/http keys a parsed request's header
+// map: indexing with it skips the canonical copy Header.Get makes of a name
+// that is not in canonical form already.
+var clientIDKey = http.CanonicalHeaderKey(ClientIDHeader)
 
 // Handler returns the HTTP front door for a gate:
 //
@@ -184,30 +225,46 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 			http.Error(w, "POST only", http.StatusMethodNotAllowed)
 			return
 		}
-		id := r.Header.Get(ClientIDHeader)
-		if id == "" {
-			id = "anonymous"
+		id := "anonymous"
+		if v := r.Header[clientIDKey]; len(v) > 0 && v[0] != "" {
+			id = v[0]
 		}
 		cl := cfg.client(g, id)
-		body, refusal, err := readBody(r)
+		sc := scratchPool.Get().(*httpScratch)
+		defer scratchPool.Put(sc)
+		body, refusal, err := readBody(r, &sc.slab)
 		if err != nil {
 			http.Error(w, err.Error(), refusal)
 			return
 		}
-		mediaType, _, _ := mime.ParseMediaType(r.Header.Get("Content-Type"))
-		admitted, shed, worst := offerBody(cl, body, mediaType == "application/x-ndjson")
-		w.Header().Set("Content-Type", "application/json")
+		// The body was read to its EOF; closed, net/http knows it has nothing
+		// left to discard before it writes the response (a drain it otherwise
+		// sets up on every request with a body). Nothing is lost with the
+		// error: the server closes the body again after the handler.
+		_ = r.Body.Close()
+		t := sc.offerBody(cl, body, isNDJSON(r.Header.Get("Content-Type")))
+		h := w.Header()
+		h["Content-Type"] = contentTypeJSON
 		status := http.StatusAccepted
-		if shed > 0 {
+		if t.shed > 0 {
 			status = http.StatusTooManyRequests
-			secs := int(worst.RetryAfter.Seconds() + 0.999)
-			if secs < 1 {
-				secs = 1
+			if secs := int(t.worst.RetryAfter.Seconds() + 0.999); secs > 1 {
+				h["Retry-After"] = []string{strconv.Itoa(secs)}
+			} else {
+				h["Retry-After"] = retryAfterOne
 			}
-			w.Header().Set("Retry-After", strconv.Itoa(secs))
 		}
 		w.WriteHeader(status)
-		fmt.Fprintf(w, `{"admitted":%d,"shed":%d,"reason":%q}`+"\n", admitted, shed, worst.Reason)
+		// fmt.Fprintf(w, `{"admitted":%d,"shed":%d,"reason":%q}`+"\n", ...),
+		// without boxing its arguments.
+		p := append(sc.reply[:0], `{"admitted":`...)
+		p = strconv.AppendInt(p, int64(t.admitted), 10)
+		p = append(p, `,"shed":`...)
+		p = strconv.AppendInt(p, int64(t.shed), 10)
+		p = append(p, `,"reason":`...)
+		p = strconv.AppendQuote(p, t.worst.Reason.String())
+		sc.reply = append(p, "}\n"...)
+		_, _ = w.Write(sc.reply) // a client that hung up has its verdict on the books
 	})
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		s := g.Stats()

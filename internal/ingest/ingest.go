@@ -10,10 +10,11 @@
 // The pieces, client to spout:
 //
 //   - Listeners (ServeTCP, Handler): length-prefixed TCP frames and HTTP
-//     POST bodies decode client records into tuple payloads, carved from
-//     an engine.Slab (TCP) or cut in place from the request body (HTTP). Refusals are
-//     explicit backpressure — HTTP 429 or a TCP NACK, both carrying a
-//     retry-after hint — never silent drops or blocked connections.
+//     POST bodies decode client records into tuple payloads carved from
+//     an engine.Slab the listener owns (NDJSON lines are cut in place from
+//     the carved body). Refusals are explicit backpressure — HTTP 429 or a
+//     TCP NACK, both carrying a retry-after hint — never silent drops or
+//     blocked connections.
 //   - Gate: per-client token buckets (contract enforcement) in front of a
 //     cluster-level admission controller (capacity protection). Every
 //     replanning round the gate reads the Supervisor's latest snapshot
@@ -42,9 +43,10 @@
 package ingest
 
 import (
+	"cmp"
 	"errors"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -185,6 +187,7 @@ type Gate struct {
 	planned struct {
 		lastAt time.Time
 	}
+	scratch replanScratch
 
 	// Durable mode (see durable.go): a non-nil wal means Offer appends
 	// each admitted record to the log before acknowledging it, tracker
@@ -337,15 +340,30 @@ func (g *Gate) Close() {
 // permilleScale is the resolution of the per-client thinning fraction.
 const permilleScale = 1000
 
+// replanScratch is what one Replan round reuses from the last: the client
+// list and the per-client vectors derived from it. replanning serializes
+// whole rounds — in production the run goroutine is the only caller — so a
+// round owns the scratch from its first line to its last.
+type replanScratch struct {
+	replanning     sync.Mutex
+	list           []*Client
+	rates, weights []float64
+	ids            []string
+	permilles      []uint32
+}
+
 // Replan recomputes the cluster-level admission plan from the supervisor's
 // latest snapshot and redistributes the admitted budget across clients by
 // weight. Called by the Start loop every ReplanEvery; tests and
 // virtual-time drivers call it directly.
 func (g *Gate) Replan() {
+	sc := &g.scratch
+	sc.replanning.Lock()
+	defer sc.replanning.Unlock()
 	now := g.cfg.Now()
 	g.mu.Lock()
 	control := g.control
-	list := g.clients.snapshot(make([]*Client, 0, g.clients.size()))
+	sc.list = g.clients.snapshot(sc.list[:0])
 	last := g.planned.lastAt
 	g.planned.lastAt = now
 
@@ -356,20 +374,26 @@ func (g *Gate) Replan() {
 	if last.IsZero() || dt <= 0 {
 		dt = g.cfg.ReplanEvery.Seconds()
 	}
-	rates := make([]float64, len(list))
+	sc.rates = sc.rates[:0]
 	provisioningRate := 0.0
-	for i, c := range list {
-		rates[i] = c.drainOfferedRate(dt)
-		provisioningRate += rates[i]
+	for _, c := range sc.list {
+		rate := c.drainOfferedRate(dt)
+		provisioningRate += rate
+		sc.rates = append(sc.rates, rate)
 	}
 	g.mu.Unlock()
 
 	var plan Plan
 	plan.AdmitFraction, plan.ScaleOutViable = 1, true
 	plan.SustainableRate = provisioningRate
+	plannedAlloc, plannedKmax := 0, 0
 	if control != nil && g.cfg.Tmax > 0 {
 		if snap, ok := control.LastSnapshot(); ok {
 			plan = PlanAdmission(snap, g.cfg.Tmax, g.cfg.MaxSlots, provisioningRate)
+			for _, k := range snap.Alloc {
+				plannedAlloc += k
+			}
+			plannedKmax = snap.Kmax
 		}
 	}
 	g.admitFraction.store(plan.AdmitFraction)
@@ -378,18 +402,23 @@ func (g *Gate) Replan() {
 	if g.cfg.DecisionLog != nil {
 		g.cfg.DecisionLog.Emit(&obs.Record{
 			Kind: obs.KindShedPlan, Tenant: g.cfg.Name,
+			From: plannedAlloc, To: plannedKmax,
 			Fraction: plan.AdmitFraction, Rate: plan.SustainableRate,
 			Lambda0: provisioningRate, Flag: plan.ScaleOutViable,
 		})
 	}
 
-	weights := make([]float64, len(list))
-	ids := make([]string, len(list))
-	for i, c := range list {
-		weights[i], ids[i] = c.weight, c.id
+	// Only a shedding plan has a fill order, and only the fill order reads
+	// weights and ids: a gate that never sheds never gathers them.
+	sc.weights, sc.ids = sc.weights[:0], sc.ids[:0]
+	if plan.AdmitFraction < 1 {
+		for _, c := range sc.list {
+			sc.weights, sc.ids = append(sc.weights, c.weight), append(sc.ids, c.id)
+		}
 	}
-	for i, p := range AdmitPermilles(plan, weights, ids, rates) {
-		list[i].admitPermille.Store(p)
+	sc.permilles = AdmitPermilles(sc.permilles, plan, sc.weights, sc.ids, sc.rates)
+	for i, p := range sc.permilles {
+		sc.list[i].admitPermille.Store(p)
 	}
 
 	// Durable mode piggybacks watermark compaction on the replan cadence:
@@ -406,27 +435,31 @@ func (g *Gate) Replan() {
 // everyone below it are the cheapest traffic. Idle clients get the
 // plan-wide fraction: their next burst should see the cluster verdict,
 // not a stale free pass. Returned values are thinning fractions in
-// permille, matching the offered rates' order. Exported so virtual-time
-// drivers (the overload experiment) run the exact distribution the live
-// gate runs.
-func AdmitPermilles(plan Plan, weights []float64, ids []string, rates []float64) []uint32 {
-	out := make([]uint32, len(rates))
+// permille, matching the offered rates' order. dst is the caller's scratch
+// from an earlier call (nil the first time): the result reuses its storage
+// — one element per client, and while shedding as many again behind them
+// for the fill order — so a caller that hands the result back allocates
+// nothing once it has grown. Exported so virtual-time drivers (the
+// overload experiment) run the exact distribution the live gate runs.
+func AdmitPermilles(dst []uint32, plan Plan, weights []float64, ids []string, rates []float64) []uint32 {
+	n := len(rates)
 	if plan.AdmitFraction >= 1 {
+		out := slices.Grow(dst[:0], n)[:n]
 		for i := range out {
 			out[i] = permilleScale
 		}
 		return out
 	}
-	order := make([]int, len(rates))
+	dst = slices.Grow(dst[:0], 2*n)[:2*n]
+	out, order := dst[:n], dst[n:]
 	for i := range order {
-		order[i] = i
+		order[i] = uint32(i)
 	}
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if weights[ia] != weights[ib] {
-			return weights[ia] > weights[ib]
+	slices.SortFunc(order, func(a, b uint32) int {
+		if weights[a] != weights[b] {
+			return cmp.Compare(weights[b], weights[a])
 		}
-		return ids[ia] < ids[ib]
+		return cmp.Compare(ids[a], ids[b])
 	})
 	budget := plan.SustainableRate
 	for _, i := range order {

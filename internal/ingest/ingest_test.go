@@ -11,8 +11,12 @@ import (
 	"testing"
 	"time"
 
+	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
+	"github.com/drs-repro/drs/internal/loop"
+	"github.com/drs-repro/drs/internal/metrics"
+	"github.com/drs-repro/drs/internal/obs"
 )
 
 // scriptedControl serves a fixed snapshot.
@@ -549,5 +553,182 @@ func TestHTTPNDJSONWithCharset(t *testing.T) {
 	}
 	if n := g.Ring().Len(); n != 3 {
 		t.Fatalf("ring holds %d records, want 3 (one per line)", n)
+	}
+}
+
+// TestHTTPReplyContract holds the front door's HTTP answer to the bytes a
+// client may parse: status, Content-Type, Retry-After, Content-Length and
+// the JSON body, for an admitted record, each refusal reason, and NDJSON
+// requests admitted whole and in part. The literals are what the
+// fmt.Fprintf/Header.Set handler of commit b43027f wrote.
+func TestHTTPReplyContract(t *testing.T) {
+	for _, c := range []struct {
+		name        string
+		gate        GateConfig
+		listener    ListenerConfig
+		prepare     func(g *Gate, cl *Client)
+		contentType string
+		body        string
+		status      int
+		retryAfter  []string
+		reply       string
+	}{
+		{name: "admitted", body: "rec", status: 202,
+			reply: `{"admitted":1,"shed":0,"reason":"admitted"}` + "\n"},
+		{name: "empty body admitted", body: "", status: 202,
+			reply: `{"admitted":1,"shed":0,"reason":"admitted"}` + "\n"},
+		{name: "rate-limited", listener: ListenerConfig{Rate: 0.5, Burst: 1},
+			prepare: func(_ *Gate, cl *Client) { cl.Offer(engine.Values{0}) },
+			body:    "rec", status: 429, retryAfter: []string{"2"},
+			reply: `{"admitted":0,"shed":1,"reason":"rate-limit"}` + "\n"},
+		{name: "overload", gate: GateConfig{ReplanEvery: 2500 * time.Millisecond},
+			prepare: func(_ *Gate, cl *Client) { cl.admitPermille.Store(0) },
+			body:    "rec", status: 429, retryAfter: []string{"3"},
+			reply: `{"admitted":0,"shed":1,"reason":"overload"}` + "\n"},
+		{name: "backlog", gate: GateConfig{RingCapacity: 4, ReplanEvery: 200 * time.Millisecond},
+			prepare: func(g *Gate, _ *Client) {
+				for g.Ring().TryPush(engine.Values{0}) {
+				}
+			},
+			body: "rec", status: 429, retryAfter: []string{"1"},
+			reply: `{"admitted":0,"shed":1,"reason":"backlog"}` + "\n"},
+		{name: "ndjson admitted", contentType: "application/x-ndjson", body: "a\nb\r\n\nc", status: 202,
+			reply: `{"admitted":3,"shed":0,"reason":"admitted"}` + "\n"},
+		{name: "ndjson mixed", listener: ListenerConfig{Rate: 1, Burst: 2},
+			contentType: "application/x-ndjson; charset=utf-8", body: "a\nb\nc\n", status: 429, retryAfter: []string{"1"},
+			reply: `{"admitted":2,"shed":1,"reason":"rate-limit"}` + "\n"},
+		{name: "not ndjson", contentType: "text/plain", body: "a\nb\n", status: 202,
+			reply: `{"admitted":1,"shed":0,"reason":"admitted"}` + "\n"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if c.gate.RingCapacity == 0 {
+				c.gate.RingCapacity = 64
+			}
+			g := NewGate(c.gate)
+			defer g.Close()
+			srv := httptest.NewServer(Handler(g, c.listener))
+			defer srv.Close()
+			if c.prepare != nil {
+				c.prepare(g, c.listener.withDefaults().client(g, "contract"))
+			}
+			req, err := http.NewRequest("POST", srv.URL+"/ingest", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set(ClientIDHeader, "contract")
+			if c.contentType != "" {
+				req.Header.Set("Content-Type", c.contentType)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != c.status || string(reply) != c.reply {
+				t.Errorf("answered %d %q, want %d %q", resp.StatusCode, reply, c.status, c.reply)
+			}
+			h := resp.Header
+			if got := fmt.Sprint(h["Content-Type"], h["Retry-After"], h["Content-Length"]); got !=
+				fmt.Sprint([]string{"application/json"}, c.retryAfter, []string{fmt.Sprint(len(c.reply))}) {
+				t.Errorf("headers Content-Type, Retry-After, Content-Length = %s", got)
+			}
+		})
+	}
+}
+
+// What a loop.Supervisor supervises, scripted: a target that takes any
+// allocation, a pool that grants whatever is asked, and a measurer that is
+// always ready with one snapshot and doubles as the stepper returning d.
+type scriptedTarget struct{ alloc map[string]int }
+
+func (t *scriptedTarget) DrainInterval() metrics.IntervalReport { return metrics.IntervalReport{} }
+func (t *scriptedTarget) Allocation() map[string]int            { return t.alloc }
+func (t *scriptedTarget) Rebalance(alloc map[string]int, _ time.Duration) error {
+	t.alloc = alloc
+	return nil
+}
+
+type scriptedPool struct{ kmax int }
+
+func (p *scriptedPool) Kmax() int                     { return p.kmax }
+func (p *scriptedPool) Rebalance() cluster.Transition { return cluster.Transition{Kind: "rebalance"} }
+func (p *scriptedPool) Resize(target int) (cluster.Transition, error) {
+	p.kmax = target
+	return cluster.Transition{Kind: "scale-out"}, nil
+}
+
+type scriptedMeasurer struct {
+	snap core.Snapshot
+	d    core.Decision
+}
+
+func (m *scriptedMeasurer) AddInterval(metrics.IntervalReport) error  { return nil }
+func (m *scriptedMeasurer) Snapshot() (core.Snapshot, error)          { return m.snap, nil }
+func (m *scriptedMeasurer) Reset()                                    {}
+func (m *scriptedMeasurer) Step(core.Snapshot) (core.Decision, error) { return m.d, nil }
+
+// TestReplanPlansOnGrantInForce wires a gate to a real supervisor and holds
+// the round after a scale-out: demand needs nine slots, the grant is eight
+// and the measured sojourn is far over Tmax, so the gate sheds; the
+// supervisor then applies a ten-slot grant that covers the need, goes into
+// its cooldown — and the very next Replan must admit everything, planning on
+// the allocation and grant in force and on no sojourn, not on the ones the
+// action replaced. The shed-plan records say which they were.
+func TestReplanPlansOnGrantInForce(t *testing.T) {
+	m := &scriptedMeasurer{snap: twoStageSnap(6, 2, 4, 8)} // the supervisor fills in Alloc and Kmax
+	m.snap.MeasuredSojourn = 3
+	supClock := time.Unix(0, 0)
+	sup, err := loop.New(loop.Config{
+		Target:    &scriptedTarget{alloc: map[string]int{"stage1": 4, "stage2": 4}},
+		Operators: []string{"stage1", "stage2"},
+		Stepper:   m, Pool: &scriptedPool{kmax: 8}, Source: m,
+		Interval: time.Second, Cooldown: 10 * time.Second,
+		Clock: func() time.Time { return supClock },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dlog := obs.NewLog(obs.Config{})
+	defer dlog.Close()
+	clock := time.Unix(0, 0)
+	g := NewGate(GateConfig{Tmax: 1.5, MaxSlots: 16, RingCapacity: 64, DecisionLog: dlog,
+		Now: func() time.Time { return clock }})
+	defer g.Close()
+	g.SetControl(sup)
+	cl := g.Client("c", 1, 0, 0)
+	round := func() float64 {
+		for i := 0; i < 6; i++ { // 6 tuples/s offered
+			cl.Offer(engine.Values{i})
+		}
+		clock = clock.Add(time.Second)
+		g.Replan()
+		return g.Stats().AdmitFraction
+	}
+
+	sup.Tick() // a measured hold round on [4 4] under a grant of 8
+	if f := round(); f >= 1 {
+		t.Fatalf("admit fraction %.3f on a grant one slot short and a 3 s sojourn, want a shed", f)
+	}
+	m.d = core.Decision{Action: core.ActionScaleOut, Target: []int{5, 5}, TargetKmax: 10, Reason: "scripted"}
+	supClock = supClock.Add(time.Second)
+	sup.Tick()
+	if hist := sup.History(); len(hist) != 1 || !hist[0].Applied {
+		t.Fatalf("want one applied scale-out, got %+v", hist)
+	}
+	if f := round(); f != 1 {
+		t.Errorf("admit fraction %.3f on the first plan after a grant that covers the demand, want 1", f)
+	}
+	var planned [][2]int
+	dlog.Sweep(func(r *obs.Record) {
+		if r.Kind == obs.KindShedPlan {
+			planned = append(planned, [2]int{r.From, r.To})
+		}
+	})
+	if want := [][2]int{{8, 8}, {10, 10}}; fmt.Sprint(planned) != fmt.Sprint(want) {
+		t.Errorf("shed-plan records planned on (alloc, Kmax) %v, want %v", planned, want)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/engine"
 )
 
 // TestFailureTrackerPrunesStaleKinds: a record whose window has elapsed is
@@ -130,4 +131,94 @@ func TestSlotsLostShrinkAttribution(t *testing.T) {
 	if got := target.Allocation(); got["a"]+got["b"] != 4 {
 		t.Fatalf("allocation not vacated to the preempted grant: %v", got)
 	}
+}
+
+// TestLastSnapshotFollowsAppliedAllocation holds what LastSnapshot means
+// between rounds: an applied actuation — a scale-out, a preemption shrink,
+// a failover shrink — leaves it carrying the allocation and grant now in
+// force and no measured sojourn, all through the cooldown, because that is
+// what the ingest gate plans admission on while no round measures; the
+// rates stay the last measured ones, the next measured round brings the
+// sojourn back, and a failed round changes nothing.
+func TestLastSnapshotFollowsAppliedAllocation(t *testing.T) {
+	clock := newFakeClock()
+	target := &fakeTarget{alloc: map[string]int{"a": 2, "b": 2}}
+	pool := &churnPool{fakeArbiterPool: fakeArbiterPool{kmax: 4, grantCap: 12}}
+	stepper := &fakeStepper{}
+	script := func(d core.Decision) {
+		stepper.mu.Lock()
+		stepper.d = d
+		stepper.mu.Unlock()
+	}
+	src := &fakeSource{snap: core.Snapshot{
+		Lambda0: 2, MeasuredSojourn: 0.5,
+		Ops: []core.OpRates{{Name: "a", Lambda: 1, Mu: 2}, {Name: "b", Lambda: 1, Mu: 2}},
+	}}
+	const cooldown = 10 * time.Second
+	sup, err := New(Config{
+		Target:    target,
+		Operators: []string{"a", "b"},
+		Stepper:   stepper,
+		Pool:      pool,
+		Source:    src,
+		Interval:  time.Second,
+		Cooldown:  cooldown,
+		Clock:     clock.Now,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(when string, alloc []int, kmax int, sojourn float64) {
+		t.Helper()
+		snap, ok := sup.LastSnapshot()
+		if !ok {
+			t.Fatalf("%s: no snapshot", when)
+		}
+		if !allocEqual(snap.Alloc, alloc) || snap.Kmax != kmax || snap.MeasuredSojourn != sojourn {
+			t.Errorf("%s: snapshot alloc %v Kmax %d sojourn %v, want %v %d %v",
+				when, snap.Alloc, snap.Kmax, snap.MeasuredSojourn, alloc, kmax, sojourn)
+		}
+		if snap.Lambda0 != 2 || len(snap.Ops) != 2 || snap.Ops[0].Lambda != 1 {
+			t.Errorf("%s: rates not the last measured ones: %+v", when, snap)
+		}
+	}
+	scaleOut := core.Decision{Action: core.ActionScaleOut, Target: []int{4, 4}, TargetKmax: 8, Reason: "scripted"}
+
+	sup.Tick()
+	check("measured hold round", []int{2, 2}, 4, 0.5)
+
+	target.rebalanceErr = engine.ErrQuiesceTimeout
+	script(scaleOut)
+	clock.advance(time.Second)
+	sup.Tick()
+	if hist := sup.History(); len(hist) != 1 || hist[0].Err == nil {
+		t.Fatalf("want one failed event, got %+v", hist)
+	}
+	check("failed scale-out", []int{2, 2}, 4, 0.5)
+
+	target.rebalanceErr = nil
+	clock.advance(cooldown)
+	sup.Tick()
+	script(core.Decision{})
+	check("applied scale-out", []int{4, 4}, 8, 0)
+	clock.advance(time.Second)
+	sup.Tick()
+	check("inside the cooldown", []int{4, 4}, 8, 0)
+
+	pool.setKmax(6)
+	clock.advance(time.Second)
+	sup.Tick()
+	check("preemption shrink", []int{3, 3}, 6, 0)
+
+	pool.loseSlots(2, 4)
+	clock.advance(time.Second)
+	sup.Tick()
+	check("failover shrink", []int{2, 2}, 4, 0)
+	if hist := sup.History(); len(hist) != 4 || !hist[2].Preempted || !hist[3].SlotsLost {
+		t.Fatalf("want failed, scale-out, preempted, slots-lost; got %+v", hist)
+	}
+
+	clock.advance(cooldown)
+	sup.Tick()
+	check("next measured round", []int{2, 2}, 4, 0.5)
 }

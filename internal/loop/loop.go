@@ -284,8 +284,10 @@ type Supervisor struct {
 	// the round's rates made a valid model.
 	offered, admitted core.Model
 	modelOK           bool
-	// lastSnap is the round's snapshot as the stepper saw it, minus Ops:
-	// those live in offered.
+	// lastSnap is the last measured round's snapshot as the stepper saw it,
+	// minus Ops (those live in offered) — and, once an actuation has been
+	// applied since, with the Alloc and Kmax now in force and no
+	// MeasuredSojourn: see finishRound.
 	lastSnap core.Snapshot
 	haveSnap bool
 	// lastAllocTotal caches the slot total of the most recent allocation
@@ -839,7 +841,13 @@ func (s *Supervisor) shrunkAlloc(cur []int, budget int) []int {
 // rebalance can block for its whole quiesce timeout, and anchoring earlier
 // would let the apply consume its own cooldown and retry immediately. An
 // applied event's target becomes the allocation total in force — after the
-// record is emitted, whose From is the total before.
+// record is emitted, whose From is the total before — and the snapshot
+// follows it: no round refreshes lastSnap through the cooldown and the
+// measurer's re-warm, and a reader planning on it in the meantime (the
+// ingest gate) must size to the allocation and grant that are running and
+// must not judge them by a sojourn measured on the configuration they
+// replaced. The rates stay the last measured ones; a failed round changed
+// nothing and leaves the snapshot alone.
 func (s *Supervisor) finishRound(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -847,6 +855,10 @@ func (s *Supervisor) finishRound(ev Event) {
 	s.appendLocked(ev)
 	if ev.Applied {
 		s.lastAllocTotal = sumInts(ev.Target)
+		if s.haveSnap {
+			s.allocBuf = append(s.allocBuf[:0], ev.Target...)
+			s.lastSnap.Alloc, s.lastSnap.Kmax, s.lastSnap.MeasuredSojourn = s.allocBuf, ev.Kmax, 0
+		}
 	}
 }
 
@@ -922,9 +934,14 @@ func (s *Supervisor) History() []Event {
 
 // LastSnapshot returns the most recent snapshot handed to the stepper —
 // a live view of λ̂0, per-operator rates and measured sojourn for
-// dashboards — and whether one exists yet. The Ops and Alloc slices are
-// copies: the supervisor's own views live in scratch storage the next
-// round overwrites.
+// dashboards and the ingest gate's plan — and whether one exists yet.
+// Between rounds it describes what is running: from an applied actuation
+// (a decision, a preemption or failover shrink) until the next measured
+// round — the cooldown plus the measurer's re-warm — Alloc and Kmax are the
+// allocation and grant that actuation put in force and MeasuredSojourn is
+// zero, because nothing has measured that configuration yet; the rates are
+// still the last measured ones. The Ops and Alloc slices are copies: the
+// supervisor's own views live in scratch storage the next round overwrites.
 func (s *Supervisor) LastSnapshot() (core.Snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -937,8 +954,9 @@ func (s *Supervisor) LastSnapshot() (core.Snapshot, bool) {
 }
 
 // ModelSojourn returns Equation (3)'s E[T], in seconds, of the last
-// round's model at offered demand for the allocation that round measured —
-// the model's verdict beside the measured one — and whether there is one.
+// round's model at offered demand for LastSnapshot's allocation — the one
+// that round measured, or the one applied since — the model's verdict
+// beside the measured one, and whether there is one.
 func (s *Supervisor) ModelSojourn() (float64, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -151,7 +151,11 @@ type Status struct {
 	// Alloc is the executor count per bolt.
 	Alloc map[string]int
 	// Snapshot is the supervisor's latest measurement; Measured is false
-	// until the first one exists.
+	// until the first one exists. From an applied action until the next
+	// measured round (the cooldown and the measurer's re-warm) its Alloc and
+	// Kmax are the ones that action put in force and its MeasuredSojourn is
+	// zero — nothing has measured that configuration yet
+	// (loop.Supervisor.LastSnapshot).
 	Snapshot core.Snapshot
 	Measured bool
 }

@@ -42,7 +42,14 @@ const (
 	KindStragglerClear // straggler cleared; To = machine id
 
 	// Ingest gate decisions.
-	KindShedPlan // gate re-planned admission; Fraction/Rate/Lambda0/Flag
+	//
+	// KindShedPlan: the gate re-planned admission; Fraction/Rate/Lambda0/Flag
+	// are the plan, and From/To say what it was planned on — the allocation
+	// total and the grant Kmax of the supervisor snapshot it read (both 0
+	// before the first snapshot). After a refit, the next plan's From equals
+	// that refit's To, the executor total it applied: a plan that lags it was
+	// sized on capacity the action had already replaced.
+	KindShedPlan
 
 	// Control loop (supervisor) decisions.
 	KindRefit       // scale decision applied; From -> To executors
