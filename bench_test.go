@@ -8,6 +8,7 @@ package drs_test
 import (
 	"errors"
 	"runtime"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -554,6 +555,109 @@ func BenchmarkEngineThroughput(b *testing.B) {
 		runEngineThroughput(b, topo,
 			engine.RunConfig{Alloc: map[string]int{"extract": 10, "match": 11, "aggregate": 1}}, gate)
 	})
+}
+
+// poissonSpout emits single tuples at exponential gaps of the given mean,
+// seeded. Arrival instants are laid out ahead on the wall clock and every
+// tuple due by the time the spout wakes is emitted, so a late wake-up
+// delays tuples but never thins the stream.
+type poissonSpout struct {
+	meanGap time.Duration
+	seed    uint64
+}
+
+func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
+	rng := stats.NewRNG(s.seed)
+	payload := engine.Values{1}
+	due := time.Now()
+	timer := time.NewTimer(0)
+	defer timer.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return nil
+		case <-timer.C:
+		}
+		now := time.Now()
+		for !due.After(now) {
+			ctx.Emit(payload)
+			due = due.Add(time.Duration(rng.Exp(1) * float64(s.meanGap)))
+		}
+		timer.Reset(due.Sub(now))
+	}
+}
+
+// BenchmarkEngineStation measures how close a shuffle-grouped bolt on k
+// executors comes to the M/M/k station the DRS model takes it for
+// (ROADMAP item 1's acceptance probe): Poisson arrivals into one bolt
+// whose tasks sleep a seeded exponential 4 ms, offered at rho = 0.8, six
+// seconds a pass. A sleep overshoots — 4 ms drawn is about 4.6 ms slept —
+// so the offered rate is sized on a calibration of what the sleeps take,
+// and the reported sojourn/mmk is the measured mean sojourn over
+// queueing.ExpectedSojourn evaluated on the *measured* arrival and service
+// rates of the pass. 1.0 is the model's station; what the ratio exceeds it
+// by is queueing the model does not see (below 1.0: the overshoot makes
+// the service less variable than exponential). ns/op is the pass length
+// and means nothing; -v logs the rates behind each ratio.
+func BenchmarkEngineStation(b *testing.B) {
+	const (
+		service = 4 * time.Millisecond
+		rho     = 0.8
+		pass    = 6 * time.Second
+	)
+	// What a drawn service actually takes on this box.
+	rng := stats.NewRNG(1)
+	start := time.Now()
+	const draws = 250
+	for i := 0; i < draws; i++ {
+		time.Sleep(time.Duration(rng.Exp(1) * float64(service)))
+	}
+	slept := time.Since(start) / draws
+	for _, k := range []int{2, 4, 8} {
+		b.Run("k="+strconv.Itoa(k), func(b *testing.B) {
+			var ratio float64
+			for i := 0; i < b.N; i++ {
+				seed := uint64(i + 1)
+				topo, err := engine.NewTopology().
+					Spout("src", 1, func(int) engine.Spout {
+						return &poissonSpout{meanGap: time.Duration(float64(slept) / (rho * float64(k))), seed: seed}
+					}).
+					Bolt("station", 4*k, func(task int) engine.Bolt {
+						rng := stats.NewRNG(seed<<16 | uint64(task+1))
+						return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
+							time.Sleep(time.Duration(rng.Exp(1) * float64(service)))
+							return nil
+						})
+					}).
+					Shuffle("src", "station").
+					Build()
+				if err != nil {
+					b.Fatal(err)
+				}
+				run, err := topo.Start(engine.RunConfig{Alloc: map[string]int{"station": k}})
+				if err != nil {
+					b.Fatal(err)
+				}
+				time.Sleep(pass)
+				rep := run.DrainInterval()
+				if err := run.Stop(); err != nil {
+					b.Fatal(err)
+				}
+				op := rep.Ops[0]
+				if rep.SojournCount == 0 || op.Sampled == 0 {
+					b.Fatal("nothing completed")
+				}
+				lambda := float64(rep.ExternalArrivals) / rep.Duration.Seconds()
+				mu := float64(op.Sampled) / op.BusyTime.Seconds()
+				measured := rep.SojournTotal.Seconds() / float64(rep.SojournCount)
+				model := queueing.ExpectedSojourn(lambda, mu, k)
+				ratio += measured / model
+				b.Logf("lambda %.0f/s, mu %.0f/s, rho %.2f: sojourn %.2f ms, M/M/%d %.2f ms", lambda, mu,
+					lambda/(mu*float64(k)), measured*1e3, k, model*1e3)
+			}
+			b.ReportMetric(ratio/float64(b.N), "sojourn/mmk")
+		})
+	}
 }
 
 func kmaxName(k int) string {

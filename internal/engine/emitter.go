@@ -28,7 +28,8 @@ var emitterSeq atomic.Uint64
 // costs one lock round per destination executor instead of N.
 //
 // The emitter also owns a private shuffle round-robin cursor per
-// destination bolt, so shuffle routing never touches shared state.
+// destination bolt, so routing into a fast bolt never touches shared
+// state; into a slow one the cursor is where leastLoaded starts looking.
 type emitter struct {
 	r        *Run
 	tree     *ackTree // tree of the tuple currently being processed
@@ -78,7 +79,11 @@ func (em *emitter) emit(edges []int, v Values) {
 		case GroupShuffle:
 			c := em.cursors[e.to]
 			em.cursors[e.to]++
-			em.add(e.to, rt, int(c%uint64(br.spec.tasks)), v)
+			task := int(c % uint64(br.spec.tasks))
+			if br.slow.Load() {
+				task = em.leastLoaded(rt, c)
+			}
+			em.add(e.to, rt, task, v)
 		case GroupFields:
 			em.add(e.to, rt, int(e.key(v)%uint64(br.spec.tasks)), v)
 		case GroupBroadcast:
@@ -87,6 +92,47 @@ func (em *emitter) emit(edges []int, v Values) {
 			}
 		}
 	}
+}
+
+// shuffleScan bounds how many executors one shuffle decision compares: all
+// of a bolt's for k <= 4, the next four in cursor order above that
+// (a full scan at k = 10 cost the vld pipeline a fifth of its throughput).
+const shuffleScan = 4
+
+// leastLoaded picks the task a shuffle tuple goes to when the destination
+// bolt is slow: of the next shuffleScan executors from cursor c, the one
+// with the least outstanding work — its queue's count plus what this
+// emitter has buffered for it in the open scope and not pushed yet, without
+// which a whole EmitBatch would see one stale minimum and land on it — and
+// then one of the tasks that executor owns. Ties keep cursor order, so idle
+// executors are dealt round-robin exactly as before. This is what makes
+// k private queues serve like the one k-server station the model assumes:
+// a tuple no longer waits behind a busy executor while its sibling idles.
+func (em *emitter) leastLoaded(rt *routeTable, c uint64) int {
+	k := len(rt.execs)
+	at := int(c % uint64(k))
+	best, bestLoad := at, int64(-1)
+	for range min(k, shuffleScan) {
+		ex := rt.execs[at]
+		load := ex.q.out.Load()
+		for i := 0; i < em.ndests; i++ {
+			if em.dests[i].ex == ex {
+				load += int64(len(em.dests[i].items))
+				break
+			}
+		}
+		if bestLoad < 0 || load < bestLoad {
+			best, bestLoad = at, load
+			if load == 0 {
+				break
+			}
+		}
+		if at++; at == k {
+			at = 0
+		}
+	}
+	tasks := rt.owned[best]
+	return tasks[c%uint64(len(tasks))]
 }
 
 // add buffers one child for the executor owning task in rt. The handoff

@@ -516,8 +516,8 @@ func TestQueueBasics(t *testing.T) {
 	if !q.push(queueItem{task: 1}) {
 		t.Fatal("push on open queue failed")
 	}
-	if got := q.len(); got != 1 {
-		t.Errorf("len = %d, want 1", got)
+	if got := q.outstanding(); got != 1 {
+		t.Errorf("outstanding = %d, want 1", got)
 	}
 	if got, ok := popTasks(q); !ok || !slices.Equal(got, []int{1}) {
 		t.Errorf("popAll = (%v, %v), want [1]", got, ok)

@@ -69,7 +69,9 @@ func (r *Run) FailExecutor(bolt string, exec int) (replayed int, err error) {
 // a remote drain loop otherwise — at one route-table slot, returning the
 // displaced victim. The replacement is installed before the victim is
 // touched, so an emitter that bounces off a closing queue finds the live
-// successor on its very first route reload. The replacement inherits the
+// successor on its very first route reload; a local replacement queues what
+// it is given until the victim has exited (executor.after), so the two are
+// never inside one task instance together. The replacement inherits the
 // victim's probe: its undrained arrivals/served counters survive the swap
 // (the probe is concurrency-safe), so the measurer's λ̂ does not dip and
 // replayed tuples — already counted as arrivals once — are not re-counted.
@@ -81,8 +83,9 @@ func (r *Run) swapExecutorLocked(br *boltRuntime, exec int, remote RemoteExecuto
 		q:     newQueue(),
 		probe: victim.probe,
 		done:  make(chan struct{}),
+		after: victim.done,
 	}
-	rt := &routeTable{execs: make([]*executor, len(old.execs)), assign: old.assign}
+	rt := &routeTable{execs: make([]*executor, len(old.execs)), assign: old.assign, owned: old.owned}
 	copy(rt.execs, old.execs)
 	rt.execs[exec] = replacement
 	r.execWG.Add(1)

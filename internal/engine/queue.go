@@ -16,6 +16,7 @@ package engine
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // queueItem pairs a tuple with the task that must process it.
@@ -57,6 +58,14 @@ type queue struct {
 	peak    int         // max live count since the queue last went empty
 	waiting int         // poppers parked in cond.Wait
 	closed  bool
+	// out counts the outstanding items: pushed and not yet served, so the
+	// popped batch the consumer is working through is still in it. It is
+	// the load signal shuffle routing reads without the lock
+	// (emitter.leastLoaded). Raised only by pushBatch, under mu — it shares
+	// a cache line with the fields a push writes anyway — and lowered by
+	// whoever takes items off the queue's books: the drain loops as they
+	// serve, crashCapture for what it seizes.
+	out atomic.Int64
 }
 
 func newQueue() *queue {
@@ -126,6 +135,7 @@ func (q *queue) pushBatch(its []queueItem) bool {
 		copy(q.buf[tail:tail+len(its)], its)
 	}
 	q.n += len(its)
+	q.out.Add(int64(len(its)))
 	if q.n > q.peak {
 		q.peak = q.n
 	}
@@ -196,6 +206,7 @@ func (q *queue) crashCapture() []queueItem {
 	if q.n > 0 {
 		out = make([]queueItem, q.n)
 		q.copyOutLocked(out)
+		q.served(q.n) // seized for replay: counted again where they land
 		q.buf, q.head, q.n, q.peak = nil, 0, 0, 0
 	}
 	q.mu.Unlock()
@@ -203,9 +214,10 @@ func (q *queue) crashCapture() []queueItem {
 	return out
 }
 
-// len reports the number of queued items.
-func (q *queue) len() int {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.n
-}
+// served takes n items off the outstanding count: they were processed, or
+// left this queue's books for a replay that counts them where they land.
+func (q *queue) served(n int) { q.out.Add(-int64(n)) }
+
+// outstanding reports the items pushed and not yet served (queued plus in
+// service), without taking the lock.
+func (q *queue) outstanding() int { return int(q.out.Load()) }

@@ -310,6 +310,9 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 // still reconciles with the root sojourn even though the service ran on
 // another machine's clock. Children of a traced item hand off at recv.
 func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBatch, res RemoteResult, sentNS int64) {
+	// The worker has served the batch: it leaves the executor's outstanding
+	// count here, before the acks below can complete a root.
+	ex.q.served(len(pin.items))
 	tracer := r.cfg.Tracer
 	var recv time.Time
 	var recvNS int64
@@ -361,6 +364,14 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		br.lastErr.Store(&held)
 	}
 	ex.probe.TuplesServed(res.Served, res.Sampled, res.BusyNanos, res.BusySqMicros)
+	if res.Sampled > 0 {
+		// The worker reports sums, so a batch votes as one sample: its mean.
+		var over int64
+		if res.BusyNanos > res.Sampled*int64(handoffCost) {
+			over = 1
+		}
+		br.noteService(ex, 1, over)
+	}
 	pin.put()
 }
 
@@ -369,6 +380,7 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 // processed remotely (the result was lost), so this is the at-least-once
 // re-execution window — and triggers the binding's self-heal.
 func (r *Run) replayPin(br *boltRuntime, ex *executor, pin *pinBatch) {
+	ex.q.served(len(pin.items)) // off the failed binding's books before they land elsewhere
 	for _, it := range pin.items {
 		if !r.redeliverItem(br, it) {
 			it.tup.tree.ackLazy() // shutdown raced the failure

@@ -51,6 +51,15 @@ type executor struct {
 	// of its in-progress batch for replay instead of draining it — a real
 	// crash does not get to finish its backlog.
 	crashed atomic.Bool
+	// after, when non-nil, is closed once the executors this one replaces
+	// have exited. A local drain loop waits on it before its first tuple: a
+	// displaced executor finishes the tuple it is in, and the task instance
+	// it is inside must not be entered by its successor meanwhile. The
+	// queue takes pushes from the moment the route table names it.
+	after <-chan struct{}
+	// winN and winOver are the open vote window of boltRuntime.noteService:
+	// service samples seen, and how many of them exceeded handoffCost.
+	winN, winOver int64
 
 	// Remote-binding state; all nil/zero for local executors.
 	remote RemoteExecutor
@@ -78,6 +87,8 @@ func (ex *executor) killRemote() {
 
 // strandRing parks the unhandled ring tail [start, start+count) for the
 // reaper. Called only by the executor's own drain loop before it exits.
+// Stranded items leave the queue's outstanding count: the reaper's replay
+// counts them on the executor they land on.
 func (ex *executor) strandRing(ring []queueItem, start, count int) {
 	if count <= 0 {
 		return
@@ -88,6 +99,7 @@ func (ex *executor) strandRing(ring []queueItem, start, count int) {
 		ex.stranded = append(ex.stranded, ring[(start+i)&mask])
 	}
 	ex.strandMu.Unlock()
+	ex.q.served(count)
 }
 
 // strandPin parks a pinned batch that was never handed to the transport.
@@ -95,6 +107,7 @@ func (ex *executor) strandPin(pin *pinBatch) {
 	ex.strandMu.Lock()
 	ex.stranded = append(ex.stranded, pin.items...)
 	ex.strandMu.Unlock()
+	ex.q.served(len(pin.items))
 	pin.put()
 }
 
@@ -112,8 +125,28 @@ func (ex *executor) takeStranded() []queueItem {
 // swapped atomically on rebalance.
 type routeTable struct {
 	execs  []*executor
-	assign []int // task -> index into execs
+	assign []int   // task -> index into execs
+	owned  [][]int // index into execs -> its tasks, ascending; the inverse of assign
 }
+
+// ownedTasks inverts a task->executor assignment over n executors. Every
+// executor owns at least one task (n <= tasks, and both the first install
+// and planAssignment fill every quota).
+func ownedTasks(assign []int, n int) [][]int {
+	owned := make([][]int, n)
+	for task, e := range assign {
+		owned[e] = append(owned[e], task)
+	}
+	return owned
+}
+
+// handoffCost is the service time above which a bolt's shuffle traffic is
+// routed by backlog rather than by the cursor alone: about what it costs
+// to wake a parked executor. Below it the scan buys nothing — the sibling
+// would have been free by the time the tuple was handed over — and
+// steering every tuple at the emptiest queue turns each push into a
+// wake-up (DESIGN.md §7, "station discipline").
+const handoffCost = 10 * time.Microsecond
 
 // boltRuntime is the running state of one bolt. Shuffle round-robin
 // cursors live in each emitter, not here, so routing is contention-free.
@@ -121,15 +154,44 @@ type boltRuntime struct {
 	spec      boltSpec
 	instances []Bolt // one per task; owned by whichever executor holds the task
 	route     atomic.Pointer[routeTable]
-	outEdges  []int
-	errCount  atomic.Int64
-	lastErr   atomic.Pointer[error]
+	// slow is set while most of the bolt's sampled service times are above
+	// handoffCost. Emitters read it on every shuffle emit, so it sits
+	// beside route and is stored only when it flips (noteService).
+	slow     atomic.Bool
+	outEdges []int
+	errCount atomic.Int64
+	lastErr  atomic.Pointer[error]
 	// Cumulative per-bolt tuple counters, folded from the probes by
 	// DrainInterval. Probes reset on rebalance (fresh executors get fresh
 	// probes), so monotonic exports must accumulate here, off the hot
 	// path, instead of reading the probes directly.
 	cumArrivals atomic.Int64
 	cumServed   atomic.Int64
+}
+
+// serviceWindow is how many service samples an executor gathers between
+// votes on its bolt's slow flag.
+const serviceWindow = 16
+
+// noteService adds service samples, over of them longer than handoffCost,
+// to the executor's vote window; a full window sets the bolt's slow flag to
+// what most of it says. A majority, not a mean: on a busy box a tuple that
+// is descheduled mid-service reads as milliseconds, and one such sample in a
+// batch of no-ops would otherwise flip the flag there and back (it did: a
+// third of the vld benchmark's emits took the slow route). Until the first
+// full window the bolt routes by cursor. Called only by the executor's own
+// drain loop, or the transport's serialized callbacks for a remote one.
+func (br *boltRuntime) noteService(ex *executor, samples, over int64) {
+	ex.winN += samples
+	ex.winOver += over
+	if ex.winN < serviceWindow {
+		return
+	}
+	slow := 2*ex.winOver > ex.winN
+	ex.winN, ex.winOver = 0, 0
+	if slow != br.slow.Load() {
+		br.slow.Store(slow)
+	}
 }
 
 // spoutRuntime is one spout's running state.
@@ -223,7 +285,7 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 	}
 	// Spin up executors per the initial allocation, then the spouts.
 	for i, br := range r.bolts {
-		r.installExecutors(br, cfg.Alloc[t.bolts[i].name])
+		r.installExecutors(br, cfg.Alloc[t.bolts[i].name], nil)
 	}
 	for si, sr := range r.spouts {
 		for inst := 0; inst < sr.spec.instances; inst++ {
@@ -243,8 +305,9 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 // install tasks are spread round-robin; on a rebalance the new assignment
 // is migration-aware — it keeps as many tasks as possible on their current
 // executor index (planAssignment), minimizing moved state per the paper's
-// future-work direction [42].
-func (r *Run) installExecutors(br *boltRuntime, n int) {
+// future-work direction [42]. The fresh executors start serving once after
+// is closed (at once when it is nil).
+func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 	old := br.route.Load()
 	rt := &routeTable{execs: make([]*executor, n)}
 	if old == nil {
@@ -255,11 +318,13 @@ func (r *Run) installExecutors(br *boltRuntime, n int) {
 	} else {
 		rt.assign, _ = planAssignment(old.assign, len(old.execs), n)
 	}
+	rt.owned = ownedTasks(rt.assign, n)
 	for i := 0; i < n; i++ {
 		ex := &executor{
 			q:     newQueue(),
 			probe: metrics.NewExecutorProbe(r.cfg.SampleEveryNm),
 			done:  make(chan struct{}),
+			after: after,
 		}
 		rt.execs[i] = ex
 		r.execWG.Add(1)
@@ -278,6 +343,9 @@ func (r *Run) installExecutors(br *boltRuntime, n int) {
 func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)
+	if ex.after != nil {
+		<-ex.after
+	}
 	em := newEmitter(r)
 	emit := Emit(func(v Values) { em.emit(br.outEdges, v) })
 	tracer := r.cfg.Tracer
@@ -297,12 +365,25 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		// Probe observations accumulate locally and fold into the shared
 		// probe once per batch.
 		var sampled, busyNanos, busySqMicros int64
+		var over int64 // samples longer than handoffCost
+		// The queue's outstanding count drops as tuples are served: one by
+		// one where routing reads it (a slow bolt), once a batch otherwise —
+		// a fast bolt's batch is over in microseconds and only a scrape
+		// reads its count. Each drop comes before the ack of the tuple it
+		// covers: once no root is pending no executor has anything
+		// outstanding.
+		step := n
+		if br.slow.Load() {
+			step = 1
+		}
+		settled := 0 // tuples of this batch already taken off the count
 		for i := 0; i < n; i++ {
 			// A crash ends service at the tuple boundary: the batch's
 			// unprocessed tail replays through the current route table
 			// (one relaxed atomic load per tuple buys the failure domain).
 			if ex.crashed.Load() {
 				ex.probe.TuplesServed(int64(i), sampled, busyNanos, busySqMicros)
+				ex.q.served(n - settled)
 				r.replayRemainder(br, ring, head+i, n-i)
 				return
 			}
@@ -348,11 +429,18 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				}
 			}
 			*it = queueItem{} // release references before handing the ring back
+			if i+1-settled == step {
+				ex.q.served(step)
+				settled = i + 1
+			}
 			switch {
 			case sampleThis:
 				sinceSample = 0
 				d := end.Sub(now)
 				sampled++
+				if d > handoffCost {
+					over++
+				}
 				busyNanos += int64(d)
 				us := d.Microseconds()
 				busySqMicros += us * us
@@ -375,6 +463,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 			}
 		}
 		ex.probe.TuplesServed(int64(n), sampled, busyNanos, busySqMicros)
+		br.noteService(ex, sampled, over)
 		spare = ring
 	}
 }
@@ -532,13 +621,17 @@ func (r *Run) Allocation() map[string]int {
 	return out
 }
 
-// QueueLengths reports the total queued tuples per bolt.
+// QueueLengths reports each bolt's backlog: the tuples queued at its
+// executors plus the ones in service (on a remote-bound executor, the ones
+// shipped and not yet answered). It reads the executors' outstanding
+// counters and takes no lock, so a scrape never contends with the data
+// plane; the sum is of k independent reads, not a snapshot.
 func (r *Run) QueueLengths() map[string]int {
 	out := make(map[string]int, len(r.bolts))
 	for _, br := range r.bolts {
 		total := 0
 		for _, ex := range br.route.Load().execs {
-			total += ex.q.len()
+			total += ex.q.outstanding()
 		}
 		out[br.spec.name] = total
 	}
@@ -564,8 +657,13 @@ func (r *Run) Errors(bolt string) (int64, error) {
 // perfectly balanced). The DRS model *assumes* per-operator load balance
 // (§III-A); this diagnostic lets an operator check the assumption — e.g. a
 // fields grouping with a hot key will show skew that the M/M/k model
-// cannot see. Counts are cumulative since each executor started, so call
-// it between rebalances.
+// cannot see. Shuffle traffic into a bolt slower than a hand-off is
+// balanced by outstanding work, not by count (emitter.leastLoaded), so its
+// executors' served counts differ when the executors do — a straggling
+// worker, an unlucky run of long services — and a ratio somewhat above 1
+// there is the routing working, not a fault; a hot fields key still reads
+// as the multiple it is. Counts are cumulative since each executor
+// started, so call it between rebalances.
 func (r *Run) LoadSkew(bolt string) (float64, error) {
 	for _, br := range r.bolts {
 		if br.spec.name != bolt {
@@ -700,13 +798,15 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 	for i, n := range changed {
 		br := r.bolts[i]
 		old := br.route.Load()
-		r.installExecutors(br, n)
+		retired := make(chan struct{})
+		r.installExecutors(br, n, retired)
 		for _, ex := range old.execs {
 			ex.q.close()
 		}
 		for _, ex := range old.execs {
 			<-ex.done
 		}
+		close(retired)
 	}
 	return nil
 }

@@ -123,6 +123,8 @@ func (m *metrics) register(n *Node) {
 			obs.Counter, labels, func() float64 { a, _, _ := run.BoltTotals(bolt); return float64(a) })
 		reg.Func("drs_engine_bolt_served_total", "Tuples each bolt finished serving.",
 			obs.Counter, labels, func() float64 { _, s, _ := run.BoltTotals(bolt); return float64(s) })
+		reg.Func("drs_engine_bolt_backlog", "Tuples queued or in service at each bolt's executors.",
+			obs.Gauge, labels, func() float64 { return float64(run.QueueLengths()[bolt]) })
 	}
 	reg.Func("drs_engine_executor_failures_total", "Remote executor failures healed back to local bindings.",
 		obs.Counter, "", func() float64 { return float64(run.ExecutorFailures()) })
@@ -164,6 +166,19 @@ func (m *metrics) register(n *Node) {
 	// from the same instant — the measured-vs-model comparison is one query.
 	reg.Func("drs_model_predicted_sojourn_ns", "Model-predicted mean sojourn E[T] for the current allocation.",
 		obs.Gauge, "", func() float64 { et, _ := sup.ModelSojourn(); return et * 1e9 })
+	// What the engine adds to the model's station: measured minus predicted
+	// for the same allocation, the paper's Fig. 7 as a live series. Zero
+	// until a round has measured the allocation in force (LastSnapshot
+	// carries no sojourn across an applied action).
+	reg.Func("drs_model_residual_ns", "Measured minus model-predicted mean sojourn for the current allocation (0 until a round has measured it).",
+		obs.Gauge, "", func() float64 {
+			snap, _ := sup.LastSnapshot()
+			et, ok := sup.ModelSojourn()
+			if !ok || snap.MeasuredSojourn == 0 {
+				return 0
+			}
+			return (snap.MeasuredSojourn - et) * 1e9
+		})
 
 	// Tracing self-accounting — only when the tracer is enabled.
 	if tracer != nil {

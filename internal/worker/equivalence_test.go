@@ -237,6 +237,13 @@ func runEq(t *testing.T, spec scenario.Spec, perTenant, remoteMachines int, kill
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// Drained: every executor's books are back at zero, whether it was a
+	// goroutine here or a shuttle to a worker (or replayed off a dead one).
+	for bolt, n := range run.QueueLengths() {
+		if n != 0 {
+			t.Errorf("bolt %s: %d tuples outstanding with every root completed", bolt, n)
+		}
+	}
 	books.failures = run.ExecutorFailures()
 	if err := run.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)

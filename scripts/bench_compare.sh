@@ -21,9 +21,10 @@
 # With a workload each side is the driver's own command,
 # `bash benchmark/run.sh --workload W --seed i --trace 0` (about 26 s), and
 # the script prints every pair's end-to-end values and, per metric, both
-# medians, their ratio and in how many pairs this checkout read lower —
-# read "lower" against BENCHMARK.json's `better`. `compare` reads `run`-mode
-# files, so it is not called and the exit status is 0 unless a run failed.
+# medians, their ratio and in how many pairs this checkout read better —
+# higher or lower as BENCHMARK.json's `better` says for that metric (the
+# file is only read). `compare` reads `run`-mode files, so it is not called
+# and the exit status is 0 unless a run failed.
 # Needs jq.
 set -eu
 
@@ -58,11 +59,12 @@ done
 if [ -n "$WORKLOAD" ]; then
     # Glob order is not pair order past nine pairs; the files are matched
     # up by the seed in their names.
-    jq -rn --arg w "$WORKLOAD" '
+    jq -rn --arg w "$WORKLOAD" --slurpfile bench "$HEAD_DIR/BENCHMARK.json" '
         def r4: . * 10000 | round / 10000;
         def median: sort | if length % 2 == 1 then .[length / 2 | floor]
                            else (.[length / 2 - 1] + .[length / 2]) / 2 end;
-        [inputs | {side: (input_filename | split("/") | last | .[0:1]),
+        ($bench[0].end_to_end | map({key: .name, value: .better}) | from_entries) as $better
+        | [inputs | {side: (input_filename | split("/") | last | .[0:1]),
                    seed: (input_filename | capture("_(?<n>[0-9]+)\\.json$").n | tonumber),
                    failed, m: (.metrics | map_values(.value))}] as $runs
         | ($runs | map(select(.side == "A")) | sort_by(.seed)) as $a
@@ -72,7 +74,7 @@ if [ -n "$WORKLOAD" ]; then
             | ([range($a | length)] | map([$a[.].m[$k], $b[.].m[$k]])) as $pairs
             | ($pairs | map(.[0]) | median) as $ma | ($pairs | map(.[1]) | median) as $mb
             | "\($k): median \($ma | r4) -> \($mb | r4) (x\($mb / $ma | r4)),"
-              + " head lower in \($pairs | map(select(.[1] < .[0])) | length) of \($pairs | length)",
+              + " head better (\($better[$k])) in \($pairs | map(select(if $better[$k] == "higher" then .[1] > .[0] else .[1] < .[0] end)) | length) of \($pairs | length)",
               "    " + ($pairs | map("\(.[0] | r4) -> \(.[1] | r4)") | join("; ")))
     ' "$OUT"/A_*.json "$OUT"/B_*.json
     exit 0
