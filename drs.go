@@ -273,7 +273,7 @@ type MachineInfo = cluster.MachineInfo
 type MachineUse = cluster.MachineUse
 
 // PoolChurnEvent is a machine lifecycle transition delivered to the
-// pool's OnChurn subscriber — the scheduler's out-of-band re-arbitration
+// pool's churn listeners — the scheduler's out-of-band re-arbitration
 // trigger.
 type PoolChurnEvent = cluster.ChurnEvent
 

@@ -17,8 +17,8 @@
 // A machine can also be flagged as a straggler — still serving, but
 // degraded — which placement treats as a last-resort host. Fail/Recover
 // are the churn inputs the failure-domain tests and the churn experiment
-// drive; a Scheduler that owns the pool subscribes via OnChurn and
-// re-arbitrates the leases out of band the moment capacity moves.
+// drive; a Scheduler that owns the pool subscribes via AddChurnListener
+// and re-arbitrates the leases out of band the moment capacity moves.
 package cluster
 
 import (
@@ -121,7 +121,7 @@ type MachineInfo struct {
 }
 
 // ChurnEvent describes one machine lifecycle transition, delivered to the
-// OnChurn subscriber after the pool state has changed.
+// churn listeners after the pool state has changed.
 type ChurnEvent struct {
 	// Kind is "machine-fail", "machine-recover", "straggler" or
 	// "straggler-clear".
@@ -141,13 +141,12 @@ type machine struct {
 
 // Pool is the simulated machine pool. Safe for concurrent use.
 type Pool struct {
-	mu         sync.Mutex
-	cfg        PoolConfig
-	fleet      []machine // provisioned machines (live and failed), id order
-	nextID     int
-	churn      func(ChurnEvent)   // owner subscriber, called after mu is released
-	churnExtra []func(ChurnEvent) // additional listeners (see AddChurnListener)
-	workers    map[int]string     // machine id -> registered worker process
+	mu        sync.Mutex
+	cfg       PoolConfig
+	fleet     []machine // provisioned machines (live and failed), id order
+	nextID    int
+	listeners []func(ChurnEvent) // churn listeners, called after mu is released
+	workers   map[int]string     // machine id -> registered worker process
 }
 
 // NewPool builds a pool with the given starting machine count.
@@ -164,16 +163,6 @@ func NewPool(cfg PoolConfig, startMachines int) (*Pool, error) {
 		p.fleet = append(p.fleet, machine{id: p.nextID})
 	}
 	return p, nil
-}
-
-// OnChurn registers the machine-lifecycle subscriber (a Scheduler that
-// owns the pool). The callback runs after the transition is applied and
-// after the pool lock is released, so it may call back into the pool.
-// Only one subscriber is held; nil unregisters.
-func (p *Pool) OnChurn(fn func(ChurnEvent)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.churn = fn
 }
 
 // Machines reports the current live machine count.
@@ -238,7 +227,7 @@ func (p *Pool) findLocked(id int) *machine {
 
 // Fail marks a live machine crashed: its slots leave the capacity on offer
 // immediately, but the machine keeps occupying the provider cap until
-// Recover or Decommission. The OnChurn subscriber is notified.
+// Recover or Decommission. The churn listeners are notified.
 func (p *Pool) Fail(id int) error {
 	p.mu.Lock()
 	m := p.findLocked(id)
@@ -252,7 +241,7 @@ func (p *Pool) Fail(id int) error {
 	}
 	before := p.liveLocked()
 	m.failed = true
-	notify := p.notifiersLocked()
+	notify := p.listeners
 	p.mu.Unlock()
 	for _, fn := range notify {
 		fn(ChurnEvent{Kind: "machine-fail", Machine: id, LiveBefore: before, LiveAfter: before - 1})
@@ -261,7 +250,7 @@ func (p *Pool) Fail(id int) error {
 }
 
 // Recover brings a failed machine back into service (MTTR elapsed, or the
-// operator repaired it). The OnChurn subscriber is notified.
+// operator repaired it). The churn listeners are notified.
 func (p *Pool) Recover(id int) error {
 	p.mu.Lock()
 	m := p.findLocked(id)
@@ -275,7 +264,7 @@ func (p *Pool) Recover(id int) error {
 	}
 	before := p.liveLocked()
 	m.failed = false
-	notify := p.notifiersLocked()
+	notify := p.listeners
 	p.mu.Unlock()
 	for _, fn := range notify {
 		fn(ChurnEvent{Kind: "machine-recover", Machine: id, LiveBefore: before, LiveAfter: before + 1})
@@ -305,7 +294,7 @@ func (p *Pool) Decommission(id int) error {
 // SetStraggler flags or clears a machine's straggler state — the "slow but
 // alive" signal a health checker raises. Capacity is unchanged; placement
 // (and whoever watches the signal) treats the machine as a last-resort
-// host. The OnChurn subscriber is notified so placements refresh.
+// host. The churn listeners are notified so placements refresh.
 func (p *Pool) SetStraggler(id int, on bool) error {
 	p.mu.Lock()
 	m := p.findLocked(id)
@@ -316,7 +305,7 @@ func (p *Pool) SetStraggler(id int, on bool) error {
 	changed := m.straggler != on
 	m.straggler = on
 	live := p.liveLocked()
-	notify := p.notifiersLocked()
+	notify := p.listeners
 	p.mu.Unlock()
 	if changed {
 		kind := "straggler"

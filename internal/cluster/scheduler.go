@@ -236,7 +236,7 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 	s.mu.Lock()
 	s.placeLocked()
 	s.mu.Unlock()
-	cfg.Pool.OnChurn(s.poolChurn)
+	cfg.Pool.AddChurnListener(s.poolChurn)
 	return s, nil
 }
 

@@ -10,29 +10,21 @@ import "fmt"
 // worker's connection when the pool fails the machine (so a scripted
 // churn event revokes a real process's lease, not just a counter).
 
-// AddChurnListener registers an additional churn subscriber alongside the
-// OnChurn owner. Where OnChurn belongs to the Scheduler that arbitrates
-// the pool, extra listeners observe: the worker coordinator uses one to
-// revoke live worker connections when a worker-backed machine fails.
-// Listeners run after the transition is applied and outside the pool
-// lock, in registration order, after the OnChurn owner.
+// AddChurnListener registers a machine-lifecycle listener: the Scheduler
+// that arbitrates the pool (NewScheduler registers it, first), and the
+// worker coordinator, which revokes live worker connections when a
+// worker-backed machine fails. Listeners run after the transition is
+// applied and outside the pool lock, in registration order, so they may
+// call back into the pool. A transition fires the listeners registered
+// when it was applied: the list only grows, so its snapshot under the
+// lock stays valid after the lock is released.
 func (p *Pool) AddChurnListener(fn func(ChurnEvent)) {
 	if fn == nil {
 		return
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.churnExtra = append(p.churnExtra, fn)
-}
-
-// notifiersLocked snapshots the owner subscriber plus the extra listeners
-// in invocation order. Callers fire them after releasing the pool lock.
-func (p *Pool) notifiersLocked() []func(ChurnEvent) {
-	out := make([]func(ChurnEvent), 0, 1+len(p.churnExtra))
-	if p.churn != nil {
-		out = append(out, p.churn)
-	}
-	return append(out, p.churnExtra...)
+	p.listeners = append(p.listeners, fn)
 }
 
 // BindWorker leases machine id to the named worker process. The machine

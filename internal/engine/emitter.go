@@ -213,18 +213,18 @@ func (em *emitter) sealRoot(now time.Time) {
 }
 
 // pushDests delivers every buffered destination batch with one enqueue
-// each. A closed destination queue means either shutdown — the children
-// are resolved on the spot, as an immediate delivery would have been —
-// or a crashed executor, in which case the batch is re-routed through the
-// bolt's refreshed route table so no tuple is lost to the crash. Items
-// carry their own tree reference, so batches may mix several roots'
-// children.
+// each. A closed destination queue means a crashed executor or shutdown:
+// the batch replays through the bolt's refreshed route table (Run.replay)
+// — FailExecutor installs the replacement before it closes the victim's
+// queue, so a reload observes the successor almost immediately — and
+// during shutdown its trees resolve on the spot. Items carry their own
+// tree reference, so batches may mix several roots' children.
 func (em *emitter) pushDests() {
 	for i := 0; i < em.ndests; i++ {
 		d := &em.dests[i]
 		d.ex.probe.TuplesArrived(int64(len(d.items)))
 		if !d.ex.q.pushBatch(d.items) {
-			em.redeliver(d)
+			em.r.replay(em.r.bolts[d.to], d.items)
 		}
 		clear(d.items) // release payload references; keep capacity
 		d.items = d.items[:0]
@@ -232,21 +232,4 @@ func (em *emitter) pushDests() {
 	}
 	em.children = 0
 	em.ndests = 0
-}
-
-// redeliver handles a batch refused by a closed queue. During shutdown the
-// tuples are not coming back: resolve their trees (lazily stamped — the
-// drop path is rare and only a completing ack reads a clock). Otherwise
-// the destination executor crashed between this emitter's route lookup and
-// its enqueue, so each item re-routes through the bolt's *current* route
-// table — FailExecutor installs the replacement before it closes the
-// victim's queue, so a reload observes the successor almost immediately.
-func (em *emitter) redeliver(d *destBatch) {
-	r := em.r
-	br := r.bolts[d.to]
-	for _, it := range d.items {
-		if r.stopped.Load() || !r.redeliverItem(br, it) {
-			it.tup.tree.ackLazy() // shutdown: the tree must still resolve
-		}
-	}
 }

@@ -2,21 +2,70 @@ package engine
 
 import (
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 )
 
+// taskOrder records, per task, the integer payloads a bolt's tasks
+// processed, in processing order.
+type taskOrder struct {
+	mu   sync.Mutex
+	seen map[int][]int
+}
+
+func (o *taskOrder) record(task int, tu Tuple) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.seen == nil {
+		o.seen = make(map[int][]int)
+	}
+	o.seen[task] = append(o.seen[task], tu.Values[0].(int))
+}
+
+// assertArrivalOrder checks every task processed its tuples once each, in
+// the order the spout emitted them (ascending payloads): a replay that puts
+// a newer backlog ahead of an older stranded tail breaks it.
+func (o *taskOrder) assertArrivalOrder(t *testing.T) {
+	t.Helper()
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	for task, vs := range o.seen {
+		for i := 1; i < len(vs); i++ {
+			if vs[i] <= vs[i-1] {
+				t.Errorf("task %d processed %d after %d: replay broke arrival order", task, vs[i], vs[i-1])
+				break
+			}
+		}
+	}
+}
+
+// waitFor polls cond until it holds, failing the test after five seconds.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		runtime.Gosched()
+	}
+}
+
 // TestFailExecutorReplaysBacklog crashes executors under a deep backlog
 // and checks the at-least-once promise: every external tuple's tree still
-// completes, the captured backlog is accounted as replayed, and no tuple
-// is processed on the dead executor after the crash.
+// completes, the captured backlog is accounted as replayed, no tuple is
+// processed on the dead executor after the crash, and — the run being
+// quiet by then — each task still sees its tuples in arrival order.
 func TestFailExecutorReplaysBacklog(t *testing.T) {
 	const n = 1000
 	collector, factory := sharedCollector()
+	order := &taskOrder{}
 	wrapped := func(task int) Bolt {
 		inner := factory(task)
 		return BoltFunc(func(tu Tuple, emit Emit) error {
 			time.Sleep(200 * time.Microsecond)
+			order.record(task, tu)
 			return inner.Process(tu, emit)
 		})
 	}
@@ -29,7 +78,12 @@ func TestFailExecutorReplaysBacklog(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := startTopo(t, topo, map[string]int{"work": 2})
-	time.Sleep(10 * time.Millisecond) // let the burst pile up in the queues
+	// The whole burst is queued before the first crash: nothing new
+	// arrives while the replays land.
+	waitFor(t, "the burst to be injected", func() bool {
+		started, _, _ := run.RootTotals()
+		return started == n
+	})
 	if _, err := run.FailExecutor("work", 0); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +101,64 @@ func TestFailExecutorReplaysBacklog(t *testing.T) {
 	if run.Replayed() == 0 {
 		t.Error("no tuples replayed despite crashing under a deep backlog")
 	}
+	order.assertArrivalOrder(t)
+}
+
+// stallRemote is a transport whose one send blocks until released and then
+// fails without having delivered anything.
+type stallRemote struct{ entered, release chan struct{} }
+
+func (s *stallRemote) ProcessBatch(string, []RemoteItem, func(RemoteResult, error)) error {
+	close(s.entered)
+	<-s.release
+	return errors.New("stallRemote: connection down")
+}
+
+// TestRemoteStrandReplaysInArrivalOrder fails a remote send while a backlog
+// is queued behind the batch the drain loop popped: the popped batch is
+// stranded for the reaper, which must replay it before the backlog it
+// seizes from the queue, so each task still sees its tuples in arrival
+// order on the local replacement.
+func TestRemoteStrandReplaysInArrivalOrder(t *testing.T) {
+	const k = 8
+	feed := make(chan []Values)
+	order := &taskOrder{}
+	topo, err := NewTopology().
+		Spout("src", 1, feedSpout(feed)).
+		Bolt("work", 4, func(task int) Bolt {
+			return BoltFunc(func(tu Tuple, _ Emit) error {
+				order.record(task, tu)
+				return nil
+			})
+		}).
+		Shuffle("src", "work").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := startTopo(t, topo, map[string]int{"work": 1})
+	remote := &stallRemote{entered: make(chan struct{}), release: make(chan struct{})}
+	closeAtCleanup(t, remote.release)
+	if err := run.BindExecutor("work", 0, remote); err != nil {
+		t.Fatal(err)
+	}
+	batch := func(from int) []Values {
+		vs := make([]Values, k)
+		for i := range vs {
+			vs[i] = Values{from + i}
+		}
+		return vs
+	}
+	feed <- batch(0)
+	<-remote.entered // the first batch is popped and inside the send
+	feed <- batch(k)
+	waitFor(t, "the backlog to queue behind the send", func() bool {
+		return run.QueueLengths()["work"] == 2*k
+	})
+	close(remote.release)
+	waitCompleted(t, run, 2*k)
+	waitRemoteUnbound(t, run, "work")
+	order.assertArrivalOrder(t)
 }
 
 // TestFailExecutorUnderFire hammers a mid-topology bolt with crashes while

@@ -20,22 +20,24 @@ type BatchSource interface {
 // AckBatchSource is a BatchSource that also wants to know when each
 // popped batch has been fully processed — the durable ingest path, where
 // the completion callback advances the WAL ack watermark. A source
-// implementing it is drained through PopBatchAcked and each batch is
-// injected via SpoutContext.EmitBatchAcked.
+// implementing it is drained through PopBatchAcked.
 type AckBatchSource interface {
 	BatchSource
 	// PopBatchAcked is PopBatch returning additionally the completion
-	// callback for the popped batch; the spout hands it to
-	// EmitBatchAcked. ack may be nil for a batch that needs no
-	// completion tracking.
+	// callback for the popped batch: it fires exactly once, after every
+	// root in the batch completes, on an engine goroutine, so it must be
+	// fast and non-blocking. It fires at once for an empty batch and never
+	// for a batch that reaches a stopped run — an unprocessed record must
+	// not advance a durability watermark. ack may be nil for a batch that
+	// needs no completion tracking.
 	PopBatchAcked(done <-chan struct{}, buf []Values) (batch []Values, ack func(), ok bool)
 }
 
-// TracedBatchSource is an AckBatchSource whose payloads carry trace ids
+// TracedBatchSource is a BatchSource whose payloads carry trace ids
 // assigned at the ingest gate (0 = untraced; nonzero only for roots that
 // won the deterministic sampling hash). A NetworkSpout drains it through
-// PopBatchTraced when the run's SpoutContext supports traced injection,
-// so the trace context crosses the ring without widening the payload.
+// PopBatchTraced, so the trace context crosses the ring without widening
+// the payload.
 type TracedBatchSource interface {
 	BatchSource
 	// PopBatchTraced is PopBatchAcked additionally filling ids with the
@@ -44,43 +46,31 @@ type TracedBatchSource interface {
 	PopBatchTraced(done <-chan struct{}, buf []Values, ids []uint64) (batch []Values, traces []uint64, ack func(), ok bool)
 }
 
-// TracedSpoutContext is the traced-injection seam: the engine's spout
-// context implements it, and sources that carry trace ids are injected
-// through EmitBatchTraced so each root's ack tree inherits its id.
-type TracedSpoutContext interface {
-	SpoutContext
-	// EmitBatchTraced is EmitBatchAcked for payloads with trace ids
-	// (traces[i] == 0 injects an untraced root); done may be nil for a
-	// batch that needs no completion tracking.
-	EmitBatchTraced(vs []Values, traces []uint64, done func())
-}
-
 // NetworkSpout adapts a BatchSource to the Spout interface: it drains the
-// source in batches and injects each batch through SpoutContext.EmitBatch,
-// so a whole network read's worth of tuples shares one clock stamp and one
-// enqueue per destination executor. During a rebalance pause it holds the
-// batch instead of emitting — the source's bounded buffer absorbs the
-// stall and, past its capacity, pushes explicit backpressure to clients
-// rather than growing the data plane's queues.
+// source in batches and injects each one whole — payloads, trace ids and
+// completion callback — so a whole network read's worth of tuples shares
+// one clock stamp and one enqueue per destination executor. During a
+// rebalance pause it holds the batch instead of emitting — the source's
+// bounded buffer absorbs the stall and, past its capacity, pushes explicit
+// backpressure to clients rather than growing the data plane's queues.
 type NetworkSpout struct {
 	// Source yields the decoded payloads (required).
 	Source BatchSource
-	// MaxBatch caps the tuples injected per EmitBatch call (default 256).
+	// MaxBatch caps the tuples injected per batch (default 256).
 	MaxBatch int
 }
 
-// Run drains the source until it closes (or the run stops).
+// Run drains the source until it closes (or the run stops). ctx must be
+// the one the engine hands its spouts: a batch's trace ids and completion
+// callback go straight to the engine's injection body.
 func (s *NetworkSpout) Run(ctx SpoutContext) error {
+	c := ctx.(*spoutCtx)
 	max := s.MaxBatch
 	if max <= 0 {
 		max = 256
 	}
 	acked, _ := s.Source.(AckBatchSource)
 	traced, _ := s.Source.(TracedBatchSource)
-	tctx, _ := ctx.(TracedSpoutContext)
-	if tctx == nil {
-		traced = nil // no traced seam downstream; ids would be dropped
-	}
 	buf := make([]Values, 0, max)
 	var ids []uint64
 	if traced != nil {
@@ -88,35 +78,28 @@ func (s *NetworkSpout) Run(ctx SpoutContext) error {
 	}
 	for {
 		var batch []Values
-		var traceIDs []uint64
+		var traces []uint64
 		var ack func()
 		var ok bool
 		switch {
 		case traced != nil:
-			batch, traceIDs, ack, ok = traced.PopBatchTraced(ctx.Done(), buf, ids)
+			batch, traces, ack, ok = traced.PopBatchTraced(c.Done(), buf, ids)
 		case acked != nil:
-			batch, ack, ok = acked.PopBatchAcked(ctx.Done(), buf)
+			batch, ack, ok = acked.PopBatchAcked(c.Done(), buf)
 		default:
-			batch, ok = s.Source.PopBatch(ctx.Done(), buf)
+			batch, ok = s.Source.PopBatch(c.Done(), buf)
 		}
 		if !ok {
 			return nil
 		}
-		for ctx.Paused() {
+		for c.Paused() {
 			select {
-			case <-ctx.Done():
+			case <-c.Done():
 				return nil
 			default:
 				time.Sleep(time.Millisecond)
 			}
 		}
-		switch {
-		case traceIDs != nil:
-			tctx.EmitBatchTraced(batch, traceIDs, ack)
-		case ack != nil:
-			ctx.EmitBatchAcked(batch, ack)
-		default:
-			ctx.EmitBatch(batch)
-		}
+		c.inject(batch, traces, ack)
 	}
 }

@@ -1,10 +1,14 @@
 package engine
 
 import (
+	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/drs-repro/drs/internal/obs"
 )
 
 // chanSource is a minimal BatchSource over a channel, for spout tests.
@@ -191,33 +195,181 @@ type funcSpout struct{ fn func(ctx SpoutContext) error }
 
 func (s *funcSpout) Run(ctx SpoutContext) error { return s.fn(ctx) }
 
-// TestEmitBatchAckedEmptyBatch: an empty batch must fire done immediately.
-func TestEmitBatchAckedEmptyBatch(t *testing.T) {
-	topo, err := NewTopology().
-		Spout("s", 1, func(int) Spout {
-			return &funcSpout{fn: func(ctx SpoutContext) error {
-				fired := false
-				ctx.EmitBatchAcked(nil, func() { fired = true })
-				if !fired {
-					t.Error("EmitBatchAcked(nil) did not fire done synchronously")
+// scriptPop is one scripted pop of a scriptSource.
+type scriptPop struct {
+	vs     []Values
+	traces []uint64
+	ack    func()
+}
+
+// scriptSource pops the batches the test sends it, one per pop. Once the
+// run's done channel closes it pops late — a batch that reaches a stopped
+// run — and then reports itself drained. The wrappers below expose it as a
+// plain, an acked and a traced source, so NetworkSpout drains the same
+// script down each of its paths.
+type scriptSource struct {
+	pops     chan scriptPop
+	late     scriptPop
+	lateSent bool // touched by the spout goroutine only
+}
+
+func (s *scriptSource) pop(done <-chan struct{}) (scriptPop, bool) {
+	select {
+	case p := <-s.pops:
+		return p, true
+	case <-done:
+		if s.lateSent {
+			return scriptPop{}, false
+		}
+		s.lateSent = true
+		return s.late, true
+	}
+}
+
+type plainScript struct{ *scriptSource }
+
+func (s plainScript) PopBatch(done <-chan struct{}, _ []Values) ([]Values, bool) {
+	p, ok := s.pop(done)
+	return p.vs, ok
+}
+
+type ackedScript struct{ plainScript }
+
+func (s ackedScript) PopBatchAcked(done <-chan struct{}, _ []Values) ([]Values, func(), bool) {
+	p, ok := s.pop(done)
+	return p.vs, p.ack, ok
+}
+
+type tracedScript struct{ plainScript }
+
+func (s tracedScript) PopBatchTraced(done <-chan struct{}, _ []Values, _ []uint64) ([]Values, []uint64, func(), bool) {
+	p, ok := s.pop(done)
+	return p.vs, p.traces, p.ack, ok
+}
+
+// TestNetworkSpoutInjectionContract holds the one injection body's
+// contract at the engine boundary, for each way NetworkSpout drains a
+// source: an empty batch fires its callback before the spout pops again; a
+// batch that reaches a stopped run builds no root and never fires its
+// callback — an unprocessed record must not advance the WAL watermark; and
+// traces close for exactly the roots injected with a nonzero trace id.
+func TestNetworkSpoutInjectionContract(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		wrap          func(*scriptSource) BatchSource
+		acked, traced bool
+	}{
+		{"plain", func(s *scriptSource) BatchSource { return plainScript{s} }, false, false},
+		{"acked", func(s *scriptSource) BatchSource { return ackedScript{plainScript{s}} }, true, false},
+		{"traced", func(s *scriptSource) BatchSource { return tracedScript{plainScript{s}} }, true, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var (
+				mu     sync.Mutex
+				traced []uint64
+			)
+			tracer := obs.NewTracer(obs.TracerConfig{FlushEvery: time.Millisecond,
+				Assembler: obs.NewAssembler(obs.AssemblerConfig{OnComplete: func(tr obs.Trace) {
+					mu.Lock()
+					traced = append(traced, tr.ID)
+					mu.Unlock()
+				}})})
+			var emptyFired, lateFired atomic.Bool
+			batchDone := make(chan struct{})
+			src := &scriptSource{pops: make(chan scriptPop),
+				late: scriptPop{vs: []Values{{-1}}, traces: []uint64{99}, ack: func() { lateFired.Store(true) }}}
+			topo, err := NewTopology().
+				Spout("net", 1, func(int) Spout { return &NetworkSpout{Source: tc.wrap(src)} }).
+				Bolt("sink", 2, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+				Shuffle("net", "sink").
+				Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			run, err := topo.Start(RunConfig{Alloc: map[string]int{"sink": 2}, Tracer: tracer})
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			src.pops <- scriptPop{ack: func() { emptyFired.Store(true) }}
+			// The spout takes the next pop only once the empty batch's
+			// injection has returned.
+			src.pops <- scriptPop{vs: []Values{{0}, {1}, {2}, {3}}, traces: []uint64{0, 7, 0, 9},
+				ack: func() { close(batchDone) }}
+			if emptyFired.Load() != tc.acked {
+				t.Errorf("empty batch fired its callback synchronously: %v, want %v", emptyFired.Load(), tc.acked)
+			}
+			waitCompleted(t, run, 4)
+			if tc.acked {
+				select {
+				case <-batchDone:
+				case <-time.After(5 * time.Second):
+					t.Fatal("the batch's callback never fired after its roots completed")
 				}
-				<-ctx.Done()
-				return nil
-			}}
-		}).
-		Bolt("sink", 1, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
-		Shuffle("s", "sink").
+			}
+
+			if err := run.Stop(); err != nil {
+				t.Fatal(err)
+			}
+			if started, _, _ := run.RootTotals(); started != 4 {
+				t.Errorf("%d roots started, want 4: the batch popped after Stop built roots", started)
+			}
+			if lateFired.Load() {
+				t.Error("a batch injected into a stopped run fired its callback")
+			}
+			if err := tracer.Close(); err != nil {
+				t.Fatal(err)
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			slices.Sort(traced)
+			var want []uint64
+			if tc.traced {
+				want = []uint64{7, 9}
+			}
+			if !slices.Equal(traced, want) {
+				t.Errorf("traces closed for ids %v, want %v", traced, want)
+			}
+		})
+	}
+}
+
+// TestInjectZeroAllocs guards the injection body's steady state: Emit — a
+// batch of one through the context's own slot — and EmitBatch into a
+// started run allocate nothing, end to end through the bolt.
+func TestInjectZeroAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("alloc counts are not meaningful under -race")
+	}
+	feed := make(chan []Values)
+	topo, err := NewTopology().
+		Spout("src", 1, feedSpout(feed)).
+		Bolt("sink", 4, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+		Shuffle("src", "sink").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, err := topo.Start(RunConfig{Alloc: map[string]int{"sink": 1}})
-	if err != nil {
-		t.Fatal(err)
+	run := startTopo(t, topo, map[string]int{"sink": 2})
+	batch := make([]Values, 8)
+	for i := range batch {
+		batch[i] = Values{"x"}
 	}
-	time.Sleep(10 * time.Millisecond)
-	if err := run.Stop(); err != nil {
-		t.Fatal(err)
+	var done int64
+	for _, tc := range []struct {
+		name string
+		vs   []Values
+	}{{"Emit", batch[:1]}, {"EmitBatch", batch}} {
+		allocs := testing.AllocsPerRun(1000, func() {
+			feed <- tc.vs
+			done += int64(len(tc.vs))
+			for n, _ := run.Completions(); n < done; n, _ = run.Completions() {
+				runtime.Gosched()
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%s into a started run costs %.2f allocs per call, want 0", tc.name, allocs)
+		}
 	}
 }
 

@@ -25,9 +25,10 @@ import (
 //     partial delivery can never complete a tree early) and acks each input
 //     tuple's tree — the same sequence runExecutor performs inline;
 //   - failure: a transport error replays the affected batch through the
-//     current route table (at-least-once, never ack-without-processing) and
-//     self-heals the binding by swapping in a local replacement, exactly the
-//     FailExecutor recovery path.
+//     current route table (Run.replay — at-least-once, never
+//     ack-without-processing) and self-heals the binding by swapping in a
+//     local replacement and reaping the victim: the swap and reap behind
+//     replaceExecutor, whose stranded tail and backlog replay the same way.
 //
 // Exactly-once applies at the engine's accounting layer (each tree resolves
 // once); the application-level guarantee stays at-least-once: a batch whose
@@ -122,55 +123,33 @@ func StreamTagString(v any) (string, bool) {
 }
 
 // BindExecutor points one of a bolt's route-table slots at a remote
-// destination (or back at a local goroutine when remote is nil). The swap
-// reuses the crash-recovery machinery: the replacement is installed first,
-// inheriting the victim's probe, then the victim drains out and its backlog
-// replays onto the successor — so rebinding mid-traffic loses nothing.
+// destination (or back at a local goroutine when remote is nil) through
+// FailExecutor's slot-replacement path (replaceExecutor): the replacement
+// is installed first, inheriting the victim's probe, then the victim is
+// reaped and its backlog replays onto the successor — so rebinding
+// mid-traffic loses nothing.
 // Binding the executor to the RemoteExecutor value it already has is a
 // no-op. Note a Rebalance rebuilds a bolt's executors local; callers owning
 // a placement re-apply their bindings after every allocation change.
 func (r *Run) BindExecutor(bolt string, exec int, remote RemoteExecutor) error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.stopped.Load() {
-		return ErrStopped
-	}
-	br := r.boltByName(bolt)
-	if br == nil {
-		return errUnknownBolt(bolt)
-	}
-	rt := br.route.Load()
-	if exec < 0 || exec >= len(rt.execs) {
-		return errExecRange(bolt, exec, len(rt.execs))
-	}
-	victim := rt.execs[exec]
-	if victim.remote == remote {
-		return nil
-	}
-	r.swapExecutorLocked(br, exec, remote)
-	r.reapExecutorLocked(br, victim)
-	return nil
+	_, err := r.replaceExecutor(bolt, exec, remote, false)
+	return err
 }
 
 // RemoteBound reports how many of a bolt's executors are currently bound to
 // remote destinations.
 func (r *Run) RemoteBound(bolt string) (int, error) {
-	for _, br := range r.bolts {
-		if br.spec.name != bolt {
-			continue
-		}
-		n := 0
-		for _, ex := range br.route.Load().execs {
-			if ex.remote != nil {
-				n++
-			}
-		}
-		return n, nil
+	br := r.boltByName(bolt)
+	if br == nil {
+		return 0, errUnknownBolt(bolt)
 	}
-	return 0, errUnknownBolt(bolt)
+	n := 0
+	for _, ex := range br.route.Load().execs {
+		if ex.remote != nil {
+			n++
+		}
+	}
+	return n, nil
 }
 
 // pinBatch pins the queue items of one in-flight remote batch — tree
@@ -209,14 +188,21 @@ func (p *pinBatch) put() {
 	pinPool.Put(p)
 }
 
-// complete is the transport's done callback for this pin: apply the result
-// (or replay the batch on a transport error), then free the window slot.
-// Both paths put the pin back, so ex is read before either runs.
+// complete is the transport's done callback for this pin: apply the result,
+// then free the window slot. On a transport error the batch replays
+// through the bolt's current route table instead — the tuples may have
+// been processed remotely (the result was lost), so this is the
+// at-least-once re-execution window — and the binding self-heals. Both
+// paths put the pin back, so ex is read before either runs.
 func (p *pinBatch) complete(res RemoteResult, rerr error) {
 	ex := p.ex
 	defer func() { <-ex.sem }()
 	if rerr != nil {
-		p.r.replayPin(p.br, ex, p)
+		r, br := p.r, p.br
+		ex.q.served(len(p.items)) // off the failed binding's books before they land elsewhere
+		r.replay(br, p.items)
+		p.put()
+		r.failRemoteBinding(br, ex)
 		return
 	}
 	p.r.applyRemote(p.br, p.em, ex, p, res, p.sentNS)
@@ -373,21 +359,6 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		br.noteService(ex, 1, over)
 	}
 	pin.put()
-}
-
-// replayPin re-delivers a batch whose transport failed after handoff
-// through the bolt's current route table — the tuples may have been
-// processed remotely (the result was lost), so this is the at-least-once
-// re-execution window — and triggers the binding's self-heal.
-func (r *Run) replayPin(br *boltRuntime, ex *executor, pin *pinBatch) {
-	ex.q.served(len(pin.items)) // off the failed binding's books before they land elsewhere
-	for _, it := range pin.items {
-		if !r.redeliverItem(br, it) {
-			it.tup.tree.ackLazy() // shutdown raced the failure
-		}
-	}
-	pin.put()
-	r.failRemoteBinding(br, ex)
 }
 
 // healReq asks for one failed remote binding to be swapped local and

@@ -33,7 +33,7 @@ type RunConfig struct {
 	// the heal path, never per tuple.
 	DecisionLog *obs.Log
 	// Tracer, when set, receives latency spans for roots whose trees carry
-	// a sampled trace id (see TracedSpoutContext): per-hop queue-wait and
+	// a sampled trace id (see TracedBatchSource): per-hop queue-wait and
 	// service segments, remote shuttle segments, and the closing root
 	// span. Untraced tuples pay one branch per hop; sampled-out roots pay
 	// nothing here at all (sampling is decided at the source).
@@ -47,8 +47,9 @@ type executor struct {
 	probe *metrics.ExecutorProbe
 	done  chan struct{}
 	// crashed is the failure-injection kill switch: the executor checks it
-	// at every tuple boundary and, when set, abandons the unprocessed tail
-	// of its in-progress batch for replay instead of draining it — a real
+	// at every tuple boundary (a remote drain loop, at every batch
+	// boundary) and, when set, strands the unprocessed tail of its
+	// in-progress batch for the reaper instead of draining it — a real
 	// crash does not get to finish its backlog.
 	crashed atomic.Bool
 	// after, when non-nil, is closed once the executors this one replaces
@@ -60,6 +61,10 @@ type executor struct {
 	// winN and winOver are the open vote window of boltRuntime.noteService:
 	// service samples seen, and how many of them exceeded handoffCost.
 	winN, winOver int64
+	// stranded collects, oldest first, the items the dying drain loop —
+	// local or remote — could not serve or hand off. Only that loop writes
+	// it; the reaper reads it once the goroutine has exited (done closed).
+	stranded []queueItem
 
 	// Remote-binding state; all nil/zero for local executors.
 	remote RemoteExecutor
@@ -71,10 +76,6 @@ type executor struct {
 	killOnce sync.Once
 	// failOnce gates the transport-triggered self-heal (failRemoteBinding).
 	failOnce sync.Once
-	// stranded collects items the dying drain loop could not hand off;
-	// the reaper replays them after the goroutine exits.
-	strandMu sync.Mutex
-	stranded []queueItem
 }
 
 // killRemote releases a remote drain loop blocked on its in-flight window.
@@ -94,31 +95,17 @@ func (ex *executor) strandRing(ring []queueItem, start, count int) {
 		return
 	}
 	mask := len(ring) - 1
-	ex.strandMu.Lock()
 	for i := 0; i < count; i++ {
 		ex.stranded = append(ex.stranded, ring[(start+i)&mask])
 	}
-	ex.strandMu.Unlock()
 	ex.q.served(count)
 }
 
 // strandPin parks a pinned batch that was never handed to the transport.
 func (ex *executor) strandPin(pin *pinBatch) {
-	ex.strandMu.Lock()
 	ex.stranded = append(ex.stranded, pin.items...)
-	ex.strandMu.Unlock()
 	ex.q.served(len(pin.items))
 	pin.put()
-}
-
-// takeStranded drains the strand buffer; the reaper calls it once, after
-// the executor goroutine has exited (so no strand can race it).
-func (ex *executor) takeStranded() []queueItem {
-	ex.strandMu.Lock()
-	out := ex.stranded
-	ex.stranded = nil
-	ex.strandMu.Unlock()
-	return out
 }
 
 // routeTable is the immutable task->executor assignment of one bolt,
@@ -379,12 +366,12 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		settled := 0 // tuples of this batch already taken off the count
 		for i := 0; i < n; i++ {
 			// A crash ends service at the tuple boundary: the batch's
-			// unprocessed tail replays through the current route table
-			// (one relaxed atomic load per tuple buys the failure domain).
+			// unprocessed tail strands for the reaper to replay (one
+			// relaxed atomic load per tuple buys the failure domain).
 			if ex.crashed.Load() {
 				ex.probe.TuplesServed(int64(i), sampled, busyNanos, busySqMicros)
-				ex.q.served(n - settled)
-				r.replayRemainder(br, ring, head+i, n-i)
+				ex.q.served(i - settled)
+				ex.strandRing(ring, head+i, n-i)
 				return
 			}
 			it := &ring[(head+i)&mask]
@@ -487,87 +474,35 @@ type spoutCtx struct {
 	instance int
 	shard    uint32 // root-log shard for batch start accounting
 	em       *emitter
+	one      [1]Values // Emit's batch of one
 }
 
-// Emit injects an external tuple: a new processing tree rooted now. The
-// root's children are delivered through the spout's emitter, batched per
-// destination executor.
+// Emit injects one external tuple: a batch of one.
 func (c *spoutCtx) Emit(v Values) {
-	r := c.run
-	if r.stopped.Load() {
-		return
-	}
-	now := time.Now()
-	tree := newRootFor(r, now)
-	r.roots.start(tree.shard)
-	c.em.beginRoot(tree)
-	c.em.emit(r.spouts[c.spoutIdx].outEdges, v)
-	c.em.sealRoot(now) // the root "tuple" itself needs no processing
-	c.em.pushDests()
+	c.one[0] = v
+	c.inject(c.one[:], nil, nil)
+	c.one[0] = nil
 }
 
-// EmitBatch injects a batch of external tuples, each its own processing
-// tree, sharing one clock read and — the point — one enqueue per
-// destination executor for the whole batch. This is the source
-// micro-batching path: a spout reading a partitioned log can hand the
-// engine tens of tuples per call and pay the per-enqueue costs once.
-func (c *spoutCtx) EmitBatch(vs []Values) {
-	r := c.run
-	if len(vs) == 0 || r.stopped.Load() {
-		return
-	}
-	now := time.Now()
-	edges := r.spouts[c.spoutIdx].outEdges
-	// Count the whole batch as started before any root can complete
-	// (a childless root completes inside its seal).
-	r.roots.startN(c.shard, int64(len(vs)))
-	for _, v := range vs {
-		tree := newRootFor(r, now)
-		c.em.beginRoot(tree)
-		c.em.emit(edges, v)
-		c.em.sealRoot(now)
-	}
-	c.em.pushDests()
-}
+// EmitBatch injects a batch of external tuples (source micro-batching: a
+// spout reading a partitioned log hands the engine tens of tuples per call
+// and pays the per-enqueue costs once).
+func (c *spoutCtx) EmitBatch(vs []Values) { c.inject(vs, nil, nil) }
 
-// EmitBatchAcked is EmitBatch with a per-batch completion callback: done
-// fires exactly once, after every root in the batch completes. The
-// countdown is installed at the batch size before the first root is
-// built, so a childless root completing inside its own seal cannot fire
-// early. If the run is already stopped the batch is dropped *without*
-// acking — an unprocessed record must never advance a durability
-// watermark; it will be replayed from the log on the next boot.
-func (c *spoutCtx) EmitBatchAcked(vs []Values, done func()) {
-	r := c.run
-	if len(vs) == 0 {
-		done()
-		return
-	}
-	if r.stopped.Load() {
-		return
-	}
-	b := &batchAck{done: done}
-	b.pending.Store(int64(len(vs)))
-	now := time.Now()
-	edges := r.spouts[c.spoutIdx].outEdges
-	r.roots.startN(c.shard, int64(len(vs)))
-	for _, v := range vs {
-		tree := newRootFor(r, now)
-		tree.batch = b
-		c.em.beginRoot(tree)
-		c.em.emit(edges, v)
-		c.em.sealRoot(now)
-	}
-	c.em.pushDests()
-}
-
-// EmitBatchTraced is the TracedSpoutContext injection path: EmitBatchAcked
-// semantics (done may be nil — then no completion tracking at all), plus
-// each root whose traces[i] is nonzero inherits that trace id and the
-// batch's arrival wall stamp. The stamp doubles as the emitter handoff, so
-// a traced root's first hop measures queue wait from the moment the batch
-// left the source ring.
-func (c *spoutCtx) EmitBatchTraced(vs []Values, traces []uint64, done func()) {
+// inject is the one body that builds roots: each payload becomes its own
+// processing tree, the batch shares one clock read and — the point — one
+// enqueue per destination executor. The whole batch is counted as started
+// before any root can complete (a childless root completes inside its own
+// seal). When done is non-nil it fires exactly once, after every root
+// completes: the countdown is installed at the batch size before the first
+// root is built, it fires at once for an empty batch, and a stopped run
+// drops the batch *without* firing it — an unprocessed record must never
+// advance a durability watermark; it is replayed from the log on the next
+// boot. A root whose traces[i] is nonzero inherits that trace id and the
+// batch's arrival wall stamp, which doubles as the emitter handoff, so a
+// traced root's first hop measures queue wait from the moment the batch
+// left the source.
+func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 	r := c.run
 	if len(vs) == 0 {
 		if done != nil {
@@ -575,7 +510,6 @@ func (c *spoutCtx) EmitBatchTraced(vs []Values, traces []uint64, done func()) {
 		}
 		return
 	}
-	// A stopped run drops without acking (see EmitBatchAcked).
 	if r.stopped.Load() {
 		return
 	}
@@ -585,20 +519,19 @@ func (c *spoutCtx) EmitBatchTraced(vs []Values, traces []uint64, done func()) {
 		b.pending.Store(int64(len(vs)))
 	}
 	now := time.Now()
-	nowNS := now.UnixNano()
-	c.em.handoff = nowNS
+	c.em.handoff = now.UnixNano()
 	edges := r.spouts[c.spoutIdx].outEdges
 	r.roots.startN(c.shard, int64(len(vs)))
 	for i, v := range vs {
 		tree := newRootFor(r, now)
 		tree.batch = b
-		if traces[i] != 0 {
+		if traces != nil && traces[i] != 0 {
 			tree.trace = traces[i]
-			tree.arrivedNS = nowNS
+			tree.arrivedNS = c.em.handoff
 		}
 		c.em.beginRoot(tree)
 		c.em.emit(edges, v)
-		c.em.sealRoot(now)
+		c.em.sealRoot(now) // the root "tuple" itself needs no processing
 	}
 	c.em.pushDests()
 }
@@ -640,16 +573,15 @@ func (r *Run) QueueLengths() map[string]int {
 
 // Errors reports the bolt's processing error count and last error.
 func (r *Run) Errors(bolt string) (int64, error) {
-	for _, br := range r.bolts {
-		if br.spec.name == bolt {
-			var last error
-			if p := br.lastErr.Load(); p != nil {
-				last = *p
-			}
-			return br.errCount.Load(), last
-		}
+	br := r.boltByName(bolt)
+	if br == nil {
+		return 0, errUnknownBolt(bolt)
 	}
-	return 0, fmt.Errorf("engine: unknown bolt %q", bolt)
+	var last error
+	if p := br.lastErr.Load(); p != nil {
+		last = *p
+	}
+	return br.errCount.Load(), last
 }
 
 // LoadSkew reports, for one bolt, the ratio of the busiest executor's
@@ -665,26 +597,24 @@ func (r *Run) Errors(bolt string) (int64, error) {
 // as the multiple it is. Counts are cumulative since each executor
 // started, so call it between rebalances.
 func (r *Run) LoadSkew(bolt string) (float64, error) {
-	for _, br := range r.bolts {
-		if br.spec.name != bolt {
-			continue
-		}
-		rt := br.route.Load()
-		total, maxServed := int64(0), int64(0)
-		for _, ex := range rt.execs {
-			served := ex.probe.ServedTotal()
-			total += served
-			if served > maxServed {
-				maxServed = served
-			}
-		}
-		if total == 0 {
-			return 1, nil
-		}
-		mean := float64(total) / float64(len(rt.execs))
-		return float64(maxServed) / mean, nil
+	br := r.boltByName(bolt)
+	if br == nil {
+		return 0, errUnknownBolt(bolt)
 	}
-	return 0, fmt.Errorf("engine: unknown bolt %q", bolt)
+	rt := br.route.Load()
+	total, maxServed := int64(0), int64(0)
+	for _, ex := range rt.execs {
+		served := ex.probe.ServedTotal()
+		total += served
+		if served > maxServed {
+			maxServed = served
+		}
+	}
+	if total == 0 {
+		return 1, nil
+	}
+	mean := float64(total) / float64(len(rt.execs))
+	return float64(maxServed) / mean, nil
 }
 
 // SpoutErrors reports how many spout instances failed and the last failure.
@@ -758,7 +688,7 @@ func (r *Run) RootTotals() (started, completed, sojournNanos int64) {
 func (r *Run) BoltTotals(bolt string) (arrivals, served int64, err error) {
 	br := r.boltByName(bolt)
 	if br == nil {
-		return 0, 0, fmt.Errorf("engine: unknown bolt %q", bolt)
+		return 0, 0, errUnknownBolt(bolt)
 	}
 	return br.cumArrivals.Load(), br.cumServed.Load(), nil
 }

@@ -411,7 +411,7 @@ func TestOutstandingBalances(t *testing.T) {
 	t.Run("result lost", func(t *testing.T) {
 		run, collector := start(t)
 		remote := newFakeRemote(3)
-		remote.resultErrAfter = 1 // replayPin, then the self-heal
+		remote.resultErrAfter = 1 // the pinned batch replays, then the self-heal
 		if err := run.BindExecutor("fan", 0, remote); err != nil {
 			t.Fatal(err)
 		}

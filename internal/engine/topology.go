@@ -13,7 +13,9 @@ type Spout interface {
 
 // SpoutContext is passed to a running spout instance. Its methods must be
 // called from the spout's Run goroutine only (each instance owns an
-// unsynchronized emitter; see the Spout doc).
+// unsynchronized emitter; see the Spout doc). A source whose batches need
+// a completion callback or carry trace ids is a BatchSource drained by a
+// NetworkSpout, which hands both to the same injection body.
 type SpoutContext interface {
 	// Emit injects one external tuple into the topology.
 	Emit(v Values)
@@ -22,13 +24,6 @@ type SpoutContext interface {
 	// enqueue per destination executor (source micro-batching; use it when
 	// the source naturally yields tuples in chunks).
 	EmitBatch(vs []Values)
-	// EmitBatchAcked is EmitBatch plus a completion hook: done fires
-	// exactly once, after every tuple in the batch has been fully
-	// processed (its ack tree completed). It is invoked on an engine
-	// goroutine and must be fast and non-blocking — the durable ingest
-	// path uses it to advance the WAL ack watermark. An empty batch
-	// fires done immediately.
-	EmitBatchAcked(vs []Values, done func())
 	// Done is closed when the spout must stop.
 	Done() <-chan struct{}
 	// Paused reports whether ingestion is currently suspended (during a

@@ -36,8 +36,8 @@ type ackTree struct {
 	arrived time.Time
 	pending atomic.Int64
 	run     *Run
-	// batch, when non-nil, is the EmitBatchAcked countdown this root
-	// belongs to; completion decrements it (see batchAck).
+	// batch, when non-nil, is the completion countdown of the injected
+	// batch this root belongs to; completion decrements it (see batchAck).
 	batch *batchAck
 	// shard is a fixed rootLog shard, assigned once when the tree object
 	// is first allocated; distinct pool objects land on distinct shards,
@@ -146,10 +146,11 @@ func (t *ackTree) complete(now time.Time) {
 	treePool.Put(t)
 }
 
-// batchAck is the countdown behind EmitBatchAcked: pending is installed
-// at the batch size before any root can complete, and the last completing
-// root fires done. The non-batched paths never touch it — the only cost
-// they pay is complete's nil check.
+// batchAck is the countdown behind an injected batch's completion
+// callback (spoutCtx.inject): pending is installed at the batch size
+// before any root can complete, and the last completing root fires done.
+// Batches without a callback never touch it — the only cost they pay is
+// complete's nil check.
 type batchAck struct {
 	pending atomic.Int64
 	done    func()
@@ -183,10 +184,6 @@ type rootShard struct {
 // drain ever races a record.
 type rootLog struct {
 	shards [logShards]rootShard
-}
-
-func (c *rootLog) start(shard uint32) {
-	c.shards[shard%logShards].started.Add(1)
 }
 
 // startN counts a whole source batch in one add. The start shard need not

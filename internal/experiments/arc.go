@@ -87,7 +87,7 @@ type ClientStats struct {
 
 // gateClient is one virtual-time traffic source behind the admission
 // gate: the sim source's Admit hook applies the live gate's thinning
-// verdict (ingest.ThinAdmit), driven by the per-round plan.
+// verdict (obs.ThinAdmit), driven by the per-round plan.
 type gateClient struct {
 	ClientStats
 	seq      uint64
@@ -102,7 +102,7 @@ func (c *gateClient) admit(float64) bool {
 	c.Offered++
 	if p := c.permille; p < 1000 {
 		c.seq++
-		if !ingest.ThinAdmit(c.seq, p) {
+		if !obs.ThinAdmit(c.seq, int64(p)) {
 			c.Shed++
 			return false
 		}

@@ -11,9 +11,9 @@ import (
 
 // The machine-churn experiment: the contention setting made lossy. Two
 // supervised tenants share one machine pool through the cluster Scheduler;
-// mid-way through the bursty tenant's surge, two machines crash (MTTR-
-// style outage from a scripted sim.FailureTrace schedule) and the whole
-// stack must ride it out: the scheduler re-arbitrates out of band against
+// mid-way through the bursty tenant's surge, two machines crash (a
+// scripted MTTR-style outage) and the whole stack must ride it out: the
+// scheduler re-arbitrates out of band against
 // the surviving capacity — floors, water-fill and the preemption overlay
 // all still hold, with "slots-lost" attribution — negotiates one
 // replacement machine within the provider cap, and both supervisors re-fit
@@ -98,19 +98,15 @@ func RunChurn(o Options) (ChurnResult, error) {
 			expTenant("bursty", 1, churnFloor, churnInitial, churnMu, tl.step(churnBaseRate, churnStepFactor)),
 		},
 	}
-	// The outage schedule. The script's Machine fields are nominal: the
-	// arc resolves each kill to the newest live machine at fire time, and
-	// each recovery to the machine its kill took.
-	for _, ev := range sim.Script(
-		sim.Kill{Machine: 0, At: tl.killAt, Down: tl.killDown},
-		sim.Kill{Machine: 1, At: tl.killAt, Down: tl.killDown},
-	) {
-		kind := scenario.KindRecover
-		if ev.Fail {
-			kind = scenario.KindFail
-		}
-		spec.events = append(spec.events, scenario.Event{At: ev.At, Kind: kind, Machine: ev.Machine})
-	}
+	// The outage schedule, in time order: both kills, then both
+	// recoveries. The Machine fields are nominal: the arc resolves each
+	// kill to the newest live machine at fire time, and each recovery to
+	// the machine its kill took.
+	spec.events = append(spec.events,
+		scenario.Event{At: res.KillAt, Kind: scenario.KindFail, Machine: 0},
+		scenario.Event{At: res.KillAt, Kind: scenario.KindFail, Machine: 1},
+		scenario.Event{At: res.RecoverAt, Kind: scenario.KindRecover, Machine: 0},
+		scenario.Event{At: res.RecoverAt, Kind: scenario.KindRecover, Machine: 1})
 	var err error
 	if res.Arc, err = runArc(spec, tl, o); err != nil {
 		return res, err

@@ -24,8 +24,9 @@
 //     Appendix-B guard (ScaleOutViable) tells a transient shed — machines
 //     are coming — from a persistent one at the provider cap.
 //   - Ring: the bounded, batch-aware MPSC hand-off into the engine,
-//     drained by engine.NetworkSpout via SpoutContext.EmitBatch. A full
-//     ring is backpressure, not memory growth.
+//     drained by engine.NetworkSpout, which hands each popped batch — with
+//     its trace ids and, in durable mode, its ack — to the engine's one
+//     injection body. A full ring is backpressure, not memory growth.
 //   - SupervisedTarget: wraps the supervisor's Target so every interval
 //     report carries OfferedArrivals = admitted + shed, the measurement
 //     that closes the loop (metrics.Measurer smooths the two series
@@ -142,7 +143,7 @@ type GateConfig struct {
 	// Tracer, when set, samples admitted records at the ring push: a
 	// record whose admission seq wins the tracer's deterministic hash
 	// carries that seq as its trace id through the ring, the spout and
-	// every hop to the final ack (see engine.TracedSpoutContext). A
+	// every hop to the final ack (see engine.TracedBatchSource). A
 	// sampled admit emits a gate span (and, in durable mode, a WAL span
 	// covering the append); a sampled-out admit pays one hash — no clock
 	// read, no allocation.
@@ -478,14 +479,6 @@ func AdmitPermilles(dst []uint32, plan Plan, weights []float64, ids []string, ra
 	return out
 }
 
-// ThinAdmit is the deterministic thinning verdict: of every thousand
-// sequence numbers, admit ⌊n·p/1000⌋ − ⌊(n−1)·p/1000⌋ — the exact
-// long-run fraction with no RNG and no bursts of bad luck for a steady
-// client. Shared by the live fast path and the virtual-time experiment.
-func ThinAdmit(seq uint64, permille uint32) bool {
-	return seq*uint64(permille)/permilleScale != (seq-1)*uint64(permille)/permilleScale
-}
-
 // Stats reads the cumulative counters and the current plan.
 func (g *Gate) Stats() GateStats {
 	return GateStats{
@@ -618,7 +611,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 				continue
 			}
 		}
-		if permille < permilleScale && !ThinAdmit(c.seq.Add(1), permille) {
+		if permille < permilleScale && !obs.ThinAdmit(c.seq.Add(1), int64(permille)) {
 			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.ReplanEvery}
 			continue
 		}

@@ -197,11 +197,13 @@ func NewLog(cfg Config) *Log {
 	return l
 }
 
-// thinAdmit reports whether the seq-th emission survives permille
-// sampling — the same deterministic thinning the ingest gate uses: admit
-// when the scaled counter crosses an integer boundary, which spreads kept
-// records evenly instead of front-loading them.
-func thinAdmit(seq uint64, permille int64) bool {
+// ThinAdmit is the deterministic thinning verdict: of every thousand
+// sequence numbers, admit ⌊n·p/1000⌋ − ⌊(n−1)·p/1000⌋ — the exact long-run
+// fraction with no RNG, spread evenly instead of front-loaded, so a steady
+// client meets no bursts of bad luck. permille ≥ 1000 admits everything and
+// ≤ 0 nothing. The decision log's sampler, the ingest gate and its
+// virtual-time twin (experiments' gateClient) all thin with it.
+func ThinAdmit(seq uint64, permille int64) bool {
 	if permille >= permilleScale {
 		return true
 	}
@@ -223,7 +225,7 @@ func (l *Log) Emit(r *Record) {
 		return
 	}
 	seq := l.p.seq.Add(1)
-	if !thinAdmit(seq, l.p.permille.Load()) {
+	if !ThinAdmit(seq, l.p.permille.Load()) {
 		l.thinned.Add(1)
 		return
 	}

@@ -105,7 +105,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 	// 250 permille keeps exactly one of every four consecutive emissions.
 	kept := 0
 	for seq := uint64(1); seq <= 400; seq++ {
-		if thinAdmit(seq, 250) {
+		if ThinAdmit(seq, 250) {
 			kept++
 		}
 	}
@@ -115,7 +115,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 	for start := uint64(1); start <= 396; start += 4 {
 		window := 0
 		for s := start; s < start+4; s++ {
-			if thinAdmit(s, 250) {
+			if ThinAdmit(s, 250) {
 				window++
 			}
 		}

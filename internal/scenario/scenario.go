@@ -121,8 +121,8 @@ type MultiSurgeSpec struct {
 type ChurnSpec struct {
 	// Kills are scripted outages (exact timing, the experiment form).
 	Kills []KillSpec `json:"kills,omitempty"`
-	// MTBF and MTTR, when both positive, add a sim.FailureTrace renewal
-	// process over Machines, seeded from the spec seed.
+	// MTBF and MTTR, when both positive, add an MTBF/MTTR renewal process
+	// over Machines (failureTrace), seeded from the spec seed.
 	MTBF float64 `json:"mtbf_seconds,omitempty"`
 	MTTR float64 `json:"mttr_seconds,omitempty"`
 	// Machines lists the machine IDs the renewal trace churns.
@@ -532,27 +532,27 @@ func Compile(s Spec) (*Timeline, error) {
 			Event{At: k.At + k.Down, Kind: KindRecover, Machine: k.Machine})
 	}
 	if s.Churn.MTBF > 0 {
-		trace := sim.FailureTrace{MTBF: s.Churn.MTBF, MTTR: s.Churn.MTTR,
-			Machines: s.Churn.Machines, Seed: s.Seed}
-		evs, err := trace.Events(s.DurationSeconds)
+		trace := failureTrace{mtbf: s.Churn.MTBF, mttr: s.Churn.MTTR,
+			machines: s.Churn.Machines, seed: s.Seed}
+		evs, err := trace.events(s.DurationSeconds)
 		if err != nil {
-			return nil, fmt.Errorf("scenario: %w", err)
+			return nil, err
 		}
 		// A renewal outage straddling a decommission is dropped whole:
 		// half an outage (a fail without its recovery, or vice versa)
 		// would leak a permanently dead machine into the driver.
 		down := make(map[int]bool, len(s.Churn.Machines))
 		for _, ev := range evs {
-			if ev.Fail {
+			if ev.Kind == KindFail {
 				if gone(ev.Machine, ev.At) || gone(ev.Machine, s.DurationSeconds) {
 					down[ev.Machine] = false
 					continue
 				}
 				down[ev.Machine] = true
-				tl.events = append(tl.events, Event{At: ev.At, Kind: KindFail, Machine: ev.Machine})
+				tl.events = append(tl.events, ev)
 			} else if down[ev.Machine] {
 				down[ev.Machine] = false
-				tl.events = append(tl.events, Event{At: ev.At, Kind: KindRecover, Machine: ev.Machine})
+				tl.events = append(tl.events, ev)
 			}
 		}
 	}
@@ -596,6 +596,53 @@ func Compile(s Spec) (*Timeline, error) {
 		return x.Tenant < y.Tenant
 	})
 	return tl, nil
+}
+
+// failureTrace parameterizes MTBF/MTTR-driven machine churn — the standard
+// renewal model of cluster reliability: each machine alternates an up
+// period (exponential, mean mtbf seconds) and a down period (exponential,
+// mean mttr), independently of the others, seeded for reproducibility.
+type failureTrace struct {
+	mtbf, mttr float64
+	machines   []int
+	seed       uint64
+}
+
+// events samples the churn schedule over [0, horizon) seconds as fail and
+// recover events, merged across machines and sorted by time, failures
+// before recoveries on ties (a tie is a zero-length outage; failing first
+// keeps it observable). Every failure within the horizon is paired with
+// its recovery, even when the recovery lands past the horizon, so a driver
+// that consumes the whole slice never leaks a permanently dead machine.
+func (ft failureTrace) events(horizon float64) ([]Event, error) {
+	if ft.mtbf <= 0 || ft.mttr <= 0 {
+		return nil, fmt.Errorf("scenario: failure trace needs positive MTBF/MTTR, got %g/%g", ft.mtbf, ft.mttr)
+	}
+	if horizon <= 0 {
+		return nil, fmt.Errorf("scenario: failure trace needs a positive horizon, got %g", horizon)
+	}
+	rng := stats.NewRNG(ft.seed)
+	var out []Event
+	for _, id := range ft.machines {
+		clock := 0.0
+		for {
+			clock += rng.Exp(1 / ft.mtbf) // up period ends: failure
+			if clock >= horizon {
+				break
+			}
+			down := rng.Exp(1 / ft.mttr)
+			out = append(out, Event{At: clock, Kind: KindFail, Machine: id})
+			clock += down
+			out = append(out, Event{At: clock, Kind: KindRecover, Machine: id})
+		}
+	}
+	sort.SliceStable(out, func(i, j int) bool {
+		if out[i].At != out[j].At {
+			return out[i].At < out[j].At
+		}
+		return out[i].Kind < out[j].Kind
+	})
+	return out, nil
 }
 
 // addWindow records a resolved window and its bracketing surge markers.

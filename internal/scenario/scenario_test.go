@@ -3,6 +3,7 @@ package scenario
 import (
 	"encoding/json"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -155,6 +156,95 @@ func TestCompileEventOrderAndContent(t *testing.T) {
 		kinds[KindStragglerOn] != 1 || kinds[KindStragglerOff] != 1 ||
 		kinds[KindDecommission] != 1 || kinds[KindPriority] != 1 {
 		t.Fatalf("event census wrong: %v", kinds)
+	}
+}
+
+// TestScriptOrdersKills: scripted outages sort into a single timeline with
+// paired recoveries.
+func TestScriptOrdersKills(t *testing.T) {
+	s := minimal()
+	s.DurationSeconds = 200
+	s.Churn.Kills = []KillSpec{{Machine: 2, At: 50, Down: 20}, {Machine: 1, At: 10, Down: 100}}
+	tl, err := Compile(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Event{
+		{At: 10, Kind: KindFail, Machine: 1},
+		{At: 50, Kind: KindFail, Machine: 2},
+		{At: 70, Kind: KindRecover, Machine: 2},
+		{At: 110, Kind: KindRecover, Machine: 1},
+	}
+	if evs := tl.Events(); !slices.Equal(evs, want) {
+		t.Fatalf("events %v, want %v", evs, want)
+	}
+}
+
+// TestFailureTraceStatistics samples a long trace and checks the renewal
+// arithmetic: failures per machine ≈ horizon / (MTBF + MTTR), every
+// failure paired with a recovery, events ordered, and the availability
+// implied by the down time ≈ MTBF / (MTBF + MTTR).
+func TestFailureTraceStatistics(t *testing.T) {
+	const (
+		mtbf    = 500.0
+		mttr    = 100.0
+		horizon = 200_000.0
+	)
+	ft := failureTrace{mtbf: mtbf, mttr: mttr, machines: []int{1, 2, 3}, seed: 7}
+	evs, err := ft.events(horizon)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fails, recovers := 0, 0
+	down := map[int]float64{}
+	lastFail := map[int]float64{}
+	prev := 0.0
+	for _, ev := range evs {
+		if ev.At < prev {
+			t.Fatalf("events out of order: %v after %.1f", ev, prev)
+		}
+		prev = ev.At
+		if ev.Kind == KindFail {
+			fails++
+			lastFail[ev.Machine] = ev.At
+		} else {
+			recovers++
+			down[ev.Machine] += ev.At - lastFail[ev.Machine]
+		}
+	}
+	if fails != recovers {
+		t.Fatalf("%d failures but %d recoveries", fails, recovers)
+	}
+	wantFails := 3 * horizon / (mtbf + mttr)
+	if ratio := float64(fails) / wantFails; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("failure count %d, want ≈ %.0f", fails, wantFails)
+	}
+	meanDown := (down[1] + down[2] + down[3]) / float64(recovers)
+	if ratio := meanDown / mttr; ratio < 0.9 || ratio > 1.1 {
+		t.Fatalf("mean outage %.1fs, want ≈ %.0fs", meanDown, mttr)
+	}
+}
+
+// TestFailureTraceDeterministicAndValidated: same seed, same trace; bad
+// parameters are rejected.
+func TestFailureTraceDeterministicAndValidated(t *testing.T) {
+	ft := failureTrace{mtbf: 100, mttr: 10, machines: []int{4, 5}, seed: 3}
+	a, err := ft.events(5000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := ft.events(5000)
+	if len(a) == 0 || !slices.Equal(a, b) {
+		t.Fatalf("trace empty or not reproducible: %d vs %d events", len(a), len(b))
+	}
+	if _, err := (failureTrace{mtbf: 0, mttr: 1}).events(10); err == nil {
+		t.Error("zero MTBF accepted")
+	}
+	if _, err := (failureTrace{mtbf: 1, mttr: -1}).events(10); err == nil {
+		t.Error("negative MTTR accepted")
+	}
+	if _, err := ft.events(0); err == nil {
+		t.Error("zero horizon accepted")
 	}
 }
 

@@ -598,3 +598,51 @@ func TestTraceValidation(t *testing.T) {
 		}
 	}
 }
+
+// finiteArrivals emits exactly n evenly-spaced tuples, then goes silent —
+// so a test can let the system drain completely.
+type finiteArrivals struct {
+	n    int
+	rate float64
+}
+
+func (f *finiteArrivals) NextInterArrival(*stats.RNG) float64 {
+	if f.n <= 0 {
+		return math.Inf(1)
+	}
+	f.n--
+	return 1 / f.rate
+}
+
+func (f *finiteArrivals) MeanRate() float64 { return f.rate }
+
+// TestPendingRootsDrainsToZero: in-flight trees are visible while work is
+// queued and the counter returns to zero once the system drains.
+func TestPendingRootsDrainsToZero(t *testing.T) {
+	emit, err := NewFractionalEmission(2) // fan-out: trees outlive first hop
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{
+		Operators: []OperatorSpec{
+			{Name: "a", Service: stats.Exponential{Rate: 4}},
+			{Name: "b", Service: stats.Exponential{Rate: 8}},
+		},
+		Sources: []SourceSpec{{Op: 0, Arrivals: &finiteArrivals{n: 500, rate: 3}}},
+		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: emit}},
+		Alloc:   []int{1, 1},
+		Seed:    1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.RunUntil(20)
+	if s.PendingRoots() <= 0 {
+		t.Fatalf("pending roots mid-run = %d, want > 0", s.PendingRoots())
+	}
+	// All 500 arrivals land by ~167s; give the queues time to drain.
+	s.RunUntil(10_000)
+	if got := s.PendingRoots(); got != 0 {
+		t.Fatalf("pending roots after drain = %d, want 0", got)
+	}
+}
