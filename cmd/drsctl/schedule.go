@@ -34,7 +34,6 @@ func cmdSchedule(args []string) error {
 	failAfter := fs.Float64("fail-after", 0, "kill machines this many seconds into the run (0 disables)")
 	failCount := fs.Int("fail-machines", 1, "how many machines to kill at -fail-after")
 	failDown := fs.Float64("fail-down", 10, "outage length in seconds before the killed machines recover")
-	replace := fs.Bool("replace-on-failure", false, "return crashed machines to the provider and negotiate replacements")
 	verbose := fs.Bool("v", false, "log every loop event")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -81,9 +80,8 @@ func cmdSchedule(args []string) error {
 		return err
 	}
 	sched, err := cluster.NewScheduler(cluster.SchedulerConfig{
-		Pool:             pool,
-		CostWindow:       30 * time.Second,
-		ReplaceOnFailure: *replace,
+		Pool:       pool,
+		CostWindow: 30 * time.Second,
 	})
 	if err != nil {
 		return err
@@ -182,7 +180,7 @@ func cmdSchedule(args []string) error {
 				victims = append(victims, m.ID)
 				fmt.Printf("  !! machine %d killed (capacity now %d)\n", m.ID, pool.Kmax())
 			}
-			if *failDown <= 0 || *replace {
+			if *failDown <= 0 {
 				return
 			}
 			time.Sleep(secondsDuration(down))

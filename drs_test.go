@@ -88,7 +88,7 @@ func TestPublicMeasurerPath(t *testing.T) {
 	}
 	probe := drs.NewExecutorProbe(1)
 	probe.TuplesArrived(100)
-	probe.TuplesServed(100, 100, int64(100*10*time.Millisecond), 0)
+	probe.TuplesServed(100, 100, int64(100*10*time.Millisecond))
 	c := probe.Drain()
 	err = meas.AddInterval(drs.IntervalReport{
 		Duration:         time.Second,

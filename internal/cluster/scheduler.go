@@ -100,12 +100,6 @@ type SchedulerConfig struct {
 	// recoup its transition pauses within this span of predicted benefit
 	// (default 60s).
 	CostWindow time.Duration
-	// ReplaceOnFailure returns a crashed machine to the provider the
-	// moment it fails, freeing its place under the MaxMachines cap so the
-	// same arbitration can negotiate a fresh replacement machine (paying
-	// the cold-start pause). When false, the wreck occupies the cap until
-	// Recover and the tenants ride out the outage on shrunken grants.
-	ReplaceOnFailure bool
 	// Clock reads the time for the scheduler's decision history;
 	// virtual-time drivers (the experiments) inject their own. Nil means
 	// time.Now.
@@ -249,12 +243,6 @@ func NewScheduler(cfg SchedulerConfig) (*Scheduler, error) {
 // shrinks to the crash ("slots-lost" events, Tenant.LostSlots) so
 // supervisors can tell failover from preemption.
 func (s *Scheduler) poolChurn(ev ChurnEvent) {
-	if ev.Kind == "machine-fail" && s.cfg.ReplaceOnFailure {
-		// Return the wreck to the provider right away: its place under the
-		// cap frees, so the demand-driven negotiation inside the
-		// arbitration below can provision a fresh replacement machine.
-		_ = s.cfg.Pool.Decommission(ev.Machine)
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.recordLocked(SchedulerEvent{At: s.now(), Kind: ev.Kind,
@@ -297,8 +285,7 @@ type Tenant struct {
 	// All fields below are guarded by s.mu.
 	demand     int
 	granted    int
-	lost       int         // cumulative slots taken by machine failures
-	placement  map[int]int // machine id -> slots of the current grant
+	lost       int // cumulative slots taken by machine failures
 	report     TenantReport
 	haveReport bool
 
@@ -591,11 +578,6 @@ func (s *Scheduler) placeLocked() {
 		reserved -= take
 	}
 	for _, t := range s.tenants {
-		if t.placement == nil {
-			t.placement = make(map[int]int, 2)
-		} else {
-			clear(t.placement)
-		}
 		need := t.granted
 		for need > 0 && cursor < len(s.placement) {
 			row := &s.placement[cursor]
@@ -609,7 +591,6 @@ func (s *Scheduler) placeLocked() {
 				take = free
 			}
 			row.Leased += take
-			t.placement[row.ID] += take
 			need -= take
 		}
 	}
@@ -788,19 +769,6 @@ func (t *Tenant) LostSlots() int {
 	t.s.mu.Lock()
 	defer t.s.mu.Unlock()
 	return t.lost
-}
-
-// Placement reports which machines currently host the tenant's granted
-// slots (machine ID -> slot count). The mapping shifts on every
-// arbitration and machine lifecycle change; after Release it is empty.
-func (t *Tenant) Placement() map[int]int {
-	t.s.mu.Lock()
-	defer t.s.mu.Unlock()
-	out := make(map[int]int, len(t.placement))
-	for id, n := range t.placement {
-		out[id] = n
-	}
-	return out
 }
 
 // SetPriority changes the tenant's preemption rank and re-arbitrates. The

@@ -501,7 +501,7 @@ func TestSchedulerPropertyRandomOps(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := NewScheduler(SchedulerConfig{Pool: pool, ReplaceOnFailure: seq%5 == 0})
+		s, err := NewScheduler(SchedulerConfig{Pool: pool})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"github.com/drs-repro/drs/internal/queueing"
 	"github.com/drs-repro/drs/internal/stats"
 )
 
@@ -89,60 +90,23 @@ func TestAblationNaiveModelNeverBeatsErlang(t *testing.T) {
 	t.Logf("naive M/M/1 model produced a worse allocation in %d/200 instances", losses)
 }
 
-func TestServiceCVShiftsAllocation(t *testing.T) {
-	// Two identical operators except one has heavy-tailed service
-	// (CV² = 4): under the corrected model it queues worse, so Algorithm 1
-	// must give it at least as many processors — and for a tight budget,
-	// strictly more.
-	base := []OpRates{
-		{Name: "steady", Lambda: 40, Mu: 10},
-		{Name: "bursty", Lambda: 40, Mu: 10, ServiceCV2: 4},
-	}
-	m, err := NewModel(40, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 13 processors: after the even (6,6) split the odd one must go to the
-	// bursty operator, whose corrected marginal benefit is 2.5x larger.
-	k, err := m.AssignProcessors(13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if k[1] <= k[0] {
-		t.Errorf("bursty operator got %d <= steady's %d processors", k[1], k[0])
-	}
-	// With CV² unset both default to the exponential assumption and the
-	// split is even.
-	plain, err := NewModel(40, []OpRates{
-		{Name: "a", Lambda: 40, Mu: 10},
-		{Name: "b", Lambda: 40, Mu: 10},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp, err := plain.AssignProcessors(12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kp[0] != kp[1] {
-		t.Errorf("symmetric operators split unevenly: %v", kp)
-	}
-}
-
-func TestServiceCVDefaultMatchesPaperModel(t *testing.T) {
-	// ServiceCV2 = 0 (unset) must reproduce the paper's Equation (1)
-	// exactly — full backward compatibility.
+// TestModelIsEquationOne: every operator is an M/M/k station, so the
+// model's per-operator sojourn is Equation (1) and its network sojourn is
+// Equation (3)'s λ-weighted sum of them, bit for bit.
+func TestModelIsEquationOne(t *testing.T) {
 	m := vldLikeModel(t)
-	withCV := mustModel(t, 13, []OpRates{
-		{Name: "extract", Lambda: 13, Mu: 1.5, ServiceCV2: 1},
-		{Name: "match", Lambda: 650, Mu: 68, ServiceCV2: 1},
-		{Name: "aggregate", Lambda: 130, Mu: 700, ServiceCV2: 1},
-	})
 	for _, alloc := range [][]int{{10, 11, 1}, {9, 12, 1}, {12, 9, 1}} {
-		a, _ := m.ExpectedSojourn(alloc)
-		b, _ := withCV.ExpectedSojourn(alloc)
-		if math.Abs(a-b) > 1e-12 {
-			t.Errorf("alloc %v: unset CV %g != CV=1 %g", alloc, a, b)
+		want := 0.0
+		for i, op := range m.Ops() {
+			ti := queueing.ExpectedSojourn(op.Lambda, op.Mu, alloc[i])
+			if got := m.OperatorSojourn(i, alloc[i]); got != ti {
+				t.Errorf("alloc %v op %s: OperatorSojourn %g != Equation (1) %g", alloc, op.Name, got, ti)
+			}
+			want += op.Lambda * ti
+		}
+		want /= m.Lambda0()
+		if got, _ := m.ExpectedSojourn(alloc); got != want {
+			t.Errorf("alloc %v: ExpectedSojourn %g != Equation (3) %g", alloc, got, want)
 		}
 	}
 }

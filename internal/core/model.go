@@ -37,20 +37,6 @@ type OpRates struct {
 	Lambda float64
 	// Mu is µ_i, the mean per-processor service rate (tuples/s).
 	Mu float64
-	// ServiceCV2 is the squared coefficient of variation of the service
-	// time, enabling the M/G/k (Allen-Cunneen) correction — the paper's
-	// queueing-theory future work. Zero means "unknown": the model falls
-	// back to the exponential assumption (CV² = 1), reproducing the
-	// paper's Equation (1) exactly.
-	ServiceCV2 float64
-}
-
-// cv2 resolves the effective squared coefficient of variation.
-func (op OpRates) cv2() float64 {
-	if op.ServiceCV2 <= 0 {
-		return 1
-	}
-	return op.ServiceCV2
 }
 
 // Model is the DRS performance model of §III-B: per-operator M/M/k sojourn
@@ -150,11 +136,10 @@ func (m *Model) Rates() []OpRates { return append([]OpRates(nil), m.ops...) }
 func (m *Model) Ops() []OpRates { return m.ops }
 
 // OperatorSojourn returns E[T_i](k_i) of Equation (1) for operator i under
-// k processors (+Inf when unstable), with the M/G/k correction applied
-// when the operator carries a measured service CV².
+// k processors (+Inf when unstable).
 func (m *Model) OperatorSojourn(i, k int) float64 {
 	op := m.ops[i]
-	return queueing.ExpectedSojournCorrected(op.Lambda, op.Mu, k, op.cv2())
+	return queueing.ExpectedSojourn(op.Lambda, op.Mu, k)
 }
 
 // ExpectedSojourn evaluates Equation (3): the expected total sojourn time
@@ -224,9 +209,8 @@ func resizeInts(buf []int, n int) []int {
 
 // marginalBenefit is δ_i of Algorithm 1 line 9: λ_i·(E[T_i](k_i) −
 // E[T_i](k_i+1)), the drop in the Equation (3) numerator from granting
-// operator i one more processor. The corrected form preserves convexity,
-// so Theorem 1's optimality argument is unchanged.
+// operator i one more processor.
 func (m *Model) marginalBenefit(i, k int) float64 {
 	op := m.ops[i]
-	return queueing.MarginalBenefitCorrected(op.Lambda, op.Mu, k, op.cv2())
+	return queueing.MarginalBenefit(op.Lambda, op.Mu, k)
 }

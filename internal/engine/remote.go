@@ -72,11 +72,11 @@ type RemoteResult struct {
 	// in-band as produced by Emit.To. It is valid only during the done
 	// callback: transports reuse their decode buffers across frames.
 	Emitted [][]Values
-	// Served, Sampled, BusyNanos and BusySqMicros are the executor-probe
-	// aggregates measured where the CPU burned — on the worker — folded
-	// into the serve-side probe so the measurer's service-time estimate
-	// reflects remote execution without the network in it.
-	Served, Sampled, BusyNanos, BusySqMicros int64
+	// Served, Sampled and BusyNanos are the executor-probe aggregates
+	// measured where the CPU burned — on the worker — folded into the
+	// serve-side probe so the measurer's service-time estimate reflects
+	// remote execution without the network in it.
+	Served, Sampled, BusyNanos int64
 	// Errors counts items whose Process call failed on the worker.
 	Errors int64
 	// TraceIdx lists, in ascending order, the batch indices of items the
@@ -349,7 +349,7 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		held := errRemoteProcess
 		br.lastErr.Store(&held)
 	}
-	ex.probe.TuplesServed(res.Served, res.Sampled, res.BusyNanos, res.BusySqMicros)
+	ex.probe.TuplesServed(res.Served, res.Sampled, res.BusyNanos)
 	if res.Sampled > 0 {
 		// The worker reports sums, so a batch votes as one sample: its mean.
 		var over int64

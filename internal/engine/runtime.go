@@ -351,7 +351,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		mask := len(ring) - 1
 		// Probe observations accumulate locally and fold into the shared
 		// probe once per batch.
-		var sampled, busyNanos, busySqMicros int64
+		var sampled, busyNanos int64
 		var over int64 // samples longer than handoffCost
 		// The queue's outstanding count drops as tuples are served: one by
 		// one where routing reads it (a slow bolt), once a batch otherwise —
@@ -369,7 +369,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 			// unprocessed tail strands for the reaper to replay (one
 			// relaxed atomic load per tuple buys the failure domain).
 			if ex.crashed.Load() {
-				ex.probe.TuplesServed(int64(i), sampled, busyNanos, busySqMicros)
+				ex.probe.TuplesServed(int64(i), sampled, busyNanos)
 				ex.q.served(i - settled)
 				ex.strandRing(ring, head+i, n-i)
 				return
@@ -429,8 +429,6 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 					over++
 				}
 				busyNanos += int64(d)
-				us := d.Microseconds()
-				busySqMicros += us * us
 				tree.ack(end)
 				now = end
 				chained = nm == 1
@@ -449,7 +447,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				tree.ackLazy()
 			}
 		}
-		ex.probe.TuplesServed(int64(n), sampled, busyNanos, busySqMicros)
+		ex.probe.TuplesServed(int64(n), sampled, busyNanos)
 		br.noteService(ex, sampled, over)
 		spare = ring
 	}
@@ -666,7 +664,6 @@ func (r *Run) DrainInterval() metrics.IntervalReport {
 		rep.Ops[i] = metrics.OpInterval{
 			Arrivals: agg.Arrivals, Served: agg.Served,
 			Sampled: agg.Sampled, BusyTime: agg.BusyTime,
-			BusySqSeconds: agg.BusySqSeconds,
 		}
 		br.cumArrivals.Add(agg.Arrivals)
 		br.cumServed.Add(agg.Served)

@@ -242,7 +242,8 @@ func TestReplanAllocsOutsidePlan(t *testing.T) {
 // at once, in both regimes — the grant fits the offered demand, and the
 // gate is shedding: the Plan is bit-equal to what the per-probe
 // NewModel/MinProcessors bisect of commit 82a01d8 returned (literals
-// captured there, at its default 10 % headroom), and computing it costs a
+// captured there, at its default 10 % headroom; the vld rows recaptured at
+// 648ea10 once every station is M/M/k), and computing it costs a
 // handful of allocations — the plan's model and the search's scratch —
 // not eight per probe of a 41-probe search (328 there).
 func TestPlanAdmissionPlanAndAllocs(t *testing.T) {
@@ -251,7 +252,7 @@ func TestPlanAdmissionPlanAndAllocs(t *testing.T) {
 			Lambda0: 13, OfferedLambda0: 13,
 			Ops: []core.OpRates{
 				{Name: "extract", Lambda: 13, Mu: 1 / 0.45},
-				{Name: "match", Lambda: 26, Mu: 1 / 0.25, ServiceCV2: 1.7},
+				{Name: "match", Lambda: 26, Mu: 1 / 0.25},
 				{Name: "aggregate", Lambda: 13, Mu: 100},
 			},
 			MeasuredSojourn: measured,
@@ -274,9 +275,9 @@ func TestPlanAdmissionPlanAndAllocs(t *testing.T) {
 		{name: "two-stage shed, roomy", snap: twoStageSnap(3, 2, 3, 6), tmax: 1.5, maxSlots: 64, offered: 18,
 			rate: 0x400e20c3d8790000, fraction: 0x3fcac7ca87880000, viable: true},
 		{name: "vld shed", snap: vld(0.9), tmax: 1.2, maxSlots: 40, offered: 41,
-			rate: 0x40307190e2f6feff, fraction: 0x3fd9ab07a0b9bffe},
+			rate: 0x4030ca46a8733101, fraction: 0x3fda358106f24002},
 		{name: "vld shed, draining", snap: vld(2.5), tmax: 1.2, maxSlots: 0, offered: 29.5,
-			rate: 0x401c6a2146a8b5ec, fraction: 0x3fced294e8d9b853, viable: true},
+			rate: 0x401d036bc2d35267, fraction: 0x3fcf78dd07676667, viable: true},
 		{name: "vld fits", snap: vld(0.9), tmax: 1.2, maxSlots: 40, offered: 13,
 			rate: 0x402a000000000000, fraction: 0x3ff0000000000000, viable: true},
 	} {

@@ -32,9 +32,6 @@ type OpInterval struct {
 	// Sampled counts service-time samples and BusyTime their summed duration.
 	Sampled  int64
 	BusyTime time.Duration
-	// BusySqSeconds is the sum of squared sampled service times (seconds²);
-	// optional, used only by the service-CV² estimate.
-	BusySqSeconds float64
 }
 
 // IntervalReport carries everything measured during one Tm interval.
@@ -67,13 +64,6 @@ type MeasurerConfig struct {
 	OperatorNames []string
 	// Smoothing applies to every derived series (λ̂0, λ̂_i, µ̂_i, E[T̂]).
 	Smoothing SmoothingSpec
-	// MaxServiceTime clips implausible service-time samples (outlier
-	// rejection); zero disables clipping.
-	MaxServiceTime time.Duration
-	// EstimateServiceCV enables the service-CV² estimate from the sampled
-	// second moment, feeding the model's M/G/k correction. Off by default:
-	// the paper's model assumes exponential service (CV² = 1).
-	EstimateServiceCV bool
 }
 
 // Measurer aggregates interval reports into smoothed operator-level rates
@@ -87,7 +77,6 @@ type Measurer struct {
 	offered Smoother
 	lambda  []Smoother
 	mus     []Smoother
-	cv2s    []Smoother
 	sojourn Smoother
 	ready   bool
 
@@ -114,15 +103,11 @@ func NewMeasurer(cfg MeasurerConfig) (*Measurer, error) {
 	}
 	m.lambda = make([]Smoother, len(cfg.OperatorNames))
 	m.mus = make([]Smoother, len(cfg.OperatorNames))
-	m.cv2s = make([]Smoother, len(cfg.OperatorNames))
 	for i := range cfg.OperatorNames {
 		if m.lambda[i], err = cfg.Smoothing.New(); err != nil {
 			return nil, err
 		}
 		if m.mus[i], err = cfg.Smoothing.New(); err != nil {
-			return nil, err
-		}
-		if m.cv2s[i], err = cfg.Smoothing.New(); err != nil {
 			return nil, err
 		}
 	}
@@ -152,24 +137,7 @@ func (m *Measurer) AddInterval(rep IntervalReport) error {
 	for i, op := range rep.Ops {
 		m.lambda[i].Update(float64(op.Arrivals) / secs)
 		if op.Sampled > 0 && op.BusyTime > 0 {
-			busy := op.BusyTime
-			if m.cfg.MaxServiceTime > 0 {
-				// Clip the average, bounding the damage of a straggler.
-				if avg := busy / time.Duration(op.Sampled); avg > m.cfg.MaxServiceTime {
-					busy = m.cfg.MaxServiceTime * time.Duration(op.Sampled)
-				}
-			}
-			mu := float64(op.Sampled) / busy.Seconds()
-			m.mus[i].Update(mu)
-			if m.cfg.EstimateServiceCV && op.Sampled > 1 && op.BusySqSeconds > 0 {
-				n := float64(op.Sampled)
-				mean := busy.Seconds() / n
-				variance := op.BusySqSeconds/n - mean*mean
-				if variance < 0 {
-					variance = 0
-				}
-				m.cv2s[i].Update(variance / (mean * mean))
-			}
+			m.mus[i].Update(float64(op.Sampled) / op.BusyTime.Seconds())
 		}
 	}
 	if rep.SojournCount > 0 {
@@ -213,9 +181,6 @@ func (m *Measurer) Snapshot() (core.Snapshot, error) {
 			Lambda: m.lambda[i].Value(),
 			Mu:     m.mus[i].Value(),
 		}
-		if m.cfg.EstimateServiceCV && m.cv2s[i].Ready() {
-			s.Ops[i].ServiceCV2 = m.cv2s[i].Value()
-		}
 	}
 	return s, nil
 }
@@ -231,7 +196,6 @@ func (m *Measurer) Reset() {
 	for i := range m.lambda {
 		m.lambda[i].Reset()
 		m.mus[i].Reset()
-		m.cv2s[i].Reset()
 	}
 	m.ready = false
 }

@@ -97,9 +97,9 @@ func TestProbeSamplingEveryNm(t *testing.T) {
 	for i := int64(1); i <= 100; i++ {
 		p.TuplesArrived(1)
 		if i%p.SampleStride() == 0 {
-			p.TuplesServed(1, 1, int64(5*time.Millisecond), 5000*5000)
+			p.TuplesServed(1, 1, int64(5*time.Millisecond))
 		} else {
-			p.TuplesServed(1, 0, 0, 0)
+			p.TuplesServed(1, 0, 0)
 		}
 	}
 	c := p.Drain()
@@ -135,7 +135,7 @@ func TestProbeConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				p.TuplesArrived(1)
-				p.TuplesServed(1, 1, int64(time.Microsecond), 1)
+				p.TuplesServed(1, 1, int64(time.Microsecond))
 			}
 		}()
 	}
@@ -277,30 +277,6 @@ func TestMeasurerSmoothingApplied(t *testing.T) {
 	}
 	if math.Abs(s.MeasuredSojourn-1.5) > 1e-9 {
 		t.Errorf("smoothed sojourn = %g, want 1.5", s.MeasuredSojourn)
-	}
-}
-
-func TestMeasurerOutlierClipping(t *testing.T) {
-	m, err := NewMeasurer(MeasurerConfig{
-		OperatorNames:  []string{"a"},
-		MaxServiceTime: 100 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Average sample of 10s per tuple gets clipped to 100ms -> mu = 10.
-	rep := makeReport(time.Second, 1, []OpInterval{
-		{Arrivals: 1, Served: 1, Sampled: 1, BusyTime: 10 * time.Second},
-	}, 0, 0)
-	if err := m.AddInterval(rep); err != nil {
-		t.Fatal(err)
-	}
-	s, err := m.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(s.Ops[0].Mu-10) > 1e-9 {
-		t.Errorf("clipped mu = %g, want 10", s.Ops[0].Mu)
 	}
 }
 

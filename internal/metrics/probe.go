@@ -19,10 +19,6 @@ type ExecutorProbe struct {
 	servedTotal atomic.Int64
 	sampled     atomic.Int64
 	busyNanos   atomic.Int64
-	// busySqMicros accumulates squared sampled durations in µs², for the
-	// optional service-CV² estimate (M/G/k correction). Microseconds keep
-	// the running sum within int64 for realistic service times.
-	busySqMicros atomic.Int64
 }
 
 // NewExecutorProbe builds a probe sampling every nm-th served tuple
@@ -46,15 +42,14 @@ func (p *ExecutorProbe) SampleStride() int64 { return p.nm }
 
 // TuplesServed folds a locally accumulated batch of observations in a
 // constant number of atomic adds: served tuples, how many of them were
-// Nm-stride samples, and the samples' total and squared-total durations.
-// The caller owns the stride bookkeeping across batches.
-func (p *ExecutorProbe) TuplesServed(served, sampled, busyNanos, busySqMicros int64) {
+// Nm-stride samples, and the samples' total duration. The caller owns the
+// stride bookkeeping across batches.
+func (p *ExecutorProbe) TuplesServed(served, sampled, busyNanos int64) {
 	p.servedTotal.Add(served)
 	p.served.Add(served)
 	if sampled > 0 {
 		p.sampled.Add(sampled)
 		p.busyNanos.Add(busyNanos)
-		p.busySqMicros.Add(busySqMicros)
 	}
 }
 
@@ -65,9 +60,6 @@ type ProbeCounters struct {
 	// Sampled counts service-time samples; BusyTime is their total duration.
 	Sampled  int64
 	BusyTime time.Duration
-	// BusySqSeconds is the sum of squared sampled durations (seconds²),
-	// the second moment behind the service-CV² estimate.
-	BusySqSeconds float64
 }
 
 // ServedTotal reports the cumulative served-tuple count across the
@@ -79,13 +71,11 @@ func (p *ExecutorProbe) ServedTotal() int64 {
 // Drain atomically reads and resets the counters — the pull step of the
 // paper's bi-layer collection.
 func (p *ExecutorProbe) Drain() ProbeCounters {
-	const us2PerS2 = 1e12
 	return ProbeCounters{
-		Arrivals:      p.arrivals.Swap(0),
-		Served:        p.served.Swap(0),
-		Sampled:       p.sampled.Swap(0),
-		BusyTime:      time.Duration(p.busyNanos.Swap(0)),
-		BusySqSeconds: float64(p.busySqMicros.Swap(0)) / us2PerS2,
+		Arrivals: p.arrivals.Swap(0),
+		Served:   p.served.Swap(0),
+		Sampled:  p.sampled.Swap(0),
+		BusyTime: time.Duration(p.busyNanos.Swap(0)),
 	}
 }
 
@@ -95,5 +85,4 @@ func (c *ProbeCounters) Merge(o ProbeCounters) {
 	c.Served += o.Served
 	c.Sampled += o.Sampled
 	c.BusyTime += o.BusyTime
-	c.BusySqSeconds += o.BusySqSeconds
 }

@@ -85,6 +85,26 @@ func ExpectedSojourn(lambda, mu float64, k int) float64 {
 	return w + 1/mu
 }
 
+// MarginalBenefit returns λ·(E[T](k) − E[T](k+1)): the decrease in the
+// network-level objective of Equation (3) contributed by granting this
+// operator one more server. By convexity of E[T](k) (Inequality (5)) it is
+// non-negative and non-increasing in k, which is what makes the greedy
+// allocation of Algorithm 1 exactly optimal (Theorem 1). It returns +Inf
+// when the operator is currently unstable (any finite improvement from
+// infinity dominates) and 0 when k+1 is still unstable.
+func MarginalBenefit(lambda, mu float64, k int) float64 {
+	cur := ExpectedSojourn(lambda, mu, k)
+	next := ExpectedSojourn(lambda, mu, k+1)
+	switch {
+	case math.IsInf(next, 1):
+		return 0
+	case math.IsInf(cur, 1):
+		return math.Inf(1)
+	default:
+		return lambda * (cur - next)
+	}
+}
+
 // P0 computes the normalization term π₀ of Equation (2) — the steady-state
 // probability that the operator is empty. It sums the factorial series
 // directly, which is exact for the moderate offered loads DRS topologies

@@ -270,14 +270,14 @@ func TestConvexityProperty(t *testing.T) {
 	}
 }
 
-// TestMarginalBenefit checks Theorem 1's premise on the M/M/k case
-// (CV² = 1) of the production marginal-benefit function.
+// TestMarginalBenefit checks Theorem 1's premise on the production
+// marginal-benefit function.
 func TestMarginalBenefit(t *testing.T) {
 	lambda, mu := 20.0, 3.0
 	minK, _ := MinStableServers(lambda, mu)
 	prev := math.Inf(1)
 	for k := minK; k < minK+15; k++ {
-		mb := MarginalBenefitCorrected(lambda, mu, k, 1)
+		mb := MarginalBenefit(lambda, mu, k)
 		if mb < 0 {
 			t.Fatalf("MarginalBenefit(k=%d) = %g < 0", k, mb)
 		}
@@ -286,10 +286,10 @@ func TestMarginalBenefit(t *testing.T) {
 		}
 		prev = mb
 	}
-	if mb := MarginalBenefitCorrected(10, 1, 5, 1); mb != 0 {
+	if mb := MarginalBenefit(10, 1, 5); mb != 0 {
 		t.Errorf("benefit when k+1 still unstable = %g, want 0", mb)
 	}
-	if mb := MarginalBenefitCorrected(10, 1, 10, 1); !math.IsInf(mb, 1) {
+	if mb := MarginalBenefit(10, 1, 10); !math.IsInf(mb, 1) {
 		t.Errorf("benefit when exactly stabilizing = %g, want +Inf", mb)
 	}
 }

@@ -138,7 +138,6 @@ type station struct {
 	arrivals int64
 	served   int64
 	busyTime float64
-	busySq   float64
 }
 
 // Sim is a running simulation. Not safe for concurrent use.
@@ -378,7 +377,6 @@ func (s *Sim) completeService(e event) {
 	st.busy--
 	st.served++
 	st.busyTime += e.serviceTime
-	st.busySq += e.serviceTime * e.serviceTime
 	// Sample every edge's child count first and register the children on
 	// the processing tree BEFORE any delivery: a child dropped at a full
 	// queue resolves synchronously, and must not complete the tree while
@@ -487,13 +485,12 @@ func (s *Sim) DrainInterval() metrics.IntervalReport {
 	for i := range s.stations {
 		st := &s.stations[i]
 		rep.Ops[i] = metrics.OpInterval{
-			Arrivals:      st.arrivals,
-			Served:        st.served,
-			Sampled:       st.served, // the simulator samples every tuple
-			BusyTime:      secondsToDuration(st.busyTime),
-			BusySqSeconds: st.busySq,
+			Arrivals: st.arrivals,
+			Served:   st.served,
+			Sampled:  st.served, // the simulator samples every tuple
+			BusyTime: secondsToDuration(st.busyTime),
 		}
-		st.arrivals, st.served, st.busyTime, st.busySq = 0, 0, 0, 0
+		st.arrivals, st.served, st.busyTime = 0, 0, 0
 	}
 	s.intervalStart = s.clock
 	s.externalArrivals = 0

@@ -377,7 +377,6 @@ func (s *Shuttle) readLoop(lease time.Duration) {
 					Served:         res.Served,
 					Sampled:        res.Sampled,
 					BusyNanos:      res.BusyNanos,
-					BusySqMicros:   res.BusySqMicros,
 					Errors:         res.Errors,
 					TraceIdx:       res.Traced,
 					TraceWaitNS:    res.WaitNS,

@@ -122,9 +122,9 @@ type resultMsg struct {
 	// are borrowed — sub-slices of a scratch its producer reuses (runBolt's
 	// emits, the decoding slab's) — valid until the next frame.
 	Emitted [][]engine.Values
-	// Served, Sampled, BusyNanos, BusySqMicros and Errors are the
-	// executor-probe aggregates measured on the worker.
-	Served, Sampled, BusyNanos, BusySqMicros, Errors int64
+	// Served, Sampled, BusyNanos and Errors are the executor-probe
+	// aggregates measured on the worker.
+	Served, Sampled, BusyNanos, Errors int64
 	// Traced lists, ascending, the batch indices of items the worker timed
 	// individually (the batch frame's trace block); WaitNS and ServiceNS
 	// align with it — queue wait from batch arrival to Process start, and
@@ -265,7 +265,7 @@ func appendResultFrame(buf []byte, res *resultMsg) ([]byte, error) {
 			}
 		}
 	}
-	for _, v := range [...]int64{res.Served, res.Sampled, res.BusyNanos, res.BusySqMicros, res.Errors} {
+	for _, v := range [...]int64{res.Served, res.Sampled, res.BusyNanos, res.Errors} {
 		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
 	}
 	// Trace block, always present: per traced item its batch index plus
@@ -524,8 +524,8 @@ func decodeResult(payload []byte, m *resultMsg, s *slab) error {
 	}
 	m.Seq = c.u64()
 	n := int(c.u32())
-	// Each per-item emission list is at least a u16 count; the five
-	// trailing aggregates take 40 bytes.
+	// Each per-item emission list is at least a u16 count; the four
+	// trailing aggregates take 32 bytes.
 	if n > c.remaining()/2 {
 		return errTruncated
 	}
@@ -549,7 +549,6 @@ func decodeResult(payload []byte, m *resultMsg, s *slab) error {
 	m.Served = int64(c.u64())
 	m.Sampled = int64(c.u64())
 	m.BusyNanos = int64(c.u64())
-	m.BusySqMicros = int64(c.u64())
 	m.Errors = int64(c.u64())
 	// Trace block: 20 bytes per entry, strictly ascending in-range indices.
 	nt := int(c.u32())

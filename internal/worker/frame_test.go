@@ -30,7 +30,7 @@ func testResult() resultMsg {
 			nil,
 			{{[]byte("payload")}},
 		},
-		Served: 3, Sampled: 1, BusyNanos: 12345, BusySqMicros: 99, Errors: 1,
+		Served: 3, Sampled: 1, BusyNanos: 12345, Errors: 1,
 	}
 }
 

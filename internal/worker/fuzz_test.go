@@ -4,8 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"flag"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"runtime"
+	"strconv"
+	"strings"
 	"testing"
 
 	"github.com/drs-repro/drs/internal/engine"
@@ -23,57 +29,10 @@ import (
 func FuzzWorkerFrame(f *testing.F) {
 	// Seed corpus: one valid frame of each kind, plus torn/flipped/forged
 	// variants of the data frames.
-	b := testBatch()
-	batchFrame, err := appendBatchFrame(nil, b.Seq, string(b.Bolt), b.Items)
-	if err != nil {
-		f.Fatal(err)
+	seeds := seedFrames(f)
+	for _, name := range seedNames {
+		f.Add(seeds[name])
 	}
-	r := testResult()
-	resultFrame, err := appendResultFrame(nil, &r)
-	if err != nil {
-		f.Fatal(err)
-	}
-	bt := testBatchTraced()
-	tracedBatchFrame, err := appendBatchFrame(nil, bt.Seq, string(bt.Bolt), bt.Items)
-	if err != nil {
-		f.Fatal(err)
-	}
-	rt := testResult()
-	rt.Traced = []uint32{0, 2}
-	rt.WaitNS = []int64{1500, 90}
-	rt.ServiceNS = []int64{42000, 7}
-	tracedResultFrame, err := appendResultFrame(nil, &rt)
-	if err != nil {
-		f.Fatal(err)
-	}
-	helloFrame, err := appendJSONFrame(nil, kindHello, helloMsg{Worker: "w0", Pid: 1})
-	if err != nil {
-		f.Fatal(err)
-	}
-	welcomeFrame, err := appendJSONFrame(nil, kindWelcome, welcomeMsg{Machine: 1, Seed: 7, HeartbeatMS: 100, LeaseMS: 400})
-	if err != nil {
-		f.Fatal(err)
-	}
-	hbFrame, err := appendHeartbeatFrame(nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(batchFrame)
-	f.Add(resultFrame)
-	f.Add(tracedBatchFrame)
-	f.Add(tracedResultFrame)
-	f.Add(helloFrame)
-	f.Add(welcomeFrame)
-	f.Add(hbFrame)
-	f.Add(append(append([]byte(nil), batchFrame...), resultFrame...)) // two frames back to back
-	f.Add(batchFrame[:len(batchFrame)-3])                             // torn payload
-	f.Add(batchFrame[:5])                                             // torn header
-	flipped := append([]byte(nil), resultFrame...)
-	flipped[len(flipped)-1] ^= 0xFF
-	f.Add(flipped) // CRC mismatch
-	forged := append([]byte(nil), batchFrame...)
-	forged[0], forged[1] = 0xFF, 0xFF // absurd length prefix
-	f.Add(forged)
 	f.Add([]byte{})
 	f.Add([]byte("not a frame at all"))
 	// Slab seeds, in the value chunk so they stay small enough to mutate
@@ -97,14 +56,15 @@ func FuzzWorkerFrame(f *testing.F) {
 	}
 	// Forged element counts under a valid CRC: the item count, then the
 	// first tuple's value count, claim more than the payload can hold.
-	countAt := 8 + 1 + 8 + 2 + len(b.Bolt)
+	countAt := 8 + 1 + 8 + 2 + len(testBatch().Bolt)
 	for _, forge := range []func(p []byte){
 		func(p []byte) { binary.BigEndian.PutUint32(p[countAt:], 1<<24) },
 		func(p []byte) { binary.BigEndian.PutUint16(p[countAt+8:], 0xFFFF) },
 	} {
-		frame := append([]byte(nil), batchFrame...)
+		frame := append([]byte(nil), seeds["batch"]...)
 		forge(frame)
-		if frame, err = finishFrame(frame); err != nil {
+		frame, err := finishFrame(frame)
+		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(frame)
@@ -186,4 +146,125 @@ func decodeWithinBound(t *testing.T, payload []byte, decode func() error) error 
 		t.Fatalf("decoding a %d-byte payload allocated %d bytes, bound %d", len(payload), got, max)
 	}
 	return err
+}
+
+// seedNames orders the named seed frames as FuzzWorkerFrame adds them; the
+// checked-in corpus holds each as testdata/fuzz/FuzzWorkerFrame/seed_<name>.
+var seedNames = []string{
+	"batch", "result", "batch_traced", "result_traced", "hello", "welcome", "heartbeat",
+	"two_frames", "torn_payload", "torn_header", "crc_flip", "forged_len",
+}
+
+// brokenSeeds are the seeds written to fail, with the error each must keep.
+var brokenSeeds = map[string]error{
+	"torn_payload": io.ErrUnexpectedEOF,
+	"torn_header":  io.ErrUnexpectedEOF,
+	"crc_flip":     ErrBadCRC,
+	"forged_len":   ErrFrameTooBig,
+}
+
+// seedFrames builds the named seeds with the current encoders over the
+// frame_test.go fixtures.
+func seedFrames(tb testing.TB) map[string][]byte {
+	must := func(frame []byte, err error) []byte {
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return frame
+	}
+	b, bt, r, rt := testBatch(), testBatchTraced(), testResult(), testResult()
+	rt.Traced = []uint32{0, 2}
+	rt.WaitNS = []int64{1500, 90}
+	rt.ServiceNS = []int64{42000, 7}
+	batch := must(appendBatchFrame(nil, b.Seq, string(b.Bolt), b.Items))
+	result := must(appendResultFrame(nil, &r))
+	flipped := append([]byte(nil), result...)
+	flipped[len(flipped)-1] ^= 0xFF
+	forged := append([]byte(nil), batch...)
+	forged[0], forged[1] = 0xFF, 0xFF // absurd length prefix
+	return map[string][]byte{
+		"batch":         batch,
+		"result":        result,
+		"batch_traced":  must(appendBatchFrame(nil, bt.Seq, string(bt.Bolt), bt.Items)),
+		"result_traced": must(appendResultFrame(nil, &rt)),
+		"hello":         must(appendJSONFrame(nil, kindHello, helloMsg{Worker: "w0", Pid: 1})),
+		"welcome":       must(appendJSONFrame(nil, kindWelcome, welcomeMsg{Machine: 1, Seed: 7, HeartbeatMS: 100, LeaseMS: 400})),
+		"heartbeat":     must(appendHeartbeatFrame(nil)),
+		"two_frames":    append(append([]byte(nil), batch...), result...),
+		"torn_payload":  batch[:len(batch)-3],
+		"torn_header":   batch[:5],
+		"crc_flip":      flipped,
+		"forged_len":    forged,
+	}
+}
+
+var updateSeeds = flag.Bool("update-seeds", false, "rewrite the checked-in FuzzWorkerFrame seeds from the current encoders")
+
+// TestFuzzSeedsDecode holds the checked-in FuzzWorkerFrame corpus to the
+// wire format: every batch and result frame of a seed decodes, and each
+// broken seed keeps its error. A seed left behind by a wire-format change
+// reaches only the decoders' error branches, and the fuzzer then starts no
+// valid frame; this test names it. `go test ./internal/worker -run
+// TestFuzzSeedsDecode -update-seeds` rewrites the corpus.
+func TestFuzzSeedsDecode(t *testing.T) {
+	const dir = "testdata/fuzz/FuzzWorkerFrame"
+	if *updateSeeds {
+		seeds := seedFrames(t)
+		for _, name := range seedNames {
+			body := fmt.Sprintf("go test fuzz v1\n[]byte(%q)\n", seeds[name])
+			if err := os.WriteFile(filepath.Join(dir, "seed_"+name), []byte(body), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, name := range seedNames {
+		raw, err := os.ReadFile(filepath.Join(dir, "seed_"+name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		quoted, ok := strings.CutPrefix(string(raw), "go test fuzz v1\n[]byte(")
+		quoted, ok2 := strings.CutSuffix(strings.TrimSpace(quoted), ")")
+		data, err := strconv.Unquote(quoted)
+		if !ok || !ok2 || err != nil {
+			t.Fatalf("seed_%s: not a []byte corpus entry: %v", name, err)
+		}
+		err = decodeFrames([]byte(data))
+		if want := brokenSeeds[name]; want != nil {
+			if !errors.Is(err, want) {
+				t.Errorf("seed_%s: error %v, want %v", name, err, want)
+			}
+		} else if err != nil {
+			t.Errorf("seed_%s: %v (regenerate with -update-seeds)", name, err)
+		}
+	}
+}
+
+// decodeFrames reads every frame of data and decodes its payload by kind,
+// returning the first error; a clean end of data is nil.
+func decodeFrames(data []byte) error {
+	rd := bytes.NewReader(data)
+	var buf []byte
+	var sl slab
+	for {
+		var err error
+		if buf, err = readFrame(rd, buf); err != nil {
+			if errors.Is(err, io.EOF) {
+				return nil
+			}
+			return err
+		}
+		switch buf[0] {
+		case kindBatch:
+			err = decodeBatch(buf, new(batchMsg), &sl)
+		case kindResult:
+			err = decodeResult(buf, new(resultMsg), &sl)
+		case kindHello:
+			err = decodeJSONBody(buf, new(helloMsg))
+		case kindWelcome:
+			err = decodeJSONBody(buf, new(welcomeMsg))
+		}
+		if err != nil {
+			return err
+		}
+	}
 }

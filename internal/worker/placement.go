@@ -6,13 +6,14 @@ import (
 	"github.com/drs-repro/drs/internal/engine"
 )
 
-// Placement application: the cluster scheduler's slot placement (machine
-// id → slot count) becomes real executor bindings. Slots are enumerated
-// deterministically — bolts in declaration order, executors in index order
-// — and machines fill in ascending id order, so the same placement always
-// produces the same binding and re-applying after churn only moves the
-// executors whose machine actually changed (BindExecutor is idempotent on
-// unchanged bindings).
+// Placement application: a slot placement (machine id → slot count)
+// becomes real executor bindings. The live caller, node, passes
+// SlotsPerMachine per live worker and leaves the remainder local. Slots
+// are enumerated deterministically — bolts in declaration order, executors
+// in index order — and machines fill in ascending id order, so the same
+// placement always produces the same binding and re-applying after churn
+// only moves the executors whose machine actually changed (BindExecutor is
+// idempotent on unchanged bindings).
 
 // BindingPlan is the resolved slot → machine assignment of one placement
 // application.
@@ -27,7 +28,7 @@ type BindingPlan struct {
 	Errors int
 }
 
-// ApplyPlacement binds a run's executors per the scheduler's placement.
+// ApplyPlacement binds a run's executors per a slot placement.
 // alloc is the run's current executor allocation (bolt → count, as
 // Run.Allocation returns); placement maps machine id → slot count;
 // localMachine is the machine embodied by the serve process itself (its

@@ -272,7 +272,7 @@ func (w *Worker) runBolt(h *hostedBolt) {
 		res.Emitted = res.Emitted[:0]
 		res.Served = int64(len(m.Items))
 		res.Sampled = int64(len(m.Items))
-		res.BusyNanos, res.BusySqMicros, res.Errors = 0, 0, 0
+		res.BusyNanos, res.Errors = 0, 0
 		res.Traced = res.Traced[:0]
 		res.WaitNS = res.WaitNS[:0]
 		res.ServiceNS = res.ServiceNS[:0]
@@ -287,8 +287,6 @@ func (w *Worker) runBolt(h *hostedBolt) {
 			err := inst.Process(engine.Tuple{Values: it.Values}, emit)
 			d := time.Since(start)
 			res.BusyNanos += int64(d)
-			us := d.Microseconds()
-			res.BusySqMicros += us * us
 			if err != nil {
 				res.Errors++
 			}
