@@ -127,7 +127,7 @@ func (g *Gate) Replay() (int, error) {
 		b.reset()
 		for _, rec := range pending[start:min(start+burstMax, len(pending))] {
 			v := sl.Values(1)
-			v[0] = rec.Payload
+			v[0] = sl.BoxBytes(rec.Payload)
 			b.offers = append(b.offers, offer{v: v, verdict: Verdict{Admitted: true}})
 		}
 		// What a full ring refuses is a candidate again a millisecond later.

@@ -55,17 +55,17 @@ func wholeRecordFrames(data []byte) int {
 }
 
 // streamAllocBound is the most heap serving a fed-byte stream may take.
-// Per record the loop pays the record's bytes, its 16-byte slot, the
-// 24-byte []byte box and — while the burst scratch is still doubling
+// Per record the loop pays the record's bytes, its 16-byte value slot, its
+// 24-byte []byte box slot and — while the burst scratch is still doubling
 // towards burstMax — its share of an offer; the emptiest frame is 4 bytes,
 // hence 32 per byte fed. The fixed part is what a connection owns however
 // little it sends: the read buffer, the first large-record buffer, one
-// chunk of each kind, the full-grown burst scratch and reply vector, and
-// whatever else the process allocates meanwhile (the counter is
-// process-wide). A forged length that reached a make would add up to
+// chunk of each kind the loop carves (bytes, values, []byte boxes), the
+// full-grown burst scratch and reply vector, and whatever else the process
+// allocates meanwhile (the counter is process-wide). A forged length that reached a make would add up to
 // maxRecordBytes and break it.
 func streamAllocBound(fed int) uint64 {
-	fixed := 2*tcpReadBuffer + engine.SlabBytesChunk + 16*engine.SlabValuesChunk + 3*burstMax*(56+24) + 64<<10
+	fixed := 2*tcpReadBuffer + engine.SlabBytesChunk + 16*engine.SlabValuesChunk + 24*engine.SlabBoxChunk + 3*burstMax*(56+24) + 64<<10
 	return uint64(32*fed + fixed)
 }
 

@@ -52,10 +52,10 @@ func (c ListenerConfig) client(g *Gate, id string) *Client {
 }
 
 // httpScratch is what one request borrows from scratchPool: the admit
-// scratch, the slab its records and their one-slot Values are carved from,
-// and the reply body's bytes. The topology may keep a record or its Values
-// forever, so the slab is never rewound — a full chunk is dropped and
-// replaced, and a kept payload keeps its 32 KiB chunk alive (engine.Slab's
+// scratch, the slab its records, their one-slot Values and boxes are carved
+// from, and the reply body's bytes. The topology may keep a record or its
+// Values forever, so the slab is never rewound — a full chunk is dropped
+// and replaced, and a kept payload keeps its chunks alive (engine.Slab's
 // rule, the TCP listener's too); the burst is reset — holding no payload —
 // before the scratch goes back.
 type httpScratch struct {
@@ -132,12 +132,12 @@ type tally struct {
 	worst          Verdict
 }
 
-// offer adds one record — a sub-slice of the body, its one-slot Values
-// carved from the slab: nothing a request allocates but the box Go makes
-// for the []byte — and admits the burst when it is full.
+// offer adds one record — a sub-slice of the body, its one-slot Values and
+// the box of its []byte carved from the slab: nothing a record allocates —
+// and admits the burst when it is full.
 func (sc *httpScratch) offer(cl *Client, rec []byte, t *tally) {
 	v := sc.slab.Values(1)
-	v[0] = rec
+	v[0] = sc.slab.BoxBytes(rec)
 	sc.burst.add(v)
 	if len(sc.burst.offers) == burstMax {
 		sc.flush(cl, t)

@@ -39,8 +39,9 @@
 // before any record of the burst is acknowledged, one vectored reply.
 // Client.Offer is the same path for a burst of one: two atomic counters,
 // one token bucket and one bounded-ring push, zero allocations. A listener
-// pays one allocation per record, the box Go makes when the record's
-// []byte becomes the payload's `any`.
+// — and Gate.Replay — pays none per record either: the record's bytes, its
+// one-slot Values and the box its []byte takes as the payload's `any` are
+// carved from the listener's slab.
 package ingest
 
 import (

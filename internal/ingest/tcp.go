@@ -61,7 +61,7 @@ const tcpReadBuffer = 64 << 10
 // is one heap object so that handing its reply vector to the connection
 // costs no allocation per burst.
 type connState struct {
-	slab    engine.Slab // every record and its one-slot Values is carved from it
+	slab    engine.Slab // every record, its one-slot Values and its box are carved from it
 	burst   burst
 	replies [burstMax][5]byte
 	vec     net.Buffers // the replies of one burst, one 5-byte slice each
@@ -108,7 +108,7 @@ func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 				return
 			}
 			v := st.slab.Values(1)
-			v[0] = rec
+			v[0] = st.slab.BoxBytes(rec)
 			st.burst.add(v)
 			if len(st.burst.offers) == burstMax {
 				break

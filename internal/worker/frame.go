@@ -12,8 +12,10 @@
 // frames (hello, welcome) are small and JSON-encoded; data frames (batch,
 // result) use a compact binary layout with per-value type tags, encoded
 // into reused buffers so the steady shuttle path allocates nothing on the
-// send side, and decoded into a per-reader bump slab (see slab) so the
-// receive side allocates only the interface box Go makes per value.
+// send side, and decoded into a per-reader bump slab (see slab) — payloads,
+// bytes and the interface box of every data value — so the receive side
+// allocates nothing per value either (a stream marker still costs its
+// string and box).
 // Decoding is strict — unknown kinds, unknown tags, truncated
 // bodies, forged counts and trailing garbage are all errors — which is what
 // lets the fuzz harness assert "any byte stream either decodes cleanly or
@@ -335,8 +337,9 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 }
 
 // slab is what one connection reader decodes into: the shared bump
-// allocator every decoded Values and []byte payload is carved from (see
-// engine.Slab for the ownership rules), plus the emit-list scratch.
+// allocator every decoded Values, []byte payload and value box is carved
+// from (see engine.Slab for the ownership rules), plus the emit-list
+// scratch.
 type slab struct {
 	engine.Slab
 	emits []engine.Values // decodeResult's flat emit-list scratch, reused per frame
@@ -424,31 +427,32 @@ func (c *wire) done() error {
 	return nil
 }
 
-// decodeValue decodes one tagged value. Byte strings are copied out (into
-// the slab): the frame buffer is reused for the next read.
+// decodeValue decodes one tagged value; a number, string or byte string is
+// boxed in the slab. Byte strings are copied out (into the slab): the frame
+// buffer is reused for the next read.
 func (c *wire) decodeValue() any {
 	switch tag := c.u8(); tag {
 	case tagNil:
 		return nil
 	case tagInt:
-		return int(c.u64())
+		return c.s.BoxInt(int(c.u64()))
 	case tagInt64:
-		return int64(c.u64())
+		return c.s.BoxInt64(int64(c.u64()))
 	case tagUint64:
-		return c.u64()
+		return c.s.BoxUint64(c.u64())
 	case tagFloat:
-		return math.Float64frombits(c.u64())
+		return c.s.BoxFloat64(math.Float64frombits(c.u64()))
 	case tagTrue:
 		return true
 	case tagFalse:
 		return false
 	case tagString:
-		return string(c.take(int(c.u32())))
+		return c.s.BoxString(c.take(int(c.u32())))
 	case tagBytes:
 		b := c.take(int(c.u32()))
 		out := c.s.Bytes(len(b))
 		copy(out, b)
-		return out
+		return c.s.BoxBytes(out)
 	case tagStream:
 		return engine.StreamTagValue(string(c.take(int(c.u32()))))
 	default:

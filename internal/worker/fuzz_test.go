@@ -126,13 +126,18 @@ func FuzzWorkerFrame(f *testing.F) {
 
 // decodeAllocBound is the most heap one decode of an n-byte payload may
 // take. The slab refills each chunk kind once per 3/4 chunk it carves (a
-// replaced chunk drops under a quarter unused), and the densest payloads —
-// a 1-byte bool filling a 16-byte slot, a 6-byte empty tuple growing Items
-// or the emit scratch by a doubling append — stay under 64 heap bytes per
-// payload byte. The last term absorbs whatever else the process allocates
+// replaced chunk drops under a quarter unused; a box chunk is used up
+// whole), and the densest payloads — a 1-byte bool filling a 16-byte value
+// slot, a 5-byte empty string or byte string filling a value slot and a 16-
+// or 24-byte box slot, a 6-byte empty tuple growing Items or the emit
+// scratch by a doubling append — stay under 64 heap bytes per payload byte.
+// The fixed part is the first chunk of each kind: values, bytes and the six
+// box chunks (a []byte header and a string are 24 and 16 bytes, the four
+// numbers 8). The last term absorbs whatever else the process allocates
 // meanwhile: the counter is process-wide.
 func decodeAllocBound(n int) uint64 {
-	return uint64(64*n + 16*engine.SlabValuesChunk + engine.SlabBytesChunk + 64<<10)
+	boxChunks := (24 + 16 + 4*8) * engine.SlabBoxChunk
+	return uint64(64*n + 16*engine.SlabValuesChunk + engine.SlabBytesChunk + boxChunks + 64<<10)
 }
 
 // decodeWithinBound runs one decode and fails the test if the heap it took

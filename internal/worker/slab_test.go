@@ -2,6 +2,7 @@ package worker
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -26,13 +27,18 @@ func recTuple(fill byte, withCRC bool) engine.Values {
 	return engine.Values{rec}
 }
 
-// recBatch and recResult frame n tuples of one shape as a batch payload and
-// as a result payload (one emission per item), kind byte first.
-func recBatch(t testing.TB, n int, fill byte, withCRC bool) []byte {
+// recTuples is recTuple(fill+i, withCRC) for item i.
+func recTuples(fill byte, withCRC bool) func(i int) engine.Values {
+	return func(i int) engine.Values { return recTuple(fill+byte(i), withCRC) }
+}
+
+// recBatch and recResult frame n tuples, tuple(i) for item i, as a batch
+// payload and as a result payload (one emission per item), kind byte first.
+func recBatch(t testing.TB, n int, tuple func(i int) engine.Values) []byte {
 	t.Helper()
 	items := make([]engine.RemoteItem, n)
 	for i := range items {
-		items[i] = engine.RemoteItem{Task: i % 4, Values: recTuple(fill+byte(i), withCRC)}
+		items[i] = engine.RemoteItem{Task: i % 4, Values: tuple(i)}
 	}
 	frame, err := appendBatchFrame(nil, 1, "parse", items)
 	if err != nil {
@@ -41,11 +47,11 @@ func recBatch(t testing.TB, n int, fill byte, withCRC bool) []byte {
 	return frame[8:]
 }
 
-func recResult(t testing.TB, n int, fill byte, withCRC bool) []byte {
+func recResult(t testing.TB, n int, tuple func(i int) engine.Values) []byte {
 	t.Helper()
 	res := resultMsg{Seq: 1, Emitted: make([][]engine.Values, n)}
 	for i := range res.Emitted {
-		res.Emitted[i] = []engine.Values{recTuple(fill+byte(i), withCRC)}
+		res.Emitted[i] = []engine.Values{tuple(i)}
 	}
 	frame, err := appendResultFrame(nil, &res)
 	if err != nil {
@@ -54,21 +60,32 @@ func recResult(t testing.TB, n int, fill byte, withCRC bool) []byte {
 	return frame[8:]
 }
 
-// TestDecodeSteadyStateAllocs pins the receive side's cost to the interface
-// boxes Go itself makes: one per item for [rec] (the []byte header), two for
-// [rec, int64], plus chunk refills amortised to at most 0.05 per item. The
-// Values, the byte payloads and the per-item emit lists cost nothing.
+// TestDecodeSteadyStateAllocs pins the receive side's cost per item at the
+// slab's chunk refills, amortised to at most 0.05, for the benchmark's two
+// shapes and a tuple of each data tag the codec carries: the Values, the
+// byte payloads, every value's interface box and the per-item emit lists
+// are carved or reused. (The stream marker, which rides only an Emit.To
+// emission, still costs its string and box.)
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	const n = 256
 	for _, tc := range []struct {
-		name    string
-		withCRC bool
-		boxes   float64
-	}{{"rec", false, 1}, {"rec+crc", true, 2}} {
-		batch, result := recBatch(t, n, 1, tc.withCRC), recResult(t, n, 1, tc.withCRC)
+		name  string
+		tuple func(i int) engine.Values
+	}{
+		{"rec", recTuples(1, false)},
+		{"rec+int64", recTuples(1, true)},
+		{"nil", func(int) engine.Values { return engine.Values{nil} }},
+		{"int", func(i int) engine.Values { return engine.Values{int(benchCRC) + i} }},
+		{"uint64", func(i int) engine.Values { return engine.Values{uint64(benchCRC) + uint64(i)} }},
+		{"float", func(i int) engine.Values { return engine.Values{float64(i) + 0.5} }},
+		{"true", func(int) engine.Values { return engine.Values{true} }},
+		{"false", func(int) engine.Values { return engine.Values{false} }},
+		{"string", func(i int) engine.Values { return engine.Values{fmt.Sprintf("record %d", i)} }},
+	} {
+		batch, result := recBatch(t, n, tc.tuple), recResult(t, n, tc.tuple)
 		var sl slab
 		var bm batchMsg
 		var rm resultMsg
@@ -79,9 +96,8 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			if err := decode(); err != nil { // warm the message and scratch capacity
 				t.Fatal(err)
 			}
-			perItem := testing.AllocsPerRun(50, func() { _ = decode() }) / n
-			if perItem < tc.boxes || perItem > tc.boxes+0.05 {
-				t.Errorf("%s %s: %.3f allocs/item, want [%.0f, %.2f]", name, tc.name, perItem, tc.boxes, tc.boxes+0.05)
+			if perItem := testing.AllocsPerRun(50, func() { _ = decode() }) / n; perItem > 0.05 {
+				t.Errorf("%s %s: %.3f allocs/item, want <= 0.05", name, tc.name, perItem)
 			}
 		}
 	}
@@ -89,8 +105,8 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 
 // TestShuttleRoundTripAllocs pins a one-item batch's whole round trip —
 // ProcessBatch, frame out, worker decode, bolt, frame back, decode, done —
-// over loopback: the two []byte boxes (one per direction) and nothing per
-// batch (AllocsPerRun floors away the amortised chunk refills).
+// over loopback at zero: both decodes carve the []byte box too, and
+// AllocsPerRun floors away the amortised chunk refills.
 func TestShuttleRoundTripAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -120,9 +136,8 @@ func TestShuttleRoundTripAllocs(t *testing.T) {
 		}
 	}
 	trip()
-	const maxAllocs = 2
-	if got := testing.AllocsPerRun(500, trip); got > maxAllocs {
-		t.Fatalf("one-item round trip: %.0f allocs, want <= %d", got, maxAllocs)
+	if got := testing.AllocsPerRun(500, trip); got != 0 {
+		t.Fatalf("one-item round trip: %.0f allocs, want 0", got)
 	}
 }
 
@@ -165,14 +180,14 @@ func TestSlabRetainedValuesSurvive(t *testing.T) {
 		}
 		return batch, result
 	}
-	if err := decodeBatch(recBatch(t, n, 1, true), &bm, &sl); err != nil {
+	if err := decodeBatch(recBatch(t, n, recTuples(1, true)), &bm, &sl); err != nil {
 		t.Fatal(err)
 	}
-	if err := decodeResult(recResult(t, n, 101, true), &rm, &sl); err != nil {
+	if err := decodeResult(recResult(t, n, recTuples(101, true)), &rm, &sl); err != nil {
 		t.Fatal(err)
 	}
 	keptBatch, keptResult := tuples()
-	batch, result := recBatch(t, n, 200, true), recResult(t, n, 50, true)
+	batch, result := recBatch(t, n, recTuples(200, true)), recResult(t, n, recTuples(50, true))
 	for i := 0; i < 5000; i++ {
 		if err := decodeBatch(batch, &bm, &sl); err != nil {
 			t.Fatal(err)
@@ -194,7 +209,7 @@ func TestSlabRetainedValuesSurvive(t *testing.T) {
 func TestSlabAppendCannotReachNeighbour(t *testing.T) {
 	var sl slab
 	var bm batchMsg
-	if err := decodeBatch(recBatch(t, 2, 1, true), &bm, &sl); err != nil {
+	if err := decodeBatch(recBatch(t, 2, recTuples(1, true)), &bm, &sl); err != nil {
 		t.Fatal(err)
 	}
 	first, second := bm.Items[0].Values, bm.Items[1].Values
