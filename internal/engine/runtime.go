@@ -513,7 +513,8 @@ func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 	}
 	var b *batchAck
 	if done != nil {
-		b = &batchAck{done: done}
+		b = batchAckPool.Get().(*batchAck)
+		b.done = done
 		b.pending.Store(int64(len(vs)))
 	}
 	now := time.Now()

@@ -150,16 +150,23 @@ func (t *ackTree) complete(now time.Time) {
 // callback (spoutCtx.inject): pending is installed at the batch size
 // before any root can complete, and the last completing root fires done.
 // Batches without a callback never touch it — the only cost they pay is
-// complete's nil check.
+// complete's nil check. Pooled like the trees: the last ack is the unique
+// release point, every root having dropped its pointer before acking.
 type batchAck struct {
 	pending atomic.Int64
 	done    func()
 }
 
-// ack resolves one root of the batch; the last one fires done.
+var batchAckPool = sync.Pool{New: func() any { return new(batchAck) }}
+
+// ack resolves one root of the batch; the last one recycles the countdown
+// and fires done.
 func (b *batchAck) ack() {
 	if b.pending.Add(-1) == 0 {
-		b.done()
+		done := b.done
+		b.done = nil
+		batchAckPool.Put(b)
+		done()
 	}
 }
 

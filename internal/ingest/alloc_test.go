@@ -229,6 +229,54 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 	}
 }
 
+// TestDurableAckCycleAllocs pins the durable ack path at zero allocations
+// per batch: a record pushed into a durable gate's ring is popped by the
+// NetworkSpout with its tracker range, served, and its completion advances
+// the watermark. The range, its callback and the engine's batch countdown
+// are all reused from an earlier batch.
+func TestDurableAckCycleAllocs(t *testing.T) {
+	if obs.RaceEnabled {
+		t.Skip("AllocsPerRun is unreliable under -race")
+	}
+	g, l, _ := durableGate(t, t.TempDir(), 1<<10)
+	defer l.Close()
+	topo, err := engine.NewTopology().
+		Spout("net", 1, func(int) engine.Spout { return &engine.NetworkSpout{Source: g.Source()} }).
+		Bolt("sink", 2, func(int) engine.Bolt {
+			return engine.BoltFunc(func(engine.Tuple, engine.Emit) error { return nil })
+		}).
+		Shuffle("net", "sink").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := topo.Start(engine.RunConfig{Alloc: map[string]int{"sink": 2}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Stop()
+	defer g.Close()
+	v := engine.Values{[]byte("record")}
+	var pushed uint64
+	cycle := func() {
+		if !g.Ring().TryPush(v) {
+			t.Fatal("push refused on an idle ring")
+		}
+		pushed++
+		for g.Watermark() < pushed {
+			runtime.Gosched()
+		}
+	}
+	for i := 0; i < 100; i++ { // fill the pools and the tracker's free list
+		cycle()
+	}
+	allocs := testing.AllocsPerRun(1000, cycle)
+	t.Logf("durable push → pop → serve → ack: %.3f allocs per batch", allocs)
+	if allocs > 0.05 {
+		t.Fatalf("the durable ack cycle allocates %.3f per batch, want 0", allocs)
+	}
+}
+
 // TestReplanAllocsOutsidePlan holds a replanning round with two clients,
 // the decision log on, to PlanAdmission's own allocations plus at most
 // four: the client list, the per-client vectors and the fill order live on

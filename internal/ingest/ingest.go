@@ -26,7 +26,8 @@
 //   - Ring: the bounded, batch-aware MPSC hand-off into the engine,
 //     drained by engine.NetworkSpout, which hands each popped batch — with
 //     its trace ids and, in durable mode, its ack — to the engine's one
-//     injection body. A full ring is backpressure, not memory growth.
+//     injection body. A ring at its bound is backpressure, not memory
+//     growth; below the bound its storage follows the backlog.
 //   - SupervisedTarget: wraps the supervisor's Target so every interval
 //     report carries OfferedArrivals = admitted + shed, the measurement
 //     that closes the loop (metrics.Measurer smooths the two series
@@ -125,7 +126,8 @@ type GateConfig struct {
 	// MaxSlots is the provider cap in executor slots, for the Appendix-B
 	// scale-out-viability verdict (0 = uncapped).
 	MaxSlots int
-	// RingCapacity bounds the hand-off ring (default 4096).
+	// RingCapacity bounds the hand-off ring's backlog (default 4096); its
+	// storage grows toward the bound with the backlog (see Ring).
 	RingCapacity int
 	// ReplanEvery is the admission replanning cadence (default 1s), and
 	// the backpressure hint of overload/backlog sheds — the earliest the

@@ -8,20 +8,31 @@ import (
 	"github.com/drs-repro/drs/internal/obs"
 )
 
+// ringFloor is the storage a ring starts with, and never shrinks below,
+// when its bound is larger: room for the closed-loop window every client
+// keeps, so steady traffic never resizes it.
+const ringFloor = 1024
+
 // Ring is the bounded MPSC hand-off between the listener threads and the
 // engine's NetworkSpout: producers TryPush decoded payloads, the single
 // consumer drains them in batches. It reuses the engine queue idiom — a
 // power-of-two ring drained up to a buffer's worth per lock round, with
 // batch-granular signaling — but unlike the engine's unbounded executor
-// queues it is *bounded*: a full ring refuses the push, which the gate
-// converts into explicit client backpressure (HTTP 429 / TCP NACK)
-// instead of letting overload grow the data plane's memory. The fast
-// paths allocate nothing in steady state.
+// queues it is *bounded*: a push that finds bound payloads queued is
+// refused, which the gate converts into explicit client backpressure
+// (HTTP 429 / TCP NACK) instead of letting overload grow the data plane's
+// memory. The bound is a ceiling, not an allocation: the storage starts at
+// min(bound, ringFloor) slots, doubles when a push finds it full below the
+// bound, and halves when a pop empties it after a peak under a quarter of
+// it (the engine queue's rule, so a shrink copies nothing). The fast paths
+// allocate nothing in steady state.
 type Ring struct {
 	mu     sync.Mutex
-	buf    []slot // power-of-two ring, fixed capacity
+	buf    []slot // power-of-two storage, len(buf) <= bound
+	bound  int    // power-of-two backlog at which a push is refused
 	head   int    // index of the oldest item
 	n      int    // live item count
+	peak   int    // max live count since the ring last went empty
 	pushed uint64 // total successful pushes — the admission seq counter
 	closed bool
 	// tracer, when set (NewGate wires GateConfig.Tracer), decides per-push
@@ -42,15 +53,16 @@ type slot struct {
 	trace uint64
 }
 
-// NewRing builds a ring holding at least capacity payloads (rounded up to
-// a power of two; minimum 2).
+// NewRing builds a ring bounded at capacity payloads (rounded up to a
+// power of two; minimum 2).
 func NewRing(capacity int) *Ring {
-	size := 2
-	for size < capacity {
-		size *= 2
+	bound := 2
+	for bound < capacity {
+		bound *= 2
 	}
 	return &Ring{
-		buf:      make([]slot, size),
+		buf:      make([]slot, min(bound, ringFloor)),
+		bound:    bound,
 		notEmpty: make(chan struct{}, 1),
 	}
 }
@@ -62,8 +74,16 @@ func (r *Ring) Len() int {
 	return r.n
 }
 
+// Slots reports, in payloads, the backlog, the storage allocated for it
+// and the bound at which a push is refused.
+func (r *Ring) Slots() (queued, allocated, bound int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.n, len(r.buf), r.bound
+}
+
 // TryPush enqueues one payload without blocking. It returns false when the
-// ring is full (the backpressure signal) or closed.
+// backlog is at the bound (the backpressure signal) or the ring is closed.
 func (r *Ring) TryPush(v engine.Values) bool {
 	o := [1]offer{{v: v, verdict: Verdict{Admitted: true}}}
 	_, pushed, _ := r.pushBurst(o[:], 0)
@@ -91,9 +111,12 @@ func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64
 		if !o.verdict.Admitted {
 			continue
 		}
-		if r.closed || r.n == len(r.buf) {
+		if r.closed || r.n == r.bound {
 			o.verdict = Verdict{Reason: ShedBacklog, RetryAfter: retryAfter}
 			continue
+		}
+		if r.n == len(r.buf) {
+			r.grow()
 		}
 		r.pushed++
 		o.trace = 0
@@ -104,11 +127,21 @@ func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64
 		r.n++
 		pushed++
 	}
+	r.peak = max(r.peak, r.n)
 	r.mu.Unlock()
 	if wake && pushed > 0 {
 		r.signal()
 	}
 	return first, pushed, sampled
+}
+
+// grow doubles the full storage, unwinding the wrapped items oldest first
+// to index 0 with their trace ids beside them.
+func (r *Ring) grow() {
+	nb := make([]slot, 2*len(r.buf))
+	k := copy(nb, r.buf[r.head:])
+	copy(nb[k:], r.buf[:r.head])
+	r.buf, r.head = nb, 0
 }
 
 // Pushed reports the total successful pushes — the high end of the
@@ -190,6 +223,15 @@ func (r *Ring) popBatch(done <-chan struct{}, buf []engine.Values, ids []uint64)
 			}
 			r.head = (r.head + take) & mask
 			r.n -= take
+			if r.n == 0 {
+				// Empty: a shrink copies nothing. Storage a burst grew is
+				// halved once per empty point whose peak used under a
+				// quarter of it.
+				if len(r.buf) > ringFloor && r.peak*4 < len(r.buf) {
+					r.buf, r.head = make([]slot, len(r.buf)/2), 0
+				}
+				r.peak = 0
+			}
 			r.mu.Unlock()
 			return out, traces, true
 		}

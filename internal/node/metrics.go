@@ -108,6 +108,17 @@ func (m *metrics) register(n *Node) {
 			return 0
 		})
 
+	// Ingest ring: its backlog, the storage holding it (grown and shrunk
+	// with the backlog) and the bound at which a push is refused.
+	ring := gate.Ring()
+	const ringHelp = "Ingest ring slots, by kind: queued records, allocated storage, the bound a push is refused at."
+	reg.Func("drs_ingest_ring_slots", ringHelp,
+		obs.Gauge, `kind="queued"`, func() float64 { q, _, _ := ring.Slots(); return float64(q) })
+	reg.Func("drs_ingest_ring_slots", ringHelp,
+		obs.Gauge, `kind="allocated"`, func() float64 { _, a, _ := ring.Slots(); return float64(a) })
+	reg.Func("drs_ingest_ring_slots", ringHelp,
+		obs.Gauge, `kind="bound"`, func() float64 { _, _, b := ring.Slots(); return float64(b) })
+
 	// Engine: root-tuple books and the per-bolt cumulative counters the
 	// DrainInterval folds (probe resets on rebalance do not zero these).
 	reg.Func("drs_engine_roots_started_total", "Root tuples injected by spouts.",

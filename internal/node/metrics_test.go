@@ -87,8 +87,17 @@ func TestMetricsContract(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lines, series := metricsContract(string(n.metrics.reg.Write(nil)))
+		exposition := string(n.metrics.reg.Write(nil))
+		lines, series := metricsContract(exposition)
 		n.Close()
+		// An idle node's ring: nothing queued, the floor allocated, the
+		// default bound.
+		for _, s := range []string{`drs_ingest_ring_slots{kind="queued"} 0`,
+			`drs_ingest_ring_slots{kind="allocated"} 1024`, `drs_ingest_ring_slots{kind="bound"} 4096`} {
+			if !strings.Contains(exposition, s+"\n") {
+				t.Errorf("%s: no %q sample", sh.name, s)
+			}
+		}
 		fmt.Fprintf(&got, "== %s\n%s\n", sh.name, strings.Join(lines, "\n"))
 		const bound = 4 // the widest family: three shed reasons
 		for family, count := range series {

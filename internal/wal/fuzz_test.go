@@ -31,6 +31,12 @@ func FuzzWALSegment(f *testing.F) {
 	f.Add(unknown)
 	f.Add([]byte("garbage that is not a segment at all"))
 	f.Add([]byte{})
+	// Valid-CRC record and watermark frames with bodies shorter than a seq,
+	// each followed by a good frame whose bytes a short read would take.
+	for _, kind := range []byte{kindRecord, kindWatermark} {
+		short := appendRawFrame(append([]byte(nil), seed...), kind, []byte{1, 2, 3})
+		f.Add(frameRecord(short, 6, []byte("seed-record")))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		dir := t.TempDir()

@@ -97,6 +97,11 @@ func (l *Log) scanSegment(path string, last bool, records *[]Record) (segment, i
 			}
 			return seg, count, trunc, nil
 		}
+		// Both kinds carry a seq after the kind byte. A shorter body behind
+		// a valid CRC is forged or skewed, not torn — like an unknown kind.
+		if len(frame) < 9 {
+			return seg, count, 0, fmt.Errorf("%w: %s: %d-byte frame of kind %d at offset %d", ErrCorrupt, filepath.Base(path), len(frame), frame[0], off)
+		}
 		switch frame[0] {
 		case kindRecord:
 			seq := binary.BigEndian.Uint64(frame[1:9])

@@ -13,17 +13,24 @@ import "sync"
 // largest W such that every seq <= W belongs to a completed range — the
 // safe compaction point: a record at or below it has provably been
 // processed, so its WAL frame is dead weight.
+//
+// A delivered range is a recycled node whose completion callback is bound
+// once, when the node is first allocated, so a steady deliver → complete
+// cycle allocates nothing.
 type Tracker struct {
 	mu        sync.Mutex
-	watermark uint64   // every seq <= watermark completed
-	next      uint64   // first seq not yet covered by a delivered range
-	pending   []crange // delivered, not yet completed, ascending by start
+	watermark uint64    // every seq <= watermark completed
+	next      uint64    // first seq not yet covered by a delivered range
+	pending   []*crange // delivered, not yet retired, ascending by start
+	free      []*crange // retired ranges, reused by Deliver
 }
 
 // crange is one delivered [start, end] batch and its completion state.
 type crange struct {
+	t          *Tracker
 	start, end uint64
 	done       bool
+	ack        func() // the bound complete method Deliver hands out
 }
 
 // NewTracker returns a tracker whose watermark starts at w (the recovered
@@ -33,38 +40,50 @@ func NewTracker(w uint64) *Tracker {
 	return &Tracker{watermark: w, next: w + 1}
 }
 
+// noop is the callback of an empty or stale delivery.
+func noop() {}
+
 // Deliver registers that the contiguous batch ending at seq `end` has
 // been handed to the engine and returns the completion callback for it.
 // Ranges must be delivered in FIFO order (each call covers [next, end]).
-// The callback is safe to invoke from any goroutine, exactly once.
+// The callback is safe to invoke from any goroutine, and must be invoked
+// exactly once: once its range retires, it is handed out again for a
+// later one.
 func (t *Tracker) Deliver(end uint64) func() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if end < t.next {
-		// An empty or stale range completes immediately; hand back a no-op.
-		return func() {}
+		return noop
 	}
-	t.pending = append(t.pending, crange{start: t.next, end: end})
+	var c *crange
+	if n := len(t.free); n > 0 {
+		c, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		c = &crange{t: t}
+		c.ack = c.complete
+	}
+	c.start, c.end, c.done = t.next, end, false
+	t.pending = append(t.pending, c)
 	t.next = end + 1
-	idx := len(t.pending) - 1
-	start := t.pending[idx].start
-	return func() { t.complete(start) }
+	return c.ack
 }
 
-// complete marks the range starting at start done and advances the
-// watermark across every leading completed range.
-func (t *Tracker) complete(start uint64) {
+// complete marks the range done and advances the watermark across every
+// leading completed range, retiring them to the free list.
+func (c *crange) complete() {
+	t := c.t
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	for i := range t.pending {
-		if t.pending[i].start == start {
-			t.pending[i].done = true
-			break
-		}
+	c.done = true
+	k := 0
+	for k < len(t.pending) && t.pending[k].done {
+		t.watermark = t.pending[k].end
+		k++
 	}
-	for len(t.pending) > 0 && t.pending[0].done {
-		t.watermark = t.pending[0].end
-		t.pending = t.pending[1:]
+	if k > 0 {
+		t.free = append(t.free, t.pending[:k]...)
+		n := copy(t.pending, t.pending[k:])
+		t.pending = t.pending[:n]
 	}
 }
 

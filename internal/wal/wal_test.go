@@ -310,6 +310,37 @@ func TestUnknownFrameKindRejected(t *testing.T) {
 	}
 }
 
+// TestShortFrameBodyRejected: a valid-CRC record or watermark frame whose
+// body is shorter than its 8-byte seq is ErrCorrupt, as an unknown kind
+// is — not a panic on the record's length, and not a watermark read from
+// the next frame's bytes that retires records never replayed.
+func TestShortFrameBodyRejected(t *testing.T) {
+	for _, kind := range []byte{kindRecord, kindWatermark} {
+		dir := t.TempDir()
+		l, _ := openT(t, dir, 1<<20)
+		if err := l.Append(1, []byte("ok")); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err := os.OpenFile(lastSegment(t, dir), os.O_APPEND|os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		forged := appendRawFrame(nil, kind, []byte{1, 2, 3})
+		forged = frameRecord(forged, 2, []byte("after the forged frame"))
+		if _, err := f.Write(forged); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+		_, _, err = Open(Options{Dir: dir, SegmentBytes: 1 << 20, SyncEvery: -1})
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Open with a 3-byte body of kind %d: err = %v, want ErrCorrupt", kind, err)
+		}
+	}
+}
+
 func TestClosedLogRejectsAppends(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, 1<<20)
