@@ -52,7 +52,8 @@ loc:
 
 # Native fuzzing smoke: a short budget per target keeps it CI-sized; raise
 # FUZZTIME locally for real hunting. Seed corpora live in each package's
-# testdata/fuzz directory.
+# testdata/fuzz directory; FuzzWALSegment adds inline seeds (segmentSeeds)
+# whose frame header and torn tail straddle the scan's 64 KiB read buffer.
 FUZZTIME ?= 10s
 test-fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzParseTopology -fuzztime $(FUZZTIME) ./internal/topology

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bufio"
 	"fmt"
 	"io"
 	"net"
@@ -26,6 +27,52 @@ func freeAddr(t *testing.T) string {
 	return addr
 }
 
+// awaitNotice routes os.Stderr — where serve logs its lifecycle notices —
+// through a pipe for the rest of the test, copying every line on to the
+// real stderr, and returns a channel closed once a line containing msg has
+// passed. A test waits on it for a listener instead of retrying a dial.
+func awaitNotice(t *testing.T, msg string) <-chan struct{} {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stderr := os.Stderr
+	os.Stderr = w
+	seen, copied := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(copied)
+		sc := bufio.NewScanner(r)
+		for announced := false; sc.Scan(); {
+			fmt.Fprintln(stderr, sc.Text())
+			if !announced && strings.Contains(sc.Text(), msg) {
+				announced = true
+				close(seen)
+			}
+		}
+	}()
+	t.Cleanup(func() {
+		os.Stderr = stderr
+		w.Close()
+		<-copied
+		r.Close()
+	})
+	return seen
+}
+
+// awaitListener blocks until serve announces its HTTP listener, failing
+// the test if serve exits first or the notice takes over 15 s.
+func awaitListener(t *testing.T, listening <-chan struct{}, errC <-chan error) {
+	t.Helper()
+	select {
+	case <-listening:
+	case err := <-errC:
+		t.Fatalf("serve exited before its listener came up: %v", err)
+	case <-time.After(15 * time.Second):
+		t.Fatal("listener never came up")
+	}
+}
+
 // TestServeSignalDrain: a SIGINT mid-serve closes the listeners, drains
 // the ingest ring, syncs the durable watermark and returns nil — long
 // before the -duration would have elapsed on its own.
@@ -39,6 +86,7 @@ func TestServeSignalDrain(t *testing.T) {
 	serveInterrupts = func() <-chan os.Signal { return sigC }
 	defer func() { serveInterrupts = orig }()
 
+	listening := awaitNotice(t, "http ingest open")
 	errC := make(chan error, 1)
 	go func() {
 		errC <- run([]string{"-topology", path, "serve",
@@ -47,6 +95,7 @@ func TestServeSignalDrain(t *testing.T) {
 	}()
 
 	// Wait for the listener, then land a few records.
+	awaitListener(t, listening, errC)
 	url := "http://" + addr + "/ingest"
 	posted := 0
 	deadline := time.Now().Add(15 * time.Second)
@@ -54,11 +103,7 @@ func TestServeSignalDrain(t *testing.T) {
 		resp, err := http.Post(url, "application/octet-stream",
 			strings.NewReader(fmt.Sprintf("rec-%d", posted)))
 		if err != nil {
-			if time.Now().After(deadline) {
-				t.Fatalf("listener never came up: %v", err)
-			}
-			time.Sleep(20 * time.Millisecond)
-			continue
+			t.Fatalf("post to the announced listener: %v", err)
 		}
 		resp.Body.Close()
 		if resp.StatusCode == http.StatusAccepted {
@@ -85,8 +130,8 @@ func TestServeSignalDrain(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	if un := l.Unacked(); len(un) != 0 {
-		t.Errorf("unacked after drained shutdown = %d records, want 0", len(un))
+	if rec.Unacked != 0 {
+		t.Errorf("unacked after drained shutdown = %d records, want 0", rec.Unacked)
 	}
 	if rec.Watermark < uint64(posted) {
 		t.Errorf("recovered watermark %d, want >= %d", rec.Watermark, posted)
@@ -149,6 +194,7 @@ func TestServeReportAfterQuiesce(t *testing.T) {
 	}
 	os.Stdout = w
 	defer func() { os.Stdout = stdout }()
+	listening := awaitNotice(t, "http ingest open")
 	errC := make(chan error, 1)
 	go func() {
 		errC <- run([]string{"-topology", path, "serve",
@@ -157,19 +203,13 @@ func TestServeReportAfterQuiesce(t *testing.T) {
 	}()
 
 	// One NDJSON burst, as soon as the listener is up.
+	awaitListener(t, listening, errC)
 	burst := strings.Repeat("rec\n", 30)
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		resp, err := http.Post("http://"+addr+"/ingest", "application/x-ndjson", strings.NewReader(burst))
-		if err == nil {
-			resp.Body.Close()
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("listener never came up: %v", err)
-		}
-		time.Sleep(20 * time.Millisecond)
+	resp, err := http.Post("http://"+addr+"/ingest", "application/x-ndjson", strings.NewReader(burst))
+	if err != nil {
+		t.Fatalf("post to the announced listener: %v", err)
 	}
+	resp.Body.Close()
 	sigC <- os.Interrupt
 
 	out, err := io.ReadAll(r)

@@ -192,8 +192,9 @@ func TestHandlerSingleRecordAllocs(t *testing.T) {
 }
 
 // TestReplayAllocsPerRecord pins Gate.Replay of a recovered log at the
-// slab's chunk refills, amortised: each record's one-slot Values and its
-// []byte box are carved, and its bytes are the recovered record's own.
+// slab's chunk refills and the cursor's one segment open per span,
+// amortised: each record's one-slot Values, its bytes read back from the
+// log and its []byte box are all carved.
 func TestReplayAllocsPerRecord(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -213,11 +214,14 @@ func TestReplayAllocsPerRecord(t *testing.T) {
 	if err := l1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	g, l2, _ := durableGate(t, dir, 1<<15) // room for the whole replay: no consumer needed
+	g, l2, _ := durableGate(t, dir, 1<<15)
 	defer l2.Close()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	drained := drainRing(g, n, nil) // replay streams at the ring's floor: it needs a consumer
 	replayed, err := g.Replay()
+	g.Close()
+	<-drained
 	runtime.ReadMemStats(&after)
 	if err != nil || replayed != n {
 		t.Fatalf("replayed %d err %v, want %d", replayed, err, n)

@@ -307,7 +307,7 @@ func TestDurableBurstLandsAsConsecutiveSeqs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l2.Close()
-	unacked := l2.Unacked()
+	unacked := readUnacked(t, l2)
 	if rec.Records != 11 || len(unacked) != 11 {
 		t.Fatalf("recovered %d records, %d unacked, want 11 and 11", rec.Records, len(unacked))
 	}

@@ -25,7 +25,6 @@ package ingest
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/wal"
@@ -76,7 +75,7 @@ func (s *DurableSource) PopBatchTraced(done <-chan struct{}, buf []engine.Values
 
 // AttachWAL puts the gate in durable mode: admission seqs continue from
 // the log's recovered ack watermark, Offer appends before acknowledging,
-// and the log's unacked records are staged for Replay. Call once, before
+// and Replay reads the log's unacked records back. Call once, before
 // Start and before any Offer; the caller retains ownership of the log
 // (serve closes it after the final watermark sync).
 func (g *Gate) AttachWAL(l *wal.Log) error {
@@ -88,7 +87,6 @@ func (g *Gate) AttachWAL(l *wal.Log) error {
 	w := l.Watermark()
 	g.tracker = wal.NewTracker(w)
 	g.lastWatermark = w
-	g.pendingReplay = l.Unacked()
 	g.ring.setPushed(w)
 	g.wal.Store(l)
 	return nil
@@ -108,31 +106,41 @@ func (g *Gate) Source() engine.BatchSource {
 }
 
 // Replay re-injects the recovered unacked records through the ring in log
-// order, a burst per lock round, blocking while the ring is full (the
-// spout must already be draining — call after the engine run starts,
-// before listeners open so replayed and fresh traffic cannot interleave).
-// It returns the number of records re-injected. Replayed records are
-// already in the log and are not re-appended.
+// order, streaming them off the log a burst at a time (the spout must
+// already be draining — call after the engine run starts, before
+// listeners open so replayed and fresh traffic cannot interleave). It
+// never grows the ring: what the storage the ring starts with refuses is
+// pushed again as soon as the spout pops, so boot holds one burst and
+// that storage, not the log. It returns the number of records
+// re-injected; a record the log cannot read back fails it, with nothing
+// past that record pushed. Replayed records are already in the log and
+// are not re-appended.
 func (g *Gate) Replay() (int, error) {
-	g.mu.Lock()
-	pending := g.pendingReplay
-	g.pendingReplay = nil
-	g.mu.Unlock()
+	l := g.wal.Load()
+	if l == nil {
+		return 0, nil
+	}
 	var (
 		sl   engine.Slab
 		b    burst
+		recs [burstMax]wal.Record
 		done int
 	)
-	for start := 0; start < len(pending); start += burstMax {
+	limit := min(g.ring.bound, ringFloor)
+	defer func() { g.replayed.Add(int64(done)) }()
+	for {
+		n, err := l.ReadUnacked(recs[:], sl.Bytes)
+		if err != nil || n == 0 {
+			return done, err
+		}
 		b.reset()
-		for _, rec := range pending[start:min(start+burstMax, len(pending))] {
+		for _, rec := range recs[:n] {
 			v := sl.Values(1)
 			v[0] = sl.BoxBytes(rec.Payload)
 			b.offers = append(b.offers, offer{v: v, verdict: Verdict{Admitted: true}})
 		}
-		// What a full ring refuses is a candidate again a millisecond later.
-		for rest := b.offers; ; time.Sleep(time.Millisecond) {
-			_, pushed, _ := g.ring.pushBurst(rest, 0)
+		for rest := b.offers; ; <-g.ring.notFull {
+			_, pushed, _ := g.ring.pushBurst(rest, 0, limit)
 			done += pushed
 			if rest = rest[pushed:]; len(rest) == 0 {
 				break
@@ -145,8 +153,6 @@ func (g *Gate) Replay() (int, error) {
 			}
 		}
 	}
-	g.replayed.Add(int64(len(pending)))
-	return len(pending), nil
 }
 
 // SyncWatermark appends the tracker's current contiguous completion

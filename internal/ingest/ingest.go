@@ -194,15 +194,14 @@ type Gate struct {
 	scratch replanScratch
 
 	// Durable mode (see durable.go): a non-nil wal means Offer appends
-	// each admitted record to the log before acknowledging it, tracker
-	// turns engine batch completions into the contiguous ack watermark,
-	// and pendingReplay holds recovered unacked records until Replay.
-	// wal is an atomic pointer because Offer reads it lock-free; the
-	// remaining durable fields are guarded by mu.
+	// each admitted record to the log before acknowledging it and Replay
+	// streams the log's recovered unacked records back; tracker turns
+	// engine batch completions into the contiguous ack watermark. wal is an
+	// atomic pointer because Offer reads it lock-free; the remaining
+	// durable fields are guarded by mu.
 	wal           atomic.Pointer[wal.Log]
 	tracker       *wal.Tracker
 	lastWatermark uint64
-	pendingReplay []wal.Record
 	replayed      atomic.Int64
 
 	offered       atomic.Int64
@@ -633,7 +632,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 	if survivors > 0 {
 		var first uint64
 		var sampled bool
-		first, pushed, sampled = g.ring.pushBurst(offers, g.cfg.ReplanEvery)
+		first, pushed, sampled = g.ring.pushBurst(offers, g.cfg.ReplanEvery, g.ring.bound)
 		if pushed > 0 && (l != nil || sampled) {
 			pushed = c.seal(offers, recs, l, first, pushed, sampled)
 		}

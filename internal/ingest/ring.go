@@ -41,8 +41,9 @@ type Ring struct {
 	// compare; no clock is read here either way.
 	tracer *obs.Tracer
 	// notEmpty latches the empty->non-empty transition (and the close) for
-	// the consumer; capacity 1, non-blocking sends.
-	notEmpty chan struct{}
+	// the consumer, notFull every pop (and the close) for a replay waiting
+	// on room; capacity 1, non-blocking sends.
+	notEmpty, notFull chan struct{}
 }
 
 // slot is one ring entry: the payload plus its trace id (0 = untraced).
@@ -64,6 +65,7 @@ func NewRing(capacity int) *Ring {
 		buf:      make([]slot, min(bound, ringFloor)),
 		bound:    bound,
 		notEmpty: make(chan struct{}, 1),
+		notFull:  make(chan struct{}, 1),
 	}
 }
 
@@ -86,13 +88,16 @@ func (r *Ring) Slots() (queued, allocated, bound int) {
 // backlog is at the bound (the backpressure signal) or the ring is closed.
 func (r *Ring) TryPush(v engine.Values) bool {
 	o := [1]offer{{v: v, verdict: Verdict{Admitted: true}}}
-	_, pushed, _ := r.pushBurst(o[:], 0)
+	_, pushed, _ := r.pushBurst(o[:], 0, r.bound)
 	return pushed == 1
 }
 
 // pushBurst enqueues, in order and under one lock round, the offers whose
-// verdict reads Admitted — as many as fit; the rest (all of them on a
-// closed ring) are refused as ShedBacklog with the retry-after hint given.
+// verdict reads Admitted — as many as fit under limit; the rest (all of
+// them on a closed ring) are refused as ShedBacklog with the retry-after
+// hint given. limit is the backlog at which a push is refused: listeners
+// pass the bound, and the storage grows with their backlog; replay passes
+// the storage the ring starts with, so it never grows it.
 // The pushed ones take the consecutive admission sequence numbers first,
 // first+1, … — the count of successful pushes, assigned under the ring lock
 // so seq order IS ring FIFO order; the durable gate logs them under these
@@ -102,7 +107,7 @@ func (r *Ring) TryPush(v engine.Values) bool {
 // the sampled set is identical across runs and processes), riding the ring
 // beside its payload and reported in offer.trace, 0 for the others; sampled
 // says whether any did.
-func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64, pushed int, sampled bool) {
+func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration, limit int) (first uint64, pushed int, sampled bool) {
 	r.mu.Lock()
 	first = r.pushed + 1
 	wake := r.n == 0
@@ -111,7 +116,7 @@ func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64
 		if !o.verdict.Admitted {
 			continue
 		}
-		if r.closed || r.n == r.bound {
+		if r.closed || r.n >= limit {
 			o.verdict = Verdict{Reason: ShedBacklog, RetryAfter: retryAfter}
 			continue
 		}
@@ -130,7 +135,7 @@ func (r *Ring) pushBurst(offers []offer, retryAfter time.Duration) (first uint64
 	r.peak = max(r.peak, r.n)
 	r.mu.Unlock()
 	if wake && pushed > 0 {
-		r.signal()
+		latch(r.notEmpty)
 	}
 	return first, pushed, sampled
 }
@@ -162,9 +167,10 @@ func (r *Ring) setPushed(n uint64) {
 	r.mu.Unlock()
 }
 
-func (r *Ring) signal() {
+// latch records one wake-up on c without blocking.
+func latch(c chan struct{}) {
 	select {
-	case r.notEmpty <- struct{}{}:
+	case c <- struct{}{}:
 	default:
 	}
 }
@@ -233,6 +239,7 @@ func (r *Ring) popBatch(done <-chan struct{}, buf []engine.Values, ids []uint64)
 				r.peak = 0
 			}
 			r.mu.Unlock()
+			latch(r.notFull)
 			return out, traces, true
 		}
 		closed := r.closed
@@ -255,5 +262,6 @@ func (r *Ring) Close() {
 	r.mu.Lock()
 	r.closed = true
 	r.mu.Unlock()
-	r.signal()
+	latch(r.notEmpty)
+	latch(r.notFull)
 }

@@ -98,7 +98,7 @@ func TestRingRefusesAtBound(t *testing.T) {
 	for i := range offers {
 		offers[i] = offer{v: engine.Values{4091 + i}, verdict: Verdict{Admitted: true}}
 	}
-	first, pushed, _ := r.pushBurst(offers, 0)
+	first, pushed, _ := r.pushBurst(offers, 0, r.bound)
 	if first != 4091 || pushed != 6 {
 		t.Fatalf("burst at backlog 4090: first %d pushed %d, want 4091 and 6", first, pushed)
 	}
@@ -117,6 +117,20 @@ func TestRingRefusesAtBound(t *testing.T) {
 	}
 	if small := NewRing(5); ringStorage(small) != 8 {
 		t.Fatalf("a ring bounded under the floor holds %d slots, want its bound 8", ringStorage(small))
+	}
+
+	// Under a limit below the bound — replay's — a full storage refuses
+	// instead of growing.
+	r = NewRing(3000)
+	offers = make([]offer, ringFloor+5)
+	for i := range offers {
+		offers[i] = offer{v: engine.Values{i}, verdict: Verdict{Admitted: true}}
+	}
+	if _, pushed, _ := r.pushBurst(offers, 0, ringFloor); pushed != ringFloor || offers[ringFloor].verdict.Admitted {
+		t.Fatalf("burst under limit %d pushed %d (next verdict %+v)", ringFloor, pushed, offers[ringFloor].verdict)
+	}
+	if q, a, _ := r.Slots(); q != ringFloor || a != ringFloor {
+		t.Fatalf("slots %d/%d after a limited burst, want %d/%d", q, a, ringFloor, ringFloor)
 	}
 }
 
@@ -204,6 +218,9 @@ func TestRingStormAcrossGrowAndShrink(t *testing.T) {
 	drain := func(n int, finished chan struct{}) {
 		for got := 0; got < n; {
 			batch, ok := r.PopBatch(finished, buf)
+			if !ok && r.Len() > 0 {
+				continue // finished closed as the last pushes landed, and PopBatch's select took it
+			}
 			if !ok {
 				t.Fatalf("ring empty after %d of %d pops, %d pushes refused", got, n, refused.Load())
 			}

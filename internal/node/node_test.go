@@ -26,22 +26,63 @@ var fastFile = topology.File{
 	Edges: []topology.FileEdge{{From: "extract", To: "match", Selectivity: 1}},
 }
 
-// syncBuffer is a goroutine-safe log capture.
+// syncBuffer is a goroutine-safe log capture that tests can wait on:
+// every write closes changed and replaces it.
 type syncBuffer struct {
-	mu sync.Mutex
-	b  bytes.Buffer
+	mu      sync.Mutex
+	b       bytes.Buffer
+	changed chan struct{}
 }
 
 func (s *syncBuffer) Write(p []byte) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.changed != nil {
+		close(s.changed)
+		s.changed = nil
+	}
 	return s.b.Write(p)
 }
 
 func (s *syncBuffer) count(msg string) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	return s.countLocked(msg)
+}
+
+func (s *syncBuffer) countLocked(msg string) int {
 	return strings.Count(s.b.String(), `msg="`+msg+`"`)
+}
+
+// wait blocks until msg has been logged n times, false if that takes
+// longer than timeout. It wakes on each write, not on a timer.
+func (s *syncBuffer) wait(msg string, n int, timeout time.Duration) bool {
+	deadline := time.After(timeout)
+	for {
+		s.mu.Lock()
+		if s.countLocked(msg) >= n {
+			s.mu.Unlock()
+			return true
+		}
+		if s.changed == nil {
+			s.changed = make(chan struct{})
+		}
+		changed := s.changed
+		s.mu.Unlock()
+		select {
+		case <-changed:
+		case <-deadline:
+			return false
+		}
+	}
+}
+
+// awaitLog fails the test unless msg is logged n times within 20 s.
+func awaitLog(t *testing.T, logs *syncBuffer, msg string, n int) {
+	t.Helper()
+	if !logs.wait(msg, n, 20*time.Second) {
+		t.Fatalf("timed out waiting for %q to be logged %d time(s)", msg, n)
+	}
 }
 
 // testConfig is a small node on a loopback TCP listener whose lifecycle
@@ -61,7 +102,11 @@ func testConfig() (Config, *syncBuffer) {
 	}, logs
 }
 
-// waitFor polls cond until it holds; the deadline only bounds a hang.
+// waitFor polls cond until it holds; the deadline only bounds a hang. It
+// is for state that announces no change — executor placement, the
+// goroutine count — so it must sleep between reads; the millisecond is
+// the poll period, not a guess at how long anything takes. Anything the
+// node logs is awaited with awaitLog instead.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(20 * time.Second)
@@ -147,7 +192,7 @@ func TestDurableRestart(t *testing.T) {
 		mu    sync.Mutex
 		order []string
 	)
-	cfg, _ := testConfig()
+	cfg, logs := testConfig()
 	cfg.WALDir = t.TempDir()
 	cfg.TCPAddr = freeAddr(t)
 	// No tick inside the test: the watermark is only synced by Drain, so a
@@ -174,39 +219,40 @@ func TestDurableRestart(t *testing.T) {
 	}
 	first.Close() // the crash: no watermark sync, no final checkpoint
 
-	l, _, err := wal.Open(wal.Options{Dir: cfg.WALDir})
+	l, rec, err := wal.Open(wal.Options{Dir: cfg.WALDir})
 	if err != nil {
 		t.Fatal(err)
 	}
-	unacked := len(l.Unacked())
+	unacked := rec.Unacked
 	l.Close()
 	if unacked != old {
 		t.Fatalf("dropped node left %d unacked records on disk, want %d", unacked, old)
 	}
 
-	// A client hammers the address from before the second boot: were the
-	// listener to open before the replay finished, its records would land
-	// among the replayed ones.
+	// A client sends the moment the second boot's TCP listener announces
+	// itself: were the listener to open before the replay finished, its
+	// records would land among the replayed ones.
 	mu.Lock()
 	order = nil
 	mu.Unlock()
 	fresh := make(chan int, 1)
 	go func() {
-		for {
-			conn, err := ingest.DialTCP(cfg.TCPAddr, "c")
-			if err != nil {
-				time.Sleep(100 * time.Microsecond)
-				continue
-			}
-			sent := 0
-			for ; sent < 50; sent++ {
-				if ok, _, err := conn.Send([]byte("new")); err != nil || !ok {
-					break
-				}
-			}
-			conn.Close()
-			fresh <- sent
+		sent := 0
+		defer func() { fresh <- sent }()
+		if !logs.wait("tcp ingest open", 2, 20*time.Second) {
+			t.Error("the second boot never opened its TCP listener")
 			return
+		}
+		conn, err := ingest.DialTCP(cfg.TCPAddr, "c")
+		if err != nil {
+			t.Errorf("dial the announced listener: %v", err)
+			return
+		}
+		defer conn.Close()
+		for ; sent < 50; sent++ {
+			if ok, _, err := conn.Send([]byte("new")); err != nil || !ok {
+				break
+			}
 		}
 	}()
 	second, err := Start(cfg)
@@ -250,15 +296,14 @@ func TestWorkerGate(t *testing.T) {
 	cfg.MinWorkers = 2
 	cfg.Seed = 7
 	dial := func(name string) *worker.Worker {
-		var w *worker.Worker
-		waitFor(t, "the registration endpoint", func() bool {
-			var err error
-			w, err = worker.Dial(worker.Config{Addr: cfg.WorkerAddr, Name: name,
-				Build: func(seed int64) (map[string]engine.BoltFactory, error) {
-					return OperatorFactories(fastFile, seed), nil
-				}})
-			return err == nil
-		})
+		awaitLog(t, logs, "worker registration open", 1)
+		w, err := worker.Dial(worker.Config{Addr: cfg.WorkerAddr, Name: name,
+			Build: func(seed int64) (map[string]engine.BoltFactory, error) {
+				return OperatorFactories(fastFile, seed), nil
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
 		go w.Run()
 		t.Cleanup(w.Close)
 		return w
@@ -273,7 +318,7 @@ func TestWorkerGate(t *testing.T) {
 		started <- n
 	}()
 	w1 := dial("w1")
-	waitFor(t, "the first join", func() bool { return logs.count("worker joined") == 1 })
+	awaitLog(t, logs, "worker joined", 1)
 	select {
 	case <-started:
 		t.Fatal("Start returned with one of two workers joined")
@@ -296,15 +341,16 @@ func TestWorkerGate(t *testing.T) {
 		return bound == 1
 	})
 	w1.Close()
-	waitFor(t, "the machine failure", func() bool {
-		for _, m := range n.pool.MachineList() {
-			if m.ID == w1.Machine() {
-				return m.Failed
-			}
+	// The death notice follows the pool Fail of the worker's machine.
+	awaitLog(t, logs, "worker died, executors heal local", 1)
+	for _, m := range n.pool.MachineList() {
+		if m.ID == w1.Machine() && !m.Failed {
+			t.Fatalf("machine %d still up after its worker's death notice", m.ID)
 		}
-		return false
-	})
-	waitFor(t, "the death notice", func() bool { return logs.count("worker died, executors heal local") == 1 })
+	}
+	if got := logs.count("worker died, executors heal local"); got != 1 {
+		t.Fatalf("%d death notices for one kill", got)
+	}
 	acked := send(t, n.Status().TCPAddr, "c", "rec", 300)
 	rep := n.Drain()
 	if rep.Completions != int64(acked) || acked == 0 {

@@ -5,9 +5,10 @@
 // frame has reached the log file via write(2), so a kill -9 can never take
 // an acknowledged record with it (the page cache belongs to the kernel,
 // not the process; fsync, batched separately, extends the guarantee to
-// machine crashes). On boot, Open replays the surviving segments, trims a
-// torn tail, and hands back every record above the compacted ack
-// watermark for re-injection through the normal spout path.
+// machine crashes). On boot, Open scans the surviving segments, trims a
+// torn tail, and indexes every record above the compacted ack watermark;
+// ReadUnacked then streams them back for re-injection through the normal
+// spout path.
 //
 // The moving parts:
 //
@@ -131,6 +132,9 @@ type Recovered struct {
 	// TruncatedBytes is the torn tail the scan cut off (0 on a clean
 	// shutdown).
 	TruncatedBytes int64
+	// Unacked is how many records lie above the watermark — what
+	// ReadUnacked will hand out.
+	Unacked int
 }
 
 // segment is one closed or active segment file.
@@ -165,13 +169,13 @@ type Log struct {
 	watermark uint64 // highest watermark appended
 	lastSync  time.Time
 
-	unacked []Record // recovery output, consumed by Unacked
+	cursor cursor // recovery's index, consumed by ReadUnacked
 }
 
 // Open creates or recovers the log in o.Dir: existing segments are
 // scanned front to back, frames are CRC-verified, a torn tail on the last
 // segment is truncated away, and every record above the last watermark is
-// retained for Unacked. Appends continue on a fresh segment.
+// indexed for ReadUnacked. Appends continue on a fresh segment.
 func Open(o Options) (*Log, Recovered, error) {
 	o, err := o.withDefaults()
 	if err != nil {
@@ -444,19 +448,6 @@ func (l *Log) Segments() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.segments) + 1
-}
-
-// Unacked returns the records recovery found above the last watermark —
-// admitted, possibly never completed — in ascending seq order, and
-// releases the recovery buffer. Call once, re-inject through the spout
-// path, and treat re-delivery of a completed-but-past-watermark record as
-// the documented at-least-once duplicate window.
-func (l *Log) Unacked() []Record {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.unacked
-	l.unacked = nil
-	return out
 }
 
 // Close flushes staged frames, fsyncs and closes the active segment.

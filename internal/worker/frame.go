@@ -338,11 +338,30 @@ func appendValue(buf []byte, v any) ([]byte, error) {
 
 // slab is what one connection reader decodes into: the shared bump
 // allocator every decoded Values, []byte payload and value box is carved
-// from (see engine.Slab for the ownership rules), plus the emit-list
-// scratch.
+// from (see engine.Slab for the ownership rules), the emit-list scratch,
+// and the stream markers it has decoded.
 type slab struct {
 	engine.Slab
-	emits []engine.Values // decodeResult's flat emit-list scratch, reused per frame
+	emits   []engine.Values // decodeResult's flat emit-list scratch, reused per frame
+	streams map[string]any  // one boxed stream marker per distinct name
+}
+
+// stream returns the stream marker named b, the same box every time for a
+// name the connection has seen (the map lookup does not allocate). A
+// topology names a handful of short streams: past 64 names, or for a name
+// over 64 bytes, the marker is boxed afresh each time.
+func (s *slab) stream(b []byte) any {
+	if v, ok := s.streams[string(b)]; ok {
+		return v
+	}
+	v := engine.StreamTagValue(string(b))
+	if len(s.streams) < 64 && len(b) <= 64 {
+		if s.streams == nil {
+			s.streams = make(map[string]any)
+		}
+		s.streams[string(b)] = v
+	}
+	return v
 }
 
 // wire is a strict cursor over one frame payload: every read is
@@ -428,7 +447,7 @@ func (c *wire) done() error {
 }
 
 // decodeValue decodes one tagged value; a number, string or byte string is
-// boxed in the slab. Byte strings are copied out (into the slab): the frame
+// boxed in the slab, and a stream marker interned in it. Byte strings are copied out (into the slab): the frame
 // buffer is reused for the next read.
 func (c *wire) decodeValue() any {
 	switch tag := c.u8(); tag {
@@ -454,7 +473,7 @@ func (c *wire) decodeValue() any {
 		copy(out, b)
 		return c.s.BoxBytes(out)
 	case tagStream:
-		return engine.StreamTagValue(string(c.take(int(c.u32()))))
+		return c.s.stream(c.take(int(c.u32())))
 	default:
 		if c.err == nil {
 			c.err = fmt.Errorf("worker: unknown value tag 0x%02x", tag)

@@ -63,9 +63,8 @@ func recResult(t testing.TB, n int, tuple func(i int) engine.Values) []byte {
 // TestDecodeSteadyStateAllocs pins the receive side's cost per item at the
 // slab's chunk refills, amortised to at most 0.05, for the benchmark's two
 // shapes and a tuple of each data tag the codec carries: the Values, the
-// byte payloads, every value's interface box and the per-item emit lists
-// are carved or reused. (The stream marker, which rides only an Emit.To
-// emission, still costs its string and box.)
+// byte payloads, every value's interface box, the per-item emit lists and
+// the stream marker of an Emit.To emission are carved, reused or interned.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
 	if obs.RaceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -84,6 +83,9 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 		{"true", func(int) engine.Values { return engine.Values{true} }},
 		{"false", func(int) engine.Values { return engine.Values{false} }},
 		{"string", func(i int) engine.Values { return engine.Values{fmt.Sprintf("record %d", i)} }},
+		{"stream", func(i int) engine.Values {
+			return engine.Values{engine.StreamTagValue([]string{"side", "alerts"}[i%2]), int64(i)}
+		}},
 	} {
 		batch, result := recBatch(t, n, tc.tuple), recResult(t, n, tc.tuple)
 		var sl slab
