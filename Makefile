@@ -10,8 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Exported-surface linter: package comments + docs on every exported decl,
-# and no exported package-level name that no non-test file names.
+# Doc-comment linter: a package comment on every package and a doc comment
+# on every exported declaration. Whether an exported name, method or
+# Config field has a caller is TestExportedSurface's job, inside `go test`.
 checkdoc:
 	$(GO) run ./internal/tools/checkdoc ./...
 
@@ -23,7 +24,7 @@ test:
 # dedicated storms — engine queues and pooled trees, the scheduler's
 # no-double-lease property test, the ingest gate's sharded registry, the
 # group-commit WAL's appenders, the worker tier's equivalence harness, and
-# the obs pipeline's emitters-vs-drainer-vs-scrape-vs-knob storms for both
+# the obs pipeline's emitters-vs-drainer-vs-scrape storms for both
 # instantiations — but nothing is exempt.
 race:
 	$(GO) test -race ./...

@@ -34,7 +34,7 @@ import (
 // benchOpts shrinks experiment durations so one benchmark iteration stays
 // in the hundreds of milliseconds: a positive Duration scales a figure's
 // whole paper timeline (warm-up, enable point) to that horizon.
-var benchOpts = experiments.Options{Duration: 120, Warmup: 20, Seed: 1}
+var benchOpts = experiments.Options{Duration: 120, Seed: 1}
 
 func BenchmarkFig6VLD(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -1104,7 +1104,7 @@ func BenchmarkWALAppend(b *testing.B) {
 // BenchmarkDecisionLog measures the decision log's emit path — the cost a
 // decider pays per record. "emit" is the kept-record path (copy into a
 // ring slot under a shard mutex) with the drain amortized on the clock;
-// "emit-sampled" runs the 100-permille knob, the mixed kept/thinned
+// "emit-sampled" runs at 100 permille, the mixed kept/thinned
 // profile of a sampled deployment; "encode" is the drainer's canonical
 // NDJSON encoding of one full preemption record.
 func BenchmarkDecisionLog(b *testing.B) {
@@ -1115,7 +1115,7 @@ func BenchmarkDecisionLog(b *testing.B) {
 	}
 	drop := func(*obs.Record) {}
 	b.Run("emit", func(b *testing.B) {
-		l := obs.NewLog(obs.Config{Shards: 4, ShardCapacity: 4096})
+		l := obs.NewLog(obs.Config{})
 		defer l.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1130,7 +1130,7 @@ func BenchmarkDecisionLog(b *testing.B) {
 		}
 	})
 	b.Run("emit-sampled", func(b *testing.B) {
-		l := obs.NewLog(obs.Config{Shards: 4, ShardCapacity: 4096, SamplePermille: 100})
+		l := obs.NewLog(obs.Config{SamplePermille: 100})
 		defer l.Close()
 		b.ReportAllocs()
 		b.ResetTimer()
@@ -1349,7 +1349,7 @@ func BenchmarkSupervisorTickLogged(b *testing.B) {
 // the clock. The delta over the bare run is what audit costs the
 // arbitration path.
 func BenchmarkSchedulerArbitrationLogged(b *testing.B) {
-	dlog := obs.NewLog(obs.Config{Shards: 4, ShardCapacity: 8192})
+	dlog := obs.NewLog(obs.Config{})
 	defer dlog.Close()
 	pool, err := cluster.NewPool(cluster.PoolConfig{SlotsPerMachine: 8, MaxMachines: 8}, 1)
 	if err != nil {
@@ -1389,7 +1389,7 @@ func BenchmarkSchedulerArbitrationLogged(b *testing.B) {
 		if _, err := tenants[i%len(tenants)].Resize(12 + i%2); err != nil && !errors.Is(err, cluster.ErrNoCapacity) {
 			b.Fatal(err)
 		}
-		if i&511 == 511 { // drain well before overflow, on the clock
+		if i&127 == 127 { // drain well before overflow, on the clock
 			dlog.Sweep(drop)
 		}
 	}

@@ -97,7 +97,7 @@ func run(args []string) error {
 	case "recommend":
 		return cmdRecommend(model, rest)
 	case "simulate":
-		return cmdSimulate(model, topo, tf, rest)
+		return cmdSimulate(model, tf, rest)
 	case "supervise":
 		return cmdSupervise(tf, rest)
 	case "serve":
@@ -228,7 +228,7 @@ func cmdRecommend(model *drs.Model, args []string) error {
 	return nil
 }
 
-func cmdSimulate(model *drs.Model, topo *drs.Topology, tf topoFile, args []string) error {
+func cmdSimulate(model *drs.Model, tf topoFile, args []string) error {
 	fs := flag.NewFlagSet("simulate", flag.ContinueOnError)
 	allocStr := fs.String("alloc", "", "comma-separated processors per operator")
 	duration := fs.Float64("duration", 600, "simulated seconds")
@@ -241,7 +241,7 @@ func cmdSimulate(model *drs.Model, topo *drs.Topology, tf topoFile, args []strin
 	if err != nil {
 		return err
 	}
-	cfg, err := simConfigFrom(topo, tf, alloc, *seed, *hopMS/1e3)
+	cfg, err := simConfigFrom(tf, alloc, *seed, *hopMS/1e3)
 	if err != nil {
 		return err
 	}
@@ -264,15 +264,12 @@ func cmdSimulate(model *drs.Model, topo *drs.Topology, tf topoFile, args []strin
 
 // simConfigFrom builds an exponential-service DES matching the model's
 // assumptions, from the same topology file.
-func simConfigFrom(topo *drs.Topology, tf topoFile, alloc []int, seed uint64, hopDelay float64) (sim.Config, error) {
+func simConfigFrom(tf topoFile, alloc []int, seed uint64, hopDelay float64) (sim.Config, error) {
 	cfg := sim.Config{Alloc: alloc, Seed: seed}
 	index := make(map[string]int, len(tf.Operators))
 	for i, op := range tf.Operators {
 		index[op.Name] = i
-		cfg.Operators = append(cfg.Operators, sim.OperatorSpec{
-			Name:    op.Name,
-			Service: stats.Exponential{Rate: op.ServiceRate},
-		})
+		cfg.Operators = append(cfg.Operators, sim.OperatorSpec{Service: stats.Exponential{Rate: op.ServiceRate}})
 		if op.ExternalRate > 0 {
 			cfg.Sources = append(cfg.Sources, sim.SourceSpec{
 				Op:       i,
@@ -293,6 +290,5 @@ func simConfigFrom(topo *drs.Topology, tf topoFile, alloc []int, seed uint64, ho
 			From: index[e.From], To: index[e.To], Emit: emit, NetDelay: hop,
 		})
 	}
-	_ = topo
 	return cfg, nil
 }

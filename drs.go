@@ -335,8 +335,10 @@ type WALRecord = wal.Record
 // truncated from the last segment.
 type WALRecovered = wal.Recovered
 
-// WALCheckpoint is the periodic recovery-bound marker saved next to the
-// segments; it lets recovery skip sealed, fully-acknowledged segments.
+// WALCheckpoint is the control-plane state saved next to the segments —
+// the supervisor's allocation, lease grant, round count and cooldown —
+// that a restarted process resumes from. The log itself holds the
+// sequence numbers and the completion watermark.
 type WALCheckpoint = wal.Checkpoint
 
 // OpenWAL opens (or creates) the log in o.Dir, scans the segments,

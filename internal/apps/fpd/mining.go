@@ -107,8 +107,12 @@ func Subsets(txn Transaction, maxLen int) []Itemset {
 // number of possible non-empty combinations").
 type CandidateConfig struct {
 	// MaxItems truncates transactions to their first MaxItems items.
+	//
+	//checkdoc:testonly reference bound: the BruteForceMFP tests size their reference runs with it
 	MaxItems int
 	// MaxLen bounds candidate itemset size.
+	//
+	//checkdoc:testonly reference bound: the BruteForceMFP tests size their reference runs with it
 	MaxLen int
 }
 

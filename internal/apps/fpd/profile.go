@@ -98,9 +98,9 @@ func SimConfig(alloc []int, seed uint64) (sim.Config, error) {
 	hop := stats.Exponential{Rate: 1 / HopDelayMean}
 	return sim.Config{
 		Operators: []sim.OperatorSpec{
-			{Name: "generate", Service: stats.Exponential{Rate: 1 / GeneratorService}},
-			{Name: "detect", Service: stats.Exponential{Rate: 1 / DetectorService}},
-			{Name: "report", Service: stats.Exponential{Rate: 1 / ReporterService}},
+			{Service: stats.Exponential{Rate: 1 / GeneratorService}},
+			{Service: stats.Exponential{Rate: 1 / DetectorService}},
+			{Service: stats.Exponential{Rate: 1 / ReporterService}},
 		},
 		Edges: []sim.EdgeSpec{
 			{From: 0, To: 1, Emit: sim.PoissonEmission{Selectivity: CandidatesPerEvent}, NetDelay: hop},

@@ -64,10 +64,7 @@ func SimConfig(totalCPU float64, seed uint64) (sim.Config, error) {
 	hop := stats.Exponential{Rate: 1 / HopDelayMean}
 	ops := make([]sim.OperatorSpec, 3)
 	for i := range ops {
-		ops[i] = sim.OperatorSpec{
-			Name:    fmt.Sprintf("bolt%d", i+1),
-			Service: stats.Exponential{Rate: 1 / (totalCPU * split[i])},
-		}
+		ops[i] = sim.OperatorSpec{Service: stats.Exponential{Rate: 1 / (totalCPU * split[i])}}
 	}
 	return sim.Config{
 		Operators: ops,

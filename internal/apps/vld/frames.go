@@ -38,9 +38,10 @@ type FrameGenConfig struct {
 	Logos int
 	// LogoProb is the probability a frame carries a logo.
 	LogoProb float64
-	// Noise is the background noise amplitude in [0, 1].
-	Noise float64
 }
+
+// frameNoise is the background noise amplitude, in [0, 1].
+const frameNoise = 0.05
 
 // FrameGen produces deterministic synthetic frames: low-amplitude noise
 // plus, with probability LogoProb, one of a fixed set of high-contrast
@@ -65,9 +66,6 @@ func NewFrameGen(cfg FrameGenConfig, seed uint64) *FrameGen {
 	if cfg.LogoProb == 0 {
 		cfg.LogoProb = 0.5
 	}
-	if cfg.Noise == 0 {
-		cfg.Noise = 0.05
-	}
 	return &FrameGen{cfg: cfg, rng: stats.NewRNG(seed)}
 }
 
@@ -82,7 +80,7 @@ func (g *FrameGen) Next() Frame {
 	}
 	g.id++
 	for i := range f.Pix {
-		f.Pix[i] = float32(g.rng.Float64() * g.cfg.Noise)
+		f.Pix[i] = float32(g.rng.Float64() * frameNoise)
 	}
 	if g.rng.Bernoulli(g.cfg.LogoProb) {
 		logo := g.rng.IntN(g.cfg.Logos)

@@ -23,10 +23,6 @@ type PipelineConfig struct {
 	FPS float64
 	// Frames generates the synthetic stream.
 	Frames FrameGenConfig
-	// MatchThreshold is the max squared descriptor distance for a match.
-	MatchThreshold float32
-	// DetectThreshold is the matched-pair count that declares a detection.
-	DetectThreshold int
 	// Octaves is the extractor's scale-space depth; more octaves make
 	// extraction proportionally more expensive (1 = single scale).
 	Octaves int
@@ -38,6 +34,13 @@ type PipelineConfig struct {
 	// goroutines; must be safe for concurrent use).
 	OnDetection func(Detection)
 }
+
+const (
+	// matchThreshold is the max squared descriptor distance for a match.
+	matchThreshold = 0.12
+	// detectThreshold is the matched-pair count that declares a detection.
+	detectThreshold = 4
+)
 
 // logoLibrary builds the reference descriptors by generating clean stamps
 // of each logo and extracting their features — the "pre-generated logo
@@ -63,12 +66,6 @@ func logoLibrary(cfg FrameGenConfig) [][]Descriptor {
 func Pipeline(cfg PipelineConfig) (*engine.Topology, error) {
 	if cfg.FPS <= 0 {
 		cfg.FPS = MeanFPS
-	}
-	if cfg.MatchThreshold == 0 {
-		cfg.MatchThreshold = 0.12
-	}
-	if cfg.DetectThreshold == 0 {
-		cfg.DetectThreshold = 4
 	}
 	if cfg.Tasks <= 0 {
 		cfg.Tasks = 16
@@ -109,7 +106,7 @@ func Pipeline(cfg PipelineConfig) (*engine.Topology, error) {
 							best = dist
 						}
 					}
-					if best <= cfg.MatchThreshold {
+					if best <= matchThreshold {
 						emit(engine.Values{match{frameID: ft.FrameID, logo: logo}})
 					}
 				}
@@ -210,7 +207,7 @@ func (a *aggregator) Process(t engine.Tuple, _ engine.Emit) error {
 		}
 	}
 	a.counts[key]++
-	shouldFire := a.counts[key] >= a.cfg.DetectThreshold && !a.fired[key]
+	shouldFire := a.counts[key] >= detectThreshold && !a.fired[key]
 	if shouldFire {
 		a.fired[key] = true
 	}

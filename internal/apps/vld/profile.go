@@ -102,9 +102,9 @@ func SimConfig(alloc []int, seed uint64) (sim.Config, error) {
 	hop := stats.Exponential{Rate: 1 / HopDelayMean}
 	return sim.Config{
 		Operators: []sim.OperatorSpec{
-			{Name: "extract", Service: logNormalWithMean(ExtractService, 0.6)},
-			{Name: "match", Service: logNormalWithMean(MatchService, 0.5)},
-			{Name: "aggregate", Service: stats.Exponential{Rate: 1 / AggregateService}},
+			{Service: logNormalWithMean(ExtractService, 0.6)},
+			{Service: logNormalWithMean(MatchService, 0.5)},
+			{Service: stats.Exponential{Rate: 1 / AggregateService}},
 		},
 		Edges: []sim.EdgeSpec{
 			{From: 0, To: 1, Emit: sim.FractionalEmission{Selectivity: 1}, NetDelay: hop},

@@ -48,9 +48,6 @@ type CostModel struct {
 	// MachineRelease is the pause when draining and stopping machines
 	// (ExpB's ~1113 ms bump).
 	MachineRelease time.Duration
-	// DefaultRebalance is Storm's stop-the-world mechanism, for the
-	// comparison the paper makes (1-2 minutes).
-	DefaultRebalance time.Duration
 }
 
 // PaperCosts are the transition costs reported in §V.
@@ -59,7 +56,6 @@ func PaperCosts() CostModel {
 		Rebalance:        3 * time.Second,
 		MachineColdStart: 4777 * time.Millisecond,
 		MachineRelease:   1113 * time.Millisecond,
-		DefaultRebalance: 90 * time.Second,
 	}
 }
 

@@ -51,12 +51,6 @@ type TenantReport struct {
 	// ShrinkCost is the marginal damage of losing one slot; +Inf marks the
 	// tenant non-preemptible (at its minimum stable allocation).
 	ShrinkCost float64
-	// ShedFraction is the share of the tenant's *offered* external load its
-	// ingest admission controller is currently dropping (0 when it has no
-	// ingest tier or admits everything). A shedding tenant is failing its
-	// demand by construction, so its supervisor also reports Violating —
-	// the grant it holds cannot cover the load clients are offering.
-	ShedFraction float64
 }
 
 // TenantConfig registers one topology with the scheduler.

@@ -37,6 +37,8 @@ import (
 // replacement wired into the same route-table slot. It returns the number
 // of tuples replayed. Concurrent Rebalance/Stop/FailExecutor calls are
 // serialized.
+//
+//checkdoc:testonly crash hook: the at-least-once tests kill an executor mid-stream through it
 func (r *Run) FailExecutor(bolt string, exec int) (replayed int, err error) {
 	// A crashed remote-bound executor recovers as a local goroutine: its
 	// transport's fate is unknown, and the placement layer re-binds once

@@ -274,8 +274,8 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 	names := []string{"stage1", "stage2"}
 	t.s, err = sim.New(sim.Config{
 		Operators: []sim.OperatorSpec{
-			{Name: names[0], Service: ts.service},
-			{Name: names[1], Service: ts.service},
+			{Service: ts.service},
+			{Service: ts.service},
 		},
 		Sources: sources,
 		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},

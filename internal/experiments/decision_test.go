@@ -22,7 +22,7 @@ import (
 //     the golden file locks;
 //   - nothing was thinned or dropped on the way.
 func TestChaosDecisionLogReconciles(t *testing.T) {
-	dlog := obs.NewLog(obs.Config{Shards: 4, ShardCapacity: 8192})
+	dlog := obs.NewLog(obs.Config{})
 	defer dlog.Close()
 	res, err := RunChaosSpec(scenario.Chaos(), Options{DecisionLog: dlog})
 	if err != nil {

@@ -77,9 +77,6 @@ type Options struct {
 	// outage windows — to that horizon. Benchmarks and quick tests shrink
 	// runs this way.
 	Duration float64
-	// Warmup, when positive, replaces the (scaled) span of discarded
-	// initial completions in the steady-state runs (the paper's is 60 s).
-	Warmup float64
 	// Seed feeds the simulations (default 1).
 	Seed uint64
 	// DecisionLog, when non-nil, receives every control-plane verdict the
@@ -88,6 +85,8 @@ type Options struct {
 	// stamped with simulated time, so a replayed scenario's decisions can
 	// be audited against its books. The multi-tenant arcs (contention,
 	// churn, overload, chaos) emit; the other runners ignore it.
+	//
+	//checkdoc:testonly test hook: the chaos reconciliation test audits every simulated decision against the phase books through it
 	DecisionLog *obs.Log
 }
 
@@ -126,15 +125,11 @@ type timeline struct {
 // at scales every mark of the paper timeline to o.
 func (tl timeline) at(o Options) timeline {
 	f := o.scale(tl.horizon)
-	tl = timeline{
+	return timeline{
 		horizon: tl.horizon * f, warmup: tl.warmup * f, enableAt: tl.enableAt * f,
 		stepFrom: tl.stepFrom * f, stepUntil: tl.stepUntil * f,
 		killAt: tl.killAt * f, killDown: tl.killDown * f,
 	}
-	if o.Warmup > 0 {
-		tl.warmup = o.Warmup
-	}
-	return tl
 }
 
 // controlInterval is the control period of every supervised run, in

@@ -41,7 +41,6 @@ func TestOptionsDefaults(t *testing.T) {
 	}{
 		{Options{}, sweepPaper, 600, 60, 0},
 		{Options{Duration: 100}, sweepPaper, 100, 10, 0},
-		{Options{Duration: 100, Warmup: 20}, sweepPaper, 100, 20, 0},
 		{Options{}, contentionPaper, 1620, 0, 180},
 		{Options{Duration: 1620}, contentionPaper, 1620, 0, 180},
 		{Options{Duration: 600}, contentionPaper, 600, 0, 600 / 9.0},

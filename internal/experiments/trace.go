@@ -125,8 +125,6 @@ func newTraceCountBolt(int) engine.Bolt {
 type TraceVariant struct {
 	// Mode labels the variant: "local", "remote" or "full".
 	Mode string
-	// SamplePermille is the variant's sampling rate.
-	SamplePermille int
 	// Admitted is the number of workload entries pushed through the gate.
 	Admitted int64
 	// SampledExpected is |{seq <= Admitted : the deterministic hash wins}|
@@ -186,7 +184,7 @@ type TraceResult struct {
 // -> sink with tracing at permille, optionally spreading the count stage
 // over live worker daemons, and returns the full tracing account.
 func runTraceVariant(mode string, entries []traceEntry, permille, remoteMachines int, seed int64) (TraceVariant, error) {
-	v := TraceVariant{Mode: mode, SamplePermille: permille}
+	v := TraceVariant{Mode: mode}
 	var (
 		mu        sync.Mutex
 		completed []obs.Trace
@@ -417,8 +415,10 @@ func RunTraceSpec(spec scenario.Spec, o Options) (TraceResult, error) {
 func (r TraceResult) Print(w io.Writer) {
 	header(w, fmt.Sprintf("Trace: scenario %q, %d/tenant offered, %d admitted; sampling %d permille (full run: 1000)",
 		r.Scenario.Name, r.PerTenant, r.Local.Admitted, traceSamplePermille))
-	for tenant, n := range r.Shed {
-		fmt.Fprintf(w, "  shed at the bucket: %s %d\n", tenant, n)
+	for _, ts := range r.Scenario.Tenants {
+		if n, ok := r.Shed[ts.Name]; ok {
+			fmt.Fprintf(w, "  shed at the bucket: %s %d\n", ts.Name, n)
+		}
 	}
 	fmt.Fprintf(w, "%-7s %9s %8s %7s %6s %11s %11s %11s %11s\n",
 		"variant", "admitted", "sampled", "traces", "remote", "queue ms", "service ms", "shuttle ms", "sojourn ms")

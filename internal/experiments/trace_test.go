@@ -2,8 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"github.com/drs-repro/drs/internal/scenario"
 )
 
 // TestTraceArc runs the tracing golden arc end to end and locks the
@@ -88,5 +91,36 @@ func TestTraceArc(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("rendering missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestTracePrintShedInSpecOrder: the shed lines follow the scenario's
+// tenant order, not the order of the map that counts them, so one seed
+// renders the same text every run. Tenants without a shed line stay
+// silent.
+func TestTracePrintShedInSpecOrder(t *testing.T) {
+	// Enough tenants that ranging over the map almost never happens to
+	// visit them in spec order.
+	names := []string{"gold", "bronze", "silver", "zinc", "amber", "iron", "tin", "lead", "jade", "onyx", "ruby"}
+	var r TraceResult
+	r.Shed = make(map[string]int64)
+	for i, name := range names {
+		r.Scenario.Tenants = append(r.Scenario.Tenants, scenario.TenantSpec{Name: name})
+		if name != "zinc" {
+			r.Shed[name] = int64(10 * (i + 1))
+		}
+	}
+	var buf bytes.Buffer
+	r.Print(&buf)
+	var got []string
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, "  shed at the bucket: "); ok {
+			got = append(got, rest)
+		}
+	}
+	want := []string{"gold 10", "bronze 20", "silver 30", "amber 50", "iron 60",
+		"tin 70", "lead 80", "jade 90", "onyx 100", "ruby 110"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("shed lines %q, want %q", got, want)
 	}
 }

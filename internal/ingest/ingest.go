@@ -133,7 +133,9 @@ type GateConfig struct {
 	// the backpressure hint of overload/backlog sheds — the earliest the
 	// verdict can change.
 	ReplanEvery time.Duration
-	// Now overrides the clock (tests); nil uses time.Now.
+	// Now overrides the clock; nil uses time.Now.
+	//
+	//checkdoc:testonly test seam: the gate's tests drive replanning and the token buckets from a fake clock
 	Now func() time.Time
 	// Name labels this gate's records in the decision log (default
 	// "gate").

@@ -172,6 +172,8 @@ type Config struct {
 	Pool Pool
 	// Source produces snapshots from interval reports. Nil builds a
 	// metrics.Measurer over Operators with the paper's 6-interval window.
+	//
+	//checkdoc:testonly test seam: the loop's tests script the snapshots a round sees
 	Source Source
 	// Interval is the measurement cadence Tm used by Start (required).
 	Interval time.Duration
@@ -507,7 +509,7 @@ func (s *Supervisor) Tick() {
 	s.lastSnap.Ops = nil
 	s.lastAllocTotal = sumInts(alloc)
 	s.mu.Unlock()
-	s.reportTenant(snap, shedFraction)
+	s.reportTenant(snap, shedFraction > 0)
 	s.cfg.Sojourn.Observe(snap.MeasuredSojourn)
 	s.cfg.ShedFrac.Observe(shedFraction)
 
@@ -658,11 +660,11 @@ func (s *Supervisor) fit(budget int) ([]int, error) {
 }
 
 // reportTenant pushes a utility self-assessment to the pool when it is an
-// arbitrated lease: λ̂0, whether the tenant violates its Tmax, the shed
-// fraction of its ingest tier, and the marginal benefit/cost of one slot
-// in the cross-tenant-comparable Equation (3) numerator units. It asks the
-// model at offered demand, so the bid reflects offered load.
-func (s *Supervisor) reportTenant(snap core.Snapshot, shedFraction float64) {
+// arbitrated lease: λ̂0, whether the tenant violates its Tmax, and the
+// marginal benefit/cost of one slot in the cross-tenant-comparable
+// Equation (3) numerator units. It asks the model at offered demand, so
+// the bid reflects offered load.
+func (s *Supervisor) reportTenant(snap core.Snapshot, shedding bool) {
 	rep, ok := s.cfg.Pool.(TenantReporter)
 	if !ok || !s.modelOK {
 		return
@@ -680,10 +682,9 @@ func (s *Supervisor) reportTenant(snap core.Snapshot, shedFraction float64) {
 		// A shedding tenant is violating by construction: the shed traffic
 		// is demand its grant already failed to serve, whatever the
 		// measured sojourn of the admitted remainder says.
-		Violating:    shedFraction > 0 || s.offered.Violates(snap.Alloc, snap.MeasuredSojourn, s.tmax),
-		GrowBenefit:  grow,
-		ShrinkCost:   shrink,
-		ShedFraction: shedFraction,
+		Violating:   shedding || s.offered.Violates(snap.Alloc, snap.MeasuredSojourn, s.tmax),
+		GrowBenefit: grow,
+		ShrinkCost:  shrink,
 	})
 }
 

@@ -48,8 +48,8 @@ func (p *reportingPool) Report(r cluster.TenantReport) {
 // TestScaleOnOfferedLoad: when the snapshot's offered rate exceeds the
 // admitted λ̂0 (an ingest tier is shedding), the supervisor must inflate
 // the whole snapshot to offered demand before stepping — λ̂0 and every
-// per-operator λ̂_i — and report the shed fraction (plus a forced
-// Violating) to an arbitrated lease.
+// per-operator λ̂_i — and report a forced Violating to an arbitrated
+// lease.
 func TestScaleOnOfferedLoad(t *testing.T) {
 	clock := newFakeClock()
 	target := &fakeTarget{alloc: map[string]int{"extract": 2, "match": 2}}
@@ -101,17 +101,13 @@ func TestScaleOnOfferedLoad(t *testing.T) {
 	if len(pool.reports) != 1 {
 		t.Fatalf("want 1 tenant report, got %d", len(pool.reports))
 	}
-	rep := pool.reports[0]
-	if math.Abs(rep.ShedFraction-0.6) > 1e-9 {
-		t.Fatalf("shed fraction %.3f, want 0.6 (15 of 25 offered shed)", rep.ShedFraction)
-	}
-	if !rep.Violating {
+	if !pool.reports[0].Violating {
 		t.Fatal("a shedding tenant must report Violating")
 	}
 }
 
 // TestNoScalingWithoutShedding: offered equal to (or below) admitted must
-// leave the snapshot untouched and report no shed fraction.
+// leave the snapshot untouched and force no Violating report.
 func TestNoScalingWithoutShedding(t *testing.T) {
 	clock := newFakeClock()
 	target := &fakeTarget{alloc: map[string]int{"extract": 2}}
@@ -144,7 +140,7 @@ func TestNoScalingWithoutShedding(t *testing.T) {
 	}
 	pool.mu.Lock()
 	defer pool.mu.Unlock()
-	if len(pool.reports) != 1 || pool.reports[0].ShedFraction != 0 {
-		t.Fatalf("want one report with zero shed fraction, got %+v", pool.reports)
+	if len(pool.reports) != 1 || pool.reports[0].Violating {
+		t.Fatalf("want one non-violating report, got %+v", pool.reports)
 	}
 }

@@ -116,7 +116,7 @@ type Node struct {
 	cfg     Config
 	log     *slog.Logger
 	walLog  *wal.Log
-	ckpt    wal.Checkpoint // the previous life's books; zero on a cold start
+	ckpt    wal.Checkpoint // the previous life's control state; zero on a cold start
 	dlog    *obs.Log
 	tracer  *obs.Tracer
 	metrics *metrics
@@ -515,22 +515,14 @@ func (n *Node) Status() Status {
 }
 
 // saveCheckpoint persists the control plane beside the segments:
-// allocation, lease grant, hysteresis and the cumulative books (carried
-// across lives by summing on top of the recovered checkpoint).
+// allocation, lease grant and hysteresis — what the next boot resumes.
 func (n *Node) saveCheckpoint() {
-	st := n.gate.Stats()
 	ps := n.tenant.Sup.PersistedState()
-	completions, _ := n.tenant.Run.Completions()
 	err := wal.SaveCheckpoint(n.cfg.WALDir, wal.Checkpoint{
-		Seq:        n.walLog.TailSeq(),
-		Watermark:  st.Watermark,
 		Alloc:      n.tenant.Run.Allocation(),
 		Slots:      n.lease.Granted(),
 		Rounds:     ps.Rounds,
 		CooldownMS: ps.CooldownRemaining.Milliseconds(),
-		Admitted:   n.ckpt.Admitted + uint64(st.Admitted),
-		Completed:  n.ckpt.Completed + uint64(completions),
-		Shed:       n.ckpt.Shed + uint64(st.ShedRateLimit+st.ShedOverload+st.ShedBacklog),
 	})
 	if err != nil {
 		n.log.Warn("checkpoint not saved", "err", err)

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"log/slog"
 	"net"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -284,6 +286,45 @@ func TestDurableRestart(t *testing.T) {
 	defer third.Close()
 	if got := third.Status().Gate.Replayed; got != 0 {
 		t.Errorf("third life replayed %d records after a drained shutdown, want 0", got)
+	}
+}
+
+// TestOldCheckpointResumes: a checkpoint.json written by an older binary,
+// which still carries the retired seq, watermark and book keys, boots a
+// node that resumes its allocation, round count and cooldown.
+func TestOldCheckpointResumes(t *testing.T) {
+	cfg, _ := testConfig()
+	cfg.WALDir = t.TempDir()
+	cfg.Interval = time.Hour // no round runs inside the test
+	old := `{
+  "seq": 5000,
+  "watermark": 4990,
+  "alloc": {"extract": 3, "match": 2},
+  "slots": 6,
+  "rounds": 17,
+  "cooldown_ms": 90000,
+  "admitted": 5000,
+  "completed": 4990,
+  "shed": 12
+}
+`
+	if err := os.WriteFile(filepath.Join(cfg.WALDir, "checkpoint.json"), []byte(old), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got := n.tenant.Run.Allocation(); got["extract"] != 3 || got["match"] != 2 {
+		t.Errorf("allocation %v, want the checkpoint's extract 3, match 2", got)
+	}
+	ps := n.tenant.Sup.PersistedState()
+	if ps.Rounds != 17 {
+		t.Errorf("rounds %d, want the checkpoint's 17", ps.Rounds)
+	}
+	if ps.CooldownRemaining <= 0 || ps.CooldownRemaining > 90*time.Second {
+		t.Errorf("cooldown remaining %v, want the checkpoint's 90s, less the boot", ps.CooldownRemaining)
 	}
 }
 

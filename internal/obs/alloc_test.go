@@ -15,8 +15,7 @@ func TestEmitZeroAllocs(t *testing.T) {
 		t.Skip("AllocsPerRun is unreliable under -race")
 	}
 	clock := time.Unix(0, 0)
-	l := NewLog(Config{Shards: 4, ShardCapacity: 1 << 16,
-		Now: func() time.Time { clock = clock.Add(time.Microsecond); return clock }})
+	l := newLog(Config{Now: func() time.Time { clock = clock.Add(time.Microsecond); return clock }}, 4, 1<<16, 0)
 	rec := Record{Kind: KindPreempt, Tenant: "gold", Peer: "bronze",
 		From: 8, To: 6, Gain: 0.5, Loss: 0.25, Lambda0: 100, PeerLambda0: 50,
 		PauseNS: 1e9, Flag: true}
@@ -32,7 +31,7 @@ func TestEmitSampledOutZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")
 	}
-	l := NewLog(Config{Shards: 1, ShardCapacity: 16, SamplePermille: 1})
+	l := newLog(Config{SamplePermille: 1}, 1, 16, 0)
 	rec := Record{Kind: KindGrant, Tenant: "t"}
 	allocs := testing.AllocsPerRun(10000, func() { l.Emit(&rec) })
 	if allocs != 0 {

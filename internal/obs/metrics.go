@@ -168,6 +168,8 @@ func (h *Histogram) Observe(v float64) {
 }
 
 // Count reports the number of observations.
+//
+//checkdoc:testonly test hook: a test reads a histogram's total without parsing an exposition
 func (h *Histogram) Count() uint64 {
 	if h == nil {
 		return 0

@@ -154,13 +154,10 @@ type Record struct {
 	Detail      string  // short tag: an action word, or a decision's reason
 }
 
-// Config sizes a Log. The zero value is usable: 4 shards x 1024 records,
-// sampling every record, no sink (manual Sweep only).
+// Config configures a Log. The zero value is usable: sampling every
+// record, no sink (manual Sweep only). The rings are the pipe defaults,
+// 4 shards x 1024 records swept every 250ms.
 type Config struct {
-	// Shards is the ring shard count, rounded up to a power of two.
-	Shards int
-	// ShardCapacity is the record capacity per shard.
-	ShardCapacity int
 	// SamplePermille keeps N records per 1000 emissions (default 1000 =
 	// keep everything). Sampling is deterministic over the emission
 	// sequence, so identical runs keep identical records.
@@ -168,10 +165,9 @@ type Config struct {
 	// Sink receives drained NDJSON batches. Nil means no drainer
 	// goroutine runs; records wait in the rings for a manual Sweep.
 	Sink Sink
-	// FlushEvery is the drainer's sweep cadence (default 250ms).
-	FlushEvery time.Duration
-	// Now supplies timestamps (default time.Now). Virtual-time
-	// experiments inject their simulated clock here.
+	// Now supplies timestamps (default time.Now).
+	//
+	//checkdoc:testonly test seam: the log's tests stamp records from a fixed clock
 	Now func() time.Time
 }
 
@@ -187,12 +183,16 @@ type Log struct {
 
 // NewLog builds a decision log. If cfg.Sink is non-nil a single drainer
 // goroutine starts sweeping the rings; Close stops it and flushes.
-func NewLog(cfg Config) *Log {
+func NewLog(cfg Config) *Log { return newLog(cfg, 0, 0, 0) }
+
+// newLog is NewLog over rings of the given shape; zeros mean the pipe
+// defaults.
+func newLog(cfg Config, shards, capacity int, flushEvery time.Duration) *Log {
 	l := &Log{now: cfg.Now}
 	if l.now == nil {
 		l.now = time.Now
 	}
-	l.p.init(cfg.Shards, cfg.ShardCapacity, cfg.SamplePermille, cfg.FlushEvery, cfg.Sink,
+	l.p.init(shards, capacity, cfg.SamplePermille, flushEvery, cfg.Sink,
 		func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) }, AppendRecord, nil)
 	return l
 }
@@ -225,7 +225,7 @@ func (l *Log) Emit(r *Record) {
 		return
 	}
 	seq := l.p.seq.Add(1)
-	if !ThinAdmit(seq, l.p.permille.Load()) {
+	if !ThinAdmit(seq, l.p.permille) {
 		l.thinned.Add(1)
 		return
 	}
@@ -236,15 +236,6 @@ func (l *Log) Emit(r *Record) {
 	if slot, mu := l.p.put(seq, r); slot != nil {
 		slot.Seq, slot.At = seq, at
 		mu.Unlock()
-	}
-}
-
-// SetSample re-aims the sampling knob to keep permille records per 1000
-// emissions, effective for subsequent emissions. Values are clamped to
-// [0, 1000]. Safe on a nil log and during concurrent emission.
-func (l *Log) SetSample(permille int) {
-	if l != nil {
-		l.p.setSample(permille)
 	}
 }
 
@@ -268,10 +259,12 @@ func (l *Log) Stats() Stats {
 }
 
 // Sweep drains every shard and hands the records, ordered by emission
-// sequence, to fn. It is the synchronous form of the drainer loop, used
-// by experiments and tests; it shares the drainer's scratch, so do not
-// call it concurrently with a running drainer's sweeps (Close first) or
-// from multiple goroutines. Safe on a nil log.
+// sequence, to fn. It is the synchronous form of the drainer loop; it
+// shares the drainer's scratch, so do not call it concurrently with a
+// running drainer's sweeps (Close first) or from multiple goroutines.
+// Safe on a nil log.
+//
+//checkdoc:testonly test hook: a test reads a sinkless log back without waiting on a drainer
 func (l *Log) Sweep(fn func(*Record)) {
 	if l == nil {
 		return

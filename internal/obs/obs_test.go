@@ -22,7 +22,7 @@ func fixedClock() func() time.Time {
 }
 
 func TestLogEmitSweepOrdersBySeq(t *testing.T) {
-	l := NewLog(Config{Shards: 4, ShardCapacity: 64, Now: fixedClock()})
+	l := newLog(Config{Now: fixedClock()}, 4, 64, 0)
 	for i := 0; i < 40; i++ {
 		l.Emit(&Record{Kind: KindGrant, Tenant: "gold", From: i, To: i + 1})
 	}
@@ -53,7 +53,6 @@ func TestLogEmitSweepOrdersBySeq(t *testing.T) {
 func TestLogNilSafe(t *testing.T) {
 	var l *Log
 	l.Emit(&Record{Kind: KindGrant})
-	l.SetSample(10)
 	l.Sweep(func(*Record) { t.Fatal("nil log swept a record") })
 	if s := l.Stats(); s != (Stats{}) {
 		t.Fatalf("nil log stats = %+v, want zero", s)
@@ -63,8 +62,8 @@ func TestLogNilSafe(t *testing.T) {
 	}
 }
 
-func TestLogSamplingDeterministicAndRetunable(t *testing.T) {
-	l := NewLog(Config{Shards: 2, ShardCapacity: 2048, SamplePermille: 100, Now: fixedClock()})
+func TestLogSamplingDeterministic(t *testing.T) {
+	l := newLog(Config{SamplePermille: 100, Now: fixedClock()}, 2, 2048, 0)
 	for i := 0; i < 1000; i++ {
 		l.Emit(&Record{Kind: KindRefit, Tenant: "a"})
 	}
@@ -78,26 +77,15 @@ func TestLogSamplingDeterministicAndRetunable(t *testing.T) {
 		t.Fatalf("thinned %d, want 900", st.Thinned)
 	}
 
-	// Flip the knob live: keep-everything from here on.
-	l.SetSample(1000)
+	// The default keeps everything.
+	all := newLog(Config{Now: fixedClock()}, 2, 2048, 0)
 	for i := 0; i < 50; i++ {
-		l.Emit(&Record{Kind: KindRefit, Tenant: "a"})
+		all.Emit(&Record{Kind: KindRefit, Tenant: "a"})
 	}
 	n = 0
-	l.Sweep(func(*Record) { n++ })
+	all.Sweep(func(*Record) { n++ })
 	if n != 50 {
-		t.Fatalf("kept %d of 50 after SetSample(1000), want 50", n)
-	}
-
-	// And off entirely.
-	l.SetSample(0)
-	for i := 0; i < 50; i++ {
-		l.Emit(&Record{Kind: KindRefit, Tenant: "a"})
-	}
-	n = 0
-	l.Sweep(func(*Record) { n++ })
-	if n != 0 {
-		t.Fatalf("kept %d of 50 after SetSample(0), want 0", n)
+		t.Fatalf("kept %d of 50 at the default rate, want 50", n)
 	}
 }
 
@@ -127,12 +115,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 
 func TestLogDrainerFlushesNDJSONToSink(t *testing.T) {
 	var buf bytes.Buffer
-	l := NewLog(Config{
-		Shards: 2, ShardCapacity: 128,
-		Sink:       NewWriterSink(&buf),
-		FlushEvery: time.Millisecond,
-		Now:        fixedClock(),
-	})
+	l := newLog(Config{Sink: NewWriterSink(&buf), Now: fixedClock()}, 2, 128, time.Millisecond)
 	l.Emit(&Record{Kind: KindPreempt, Tenant: "gold", Peer: "bronze",
 		From: 8, To: 6, Gain: 0.5, Loss: 0.25, Lambda0: 100, PeerLambda0: 50,
 		PauseNS: int64(time.Second), Flag: true})

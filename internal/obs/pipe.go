@@ -43,10 +43,10 @@ type shard[T any] struct {
 type pipe[T any] struct {
 	shards []*shard[T]
 	mask   uint64
-	max    int // per-shard bound (ShardCapacity): a shard this full drops
+	max    int // per-shard bound (the shard capacity): a shard this full drops
 
 	seq      atomic.Uint64 // emissions offered
-	permille atomic.Int64  // sampling knob, flippable at runtime
+	permille int64         // sampling rate, fixed at init
 	dropped  atomic.Uint64 // records lost to ring overflow
 
 	// The three per-type hooks are fixed at init and run on the drainer
@@ -91,7 +91,7 @@ func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration,
 		p.shards[i] = &shard[T]{buf: make([]T, 0, min(initialShardCapacity, capacity))}
 	}
 	p.mask, p.max = uint64(pow-1), capacity
-	p.permille.Store(int64(permille))
+	p.permille = int64(permille)
 	p.bySeq, p.enc, p.fold = bySeq, enc, fold
 	p.sink, p.flushEvery = sink, flushEvery
 	p.stop, p.done = make(chan struct{}), make(chan struct{})
@@ -123,11 +123,6 @@ func (p *pipe[T]) put(seq uint64, r *T) (*T, *sync.Mutex) {
 	}
 	s.buf = append(s.buf, *r)
 	return &s.buf[len(s.buf)-1], &s.mu
-}
-
-// setSample re-aims the sampling knob, clamped to [0, 1000].
-func (p *pipe[T]) setSample(permille int) {
-	p.permille.Store(int64(min(max(permille, 0), permilleScale)))
 }
 
 // collect moves all buffered records into the drainer scratch, sorted by

@@ -25,7 +25,7 @@ func pipeInstantiations(live bool, shards, capacity int, sink Sink) map[string]p
 	var l *Log
 	var tr *Tracer
 	if live {
-		l = NewLog(Config{Shards: shards, ShardCapacity: capacity, Sink: sink, FlushEvery: time.Hour})
+		l = newLog(Config{Sink: sink}, shards, capacity, time.Hour)
 		tr = NewTracer(TracerConfig{Shards: shards, ShardCapacity: capacity, Sink: sink, FlushEvery: time.Hour})
 	}
 	return map[string]pipeUnderTest{
@@ -52,7 +52,7 @@ func pipeInstantiations(live bool, shards, capacity int, sink Sink) map[string]p
 
 // TestPipeContract holds both instantiations to the pipeline's four
 // promises: overflow drops the newest record and counts it without
-// blocking, at ShardCapacity however far the shard had to grow to get
+// blocking, at the shard capacity however far the shard had to grow to get
 // there; a sweep is seq-ordered across shards; Close is idempotent and
 // flushes the tail to the sink; a nil receiver is safe.
 func TestPipeContract(t *testing.T) {
@@ -128,7 +128,7 @@ func TestPipeCollectSteadyStateZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")
 	}
-	l := NewLog(Config{Shards: 4, ShardCapacity: 256})
+	l := newLog(Config{}, 4, 256, 0)
 	tr := NewTracer(TracerConfig{Shards: 4, ShardCapacity: 256})
 	rec, span := Record{Kind: KindGrant, Tenant: "t"}, SpanRecord{Trace: 7, Kind: SpanQueue}
 	for name, round := range map[string]func() int{

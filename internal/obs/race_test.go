@@ -7,16 +7,17 @@ import (
 	"time"
 )
 
-// TestConcurrentDecidersDrainerScrapeKnob is the package's race-detector
+// TestConcurrentDecidersDrainerScrape is the package's race-detector
 // workout: many deciders emitting, the background drainer sweeping to a
-// sink, /metrics being scraped, histograms observing and the sampling
-// knob flipping — all at once. Run under -race it proves the log and
-// registry are data-race free; without -race it still shakes out lost
-// records and torn counters.
-func TestConcurrentDecidersDrainerScrapeKnob(t *testing.T) {
+// sink, /metrics being scraped and histograms observing — all at once.
+// Run under -race it proves the log and registry are data-race free;
+// without -race it still shakes out lost records and torn counters. The
+// log thins at 500 permille, so every emission lands in one of kept,
+// thinned or dropped.
+func TestConcurrentDecidersDrainerScrape(t *testing.T) {
 	var sinkBuf bytes.Buffer
 	sink := NewWriterSink(&sinkBuf)
-	l := NewLog(Config{Shards: 8, ShardCapacity: 4096, Sink: sink, FlushEvery: 100 * time.Microsecond})
+	l := newLog(Config{SamplePermille: 500, Sink: sink}, 8, 4096, 100*time.Microsecond)
 	reg := NewRegistry()
 	reg.Func("drs_obs_offered_total", "Decision emissions offered.", Counter, "",
 		func() float64 { return float64(l.Stats().Offered) })
@@ -51,16 +52,6 @@ func TestConcurrentDecidersDrainerScrapeKnob(t *testing.T) {
 			buf = reg.Write(buf[:0])
 		}
 	}()
-	// Knob flipper.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for i := 0; i < 500; i++ {
-			l.SetSample(1 + (i*37)%1000)
-		}
-		l.SetSample(1000)
-	}()
 	close(start)
 	wg.Wait()
 	if err := l.Close(); err != nil {
@@ -92,17 +83,17 @@ func TestConcurrentDecidersDrainerScrapeKnob(t *testing.T) {
 	}
 }
 
-// TestConcurrentTracerEmitAssembleScrapeKnob is the tracer's counterpart
-// workout: many executors emitting spans, the drainer sweeping into the
-// assembler and a sink, /metrics scraping tracer and assembler stats, and
-// the sampling knob flipping — all at once. Every emitter finishes its
+// TestConcurrentTracerEmitAssembleScrape is the tracer's counterpart
+// workout: many executors sampling and emitting spans, the drainer
+// sweeping into the assembler and a sink, and /metrics scraping tracer
+// and assembler stats — all at once. Every emitter finishes its
 // roots with a root span, so after Close the assembler must balance:
 // nothing pending, everything started completed, all spans accounted.
-func TestConcurrentTracerEmitAssembleScrapeKnob(t *testing.T) {
+func TestConcurrentTracerEmitAssembleScrape(t *testing.T) {
 	var sinkBuf bytes.Buffer
 	asm := NewAssembler(AssemblerConfig{})
 	tr := NewTracer(TracerConfig{
-		Shards: 8, ShardCapacity: 1 << 16,
+		Shards: 8, ShardCapacity: 1 << 16, SamplePermille: 250,
 		Sink: NewWriterSink(&sinkBuf), Assembler: asm,
 		FlushEvery: 100 * time.Microsecond,
 	})
@@ -140,15 +131,6 @@ func TestConcurrentTracerEmitAssembleScrapeKnob(t *testing.T) {
 		var buf []byte
 		for i := 0; i < 200; i++ {
 			buf = reg.Write(buf[:0])
-		}
-	}()
-	// Knob flipper.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		<-start
-		for i := 0; i < 500; i++ {
-			tr.SetSample(1 + (i*37)%1000)
 		}
 	}()
 	close(start)

@@ -87,6 +87,8 @@ type SpanRecord struct {
 
 // TracerConfig sizes a Tracer. The zero value is usable: 4 shards x 1024
 // spans, sampling every root, no sink or assembler (manual Close only).
+// Unlike the decision log's, a tracer's rings are sized by its caller:
+// the trace experiment and the benchmark trace every root of a burst.
 type TracerConfig struct {
 	// Shards is the ring shard count, rounded up to a power of two.
 	Shards int
@@ -154,21 +156,17 @@ func traceMix(x uint64) uint64 {
 
 // SampleTrace reports whether the root with this trace id is sampled.
 // Deterministic in the id alone — the serve process and every worker
-// agree on the verdict without coordination — and branchless-cheap when
-// the knob is at 0 or 1000, so the sampled-out hot path stays in budget.
-// Safe on a nil tracer (never samples).
+// agree on the verdict without coordination — and hash-free at 1000, so
+// the trace-everything path stays in budget. The rate is fixed at
+// construction. Safe on a nil tracer (never samples).
 func (t *Tracer) SampleTrace(id uint64) bool {
 	if t == nil || id == 0 {
 		return false
 	}
-	p := t.p.permille.Load()
-	if p <= 0 {
-		return false
-	}
-	if p >= permilleScale {
+	if t.p.permille >= permilleScale {
 		return true
 	}
-	return traceMix(id)%permilleScale < uint64(p)
+	return traceMix(id)%permilleScale < uint64(t.p.permille)
 }
 
 // EmitSpan records one segment of a sampled trace. The span is copied by
@@ -185,15 +183,6 @@ func (t *Tracer) EmitSpan(r *SpanRecord) {
 	if slot, mu := t.p.put(seq, r); slot != nil {
 		slot.Seq = seq
 		mu.Unlock()
-	}
-}
-
-// SetSample re-aims the sampling knob to trace permille roots per 1000,
-// effective for subsequent SampleTrace calls. Values are clamped to
-// [0, 1000]. Safe on a nil tracer and during concurrent emission.
-func (t *Tracer) SetSample(permille int) {
-	if t != nil {
-		t.p.setSample(permille)
 	}
 }
 

@@ -149,21 +149,17 @@ func TestSampleTraceDeterministicAndProportional(t *testing.T) {
 }
 
 func TestSampleTraceKnobEdges(t *testing.T) {
-	tr := NewTracer(TracerConfig{SamplePermille: 1000})
-	defer tr.Close()
-	if !tr.SampleTrace(1) {
-		t.Fatal("permille 1000 must sample everything")
-	}
-	if tr.SampleTrace(0) {
-		t.Fatal("trace id 0 is the unsampled sentinel; it must never sample")
-	}
-	tr.SetSample(0)
-	if tr.SampleTrace(1) {
-		t.Fatal("permille 0 must sample nothing")
-	}
-	tr.SetSample(2000) // clamped to 1000
-	if !tr.SampleTrace(1) {
-		t.Fatal("clamped knob must sample everything")
+	// 0 is the default, and a rate past 1000 clamps to it: both trace
+	// every root.
+	for _, permille := range []int{0, 1000, 2000} {
+		tr := NewTracer(TracerConfig{SamplePermille: permille})
+		if !tr.SampleTrace(1) {
+			t.Fatalf("permille %d must sample everything", permille)
+		}
+		if tr.SampleTrace(0) {
+			t.Fatal("trace id 0 is the unsampled sentinel; it must never sample")
+		}
+		tr.Close()
 	}
 	var nilT *Tracer
 	if nilT.SampleTrace(1) {
@@ -174,7 +170,6 @@ func TestSampleTraceKnobEdges(t *testing.T) {
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.EmitSpan(&SpanRecord{Trace: 1, Kind: SpanRoot})
-	tr.SetSample(10)
 	if s := tr.Stats(); s != (TraceStats{}) {
 		t.Fatalf("nil tracer stats = %+v, want zero", s)
 	}

@@ -39,17 +39,6 @@ func (p PoissonArrivals) NextInterArrival(r *stats.RNG) float64 { return r.Exp(p
 // MeanRate returns Rate.
 func (p PoissonArrivals) MeanRate() float64 { return p.Rate }
 
-// DeterministicArrivals spaces arrivals exactly 1/Rate apart.
-type DeterministicArrivals struct {
-	Rate float64
-}
-
-// NextInterArrival returns the constant gap.
-func (d DeterministicArrivals) NextInterArrival(*stats.RNG) float64 { return 1 / d.Rate }
-
-// MeanRate returns Rate.
-func (d DeterministicArrivals) MeanRate() float64 { return d.Rate }
-
 // ModulatedRate redraws the instantaneous rate from RateDist every Period
 // seconds and emits Poisson arrivals at that rate meanwhile. It reproduces
 // the paper's VLD frame source: "uniformly distributed in [1,25] with a

@@ -10,10 +10,9 @@ import (
 	"github.com/drs-repro/drs/internal/stats"
 )
 
-// OperatorSpec describes one station of the simulated topology.
+// OperatorSpec describes one station of the simulated topology; it is
+// named by its index, as edges and sources name it.
 type OperatorSpec struct {
-	// Name identifies the operator.
-	Name string
 	// Service samples per-tuple service time in seconds.
 	Service stats.Dist
 }
@@ -228,9 +227,9 @@ func New(cfg Config) (*Sim, error) {
 func (s *Sim) SetWarmup(t float64) { s.warmup = t }
 
 // KeepCompletionSample retains every post-warmup sojourn for quantile
-// queries (costs memory; use for bounded runs). No program calls it: it is
-// the hook TestSojournQuantilesMatchClosedForm validates
-// queueing.SojournQuantile against the simulator through.
+// queries (costs memory; use for bounded runs).
+//
+//checkdoc:testonly quantile validation: TestSojournQuantilesMatchClosedForm holds queueing.SojournQuantile to the simulator through it
 func (s *Sim) KeepCompletionSample() { s.keepSample = true }
 
 // EnableSeries records mean sojourn per bucket of the given width in
@@ -262,6 +261,8 @@ func (s *Sim) Dropped() []int64 {
 func (s *Sim) CompletedStats() stats.Summary { return s.completed }
 
 // CompletedSample returns the retained sojourn sample, if enabled.
+//
+//checkdoc:testonly quantile validation: the retained sample KeepCompletionSample turns on
 func (s *Sim) CompletedSample() *stats.Sample { return &s.completedSample }
 
 // Series returns the recorded buckets (excluding the still-open one).

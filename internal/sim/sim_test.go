@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 func single(t *testing.T, lambda, mu float64, k int, seed uint64) *Sim {
 	t.Helper()
 	s, err := New(Config{
-		Operators: []OperatorSpec{{Name: "op", Service: stats.Exponential{Rate: mu}}},
+		Operators: []OperatorSpec{{Service: stats.Exponential{Rate: mu}}},
 		Sources:   []SourceSpec{{Op: 0, Arrivals: PoissonArrivals{Rate: lambda}}},
 		Alloc:     []int{k},
 		Seed:      seed,
@@ -66,11 +67,11 @@ func TestDeterministicChainSojourn(t *testing.T) {
 	// network delay: sojourn must be exactly the sum of service times.
 	s, err := New(Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Deterministic{Value: 0.1}},
-			{Name: "b", Service: stats.Deterministic{Value: 0.2}},
+			{Service: deterministic{Value: 0.1}},
+			{Service: deterministic{Value: 0.2}},
 		},
 		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: FractionalEmission{Selectivity: 1}}},
-		Sources: []SourceSpec{{Op: 0, Arrivals: DeterministicArrivals{Rate: 1}}},
+		Sources: []SourceSpec{{Op: 0, Arrivals: deterministicArrivals{Rate: 1}}},
 		Alloc:   []int{1, 1},
 		Seed:    3,
 	})
@@ -93,11 +94,11 @@ func TestFanOutTreeCompletion(t *testing.T) {
 	// 0.2s service, all children run in parallel: sojourn = 0.1 + 0.2.
 	s, err := New(Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Deterministic{Value: 0.1}},
-			{Name: "b", Service: stats.Deterministic{Value: 0.2}},
+			{Service: deterministic{Value: 0.1}},
+			{Service: deterministic{Value: 0.2}},
 		},
 		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: FractionalEmission{Selectivity: 3}}},
-		Sources: []SourceSpec{{Op: 0, Arrivals: DeterministicArrivals{Rate: 0.1}}},
+		Sources: []SourceSpec{{Op: 0, Arrivals: deterministicArrivals{Rate: 0.1}}},
 		Alloc:   []int{1, 3},
 		Seed:    4,
 	})
@@ -115,11 +116,11 @@ func TestFanOutTreeCompletion(t *testing.T) {
 	// With only 1 downstream server the children serialize: 0.1 + 3*0.2.
 	s2, err := New(Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Deterministic{Value: 0.1}},
-			{Name: "b", Service: stats.Deterministic{Value: 0.2}},
+			{Service: deterministic{Value: 0.1}},
+			{Service: deterministic{Value: 0.2}},
 		},
 		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: FractionalEmission{Selectivity: 3}}},
-		Sources: []SourceSpec{{Op: 0, Arrivals: DeterministicArrivals{Rate: 0.1}}},
+		Sources: []SourceSpec{{Op: 0, Arrivals: deterministicArrivals{Rate: 0.1}}},
 		Alloc:   []int{1, 1},
 		Seed:    4,
 	})
@@ -136,7 +137,7 @@ func TestLoopTupleTreeResolves(t *testing.T) {
 	// Self-loop with gain 0.5: trees are finite a.s. and arrival rate at
 	// the operator doubles relative to the external rate.
 	s, err := New(Config{
-		Operators: []OperatorSpec{{Name: "a", Service: stats.Exponential{Rate: 50}}},
+		Operators: []OperatorSpec{{Service: stats.Exponential{Rate: 50}}},
 		Edges:     []EdgeSpec{{From: 0, To: 0, Emit: FractionalEmission{Selectivity: 0.5}}},
 		Sources:   []SourceSpec{{Op: 0, Arrivals: PoissonArrivals{Rate: 10}}},
 		Alloc:     []int{2},
@@ -165,9 +166,9 @@ func TestTrafficEquationsHoldInChain(t *testing.T) {
 	// match the Jackson traffic solution.
 	s, err := New(Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Exponential{Rate: 100}},
-			{Name: "b", Service: stats.Exponential{Rate: 400}},
-			{Name: "c", Service: stats.Exponential{Rate: 100}},
+			{Service: stats.Exponential{Rate: 100}},
+			{Service: stats.Exponential{Rate: 400}},
+			{Service: stats.Exponential{Rate: 100}},
 		},
 		Edges: []EdgeSpec{
 			{From: 0, To: 1, Emit: FractionalEmission{Selectivity: 5}},
@@ -195,8 +196,8 @@ func TestTrafficEquationsHoldInChain(t *testing.T) {
 func TestNetworkDelayAddsToSojournNotModel(t *testing.T) {
 	base := Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Deterministic{Value: 0.01}},
-			{Name: "b", Service: stats.Deterministic{Value: 0.01}},
+			{Service: deterministic{Value: 0.01}},
+			{Service: deterministic{Value: 0.01}},
 		},
 		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: FractionalEmission{Selectivity: 1}}},
 		Sources: []SourceSpec{{Op: 0, Arrivals: PoissonArrivals{Rate: 5}}},
@@ -214,7 +215,7 @@ func TestNetworkDelayAddsToSojournNotModel(t *testing.T) {
 	withDelay.Edges = []EdgeSpec{{
 		From: 0, To: 1,
 		Emit:     FractionalEmission{Selectivity: 1},
-		NetDelay: stats.Deterministic{Value: 0.05},
+		NetDelay: deterministic{Value: 0.05},
 	}}
 	d, err := New(withDelay)
 	if err != nil {
@@ -297,8 +298,8 @@ func TestSetAllocationValidation(t *testing.T) {
 
 func TestMaxQueueDropsAndCounts(t *testing.T) {
 	s, err := New(Config{
-		Operators: []OperatorSpec{{Name: "a", Service: stats.Deterministic{Value: 1}}},
-		Sources:   []SourceSpec{{Op: 0, Arrivals: DeterministicArrivals{Rate: 10}}},
+		Operators: []OperatorSpec{{Service: deterministic{Value: 1}}},
+		Sources:   []SourceSpec{{Op: 0, Arrivals: deterministicArrivals{Rate: 10}}},
 		Alloc:     []int{1},
 		Seed:      12,
 		MaxQueue:  5,
@@ -379,7 +380,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestConfigValidation(t *testing.T) {
-	op := []OperatorSpec{{Name: "a", Service: stats.Deterministic{Value: 1}}}
+	op := []OperatorSpec{{Service: deterministic{Value: 1}}}
 	src := []SourceSpec{{Op: 0, Arrivals: PoissonArrivals{Rate: 1}}}
 	tests := []struct {
 		name string
@@ -479,9 +480,9 @@ func TestTupleConservationProperty(t *testing.T) {
 	for _, seed := range []uint64{1, 7, 42, 99} {
 		s, err := New(Config{
 			Operators: []OperatorSpec{
-				{Name: "a", Service: stats.Exponential{Rate: 200}},
-				{Name: "b", Service: stats.Exponential{Rate: 400}},
-				{Name: "c", Service: stats.Exponential{Rate: 300}},
+				{Service: stats.Exponential{Rate: 200}},
+				{Service: stats.Exponential{Rate: 400}},
+				{Service: stats.Exponential{Rate: 300}},
 			},
 			Edges: []EdgeSpec{
 				{From: 0, To: 1, Emit: PoissonEmission{Selectivity: 2}},
@@ -554,7 +555,7 @@ func TestTraceReplayIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		s, err := New(Config{
-			Operators: []OperatorSpec{{Name: "op", Service: stats.Exponential{Rate: 80}}},
+			Operators: []OperatorSpec{{Service: stats.Exponential{Rate: 80}}},
 			Sources:   []SourceSpec{{Op: 0, Arrivals: tr}},
 			Alloc:     []int{1},
 			Seed:      5, // same service seed; arrivals fully from the trace
@@ -599,6 +600,20 @@ func TestTraceValidation(t *testing.T) {
 	}
 }
 
+// deterministic is a constant service time or hop delay: the fixture
+// that makes a sojourn exact.
+type deterministic struct{ Value float64 }
+
+func (d deterministic) Sample(*stats.RNG) float64 { return d.Value }
+func (d deterministic) Mean() float64             { return d.Value }
+func (d deterministic) String() string            { return fmt.Sprintf("Det(%g)", d.Value) }
+
+// deterministicArrivals spaces arrivals exactly 1/Rate apart.
+type deterministicArrivals struct{ Rate float64 }
+
+func (d deterministicArrivals) NextInterArrival(*stats.RNG) float64 { return 1 / d.Rate }
+func (d deterministicArrivals) MeanRate() float64                   { return d.Rate }
+
 // finiteArrivals emits exactly n evenly-spaced tuples, then goes silent —
 // so a test can let the system drain completely.
 type finiteArrivals struct {
@@ -625,8 +640,8 @@ func TestPendingRootsDrainsToZero(t *testing.T) {
 	}
 	s, err := New(Config{
 		Operators: []OperatorSpec{
-			{Name: "a", Service: stats.Exponential{Rate: 4}},
-			{Name: "b", Service: stats.Exponential{Rate: 8}},
+			{Service: stats.Exponential{Rate: 4}},
+			{Service: stats.Exponential{Rate: 8}},
 		},
 		Sources: []SourceSpec{{Op: 0, Arrivals: &finiteArrivals{n: 500, rate: 3}}},
 		Edges:   []EdgeSpec{{From: 0, To: 1, Emit: emit}},

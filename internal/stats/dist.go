@@ -7,7 +7,7 @@ import (
 
 // Dist is a sampleable non-negative distribution. It is the abstraction the
 // simulator uses for inter-arrival times and service times, so that an
-// experiment can swap exponential for uniform, lognormal or deterministic
+// experiment can swap exponential for uniform, lognormal or Pareto
 // variants (the paper deliberately runs the model outside its exponential
 // assumptions, e.g. uniform frame rates in §V).
 type Dist interface {
@@ -32,20 +32,6 @@ func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
 // String renders the distribution for logs and reports.
 func (e Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", e.Rate) }
-
-// Deterministic always returns Value.
-type Deterministic struct {
-	Value float64
-}
-
-// Sample returns the constant value.
-func (d Deterministic) Sample(*RNG) float64 { return d.Value }
-
-// Mean returns the constant value.
-func (d Deterministic) Mean() float64 { return d.Value }
-
-// String renders the distribution for logs and reports.
-func (d Deterministic) String() string { return fmt.Sprintf("Det(%g)", d.Value) }
 
 // Uniform is a uniform distribution on [Lo, Hi).
 type Uniform struct {
@@ -112,19 +98,3 @@ func (p Pareto) Mean() float64 {
 
 // String renders the distribution for logs and reports.
 func (p Pareto) String() string { return fmt.Sprintf("Pareto(scale=%g,alpha=%g)", p.Scale, p.Alpha) }
-
-// Shifted wraps a distribution and adds a constant offset to every sample,
-// useful for "fixed overhead plus variable part" service models.
-type Shifted struct {
-	Offset float64
-	Base   Dist
-}
-
-// Sample returns Offset + Base.Sample.
-func (s Shifted) Sample(r *RNG) float64 { return s.Offset + s.Base.Sample(r) }
-
-// Mean returns Offset + Base.Mean.
-func (s Shifted) Mean() float64 { return s.Offset + s.Base.Mean() }
-
-// String renders the distribution for logs and reports.
-func (s Shifted) String() string { return fmt.Sprintf("%g+%s", s.Offset, s.Base) }

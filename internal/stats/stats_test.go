@@ -76,10 +76,8 @@ func TestDistMeans(t *testing.T) {
 	r := NewRNG(4)
 	dists := []Dist{
 		Exponential{Rate: 4},
-		Deterministic{Value: 0.7},
 		Uniform{Lo: 1, Hi: 25},
 		LogNormal{Mu: -1, Sigma: 0.5},
-		Shifted{Offset: 2, Base: Exponential{Rate: 1}},
 	}
 	for _, d := range dists {
 		var s Summary

@@ -56,6 +56,8 @@ func (p *Sample) Add(x float64) {
 }
 
 // Quantile reports the q-quantile (0 <= q <= 1) by linear interpolation.
+//
+//checkdoc:testonly quantile validation: the simulator-vs-closed-form quantile test reads sojourn quantiles through it
 func (p *Sample) Quantile(q float64) float64 {
 	n := len(p.xs)
 	if n == 0 {

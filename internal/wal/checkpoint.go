@@ -1,8 +1,10 @@
 // Checkpoint: the control-plane sidecar to the record log. The WAL makes
 // admitted *data* durable; the checkpoint makes the *decisions* durable —
-// the supervisor's last allocation, the lease grant, and the cumulative
-// books — so a restarted process resumes scaling from where it was
-// instead of re-learning the workload from a cold controller.
+// the supervisor's last allocation, the lease grant, its round count and
+// cooldown — so a restarted process resumes scaling from where it was
+// instead of re-learning the workload from a cold controller. Sequence
+// numbers and the watermark are the log's own; the checkpoint does not
+// repeat them.
 
 package wal
 
@@ -21,11 +23,11 @@ const checkpointFile = "checkpoint.json"
 // written atomically (tmp + rename) beside the segments; a missing file
 // means a cold start, a malformed one is an error (never silently
 // ignored — it may carry a lease the scheduler must re-grant).
+//
+// It carries what a boot reads. A file written by an older binary may
+// also carry seq, watermark, admitted, completed and shed keys; decoding
+// ignores them.
 type Checkpoint struct {
-	// Seq is the gate's admission sequence at capture time.
-	Seq uint64 `json:"seq"`
-	// Watermark is the completion watermark at capture time.
-	Watermark uint64 `json:"watermark"`
 	// Alloc is the supervisor's last applied allocation, operator name ->
 	// parallelism.
 	Alloc map[string]int `json:"alloc,omitempty"`
@@ -37,11 +39,6 @@ type Checkpoint struct {
 	// milliseconds — re-imposed on restart so a crash cannot flap around
 	// hysteresis the prior life earned.
 	CooldownMS int64 `json:"cooldown_ms,omitempty"`
-	// Admitted/Completed/Shed carry the cumulative gate books so the
-	// zero-loss audit spans process lives.
-	Admitted  uint64 `json:"admitted"`
-	Completed uint64 `json:"completed"`
-	Shed      uint64 `json:"shed"`
 }
 
 // SaveCheckpoint atomically replaces the checkpoint in dir.

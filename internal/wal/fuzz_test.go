@@ -49,7 +49,7 @@ func FuzzWALSegment(f *testing.F) {
 				t.Fatalf("unacked not ascending: %d then %d", un[i-1].Seq, un[i].Seq)
 			}
 		}
-		if err := l.Append(rec.TailSeq+1, []byte("post-recovery append")); err != nil {
+		if err := appendOne(l, rec.TailSeq+1, []byte("post-recovery append")); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		if err := l.Close(); err != nil {

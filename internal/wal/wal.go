@@ -144,7 +144,7 @@ type segment struct {
 	maxSeq uint64 // highest record seq appended while it was active
 }
 
-// Log is an open write-ahead log. Append/AppendBatch/AppendWatermark are
+// Log is an open write-ahead log. AppendBatch and AppendWatermark are
 // safe for concurrent use; they return once the frame has reached the
 // file via write(2) (group-committed with every concurrent appender).
 type Log struct {
@@ -278,22 +278,11 @@ func sealFrame(buf []byte, payloadLen int) {
 	binary.BigEndian.PutUint32(frame[4:], crc32.Checksum(frame[frameHeaderLen:], castagnoli))
 }
 
-// Append stages one admitted record and returns once it is group-committed
-// to the active segment via write(2). Safe for concurrent use; concurrent
-// appenders share one syscall per commit round.
-func (l *Log) Append(seq uint64, rec []byte) error {
-	l.mu.Lock()
-	if err := l.stageLocked(func(buf []byte) []byte { return frameRecord(buf, seq, rec) }, seq); err != nil {
-		l.mu.Unlock()
-		return err
-	}
-	return l.commitLocked()
-}
-
-// AppendBatch stages a batch of records with consecutive sequence numbers
-// starting at firstSeq and group-commits them as one unit — the bulk
-// append path (replayed surges, batching benchmarks, source adapters that
-// already hold a batch).
+// AppendBatch stages a batch of admitted records with consecutive
+// sequence numbers starting at firstSeq and returns once they are
+// group-committed to the active segment via write(2), as one unit.
+// Concurrent appenders share one syscall per commit round; a single
+// record is a batch of one.
 func (l *Log) AppendBatch(firstSeq uint64, recs [][]byte) error {
 	if len(recs) == 0 {
 		return nil
@@ -396,6 +385,8 @@ func (l *Log) commitLocked() error {
 }
 
 // Sync forces an fsync of the active segment regardless of cadence.
+//
+//checkdoc:testonly safety: a durability primitive stays whether or not a program calls it today
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -12,6 +12,11 @@ import (
 	"time"
 )
 
+// appendOne appends a single record: a batch of one.
+func appendOne(l *Log, seq uint64, rec []byte) error {
+	return l.AppendBatch(seq, [][]byte{rec})
+}
+
 // openT opens a log in dir with small, test-friendly options.
 func openT(t *testing.T, dir string, segBytes int64) (*Log, Recovered) {
 	t.Helper()
@@ -29,8 +34,8 @@ func TestAppendRecoverRoundtrip(t *testing.T) {
 		t.Fatalf("fresh dir recovered %+v, want zeroes", rec)
 	}
 	for seq := uint64(1); seq <= 100; seq++ {
-		if err := l.Append(seq, []byte(fmt.Sprintf("rec-%03d", seq))); err != nil {
-			t.Fatalf("Append(%d): %v", seq, err)
+		if err := appendOne(l, seq, []byte(fmt.Sprintf("rec-%03d", seq))); err != nil {
+			t.Fatalf("appendOne(%d): %v", seq, err)
 		}
 	}
 	if err := l.AppendWatermark(40); err != nil {
@@ -121,7 +126,7 @@ func TestRotationAndPrune(t *testing.T) {
 	l, _ := openT(t, dir, 4<<10) // minimum segment size: rotate often
 	payload := bytes.Repeat([]byte("x"), 200)
 	for seq := uint64(1); seq <= 200; seq++ {
-		if err := l.Append(seq, payload); err != nil {
+		if err := appendOne(l, seq, payload); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -165,7 +170,7 @@ func TestTornTailTruncated(t *testing.T) {
 			dir := t.TempDir()
 			l, _ := openT(t, dir, 1<<20)
 			for seq := uint64(1); seq <= 20; seq++ {
-				if err := l.Append(seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
+				if err := appendOne(l, seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
 					t.Fatalf("Append: %v", err)
 				}
 			}
@@ -190,7 +195,7 @@ func TestTornTailTruncated(t *testing.T) {
 				t.Fatalf("TruncatedBytes = 0, want > 0")
 			}
 			// The log must accept appends after repair.
-			if err := l2.Append(20, []byte("rec-20-again")); err != nil {
+			if err := appendOne(l2, 20, []byte("rec-20-again")); err != nil {
 				t.Fatalf("Append after repair: %v", err)
 			}
 			if err := l2.Close(); err != nil {
@@ -211,7 +216,7 @@ func TestTornTailCorruptCRC(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, 1<<20)
 	for seq := uint64(1); seq <= 10; seq++ {
-		if err := l.Append(seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
+		if err := appendOne(l, seq, []byte(fmt.Sprintf("rec-%d", seq))); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -244,7 +249,7 @@ func TestMidLogCorruptionRejected(t *testing.T) {
 	l, _ := openT(t, dir, 4<<10)
 	payload := bytes.Repeat([]byte("y"), 200)
 	for seq := uint64(1); seq <= 100; seq++ {
-		if err := l.Append(seq, payload); err != nil {
+		if err := appendOne(l, seq, payload); err != nil {
 			t.Fatalf("Append: %v", err)
 		}
 	}
@@ -289,7 +294,7 @@ func TestForeignHeaderRejected(t *testing.T) {
 func TestUnknownFrameKindRejected(t *testing.T) {
 	dir := t.TempDir()
 	l, _ := openT(t, dir, 1<<20)
-	if err := l.Append(1, []byte("ok")); err != nil {
+	if err := appendOne(l, 1, []byte("ok")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -321,7 +326,7 @@ func TestShortFrameBodyRejected(t *testing.T) {
 	for _, kind := range []byte{kindRecord, kindWatermark} {
 		dir := t.TempDir()
 		l, _ := openT(t, dir, 1<<20)
-		if err := l.Append(1, []byte("ok")); err != nil {
+		if err := appendOne(l, 1, []byte("ok")); err != nil {
 			t.Fatal(err)
 		}
 		if err := l.Close(); err != nil {
@@ -350,7 +355,7 @@ func TestClosedLogRejectsAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
-	if err := l.Append(1, []byte("x")); !errors.Is(err, ErrClosed) {
+	if err := appendOne(l, 1, []byte("x")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Append after Close: %v, want ErrClosed", err)
 	}
 	if err := l.Close(); !errors.Is(err, ErrClosed) {
@@ -419,14 +424,10 @@ func TestCheckpointRoundtrip(t *testing.T) {
 		t.Fatalf("LoadCheckpoint on empty dir: ok=%v err=%v", ok, err)
 	}
 	want := Checkpoint{
-		Seq:       123,
-		Watermark: 100,
-		Alloc:     map[string]int{"parse": 2, "count": 5},
-		Slots:     7,
-		Rounds:    42,
-		Admitted:  123,
-		Completed: 100,
-		Shed:      9,
+		Alloc:      map[string]int{"parse": 2, "count": 5},
+		Slots:      7,
+		Rounds:     42,
+		CooldownMS: 1500,
 	}
 	if err := SaveCheckpoint(dir, want); err != nil {
 		t.Fatalf("SaveCheckpoint: %v", err)
@@ -435,7 +436,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("LoadCheckpoint: ok=%v err=%v", ok, err)
 	}
-	if got.Seq != want.Seq || got.Slots != want.Slots || got.Alloc["count"] != 5 || got.Rounds != 42 {
+	if got.Slots != want.Slots || got.Alloc["count"] != 5 || got.Rounds != 42 || got.CooldownMS != 1500 {
 		t.Fatalf("LoadCheckpoint = %+v, want %+v", got, want)
 	}
 	// Corrupt checkpoint must error, not cold-start.
@@ -457,7 +458,7 @@ func TestSyncEveryCadence(t *testing.T) {
 	// durability contract for kill -9) — verified by recovery, since
 	// Close flushes but a second process sees only written bytes.
 	for seq := uint64(1); seq <= 5; seq++ {
-		if err := l.Append(seq, []byte("z")); err != nil {
+		if err := appendOne(l, seq, []byte("z")); err != nil {
 			t.Fatal(err)
 		}
 	}

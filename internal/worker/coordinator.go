@@ -38,10 +38,6 @@ type CoordinatorConfig struct {
 	// Seed is the topology seed handed to every worker, so their bolt
 	// instances are bit-identical to the ones the serve process builds.
 	Seed int64
-	// Heartbeat and Lease are the protocol timers sent to workers;
-	// zero means the defaults.
-	Heartbeat time.Duration
-	Lease     time.Duration
 	// Bind assigns a registering worker its machine identity (a cluster
 	// pool machine id). An error refuses the registration.
 	Bind func(worker string, pid int) (machine int, err error)
@@ -54,16 +50,6 @@ type CoordinatorConfig struct {
 	// DecisionLog, when set, receives worker-join/worker-death records
 	// (worker name, machine id) as the lease lifecycle turns over.
 	DecisionLog *obs.Log
-}
-
-func (c CoordinatorConfig) withDefaults() CoordinatorConfig {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = DefaultHeartbeat
-	}
-	if c.Lease <= 0 {
-		c.Lease = DefaultLease
-	}
-	return c
 }
 
 // Coordinator accepts worker registrations and keeps one Shuttle per live
@@ -87,7 +73,7 @@ type Coordinator struct {
 // NewCoordinator builds a coordinator; call Serve with a listener to
 // start accepting workers.
 func NewCoordinator(cfg CoordinatorConfig) *Coordinator {
-	c := &Coordinator{cfg: cfg.withDefaults(), workers: make(map[int]*Shuttle)}
+	c := &Coordinator{cfg: cfg, workers: make(map[int]*Shuttle)}
 	c.joined = sync.NewCond(&c.mu)
 	return c
 }
@@ -115,7 +101,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	defer c.wg.Done()
 	defer conn.Close()
 	// Registration must complete within one lease window.
-	_ = conn.SetReadDeadline(time.Now().Add(c.cfg.Lease))
+	_ = conn.SetReadDeadline(time.Now().Add(DefaultLease))
 	payload, err := readFrame(conn, nil)
 	if err != nil || len(payload) == 0 || payload[0] != kindHello {
 		return
@@ -134,8 +120,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	welcome := welcomeMsg{
 		Machine:     machine,
 		Seed:        c.cfg.Seed,
-		HeartbeatMS: c.cfg.Heartbeat.Milliseconds(),
-		LeaseMS:     c.cfg.Lease.Milliseconds(),
+		HeartbeatMS: DefaultHeartbeat.Milliseconds(),
 	}
 	frame, err := appendJSONFrame(nil, kindWelcome, welcome)
 	if err != nil {
@@ -162,7 +147,7 @@ func (c *Coordinator) handle(conn net.Conn) {
 	// The reader is THE serializer: every done callback — result or
 	// failure — runs here, so the engine's per-executor appliers never
 	// race.
-	s.readLoop(c.cfg.Lease)
+	s.readLoop()
 	c.unregister(machine, s)
 	c.deaths.Add(1)
 	c.cfg.DecisionLog.Emit(&obs.Record{Kind: obs.KindWorkerDeath,
@@ -344,14 +329,14 @@ func (s *Shuttle) ProcessBatch(bolt string, items []engine.RemoteItem, done func
 // readLoop drains the connection: results resolve their pending batch,
 // heartbeats renew the lease (the read deadline). On any read error every
 // pending batch fails — serially, on this goroutine.
-func (s *Shuttle) readLoop(lease time.Duration) {
+func (s *Shuttle) readLoop() {
 	rd := bufio.NewReaderSize(s.conn, readBufBytes)
 	var buf []byte
 	var res resultMsg
 	var sl slab // every emitted tuple this connection delivers is carved from it
 	var err error
 	for {
-		_ = s.conn.SetReadDeadline(time.Now().Add(lease))
+		_ = s.conn.SetReadDeadline(time.Now().Add(DefaultLease))
 		buf, err = readFrame(rd, trimScratch(buf))
 		if err != nil {
 			break

@@ -175,12 +175,11 @@ func TestShuttleUnhostedBolt(t *testing.T) {
 }
 
 // TestLeaseRevocation registers a raw connection that never heartbeats;
-// the coordinator must declare it dead within the lease window.
+// the coordinator must declare it dead once the lease lapses, and not
+// before.
 func TestLeaseRevocation(t *testing.T) {
-	tc := startCluster(t, CoordinatorConfig{
-		Heartbeat: 30 * time.Millisecond,
-		Lease:     150 * time.Millisecond,
-	})
+	died := make(chan int, 1)
+	tc := startCluster(t, CoordinatorConfig{OnDeath: func(machine int) { died <- machine }})
 	conn, err := net.Dial("tcp", tc.ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
@@ -190,22 +189,26 @@ func TestLeaseRevocation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The lease starts after the coordinator reads the hello, so no death
+	// can come sooner than DefaultLease after this instant.
+	sent := time.Now()
 	if _, err := conn.Write(hello); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readFrame(conn, nil); err != nil { // welcome
 		t.Fatal(err)
 	}
-	if err := tc.co.WaitWorkers(1, 2*time.Second); err != nil {
-		t.Fatal(err)
-	}
 	// Never heartbeat; the lease must lapse.
-	deadline := time.Now().Add(3 * time.Second)
-	for len(tc.deaths()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("lease never revoked")
+	select {
+	case machine := <-died:
+		if machine != 1 {
+			t.Fatalf("machine %d died, want 1", machine)
 		}
-		time.Sleep(10 * time.Millisecond)
+	case <-time.After(DefaultLease + 5*time.Second):
+		t.Fatal("lease never revoked")
+	}
+	if lived := time.Since(sent); lived < DefaultLease {
+		t.Fatalf("worker revoked after %v, inside its %v lease", lived, DefaultLease)
 	}
 	if tc.co.Shuttle(1) != nil {
 		t.Fatal("dead worker still registered")
@@ -215,7 +218,8 @@ func TestLeaseRevocation(t *testing.T) {
 // TestWorkerCloseFiresDeath: an orderly worker shutdown surfaces as a
 // death (the serve side treats any disconnect as machine failure).
 func TestWorkerCloseFiresDeath(t *testing.T) {
-	tc := startCluster(t, CoordinatorConfig{})
+	died := make(chan int, 1)
+	tc := startCluster(t, CoordinatorConfig{OnDeath: func(machine int) { died <- machine }})
 	w, err := Dial(Config{Addr: tc.ln.Addr().String(), Name: "w1", Build: doublerBolts})
 	if err != nil {
 		t.Fatal(err)
@@ -227,12 +231,10 @@ func TestWorkerCloseFiresDeath(t *testing.T) {
 	}
 	w.Close()
 	<-done
-	deadline := time.Now().Add(2 * time.Second)
-	for len(tc.deaths()) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker close never surfaced as death")
-		}
-		time.Sleep(5 * time.Millisecond)
+	select {
+	case <-died:
+	case <-time.After(2 * time.Second):
+		t.Fatal("worker close never surfaced as death")
 	}
 }
 
@@ -247,6 +249,7 @@ func TestEngineOverShuttle(t *testing.T) {
 	const n = 400
 	var mu sync.Mutex
 	seen := 0
+	allSeen := make(chan struct{}) // closed by the sink's 2n-th tuple
 	topo, err := engine.NewTopology().
 		Spout("src", 1, func(int) engine.Spout { return countSpout(n) }).
 		Bolt("work", 4, func(int) engine.Bolt {
@@ -259,7 +262,9 @@ func TestEngineOverShuttle(t *testing.T) {
 		Bolt("sink", 4, func(int) engine.Bolt {
 			return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
 				mu.Lock()
-				seen++
+				if seen++; seen == 2*n {
+					close(allSeen)
+				}
 				mu.Unlock()
 				return nil
 			})
@@ -292,22 +297,12 @@ func TestEngineOverShuttle(t *testing.T) {
 	if plan.Bound[w.Machine()] != 2 || plan.Local != 2 {
 		t.Fatalf("plan = %+v, want 2 on machine %d and 2 local", plan, w.Machine())
 	}
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count >= n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("completions %d/%d — tuples lost over the shuttle", count, n)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	mu.Lock()
-	got := seen
-	mu.Unlock()
-	if got != 2*n {
-		t.Fatalf("sink saw %d tuples, want %d", got, 2*n)
+	select {
+	case <-allSeen:
+	case <-time.After(10 * time.Second):
+		mu.Lock()
+		defer mu.Unlock()
+		t.Fatalf("sink saw %d of %d tuples — tuples lost over the shuttle", seen, 2*n)
 	}
 	// Re-applying the identical placement is a no-op (idempotent bindings).
 	again := ApplyPlacement(run, run.Allocation(),
@@ -315,8 +310,17 @@ func TestEngineOverShuttle(t *testing.T) {
 	if again.Errors != 0 || again.Bound[w.Machine()] != 2 {
 		t.Fatalf("re-apply plan = %+v", again)
 	}
+	// Stop quiesces: every root the sink finished acks before it returns.
 	if err := run.Stop(); err != nil {
 		t.Fatalf("stop: %v", err)
+	}
+	if count, _ := run.Completions(); count != n {
+		t.Fatalf("completions %d, want %d", count, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if seen != 2*n {
+		t.Fatalf("sink saw %d tuples, want %d", seen, 2*n)
 	}
 }
 

@@ -84,7 +84,8 @@ type helloMsg struct {
 }
 
 // welcomeMsg is the coordinator's reply: the worker's leased identity and
-// the protocol timers.
+// its heartbeat period. The lease itself is the coordinator's business: a
+// worker only has to beat within it.
 type welcomeMsg struct {
 	// Machine is the cluster-pool machine id this worker now embodies.
 	Machine int `json:"machine"`
@@ -93,9 +94,6 @@ type welcomeMsg struct {
 	Seed int64 `json:"seed"`
 	// HeartbeatMS is how often the worker must write a heartbeat frame.
 	HeartbeatMS int64 `json:"heartbeat_ms"`
-	// LeaseMS is the silence window after which the coordinator revokes
-	// the lease and fails the machine.
-	LeaseMS int64 `json:"lease_ms"`
 }
 
 // batchMsg is one shuttle batch: tuples bound for one bolt's tasks.

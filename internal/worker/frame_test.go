@@ -105,7 +105,7 @@ func TestControlRoundTrip(t *testing.T) {
 	if gotHello != hello {
 		t.Fatalf("hello round trip: %+v != %+v", gotHello, hello)
 	}
-	welcome := welcomeMsg{Machine: 3, Seed: -7, HeartbeatMS: 250, LeaseMS: 1000}
+	welcome := welcomeMsg{Machine: 3, Seed: -7, HeartbeatMS: 250}
 	frame, err = appendJSONFrame(nil, kindWelcome, welcome)
 	if err != nil {
 		t.Fatal(err)

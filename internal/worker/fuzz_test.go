@@ -193,7 +193,7 @@ func seedFrames(tb testing.TB) map[string][]byte {
 		"batch_traced":  must(appendBatchFrame(nil, bt.Seq, string(bt.Bolt), bt.Items)),
 		"result_traced": must(appendResultFrame(nil, &rt)),
 		"hello":         must(appendJSONFrame(nil, kindHello, helloMsg{Worker: "w0", Pid: 1})),
-		"welcome":       must(appendJSONFrame(nil, kindWelcome, welcomeMsg{Machine: 1, Seed: 7, HeartbeatMS: 100, LeaseMS: 400})),
+		"welcome":       must(appendJSONFrame(nil, kindWelcome, welcomeMsg{Machine: 1, Seed: 7, HeartbeatMS: 100})),
 		"heartbeat":     must(appendHeartbeatFrame(nil)),
 		"two_frames":    append(append([]byte(nil), batch...), result...),
 		"torn_payload":  batch[:len(batch)-3],

@@ -336,7 +336,7 @@ func (w *Worker) writeHeartbeat() error {
 	w.writeMu.Lock()
 	defer w.writeMu.Unlock()
 	var hb [9]byte
-	frame, err := finishFrame(append(beginFrame(hb[:0]), kindHeartbeat))
+	frame, err := appendHeartbeatFrame(hb[:0])
 	if err != nil {
 		return err
 	}
