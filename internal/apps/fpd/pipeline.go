@@ -112,9 +112,6 @@ func (s *enterSpout) Run(ctx engine.SpoutContext) error {
 			return nil
 		case <-timer.C:
 		}
-		if ctx.Paused() {
-			continue
-		}
 		ctx.Emit(engine.Values{s.feed.nextEnter()})
 	}
 }
@@ -133,9 +130,6 @@ func (s *leaveSpout) Run(ctx engine.SpoutContext) error {
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
-		}
-		if ctx.Paused() {
-			continue
 		}
 		for {
 			ev, ok := s.feed.nextLeave()

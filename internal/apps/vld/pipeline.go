@@ -160,9 +160,6 @@ func (s *frameSpout) Run(ctx engine.SpoutContext) error {
 			return nil
 		case <-timer.C:
 		}
-		if ctx.Paused() {
-			continue
-		}
 		ctx.Emit(engine.Values{gen.Next()})
 	}
 }

@@ -213,12 +213,13 @@ func (em *emitter) sealRoot(now time.Time) {
 }
 
 // pushDests delivers every buffered destination batch with one enqueue
-// each. A closed destination queue means a crashed executor or shutdown:
-// the batch replays through the bolt's refreshed route table (Run.replay)
-// — FailExecutor installs the replacement before it closes the victim's
-// queue, so a reload observes the successor almost immediately — and
-// during shutdown its trees resolve on the spot. Items carry their own
-// tree reference, so batches may mix several roots' children.
+// each. A closed destination queue means a retired or crashed executor, or
+// shutdown: the batch reroutes through the bolt's refreshed route table
+// (Run.replay) — every swap installs the successor before it closes the
+// displaced queue, so a reload observes the successor at once — and during
+// shutdown its trees resolve on the spot. A reroute is not a replay and
+// does not count in Replayed. Items carry their own tree reference, so
+// batches may mix several roots' children.
 func (em *emitter) pushDests() {
 	for i := 0; i < em.ndests; i++ {
 		d := &em.dests[i]

@@ -345,7 +345,7 @@ func TestStatefulTasksSurviveRebalance(t *testing.T) {
 	}
 }
 
-// pacedSpout emits forever at a fixed period, respecting pause.
+// pacedSpout emits forever at a fixed period.
 type pacedSpout struct {
 	period time.Duration
 }
@@ -359,9 +359,6 @@ func (s *pacedSpout) Run(ctx SpoutContext) error {
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
-			if ctx.Paused() {
-				continue
-			}
 			ctx.Emit(Values{i})
 			i++
 		}
@@ -591,26 +588,131 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 	}
 }
 
-func TestSpoutPauseDuringRebalance(t *testing.T) {
-	_, factory := sharedCollector()
+// TestRebalanceStopsOnlyChangedBolts: a rebalance waits for the executors
+// it retires and for nothing else. Rebalance({a: 2}) cannot finish while
+// a's old executor sits inside a gated Process, yet the independent chain
+// net → b, fed through a NetworkSpout, keeps completing roots meanwhile.
+func TestRebalanceStopsOnlyChangedBolts(t *testing.T) {
+	feed := make(chan []Values)
+	net := newChanSource(1)
+	entered, release := make(chan struct{}), make(chan struct{})
 	topo, err := NewTopology().
-		Spout("src", 2, func(int) Spout { return &pacedSpout{period: 500 * time.Microsecond} }).
-		Bolt("sink", 8, factory).
-		Shuffle("src", "sink").
+		Spout("src", 1, feedSpout(feed)).
+		Spout("net", 1, func(int) Spout { return &NetworkSpout{Source: net} }).
+		Bolt("a", 4, func(int) Bolt {
+			return BoltFunc(func(Tuple, Emit) error {
+				close(entered)
+				<-release
+				return nil
+			})
+		}).
+		Bolt("b", 4, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+		Shuffle("src", "a").
+		Shuffle("net", "b").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := startTopo(t, topo, map[string]int{"sink": 2})
-	waitCompleted(t, run, 200)
-	for i := 0; i < 5; i++ {
-		target := 2 + (i % 3)
-		if err := run.Rebalance(map[string]int{"sink": target}); err != nil {
-			t.Fatalf("rebalance %d: %v", i, err)
+	run := startTopo(t, topo, map[string]int{"a": 1, "b": 1})
+	closeAtCleanup(t, release)
+	feed <- []Values{{0}}
+	<-entered
+	rebalanced := make(chan error, 1)
+	go func() { rebalanced <- run.Rebalance(map[string]int{"a": 2}) }()
+	for i := int64(1); i <= 50; i++ {
+		net.ch <- Values{i}
+		waitCompleted(t, run, i) // a's gated root is not among them
+	}
+	select {
+	case err := <-rebalanced:
+		t.Fatalf("Rebalance returned (%v) while a's old executor was inside Process", err)
+	default:
+	}
+	close(release)
+	if err := <-rebalanced; err != nil {
+		t.Fatal(err)
+	}
+	if got := run.Allocation()["a"]; got != 2 {
+		t.Errorf("allocation of a = %d, want 2", got)
+	}
+	waitCompleted(t, run, 51)
+}
+
+// TestRebalanceStormServesEachOnce rebalances both bolts of a chain, and
+// does nothing else, under continuous load. A rebalance retires executors,
+// it does not fail them: each id is served exactly once at each bolt,
+// nothing counts as replayed or failed, and no two executors are ever
+// inside one task instance.
+func TestRebalanceStormServesEachOnce(t *testing.T) {
+	const n, tasks = 1000, 8
+	var overlaps atomic.Int64
+	hits := [2][]atomic.Int32{make([]atomic.Int32, n), make([]atomic.Int32, n)}
+	stage := func(s int) BoltFactory {
+		return func(int) Bolt { return &exclusiveBolt{overlaps: &overlaps, hits: hits[s]} }
+	}
+	topo, err := NewTopology().
+		Spout("src", 2, func(inst int) Spout {
+			return &funcSpout{fn: func(ctx SpoutContext) error {
+				tick := time.NewTicker(500 * time.Microsecond)
+				defer tick.Stop()
+				for id := inst * n / 2; id < (inst+1)*n/2; id++ {
+					select {
+					case <-ctx.Done():
+						return nil
+					case <-tick.C:
+					}
+					ctx.Emit(Values{id})
+				}
+				<-ctx.Done()
+				return nil
+			}}
+		}).
+		Bolt("a", tasks, stage(0)).
+		Bolt("b", tasks, stage(1)).
+		Shuffle("src", "a").
+		Shuffle("a", "b").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := startTopo(t, topo, map[string]int{"a": 2, "b": 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			if err := run.Rebalance(map[string]int{"a": 2 + i%5, "b": 2 + (i+2)%5}); err != nil {
+				t.Errorf("Rebalance: %v", err)
+				return
+			}
+			base, _ := run.Completions()
+			if !completionsReach(run, base+10, stop) {
+				return
+			}
+		}
+	}()
+	waitCompleted(t, run, n)
+	close(stop)
+	wg.Wait()
+	if got := overlaps.Load(); got != 0 {
+		t.Errorf("%d tuples entered a task instance another executor was inside", got)
+	}
+	for s, bolt := range []string{"a", "b"} {
+		for id := range hits[s] {
+			if got := hits[s][id].Load(); got != 1 {
+				t.Errorf("bolt %s served id %d %d times, want once", bolt, id, got)
+				break
+			}
 		}
 	}
-	n1, _ := run.Completions()
-	waitCompleted(t, run, n1+100)
+	if run.Replayed() != 0 || run.ExecutorFailures() != 0 {
+		t.Errorf("Replayed = %d, ExecutorFailures = %d: a rebalance counted as a failure", run.Replayed(), run.ExecutorFailures())
+	}
+	if err := run.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	assertSettled(t, run)
 }
 
 func TestBoltNames(t *testing.T) {

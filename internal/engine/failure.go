@@ -8,24 +8,24 @@ import (
 // Executor failure injection and recovery. A production stream processor
 // loses workers mid-run; this engine models the crash at its own unit of
 // execution — the executor goroutine — and recovers through the same
-// route-table machinery a rebalance uses, replaying the crashed backlog so
-// at-least-once semantics hold through the failure:
+// route-table machinery and the same retire step a rebalance uses,
+// replaying the crashed backlog so at-least-once semantics hold through the
+// failure:
 //
 //  1. a replacement executor is installed at the victim's route-table
 //     index (the task assignment is untouched, so this is the minimal
 //     migration a rebalance planner could produce: zero tasks move);
 //  2. the victim dies at its current tuple boundary: its kill switch
-//     flips, its queue is crash-captured (closed, with the undelivered
-//     backlog taken in the same atomic step), and the unprocessed tail of
-//     its in-progress batch is stranded for the reaper — a crash does not
-//     get to finish its backlog;
-//  3. once the victim has exited, the reaper replays the stranded tail and
-//     then the captured backlog — oldest first, so each task sees its
-//     tuples in arrival order — onto the replacement (Run.replay). Tuples
-//     a concurrent emitter was still routing to the dead executor bounce
-//     off the closed queue and replay through the same path and the
-//     refreshed table, so the crash window loses nothing: every pending
-//     root in the ack tree still completes.
+//     flips, its queue closes, and the unprocessed tail of its in-progress
+//     batch is stranded for the retirer — a crash does not get to finish
+//     its backlog;
+//  3. once the victim has exited, the retirer replays the stranded tail
+//     and then the backlog its closed queue still holds — oldest first, so
+//     each task sees its tuples in arrival order — onto the replacement
+//     (Run.replay). Tuples a concurrent emitter was still routing to the
+//     dead executor bounce off the closed queue and reroute through the
+//     same path and the refreshed table, so the crash window loses
+//     nothing: every pending root in the ack tree still completes.
 //
 // The sole work that survives from the victim is the tuple it was
 // processing at the crash instant — it completes before the goroutine
@@ -48,18 +48,15 @@ func (r *Run) FailExecutor(bolt string, exec int) (replayed int, err error) {
 
 // replaceExecutor is the one slot-replacement path behind FailExecutor and
 // BindExecutor: under r.mu, install a replacement at one route-table slot
-// (local when remote is nil), reap the victim, and report how many tuples
+// (local when remote is nil), retire the victim, and report how many tuples
 // replayed meanwhile. A crash counts as an executor failure; a bind to the
 // destination the slot already has is a no-op.
 func (r *Run) replaceExecutor(bolt string, exec int, remote RemoteExecutor, crash bool) (replayed int, err error) {
-	if r.stopped.Load() {
-		return 0, ErrStopped
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	// Re-check under the lock: a Stop that won the race already closed
-	// every queue, and installing a replacement now would leak its
-	// goroutine (nothing would ever close the fresh queue).
+	// A Stop that already shut the executors down closed every queue, and
+	// installing a replacement now would leak its goroutine (nothing would
+	// ever close the fresh queue).
 	if r.stopped.Load() {
 		return 0, ErrStopped
 	}
@@ -77,7 +74,7 @@ func (r *Run) replaceExecutor(bolt string, exec int, remote RemoteExecutor, cras
 	}
 	before := r.replayed.Load()
 	r.swapExecutorLocked(br, exec, remote)
-	r.reapExecutorLocked(br, victim)
+	r.retireLocked(br, victim, crash)
 	if crash {
 		r.execFailures.Add(1)
 	}
@@ -119,20 +116,29 @@ func (r *Run) swapExecutorLocked(br *boltRuntime, exec int, remote RemoteExecuto
 	br.route.Store(rt)
 }
 
-// reapExecutorLocked crashes a displaced executor and replays everything it
-// still held: flip the kill switch, close the queue and seize its backlog
-// atomically, release a remote drain loop parked on its in-flight window,
-// wait for the goroutine to exit, then replay what it stranded followed by
-// the seized backlog. The victim stops at its current tuple boundary — a
-// crash does not get to finish its backlog. Arrival probes are not
-// re-counted on replay: the tuples arrived once already, and inflating λ̂
+// retireLocked takes a displaced executor out of service — the one step
+// behind Rebalance, BindExecutor, FailExecutor and the remote self-heal: its
+// queue closes, it exits, and what it stranded, then what its closed queue
+// still holds, replays oldest first through the bolt's current route table.
+// A healthy executor drains its own backlog and leaves nothing. A remote one
+// whose send fails mid-drain leaves its pinned batch, ring tail and unpopped
+// rest, and once it is out of the route table no heal replays them. crash
+// flips the kill switch and killRemote first, so the executor stops at its
+// current tuple (remote: batch) boundary. What replays here left a crashed
+// executor or a failed transport, so it counts in Replayed. Arrival probes
+// are not re-counted: the tuples arrived once already, and an inflated λ̂
 // would bias the next control decision. Caller holds r.mu.
-func (r *Run) reapExecutorLocked(br *boltRuntime, victim *executor) {
-	victim.crashed.Store(true)
-	victim.killRemote()
-	backlog := victim.q.crashCapture()
-	<-victim.done
-	r.replay(br, append(victim.stranded, backlog...))
+func (r *Run) retireLocked(br *boltRuntime, ex *executor, crash bool) {
+	if crash {
+		ex.failed.Store(true) // a transport failure still to come is this crash, not another
+		ex.crashed.Store(true)
+		ex.killRemote()
+	}
+	ex.q.close()
+	<-ex.done
+	left := append(ex.stranded, ex.q.seize()...)
+	r.replayed.Add(int64(len(left)))
+	r.replay(br, left)
 }
 
 // errUnknownBolt names a bolt the topology does not have.
@@ -141,11 +147,13 @@ func errUnknownBolt(bolt string) error {
 }
 
 // replay is the one way back: it re-delivers, in order, tuples an executor
-// left unserved — a reaped victim's stranded tail and seized backlog, a
-// batch an emitter could not push into a closed queue, a remote batch
-// whose transport failed after handoff — through the bolt's current route
-// table. A tuple that cannot land because the run is stopping resolves its
-// tree on the spot, as an immediate delivery would have.
+// left unserved — what a retired executor stranded or left in its queue, a
+// batch an emitter could not push into a closed queue, a remote batch whose
+// transport failed after handoff — through the bolt's current route table.
+// A tuple that cannot land because the run is stopping resolves its tree on
+// the spot, as an immediate delivery would have. Replayed counts only the
+// tuples of a crash or a transport failure, at their callers: a batch that
+// bounced off a retiring queue was rerouted, not lost.
 func (r *Run) replay(br *boltRuntime, items []queueItem) {
 	for _, it := range items {
 		if !r.redeliverItem(br, it) {
@@ -158,15 +166,14 @@ func (r *Run) replay(br *boltRuntime, items []queueItem) {
 // route table assigns its task, retrying across route swaps (a second
 // crash can land mid-replay). It reports false only when the run is
 // stopping. The retry is unbounded by design: a queue only closes after
-// its successor route is installed (FailExecutor, Rebalance) or once
-// stopped is set (Stop), so a live run always makes progress and a capped
-// retry would have to ack an unprocessed tuple — a silent at-least-once
-// violation.
+// its successor route is installed (every swap) or once stopped is set (a
+// heal during Stop, Stop itself), so a live run always makes progress and
+// a capped retry would have to ack an unprocessed tuple — a silent
+// at-least-once violation.
 func (r *Run) redeliverItem(br *boltRuntime, it queueItem) bool {
 	for {
 		rt := br.route.Load()
 		if rt.execs[rt.assign[it.task]].q.push(it) {
-			r.replayed.Add(1)
 			return true
 		}
 		if r.stopped.Load() {
@@ -176,11 +183,14 @@ func (r *Run) redeliverItem(br *boltRuntime, it queueItem) bool {
 	}
 }
 
-// ExecutorFailures reports how many executor crashes were injected.
+// ExecutorFailures reports how many executors crashed (FailExecutor) or
+// lost their transport, each counted once.
 func (r *Run) ExecutorFailures() int64 { return r.execFailures.Load() }
 
-// Replayed reports how many tuples were re-delivered after a crash — the
-// victim's captured backlog plus any in-flight emits that bounced off the
-// dead executor's queue. Zero lost-forever tuples means completions catch
-// up with arrivals even when this is non-zero.
+// Replayed reports how many tuples left an executor that crashed or whose
+// transport failed and were re-delivered: a crashed victim's stranded tail
+// and backlog, a failed binding's pinned and queued tuples. An emit that
+// bounced off a retiring executor's closed queue and rerouted is not a
+// replay. Zero lost-forever tuples means completions catch up with
+// arrivals even when this is non-zero.
 func (r *Run) Replayed() int64 { return r.replayed.Load() }

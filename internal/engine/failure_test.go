@@ -161,6 +161,67 @@ func TestRemoteStrandReplaysInArrivalOrder(t *testing.T) {
 	order.assertArrivalOrder(t)
 }
 
+// TestRebalanceRetiresFailingRemote fails a remote send while Rebalance
+// retires the binding it belongs to, with more than a hundred tuples queued
+// behind the send. The drain loop exits early, leaving its pinned batch
+// stranded and the backlog unpopped in its closed queue; the binding is out
+// of the route table by then, so no self-heal replays them. The retire
+// itself must, or those roots never complete.
+func TestRebalanceRetiresFailingRemote(t *testing.T) {
+	const k, backlog = 8, 128
+	feed := make(chan []Values)
+	collector, factory := sharedCollector()
+	topo, err := NewTopology().
+		Spout("src", 1, feedSpout(feed)).
+		Bolt("work", 4, factory).
+		Shuffle("src", "work").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := startTopo(t, topo, map[string]int{"work": 1})
+	remote := &stallRemote{entered: make(chan struct{}), release: make(chan struct{})}
+	closeAtCleanup(t, remote.release)
+	if err := run.BindExecutor("work", 0, remote); err != nil {
+		t.Fatal(err)
+	}
+	ids := func(from, n int) []Values {
+		vs := make([]Values, n)
+		for i := range vs {
+			vs[i] = Values{from + i}
+		}
+		return vs
+	}
+	feed <- ids(0, k)
+	<-remote.entered // the first batch is popped and inside the send
+	feed <- ids(k, backlog)
+	waitFor(t, "the backlog to queue behind the send", func() bool {
+		return run.QueueLengths()["work"] == k+backlog
+	})
+	rebalanced := make(chan error, 1)
+	go func() { rebalanced <- run.Rebalance(map[string]int{"work": 2}) }()
+	// Fail the send once the route is swapped, so it fails mid-retire. Past
+	// the bound the send fails first, and the self-heal's retire replays the
+	// same leftover.
+	for deadline := time.Now().Add(time.Second); run.Allocation()["work"] != 2 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
+	close(remote.release)
+	if err := <-rebalanced; err != nil {
+		t.Fatal(err)
+	}
+	waitCompleted(t, run, k+backlog)
+	if started, completed, _ := run.RootTotals(); completed != started {
+		t.Errorf("completed %d of %d roots", completed, started)
+	}
+	if got := collector.count(); got != k+backlog {
+		t.Errorf("processed %d tuples, want %d", got, k+backlog)
+	}
+	if got := run.ExecutorFailures(); got != 1 {
+		t.Errorf("ExecutorFailures = %d, want the failed binding once", got)
+	}
+}
+
 // TestFailExecutorUnderFire hammers a mid-topology bolt with crashes while
 // upstream emitters are actively routing to it — the emitters' redelivery
 // path must land every bounced tuple on the replacement, and every root

@@ -1,7 +1,5 @@
 package engine
 
-import "time"
-
 // BatchSource feeds a NetworkSpout with externally produced tuple payloads
 // — the bridge between an ingestion tier (a network front end decoding
 // client records) and the topology. Implementations are single-consumer:
@@ -49,10 +47,9 @@ type TracedBatchSource interface {
 // NetworkSpout adapts a BatchSource to the Spout interface: it drains the
 // source in batches and injects each one whole — payloads, trace ids and
 // completion callback — so a whole network read's worth of tuples shares
-// one clock stamp and one enqueue per destination executor. During a
-// rebalance pause it holds the batch instead of emitting — the source's
-// bounded buffer absorbs the stall and, past its capacity, pushes explicit
-// backpressure to clients rather than growing the data plane's queues.
+// one clock stamp and one enqueue per destination executor. A rebalance
+// never stops it: the engine swaps executors under a live stream, so the
+// source's bounded buffer sees only the data plane's own pace.
 type NetworkSpout struct {
 	// Source yields the decoded payloads (required).
 	Source BatchSource
@@ -91,14 +88,6 @@ func (s *NetworkSpout) Run(ctx SpoutContext) error {
 		}
 		if !ok {
 			return nil
-		}
-		for c.Paused() {
-			select {
-			case <-c.Done():
-				return nil
-			default:
-				time.Sleep(time.Millisecond)
-			}
 		}
 		c.inject(batch, traces, ack)
 	}

@@ -64,7 +64,7 @@ type queue struct {
 	// (emitter.leastLoaded). Raised only by pushBatch, under mu — it shares
 	// a cache line with the fields a push writes anyway — and lowered by
 	// whoever takes items off the queue's books: the drain loops as they
-	// serve, crashCapture for what it seizes.
+	// serve, seize for what it takes.
 	out atomic.Int64
 }
 
@@ -194,23 +194,20 @@ func (q *queue) close() {
 	q.cond.Broadcast()
 }
 
-// crashCapture models the queue's owner dying: the queue closes *and* its
-// undelivered backlog is taken away in one atomic step, so the consumer
-// exits without processing it (a real crash loses exactly these tuples)
-// and the caller gets them for replay. Producers racing the crash see a
-// closed queue and re-route through the live route table.
-func (q *queue) crashCapture() []queueItem {
+// seize takes the backlog a closed queue still holds after its consumer
+// exited without draining it — a crashed executor, or a remote one whose
+// send failed — for the caller to replay. A closed queue refuses pushes, so
+// nothing can land behind what seize took.
+func (q *queue) seize() []queueItem {
 	q.mu.Lock()
-	q.closed = true
-	var out []queueItem
-	if q.n > 0 {
-		out = make([]queueItem, q.n)
-		q.copyOutLocked(out)
-		q.served(q.n) // seized for replay: counted again where they land
-		q.buf, q.head, q.n, q.peak = nil, 0, 0, 0
+	defer q.mu.Unlock()
+	if q.n == 0 {
+		return nil
 	}
-	q.mu.Unlock()
-	q.cond.Broadcast()
+	out := make([]queueItem, q.n)
+	q.copyOutLocked(out)
+	q.served(q.n) // seized for replay: counted again where they land
+	q.buf, q.head, q.n, q.peak = nil, 0, 0, 0
 	return out
 }
 

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"time"
 
@@ -27,7 +28,7 @@ import (
 //   - failure: a transport error replays the affected batch through the
 //     current route table (Run.replay — at-least-once, never
 //     ack-without-processing) and self-heals the binding by swapping in a
-//     local replacement and reaping the victim: the swap and reap behind
+//     local replacement and retiring the victim: the swap and retire behind
 //     replaceExecutor, whose stranded tail and backlog replay the same way.
 //
 // Exactly-once applies at the engine's accounting layer (each tree resolves
@@ -125,8 +126,8 @@ func StreamTagString(v any) (string, bool) {
 // BindExecutor points one of a bolt's route-table slots at a remote
 // destination (or back at a local goroutine when remote is nil) through
 // FailExecutor's slot-replacement path (replaceExecutor): the replacement
-// is installed first, inheriting the victim's probe, then the victim is
-// reaped and its backlog replays onto the successor — so rebinding
+// is installed first, inheriting the victim's probe, then the victim
+// retires, draining its own backlog before it exits — so rebinding
 // mid-traffic loses nothing.
 // Binding the executor to the RemoteExecutor value it already has is a
 // no-op. Note a Rebalance rebuilds a bolt's executors local; callers owning
@@ -200,6 +201,7 @@ func (p *pinBatch) complete(res RemoteResult, rerr error) {
 	if rerr != nil {
 		r, br := p.r, p.br
 		ex.q.served(len(p.items)) // off the failed binding's books before they land elsewhere
+		r.replayed.Add(int64(len(p.items)))
 		r.replay(br, p.items)
 		p.put()
 		r.failRemoteBinding(br, ex)
@@ -211,7 +213,7 @@ func (p *pinBatch) complete(res RemoteResult, rerr error) {
 // runRemoteExecutor is the drain loop of a remote-bound executor: the same
 // popAll cadence as the local hot loop, but each batch ships through the
 // transport instead of a Process call. The in-flight window (sem) bounds
-// unacked batches; the kill channel unblocks the window wait when a reaper
+// unacked batches; the kill channel unblocks the window wait when a crash
 // needs this goroutine gone while the transport is wedged.
 func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
@@ -229,8 +231,8 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 		}
 		mask := len(ring) - 1
 		for base := 0; base < n; {
-			// A crash (reap) ends the drain at a batch boundary; the
-			// unsent remainder strands for the reaper to replay.
+			// A crash ends the drain at a batch boundary; the unsent
+			// remainder strands for the retirer to replay.
 			if ex.crashed.Load() {
 				ex.strandRing(ring, head+base, n-base)
 				return
@@ -268,8 +270,9 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 			if err != nil {
 				<-ex.sem
 				// This batch was pinned but never handed off; it strands
-				// together with the ring remainder, and the binding
-				// self-heals to a local replacement.
+				// together with the ring remainder, whatever is still
+				// queued stays for the retirer, and the binding self-heals
+				// to a local replacement.
 				ex.strandPin(pin)
 				ex.strandRing(ring, head+base+cnt, n-base-cnt)
 				r.failRemoteBinding(br, ex)
@@ -361,76 +364,38 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 	pin.put()
 }
 
-// healReq asks for one failed remote binding to be swapped local and
-// reaped. Requests queue under their own lock so they can be filed while
-// r.mu is held (a quiescing Rebalance) and drained by whoever holds it.
-type healReq struct {
-	br *boltRuntime
-	ex *executor
-}
-
-// failRemoteBinding swaps a failed remote binding for a local replacement
-// and reaps the victim — FailExecutor's recovery, triggered by the
-// transport instead of injected. The request is queued (the trigger may be
-// a connection reader that must keep draining completion callbacks, or the
-// victim's own drain loop, which must exit before the reap can finish) and
-// filed at most once per executor; it is served by an async goroutine or,
-// when a quiescing Rebalance holds r.mu, by the quiesce loop itself — a
-// dead binding's backlog pins its tuple trees until the heal runs, so the
-// drain must be able to perform it. A concurrent Rebalance/BindExecutor
-// that already swapped the victim out wins, having reaped it itself.
+// failRemoteBinding heals a binding whose transport failed — FailExecutor's
+// recovery, triggered by the transport instead of injected. The first
+// failure of an executor counts it failed and starts the heal on its own
+// goroutine: the trigger may be a connection reader that must keep draining
+// completion callbacks, or the victim's own drain loop, which must exit
+// before the retire can finish. Under r.mu the heal swaps in a local
+// replacement (not once the run is stopping) and retires the victim. A
+// Rebalance or BindExecutor that already swapped the victim out retired it
+// itself, replaying what it left, and the heal has nothing to do.
 func (r *Run) failRemoteBinding(br *boltRuntime, ex *executor) {
-	ex.failOnce.Do(func() {
-		r.healMu.Lock()
-		r.healQ = append(r.healQ, healReq{br: br, ex: ex})
-		r.healMu.Unlock()
-		go func() {
-			r.mu.Lock()
-			defer r.mu.Unlock()
-			r.drainHealsLocked()
-		}()
-	})
-}
-
-// drainHealsLocked serves every queued remote-binding heal: install a
-// local replacement (unless the run is stopping) and reap the victim,
-// replaying its backlog. Each request is dequeued exactly once; a victim
-// that some other swap already removed from the route table needs nothing.
-// Caller holds r.mu.
-func (r *Run) drainHealsLocked() {
-	for {
-		r.healMu.Lock()
-		q := r.healQ
-		r.healQ = nil
-		r.healMu.Unlock()
-		if len(q) == 0 {
+	if !ex.failed.CompareAndSwap(false, true) {
+		return
+	}
+	r.execFailures.Add(1)
+	go func() {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		idx := slices.Index(br.route.Load().execs, ex)
+		if idx < 0 {
 			return
 		}
-		for _, h := range q {
-			rt := h.br.route.Load()
-			idx := -1
-			for i, e := range rt.execs {
-				if e == h.ex {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				continue // already swapped out and reaped
-			}
-			if !r.stopped.Load() {
-				r.swapExecutorLocked(h.br, idx, nil)
-			}
-			r.reapExecutorLocked(h.br, h.ex)
-			r.execFailures.Add(1)
-			if r.cfg.DecisionLog != nil {
-				r.cfg.DecisionLog.Emit(&obs.Record{
-					Kind: obs.KindHeal, Peer: h.br.spec.name, To: idx,
-					Detail: "remote binding swapped local",
-				})
-			}
+		if !r.stopped.Load() {
+			r.swapExecutorLocked(br, idx, nil)
 		}
-	}
+		r.retireLocked(br, ex, true)
+		if r.cfg.DecisionLog != nil {
+			r.cfg.DecisionLog.Emit(&obs.Record{
+				Kind: obs.KindHeal, Peer: br.spec.name, To: idx,
+				Detail: "remote binding swapped local",
+			})
+		}
+	}()
 }
 
 // boltByName finds a bolt's runtime, or nil.

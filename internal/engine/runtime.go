@@ -11,9 +11,9 @@ import (
 	"github.com/drs-repro/drs/internal/obs"
 )
 
-// ErrQuiesceTimeout is returned when a rebalance cannot drain in-flight
-// tuples in time; the topology keeps its previous configuration.
-var ErrQuiesceTimeout = errors.New("engine: quiesce timeout; rebalance aborted")
+// ErrQuiesceTimeout is the cause Stop wraps when in-flight tuples have not
+// drained within RunConfig.QuiesceTimeout.
+var ErrQuiesceTimeout = errors.New("engine: quiesce timeout; tuples still in flight")
 
 // ErrStopped is returned for operations on a stopped run.
 var ErrStopped = errors.New("engine: topology stopped")
@@ -25,7 +25,7 @@ type RunConfig struct {
 	Alloc map[string]int
 	// SampleEveryNm is the probe sampling stride (paper's Nm). Default 1.
 	SampleEveryNm int
-	// QuiesceTimeout bounds the drain wait during rebalance and stop.
+	// QuiesceTimeout bounds Stop's wait for in-flight tuples to drain.
 	// Default 10s.
 	QuiesceTimeout time.Duration
 	// DecisionLog, when set, receives engine self-heal events (a failed
@@ -49,13 +49,14 @@ type executor struct {
 	// crashed is the failure-injection kill switch: the executor checks it
 	// at every tuple boundary (a remote drain loop, at every batch
 	// boundary) and, when set, strands the unprocessed tail of its
-	// in-progress batch for the reaper instead of draining it — a real
+	// in-progress batch for the retirer instead of draining it — a real
 	// crash does not get to finish its backlog.
 	crashed atomic.Bool
 	// after, when non-nil, is closed once the executors this one replaces
 	// have exited. A local drain loop waits on it before its first tuple: a
-	// displaced executor finishes the tuple it is in, and the task instance
-	// it is inside must not be entered by its successor meanwhile. The
+	// displaced executor finishes the tuple it is in (a retiring one, its
+	// whole backlog), and the task instance it is inside must not be
+	// entered by its successor meanwhile. The
 	// queue takes pushes from the moment the route table names it.
 	after <-chan struct{}
 	// winN and winOver are the open vote window of boltRuntime.noteService:
@@ -63,7 +64,7 @@ type executor struct {
 	winN, winOver int64
 	// stranded collects, oldest first, the items the dying drain loop —
 	// local or remote — could not serve or hand off. Only that loop writes
-	// it; the reaper reads it once the goroutine has exited (done closed).
+	// it; the retirer reads it once the goroutine has exited (done closed).
 	stranded []queueItem
 
 	// Remote-binding state; all nil/zero for local executors.
@@ -71,11 +72,13 @@ type executor struct {
 	// sem is the in-flight window: one slot per unacked ProcessBatch.
 	sem chan struct{}
 	// kill unblocks a drain loop parked on the in-flight window when the
-	// transport is wedged and a reaper needs the goroutine gone.
+	// executor crashes and the retirer needs the goroutine gone.
 	kill     chan struct{}
 	killOnce sync.Once
-	// failOnce gates the transport-triggered self-heal (failRemoteBinding).
-	failOnce sync.Once
+	// failed is set by the executor's first transport failure, which counts
+	// it failed and files its self-heal (failRemoteBinding), or by its
+	// crash, which is counted already: either way, once.
+	failed atomic.Bool
 }
 
 // killRemote releases a remote drain loop blocked on its in-flight window.
@@ -87,8 +90,8 @@ func (ex *executor) killRemote() {
 }
 
 // strandRing parks the unhandled ring tail [start, start+count) for the
-// reaper. Called only by the executor's own drain loop before it exits.
-// Stranded items leave the queue's outstanding count: the reaper's replay
+// retirer. Called only by the executor's own drain loop before it exits.
+// Stranded items leave the queue's outstanding count: the retirer's replay
 // counts them on the executor they land on.
 func (ex *executor) strandRing(ring []queueItem, start, count int) {
 	if count <= 0 {
@@ -195,23 +198,15 @@ type Run struct {
 	bolts  []*boltRuntime
 	spouts []*spoutRuntime
 
-	roots  rootLog
-	paused atomic.Bool
+	roots rootLog
 
 	spoutErrCount atomic.Int64
 	spoutLastErr  atomic.Pointer[error]
 
-	// Failure-domain accounting: executor crashes injected, and tuples
-	// re-delivered after landing on (or being bound for) a dead executor.
+	// Failure-domain accounting: executors crashed or failed by their
+	// transport, and the tuples they left behind for re-delivery.
 	execFailures atomic.Int64
 	replayed     atomic.Int64
-
-	// Pending remote-binding heals (see failRemoteBinding). Guarded by
-	// healMu — its own lock, NOT r.mu — so a heal can be requested while
-	// r.mu is held by a quiescing Rebalance, and the quiesce loop itself
-	// can drain the queue to keep the drain making progress.
-	healMu sync.Mutex
-	healQ  []healReq
 
 	drainMu   sync.Mutex // serializes DrainInterval; guards the last* fields
 	lastDrain time.Time
@@ -220,7 +215,7 @@ type Run struct {
 	lastCompleted int64
 	lastNanos     int64
 
-	mu      sync.Mutex // serializes Rebalance/Stop
+	mu      sync.Mutex // serializes route swaps and Stop's shutdown
 	stopped atomic.Bool
 	done    chan struct{}
 	wg      sync.WaitGroup // spout goroutines
@@ -366,7 +361,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		settled := 0 // tuples of this batch already taken off the count
 		for i := 0; i < n; i++ {
 			// A crash ends service at the tuple boundary: the batch's
-			// unprocessed tail strands for the reaper to replay (one
+			// unprocessed tail strands for the retirer to replay (one
 			// relaxed atomic load per tuple buys the failure domain).
 			if ex.crashed.Load() {
 				ex.probe.TuplesServed(int64(i), sampled, busyNanos)
@@ -538,9 +533,6 @@ func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 // Done exposes the stop signal.
 func (c *spoutCtx) Done() <-chan struct{} { return c.run.done }
 
-// Paused reports whether a rebalance is in progress.
-func (c *spoutCtx) Paused() bool { return c.run.paused.Load() }
-
 // Instance reports the spout instance index.
 func (c *spoutCtx) Instance() int { return c.instance }
 
@@ -691,16 +683,21 @@ func (r *Run) BoltTotals(bolt string) (arrivals, served int64, err error) {
 	return br.cumArrivals.Load(), br.cumServed.Load(), nil
 }
 
-// Rebalance changes executor counts (bolt name -> count). It pauses
-// ingestion, waits for in-flight tuples to drain, swaps executor sets for
-// the bolts whose counts change, and resumes — the paper's improved
-// JVM-reusing rebalance, which keeps task state in place.
+// Rebalance changes executor counts (bolt name -> count) — the paper's
+// improved JVM-reusing rebalance, which keeps task state in place. Only the
+// bolts whose counts change are touched, and nothing else stops: spouts keep
+// injecting and the other bolts keep serving. Each changed bolt gets a fresh
+// executor set under a migration-aware route table; then each displaced
+// executor retires (retireLocked), draining its own backlog before it exits,
+// and only then does the fresh set start serving — so per-task FIFO and task
+// exclusivity hold. Rebalance waits for the retiring executors and for
+// nothing else.
 func (r *Run) Rebalance(alloc map[string]int) error {
-	if r.stopped.Load() {
-		return ErrStopped
-	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if r.stopped.Load() {
+		return ErrStopped // a fresh executor set would outlive Stop's shutdown
+	}
 	// Validate first: reject before disturbing anything.
 	changed := make(map[int]int)
 	for i, br := range r.bolts {
@@ -715,58 +712,37 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 			changed[i] = n
 		}
 	}
-	if len(changed) == 0 {
-		return nil
-	}
-	r.paused.Store(true)
-	defer r.paused.Store(false)
-	if !r.quiesce(r.cfg.QuiesceTimeout) {
-		return ErrQuiesceTimeout
-	}
 	for i, n := range changed {
 		br := r.bolts[i]
 		old := br.route.Load()
 		retired := make(chan struct{})
 		r.installExecutors(br, n, retired)
 		for _, ex := range old.execs {
-			ex.q.close()
-		}
-		for _, ex := range old.execs {
-			<-ex.done
+			r.retireLocked(br, ex, false)
 		}
 		close(retired)
 	}
 	return nil
 }
 
-// quiesce waits until no external tuple trees are pending. The caller
-// holds r.mu, so any remote-binding heal requested meanwhile (a worker
-// dying mid-quiesce) cannot acquire it — quiesce drains the heal queue
-// itself each iteration, or the dead binding's backlog would pin its
-// trees for the whole timeout and the drain could never finish.
-func (r *Run) quiesce(timeout time.Duration) bool {
-	deadline := time.Now().Add(timeout)
-	for r.roots.pending() > 0 {
-		r.drainHealsLocked()
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(time.Millisecond)
-	}
-	return true
-}
-
-// Stop shuts the topology down: spouts first, then a drain, then the
-// executors. Safe to call once; later calls return ErrStopped.
+// Stop shuts the topology down: spouts first, then a drain bounded by
+// QuiesceTimeout, then the executors. Safe to call once; later calls return
+// ErrStopped. The drain needs no lock — the spouts are gone and stopped
+// refuses new swaps — so a Rebalance or a self-heal already under way
+// finishes alongside it.
 func (r *Run) Stop() error {
 	if !r.stopped.CompareAndSwap(false, true) {
 		return ErrStopped
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	close(r.done)
 	r.wg.Wait() // spouts gone; no new roots
-	drained := r.quiesce(r.cfg.QuiesceTimeout)
+	deadline := time.Now().Add(r.cfg.QuiesceTimeout)
+	for r.roots.pending() > 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	drained := r.roots.pending() == 0
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.shutdownExecutors()
 	r.execWG.Wait()
 	if !drained {
@@ -782,7 +758,7 @@ func (r *Run) shutdownExecutors() {
 				ex.q.close()
 				// A remote drain loop may be parked on its in-flight
 				// window behind a wedged transport; release it so Stop
-				// cannot hang (quiesce already decided the drain outcome).
+				// cannot hang (the drain already decided the outcome).
 				ex.killRemote()
 			}
 		}

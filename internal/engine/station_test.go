@@ -158,22 +158,44 @@ func TestEmitBatchSpreadsOverIdleExecutors(t *testing.T) {
 
 // exclusiveBolt keeps unsynchronised per-task state: the race detector
 // flags two executors inside one task instance, and the entry flag catches
-// the same without it.
+// the same without it. It forwards each tuple it serves, and, when hits is
+// set, counts per integer id how often its stage served it.
 type exclusiveBolt struct {
 	inside   atomic.Bool
 	seen     int // deliberately unguarded
 	overlaps *atomic.Int64
+	hits     []atomic.Int32
 }
 
-func (b *exclusiveBolt) Process(Tuple, Emit) error {
+func (b *exclusiveBolt) Process(tu Tuple, emit Emit) error {
 	if !b.inside.CompareAndSwap(false, true) {
 		b.overlaps.Add(1)
 		return nil
 	}
 	b.seen++
+	if b.hits != nil {
+		b.hits[tu.Values[0].(int)].Add(1)
+	}
 	time.Sleep(slowService)
 	b.inside.Store(false)
+	emit(tu.Values)
 	return nil
+}
+
+// completionsReach waits until the run has completed want roots, or until
+// stop closes; it reports which.
+func completionsReach(run *Run, want int64, stop <-chan struct{}) bool {
+	for {
+		if n, _ := run.Completions(); n >= want {
+			return true
+		}
+		select {
+		case <-stop:
+			return false
+		default:
+			runtime.Gosched()
+		}
+	}
 }
 
 // TestShuffleStormTaskExclusive routes backlog-steered shuffle traffic at
@@ -188,9 +210,6 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 		Spout("src", 2, func(int) Spout {
 			return &funcSpout{fn: func(ctx SpoutContext) error {
 				for i := 0; i < n/2; i++ {
-					for ctx.Paused() {
-						runtime.Gosched()
-					}
 					select {
 					case <-ctx.Done():
 						return nil
@@ -221,11 +240,6 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
 			if i%3 == 0 {
 				if err := run.Rebalance(map[string]int{"work": 2 + i%5}); err != nil {
 					t.Errorf("Rebalance: %v", err)
@@ -235,7 +249,10 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 				t.Errorf("FailExecutor: %v", err)
 				return
 			}
-			time.Sleep(2 * time.Millisecond)
+			base, _ := run.Completions()
+			if !completionsReach(run, base+15, stop) {
+				return
+			}
 		}
 	}()
 	waitCompleted(t, run, n)
@@ -317,19 +334,21 @@ func assertSettled(t *testing.T, run *Run) {
 }
 
 // TestOutstandingBalances drives every path that moves a tuple on or off an
-// executor's books — a crash replay, a remote bind and its reap, a lost
-// result frame and the self-heal behind it, a failed send, a crash capture
-// at the queue itself, a rebalance, a stop — and checks the count returns
-// to zero each time the topology drains.
+// executor's books — a crash replay, a remote bind and its retire, a lost
+// result frame and the self-heal behind it, a failed send, a seize at the
+// queue itself, a rebalance, a stop — and checks the count returns to zero
+// each time the topology drains. The live cases act at steps of the
+// completion count, so each lands mid-stream without a timer.
 func TestOutstandingBalances(t *testing.T) {
-	t.Run("crashCapture", func(t *testing.T) {
+	t.Run("seize", func(t *testing.T) {
 		q := newQueue()
 		q.pushBatch([]queueItem{{task: 1}, {task: 2}, {task: 3}})
 		if _, _, n, _ := q.popAll(nil); n != 3 || q.outstanding() != 3 {
 			t.Fatalf("popped %d, outstanding %d: a popped batch is still outstanding", n, q.outstanding())
 		}
 		q.pushBatch([]queueItem{{task: 4}, {task: 5}})
-		if got := len(q.crashCapture()); got != 2 || q.outstanding() != 3 {
+		q.close()
+		if got := len(q.seize()); got != 2 || q.outstanding() != 3 {
 			t.Fatalf("captured %d, outstanding %d: the seized backlog must leave the books, the batch in service stay", got, q.outstanding())
 		}
 		q.served(3)
@@ -377,7 +396,7 @@ func TestOutstandingBalances(t *testing.T) {
 	t.Run("FailExecutor", func(t *testing.T) {
 		run, collector := start(t)
 		for i := 0; i < 8; i++ {
-			time.Sleep(time.Millisecond)
+			waitCompleted(t, run, int64(i)*n/16)
 			if _, err := run.FailExecutor("fan", i%2); err != nil {
 				t.Fatal(err)
 			}
@@ -394,7 +413,7 @@ func TestOutstandingBalances(t *testing.T) {
 		run, collector := start(t)
 		remote := newFakeRemote(3)
 		for i := 0; i < 6; i++ {
-			time.Sleep(time.Millisecond)
+			waitCompleted(t, run, int64(i)*n/12)
 			var to RemoteExecutor
 			if i%2 == 0 {
 				to = remote
@@ -432,8 +451,8 @@ func TestOutstandingBalances(t *testing.T) {
 	})
 	t.Run("Rebalance", func(t *testing.T) {
 		run, collector := start(t)
-		for _, alloc := range []map[string]int{{"fan": 4, "sink": 2}, {"fan": 1}, {"fan": 3, "sink": 8}} {
-			time.Sleep(time.Millisecond)
+		for i, alloc := range []map[string]int{{"fan": 4, "sink": 2}, {"fan": 1}, {"fan": 3, "sink": 8}} {
+			waitCompleted(t, run, int64(i)*n/6)
 			if err := run.Rebalance(alloc); err != nil {
 				t.Fatal(err)
 			}
@@ -442,7 +461,7 @@ func TestOutstandingBalances(t *testing.T) {
 	})
 	t.Run("Stop", func(t *testing.T) {
 		run, _ := start(t)
-		time.Sleep(2 * time.Millisecond) // stop it mid-stream
+		waitCompleted(t, run, n/4) // stop it mid-stream
 		if err := run.Stop(); err != nil {
 			t.Fatal(err)
 		}

@@ -26,9 +26,6 @@ type SpoutContext interface {
 	EmitBatch(vs []Values)
 	// Done is closed when the spout must stop.
 	Done() <-chan struct{}
-	// Paused reports whether ingestion is currently suspended (during a
-	// rebalance); spouts should idle briefly instead of emitting.
-	Paused() bool
 	// Instance is this spout instance's index (0-based).
 	Instance() int
 }

@@ -186,8 +186,8 @@ type rootShard struct {
 // add when a root starts, two on the shard's own line when it completes.
 // Everything else is derived: external arrivals and per-interval sojourn
 // sums are differences between folds (the drainer keeps the previous fold
-// under its own lock), and the pending count — the rebalance quiescence
-// signal — is started minus completed. All counters are monotonic, so no
+// under its own lock), and the pending count — the signal Stop's drain
+// waits on — is started minus completed. All counters are monotonic, so no
 // drain ever races a record.
 type rootLog struct {
 	shards [logShards]rootShard
@@ -218,8 +218,8 @@ func (c *rootLog) totals() (started, completed, nanos int64) {
 
 // pending reports in-flight roots. All completed counters are read before
 // any started counter: every observed completion's start (which preceded
-// it) is then also observed, so concurrency can only overestimate — the
-// quiescence check stays conservative.
+// it) is then also observed, so concurrency can only overestimate — Stop's
+// drain check stays conservative.
 func (c *rootLog) pending() (n int64) {
 	for i := range c.shards {
 		n -= c.shards[i].completed.Load()

@@ -16,9 +16,9 @@ type failureRecord struct {
 	announced bool
 }
 
-// failureTracker suppresses actions that keep failing: a rebalance that
-// times out quiescing (engine.ErrQuiesceTimeout) or a resize the provider
-// refuses will usually fail the same way on the very next round, so after
+// failureTracker suppresses actions that keep failing: a rebalance the
+// target refuses or a resize the provider refuses will usually fail the
+// same way on the very next round, so after
 // threshold failures inside the window the supervisor skips that action
 // kind until the window expires. A success clears the record. Thread-safe;
 // the caller supplies the clock so virtual-time drivers work.

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/engine"
 )
 
 // TestFailureTrackerPrunesStaleKinds: a record whose window has elapsed is
@@ -187,7 +186,7 @@ func TestLastSnapshotFollowsAppliedAllocation(t *testing.T) {
 	sup.Tick()
 	check("measured hold round", []int{2, 2}, 4, 0.5)
 
-	target.rebalanceErr = engine.ErrQuiesceTimeout
+	target.rebalanceErr = errRebalanceRefused
 	script(scaleOut)
 	clock.advance(time.Second)
 	sup.Tick()

@@ -67,8 +67,9 @@ type Target interface {
 	Rebalance(alloc map[string]int, pause time.Duration) error
 }
 
-// engineTarget adapts *engine.Run. The live engine pays its real quiesce
-// pause, so the modeled pause is dropped.
+// engineTarget adapts *engine.Run. The live engine pays its real pause —
+// the changed bolts' retiring executors draining — so the modeled pause is
+// dropped.
 type engineTarget struct{ r *engine.Run }
 
 func (t engineTarget) DrainInterval() metrics.IntervalReport { return t.r.DrainInterval() }
@@ -551,8 +552,9 @@ func (s *Supervisor) Tick() {
 
 // apply actuates one decision: charge the pool, fit a partial grant, and
 // hand the result to actuate. Failures are recorded for suppression and
-// still start a cooldown — after a failed quiesce the engine just spent
-// its timeout paused, and an immediate retry would too.
+// still start a cooldown: whatever refused the apply — the target or the
+// pool — usually refuses the very next round the same way, and retrying
+// every round would re-charge the pool and re-log the failure for nothing.
 func (s *Supervisor) apply(now time.Time, d core.Decision) {
 	kind := d.Action.String()
 	kmaxBefore := s.cfg.Pool.Kmax()
@@ -839,8 +841,9 @@ func (s *Supervisor) shrunkAlloc(cur []int, budget int) []int {
 
 // finishRound records an event and starts the cooldown. The cooldown is
 // anchored at the current clock time, not the round's start: a live
-// rebalance can block for its whole quiesce timeout, and anchoring earlier
-// would let the apply consume its own cooldown and retry immediately. An
+// rebalance blocks until the retiring executors have drained, a resize
+// until the provider answers, and anchoring earlier would let a slow apply
+// consume its own cooldown and retry immediately. An
 // applied event's target becomes the allocation total in force — after the
 // record is emitted, whose From is the total before — and the snapshot
 // follows it: no round refreshes lastSnap through the cooldown and the

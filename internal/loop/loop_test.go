@@ -236,14 +236,17 @@ func TestCooldown(t *testing.T) {
 	}
 }
 
-// TestFailureSuppression drives repeated ErrQuiesceTimeout failures: after
+// errRebalanceRefused stands in for a target's failed Rebalance.
+var errRebalanceRefused = errors.New("test: rebalance refused")
+
+// TestFailureSuppression drives repeated Rebalance failures: after
 // failureThreshold of them the supervisor must stop trying that action
 // kind until the failure window (ten cooldowns) expires, then probe again.
 func TestFailureSuppression(t *testing.T) {
 	clock := newFakeClock()
 	target := &fakeTarget{
 		alloc:        map[string]int{"a": 1},
-		rebalanceErr: engine.ErrQuiesceTimeout,
+		rebalanceErr: errRebalanceRefused,
 	}
 	stepper := &fakeStepper{d: core.Decision{
 		Action: core.ActionRebalance, Target: []int{2}, TargetKmax: 4, Reason: "scripted",
@@ -277,7 +280,7 @@ func TestFailureSuppression(t *testing.T) {
 		case ev.Suppressed:
 			suppressed++
 		case ev.Err != nil:
-			if !errors.Is(ev.Err, engine.ErrQuiesceTimeout) {
+			if !errors.Is(ev.Err, errRebalanceRefused) {
 				t.Fatalf("unexpected event error: %v", ev.Err)
 			}
 			failed++
@@ -349,7 +352,7 @@ func TestScaleOutChargesPool(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg.Pool = pool2
-	cfg.Target = &fakeTarget{alloc: map[string]int{"a": 17}, rebalanceErr: engine.ErrQuiesceTimeout}
+	cfg.Target = &fakeTarget{alloc: map[string]int{"a": 17}, rebalanceErr: errRebalanceRefused}
 	sup2, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -384,8 +387,8 @@ func TestScaleOutChargesPool(t *testing.T) {
 	}
 }
 
-// slowRebalanceTarget simulates a live rebalance whose quiesce takes real
-// time by advancing the clock during the apply.
+// slowRebalanceTarget simulates a live rebalance that takes real time by
+// advancing the clock during the apply.
 type slowRebalanceTarget struct {
 	fakeTarget
 	clock *fakeClock
@@ -397,15 +400,15 @@ func (t *slowRebalanceTarget) Rebalance(alloc map[string]int, pause time.Duratio
 	return t.fakeTarget.Rebalance(alloc, pause)
 }
 
-// TestCooldownAnchoredAfterApply guards against a slow (or
-// quiesce-timeout) apply consuming its own cooldown: the hold must start
-// when the apply finishes, not when the round began.
+// TestCooldownAnchoredAfterApply guards against a slow (here also failing)
+// apply consuming its own cooldown: the hold must start when the apply
+// finishes, not when the round began.
 func TestCooldownAnchoredAfterApply(t *testing.T) {
 	clock := newFakeClock()
 	target := &slowRebalanceTarget{
-		fakeTarget: fakeTarget{alloc: map[string]int{"a": 1}, rebalanceErr: engine.ErrQuiesceTimeout},
+		fakeTarget: fakeTarget{alloc: map[string]int{"a": 1}, rebalanceErr: errRebalanceRefused},
 		clock:      clock,
-		took:       20 * time.Second, // quiesce burns far longer than the cooldown
+		took:       20 * time.Second, // the apply takes far longer than the cooldown
 	}
 	stepper := &fakeStepper{d: core.Decision{
 		Action: core.ActionRebalance, Target: []int{2}, TargetKmax: 4, Reason: "scripted",
@@ -750,7 +753,7 @@ func TestShrinkHoldsAtPhysicalFloor(t *testing.T) {
 // them from the other tenants.
 func TestFailedApplyRollsBackLeaseGrant(t *testing.T) {
 	clock := newFakeClock()
-	target := &fakeTarget{alloc: map[string]int{"a": 2, "b": 2}, rebalanceErr: engine.ErrQuiesceTimeout}
+	target := &fakeTarget{alloc: map[string]int{"a": 2, "b": 2}, rebalanceErr: errRebalanceRefused}
 	pool := &fakeArbiterPool{kmax: 4, grantCap: 12}
 	stepper := &fakeStepper{d: core.Decision{
 		Action: core.ActionScaleOut, Target: []int{6, 6}, TargetKmax: 12, Reason: "scripted",
@@ -833,9 +836,7 @@ func (s *slowSpout) Run(ctx engine.SpoutContext) error {
 		case <-ctx.Done():
 			return nil
 		case <-tick.C:
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{1})
-			}
+			ctx.Emit(engine.Values{1})
 		}
 	}
 }

@@ -170,8 +170,8 @@ type Report struct {
 	// WALTail and WALSegments describe the log (zero when not durable).
 	WALTail     uint64
 	WALSegments int
-	// ExecutorFailures and Replays count remote bindings healed local
-	// and the batches replayed for them.
+	// ExecutorFailures and Replays count remote bindings whose transport
+	// failed and the tuples replayed off them.
 	ExecutorFailures, Replays int64
 	// Rounds and History are the supervisor's closing account.
 	Rounds  int64

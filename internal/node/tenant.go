@@ -16,7 +16,7 @@ import (
 
 // One value in use across every live caller, so constants, not options.
 const (
-	// quiesceTimeout bounds the engine's drain wait on rebalance and stop.
+	// quiesceTimeout bounds the engine's drain wait on stop.
 	quiesceTimeout = 30 * time.Second
 	// minGain is the controller's rebalance threshold: the modelled
 	// sojourn must improve by this share before executors move.

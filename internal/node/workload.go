@@ -35,9 +35,7 @@ func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
 		case <-ctx.Done():
 			return nil
 		case <-time.After(wait):
-			if !ctx.Paused() {
-				ctx.Emit(engine.Values{0})
-			}
+			ctx.Emit(engine.Values{0})
 		}
 	}
 }
