@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: test race bench-check loc build vet checkdoc test-fuzz serve-smoke restart-smoke worker-smoke examples-smoke
+.PHONY: test race bench-check loc build vet test-fuzz serve-smoke restart-smoke worker-smoke
 
 build:
 	$(GO) build ./...
@@ -10,12 +10,9 @@ build:
 vet:
 	$(GO) vet ./...
 
-# Doc-comment linter: a package comment on every package and a doc comment
-# on every exported declaration. Whether an exported name, method or
-# Config field has a caller is TestExportedSurface's job, inside `go test`.
-checkdoc:
-	$(GO) run ./internal/tools/checkdoc ./...
-
+# Includes surface_test.go's program checks (DESIGN.md §16): the exported
+# surface, doc comments on every package and exported declaration, and a
+# setter for every flag.
 test:
 	$(GO) test ./...
 
@@ -83,9 +80,3 @@ restart-smoke:
 # the lease, executors heal in-process, no admitted record is lost.
 worker-smoke:
 	sh scripts/worker_smoke.sh
-
-# The one live example (~55 s of wall-clock sleeps, so opt-in and not in
-# CI): examples/autoscale is self-checking — it exits 1 unless the loop
-# scaled out under the load step and ended converged under Tmax.
-examples-smoke:
-	$(GO) run ./examples/autoscale

@@ -7,6 +7,7 @@ package drs_test
 
 import (
 	"errors"
+	"math/rand/v2"
 	"runtime"
 	"strconv"
 	"sync"
@@ -222,7 +223,7 @@ func BenchmarkAblationHeapVsScan(b *testing.B) {
 	const n = 64
 	ops := make([]core.OpRates, n)
 	for i := range ops {
-		ops[i] = core.OpRates{Lambda: 10 + rng.Float64()*200, Mu: 5 + rng.Float64()*40}
+		ops[i] = core.OpRates{Lambda: rng.Uniform(10, 210), Mu: rng.Uniform(5, 45)}
 	}
 	model, err := core.NewModel(50, ops)
 	if err != nil {
@@ -1015,9 +1016,9 @@ func BenchmarkBucketShard(b *testing.B) {
 	// long tail stays registered. The draw itself is off the clock, and
 	// cycling a fixed table keeps runs comparable.
 	zipfIdx := make([]uint32, 1<<16)
-	z := stats.NewZipf(stats.NewRNG(7), 1.3, nClients)
+	z := rand.NewZipf(rand.New(rand.NewPCG(7, 7^0x9e3779b97f4a7c15)), 1.3, 1, nClients-1)
 	for i := range zipfIdx {
-		zipfIdx[i] = uint32(z.Next())
+		zipfIdx[i] = uint32(z.Uint64())
 	}
 
 	b.Run("resolve-cold", func(b *testing.B) {

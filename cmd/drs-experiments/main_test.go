@@ -3,6 +3,8 @@ package main
 import (
 	"go/parser"
 	"go/token"
+	"io"
+	"os"
 	"strings"
 	"testing"
 
@@ -98,5 +100,39 @@ func TestRunShortExperiments(t *testing.T) {
 	}
 	if err := run([]string{"-scenario", "no-such-file.json", "chaos"}); err == nil {
 		t.Error("missing scenario file should error")
+	}
+}
+
+// TestSeedPicksTheRun: a row is a pure function of -seed — the same seed
+// prints the same rows, another seed other ones.
+func TestSeedPicksTheRun(t *testing.T) {
+	fig6 := func(seed string) string {
+		t.Helper()
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		stdout := os.Stdout
+		os.Stdout = w
+		out := make(chan string)
+		go func() {
+			b, _ := io.ReadAll(r)
+			r.Close()
+			out <- string(b)
+		}()
+		err = run([]string{"-app", "vld", "-duration", "60", "-seed", seed, "fig6"})
+		os.Stdout = stdout
+		w.Close()
+		if err != nil {
+			t.Fatalf("fig6 -seed %s: %v", seed, err)
+		}
+		return <-out
+	}
+	a := fig6("2")
+	if b := fig6("2"); a != b {
+		t.Errorf("-seed 2 printed two different fig6 rows:\n%s\n%s", a, b)
+	}
+	if c := fig6("1"); a == c {
+		t.Errorf("-seed 1 and -seed 2 printed the same fig6 rows:\n%s", a)
 	}
 }

@@ -16,6 +16,7 @@
 //	drsctl -topology topo.json recommend -kmax 22
 //	drsctl -topology topo.json recommend -tmax-ms 500
 //	drsctl -topology topo.json simulate -alloc 10,11,1 -duration 600
+//	drsctl -topology topo.json quantile -q 0.99 -target-ms 2500
 //	drsctl -topology topo.json supervise -tmax-ms 500 -duration 30
 //	drsctl -topology topo.json supervise -kmax 8 -duration 30
 //	drsctl -topology topo.json serve -tmax-ms 500 -http 127.0.0.1:8080 -duration 60
@@ -124,6 +125,9 @@ func cmdQuantile(model *drs.Model, args []string) error {
 	if *targetMS <= 0 {
 		return fmt.Errorf("-target-ms is required and must be positive")
 	}
+	if *q <= 0 || *q >= 1 {
+		return fmt.Errorf("-q must be in (0,1), got %g", *q)
+	}
 	target := *targetMS / 1e3
 	fmt.Printf("%-16s %6s %22s\n", "operator", "k", fmt.Sprintf("P%.0f sojourn (ms)", *q*100))
 	total := 0
@@ -156,6 +160,9 @@ func parseAlloc(s string, n int) ([]int, error) {
 		v, err := strconv.Atoi(strings.TrimSpace(p))
 		if err != nil {
 			return nil, fmt.Errorf("bad allocation entry %q: %w", p, err)
+		}
+		if v < 1 {
+			return nil, fmt.Errorf("bad allocation entry %q: every operator needs at least one processor", p)
 		}
 		out[i] = v
 	}
@@ -236,6 +243,9 @@ func cmdSimulate(model *drs.Model, tf topoFile, args []string) error {
 	hopMS := fs.Float64("hop-ms", 0, "per-hop network delay mean in ms (ignored by the model)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *duration <= 0 {
+		return fmt.Errorf("-duration must be positive, got %g", *duration)
 	}
 	alloc, err := parseAlloc(*allocStr, model.N())
 	if err != nil {

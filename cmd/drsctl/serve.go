@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
-	"strings"
 	"syscall"
 	"time"
 
@@ -55,7 +53,6 @@ func cmdServe(tf topoFile, args []string) error {
 	slots := fs.Int("slots", 4, "executor slots per machine")
 	maxMachines := fs.Int("max-machines", 4, "machine cap the negotiator may provision")
 	clientRate := fs.Float64("client-rate", 0, "per-client token-bucket rate in records/s, burst of one second's worth (0 = unlimited)")
-	weights := fs.String("client-weights", "", "shedding weights per client id, e.g. gold=4,bronze=1")
 	seed := fs.Int64("seed", 1, "workload seed")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: durable admission (ACK after append) with crash-recovery replay on boot (empty = non-durable)")
 	decisionDir := fs.String("decision-log", "", "decision log directory: every control-plane verdict (grants, preemptions, shed plans, re-fits, heals) as rotating NDJSON (empty = disabled)")
@@ -90,10 +87,6 @@ func cmdServe(tf topoFile, args []string) error {
 	if *pprofFlag && *httpAddr == "" {
 		return fmt.Errorf("-pprof needs the -http listener")
 	}
-	weightMap, err := parseWeights(*weights)
-	if err != nil {
-		return err
-	}
 	// Tasks cap executor parallelism per operator, and the optimizer may
 	// concentrate the whole pool on one.
 	tasks := *slots * *maxMachines
@@ -106,7 +99,7 @@ func cmdServe(tf topoFile, args []string) error {
 		SlotsPerMachine: *slots,
 		MaxMachines:     *maxMachines,
 		Costs:           liveCosts,
-		Clients:         ingest.ListenerConfig{Weights: weightMap, Rate: *clientRate},
+		Clients:         ingest.ListenerConfig{Rate: *clientRate},
 		HTTPAddr:        *httpAddr,
 		TCPAddr:         *tcpAddr,
 		WorkerAddr:      *workerListen,
@@ -118,6 +111,7 @@ func cmdServe(tf topoFile, args []string) error {
 		Pprof:           *pprofFlag,
 		Logger:          node.Logger(*verbose),
 	}
+	var err error
 	if *decisionDir != "" {
 		if cfg.DecisionSink, err = obs.NewFileSink(*decisionDir, 0); err != nil {
 			return fmt.Errorf("decision log: %w", err)
@@ -168,24 +162,4 @@ func entryOperator(tf topoFile) string {
 		}
 	}
 	return tf.Operators[0].Name
-}
-
-// parseWeights reads a "id=weight,id=weight" list.
-func parseWeights(s string) (map[string]float64, error) {
-	if s == "" {
-		return nil, nil
-	}
-	out := make(map[string]float64)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) != 2 {
-			return nil, fmt.Errorf("bad client weight %q (want id=weight)", part)
-		}
-		w, err := strconv.ParseFloat(kv[1], 64)
-		if err != nil || w <= 0 {
-			return nil, fmt.Errorf("bad client weight %q: want a positive number", part)
-		}
-		out[kv[0]] = w
-	}
-	return out, nil
 }

@@ -2,15 +2,20 @@ package main
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"github.com/drs-repro/drs/internal/ingest"
+	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/wal"
 )
 
@@ -60,6 +65,17 @@ func awaitNotice(t *testing.T, msg string) <-chan struct{} {
 	return seen
 }
 
+// pprofStatus is the status GET /debug/pprof/ answers on addr.
+func pprofStatus(t *testing.T, addr string) int {
+	t.Helper()
+	resp, err := http.Get("http://" + addr + "/debug/pprof/")
+	if err != nil {
+		t.Fatalf("GET /debug/pprof/: %v", err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
 // awaitListener blocks until serve announces its HTTP listener, failing
 // the test if serve exits first or the notice takes over 15 s.
 func awaitListener(t *testing.T, listening <-chan struct{}, errC <-chan error) {
@@ -75,7 +91,8 @@ func awaitListener(t *testing.T, listening <-chan struct{}, errC <-chan error) {
 
 // TestServeSignalDrain: a SIGINT mid-serve closes the listeners, drains
 // the ingest ring, syncs the durable watermark and returns nil — long
-// before the -duration would have elapsed on its own.
+// before the -duration would have elapsed on its own. -pprof serves the
+// profiles beside the ingest handler.
 func TestServeSignalDrain(t *testing.T) {
 	path := writeTopo(t, fastTopo)
 	walDir := t.TempDir()
@@ -91,11 +108,14 @@ func TestServeSignalDrain(t *testing.T) {
 	go func() {
 		errC <- run([]string{"-topology", path, "serve",
 			"-tmax-ms", "200", "-duration", "300", "-interval-ms", "100",
-			"-http", addr, "-wal-dir", walDir})
+			"-http", addr, "-wal-dir", walDir, "-pprof"})
 	}()
 
 	// Wait for the listener, then land a few records.
 	awaitListener(t, listening, errC)
+	if got := pprofStatus(t, addr); got != http.StatusOK {
+		t.Errorf("GET /debug/pprof/ under -pprof = %d, want 200", got)
+	}
 	url := "http://" + addr + "/ingest"
 	posted := 0
 	deadline := time.Now().Add(15 * time.Second)
@@ -173,10 +193,14 @@ const slowTopo = `{
 // has finished everything admitted, not beside it. A burst into slow
 // bolts followed by an immediate signal must still print
 // `engine: N completions` with N equal to the printed `admitted` — the
-// inequality worker_smoke.sh asserts on real processes.
+// inequality worker_smoke.sh asserts on real processes. A record offered
+// on the -tcp listener counts in the same books; the -decision-log and
+// -trace directories hold records and spans their parsers accept; and
+// without -pprof there are no profiles.
 func TestServeReportAfterQuiesce(t *testing.T) {
 	path := writeTopo(t, slowTopo)
-	addr := freeAddr(t)
+	addr, tcpAddr := freeAddr(t), freeAddr(t)
+	decisionDir, traceDir := t.TempDir(), t.TempDir()
 
 	sigC := make(chan os.Signal, 1)
 	orig := serveInterrupts
@@ -190,22 +214,40 @@ func TestServeReportAfterQuiesce(t *testing.T) {
 	}
 	os.Stdout = w
 	defer func() { os.Stdout = stdout }()
-	listening := awaitNotice(t, "http ingest open")
+	listening := awaitNotice(t, "tcp ingest open")
 	errC := make(chan error, 1)
 	go func() {
 		errC <- run([]string{"-topology", path, "serve",
-			"-tmax-ms", "5000", "-duration", "300", "-interval-ms", "100", "-http", addr})
+			"-tmax-ms", "5000", "-duration", "300", "-interval-ms", "100", "-http", addr,
+			"-tcp", tcpAddr, "-decision-log", decisionDir, "-trace", traceDir, "-trace-sample", "1000"})
 		w.Close()
 	}()
 
-	// One NDJSON burst, as soon as the listener is up.
+	// One NDJSON burst and one TCP record, as soon as the listeners are up.
 	awaitListener(t, listening, errC)
 	burst := strings.Repeat("rec\n", 30)
 	resp, err := http.Post("http://"+addr+"/ingest", "application/x-ndjson", strings.NewReader(burst))
 	if err != nil {
 		t.Fatalf("post to the announced listener: %v", err)
 	}
+	var verdict struct{ Admitted int64 }
+	err = json.NewDecoder(resp.Body).Decode(&verdict)
 	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("burst reply: %v", err)
+	}
+	conn, err := ingest.DialTCP(tcpAddr, "tcp-client")
+	if err != nil {
+		t.Fatalf("dial the announced TCP listener: %v", err)
+	}
+	ok, _, err := conn.Send([]byte("rec"))
+	conn.Close()
+	if err != nil || !ok {
+		t.Fatalf("TCP record: admitted %v, %v", ok, err)
+	}
+	if got := pprofStatus(t, addr); got == http.StatusOK {
+		t.Error("GET /debug/pprof/ without -pprof = 200")
+	}
 	sigC <- os.Interrupt
 
 	out, err := io.ReadAll(r)
@@ -224,4 +266,40 @@ func TestServeReportAfterQuiesce(t *testing.T) {
 	if admitted <= 0 || completions != admitted {
 		t.Errorf("report printed admitted %d but engine: %d completions\n%s", admitted, completions, out)
 	}
+	if admitted != verdict.Admitted+1 {
+		t.Errorf("report printed admitted %d, want the burst's %d plus the TCP record", admitted, verdict.Admitted)
+	}
+	if n := countParsed(t, decisionDir, func(l []byte) error { _, err := obs.ParseRecord(l); return err }); n == 0 {
+		t.Error("-decision-log wrote no decision record")
+	}
+	if n := countParsed(t, traceDir, func(l []byte) error { _, err := obs.ParseSpan(l); return err }); n == 0 {
+		t.Error("-trace wrote no span")
+	}
+}
+
+// countParsed counts the NDJSON lines in dir's files that parse accepts,
+// failing the test on one it refuses.
+func countParsed(t *testing.T, dir string, parse func([]byte) error) int {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, f := range files {
+		b, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range bytes.Split(bytes.TrimSpace(b), []byte("\n")) {
+			if len(line) == 0 {
+				continue
+			}
+			if err := parse(line); err != nil {
+				t.Errorf("%s: %v", f, err)
+			}
+			n++
+		}
+	}
+	return n
 }

@@ -13,6 +13,10 @@ import (
 	"github.com/drs-repro/drs/internal/node"
 )
 
+// reservedSlots is the slot supervise's pool holds back off the budget
+// (min-resource mode).
+const reservedSlots = 1
+
 // cmdSupervise materializes the topology file as a live engine run —
 // Poisson spouts for the external rates, executors that busy an
 // exponential service time per tuple, per-edge fractional forwarding —
@@ -26,7 +30,6 @@ func cmdSupervise(tf topoFile, args []string) error {
 	intervalMS := fs.Int("interval-ms", 1000, "measurement cadence Tm in ms")
 	allocStr := fs.String("alloc", "", "initial executors per operator (default 1 each)")
 	slots := fs.Int("slots", 4, "executor slots per machine (min-resource mode)")
-	reserved := fs.Int("reserved-slots", 1, "slots reserved off the pool (min-resource mode)")
 	maxMachines := fs.Int("max-machines", 8, "machine cap the negotiator may provision")
 	seed := fs.Int64("seed", 1, "workload seed")
 	verbose := fs.Bool("v", false, "log every loop event")
@@ -57,7 +60,7 @@ func cmdSupervise(tf topoFile, args []string) error {
 	// concentrate nearly the whole budget on one operator.
 	tasks := *kmax
 	if *tmaxMS > 0 {
-		tasks = *slots**maxMachines - *reserved
+		tasks = *slots**maxMachines - reservedSlots
 	}
 
 	var pool loop.Pool
@@ -69,10 +72,10 @@ func cmdSupervise(tf topoFile, args []string) error {
 		pool = loop.FixedPool(*kmax)
 		ctrlCfg = core.ControllerConfig{Mode: core.ModeMinLatency, Kmax: *kmax}
 	} else {
-		machines := (total + *reserved + *slots - 1) / *slots
+		machines := (total + reservedSlots + *slots - 1) / *slots
 		cp, err := cluster.NewPool(cluster.PoolConfig{
 			SlotsPerMachine: *slots,
-			ReservedSlots:   *reserved,
+			ReservedSlots:   reservedSlots,
 			MaxMachines:     *maxMachines,
 			Costs:           liveCosts,
 		}, machines)
@@ -86,7 +89,7 @@ func cmdSupervise(tf topoFile, args []string) error {
 			ScaleInSlack:          0.35,
 			MaxScaleInUtilization: 0.9,
 			SlotsPerMachine:       *slots,
-			ReservedSlots:         *reserved,
+			ReservedSlots:         reservedSlots,
 		}
 	}
 	t, err := node.NewTenant(node.TenantConfig{

@@ -44,9 +44,10 @@ func scrapeFamily(t *testing.T, url, family string) (float64, bool) {
 }
 
 // TestWorkerMetricsEndpoint boots a serve daemon with a worker tier plus
-// one real worker daemon exposing -metrics, pushes traffic until the
-// worker has processed shuttled batches, and asserts over two real
-// scrapes that the worker families are present and monotonic.
+// one real worker daemon exposing -metrics and -pprof, pushes traffic
+// until the worker has processed shuttled batches, and asserts over two
+// real scrapes that the worker families are present and monotonic, and
+// that the profiles answer beside them.
 func TestWorkerMetricsEndpoint(t *testing.T) {
 	path := writeTopo(t, fastTopo)
 	httpAddr := freeAddr(t)
@@ -71,7 +72,7 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	workerErr := make(chan error, 1)
 	go func() {
 		workerErr <- run([]string{"-topology", path, "worker",
-			"-connect", workerListen, "-metrics", metricsAddr, "-retry-for", "30"})
+			"-connect", workerListen, "-metrics", metricsAddr, "-pprof", "-retry-for", "30"})
 	}()
 
 	metricsURL := "http://" + metricsAddr + "/metrics"
@@ -94,6 +95,9 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 	}
 	if machine < 1 {
 		t.Fatalf("drs_worker_machine = %v, want a leased machine id >= 1", machine)
+	}
+	if got := pprofStatus(t, metricsAddr); got != http.StatusOK {
+		t.Errorf("worker GET /debug/pprof/ under -pprof = %d, want 200", got)
 	}
 
 	// Push traffic until the worker has hosted executors and processed

@@ -22,8 +22,8 @@
 //     running topology, drains its measurements every Tm seconds, steps
 //     the controller and actuates the verdicts through the resource pool —
 //     with cooldown hysteresis between actions and suppression of
-//     repeatedly-failing rebalances. examples/autoscale runs it against
-//     the built-in engine under a shifting arrival rate.
+//     repeatedly-failing rebalances. `drsctl supervise` runs it against
+//     the built-in engine.
 //   - The multi-tenant cluster layer (the §V shared-cluster setting): a
 //     Scheduler that owns one machine pool and arbitrates slot leases
 //     among N concurrently supervised topologies — weighted max-min
@@ -66,9 +66,11 @@
 //
 // The repository also contains the substrates the paper's evaluation needs
 // (a Storm-like operator engine, a discrete-event queueing simulator, a
-// cluster/negotiator model and the two test applications); those live under
-// internal/ and are driven by the examples, the cmd/drs-experiments harness
-// and the repository benchmarks. See DESIGN.md for the full inventory.
+// cluster/negotiator model and the two test applications' calibrated
+// profiles); those live under internal/ and are driven by the drsctl and
+// drs-experiments commands and the repository benchmarks. The package's
+// Example is the library's core workflow, checked by go test. See
+// DESIGN.md for the full inventory.
 package drs
 
 import (
@@ -215,8 +217,8 @@ type SupervisorEvent = loop.Event
 
 // SupervisorTarget is the system under supervision: measurement intervals
 // out, allocations in. Implement it over your own runtime, or use the
-// built-in engine through internal/loop.EngineTarget (as examples/autoscale
-// and drsctl supervise do).
+// built-in engine through internal/loop.EngineTarget (as drsctl supervise
+// does).
 type SupervisorTarget = loop.Target
 
 // SupervisorPool is the resource negotiator the supervisor charges

@@ -1,15 +1,4 @@
-// Quickstart: model an operator topology, estimate its latency, and ask
-// DRS for optimal allocations — the library's core workflow, no engine or
-// simulator involved.
-//
-// The topology is the paper's Figure 2 shape: a split (A feeds B and C), a
-// join (C and D feed E) and a feedback loop (E back to A). The traffic
-// equations are solved under the hood, loop included.
-//
-// Run:
-//
-//	go run ./examples/quickstart
-package main
+package drs_test
 
 import (
 	"fmt"
@@ -18,7 +7,12 @@ import (
 	drs "github.com/drs-repro/drs"
 )
 
-func main() {
+// Model an operator topology, estimate its latency and ask DRS for the
+// optimal allocations — the library's core workflow, no engine or
+// simulator involved. The topology is the paper's Figure 2 shape: a split
+// (A feeds B and C), a join (C and D feed E) and a feedback loop (E back
+// to A); the traffic equations are solved loop included.
+func Example() {
 	// Operator rates: service_rate is µ (tuples/s one processor handles);
 	// the third argument is the operator's external arrival rate.
 	topo, err := drs.NewTopologyBuilder().
@@ -36,7 +30,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
 	model, err := drs.NewModelFromTopology(topo)
 	if err != nil {
 		log.Fatal(err)
@@ -56,9 +49,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nAssignProcessors(%d) = %v\n", kmax, alloc)
-	fmt.Printf("expected total sojourn E[T] = %.2f ms (floor %.2f ms)\n",
-		est*1e3, model.LowerBound()*1e3)
+	fmt.Printf("AssignProcessors(%d) = %v, E[T] = %.2f ms (floor %.2f ms)\n",
+		kmax, alloc, est*1e3, model.LowerBound()*1e3)
 
 	// Program (6): fewest processors that keep E[T] under 80 ms.
 	const tmax = 0.080
@@ -74,11 +66,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nMinProcessors(%.0f ms) = %v — %d processors, E[T] = %.2f ms\n",
+	fmt.Printf("MinProcessors(%.0f ms) = %v, %d processors, E[T] = %.2f ms\n",
 		tmax*1e3, minAlloc, total, estMin*1e3)
 
-	// What a bad placement costs: move two processors away from the
-	// bottleneck and re-estimate.
+	// What a bad placement costs: move two processors away from the first
+	// operator that can spare them and re-estimate.
 	bad := append([]int(nil), alloc...)
 	for i := range bad {
 		if bad[i] > 2 {
@@ -91,6 +83,16 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nmisplacing two processors %v -> %v costs %.2f ms -> %.2f ms\n",
+	fmt.Printf("misplacing two processors %v -> %v costs %.2f ms -> %.2f ms\n",
 		alloc, bad, est*1e3, estBad*1e3)
+	// Output:
+	// Solved arrival rates (traffic equations, loop included):
+	//   A  lambda =  15.00 tuples/s  (mu =  50.0)
+	//   B  lambda =   9.00 tuples/s  (mu =  40.0)
+	//   C  lambda =   6.00 tuples/s  (mu =  60.0)
+	//   D  lambda =   4.00 tuples/s  (mu =  45.0)
+	//   E  lambda =  10.00 tuples/s  (mu =  55.0)
+	// AssignProcessors(12) = [3 3 2 2 2], E[T] = 64.16 ms (floor 63.98 ms)
+	// MinProcessors(80 ms) = [2 1 1 1 1], 6 processors, E[T] = 73.44 ms
+	// misplacing two processors [3 3 2 2 2] -> [1 5 2 2 2] costs 64.16 ms -> 73.30 ms
 }

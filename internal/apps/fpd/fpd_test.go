@@ -2,12 +2,8 @@ package fpd
 
 import (
 	"math"
-	"sort"
-	"sync"
 	"testing"
-	"time"
 
-	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/sim"
 )
 
@@ -105,265 +101,6 @@ func TestSimShowsNetworkDominatedGap(t *testing.T) {
 func TestSimConfigValidation(t *testing.T) {
 	if _, err := SimConfig([]int{1}, 1); err == nil {
 		t.Error("short allocation should error")
-	}
-}
-
-func TestSubsetsEnumeration(t *testing.T) {
-	txn := Transaction{1, 2, 3}
-	got := Subsets(txn, 2)
-	keys := make([]string, len(got))
-	for i, s := range got {
-		keys[i] = s.Key()
-	}
-	sort.Strings(keys)
-	want := []string{"1", "1,2", "1,3", "2", "2,3", "3"}
-	if len(keys) != len(want) {
-		t.Fatalf("subsets = %v, want %v", keys, want)
-	}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("subsets = %v, want %v", keys, want)
-		}
-	}
-	if got := Subsets(txn, 0); got != nil {
-		t.Error("maxLen 0 should yield nothing")
-	}
-	if got := Subsets(nil, 3); got != nil {
-		t.Error("empty txn should yield nothing")
-	}
-}
-
-func TestIsSubset(t *testing.T) {
-	tests := []struct {
-		s, t Itemset
-		want bool
-	}{
-		{Itemset{1, 3}, Itemset{1, 2, 3}, true},
-		{Itemset{1, 2, 3}, Itemset{1, 2, 3}, true},
-		{Itemset{}, Itemset{1}, true},
-		{Itemset{4}, Itemset{1, 2, 3}, false},
-		{Itemset{1, 2, 3}, Itemset{1, 3}, false},
-		{Itemset{2}, Itemset{1, 3}, false},
-	}
-	for _, tt := range tests {
-		if got := tt.s.IsSubset(tt.t); got != tt.want {
-			t.Errorf("IsSubset(%v, %v) = %v, want %v", tt.s, tt.t, got, tt.want)
-		}
-	}
-}
-
-func TestHashStability(t *testing.T) {
-	a := Itemset{1, 2, 3}.Hash()
-	b := Itemset{1, 2, 3}.Hash()
-	c := Itemset{1, 2, 4}.Hash()
-	if a != b {
-		t.Error("hash must be deterministic")
-	}
-	if a == c {
-		t.Error("different sets should hash differently (overwhelmingly)")
-	}
-}
-
-func TestNormalize(t *testing.T) {
-	got := normalize([]int{3, 1, 3, 2, 1})
-	want := Transaction{1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("normalize = %v", got)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("normalize = %v, want %v", got, want)
-		}
-	}
-}
-
-func TestCandidateConfigCaps(t *testing.T) {
-	cfg := CandidateConfig{MaxItems: 3, MaxLen: 2}
-	got := cfg.Candidates(Transaction{1, 2, 3, 4, 5, 6})
-	// 3 singletons + 3 pairs from the first 3 items.
-	if len(got) != 6 {
-		t.Errorf("capped candidates = %d, want 6", len(got))
-	}
-}
-
-func TestTweetGenDeterministicAndBounded(t *testing.T) {
-	a, b := NewTweetGen(100, 9), NewTweetGen(100, 9)
-	for i := 0; i < 50; i++ {
-		ta, tb := a.Next(), b.Next()
-		if Itemset(ta).Key() != Itemset(tb).Key() {
-			t.Fatal("same seed diverged")
-		}
-		if len(ta) < 1 || len(ta) > 8 {
-			t.Fatalf("transaction size %d out of bounds", len(ta))
-		}
-		for j := 1; j < len(ta); j++ {
-			if ta[j] <= ta[j-1] {
-				t.Fatal("transaction not sorted/distinct")
-			}
-		}
-	}
-}
-
-// distributedMFP replays a window through the task-partitioned protocol
-// single-threaded: candidates routed by hash, every frequency transition
-// broadcast to all stores. Returns the union of per-task MFP sets.
-func distributedMFP(window []Transaction, cfg CandidateConfig, threshold, tasks int) map[string]bool {
-	stores := make([]*MFPStore, tasks)
-	for i := range stores {
-		stores[i] = NewMFPStore(threshold)
-	}
-	apply := func(set Itemset, delta int) {
-		owner := stores[set.Hash()%uint64(tasks)]
-		if ch, changed := owner.Update(set, delta); changed {
-			for _, st := range stores {
-				st.ApplyNotification(ch)
-			}
-		}
-	}
-	for _, txn := range window {
-		for _, set := range cfg.Candidates(txn) {
-			apply(set, +1)
-		}
-	}
-	out := make(map[string]bool)
-	for _, st := range stores {
-		for k := range st.mfp {
-			out[k] = true
-		}
-	}
-	return out
-}
-
-func TestDistributedMFPMatchesBruteForce(t *testing.T) {
-	cfg := CandidateConfig{MaxItems: 5, MaxLen: 3}
-	gen := NewTweetGen(30, 11)
-	window := make([]Transaction, 400)
-	for i := range window {
-		window[i] = gen.Next()
-	}
-	const threshold = 25
-	want := BruteForceMFP(window, cfg, threshold)
-	for _, tasks := range []int{1, 3, 8} {
-		got := distributedMFP(window, cfg, threshold, tasks)
-		if len(got) != len(want) {
-			t.Errorf("tasks=%d: %d MFPs, brute force %d", tasks, len(got), len(want))
-			continue
-		}
-		for k := range want {
-			if !got[k] {
-				t.Errorf("tasks=%d: missing MFP %q", tasks, k)
-			}
-		}
-	}
-	if len(want) == 0 {
-		t.Fatal("degenerate test: brute force found no MFPs")
-	}
-}
-
-func TestMFPWithSlidingDeletions(t *testing.T) {
-	// Insert a window, then retract the first half; the protocol state must
-	// match brute force over the surviving half.
-	cfg := CandidateConfig{MaxItems: 5, MaxLen: 2}
-	gen := NewTweetGen(20, 13)
-	all := make([]Transaction, 300)
-	for i := range all {
-		all[i] = gen.Next()
-	}
-	const threshold, tasks = 20, 4
-	stores := make([]*MFPStore, tasks)
-	for i := range stores {
-		stores[i] = NewMFPStore(threshold)
-	}
-	apply := func(set Itemset, delta int) {
-		owner := stores[set.Hash()%uint64(tasks)]
-		if ch, changed := owner.Update(set, delta); changed {
-			for _, st := range stores {
-				st.ApplyNotification(ch)
-			}
-		}
-	}
-	for _, txn := range all {
-		for _, set := range cfg.Candidates(txn) {
-			apply(set, +1)
-		}
-	}
-	for _, txn := range all[:150] {
-		for _, set := range cfg.Candidates(txn) {
-			apply(set, -1)
-		}
-	}
-	want := BruteForceMFP(all[150:], cfg, threshold)
-	got := make(map[string]bool)
-	for _, st := range stores {
-		for k := range st.mfp {
-			got[k] = true
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("after deletions: %d MFPs, brute force %d", len(got), len(want))
-	}
-	for k := range want {
-		if !got[k] {
-			t.Errorf("missing MFP %q after deletions", k)
-		}
-	}
-}
-
-func TestLivePipelineReportsMFPs(t *testing.T) {
-	if testing.Short() {
-		t.Skip("live engine run")
-	}
-	var mu sync.Mutex
-	reports := 0
-	current := make(map[string]bool)
-	cfg := PipelineConfig{
-		TweetsPerSecond: 300,
-		WindowSize:      400,
-		Vocabulary:      40,
-		Threshold:       30,
-		Tasks:           8,
-		Seed:            21,
-		OnReport: func(mc MFPChange) {
-			mu.Lock()
-			defer mu.Unlock()
-			reports++
-			if mc.Maximal {
-				current[mc.Set.Key()] = true
-			} else {
-				delete(current, mc.Set.Key())
-			}
-		},
-	}
-	topo, err := Pipeline(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run, err := topo.Start(engine.RunConfig{
-		Alloc: map[string]int{"generate": 2, "detect": 4, "report": 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(2500 * time.Millisecond)
-	rep := run.DrainInterval()
-	if err := run.Stop(); err != nil {
-		t.Fatalf("stop: %v", err)
-	}
-	if rep.ExternalArrivals < 200 {
-		t.Errorf("only %d events in 2.5s at 300 tweets/s", rep.ExternalArrivals)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if reports == 0 {
-		t.Error("no MFP reports on a Zipf-skewed stream")
-	}
-	if len(current) == 0 {
-		t.Error("no maximal frequent patterns currently flagged")
-	}
-	for _, name := range []string{"generate", "detect", "report"} {
-		if n, last := run.Errors(name); n != 0 {
-			t.Errorf("bolt %s errors: %d, last %v", name, n, last)
-		}
 	}
 }
 

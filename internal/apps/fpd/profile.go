@@ -1,23 +1,23 @@
-// Package fpd implements the paper's second test application: maximal
-// frequent pattern detection over a sliding window of a microblog stream
-// (§V-A, Figure 5). Two spouts emit an event as a tweet enters (+) or
-// leaves (−) the window; a pattern generator expands each event into
-// candidate itemsets; a stateful, partitioned detector maintains occurrence
-// counts and maximal-frequent-pattern (MFP) flags, broadcasting state
-// changes to all of its own tasks over a feedback loop; a reporter receives
-// the MFP updates.
+// Package fpd is the calibrated profile of the paper's second test
+// application: maximal frequent pattern detection over a sliding window of
+// a microblog stream (§V-A, Figure 5). Two spouts emit an event as a tweet
+// enters (+) or leaves (−) the window; a pattern generator expands each
+// event into candidate itemsets; a stateful, partitioned detector maintains
+// occurrence counts and maximal-frequent-pattern (MFP) flags, broadcasting
+// state changes to all of its own tasks over a feedback loop; a reporter
+// receives the MFP updates. Every figure, golden and benchmark probe that
+// runs FPD runs this profile.
 //
-// The simulation profile is calibrated so the DRS model reproduces the
+// The profile is calibrated so the DRS model reproduces the
 // paper's recommendation AssignProcessors(22) = (6:13:3), with an estimated
 // E[T] ≈ 27.7 ms (paper: ≈ 15.5 ms). FPD is the paper's data-intensive
 // counter-example: per-hop network delay dominates the measured sojourn, so
 // the model underestimates heavily but preserves the ordering (Fig. 7).
 //
-// Substitution note (DESIGN.md): the paper replays 28.7M real tweets; we
-// generate synthetic transactions with a Zipf vocabulary at the same
-// Poisson arrival rate (320 tweets/s) over the same 50,000-tweet window.
-// The mining logic itself is real (see mining.go) and verified against a
-// brute-force reference.
+// Substitution note (DESIGN.md): the paper replays 28.7M real tweets; the
+// profile keeps their Poisson arrival rate (320 tweets/s) over the same
+// 50,000-tweet window, and the per-stage costs, selectivities and loop
+// gain, and mines no tweets.
 package fpd
 
 import (

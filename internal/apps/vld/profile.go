@@ -1,11 +1,11 @@
-// Package vld implements the paper's first test application: real-time
-// video logo detection (§V-A, Figure 4) — a chain of a frame spout, a
-// SIFT-style feature extractor, a feature matcher and a matching
-// aggregator.
+// Package vld is the calibrated profile of the paper's first test
+// application: real-time video logo detection (§V-A, Figure 4) — a chain of
+// a frame spout, a SIFT-style feature extractor, a feature matcher and a
+// matching aggregator. Every figure, golden and benchmark probe that runs
+// VLD runs this profile, in the simulator or as a live topology of
+// sleeping bolts built from Topology.
 //
-// Two forms are provided.
-//
-// The simulation profile models the pipeline at *frame granularity*: each
+// The profile models the pipeline at *frame granularity*: each
 // stage handles one tuple per frame (the extractor's output is the frame's
 // whole feature set, as a batch), so the chain has selectivity 1 and every
 // operator sees λ_i = 13 tuples/s. This granularity is what makes the
@@ -18,16 +18,10 @@
 // (paper: ≈ 0.49 s on their hardware) and the (8:8:1)/(10:11:1) ratio
 // ≈ 1.22, matching the paper's Fig. 10 ratio.
 //
-// The engine pipeline is a real pure-Go implementation (synthetic frames,
-// gradient-based feature extraction, L2 descriptor matching, per-frame
-// aggregation) used by the examples and integration tests; it passes
-// feature-granularity tuples like the Storm original.
-//
 // Substitution note (DESIGN.md): the paper uses soccer-match video clips
 // and OpenCV SIFT. Frame content does not matter to scheduling — only the
 // arrival process, the per-tuple cost distribution and the topology shape
-// do — so frames are synthetic and the extractor is a small gradient
-// detector with SIFT-like cost shape.
+// do — so the profile keeps those and no frames.
 package vld
 
 import (

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"github.com/drs-repro/drs/internal/queueing"
-	"github.com/drs-repro/drs/internal/stats"
 )
 
 func TestAblationScanExportedWrapper(t *testing.T) {
@@ -49,7 +48,7 @@ func TestAblationBruteForceExportedWrapper(t *testing.T) {
 // at least some instances — the design-choice justification for carrying
 // the full Erlang formula.
 func TestAblationNaiveModelNeverBeatsErlang(t *testing.T) {
-	rng := stats.NewRNG(20150423) // the paper's arXiv v3 date
+	rng := newRand(20150423) // the paper's arXiv v3 date
 	losses := 0
 	for trial := 0; trial < 200; trial++ {
 		n := 2 + rng.IntN(4)

@@ -3,11 +3,11 @@ package core
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 
 	"github.com/drs-repro/drs/internal/queueing"
-	"github.com/drs-repro/drs/internal/stats"
 	"github.com/drs-repro/drs/internal/topology"
 )
 
@@ -225,7 +225,7 @@ func TestAssignProcessorsMatchesBruteForce(t *testing.T) {
 
 func TestAssignProcessorsMatchesBruteForceRandomized(t *testing.T) {
 	// Theorem 1 as a property over random 3-operator instances.
-	rng := stats.NewRNG(20260612)
+	rng := newRand(20260612)
 	for trial := 0; trial < 60; trial++ {
 		lambda0 := 1 + rng.Float64()*20
 		ops := []OpRates{
@@ -259,7 +259,7 @@ func TestAssignProcessorsMatchesBruteForceRandomized(t *testing.T) {
 }
 
 func TestHeapMatchesScanImplementation(t *testing.T) {
-	rng := stats.NewRNG(77)
+	rng := newRand(77)
 	for trial := 0; trial < 80; trial++ {
 		n := 2 + rng.IntN(6)
 		ops := make([]OpRates, n)
@@ -344,7 +344,7 @@ func TestMinProcessorsUnreachable(t *testing.T) {
 
 func TestMinProcessorsPropertyMinimal(t *testing.T) {
 	f := func(seed uint32) bool {
-		rng := stats.NewRNG(uint64(seed))
+		rng := newRand(uint64(seed))
 		lambda0 := 1 + rng.Float64()*30
 		ops := []OpRates{
 			{Lambda: lambda0, Mu: 0.3 + rng.Float64()*4},
@@ -396,7 +396,7 @@ func TestOperatorSojournConsistentWithQueueing(t *testing.T) {
 // probe scales the base afresh (the base is untouched and a repeated
 // search returns the same bits), and Scale is the linear map it claims.
 func TestMaxScaleInvertsProgram6(t *testing.T) {
-	rng := stats.NewRNG(41)
+	rng := newRand(41)
 	searches := 0
 	for trial := 0; trial < 100; trial++ {
 		ops := make([]OpRates, 1+rng.IntN(4))
@@ -475,4 +475,10 @@ func TestViolates(t *testing.T) {
 			t.Errorf("%s: Violates = %v, want %v", c.name, got, c.want)
 		}
 	}
+}
+
+// newRand draws stats.NewRNG(seed)'s stream through a *rand.Rand, for the
+// tests that want raw uniforms and indices.
+func newRand(seed uint64) *rand.Rand {
+	return rand.New(rand.NewPCG(seed, seed^0x9e3779b97f4a7c15))
 }

@@ -86,10 +86,6 @@ func (em *emitter) emit(edges []int, v Values) {
 			em.add(e.to, rt, task, v)
 		case GroupFields:
 			em.add(e.to, rt, int(e.key(v)%uint64(br.spec.tasks)), v)
-		case GroupBroadcast:
-			for task := 0; task < br.spec.tasks; task++ {
-				em.add(e.to, rt, task, v)
-			}
 		}
 	}
 }

@@ -236,38 +236,6 @@ func TestFieldsGroupingRoutesByKey(t *testing.T) {
 	}
 }
 
-func TestBroadcastReachesEveryTask(t *testing.T) {
-	const n, tasks = 50, 6
-	var counts [tasks]atomic.Int64
-	topo, err := NewTopology().
-		Spout("src", 1, func(int) Spout { return &burstSpout{n: n} }).
-		Bolt("relay", 1, func(int) Bolt {
-			return BoltFunc(func(t Tuple, emit Emit) error {
-				emit.To("all")(t.Values)
-				return nil
-			})
-		}).
-		Bolt("sink", tasks, func(task int) Bolt {
-			return BoltFunc(func(Tuple, Emit) error {
-				counts[task].Add(1)
-				return nil
-			})
-		}).
-		Shuffle("src", "relay").
-		BroadcastOn("all", "relay", "sink").
-		Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := startTopo(t, topo, map[string]int{"relay": 1, "sink": 3})
-	waitCompleted(t, run, n)
-	for task := 0; task < tasks; task++ {
-		if got := counts[task].Load(); got != n {
-			t.Errorf("task %d saw %d tuples, want %d", task, got, n)
-		}
-	}
-}
-
 // loopBolt forwards a decrementing hop counter back to itself.
 type loopBolt struct{}
 

@@ -23,8 +23,6 @@ type RunConfig struct {
 	// Alloc maps bolt name to executor count. Every bolt must be present;
 	// counts must be in [1, tasks].
 	Alloc map[string]int
-	// SampleEveryNm is the probe sampling stride (paper's Nm). Default 1.
-	SampleEveryNm int
 	// QuiesceTimeout bounds Stop's wait for in-flight tuples to drain.
 	// Default 10s.
 	QuiesceTimeout time.Duration
@@ -224,9 +222,6 @@ type Run struct {
 
 // Start launches the topology.
 func (t *Topology) Start(cfg RunConfig) (*Run, error) {
-	if cfg.SampleEveryNm <= 0 {
-		cfg.SampleEveryNm = 1
-	}
 	if cfg.QuiesceTimeout <= 0 {
 		cfg.QuiesceTimeout = 10 * time.Second
 	}
@@ -304,7 +299,7 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 	for i := 0; i < n; i++ {
 		ex := &executor{
 			q:     newQueue(),
-			probe: metrics.NewExecutorProbe(r.cfg.SampleEveryNm),
+			probe: metrics.NewExecutorProbe(1),
 			done:  make(chan struct{}),
 			after: after,
 		}
@@ -318,10 +313,10 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 // runExecutor is the executor hot loop: it drains its input queue in
 // batches (one lock round per batch) and processes each tuple with a
 // reusable emitter, so a bolt's fan-out costs one enqueue per destination
-// executor. Clock reads follow the Nm sampling stride: only sampled
-// tuples are timed (their end stamp also serves as the ack time and, at
-// Nm = 1, the next tuple's start), so raising Nm sheds measurement
-// overhead exactly as the paper intends.
+// executor. Clock reads follow the probe's Nm sampling stride: only
+// sampled tuples are timed (their end stamp also serves as the ack time
+// and, at Nm = 1, the next tuple's start). The engine's probes sample
+// every tuple.
 func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)

@@ -285,19 +285,22 @@ func TestShuffleRouteZeroAllocs(t *testing.T) {
 	sp := &lockstepSpout{step: make(chan struct{})}
 	topo, err := NewTopology().
 		Spout("src", 1, func(int) Spout { return sp }).
-		Bolt("sink", 8, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+		Bolt("sink", 8, func(int) Bolt {
+			// Spinning past the handoff cost makes every service sample
+			// vote the flag slow, so it stays as set here: the slow route's
+			// cost and nothing else.
+			return BoltFunc(func(Tuple, Emit) error {
+				for start := time.Now(); time.Since(start) < 2*handoffCost; {
+				}
+				return nil
+			})
+		}).
 		Shuffle("src", "sink").
 		Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	// No service sample is ever taken, so the flag stays as set here: a
-	// no-op bolt on the slow route, the route's cost and nothing else.
-	run, err := topo.Start(RunConfig{Alloc: map[string]int{"sink": 4}, SampleEveryNm: 1 << 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { _ = run.Stop() })
+	run := startTopo(t, topo, map[string]int{"sink": 4})
 	run.bolts[0].slow.Store(true)
 	var done int64
 	allocs := testing.AllocsPerRun(2000, func() {

@@ -73,9 +73,6 @@ const (
 	// GroupFields routes by hash of a key, so equal keys always reach the
 	// same task (stateful partitioning).
 	GroupFields
-	// GroupBroadcast sends a copy to every task — Storm's "all" grouping,
-	// which the FPD detector loop uses for state-change notifications.
-	GroupBroadcast
 )
 
 // KeyFunc extracts the partitioning key for fields grouping.
@@ -191,12 +188,6 @@ func (b *TopologyBuilder) Fields(from, to string, key KeyFunc) *TopologyBuilder 
 		return b
 	}
 	return b.connect(from, to, "", GroupFields, key)
-}
-
-// BroadcastOn connects from -> to delivering a copy of every tuple on the
-// named output stream of from to every task of to.
-func (b *TopologyBuilder) BroadcastOn(stream, from, to string) *TopologyBuilder {
-	return b.connect(from, to, stream, GroupBroadcast, nil)
 }
 
 func (b *TopologyBuilder) connect(from, to, stream string, kind GroupingKind, key KeyFunc) *TopologyBuilder {

@@ -14,12 +14,10 @@ import (
 )
 
 // ListenerConfig carries the client-registration defaults both listeners
-// share: how an id maps to a shedding weight and what per-client token
-// bucket new clients get.
+// share: what per-client token bucket new clients get. Every client a
+// listener registers sheds at defaultWeight: the id is the client's own
+// claim, so a weight keyed on it would be the client's to pick.
 type ListenerConfig struct {
-	// Weights overrides the shedding weight per client id (e.g. gold=4,
-	// bronze=1); unknown ids weigh defaultWeight.
-	Weights map[string]float64
 	// Rate and Burst parameterize each client's token bucket (Rate <= 0
 	// disables per-client rate limiting; Burst defaults to Rate).
 	Rate  float64
@@ -27,7 +25,7 @@ type ListenerConfig struct {
 }
 
 const (
-	// defaultWeight is the shedding weight of unknown client ids.
+	// defaultWeight is the shedding weight of a listener-registered client.
 	defaultWeight = 1.0
 	// maxRecordBytes bounds one record; larger frames or bodies are
 	// rejected outright.
@@ -42,13 +40,9 @@ func (c ListenerConfig) withDefaults() ListenerConfig {
 }
 
 // client registers (or fetches) the client for an id under the config's
-// weight and bucket defaults.
+// bucket defaults.
 func (c ListenerConfig) client(g *Gate, id string) *Client {
-	w := defaultWeight
-	if ov, ok := c.Weights[id]; ok {
-		w = ov
-	}
-	return g.Client(id, w, c.Rate, c.Burst)
+	return g.Client(id, defaultWeight, c.Rate, c.Burst)
 }
 
 // httpScratch is what one request borrows from scratchPool: the admit

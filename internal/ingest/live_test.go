@@ -4,6 +4,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -173,14 +174,21 @@ func TestLiveOverloadArc(t *testing.T) {
 
 	close(stop)
 	wg.Wait()
-	// Orderly shutdown: close the front door, let the spout drain the
-	// ring, then stop the engine — no admitted tuple may be lost.
+	// Orderly shutdown: close the front door, wait until the ring is empty
+	// and every root the spout started has completed — the books node's
+	// drain waits on — then stop the engine: no admitted tuple may be lost.
 	gate.Close()
 	sup.Stop()
-	for gate.Ring().Len() > 0 {
-		time.Sleep(10 * time.Millisecond)
+	for deadline := time.Now().Add(30 * time.Second); ; runtime.Gosched() {
+		started, completed, _ := run.RootTotals()
+		if gate.Ring().Len() == 0 && started == completed {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no quiet point within 30 s: ring %d, roots %d started / %d completed",
+				gate.Ring().Len(), started, completed)
+		}
 	}
-	time.Sleep(200 * time.Millisecond) // the last popped batch finishes emitting
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
 	}

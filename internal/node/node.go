@@ -1,7 +1,6 @@
 // Package node is the one live assembly path: every caller that runs the
 // DRS stack against the wall clock — `drsctl serve`, `supervise` and
-// `schedule`, examples/autoscale — builds it here instead of wiring the
-// packages by hand.
+// `schedule` — builds it here instead of wiring the packages by hand.
 //
 // It has two layers. A Tenant is one supervised live topology: an engine
 // run, a controller and the supervisor over a caller-supplied pool. A

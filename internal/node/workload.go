@@ -4,33 +4,23 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync/atomic"
 	"time"
 
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/topology"
 )
 
-// Rate is a Poisson source's arrival rate in tuples/s, switchable while
-// the spout runs — the load step of the live demos.
-type Rate struct{ bits atomic.Uint64 }
-
-// Set changes the rate; the spout picks it up at its next arrival.
-func (r *Rate) Set(perSec float64) { r.bits.Store(math.Float64bits(perSec)) }
-
-func (r *Rate) load() float64 { return math.Float64frombits(r.bits.Load()) }
-
-// poissonSpout emits tuples with exponential inter-arrival times at a
-// switchable rate.
+// poissonSpout emits tuples with exponential inter-arrival times at rate
+// tuples/s.
 type poissonSpout struct {
-	rate *Rate
+	rate float64
 	seed int64
 }
 
 func (s *poissonSpout) Run(ctx engine.SpoutContext) error {
 	rng := rand.New(rand.NewSource(s.seed))
 	for {
-		wait := time.Duration(rng.ExpFloat64() / s.rate.load() * float64(time.Second))
+		wait := time.Duration(rng.ExpFloat64() / s.rate * float64(time.Second))
 		select {
 		case <-ctx.Done():
 			return nil
@@ -95,20 +85,14 @@ func AddOperators(b *engine.TopologyBuilder, tf topology.File, tasks int, seed i
 }
 
 // AddSources declares one Poisson spout per operator with an external
-// rate, feeding that operator, and returns the rates by operator name so
-// a demo can step the load mid-run.
-func AddSources(b *engine.TopologyBuilder, tf topology.File, seed int64) map[string]*Rate {
-	rates := make(map[string]*Rate)
+// rate, feeding that operator at that rate.
+func AddSources(b *engine.TopologyBuilder, tf topology.File, seed int64) {
 	for i, op := range tf.Operators {
 		if op.ExternalRate <= 0 {
 			continue
 		}
-		rate := &Rate{}
-		rate.Set(op.ExternalRate)
-		rates[op.Name] = rate
-		spout := &poissonSpout{rate: rate, seed: seed + int64(i)*7919}
+		spout := &poissonSpout{rate: op.ExternalRate, seed: seed + int64(i)*7919}
 		b.Spout("src-"+op.Name, 1, func(int) engine.Spout { return spout })
 		b.Shuffle("src-"+op.Name, op.Name)
 	}
-	return rates
 }

@@ -15,12 +15,12 @@ import (
 func randomSpec(r *stats.RNG) Spec {
 	s := Spec{
 		Name:            "prop",
-		Seed:            uint64(r.IntN(1 << 62)),
+		Seed:            uint64(r.Uniform(0, 1<<62)),
 		DurationSeconds: r.Uniform(100, 2000),
 	}
-	names := []string{"t0", "t1", "t2", "t3"}[:1+r.IntN(4)]
+	names := []string{"t0", "t1", "t2", "t3"}[:1+intN(r, 4)]
 	for _, n := range names {
-		t := TenantSpec{Name: n, Weight: r.Uniform(0.5, 4), Priority: r.IntN(3), BaseRate: r.Uniform(0.1, 20)}
+		t := TenantSpec{Name: n, Weight: r.Uniform(0.5, 4), Priority: intN(r, 3), BaseRate: r.Uniform(0.1, 20)}
 		if r.Bernoulli(0.5) {
 			t.Diurnal = &DiurnalSpec{
 				PeriodSeconds: r.Uniform(10, s.DurationSeconds),
@@ -51,7 +51,7 @@ func randomSpec(r *stats.RNG) Spec {
 	if r.Bernoulli(0.7) {
 		s.Churn.MTBF = r.Uniform(50, 500)
 		s.Churn.MTTR = r.Uniform(5, 50)
-		s.Churn.Machines = []int{0, 1, 2, 3}[:1+r.IntN(4)]
+		s.Churn.Machines = []int{0, 1, 2, 3}[:1+intN(r, 4)]
 	}
 	if r.Bernoulli(0.7) {
 		at := r.Uniform(0, s.DurationSeconds)
@@ -62,7 +62,7 @@ func randomSpec(r *stats.RNG) Spec {
 		s.Stragglers = []StragglerSpec{{Machine: 5, From: from, Until: from + r.Uniform(1, 60)}}
 	}
 	if r.Bernoulli(0.5) {
-		s.Policy = []PolicySpec{{At: r.Uniform(0, s.DurationSeconds), Tenant: names[0], Priority: r.IntN(5)}}
+		s.Policy = []PolicySpec{{At: r.Uniform(0, s.DurationSeconds), Tenant: names[0], Priority: intN(r, 5)}}
 	}
 	if r.Bernoulli(0.6) {
 		s.Decommissions = []DecommissionSpec{{Machine: 8, At: r.Uniform(0, s.DurationSeconds)}}
@@ -223,3 +223,6 @@ func TestJitterStability(t *testing.T) {
 		}
 	}
 }
+
+// intN draws a uniform index in [0, n).
+func intN(r *stats.RNG, n int) int { return int(r.Uniform(0, float64(n))) }

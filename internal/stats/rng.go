@@ -32,12 +32,6 @@ func (r *RNG) Split(id uint64) *RNG {
 	return &RNG{src: rand.New(rand.NewPCG(s1^id, id*0xbf58476d1ce4e5b9+1))}
 }
 
-// Float64 returns a uniform sample in [0, 1).
-func (r *RNG) Float64() float64 { return r.src.Float64() }
-
-// IntN returns a uniform sample in [0, n). It panics if n <= 0.
-func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
-
 // Exp returns an exponential sample with the given rate (mean 1/rate).
 // It panics if rate <= 0.
 func (r *RNG) Exp(rate float64) float64 {
@@ -103,17 +97,3 @@ func (r *RNG) Pareto(scale, alpha float64) float64 {
 	}
 	return scale * math.Pow(1-r.src.Float64(), -1/alpha)
 }
-
-// Zipf samples from a Zipf distribution over {0, ..., n-1} with skew s > 1.
-type Zipf struct {
-	z *rand.Zipf
-}
-
-// NewZipf builds a Zipf sampler over n items with exponent s (s > 1) using
-// r as the randomness source.
-func NewZipf(r *RNG, s float64, n uint64) *Zipf {
-	return &Zipf{z: rand.NewZipf(r.src, s, 1, n-1)}
-}
-
-// Next returns the next Zipf sample.
-func (z *Zipf) Next() uint64 { return z.z.Uint64() }

@@ -1,8 +1,7 @@
 // Command ingestload drives client traffic at a drsctl-serve ingest front
 // end — HTTP POST or length-prefixed TCP — and reports the admitted/shed
 // split the backpressure produced. It is the client half of the
-// serve-smoke check (`make serve-smoke`) and a handy burst generator for
-// the examples.
+// serve-smoke check (`make serve-smoke`).
 //
 // Usage:
 //
@@ -17,8 +16,8 @@
 // correlated surges included — so every simulated scenario has a
 // live-socket twin. -speedup compresses scenario seconds into wall
 // seconds (60 replays a 24-minute arc in 24 s); client ids are the
-// tenant names (configure their weights server-side); an explicit
-// -duration caps the replayed scenario horizon.
+// tenant names; an explicit -duration caps the replayed scenario horizon.
+// Without -trace, the client ids are load-0, load-1, ...
 //
 // Exit status is 0 when every request got a verdict (2xx or 429/NACK) and
 // non-zero on transport errors.
@@ -55,7 +54,6 @@ func run(args []string) error {
 	clients := fs.Int("clients", 4, "concurrent clients")
 	rate := fs.Float64("rate", 100, "records/s per client")
 	duration := fs.Float64("duration", 5, "seconds to push (with -trace: cap on the scenario horizon)")
-	idPrefix := fs.String("id-prefix", "load", "client id prefix (ids are <prefix>-<n>)")
 	trace := fs.String("trace", "", "replay a scenario spec (JSON file) instead of flat per-client rates")
 	speedup := fs.Float64("speedup", 1, "trace replay: scenario seconds per wall second")
 	if err := fs.Parse(args); err != nil {
@@ -85,7 +83,7 @@ func run(args []string) error {
 	gap := time.Duration(float64(time.Second) / *rate)
 	var wg sync.WaitGroup
 	for i := 0; i < *clients; i++ {
-		id := fmt.Sprintf("%s-%d", *idPrefix, i)
+		id := fmt.Sprintf("load-%d", i)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

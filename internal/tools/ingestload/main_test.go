@@ -15,9 +15,7 @@ func gateServer(t *testing.T) (*ingest.Gate, *httptest.Server) {
 	t.Helper()
 	g := ingest.NewGate(ingest.GateConfig{})
 	t.Cleanup(func() { g.Close() })
-	srv := httptest.NewServer(ingest.Handler(g, ingest.ListenerConfig{
-		Weights: map[string]float64{"gold": 3, "bronze": 1},
-	}))
+	srv := httptest.NewServer(ingest.Handler(g, ingest.ListenerConfig{}))
 	t.Cleanup(srv.Close)
 	return g, srv
 }

@@ -1,10 +1,12 @@
 package drs_test
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
 	"go/ast"
+	"go/constant"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -13,6 +15,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -21,6 +24,9 @@ import (
 // testOnlyMarker, in a declaration's doc comment, says that tests are the
 // declaration's intended callers; a reason follows it (DESIGN.md §16).
 const testOnlyMarker = "//checkdoc:testonly "
+
+// rootModule is this module's path; the benchmark module is the other.
+const rootModule = "github.com/drs-repro/drs"
 
 // TestExportedSurface holds both modules (this one and benchmark/) to
 // DESIGN.md §16's rule at every level, type-checked over their non-test
@@ -57,6 +63,200 @@ func TestExportedSurface(t *testing.T) {
 	}
 }
 
+// TestDocComments holds every package of both modules to the doc rules,
+// over the non-test files the surface audit reads plus those a build tag
+// keeps out of this build (obs/race_on.go): a package has a package
+// comment; an exported func, type, const or var has a doc comment, a
+// group's doc covering its specs; and so does an exported method of an
+// exported receiver. Struct fields are exempt.
+func TestDocComments(t *testing.T) {
+	fset := token.NewFileSet()
+	var problems []string
+	report := func(pos token.Pos, format string, args ...any) {
+		problems = append(problems, fset.Position(pos).String()+": "+fmt.Sprintf(format, args...))
+	}
+	ours, _ := listModules(t)
+	for _, lp := range ours {
+		byPackage := make(map[string][]*ast.File)
+		for _, name := range slices.Concat(lp.GoFiles, lp.IgnoredGoFiles) {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, filepath.Join(lp.Dir, name), nil, parser.ParseComments)
+			if err != nil {
+				t.Fatal(err)
+			}
+			byPackage[f.Name.Name] = append(byPackage[f.Name.Name], f)
+		}
+		for pkg, files := range byPackage {
+			documented := false
+			for _, f := range files {
+				documented = documented || f.Doc != nil
+				checkDocs(f, report)
+			}
+			if !documented {
+				report(files[0].Package, "package %s has no package comment", pkg)
+			}
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// checkDocs reports f's exported declarations that have no doc comment.
+func checkDocs(f *ast.File, report func(token.Pos, string, ...any)) {
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Name.IsExported() && d.Doc == nil && (d.Recv == nil || receiverExported(d.Recv)) {
+				report(d.Pos(), "func %s is exported but has no doc comment", d.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					if sp.Name.IsExported() && d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
+						report(sp.Pos(), "type %s is exported but has no doc comment", sp.Name.Name)
+					}
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						if id.IsExported() && d.Doc == nil && sp.Doc == nil && sp.Comment == nil {
+							report(id.Pos(), "%s %s is exported but has no doc comment", d.Tok, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// receiverExported reports whether a method's receiver names an exported
+// type, pointer and type parameters unwrapped.
+func receiverExported(recv *ast.FieldList) bool {
+	t := recv.List[0].Type
+	if star, ok := t.(*ast.StarExpr); ok {
+		t = star.X
+	}
+	switch x := t.(type) {
+	case *ast.IndexExpr:
+		t = x.X
+	case *ast.IndexListExpr:
+		t = x.X
+	}
+	id, ok := t.(*ast.Ident)
+	return ok && id.IsExported()
+}
+
+// TestFlagsSet holds every flag a main package of this module defines to
+// the surface rule: something sets it. A flag counts as set when a test
+// file of its package passes "-name", or when a logical line of
+// scripts/*.sh, the Makefile or .github/workflows/*.yml invokes its binary
+// with -name. A binary's subcommands share its flags' attribution. The
+// benchmark module's flags are its command's contract with BENCHMARK.json
+// and are not held here.
+func TestFlagsSet(t *testing.T) {
+	a := newSurfaceAudit(t)
+	lines := invocationLines(t)
+	seen := make(map[string]bool)
+	var problems []string
+	for _, f := range a.flags {
+		pair := f.bin + " -" + f.name
+		if seen[pair] {
+			continue
+		}
+		seen[pair] = true
+		if !f.setByTest(t) && !setByInvocation(lines, f) {
+			problems = append(problems, fmt.Sprintf("%s: flag %s is set by no test, script, Makefile line or CI step (test its effect, or delete it)",
+				f.pos, pair))
+		}
+	}
+	sort.Strings(problems)
+	for _, p := range problems {
+		t.Error(p)
+	}
+}
+
+// definedFlag is one flag definition in a main package of this module.
+type definedFlag struct {
+	pos   token.Position
+	bin   string // the binary: the main package's directory name
+	name  string
+	tests []string // the package's test files
+}
+
+// setByTest reports whether one of the package's test files passes the
+// flag.
+func (f definedFlag) setByTest(t *testing.T) bool {
+	for _, path := range f.tests {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(b, []byte(`"-`+f.name+`"`)) {
+			return true
+		}
+	}
+	return false
+}
+
+// invocationLines reads the scripts, the Makefile and the CI workflows as
+// logical lines: backslash continuations joined, comment lines dropped.
+func invocationLines(t *testing.T) []string {
+	var paths []string
+	for _, pattern := range []string{"scripts/*.sh", "Makefile", ".github/workflows/*.yml"} {
+		m, err := filepath.Glob(pattern)
+		if err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, m...)
+	}
+	var lines []string
+	for _, path := range paths {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cur strings.Builder
+		for sc := bufio.NewScanner(bytes.NewReader(b)); sc.Scan(); {
+			line := sc.Text()
+			if cur.Len() == 0 && strings.HasPrefix(strings.TrimSpace(line), "#") {
+				continue
+			}
+			if joined, ok := strings.CutSuffix(line, `\`); ok {
+				cur.WriteString(joined + " ")
+				continue
+			}
+			cur.WriteString(line)
+			lines = append(lines, cur.String())
+			cur.Reset()
+		}
+	}
+	return lines
+}
+
+// setByInvocation reports whether a line runs f's binary with the flag.
+func setByInvocation(lines []string, f definedFlag) bool {
+	for _, line := range lines {
+		fields := strings.Fields(line)
+		for i, field := range fields {
+			if bin := strings.Trim(field, `"'`); bin != f.bin && !strings.HasSuffix(bin, "/"+f.bin) {
+				continue
+			}
+			for _, arg := range fields[i+1:] {
+				if strings.HasPrefix(arg, "--") {
+					arg = arg[1:]
+				}
+				if arg == "-"+f.name || strings.HasPrefix(arg, "-"+f.name+"=") {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
 // surfaceDecl is one declaration the rule applies to.
 type surfaceDecl struct {
 	pos      token.Position
@@ -85,6 +285,7 @@ func (d surfaceDecl) use() string {
 // surfaceAudit is the type-checked view of both modules' non-test files.
 type surfaceAudit struct {
 	decls      []surfaceDecl
+	flags      []definedFlag
 	uses       map[types.Object]bool // referenced by a non-test file
 	setOutside map[types.Object]bool // fields set outside their package
 	ifaces     map[string][]*types.Interface
@@ -118,12 +319,16 @@ func (a *surfaceAudit) implementsInterface(m *types.Func) bool {
 
 // listedPackage is the part of `go list -json` the audit reads.
 type listedPackage struct {
-	ImportPath string
-	Dir        string
-	Name       string
-	GoFiles    []string
-	Export     string
-	Standard   bool
+	ImportPath     string
+	Dir            string
+	Name           string
+	GoFiles        []string
+	IgnoredGoFiles []string
+	TestGoFiles    []string
+	XTestGoFiles   []string
+	Export         string
+	Standard       bool
+	Module         *struct{ Path string }
 }
 
 // goList lists dir's packages and their dependencies, deps first, with
@@ -147,13 +352,10 @@ func goList(t *testing.T, dir string) []listedPackage {
 	return pkgs
 }
 
-// newSurfaceAudit type-checks both modules from source, the standard
-// library from its export data, and indexes declarations, uses, field
-// sets and interfaces.
-func newSurfaceAudit(t *testing.T) *surfaceAudit {
-	fset := token.NewFileSet()
-	exports := make(map[string]string)
-	var ours []listedPackage
+// listModules lists both modules' packages, each module's dependencies
+// first, and the standard library's export data by import path.
+func listModules(t *testing.T) (ours []listedPackage, exports map[string]string) {
+	exports = make(map[string]string)
 	seen := make(map[string]bool)
 	for _, dir := range []string{".", "benchmark"} {
 		for _, p := range goList(t, dir) {
@@ -167,6 +369,15 @@ func newSurfaceAudit(t *testing.T) *surfaceAudit {
 			seen[p.ImportPath] = true
 		}
 	}
+	return ours, exports
+}
+
+// newSurfaceAudit type-checks both modules from source, the standard
+// library from its export data, and indexes declarations, uses, field
+// sets, interfaces and this module's flags.
+func newSurfaceAudit(t *testing.T) *surfaceAudit {
+	fset := token.NewFileSet()
+	ours, exports := listModules(t)
 	std := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
 		return os.Open(exports[path])
 	})
@@ -206,10 +417,56 @@ func newSurfaceAudit(t *testing.T) *surfaceAudit {
 		for _, f := range files {
 			a.declare(fset, info, f, facade)
 			a.index(info, pkg, f)
+			if lp.Name == "main" && lp.Module.Path == rootModule {
+				a.flags = append(a.flags, definedFlags(fset, info, f, lp)...)
+			}
 		}
 	}
 	a.collectInterfaces(checked)
 	return a
+}
+
+// definedFlags lists the flags f defines with a constant name: the name
+// argument of a flag-package call that also takes a usage string.
+func definedFlags(fset *token.FileSet, info *types.Info, f *ast.File, lp listedPackage) []definedFlag {
+	var tests []string
+	for _, name := range slices.Concat(lp.TestGoFiles, lp.XTestGoFiles) {
+		tests = append(tests, filepath.Join(lp.Dir, name))
+	}
+	var flags []definedFlag
+	ast.Inspect(f, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		fn, ok := info.Uses[sel.Sel].(*types.Func)
+		if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "flag" {
+			return true
+		}
+		params := fn.Type().(*types.Signature).Params()
+		nameAt, usage := -1, false
+		for i := 0; i < params.Len(); i++ {
+			switch params.At(i).Name() {
+			case "name":
+				nameAt = i
+			case "usage":
+				usage = true
+			}
+		}
+		if nameAt < 0 || !usage {
+			return true
+		}
+		if tv := info.Types[call.Args[nameAt]]; tv.Value != nil && tv.Value.Kind() == constant.String {
+			flags = append(flags, definedFlag{pos: fset.Position(call.Args[nameAt].Pos()),
+				bin: filepath.Base(lp.Dir), name: constant.StringVal(tv.Value), tests: tests})
+		}
+		return true
+	})
+	return flags
 }
 
 // importerFunc adapts a function to types.Importer.
