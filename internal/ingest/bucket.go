@@ -54,3 +54,14 @@ func (t *tokenBucket) take(nowNanos int64) (ok bool, retryAfter time.Duration) {
 	}
 	return false, time.Duration((1 - t.tokens) / t.rate * float64(time.Second))
 }
+
+// full reports whether the bucket, refilled to nowNanos, holds its whole
+// burst — the state newTokenBucket builds — or limits nothing.
+func (t *tokenBucket) full(nowNanos int64) bool {
+	if t.rate <= 0 {
+		return true
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return !t.primed || t.tokens+float64(nowNanos-t.last)/float64(time.Second)*t.rate >= t.burst
+}

@@ -40,7 +40,7 @@ func (c ListenerConfig) withDefaults() ListenerConfig {
 }
 
 // client registers (or fetches) the client for an id under the config's
-// bucket defaults.
+// bucket defaults, held until the caller releases it.
 func (c ListenerConfig) client(g *Gate, id string) *Client {
 	return g.Client(id, defaultWeight, c.Rate, c.Burst)
 }
@@ -224,6 +224,7 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 			id = v[0]
 		}
 		cl := cfg.client(g, id)
+		defer cl.release()
 		sc := scratchPool.Get().(*httpScratch)
 		defer scratchPool.Put(sc)
 		body, refusal, err := readBody(r, &sc.slab)

@@ -173,6 +173,10 @@ type GateStats struct {
 	// Watermark is the completion tracker's contiguous ack watermark
 	// (durable mode only; 0 otherwise).
 	Watermark uint64
+	// Clients counts the registered clients; Evicted those the replan
+	// rounds have dropped as idle.
+	Clients int
+	Evicted int64
 }
 
 // Gate is the admission controller: clients offer records, the gate
@@ -211,6 +215,7 @@ type Gate struct {
 	shedRateLimit atomic.Int64
 	shedOverload  atomic.Int64
 	shedBacklog   atomic.Int64
+	evicted       atomic.Int64
 	// intervalShed accumulates overload+backlog sheds for DrainShed — the
 	// offered-vs-admitted probe feeding interval reports.
 	intervalShed atomic.Int64
@@ -276,7 +281,8 @@ func (g *Gate) SetControl(c ControlSource) {
 // rate/burst parameterize the client's token bucket (rate <= 0 disables
 // it). Parameters of an existing client are left unchanged. Lookup is
 // shard-local — concurrent resolution of distinct ids never contends on
-// a gate-wide lock.
+// a gate-wide lock. The returned client is held: the replan round never
+// evicts it, so its counters and thinning state last as long as the gate.
 func (g *Gate) Client(id string, weight, rate float64, burst int) *Client {
 	return g.clients.getOrCreate(id, func() *Client {
 		w := weight
@@ -425,6 +431,7 @@ func (g *Gate) Replan() {
 	for i, p := range sc.permilles {
 		sc.list[i].admitPermille.Store(p)
 	}
+	g.evictIdle(now.UnixNano())
 
 	// Durable mode piggybacks watermark compaction on the replan cadence:
 	// one watermark frame and a retention sweep per round, off the admit
@@ -432,6 +439,25 @@ func (g *Gate) Replan() {
 	if g.wal.Load() != nil {
 		_ = g.SyncWatermark()
 	}
+}
+
+// evictIdle drops from the registry every client of the round that a fresh
+// one would equal: no caller holds it, its rate this round was 0 and its
+// token bucket has refilled to its burst. A fresh client starts at the
+// plan-wide fraction, which is what AdmitPermilles gives an idle one, so
+// the only state lost is the thinning seq. It then clears the round's list
+// and ids, so the scratch pins nothing it evicted. It allocates nothing.
+func (g *Gate) evictIdle(nowNanos int64) {
+	sc := &g.scratch
+	g.mu.Lock() // evict compares against lastOffered, which is g.mu's
+	for i, c := range sc.list {
+		if sc.rates[i] == 0 && c.holds.Load() == 0 && c.bucket.full(nowNanos) && g.clients.evict(c) {
+			g.evicted.Add(1)
+		}
+	}
+	g.mu.Unlock()
+	clear(sc.list)
+	clear(sc.ids)
 }
 
 // AdmitPermilles distributes one plan's sustainable budget across
@@ -496,6 +522,8 @@ func (g *Gate) Stats() GateStats {
 		ScaleOutViable:  g.scaleOutViable.Load(),
 		Replayed:        g.replayed.Load(),
 		Watermark:       g.Watermark(),
+		Clients:         g.clients.size(),
+		Evicted:         g.evicted.Load(),
 	}
 }
 
@@ -512,6 +540,7 @@ type Client struct {
 	id     string
 	weight float64
 	bucket tokenBucket
+	holds  atomic.Int32 // lookups not yet released; a held client is never evicted
 
 	seq           atomic.Uint64
 	admitPermille atomic.Uint32
@@ -521,6 +550,11 @@ type Client struct {
 	rlShed      atomic.Int64
 	lastOffered int64 // replan-loop snapshot (guarded by g.mu)
 }
+
+// release gives back the hold a lookup took. A listener releases once it
+// offers nothing more through the client: the HTTP handler after its
+// request, the TCP loop when its connection ends.
+func (c *Client) release() { c.holds.Add(-1) }
 
 // drainOfferedRate reports the client's offered rate — net of its own
 // rate-limit refusals — since the last replan round. Called under g.mu by

@@ -92,6 +92,7 @@ func serveConn(conn net.Conn, g *Gate, cfg ListenerConfig) {
 		return
 	}
 	cl := cfg.client(g, string(id))
+	defer cl.release()
 	for {
 		if err := conn.SetReadDeadline(time.Now().Add(tcpIdleTimeout)); err != nil {
 			return

@@ -119,6 +119,13 @@ func (m *metrics) register(n *Node) {
 	reg.Func("drs_ingest_ring_slots", ringHelp,
 		obs.Gauge, `kind="bound"`, func() float64 { _, _, b := ring.Slots(); return float64(b) })
 
+	// Client registry: the clients it holds now, and the idle ones the
+	// replan rounds have evicted.
+	reg.Func("drs_ingest_clients", "Clients registered at the ingest gate.",
+		obs.Gauge, "", func() float64 { return float64(gate.Stats().Clients) })
+	reg.Func("drs_ingest_clients_evicted_total", "Idle clients the ingest gate has evicted from its registry.",
+		obs.Counter, "", func() float64 { return float64(gate.Stats().Evicted) })
+
 	// Engine: root-tuple books and the per-bolt cumulative counters the
 	// DrainInterval folds (probe resets on rebalance do not zero these).
 	reg.Func("drs_engine_roots_started_total", "Root tuples injected by spouts.",
