@@ -158,7 +158,6 @@ func BenchmarkTable2Scheduling(b *testing.B) {
 func BenchmarkTable2Measurement(b *testing.B) {
 	meas, err := metrics.NewMeasurer(metrics.MeasurerConfig{
 		OperatorNames: vld.OperatorNames(),
-		Smoothing:     metrics.SmoothingSpec{Kind: "ewma", Alpha: 0.6},
 	})
 	if err != nil {
 		b.Fatal(err)
@@ -248,45 +247,6 @@ func BenchmarkAblationHeapVsScan(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkAblationSmoothing measures the measurer pipeline under each of
-// Appendix B's smoothing options.
-func BenchmarkAblationSmoothing(b *testing.B) {
-	specs := map[string]metrics.SmoothingSpec{
-		"none":   {},
-		"ewma":   {Kind: "ewma", Alpha: 0.6},
-		"window": {Kind: "window", Window: 6},
-	}
-	rep := metrics.IntervalReport{
-		Duration:         time.Second,
-		ExternalArrivals: 100,
-		Ops: []metrics.OpInterval{
-			{Arrivals: 100, Served: 100, Sampled: 10, BusyTime: time.Second},
-			{Arrivals: 100, Served: 100, Sampled: 10, BusyTime: time.Second},
-			{Arrivals: 100, Served: 100, Sampled: 10, BusyTime: time.Second},
-		},
-		SojournCount: 50, SojournTotal: 30 * time.Second,
-	}
-	for name, spec := range specs {
-		meas, err := metrics.NewMeasurer(metrics.MeasurerConfig{
-			OperatorNames: []string{"a", "b", "c"},
-			Smoothing:     spec,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := meas.AddInterval(rep); err != nil {
-					b.Fatal(err)
-				}
-				if _, err := meas.Snapshot(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // BenchmarkAblationModel compares the Erlang M/M/k evaluation against the

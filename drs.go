@@ -13,8 +13,8 @@
 //     (Algorithm 1 / Program (4): best latency under a processor budget)
 //     and MinProcessors (Program (6): fewest processors under a latency
 //     target), both justified by the convexity of E[T_i](k_i) (Theorem 1).
-//   - The DRS control loop (§IV): a Measurer that aggregates sampled
-//     per-executor metrics to operator level with α-weighted or windowed
+//   - The DRS control loop (§IV): a Measurer that aggregates per-tuple
+//     executor metrics to operator level with 6-interval window
 //     smoothing, and a Controller that turns measurement snapshots into
 //     rebalance / scale-out / scale-in decisions, including the Appendix-B
 //     cost/benefit guard.
@@ -169,8 +169,8 @@ type Stepper = core.Stepper
 type ThresholdController = core.ThresholdController
 
 // Measurer implements the paper's measurer module: it aggregates
-// per-interval operator counters into smoothed rate estimates and produces
-// controller Snapshots.
+// per-interval operator counters into rate estimates, each the window
+// average of the last 6 intervals, and produces controller Snapshots.
 type Measurer = metrics.Measurer
 
 // MeasurerConfig parameterizes the measurer.
@@ -182,21 +182,18 @@ type IntervalReport = metrics.IntervalReport
 // OpInterval is one operator's counters within an interval.
 type OpInterval = metrics.OpInterval
 
-// ExecutorProbe instruments one executor with the paper's Nm-sampled
-// per-tuple measurement; safe for concurrent use and cheap on the fast path.
+// ExecutorProbe instruments one executor with the paper's per-tuple
+// measurement, every served tuple a sample (Nm = 1); safe for concurrent
+// use and cheap on the fast path.
 type ExecutorProbe = metrics.ExecutorProbe
-
-// SmoothingSpec selects "none", "ewma" (α-weighted) or "window" averaging
-// for the measured series, as in Appendix B.
-type SmoothingSpec = metrics.SmoothingSpec
 
 // NewMeasurer validates the config and builds a measurer.
 func NewMeasurer(cfg MeasurerConfig) (*Measurer, error) {
 	return metrics.NewMeasurer(cfg)
 }
 
-// NewExecutorProbe builds a probe sampling every nm-th served tuple.
-func NewExecutorProbe(nm int) *ExecutorProbe { return metrics.NewExecutorProbe(nm) }
+// NewExecutorProbe builds a probe that times every served tuple.
+func NewExecutorProbe() *ExecutorProbe { return metrics.NewExecutorProbe() }
 
 // Supervisor closes the DRS control loop of §IV against a live system: it
 // polls its target's measurements on a configurable cadence, feeds them

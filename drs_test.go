@@ -81,21 +81,20 @@ func TestPublicAPIWorkflow(t *testing.T) {
 func TestPublicMeasurerPath(t *testing.T) {
 	meas, err := drs.NewMeasurer(drs.MeasurerConfig{
 		OperatorNames: []string{"a"},
-		Smoothing:     drs.SmoothingSpec{Kind: "ewma", Alpha: 0.5},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	probe := drs.NewExecutorProbe(1)
+	probe := drs.NewExecutorProbe()
 	probe.TuplesArrived(100)
-	probe.TuplesServed(100, 100, int64(100*10*time.Millisecond))
+	probe.TuplesServed(100, int64(100*10*time.Millisecond))
 	c := probe.Drain()
 	err = meas.AddInterval(drs.IntervalReport{
 		Duration:         time.Second,
 		ExternalArrivals: 100,
 		Ops: []drs.OpInterval{{
 			Arrivals: c.Arrivals, Served: c.Served,
-			Sampled: c.Sampled, BusyTime: c.BusyTime,
+			Sampled: c.Served, BusyTime: c.BusyTime,
 		}},
 		SojournCount: 100,
 		SojournTotal: 2 * time.Second,

@@ -73,11 +73,11 @@ type RemoteResult struct {
 	// in-band as produced by Emit.To. It is valid only during the done
 	// callback: transports reuse their decode buffers across frames.
 	Emitted [][]Values
-	// Served, Sampled and BusyNanos are the executor-probe aggregates
-	// measured where the CPU burned — on the worker — folded into the
-	// serve-side probe so the measurer's service-time estimate reflects
-	// remote execution without the network in it.
-	Served, Sampled, BusyNanos int64
+	// BusyNanos is the batch's summed service time, measured where the
+	// CPU burned — on the worker — and folded into the serve-side probe so
+	// the measurer's service-time estimate reflects remote execution
+	// without the network in it. The served count is the batch's own size.
+	BusyNanos int64
 	// Errors counts items whose Process call failed on the worker.
 	Errors int64
 	// TraceIdx lists, in ascending order, the batch indices of items the
@@ -198,7 +198,10 @@ func (p *pinBatch) put() {
 func (p *pinBatch) complete(res RemoteResult, rerr error) {
 	ex := p.ex
 	defer func() { <-ex.sem }()
-	if rerr != nil {
+	// A result without exactly one emission list per item would ack trees
+	// whose children never came back. The peer is outside input, so such
+	// a result fails the batch like a transport error.
+	if rerr != nil || len(res.Emitted) != len(p.items) {
 		r, br := p.r, p.br
 		ex.q.served(len(p.items)) // off the failed binding's books before they land elsewhere
 		r.replayed.Add(int64(len(p.items)))
@@ -335,10 +338,8 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 			tracer.EmitSpan(&span)
 			tree.noteEnd(recvNS)
 		}
-		if i < len(res.Emitted) {
-			for _, v := range res.Emitted[i] {
-				em.emit(br.outEdges, v)
-			}
+		for _, v := range res.Emitted[i] {
+			em.emit(br.outEdges, v)
 		}
 		em.flush()
 		if traced {
@@ -352,15 +353,14 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		held := errRemoteProcess
 		br.lastErr.Store(&held)
 	}
-	ex.probe.TuplesServed(res.Served, res.Sampled, res.BusyNanos)
-	if res.Sampled > 0 {
-		// The worker reports sums, so a batch votes as one sample: its mean.
-		var over int64
-		if res.BusyNanos > res.Sampled*int64(handoffCost) {
-			over = 1
-		}
-		br.noteService(ex, 1, over)
+	n := int64(len(pin.items))
+	ex.probe.TuplesServed(n, res.BusyNanos)
+	// The worker reports sums, so a batch votes as one sample: its mean.
+	var over int64
+	if res.BusyNanos > n*int64(handoffCost) {
+		over = 1
 	}
+	br.noteService(ex, 1, over)
 	pin.put()
 }
 

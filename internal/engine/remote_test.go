@@ -21,6 +21,9 @@ type fakeRemote struct {
 	// resultErrAfter, when >= 0, makes the done callback report an error
 	// after that many successful batches (the result frame is lost).
 	resultErrAfter int
+	// short makes every result carry one emission list fewer than its
+	// batch had items (a broken or hostile peer).
+	short bool
 
 	mu      sync.Mutex
 	batches int
@@ -57,7 +60,10 @@ func (f *fakeRemote) ProcessBatch(bolt string, items []RemoteItem, done func(Rem
 			emitted[i] = append(emitted[i], Values{it.Values[0], c})
 		}
 	}
-	done(RemoteResult{Emitted: emitted, Served: int64(len(items))}, nil)
+	if f.short {
+		emitted = emitted[:len(emitted)-1]
+	}
+	done(RemoteResult{Emitted: emitted}, nil)
 	return nil
 }
 
@@ -205,6 +211,32 @@ func TestRemoteResultLossReplays(t *testing.T) {
 	waitRemoteUnbound(t, run, "fan")
 }
 
+// TestRemoteShortResultReplays: a result one emission list short must not
+// ack the uncovered item's tree without its children. The batch replays
+// and the binding heals, so every child reaches the sink and the books
+// balance.
+func TestRemoteShortResultReplays(t *testing.T) {
+	const n = 500
+	topo, collector := remoteTestTopo(t, n)
+	run := startTopo(t, topo, map[string]int{"fan": 2, "sink": 4})
+	remote := newFakeRemote(3)
+	remote.short = true
+	if err := run.BindExecutor("fan", 0, remote); err != nil {
+		t.Fatal(err)
+	}
+	waitCompleted(t, run, n)
+	if got := collector.count(); got != 3*n {
+		t.Errorf("sink saw %d tuples, want %d (children lost behind a short result)", got, 3*n)
+	}
+	if started, completed, _ := run.RootTotals(); completed != started {
+		t.Errorf("completed %d of %d admitted roots", completed, started)
+	}
+	waitRemoteUnbound(t, run, "fan")
+	if _, items := remote.stats(); items == 0 {
+		t.Error("remote executor carried no traffic")
+	}
+}
+
 // waitRemoteUnbound waits for the asynchronous self-heal to land.
 func waitRemoteUnbound(t *testing.T, run *Run, bolt string) {
 	t.Helper()
@@ -237,11 +269,13 @@ func (s *lockstepSpout) Run(ctx SpoutContext) error {
 }
 
 // ackRemote is a RemoteExecutor that allocates nothing: every batch resolves
-// at once with no emissions.
+// at once with no emissions, its empty lists sliced from ackEmitted.
 type ackRemote struct{}
 
+var ackEmitted [RemoteBatchCap][]Values
+
 func (ackRemote) ProcessBatch(_ string, items []RemoteItem, done func(RemoteResult, error)) error {
-	done(RemoteResult{Served: int64(len(items))}, nil)
+	done(RemoteResult{Emitted: ackEmitted[:len(items)]}, nil)
 	return nil
 }
 

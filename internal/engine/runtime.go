@@ -299,7 +299,7 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 	for i := 0; i < n; i++ {
 		ex := &executor{
 			q:     newQueue(),
-			probe: metrics.NewExecutorProbe(1),
+			probe: metrics.NewExecutorProbe(),
 			done:  make(chan struct{}),
 			after: after,
 		}
@@ -313,10 +313,9 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 // runExecutor is the executor hot loop: it drains its input queue in
 // batches (one lock round per batch) and processes each tuple with a
 // reusable emitter, so a bolt's fan-out costs one enqueue per destination
-// executor. Clock reads follow the probe's Nm sampling stride: only
-// sampled tuples are timed (their end stamp also serves as the ack time
-// and, at Nm = 1, the next tuple's start). The engine's probes sample
-// every tuple.
+// executor. Every tuple is timed with one clock read: the clock is read
+// when popAll returns, and each tuple's end stamp is its ack time and the
+// next tuple's start.
 func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)
@@ -328,21 +327,17 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	tracer := r.cfg.Tracer
 	var span obs.SpanRecord // reused span scratch; EmitSpan copies it out
 	var spare []queueItem   // cleared ring handed back to the queue each round
-	nm := ex.probe.SampleStride()
-	var sinceSample int64 // stride phase, carried across batches
-	var now time.Time     // start-of-service mark, valid only when chained
-	chained := false      // now holds the previous timed tuple's end
 	for {
 		ring, head, n, ok := ex.q.popAll(spare)
 		if !ok {
 			return
 		}
-		chained = false // popAll may have blocked; the old end is stale
+		now := time.Now() // popAll may have blocked: a fresh start
 		mask := len(ring) - 1
 		// Probe observations accumulate locally and fold into the shared
 		// probe once per batch.
-		var sampled, busyNanos int64
-		var over int64 // samples longer than handoffCost
+		var busyNanos int64
+		var over int64 // tuples served in longer than handoffCost
 		// The queue's outstanding count drops as tuples are served: one by
 		// one where routing reads it (a slow bolt), once a batch otherwise —
 		// a fast bolt's batch is over in microseconds and only a scrape
@@ -359,22 +354,13 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 			// unprocessed tail strands for the retirer to replay (one
 			// relaxed atomic load per tuple buys the failure domain).
 			if ex.crashed.Load() {
-				ex.probe.TuplesServed(int64(i), sampled, busyNanos)
+				ex.probe.TuplesServed(int64(i), busyNanos)
 				ex.q.served(i - settled)
 				ex.strandRing(ring, head+i, n-i)
 				return
 			}
 			it := &ring[(head+i)&mask]
-			// A timed duration must cover exactly one tuple: read a fresh
-			// start unless the previous tuple was timed too, in which case
-			// its end is this tuple's start. Tuples that are neither
-			// sampled nor traced pay no clock read at all.
 			tree := it.tup.tree
-			traced := tracer != nil && tree.trace != 0
-			sampleThis := sinceSample+1 == nm
-			if (sampleThis || traced) && !chained {
-				now = time.Now()
-			}
 			em.begin(tree)
 			if err := br.instances[it.task].Process(it.tup, emit); err != nil {
 				br.errCount.Add(1)
@@ -382,7 +368,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				br.lastErr.Store(&heldErr)
 			}
 			var end time.Time
-			if traced {
+			if tracer != nil && tree.trace != 0 {
 				// The service end is read before the children are enqueued:
 				// it is their queue-wait start (stampHandoffs), and both hop
 				// spans must be in the tracer's rings before any enqueued
@@ -401,44 +387,25 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				em.flush()
 			} else {
 				em.flush()
-				if sampleThis {
-					end = time.Now()
-				}
+				end = time.Now()
 			}
 			*it = queueItem{} // release references before handing the ring back
 			if i+1-settled == step {
 				ex.q.served(step)
 				settled = i + 1
 			}
-			switch {
-			case sampleThis:
-				sinceSample = 0
-				d := end.Sub(now)
-				sampled++
-				if d > handoffCost {
-					over++
-				}
-				busyNanos += int64(d)
-				tree.ack(end)
-				now = end
-				chained = nm == 1
-			case traced:
-				sinceSample++
-				// The traced ack carries the end stamp so a completing leaf
-				// closes its trace exactly at its own service end.
-				tree.ack(end)
-				now = end
-				chained = true
-			default:
-				sinceSample++
-				chained = false
-				// The tree reads its own clock in the rare case this ack
-				// completes it.
-				tree.ackLazy()
+			d := end.Sub(now)
+			if d > handoffCost {
+				over++
 			}
+			busyNanos += int64(d)
+			// The ack carries the end stamp so a completing leaf closes its
+			// trace exactly at its own service end.
+			tree.ack(end)
+			now = end
 		}
-		ex.probe.TuplesServed(int64(n), sampled, busyNanos)
-		br.noteService(ex, sampled, over)
+		ex.probe.TuplesServed(int64(n), busyNanos)
+		br.noteService(ex, int64(n), over)
 		spare = ring
 	}
 }
@@ -651,7 +618,7 @@ func (r *Run) DrainInterval() metrics.IntervalReport {
 		}
 		rep.Ops[i] = metrics.OpInterval{
 			Arrivals: agg.Arrivals, Served: agg.Served,
-			Sampled: agg.Sampled, BusyTime: agg.BusyTime,
+			Sampled: agg.Served, BusyTime: agg.BusyTime,
 		}
 		br.cumArrivals.Add(agg.Arrivals)
 		br.cumServed.Add(agg.Served)

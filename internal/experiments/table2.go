@@ -63,7 +63,6 @@ func RunTable2(iterations int) (Table2Result, error) {
 
 		meas, err := metrics.NewMeasurer(metrics.MeasurerConfig{
 			OperatorNames: vld.OperatorNames(),
-			Smoothing:     metrics.SmoothingSpec{Kind: "ewma", Alpha: 0.6},
 		})
 		if err != nil {
 			return Table2Result{}, err

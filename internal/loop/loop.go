@@ -343,7 +343,6 @@ func New(cfg Config) (*Supervisor, error) {
 	if cfg.Source == nil {
 		m, err := metrics.NewMeasurer(metrics.MeasurerConfig{
 			OperatorNames: cfg.Operators,
-			Smoothing:     metrics.SmoothingSpec{Kind: "window", Window: 6},
 		})
 		if err != nil {
 			return nil, err

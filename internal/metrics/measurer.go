@@ -1,3 +1,13 @@
+// Package metrics implements the DRS measurer module (paper §IV and
+// Appendix B): collection of per-operator arrival and service rates and of
+// per-tuple total sojourn times, aggregation from the executor (instance)
+// level to the operator level, and result smoothing.
+//
+// Of the paper's design choices one of each is kept, as constants: every
+// served tuple is a service-time sample (Nm = 1, ExecutorProbe), and every
+// series is smoothed by window averaging over the last smoothingWindow
+// intervals. The central measurer pulls and aggregates the probe counters
+// every Tm seconds (Measurer.AddInterval).
 package metrics
 
 import (
@@ -29,7 +39,9 @@ type OpInterval struct {
 	Arrivals int64
 	// Served counts tuples completed by the operator.
 	Served int64
-	// Sampled counts service-time samples and BusyTime their summed duration.
+	// Sampled counts service-time samples and BusyTime their summed
+	// duration. The engine and the simulator sample every served tuple, so
+	// there Sampled equals Served.
 	Sampled  int64
 	BusyTime time.Duration
 }
@@ -62,22 +74,52 @@ type IntervalReport struct {
 type MeasurerConfig struct {
 	// OperatorNames gives the topology's operators in order; fixes N.
 	OperatorNames []string
-	// Smoothing applies to every derived series (λ̂0, λ̂_i, µ̂_i, E[T̂]).
-	Smoothing SmoothingSpec
+}
+
+// smoothingWindow is the width, in intervals, of the window average every
+// derived series (λ̂0, λ̂_i, µ̂_i, E[T̂]) is smoothed over.
+const smoothingWindow = 6
+
+// window is Appendix B's window averaging over the last smoothingWindow
+// measurements; the zero value is empty. Not safe for concurrent use.
+type window struct {
+	buf  [smoothingWindow]float64
+	n    int // filled slots
+	next int
+	sum  float64
+}
+
+func (s *window) update(x float64) {
+	if s.n < smoothingWindow {
+		s.n++
+		s.sum += x
+	} else {
+		s.sum += x - s.buf[s.next]
+	}
+	s.buf[s.next] = x
+	s.next = (s.next + 1) % smoothingWindow
+}
+
+// value is the mean of the held measurements (0 before any update).
+func (s *window) value() float64 {
+	if s.n == 0 {
+		return 0
+	}
+	return s.sum / float64(s.n)
 }
 
 // Measurer aggregates interval reports into smoothed operator-level rates
 // and produces core.Snapshot values for the controller. Safe for
 // concurrent use.
 type Measurer struct {
-	mu  sync.Mutex
-	cfg MeasurerConfig
+	mu    sync.Mutex
+	names []string
 
-	lambda0 Smoother
-	offered Smoother
-	lambda  []Smoother
-	mus     []Smoother
-	sojourn Smoother
+	lambda0 window
+	offered window
+	lambda  []window
+	mus     []window
+	sojourn window
 	ready   bool
 
 	// snapOps backs the Ops slice of the snapshot Snapshot returns; reusing
@@ -90,28 +132,8 @@ func NewMeasurer(cfg MeasurerConfig) (*Measurer, error) {
 	if len(cfg.OperatorNames) == 0 {
 		return nil, errors.New("metrics: no operators")
 	}
-	m := &Measurer{cfg: cfg}
-	var err error
-	if m.lambda0, err = cfg.Smoothing.New(); err != nil {
-		return nil, err
-	}
-	if m.offered, err = cfg.Smoothing.New(); err != nil {
-		return nil, err
-	}
-	if m.sojourn, err = cfg.Smoothing.New(); err != nil {
-		return nil, err
-	}
-	m.lambda = make([]Smoother, len(cfg.OperatorNames))
-	m.mus = make([]Smoother, len(cfg.OperatorNames))
-	for i := range cfg.OperatorNames {
-		if m.lambda[i], err = cfg.Smoothing.New(); err != nil {
-			return nil, err
-		}
-		if m.mus[i], err = cfg.Smoothing.New(); err != nil {
-			return nil, err
-		}
-	}
-	return m, nil
+	n := len(cfg.OperatorNames)
+	return &Measurer{names: cfg.OperatorNames, lambda: make([]window, n), mus: make([]window, n)}, nil
 }
 
 // AddInterval ingests one interval report, updating all smoothed series.
@@ -119,13 +141,13 @@ func (m *Measurer) AddInterval(rep IntervalReport) error {
 	if rep.Duration <= 0 {
 		return fmt.Errorf("metrics: non-positive interval duration %v", rep.Duration)
 	}
-	if len(rep.Ops) != len(m.cfg.OperatorNames) {
-		return fmt.Errorf("metrics: report has %d operators, want %d", len(rep.Ops), len(m.cfg.OperatorNames))
+	if len(rep.Ops) != len(m.names) {
+		return fmt.Errorf("metrics: report has %d operators, want %d", len(rep.Ops), len(m.names))
 	}
 	secs := rep.Duration.Seconds()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lambda0.Update(float64(rep.ExternalArrivals) / secs)
+	m.lambda0.update(float64(rep.ExternalArrivals) / secs)
 	// The offered series smooths independently of λ̂0: a shedding front end
 	// can hold the admitted rate flat while demand keeps climbing, and the
 	// controller must see that divergence, not a blend.
@@ -133,15 +155,15 @@ func (m *Measurer) AddInterval(rep IntervalReport) error {
 	if offered < rep.ExternalArrivals {
 		offered = rep.ExternalArrivals // zero (no ingest tier) or a skewed probe
 	}
-	m.offered.Update(float64(offered) / secs)
+	m.offered.update(float64(offered) / secs)
 	for i, op := range rep.Ops {
-		m.lambda[i].Update(float64(op.Arrivals) / secs)
+		m.lambda[i].update(float64(op.Arrivals) / secs)
 		if op.Sampled > 0 && op.BusyTime > 0 {
-			m.mus[i].Update(float64(op.Sampled) / op.BusyTime.Seconds())
+			m.mus[i].update(float64(op.Sampled) / op.BusyTime.Seconds())
 		}
 	}
 	if rep.SojournCount > 0 {
-		m.sojourn.Update(rep.SojournTotal.Seconds() / float64(rep.SojournCount))
+		m.sojourn.update(rep.SojournTotal.Seconds() / float64(rep.SojournCount))
 	}
 	m.ready = true
 	return nil
@@ -163,23 +185,23 @@ func (m *Measurer) Snapshot() (core.Snapshot, error) {
 	if !m.ready {
 		return core.Snapshot{}, ErrNotReady
 	}
-	if cap(m.snapOps) < len(m.cfg.OperatorNames) {
-		m.snapOps = make([]core.OpRates, len(m.cfg.OperatorNames))
+	if cap(m.snapOps) < len(m.names) {
+		m.snapOps = make([]core.OpRates, len(m.names))
 	}
 	s := core.Snapshot{
-		Lambda0:         m.lambda0.Value(),
-		OfferedLambda0:  m.offered.Value(),
-		MeasuredSojourn: m.sojourn.Value(),
-		Ops:             m.snapOps[:len(m.cfg.OperatorNames)],
+		Lambda0:         m.lambda0.value(),
+		OfferedLambda0:  m.offered.value(),
+		MeasuredSojourn: m.sojourn.value(),
+		Ops:             m.snapOps[:len(m.names)],
 	}
-	for i, name := range m.cfg.OperatorNames {
-		if !m.mus[i].Ready() {
+	for i, name := range m.names {
+		if m.mus[i].n == 0 {
 			return core.Snapshot{}, fmt.Errorf("%w: operator %q has produced none yet", ErrIncomplete, name)
 		}
 		s.Ops[i] = core.OpRates{
 			Name:   name,
-			Lambda: m.lambda[i].Value(),
-			Mu:     m.mus[i].Value(),
+			Lambda: m.lambda[i].value(),
+			Mu:     m.mus[i].value(),
 		}
 	}
 	return s, nil
@@ -190,12 +212,8 @@ func (m *Measurer) Snapshot() (core.Snapshot, error) {
 func (m *Measurer) Reset() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.lambda0.Reset()
-	m.offered.Reset()
-	m.sojourn.Reset()
-	for i := range m.lambda {
-		m.lambda[i].Reset()
-		m.mus[i].Reset()
-	}
+	m.lambda0, m.offered, m.sojourn = window{}, window{}, window{}
+	clear(m.lambda)
+	clear(m.mus)
 	m.ready = false
 }

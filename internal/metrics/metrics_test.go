@@ -8,125 +8,51 @@ import (
 	"time"
 )
 
-func TestEWMA(t *testing.T) {
-	s, err := NewEWMA(0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Ready() {
-		t.Error("fresh smoother must not be ready")
-	}
-	if got := s.Update(10); got != 10 {
-		t.Errorf("first update = %g, want 10 (seed)", got)
-	}
-	if got := s.Update(20); got != 15 {
-		t.Errorf("second update = %g, want 15", got)
-	}
-	if got := s.Update(15); got != 15 {
-		t.Errorf("third update = %g, want 15", got)
-	}
-	s.Reset()
-	if s.Ready() || s.Value() != 0 {
-		t.Error("Reset must clear state")
-	}
-}
-
-func TestEWMAAlphaValidation(t *testing.T) {
-	for _, alpha := range []float64{-0.1, 1.0, 1.5} {
-		if _, err := NewEWMA(alpha); err == nil {
-			t.Errorf("alpha %g should be rejected", alpha)
-		}
-	}
-}
-
 func TestWindow(t *testing.T) {
-	s, err := NewWindow(3)
-	if err != nil {
-		t.Fatal(err)
+	var s window
+	if s.n != 0 || s.value() != 0 {
+		t.Error("fresh window must be empty")
 	}
-	s.Update(3)
-	if got := s.Value(); got != 3 {
+	s.update(3)
+	if got := s.value(); got != 3 {
 		t.Errorf("value = %g, want 3", got)
 	}
-	s.Update(6)
-	s.Update(9)
-	if got := s.Value(); got != 6 {
-		t.Errorf("full window mean = %g, want 6", got)
+	for _, x := range []float64{6, 9, 12, 15, 18} {
+		s.update(x)
 	}
-	s.Update(12) // evicts 3
-	if got := s.Value(); got != 9 {
-		t.Errorf("rolled window mean = %g, want 9", got)
+	if got := s.value(); got != 10.5 {
+		t.Errorf("full window mean = %g, want 10.5", got)
 	}
-	s.Reset()
-	if s.Ready() {
-		t.Error("Reset must clear window")
+	s.update(21) // evicts 3
+	if got := s.value(); got != 13.5 {
+		t.Errorf("rolled window mean = %g, want 13.5", got)
 	}
 }
 
-func TestWindowValidation(t *testing.T) {
-	if _, err := NewWindow(0); err == nil {
-		t.Error("window 0 should be rejected")
-	}
-}
-
-func TestSmoothingSpec(t *testing.T) {
-	for _, spec := range []SmoothingSpec{
-		{},
-		{Kind: "none"},
-		{Kind: "ewma", Alpha: 0.8},
-		{Kind: "window", Window: 4},
-	} {
-		if _, err := spec.New(); err != nil {
-			t.Errorf("spec %+v: %v", spec, err)
-		}
-	}
-	if _, err := (SmoothingSpec{Kind: "fourier"}).New(); err == nil {
-		t.Error("unknown kind should be rejected")
-	}
-	// Raw pass-through.
-	s, _ := SmoothingSpec{}.New()
-	s.Update(5)
-	if got := s.Update(9); got != 9 {
-		t.Errorf("raw smoother = %g, want 9", got)
-	}
-}
-
-func TestProbeSamplingEveryNm(t *testing.T) {
-	p := NewExecutorProbe(10)
-	// The caller owns the stride: it times every SampleStride()-th tuple.
-	for i := int64(1); i <= 100; i++ {
+func TestProbeCountsEveryTuple(t *testing.T) {
+	p := NewExecutorProbe()
+	for i := 0; i < 100; i++ {
 		p.TuplesArrived(1)
-		if i%p.SampleStride() == 0 {
-			p.TuplesServed(1, 1, int64(5*time.Millisecond))
-		} else {
-			p.TuplesServed(1, 0, 0)
-		}
+		p.TuplesServed(1, int64(5*time.Millisecond))
 	}
 	c := p.Drain()
 	if c.Arrivals != 100 || c.Served != 100 {
 		t.Errorf("arrivals/served = %d/%d, want 100/100", c.Arrivals, c.Served)
 	}
-	if c.Sampled != 10 {
-		t.Errorf("sampled = %d, want 10 (every 10th of 100)", c.Sampled)
-	}
-	if c.BusyTime != 50*time.Millisecond {
-		t.Errorf("busy = %v, want 50ms", c.BusyTime)
+	if c.BusyTime != 500*time.Millisecond {
+		t.Errorf("busy = %v, want 500ms", c.BusyTime)
 	}
 	// Drain resets.
-	if c2 := p.Drain(); c2.Arrivals != 0 || c2.Sampled != 0 {
+	if c2 := p.Drain(); c2.Arrivals != 0 || c2.Served != 0 || c2.BusyTime != 0 {
 		t.Errorf("second drain not empty: %+v", c2)
 	}
-}
-
-func TestProbeNmFloor(t *testing.T) {
-	p := NewExecutorProbe(0) // clamps to 1: sample everything
-	if got := p.SampleStride(); got != 1 {
-		t.Errorf("stride = %d, want 1", got)
+	if got := p.ServedTotal(); got != 100 {
+		t.Errorf("served total = %d, want 100 (unaffected by Drain)", got)
 	}
 }
 
 func TestProbeConcurrency(t *testing.T) {
-	p := NewExecutorProbe(1)
+	p := NewExecutorProbe()
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 1000
 	for g := 0; g < goroutines; g++ {
@@ -135,7 +61,7 @@ func TestProbeConcurrency(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
 				p.TuplesArrived(1)
-				p.TuplesServed(1, 1, int64(time.Microsecond))
+				p.TuplesServed(1, int64(time.Microsecond))
 			}
 		}()
 	}
@@ -149,11 +75,10 @@ func TestProbeConcurrency(t *testing.T) {
 	}
 }
 
-func newTestMeasurer(t *testing.T, spec SmoothingSpec) *Measurer {
+func newTestMeasurer(t *testing.T) *Measurer {
 	t.Helper()
 	m, err := NewMeasurer(MeasurerConfig{
 		OperatorNames: []string{"extract", "match"},
-		Smoothing:     spec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -169,7 +94,7 @@ func makeReport(dur time.Duration, ext int64, ops []OpInterval, sojournN int64, 
 }
 
 func TestMeasurerDerivesRates(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	rep := makeReport(2*time.Second, 26, []OpInterval{
 		{Arrivals: 26, Served: 26, Sampled: 13, BusyTime: 13 * 450 * time.Millisecond},
 		{Arrivals: 1040, Served: 1040, Sampled: 104, BusyTime: 104 * 12 * time.Millisecond},
@@ -202,14 +127,14 @@ func TestMeasurerDerivesRates(t *testing.T) {
 }
 
 func TestMeasurerNotReady(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	if _, err := m.Snapshot(); !errors.Is(err, ErrNotReady) {
 		t.Errorf("err = %v, want ErrNotReady", err)
 	}
 }
 
 func TestMeasurerRejectsBadReports(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	if err := m.AddInterval(IntervalReport{Duration: 0, Ops: make([]OpInterval, 2)}); err == nil {
 		t.Error("zero duration should be rejected")
 	}
@@ -219,7 +144,7 @@ func TestMeasurerRejectsBadReports(t *testing.T) {
 }
 
 func TestMeasurerMissingServiceSamples(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	// Second operator never served anything: snapshot must refuse.
 	rep := makeReport(time.Second, 10, []OpInterval{
 		{Arrivals: 10, Served: 10, Sampled: 5, BusyTime: time.Second},
@@ -234,7 +159,7 @@ func TestMeasurerMissingServiceSamples(t *testing.T) {
 }
 
 func TestMeasurerIdleIntervalKeepsLastMu(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	busy := makeReport(time.Second, 10, []OpInterval{
 		{Arrivals: 10, Served: 10, Sampled: 10, BusyTime: time.Second},
 		{Arrivals: 40, Served: 40, Sampled: 4, BusyTime: 40 * time.Millisecond},
@@ -253,35 +178,39 @@ func TestMeasurerIdleIntervalKeepsLastMu(t *testing.T) {
 	if s.Ops[0].Mu != 10 {
 		t.Errorf("mu lost on idle interval: %g", s.Ops[0].Mu)
 	}
-	if s.Ops[0].Lambda != 0 {
-		t.Errorf("lambda should reflect the idle interval: %g", s.Ops[0].Lambda)
+	if s.Ops[0].Lambda != 5 { // the window holds (10 + 0)/2
+		t.Errorf("lambda should reflect the idle interval: %g, want 5", s.Ops[0].Lambda)
 	}
 }
 
 func TestMeasurerSmoothingApplied(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{Kind: "ewma", Alpha: 0.5})
+	m := newTestMeasurer(t)
 	ops := func(arr int64) []OpInterval {
 		return []OpInterval{
 			{Arrivals: arr, Served: arr, Sampled: 1, BusyTime: 100 * time.Millisecond},
 			{Arrivals: arr, Served: arr, Sampled: 1, BusyTime: 100 * time.Millisecond},
 		}
 	}
-	_ = m.AddInterval(makeReport(time.Second, 10, ops(10), 1, time.Second))
-	_ = m.AddInterval(makeReport(time.Second, 20, ops(20), 1, 2*time.Second))
+	// Seven intervals: the window keeps the last smoothingWindow of them.
+	for k := int64(1); k <= smoothingWindow+1; k++ {
+		if err := m.AddInterval(makeReport(time.Second, 10*k, ops(10*k), 1, time.Duration(k)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
 	s, err := m.Snapshot()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(s.Lambda0-15) > 1e-9 { // 0.5*10 + 0.5*20
-		t.Errorf("smoothed lambda0 = %g, want 15", s.Lambda0)
+	if math.Abs(s.Lambda0-45) > 1e-9 { // mean of 20..70
+		t.Errorf("smoothed lambda0 = %g, want 45", s.Lambda0)
 	}
-	if math.Abs(s.MeasuredSojourn-1.5) > 1e-9 {
-		t.Errorf("smoothed sojourn = %g, want 1.5", s.MeasuredSojourn)
+	if math.Abs(s.MeasuredSojourn-4.5) > 1e-9 { // mean of 2..7 s
+		t.Errorf("smoothed sojourn = %g, want 4.5", s.MeasuredSojourn)
 	}
 }
 
 func TestMeasurerReset(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{})
+	m := newTestMeasurer(t)
 	_ = m.AddInterval(makeReport(time.Second, 5, []OpInterval{
 		{Arrivals: 5, Served: 5, Sampled: 5, BusyTime: time.Second},
 		{Arrivals: 5, Served: 5, Sampled: 5, BusyTime: time.Second},
@@ -296,20 +225,14 @@ func TestMeasurerConfigValidation(t *testing.T) {
 	if _, err := NewMeasurer(MeasurerConfig{}); err == nil {
 		t.Error("empty operator list should be rejected")
 	}
-	if _, err := NewMeasurer(MeasurerConfig{
-		OperatorNames: []string{"a"},
-		Smoothing:     SmoothingSpec{Kind: "bogus"},
-	}); err == nil {
-		t.Error("bad smoothing spec should be rejected")
-	}
 }
 
 // TestMeasurerOfferedIndependentSmoothing: the offered and admitted (λ̂0)
 // series must smooth independently — a shedding front end can hold the
 // admitted rate flat while offered demand keeps climbing, and each series
-// must follow its own inputs through the shared smoothing spec.
+// must follow its own inputs through its own window.
 func TestMeasurerOfferedIndependentSmoothing(t *testing.T) {
-	m := newTestMeasurer(t, SmoothingSpec{Kind: "window", Window: 2})
+	m := newTestMeasurer(t)
 	ops := func() []OpInterval {
 		return []OpInterval{
 			{Arrivals: 10, Served: 10, Sampled: 10, BusyTime: 10 * 10 * time.Millisecond},
@@ -355,8 +278,8 @@ func TestMeasurerOfferedIndependentSmoothing(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(s.OfferedLambda0-10) > 1e-9 { // window holds (10+10)/2
-		t.Fatalf("offered %g after clamped interval, want 10", s.OfferedLambda0)
+	if math.Abs(s.OfferedLambda0-50.0/3) > 1e-9 { // window holds (30+10+10)/3
+		t.Fatalf("offered %g after clamped interval, want 50/3", s.OfferedLambda0)
 	}
 	// Reset clears the offered series with everything else.
 	m.Reset()

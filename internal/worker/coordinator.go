@@ -359,8 +359,6 @@ func (s *Shuttle) readLoop() {
 			if done != nil {
 				done(engine.RemoteResult{
 					Emitted:        res.Emitted,
-					Served:         res.Served,
-					Sampled:        res.Sampled,
 					BusyNanos:      res.BusyNanos,
 					Errors:         res.Errors,
 					TraceIdx:       res.Traced,

@@ -135,15 +135,15 @@ func TestShuttleProcessBatch(t *testing.T) {
 			t.Fatalf("batch %d: %v", b, errs[b])
 		}
 		res := results[b]
-		if res.Served != 2 || len(res.Emitted) != 2 {
-			t.Fatalf("batch %d: served %d emitted %d", b, res.Served, len(res.Emitted))
+		if len(res.Emitted) != 2 {
+			t.Fatalf("batch %d: emitted %d lists, want 2", b, len(res.Emitted))
 		}
 		for i, emits := range res.Emitted {
 			if len(emits) != 2 {
 				t.Fatalf("batch %d item %d: %d emissions, want 2", b, i, len(emits))
 			}
 		}
-		if res.BusyNanos < 0 || res.Sampled != 2 {
+		if res.BusyNanos < 0 || res.Errors != 0 {
 			t.Fatalf("batch %d: bad aggregates %+v", b, res)
 		}
 	}
@@ -321,6 +321,88 @@ func TestEngineOverShuttle(t *testing.T) {
 	defer mu.Unlock()
 	if seen != 2*n {
 		t.Fatalf("sink saw %d tuples, want %d", seen, 2*n)
+	}
+}
+
+// TestRemoteServiceTimeCoversOneTuple is the remote twin of the engine's
+// TestSampledServiceTimeCoversOneTuple: a sleeping bolt bound to a
+// loopback worker is timed on the worker, and the serve-side probe the
+// result folds into reports every served tuple as a sample whose mean
+// covers one tuple's service — not the shuttle, not a whole batch.
+func TestRemoteServiceTimeCoversOneTuple(t *testing.T) {
+	const (
+		n   = 40
+		per = 5 * time.Millisecond
+	)
+	sleeper := func(int) engine.Bolt {
+		return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
+			time.Sleep(per)
+			return nil
+		})
+	}
+	tc := startCluster(t, CoordinatorConfig{})
+	w := dialWorkerBolts(t, tc, "w1", func(int64) (map[string]engine.BoltFactory, error) {
+		return map[string]engine.BoltFactory{"slow": sleeper}, nil
+	})
+	if err := tc.co.WaitWorkers(1, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	bound := make(chan struct{})   // the spout waits for the remote binding
+	emitted := make(chan struct{}) // closed once the spout has emitted n
+	topo, err := engine.NewTopology().
+		Spout("src", 1, func(int) engine.Spout {
+			return spoutFunc(func(ctx engine.SpoutContext) error {
+				select {
+				case <-bound:
+				case <-ctx.Done():
+					return nil
+				}
+				for i := 0; i < n; i++ {
+					ctx.Emit(engine.Values{i})
+				}
+				close(emitted)
+				<-ctx.Done()
+				return nil
+			})
+		}).
+		Bolt("slow", 2, sleeper).
+		Shuffle("src", "slow").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := topo.Start(engine.RunConfig{Alloc: map[string]int{"slow": 1}, QuiesceTimeout: 10 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer run.Stop()
+	if err := run.BindExecutor("slow", 0, tc.co.Remote(w.Machine())); err != nil {
+		t.Fatal(err)
+	}
+	close(bound)
+	select {
+	case <-emitted:
+	case <-time.After(10 * time.Second):
+		t.Fatal("spout never emitted its tuples")
+	}
+	// Stop quiesces: it returns once every emitted root has completed.
+	if err := run.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if _, tuples := w.Counts(); tuples != n || run.ExecutorFailures() != 0 {
+		t.Fatalf("worker served %d of %d tuples, %d executor failures: not all served remotely",
+			tuples, n, run.ExecutorFailures())
+	}
+	op := run.DrainInterval().Ops[0]
+	if op.Served != n || op.Sampled != n {
+		t.Fatalf("served %d, sampled %d, want %d each", op.Served, op.Sampled, n)
+	}
+	avg := op.BusyTime / n
+	if avg < per {
+		t.Errorf("mean remote service %v below the %v sleep floor", avg, per)
+	}
+	if avg > 3*per {
+		t.Errorf("mean remote service %v covers more than one tuple, want ~%v", avg, per)
 	}
 }
 

@@ -122,9 +122,10 @@ type resultMsg struct {
 	// are borrowed — sub-slices of a scratch its producer reuses (runBolt's
 	// emits, the decoding slab's) — valid until the next frame.
 	Emitted [][]engine.Values
-	// Served, Sampled, BusyNanos and Errors are the executor-probe
-	// aggregates measured on the worker.
-	Served, Sampled, BusyNanos, Errors int64
+	// BusyNanos (summed service time) and Errors (failed Process calls)
+	// are the probe aggregates measured on the worker; the serve side
+	// already knows how many items it sent.
+	BusyNanos, Errors int64
 	// Traced lists, ascending, the batch indices of items the worker timed
 	// individually (the batch frame's trace block); WaitNS and ServiceNS
 	// align with it — queue wait from batch arrival to Process start, and
@@ -265,9 +266,8 @@ func appendResultFrame(buf []byte, res *resultMsg) ([]byte, error) {
 			}
 		}
 	}
-	for _, v := range [...]int64{res.Served, res.Sampled, res.BusyNanos, res.Errors} {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(v))
-	}
+	buf = binary.BigEndian.AppendUint64(buf, uint64(res.BusyNanos))
+	buf = binary.BigEndian.AppendUint64(buf, uint64(res.Errors))
 	// Trace block, always present: per traced item its batch index plus
 	// the worker-measured wait and service durations.
 	if len(res.WaitNS) != len(res.Traced) || len(res.ServiceNS) != len(res.Traced) {
@@ -545,8 +545,8 @@ func decodeResult(payload []byte, m *resultMsg, s *slab) error {
 	}
 	m.Seq = c.u64()
 	n := int(c.u32())
-	// Each per-item emission list is at least a u16 count; the four
-	// trailing aggregates take 32 bytes.
+	// Each per-item emission list is at least a u16 count; the two
+	// trailing aggregates take 16 bytes.
 	if n > c.remaining()/2 {
 		return errTruncated
 	}
@@ -567,10 +567,11 @@ func decodeResult(payload []byte, m *resultMsg, s *slab) error {
 		}
 		m.Emitted = append(m.Emitted, emits)
 	}
-	m.Served = int64(c.u64())
-	m.Sampled = int64(c.u64())
 	m.BusyNanos = int64(c.u64())
 	m.Errors = int64(c.u64())
+	if m.BusyNanos < 0 || m.Errors < 0 || m.Errors > int64(n) {
+		return fmt.Errorf("worker: forged aggregates: busy %d ns, %d errors of %d items", m.BusyNanos, m.Errors, n)
+	}
 	// Trace block: 20 bytes per entry, strictly ascending in-range indices.
 	nt := int(c.u32())
 	if nt > c.remaining()/20 {

@@ -30,7 +30,7 @@ func testResult() resultMsg {
 			nil,
 			{{[]byte("payload")}},
 		},
-		Served: 3, Sampled: 1, BusyNanos: 12345, Errors: 1,
+		BusyNanos: 12345, Errors: 1,
 	}
 }
 
@@ -80,6 +80,34 @@ func TestResultRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in, out) {
 		t.Fatalf("round trip mismatch:\n in: %#v\nout: %#v", in, out)
+	}
+}
+
+// TestResultForgedAggregates: the aggregates fold into the serve-side
+// probe and error count, so the decoder rejects values no honest worker
+// can produce — more failed items than the batch holds, or a negative busy
+// time that would deflate the measured load and inflate µ̂.
+func TestResultForgedAggregates(t *testing.T) {
+	for name, forge := range map[string]func(*resultMsg){
+		"errors above item count": func(m *resultMsg) { m.Errors = int64(len(m.Emitted)) + 1 },
+		"negative busy time":      func(m *resultMsg) { m.BusyNanos = -1 },
+	} {
+		t.Run(name, func(t *testing.T) {
+			in := testResult()
+			forge(&in)
+			frame, err := appendResultFrame(nil, &in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			payload, err := readFrame(bytes.NewReader(frame), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out resultMsg
+			if err := decodeResult(payload, &out, new(slab)); err == nil {
+				t.Fatalf("forged aggregates decoded cleanly: busy %d, errors %d", out.BusyNanos, out.Errors)
+			}
+		})
 	}
 }
 

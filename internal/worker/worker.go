@@ -270,8 +270,6 @@ func (w *Worker) runBolt(h *hostedBolt) {
 		w.tuples.Add(int64(len(m.Items)))
 		res.Seq = m.Seq
 		res.Emitted = res.Emitted[:0]
-		res.Served = int64(len(m.Items))
-		res.Sampled = int64(len(m.Items))
 		res.BusyNanos, res.Errors = 0, 0
 		res.Traced = res.Traced[:0]
 		res.WaitNS = res.WaitNS[:0]
