@@ -43,6 +43,19 @@ func scrapeFamily(t *testing.T, url, family string) (float64, bool) {
 	return 0, false
 }
 
+// waitFor polls cond every 50 ms until it holds, failing the test after
+// 30 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(30 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
 // TestWorkerMetricsEndpoint boots a serve daemon with a worker tier plus
 // one real worker daemon exposing -metrics and -pprof, pushes traffic
 // until the worker has processed shuttled batches, and asserts over two
@@ -77,22 +90,15 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 
 	metricsURL := "http://" + metricsAddr + "/metrics"
 	ingestURL := "http://" + httpAddr + "/ingest"
-	deadline := time.Now().Add(30 * time.Second)
 
 	// First scrape: wait for the worker's endpoint, then for the gauge
 	// families every worker exports from boot.
 	var machine float64
-	for {
+	waitFor(t, "the worker /metrics endpoint", func() bool {
 		v, ok := scrapeFamilyQuiet(metricsURL, "drs_worker_machine")
-		if ok {
-			machine = v
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("worker /metrics endpoint never came up")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		machine = v
+		return ok
+	})
 	if machine < 1 {
 		t.Fatalf("drs_worker_machine = %v, want a leased machine id >= 1", machine)
 	}
@@ -102,44 +108,34 @@ func TestWorkerMetricsEndpoint(t *testing.T) {
 
 	// Push traffic until the worker has hosted executors and processed
 	// shuttled batches: the placement loop needs an interval or two.
-	post := func(i int) {
+	sent := 0
+	post := func() {
+		sent++
 		resp, err := http.Post(ingestURL, "application/octet-stream",
-			strings.NewReader(fmt.Sprintf("rec-%d", i)))
+			strings.NewReader(fmt.Sprintf("rec-%d", sent)))
 		if err == nil {
 			resp.Body.Close()
 		}
 	}
 	var batches1, tuples1 float64
-	for i := 0; ; i++ {
-		post(i)
+	waitFor(t, "the worker to process a shuttled batch", func() bool {
+		post()
 		b, okB := scrapeFamilyQuiet(metricsURL, "drs_worker_batches_total")
 		u, okU := scrapeFamilyQuiet(metricsURL, "drs_worker_tuples_total")
-		if okB && okU && b > 0 && u > 0 {
-			batches1, tuples1 = b, u
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("worker never processed a shuttled batch (batches=%v ok=%v tuples=%v ok=%v)", b, okB, u, okU)
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		batches1, tuples1 = b, u
+		return okB && okU && b > 0 && u > 0
+	})
 	if hosted, ok := scrapeFamily(t, metricsURL, "drs_worker_hosted_bolts"); !ok || hosted < 1 {
 		t.Fatalf("drs_worker_hosted_bolts = %v (present=%v), want >= 1 once batches flowed", hosted, ok)
 	}
 
 	// Second scrape after more traffic: the counters are cumulative, so
 	// they must not move backwards, and more records must advance tuples.
-	for i := 0; ; i++ {
-		post(1000 + i)
+	waitFor(t, "drs_worker_tuples_total to advance past the first scrape", func() bool {
+		post()
 		u, ok := scrapeFamilyQuiet(metricsURL, "drs_worker_tuples_total")
-		if ok && u > tuples1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("drs_worker_tuples_total never advanced past the first scrape")
-		}
-		time.Sleep(50 * time.Millisecond)
-	}
+		return ok && u > tuples1
+	})
 	batches2, ok := scrapeFamily(t, metricsURL, "drs_worker_batches_total")
 	if !ok {
 		t.Fatal("drs_worker_batches_total missing on the second scrape")

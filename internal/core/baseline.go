@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Stepper is anything that turns a measurement snapshot into a scheduling
@@ -94,7 +95,7 @@ func (c ThresholdController) Step(s Snapshot) (Decision, error) {
 		target[worst]++
 		free--
 	}
-	if allocEqual(target, s.Alloc) {
+	if slices.Equal(target, s.Alloc) {
 		return Decision{Action: ActionNone, TargetKmax: kmax,
 			Reason: "all utilizations within thresholds"}, nil
 	}

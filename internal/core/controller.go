@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -254,7 +255,7 @@ func (c *Controller) stepMinLatency(model *Model, s Snapshot) (Decision, error) 
 	if err != nil {
 		return Decision{}, err
 	}
-	if allocEqual(target, s.Alloc) {
+	if slices.Equal(target, s.Alloc) {
 		return Decision{Action: ActionNone, Estimated: estTarget, TargetKmax: kmax,
 			Reason: "current allocation already optimal"}, nil
 	}
@@ -335,7 +336,7 @@ func (c *Controller) scaleOutOrRebalance(model *Model, s Snapshot, curKmax int) 
 	if eerr != nil {
 		return Decision{}, eerr
 	}
-	if allocEqual(target, s.Alloc) {
+	if slices.Equal(target, s.Alloc) {
 		return Decision{Action: ActionNone, Estimated: est, TargetKmax: curKmax,
 			Reason: "violating Tmax but already at pool optimum"}, nil
 	}
@@ -415,18 +416,6 @@ func (c *Controller) poolFor(processors int) int {
 	}
 	machines := (processors + c.cfg.ReservedSlots + c.cfg.SlotsPerMachine - 1) / c.cfg.SlotsPerMachine
 	return machines*c.cfg.SlotsPerMachine - c.cfg.ReservedSlots
-}
-
-func allocEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func sum(xs []int) int {

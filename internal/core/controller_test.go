@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -61,7 +62,7 @@ func TestMinLatencyRecommendsRebalance(t *testing.T) {
 		t.Fatalf("action = %v (%s), want rebalance", d.Action, d.Reason)
 	}
 	want := []int{10, 11, 1}
-	if !allocEqual(d.Target, want) {
+	if !slices.Equal(d.Target, want) {
 		t.Errorf("target = %v, want %v", d.Target, want)
 	}
 }
@@ -130,7 +131,7 @@ func TestMinResourceScaleOut(t *testing.T) {
 	if d.TargetKmax != 22 {
 		t.Errorf("target pool = %d, want 22", d.TargetKmax)
 	}
-	if !allocEqual(d.Target, []int{10, 11, 1}) {
+	if !slices.Equal(d.Target, []int{10, 11, 1}) {
 		t.Errorf("target alloc = %v, want (10:11:1)", d.Target)
 	}
 	if d.Estimated > 1.1 {
@@ -159,7 +160,7 @@ func TestMinResourceScaleIn(t *testing.T) {
 	if d.TargetKmax != 17 {
 		t.Errorf("target pool = %d, want 17", d.TargetKmax)
 	}
-	if !allocEqual(d.Target, []int{8, 8, 1}) {
+	if !slices.Equal(d.Target, []int{8, 8, 1}) {
 		t.Errorf("target alloc = %v, want (8:8:1)", d.Target)
 	}
 	if d.Estimated > 1.4 {

@@ -5,10 +5,6 @@ import (
 	"time"
 )
 
-// popBatchSize bounds how many queued tuples an executor moves out of its
-// input queue per lock round.
-const popBatchSize = 256
-
 // destBatch accumulates the tuples one emit scope routed to one executor.
 type destBatch struct {
 	ex    *executor

@@ -5,7 +5,6 @@ import (
 	"io"
 	"log/slog"
 	"strings"
-	"time"
 
 	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
@@ -332,11 +331,7 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 	pool, err := cluster.NewPool(cluster.PoolConfig{
 		SlotsPerMachine: spec.slotsPerMachine,
 		MaxMachines:     spec.maxMachines,
-		Costs: cluster.CostModel{
-			Rebalance:        3 * time.Second,
-			MachineColdStart: 4777 * time.Millisecond,
-			MachineRelease:   1113 * time.Millisecond,
-		},
+		Costs:           cluster.PaperCosts(),
 	}, 1)
 	if err != nil {
 		return res, err

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -173,7 +174,7 @@ func TestLastSnapshotFollowsAppliedAllocation(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no snapshot", when)
 		}
-		if !allocEqual(snap.Alloc, alloc) || snap.Kmax != kmax || snap.MeasuredSojourn != sojourn {
+		if !slices.Equal(snap.Alloc, alloc) || snap.Kmax != kmax || snap.MeasuredSojourn != sojourn {
 			t.Errorf("%s: snapshot alloc %v Kmax %d sojourn %v, want %v %d %v",
 				when, snap.Alloc, snap.Kmax, snap.MeasuredSojourn, alloc, kmax, sojourn)
 		}

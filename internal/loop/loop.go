@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"slices"
 	"sync"
 	"time"
 
@@ -748,7 +749,7 @@ func (s *Supervisor) shrinkToGrant(now time.Time) bool {
 	// fallback bottoms out at the physical floor. When that floor is the
 	// allocation already in force there is nothing to apply: hold instead
 	// of paying a rebalance pause every tick for an identical allocation.
-	if allocEqual(target, alloc) {
+	if slices.Equal(target, alloc) {
 		return false
 	}
 	tr := s.cfg.Pool.Rebalance()
@@ -796,19 +797,6 @@ func sumInts(xs []int) int {
 		total += x
 	}
 	return total
-}
-
-// allocEqual reports whether two allocation vectors match.
-func allocEqual(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // shrunkAlloc fits the current allocation into a smaller budget: the

@@ -26,8 +26,7 @@ func FuzzParseScenario(f *testing.F) {
 			"service_tail_alpha":2.5},
 			{"name":"b","base_rate":1}],
 		"surges":[{"tenants":["a","b"],"from_seconds":50,"until_seconds":90,"factor":2,"jitter_seconds":5}],
-		"churn":{"kills":[{"machine":1,"at_seconds":150,"down_seconds":30}],
-			"mtbf_seconds":400,"mttr_seconds":40,"machines":[0,2]},
+		"churn":{"kills":[{"machine":1,"at_seconds":150,"down_seconds":30}]},
 		"stragglers":[{"machine":3,"from_seconds":200,"until_seconds":260}],
 		"policy":[{"at_seconds":300,"tenant":"b","priority":4}],
 		"decommissions":[{"machine":5,"at_seconds":500}]}`))

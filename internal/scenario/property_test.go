@@ -9,9 +9,9 @@ import (
 )
 
 // randomSpec builds a structurally valid random spec: random tenants with
-// random envelopes, renewal churn, scripted kills, stragglers, policy
-// changes and decommissions. Construction keeps windows disjoint per
-// machine so the generator exercises Compile, not Validate.
+// random envelopes, scripted kills, stragglers, policy changes and
+// decommissions. Construction keeps windows disjoint per machine so the
+// generator exercises Compile, not Validate.
 func randomSpec(r *stats.RNG) Spec {
 	s := Spec{
 		Name:            "prop",
@@ -25,7 +25,6 @@ func randomSpec(r *stats.RNG) Spec {
 			t.Diurnal = &DiurnalSpec{
 				PeriodSeconds: r.Uniform(10, s.DurationSeconds),
 				Amplitude:     r.Uniform(0, 0.95),
-				PhaseSeconds:  r.Uniform(0, 100),
 			}
 		}
 		if r.Bernoulli(0.5) {
@@ -45,14 +44,8 @@ func randomSpec(r *stats.RNG) Spec {
 			Factor: r.Uniform(1, 6), JitterSeconds: r.Uniform(0, 20),
 		}}
 	}
-	// Machines 0..3 carry renewal churn; 4..7 scripted kills and
-	// stragglers; 8 is decommissioned. Disjoint ID ranges keep windows
-	// trivially non-overlapping.
-	if r.Bernoulli(0.7) {
-		s.Churn.MTBF = r.Uniform(50, 500)
-		s.Churn.MTTR = r.Uniform(5, 50)
-		s.Churn.Machines = []int{0, 1, 2, 3}[:1+intN(r, 4)]
-	}
+	// Machine 4 carries a scripted kill, 5 a straggler window; 8 is
+	// decommissioned. Distinct IDs keep windows trivially non-overlapping.
 	if r.Bernoulli(0.7) {
 		at := r.Uniform(0, s.DurationSeconds)
 		s.Churn.Kills = []KillSpec{{Machine: 4, At: at, Down: r.Uniform(1, 60)}}
@@ -65,11 +58,13 @@ func randomSpec(r *stats.RNG) Spec {
 		s.Policy = []PolicySpec{{At: r.Uniform(0, s.DurationSeconds), Tenant: names[0], Priority: intN(r, 5)}}
 	}
 	if r.Bernoulli(0.6) {
-		s.Decommissions = []DecommissionSpec{{Machine: 8, At: r.Uniform(0, s.DurationSeconds)}}
-		// Half the time, point the renewal trace at the decommissioned
-		// machine too — the compiler must filter it, the interesting case.
-		if r.Bernoulli(0.5) && s.Churn.MTBF > 0 {
-			s.Churn.Machines = append(s.Churn.Machines, 8)
+		at := r.Uniform(1, s.DurationSeconds)
+		s.Decommissions = []DecommissionSpec{{Machine: 8, At: at}}
+		// Half the time, kill the decommissioned machine too, recovering
+		// before it retires — the "no churn after decommission" check
+		// then sees churn on a machine that has a decommission.
+		if r.Bernoulli(0.5) {
+			s.Churn.Kills = append(s.Churn.Kills, KillSpec{Machine: 8, At: r.Uniform(0, at/2), Down: r.Uniform(0.1, at/4)})
 		}
 	}
 	return s

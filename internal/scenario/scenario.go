@@ -1,13 +1,13 @@
 // Package scenario is the trace-driven workload/chaos factory: one
 // declarative, seeded Spec composes every stressor the stack knows —
 // arrival shapes (diurnal sinusoids, flash crowds, correlated multi-tenant
-// surges), heavy-tailed (Pareto) service times, machine churn (explicit
-// kill scripts and MTBF/MTTR failure traces), straggler storms and
-// scheduled priority changes — into a single deterministic Timeline that
-// both substrates replay: the discrete-event simulator drives it in
-// virtual time (the `drs-experiments chaos` arc) and `ingestload -trace`
-// replays the same arrival envelopes against a live `drsctl serve` front
-// door, so every simulated scenario has a live-socket twin.
+// surges), heavy-tailed (Pareto) service times, machine churn (scripted
+// kills), straggler storms, decommissions and scheduled priority
+// changes — into a single deterministic Timeline that both substrates
+// replay: the discrete-event simulator drives it in virtual time (the
+// `drs-experiments chaos` arc) and `ingestload -trace` replays the same
+// arrival envelopes against a live `drsctl serve` front door, so every
+// simulated scenario has a live-socket twin.
 //
 // Everything is a pure function of (Spec, Seed): compiling the same spec
 // twice yields byte-identical event timelines, which is what lets the
@@ -50,10 +50,9 @@ type Spec struct {
 	Stragglers []StragglerSpec `json:"stragglers,omitempty"`
 	// Policy schedules tenant priority changes.
 	Policy []PolicySpec `json:"policy,omitempty"`
-	// Decommissions retires machines permanently at a point in time; no
-	// churn or straggler event may target a machine at or after its
-	// decommission (the compiler filters trace-driven churn, and explicit
-	// kills that would violate it are rejected).
+	// Decommissions retires machines permanently at a point in time; a
+	// kill or straggler window that runs past its machine's decommission
+	// is rejected.
 	Decommissions []DecommissionSpec `json:"decommissions,omitempty"`
 }
 
@@ -80,15 +79,13 @@ type TenantSpec struct {
 }
 
 // DiurnalSpec is a sinusoidal rate envelope: rate(t) = base ·
-// (1 + Amplitude·sin(2π(t+Phase)/Period)) — the compressed "day" of a
-// diurnal traffic curve.
+// (1 + Amplitude·sin(2πt/Period)) — the compressed "day" of a diurnal
+// traffic curve, starting at the mean and rising.
 type DiurnalSpec struct {
 	// PeriodSeconds is the length of one full cycle.
 	PeriodSeconds float64 `json:"period_seconds"`
 	// Amplitude in [0, 1) scales the swing; 1 would touch zero rate.
 	Amplitude float64 `json:"amplitude"`
-	// PhaseSeconds shifts the cycle (0 starts at the mean, rising).
-	PhaseSeconds float64 `json:"phase_seconds,omitempty"`
 }
 
 // SurgeSpec is one flash-crowd window: the tenant's rate is multiplied by
@@ -116,17 +113,10 @@ type MultiSurgeSpec struct {
 	JitterSeconds float64 `json:"jitter_seconds,omitempty"`
 }
 
-// ChurnSpec schedules machine failures: explicit scripted kills, an
-// MTBF/MTTR renewal trace, or both composed.
+// ChurnSpec schedules machine failures as scripted kills.
 type ChurnSpec struct {
-	// Kills are scripted outages (exact timing, the experiment form).
+	// Kills are scripted outages with exact timing.
 	Kills []KillSpec `json:"kills,omitempty"`
-	// MTBF and MTTR, when both positive, add an MTBF/MTTR renewal process
-	// over Machines (failureTrace), seeded from the spec seed.
-	MTBF float64 `json:"mtbf_seconds,omitempty"`
-	MTTR float64 `json:"mttr_seconds,omitempty"`
-	// Machines lists the machine IDs the renewal trace churns.
-	Machines []int `json:"machines,omitempty"`
 }
 
 // KillSpec is one scripted outage.
@@ -203,9 +193,6 @@ func (s Spec) Validate() error {
 			if d.Amplitude < 0 || d.Amplitude >= 1 || !finite(d.Amplitude) {
 				return fmt.Errorf("scenario: tenant %q diurnal amplitude %g must be in [0, 1)", t.Name, d.Amplitude)
 			}
-			if !finite(d.PhaseSeconds) {
-				return fmt.Errorf("scenario: tenant %q diurnal phase must be finite", t.Name)
-			}
 		}
 		for _, w := range t.Surges {
 			if err := validateWindow(w.From, w.Until, w.Factor); err != nil {
@@ -234,14 +221,6 @@ func (s Spec) Validate() error {
 	}
 	if err := s.Churn.validate(); err != nil {
 		return err
-	}
-	// Bound the renewal trace's expected event count: a pathological
-	// horizon/MTBF ratio would otherwise make Compile materialize
-	// millions of churn events (a fuzz-input hazard, never a real spec).
-	if s.Churn.MTBF > 0 {
-		if expected := s.DurationSeconds / s.Churn.MTBF * float64(len(s.Churn.Machines)); expected > 1e5 {
-			return fmt.Errorf("scenario: renewal churn too dense (~%.0f expected outages; cap 100000)", expected)
-		}
 	}
 	decommissionAt := make(map[int]float64, len(s.Decommissions))
 	for i, d := range s.Decommissions {
@@ -308,9 +287,9 @@ func validateWindow(from, until, factor float64) error {
 	return nil
 }
 
-// validate checks the churn schedule: each mode's parameters, and that no
-// two kill windows overlap on the same machine (an overlapping kill would
-// fail a machine that is already down).
+// validate checks the kill script: each kill's target and window, and
+// that no two kill windows overlap on the same machine (an overlapping
+// kill would fail a machine that is already down).
 func (c ChurnSpec) validate() error {
 	for i, k := range c.Kills {
 		if k.Machine < 0 {
@@ -330,33 +309,12 @@ func (c ChurnSpec) validate() error {
 			}
 		}
 	}
-	hasRenewal := c.MTBF != 0 || c.MTTR != 0
-	if hasRenewal {
-		if !(c.MTBF > 0) || !finite(c.MTBF) || !(c.MTTR > 0) || !finite(c.MTTR) {
-			return fmt.Errorf("scenario: renewal churn needs positive finite MTBF/MTTR, got %g/%g", c.MTBF, c.MTTR)
-		}
-		if len(c.Machines) == 0 {
-			return fmt.Errorf("scenario: renewal churn lists no machines")
-		}
-	}
-	seen := make(map[int]bool, len(c.Machines))
-	for _, m := range c.Machines {
-		if m < 0 {
-			return fmt.Errorf("scenario: renewal churn targets negative machine %d", m)
-		}
-		if seen[m] {
-			return fmt.Errorf("scenario: renewal churn lists machine %d twice", m)
-		}
-		seen[m] = true
-	}
 	return nil
 }
 
 // Scaled returns a copy of the spec with every time quantity multiplied
 // by f — the scaled-down form benchmarks and quick tests run. Rates and
-// factors are untouched (a shorter day, not a gentler one); the renewal
-// churn's MTBF/MTTR scale with the horizon so the expected outage count
-// is preserved.
+// factors are untouched: a shorter day, not a gentler one.
 func (s Spec) Scaled(f float64) Spec {
 	out := s
 	out.DurationSeconds *= f
@@ -365,7 +323,6 @@ func (s Spec) Scaled(f float64) Spec {
 		if t.Diurnal != nil {
 			d := *t.Diurnal
 			d.PeriodSeconds *= f
-			d.PhaseSeconds *= f
 			out.Tenants[i].Diurnal = &d
 		}
 		out.Tenants[i].Surges = scaleWindows(t.Surges, f)
@@ -381,9 +338,6 @@ func (s Spec) Scaled(f float64) Spec {
 		out.Churn.Kills[i].At *= f
 		out.Churn.Kills[i].Down *= f
 	}
-	out.Churn.MTBF *= f
-	out.Churn.MTTR *= f
-	out.Churn.Machines = append([]int(nil), s.Churn.Machines...)
 	out.Stragglers = append([]StragglerSpec(nil), s.Stragglers...)
 	for i := range out.Stragglers {
 		out.Stragglers[i].From *= f
@@ -506,55 +460,23 @@ type Timeline struct {
 	windows map[string][]window
 }
 
-// Compile validates the spec and resolves it into a timeline: renewal
-// churn is sampled (seeded), correlated surges are jittered per tenant
-// (seeded, via independent RNG splits so adding a tenant never shifts
-// another's draw), churn on decommissioned machines is filtered, and the
-// merged schedule is sorted by (time, kind, machine, tenant).
+// Compile validates the spec and resolves it into a timeline: kills,
+// stragglers, decommissions and policy changes become events, correlated
+// surges are jittered per tenant (seeded, via independent RNG splits so
+// adding a tenant never shifts another's draw), and the merged schedule
+// is sorted by (time, kind, machine, tenant).
 func Compile(s Spec) (*Timeline, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
 	tl := &Timeline{spec: s, windows: make(map[string][]window, len(s.Tenants))}
-	decommissionAt := make(map[int]float64, len(s.Decommissions))
 	for _, d := range s.Decommissions {
-		decommissionAt[d.Machine] = d.At
 		tl.events = append(tl.events, Event{At: d.At, Kind: KindDecommission, Machine: d.Machine})
-	}
-	// gone reports whether machine m is decommissioned at time t.
-	gone := func(m int, t float64) bool {
-		at, ok := decommissionAt[m]
-		return ok && t >= at
 	}
 	for _, k := range s.Churn.Kills {
 		tl.events = append(tl.events,
 			Event{At: k.At, Kind: KindFail, Machine: k.Machine},
 			Event{At: k.At + k.Down, Kind: KindRecover, Machine: k.Machine})
-	}
-	if s.Churn.MTBF > 0 {
-		trace := failureTrace{mtbf: s.Churn.MTBF, mttr: s.Churn.MTTR,
-			machines: s.Churn.Machines, seed: s.Seed}
-		evs, err := trace.events(s.DurationSeconds)
-		if err != nil {
-			return nil, err
-		}
-		// A renewal outage straddling a decommission is dropped whole:
-		// half an outage (a fail without its recovery, or vice versa)
-		// would leak a permanently dead machine into the driver.
-		down := make(map[int]bool, len(s.Churn.Machines))
-		for _, ev := range evs {
-			if ev.Kind == KindFail {
-				if gone(ev.Machine, ev.At) || gone(ev.Machine, s.DurationSeconds) {
-					down[ev.Machine] = false
-					continue
-				}
-				down[ev.Machine] = true
-				tl.events = append(tl.events, ev)
-			} else if down[ev.Machine] {
-				down[ev.Machine] = false
-				tl.events = append(tl.events, ev)
-			}
-		}
 	}
 	for _, st := range s.Stragglers {
 		tl.events = append(tl.events,
@@ -598,53 +520,6 @@ func Compile(s Spec) (*Timeline, error) {
 	return tl, nil
 }
 
-// failureTrace parameterizes MTBF/MTTR-driven machine churn — the standard
-// renewal model of cluster reliability: each machine alternates an up
-// period (exponential, mean mtbf seconds) and a down period (exponential,
-// mean mttr), independently of the others, seeded for reproducibility.
-type failureTrace struct {
-	mtbf, mttr float64
-	machines   []int
-	seed       uint64
-}
-
-// events samples the churn schedule over [0, horizon) seconds as fail and
-// recover events, merged across machines and sorted by time, failures
-// before recoveries on ties (a tie is a zero-length outage; failing first
-// keeps it observable). Every failure within the horizon is paired with
-// its recovery, even when the recovery lands past the horizon, so a driver
-// that consumes the whole slice never leaks a permanently dead machine.
-func (ft failureTrace) events(horizon float64) ([]Event, error) {
-	if ft.mtbf <= 0 || ft.mttr <= 0 {
-		return nil, fmt.Errorf("scenario: failure trace needs positive MTBF/MTTR, got %g/%g", ft.mtbf, ft.mttr)
-	}
-	if horizon <= 0 {
-		return nil, fmt.Errorf("scenario: failure trace needs a positive horizon, got %g", horizon)
-	}
-	rng := stats.NewRNG(ft.seed)
-	var out []Event
-	for _, id := range ft.machines {
-		clock := 0.0
-		for {
-			clock += rng.Exp(1 / ft.mtbf) // up period ends: failure
-			if clock >= horizon {
-				break
-			}
-			down := rng.Exp(1 / ft.mttr)
-			out = append(out, Event{At: clock, Kind: KindFail, Machine: id})
-			clock += down
-			out = append(out, Event{At: clock, Kind: KindRecover, Machine: id})
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out, nil
-}
-
 // addWindow records a resolved window and its bracketing surge markers.
 func (tl *Timeline) addWindow(tenant string, w window) {
 	tl.windows[tenant] = append(tl.windows[tenant], w)
@@ -682,7 +557,7 @@ func (tl *Timeline) Envelope(tenant string) (func(t float64) float64, error) {
 	return func(t float64) float64 {
 		f := 1.0
 		if diurnal != nil {
-			f *= 1 + diurnal.Amplitude*math.Sin(2*math.Pi*(t+diurnal.PhaseSeconds)/diurnal.PeriodSeconds)
+			f *= 1 + diurnal.Amplitude*math.Sin(2*math.Pi*t/diurnal.PeriodSeconds)
 		}
 		for _, w := range windows {
 			if t >= w.from && t < w.until {

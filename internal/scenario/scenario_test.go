@@ -69,15 +69,6 @@ func TestValidateRejections(t *testing.T) {
 		{"zero outage", func(s *Spec) {
 			s.Churn.Kills = []KillSpec{{Machine: 1, At: 10, Down: 0}}
 		}, "outage"},
-		{"renewal without machines", func(s *Spec) {
-			s.Churn.MTBF, s.Churn.MTTR = 100, 10
-		}, "lists no machines"},
-		{"renewal half-specified", func(s *Spec) {
-			s.Churn.MTBF, s.Churn.Machines = 100, []int{0}
-		}, "MTBF/MTTR"},
-		{"renewal dup machine", func(s *Spec) {
-			s.Churn.MTBF, s.Churn.MTTR, s.Churn.Machines = 100, 10, []int{0, 0}
-		}, "twice"},
 		{"overlapping stragglers", func(s *Spec) {
 			s.Stragglers = []StragglerSpec{
 				{Machine: 0, From: 10, Until: 30},
@@ -177,95 +168,6 @@ func TestScriptOrdersKills(t *testing.T) {
 	}
 	if evs := tl.Events(); !slices.Equal(evs, want) {
 		t.Fatalf("events %v, want %v", evs, want)
-	}
-}
-
-// TestFailureTraceStatistics samples a long trace and checks the renewal
-// arithmetic: failures per machine ≈ horizon / (MTBF + MTTR), every
-// failure paired with a recovery, events ordered, and the availability
-// implied by the down time ≈ MTBF / (MTBF + MTTR).
-func TestFailureTraceStatistics(t *testing.T) {
-	const (
-		mtbf    = 500.0
-		mttr    = 100.0
-		horizon = 200_000.0
-	)
-	ft := failureTrace{mtbf: mtbf, mttr: mttr, machines: []int{1, 2, 3}, seed: 7}
-	evs, err := ft.events(horizon)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fails, recovers := 0, 0
-	down := map[int]float64{}
-	lastFail := map[int]float64{}
-	prev := 0.0
-	for _, ev := range evs {
-		if ev.At < prev {
-			t.Fatalf("events out of order: %v after %.1f", ev, prev)
-		}
-		prev = ev.At
-		if ev.Kind == KindFail {
-			fails++
-			lastFail[ev.Machine] = ev.At
-		} else {
-			recovers++
-			down[ev.Machine] += ev.At - lastFail[ev.Machine]
-		}
-	}
-	if fails != recovers {
-		t.Fatalf("%d failures but %d recoveries", fails, recovers)
-	}
-	wantFails := 3 * horizon / (mtbf + mttr)
-	if ratio := float64(fails) / wantFails; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("failure count %d, want ≈ %.0f", fails, wantFails)
-	}
-	meanDown := (down[1] + down[2] + down[3]) / float64(recovers)
-	if ratio := meanDown / mttr; ratio < 0.9 || ratio > 1.1 {
-		t.Fatalf("mean outage %.1fs, want ≈ %.0fs", meanDown, mttr)
-	}
-}
-
-// TestFailureTraceDeterministicAndValidated: same seed, same trace; bad
-// parameters are rejected.
-func TestFailureTraceDeterministicAndValidated(t *testing.T) {
-	ft := failureTrace{mtbf: 100, mttr: 10, machines: []int{4, 5}, seed: 3}
-	a, err := ft.events(5000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := ft.events(5000)
-	if len(a) == 0 || !slices.Equal(a, b) {
-		t.Fatalf("trace empty or not reproducible: %d vs %d events", len(a), len(b))
-	}
-	if _, err := (failureTrace{mtbf: 0, mttr: 1}).events(10); err == nil {
-		t.Error("zero MTBF accepted")
-	}
-	if _, err := (failureTrace{mtbf: 1, mttr: -1}).events(10); err == nil {
-		t.Error("negative MTTR accepted")
-	}
-	if _, err := ft.events(0); err == nil {
-		t.Error("zero horizon accepted")
-	}
-}
-
-func TestRenewalChurnSkipsDecommissionedMachines(t *testing.T) {
-	s := minimal()
-	s.DurationSeconds = 10000
-	s.Churn = ChurnSpec{MTBF: 500, MTTR: 50, Machines: []int{0, 1}}
-	s.Decommissions = []DecommissionSpec{{Machine: 1, At: 2000}}
-	tl, err := Compile(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range tl.Events() {
-		if e.Machine != 1 || e.Kind == KindDecommission {
-			continue
-		}
-		if e.Kind == KindFail || e.Kind == KindRecover {
-			if e.At >= 2000 {
-				t.Fatalf("churn on decommissioned machine: %v", e)
-			}
-		}
 	}
 }
 
@@ -439,6 +341,30 @@ func TestParseStrictness(t *testing.T) {
 	}
 	if _, _, err := Load("testdata/does-not-exist.json"); err == nil {
 		t.Fatal("Load accepted a missing file")
+	}
+}
+
+// TestParseRejectsRetiredKeys: churn is scripted kills only and the
+// diurnal envelope has no phase, so a file still setting a retired key
+// fails at the door with an unknown-field error instead of running
+// without the behaviour it asked for.
+func TestParseRejectsRetiredKeys(t *testing.T) {
+	const head = `{"name":"x","duration_seconds":100,"tenants":[{"name":"a","base_rate":1`
+	for key, tail := range map[string]string{
+		"mtbf_seconds":  `}],"churn":{"kills":[{"machine":1,"at_seconds":5,"down_seconds":5}],"mtbf_seconds":400}}`,
+		"mttr_seconds":  `}],"churn":{"mttr_seconds":40}}`,
+		"machines":      `}],"churn":{"machines":[0,2]}}`,
+		"phase_seconds": `,"diurnal":{"period_seconds":60,"amplitude":0.5,"phase_seconds":10}}]}`,
+	} {
+		t.Run(key, func(t *testing.T) {
+			tl, _, err := Parse([]byte(head + tail))
+			if err == nil || tl != nil {
+				t.Fatalf("Parse accepted a spec setting %s", key)
+			}
+			if want := `unknown field "` + key + `"`; !strings.Contains(err.Error(), want) {
+				t.Fatalf("Parse error %q does not mention %s", err, want)
+			}
+		})
 	}
 }
 

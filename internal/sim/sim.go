@@ -179,8 +179,6 @@ type Sim struct {
 	bucketSum   stats.Summary
 	series      []SeriesPoint
 
-	// onDecision lets a controller harness observe interval boundaries.
-	totalCompleted int64
 	// liveRoots counts external tuples whose processing tree has not yet
 	// resolved — the lost-forever audit of the churn experiment: at drain
 	// time it must return to zero, or a tuple leaked.
@@ -420,7 +418,6 @@ func (s *Sim) finishTuple(t tuple) {
 	sojourn := s.clock - t.root.arrival
 	s.rootFree = append(s.rootFree, t.root) // tree resolved; recycle
 	s.liveRoots--
-	s.totalCompleted++
 	s.sojournCount++
 	s.sojournTotal += sojourn
 	if s.bucket > 0 {

@@ -21,16 +21,17 @@ type Tracker struct {
 	mu        sync.Mutex
 	watermark uint64    // every seq <= watermark completed
 	next      uint64    // first seq not yet covered by a delivered range
-	pending   []*crange // delivered, not yet retired, ascending by start
+	pending   []*crange // delivered, not yet retired, in delivery (seq) order
 	free      []*crange // retired ranges, reused by Deliver
 }
 
-// crange is one delivered [start, end] batch and its completion state.
+// crange is one delivered batch, ending at seq end, and its completion
+// state.
 type crange struct {
-	t          *Tracker
-	start, end uint64
-	done       bool
-	ack        func() // the bound complete method Deliver hands out
+	t    *Tracker
+	end  uint64
+	done bool
+	ack  func() // the bound complete method Deliver hands out
 }
 
 // NewTracker returns a tracker whose watermark starts at w (the recovered
@@ -62,7 +63,7 @@ func (t *Tracker) Deliver(end uint64) func() {
 		c = &crange{t: t}
 		c.ack = c.complete
 	}
-	c.start, c.end, c.done = t.next, end, false
+	c.end, c.done = end, false
 	t.pending = append(t.pending, c)
 	t.next = end + 1
 	return c.ack

@@ -42,10 +42,9 @@ type Worker struct {
 	writeMu sync.Mutex
 	wbuf    []byte
 
-	mu      sync.Mutex
-	hosted  map[string]*hostedBolt
-	closed  bool
-	readErr error
+	mu     sync.Mutex
+	hosted map[string]*hostedBolt
+	closed bool
 
 	batches atomic.Int64
 	tuples  atomic.Int64
