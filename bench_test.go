@@ -8,6 +8,8 @@ package drs_test
 import (
 	"errors"
 	"math/rand/v2"
+	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
@@ -1060,6 +1062,119 @@ func BenchmarkWALAppend(b *testing.B) {
 		}
 		seq += batch
 	}
+}
+
+// BenchmarkDurableReplay is the durable boot as one layer: a 20 000-record
+// log of 128-byte records, left unacked as a killed process leaves it, is
+// recovered (wal.Open), attached to a gate, and replayed through a 3-bolt
+// shuffle chain of 2 executors over 4 tasks each until every record has
+// completed. ns/op is one whole boot; open-ns/rec and replay-ns/rec split
+// it per record into the recovery scan and the replay's drain through the
+// engine, and ns/rec is their sum.
+func BenchmarkDurableReplay(b *testing.B) {
+	const n, size = 20000, 128
+	seeded := b.TempDir()
+	l, _, err := wal.Open(wal.Options{Dir: seeded, SyncEvery: -1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := make([][]byte, 0, 1000)
+	for i := 0; i < n; i++ {
+		if recs = append(recs, make([]byte, size)); len(recs) == cap(recs) {
+			if err := l.AppendBatch(uint64(i+2-len(recs)), recs); err != nil {
+				b.Fatal(err)
+			}
+			recs = recs[:0]
+		}
+	}
+	if err := l.Close(); err != nil {
+		b.Fatal(err)
+	}
+	segments, err := filepath.Glob(filepath.Join(seeded, "*.wal"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	fwd := func(int) engine.Bolt {
+		return engine.BoltFunc(func(t engine.Tuple, emit engine.Emit) error {
+			emit(t.Values)
+			return nil
+		})
+	}
+	var openNS, replayNS time.Duration
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		// Each boot gets the unacked log afresh: the last one advanced its
+		// copy's watermark past every record.
+		dir := b.TempDir()
+		for _, seg := range segments {
+			data, err := os.ReadFile(seg)
+			if err == nil {
+				err = os.WriteFile(filepath.Join(dir, filepath.Base(seg)), data, 0o644)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
+		start := time.Now()
+		l, _, err := wal.Open(wal.Options{Dir: dir, SyncEvery: -1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		opened := time.Now()
+		g := ingest.NewGate(ingest.GateConfig{RingCapacity: 1 << 16})
+		if err := g.AttachWAL(l); err != nil {
+			b.Fatal(err)
+		}
+		topo, err := engine.NewTopology().
+			Spout("ingest", 1, func(int) engine.Spout {
+				return &engine.NetworkSpout{Source: g.Source(), MaxBatch: 256}
+			}).
+			Bolt("parse", 4, fwd).
+			Bolt("enrich", 4, fwd).
+			Bolt("sink", 4, func(int) engine.Bolt {
+				return engine.BoltFunc(func(engine.Tuple, engine.Emit) error { return nil })
+			}).
+			Shuffle("ingest", "parse").
+			Shuffle("parse", "enrich").
+			Shuffle("enrich", "sink").
+			Build()
+		if err != nil {
+			b.Fatal(err)
+		}
+		run, err := topo.Start(engine.RunConfig{Alloc: map[string]int{"parse": 2, "enrich": 2, "sink": 2}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if replayed, err := g.Replay(); err != nil || replayed != n {
+			b.Fatalf("replayed %d records (err %v), want %d", replayed, err, n)
+		}
+		for deadline := time.Now().Add(time.Minute); ; {
+			if done, _ := run.Completions(); done == n {
+				break
+			}
+			if time.Now().After(deadline) {
+				b.Fatal("replay stalled")
+			}
+			time.Sleep(20 * time.Microsecond) // poll off the hot path
+		}
+		openNS += opened.Sub(start)
+		replayNS += time.Since(opened)
+		b.StopTimer()
+		g.Close()
+		if err := run.Stop(); err != nil {
+			b.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	records := float64(b.N) * n
+	b.ReportMetric(float64(openNS)/records, "open-ns/rec")
+	b.ReportMetric(float64(replayNS)/records, "replay-ns/rec")
+	b.ReportMetric(float64(openNS+replayNS)/records, "ns/rec")
 }
 
 // BenchmarkDecisionLog measures the decision log's emit path — the cost a

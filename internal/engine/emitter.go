@@ -19,9 +19,11 @@ var emitterSeq atomic.Uint64
 // emitter is the goroutine-local fan-out buffer of one producer (an
 // executor or a spout instance). Within one emit scope — a bolt's Process
 // call or a spout's Emit — every emitted child is routed immediately but
-// enqueued lazily: flush groups the children by destination executor and
-// delivers each group with a single batched enqueue, so a fan-out of N
-// costs one lock round per destination executor instead of N.
+// enqueued lazily: pushDests groups the children by destination executor
+// and delivers each group with a single batched enqueue, so a fan-out of N
+// costs one lock round per destination executor instead of N. Several
+// sealed scopes may share one delivery: a spout's batch of roots, a fast
+// bolt's popped batch, a remote result batch.
 //
 // The emitter also owns a private shuffle round-robin cursor per
 // destination bolt, so routing into a fast bolt never touches shared
@@ -31,7 +33,7 @@ type emitter struct {
 	tree     *ackTree // tree of the tuple currently being processed
 	handoff  int64    // wall stamp copied onto buffered children (tracing)
 	children int      // tuples buffered across dests
-	rootMark int      // children count when the current root scope opened
+	rootMark int      // children count when the current scope opened
 	ndests   int      // live prefix of dests
 	dests    []destBatch
 	cursors  []uint64 // per destination bolt shuffle cursor
@@ -46,8 +48,18 @@ func newEmitter(r *Run) *emitter {
 	return em
 }
 
-// begin opens an emit scope for one tuple's processing.
-func (em *emitter) begin(tree *ackTree) { em.tree = tree }
+// emitBatchCap is the most children a batch-scope drain loop buffers
+// before it delivers them (runExecutor): it bounds the emitter's buffers
+// and how long a child waits behind its siblings' service.
+const emitBatchCap = 64
+
+// begin opens the emit scope of one tuple — a processed one or a fresh
+// root. Children already buffered belong to earlier, sealed scopes; the
+// mark is where this scope's own children start.
+func (em *emitter) begin(tree *ackTree) {
+	em.tree = tree
+	em.rootMark = em.children
+}
 
 // emit routes one payload along the given edges whose stream matches.
 // A leading streamTag (from Emit.To) selects the stream and is stripped
@@ -157,8 +169,8 @@ func (em *emitter) add(to int, rt *routeTable, task int, v Values) {
 // with ns — a traced bolt hop's service end, read after Process returned
 // but before the children are enqueued, so each child's queue-wait span
 // starts exactly at its parent's service end. Only called on traced
-// hops, whose emit scope flushes per tuple, so the buffered children are
-// exactly the current tuple's.
+// hops, which deliver what earlier scopes buffered before they begin, so
+// the buffered children are exactly the current tuple's.
 func (em *emitter) stampHandoffs(ns int64) {
 	for i := 0; i < em.ndests; i++ {
 		items := em.dests[i].items
@@ -168,10 +180,10 @@ func (em *emitter) stampHandoffs(ns int64) {
 	}
 }
 
-// flush closes the emit scope of a processed tuple: it registers all
-// buffered children on the processing tree (before any enqueue, so a
-// partial delivery can never complete the tree early), then hands each
-// destination executor its batch in one enqueue.
+// flush closes a per-tuple emit scope — one opened on an empty buffer: it
+// registers all buffered children on the processing tree (before any
+// enqueue, so a partial delivery can never complete the tree early), then
+// hands each destination executor its batch in one enqueue.
 func (em *emitter) flush() {
 	if em.children > 0 {
 		em.tree.fork(em.children)
@@ -180,13 +192,13 @@ func (em *emitter) flush() {
 	em.tree = nil
 }
 
-// beginRoot opens the emit scope of a fresh root whose pending count will
-// be installed by sealRoot. Several root scopes may accumulate into the
-// same destination batches before one pushDests delivers them all
-// (EmitBatch's source micro-batching).
-func (em *emitter) beginRoot(tree *ackTree) {
-	em.tree = tree
-	em.rootMark = em.children
+// seal closes a processed tuple's scope without delivering: the children
+// it added since begin are forked onto its tree — before any of them is
+// enqueued, as in flush — and stay buffered with earlier scopes' for one
+// pushDests to deliver together.
+func (em *emitter) seal() {
+	em.tree.fork(em.children - em.rootMark)
+	em.tree = nil
 }
 
 // sealRoot closes a root scope: the tree's pending count is set to the

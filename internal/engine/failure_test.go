@@ -4,6 +4,7 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -326,5 +327,90 @@ func TestFailExecutorValidation(t *testing.T) {
 	}
 	if _, err := run.FailExecutor("work", 0); !errors.Is(err, ErrStopped) {
 		t.Errorf("stopped run: %v, want ErrStopped", err)
+	}
+}
+
+// batchSpout injects its n tuples as one EmitBatch, so they reach a bolt
+// with one executor as one popped batch.
+type batchSpout struct{ n int }
+
+func (s *batchSpout) Run(ctx SpoutContext) error {
+	vs := make([]Values, s.n)
+	for i := range vs {
+		vs[i] = Values{i}
+	}
+	ctx.EmitBatch(vs)
+	<-ctx.Done()
+	return nil
+}
+
+// TestBatchScopeCrashDeliversBuffered pins the crash rule of a fast bolt's
+// batch scope: the tuples served before the crash have their children
+// forked and still buffered — nothing has reached the next bolt — and the
+// dying executor delivers them before it strands the batch's tail. Every
+// root completes exactly once, each child reaches the sink once, and the
+// tail replays onto the replacement.
+func TestBatchScopeCrashDeliversBuffered(t *testing.T) {
+	const n, at = 20, 10 // the crash lands while tuple at is in service
+	entered, release := make(chan struct{}), make(chan struct{})
+	var tripped atomic.Bool
+	sink, sinkFactory := sharedCollector()
+	topo, err := NewTopology().
+		Spout("src", 1, func(int) Spout { return &batchSpout{n: n} }).
+		Bolt("mid", 4, func(int) Bolt {
+			return BoltFunc(func(tu Tuple, emit Emit) error {
+				emit(tu.Values)
+				if tu.Values[0].(int) == at && tripped.CompareAndSwap(false, true) {
+					close(entered)
+					<-release
+				}
+				return nil
+			})
+		}).
+		Bolt("sink", 1, sinkFactory).
+		Shuffle("src", "mid").
+		Shuffle("mid", "sink").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := startTopo(t, topo, map[string]int{"mid": 1, "sink": 1})
+	// A failed assertion must not leave the executor parked, or Stop waits
+	// for it forever; cleanups run last-in first-out, so this precedes Stop.
+	var releaseOnce sync.Once
+	free := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(free)
+	<-entered
+	if got, queued := sink.count(), run.QueueLengths()["sink"]; got != 0 || queued != 0 {
+		t.Fatalf("sink has served %d and queued %d children mid-batch, want 0 and 0: a fast bolt delivers once per batch", got, queued)
+	}
+	victim := run.bolts[0].route.Load().execs[0]
+	failed := make(chan error, 1)
+	go func() {
+		_, err := run.FailExecutor("mid", 0)
+		failed <- err
+	}()
+	waitFor(t, "the crash flag", victim.crashed.Load)
+	free()
+	if err := <-failed; err != nil {
+		t.Fatal(err)
+	}
+	waitCompleted(t, run, n)
+	if started, completed, _ := run.RootTotals(); started != n || completed != n {
+		t.Fatalf("%d roots started and %d completed, want %d and %d", started, completed, n, n)
+	}
+	if got := run.Replayed(); got != n-at-1 {
+		t.Errorf("replayed %d tuples, want the %d-tuple tail behind the crash", got, n-at-1)
+	}
+	sink.mu.Lock()
+	defer sink.mu.Unlock()
+	seen := make(map[int]int, n)
+	for _, v := range sink.seen {
+		seen[v[0].(int)]++
+	}
+	for i := 0; i < n; i++ {
+		if seen[i] != 1 {
+			t.Errorf("child of root %d reached the sink %d times, want once", i, seen[i])
+		}
 	}
 }

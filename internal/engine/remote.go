@@ -290,17 +290,20 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 	}
 }
 
-// applyRemote applies one remote result batch: each input tuple's emitted
-// children route through a normal emitter (fork-before-enqueue preserved)
-// and its tree acks — the exact sequence the local hot loop performs inline
-// — then the worker-measured probe aggregates fold into the executor probe.
+// applyRemote applies one remote result batch as one emit scope: each
+// input tuple's emitted children route through a normal emitter and are
+// forked onto its tree (emitter.seal) before its tree acks, and the whole
+// batch's children are delivered with one enqueue per destination executor
+// once every item is sealed — the local hot loop's fast-bolt sequence.
+// Then the worker-measured probe aggregates fold into the executor probe.
 //
 // Traced items decompose their remote hop into three telescoping segments
 // on the serve-side clock: queue wait = (send − handoff) + worker wait,
 // service = the worker-measured duration, shuttle = the round trip minus
 // both — summing exactly to recv − handoff, so the trace's segment sum
 // still reconciles with the root sojourn even though the service ran on
-// another machine's clock. Children of a traced item hand off at recv.
+// another machine's clock. Children of a traced item hand off at recv, and
+// its spans are emitted before any of the batch's children is enqueued.
 func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBatch, res RemoteResult, sentNS int64) {
 	// The worker has served the batch: it leaves the executor's outstanding
 	// count here, before the acks below can complete a root.
@@ -320,7 +323,7 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		traced := recvNS != 0 && traceCur < len(res.TraceIdx) && int(res.TraceIdx[traceCur]) == i
 		em.begin(tree)
 		if traced {
-			// Spans go into the tracer's rings before this item's children
+			// Spans go into the tracer's rings before the batch's children
 			// are enqueued (happens-before the root span; see runExecutor).
 			handoff := pin.items[i].tup.handoff
 			waitNS := res.TraceWaitNS[traceCur]
@@ -341,13 +344,14 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 		for _, v := range res.Emitted[i] {
 			em.emit(br.outEdges, v)
 		}
-		em.flush()
+		em.seal()
 		if traced {
 			tree.ack(recv)
 		} else {
 			tree.ackLazy()
 		}
 	}
+	em.pushDests()
 	if res.Errors > 0 {
 		br.errCount.Add(res.Errors)
 		held := errRemoteProcess

@@ -312,10 +312,20 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 
 // runExecutor is the executor hot loop: it drains its input queue in
 // batches (one lock round per batch) and processes each tuple with a
-// reusable emitter, so a bolt's fan-out costs one enqueue per destination
-// executor. Every tuple is timed with one clock read: the clock is read
-// when popAll returns, and each tuple's end stamp is its ack time and the
-// next tuple's start.
+// reusable emitter. A fast bolt's popped batch is one emit scope: each
+// untraced tuple's children are forked onto its tree as its Process call
+// returns (emitter.seal) and stay buffered, and the batch delivers them
+// with one enqueue per destination executor when it ends or emitBatchCap
+// children are buffered. Three cases deliver per tuple instead: a slow
+// bolt's tuples, whose children must not wait behind a sibling's
+// service; a traced tuple, which first delivers what earlier tuples
+// buffered, so its handoff stamps and fork see only its own children; and
+// a crash, which delivers the served tuples' children before the tail
+// strands. Every untraced tuple is timed with one monotonic clock read:
+// the clock is read when popAll returns, and each tuple's end stamp —
+// the start plus the monotonic time since it — is its ack time and the
+// next tuple's start. Such a stamp is only ever subtracted from; a traced
+// tuple reads the wall clock, because its stamps become span bounds.
 func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)
@@ -344,16 +354,20 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		// reads its count. Each drop comes before the ack of the tuple it
 		// covers: once no root is pending no executor has anything
 		// outstanding.
+		slow := br.slow.Load()
 		step := n
-		if br.slow.Load() {
+		if slow {
 			step = 1
 		}
 		settled := 0 // tuples of this batch already taken off the count
 		for i := 0; i < n; i++ {
-			// A crash ends service at the tuple boundary: the batch's
-			// unprocessed tail strands for the retirer to replay (one
-			// relaxed atomic load per tuple buys the failure domain).
+			// A crash ends service at the tuple boundary: the children of
+			// the tuples served so far are forked onto their trees and go
+			// out, and the batch's unprocessed tail strands for the retirer
+			// to replay (one relaxed atomic load per tuple buys the failure
+			// domain).
 			if ex.crashed.Load() {
+				em.pushDests()
 				ex.probe.TuplesServed(int64(i), busyNanos)
 				ex.q.served(i - settled)
 				ex.strandRing(ring, head+i, n-i)
@@ -361,6 +375,10 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 			}
 			it := &ring[(head+i)&mask]
 			tree := it.tup.tree
+			traced := tracer != nil && tree.trace != 0
+			if traced {
+				em.pushDests()
+			}
 			em.begin(tree)
 			if err := br.instances[it.task].Process(it.tup, emit); err != nil {
 				br.errCount.Add(1)
@@ -368,7 +386,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				br.lastErr.Store(&heldErr)
 			}
 			var end time.Time
-			if tracer != nil && tree.trace != 0 {
+			if traced {
 				// The service end is read before the children are enqueued:
 				// it is their queue-wait start (stampHandoffs), and both hop
 				// spans must be in the tracer's rings before any enqueued
@@ -386,8 +404,11 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				tracer.EmitSpan(&span)
 				em.flush()
 			} else {
-				em.flush()
-				end = time.Now()
+				em.seal()
+				if slow || em.children >= emitBatchCap {
+					em.pushDests()
+				}
+				end = now.Add(time.Since(now))
 			}
 			*it = queueItem{} // release references before handing the ring back
 			if i+1-settled == step {
@@ -404,6 +425,7 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 			tree.ack(end)
 			now = end
 		}
+		em.pushDests()
 		ex.probe.TuplesServed(int64(n), busyNanos)
 		br.noteService(ex, int64(n), over)
 		spare = ring
@@ -485,7 +507,7 @@ func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 			tree.trace = traces[i]
 			tree.arrivedNS = c.em.handoff
 		}
-		c.em.beginRoot(tree)
+		c.em.begin(tree)
 		c.em.emit(edges, v)
 		c.em.sealRoot(now) // the root "tuple" itself needs no processing
 	}

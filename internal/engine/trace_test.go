@@ -200,3 +200,112 @@ func TestTraceSampledOutRootsEmitNothing(t *testing.T) {
 		t.Fatalf("assembler saw %d traces in a sampled-out run: %+v", ast.Started, ast)
 	}
 }
+
+// TestBatchScopeTracedTelescopes pins the traced exception of a fast
+// bolt's batch scope: on a three-bolt chain with half the roots traced,
+// untraced and traced tuples share popped batches, so a traced tuple
+// finds earlier tuples' children buffered. It must deliver them before its
+// own scope opens, or its flush forks them onto its tree, which then never
+// completes. Every traced root yields one complete trace that telescopes
+// exactly over its three hops, and every root, traced or not, completes.
+func TestBatchScopeTracedTelescopes(t *testing.T) {
+	var (
+		mu        sync.Mutex
+		completed []obs.Trace
+	)
+	asm := obs.NewAssembler(obs.AssemblerConfig{
+		OnComplete: func(tr obs.Trace) {
+			mu.Lock()
+			completed = append(completed, tr)
+			mu.Unlock()
+		},
+	})
+	tracer := obs.NewTracer(obs.TracerConfig{
+		Shards: 4, ShardCapacity: 1 << 16,
+		Assembler: asm, FlushEvery: time.Millisecond,
+	})
+	// Half the roots, scattered by a multiplicative hash so that no
+	// executor's share of a batch is all traced or all untraced.
+	traced := func(seq uint64) bool { return (seq*0x9E3779B97F4A7C15)>>63 == 0 }
+	src := &tracedChanSource{
+		chanSource: newChanSource(1024),
+		traceFor: func(seq uint64) uint64 {
+			if traced(seq) {
+				return seq
+			}
+			return 0
+		},
+	}
+	fwd := func(int) Bolt {
+		return BoltFunc(func(tup Tuple, emit Emit) error {
+			emit(tup.Values)
+			return nil
+		})
+	}
+	topo, err := NewTopology().
+		Spout("net", 1, func(int) Spout { return &NetworkSpout{Source: src, MaxBatch: 64} }).
+		Bolt("a", 4, fwd).
+		Bolt("b", 4, fwd).
+		Bolt("c", 4, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
+		Shuffle("net", "a").
+		Shuffle("a", "b").
+		Shuffle("b", "c").
+		Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run, err := topo.Start(RunConfig{Alloc: map[string]int{"a": 2, "b": 2, "c": 2}, Tracer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 2000
+	want := 0
+	for i := 0; i < n; i++ {
+		if traced(uint64(i + 1)) {
+			want++
+		}
+		src.ch <- Values{i}
+	}
+	src.close()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		count, _ := run.Completions()
+		if count == n {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d of %d roots completed", count, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := run.Stop(); err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(completed) != want {
+		t.Fatalf("completed %d traces, want one per traced root (%d)", len(completed), want)
+	}
+	seen := make(map[uint64]bool, want)
+	for _, tr := range completed {
+		if seen[tr.ID] || !traced(tr.ID) || tr.ID > n {
+			t.Fatalf("trace %d completed twice or was never sampled", tr.ID)
+		}
+		seen[tr.ID] = true
+		if tr.QueueNS+tr.ServiceNS+tr.ShuttleNS != tr.SojournNS {
+			t.Fatalf("trace %d does not telescope: queue %d + service %d + shuttle %d != sojourn %d",
+				tr.ID, tr.QueueNS, tr.ServiceNS, tr.ShuttleNS, tr.SojournNS)
+		}
+		// Three hops, each a queue + service pair.
+		if tr.Spans != 6 || tr.ShuttleNS != 0 || tr.SojournNS <= 0 || tr.QueueNS < 0 || tr.ServiceNS < 0 {
+			t.Fatalf("trace %d has impossible segments: %+v", tr.ID, tr)
+		}
+	}
+	if ast := asm.Stats(); ast.Started != uint64(want) || ast.Completed != uint64(want) || ast.Pending != 0 || ast.Lost != 0 {
+		t.Fatalf("assembler did not balance: %+v", ast)
+	}
+}

@@ -96,10 +96,16 @@ func (t *ackTree) ack(now time.Time) {
 
 // ackLazy resolves one node without a timestamp in hand, reading the clock
 // only if this ack completes the tree — the common non-completing ack of a
-// fan-out tree costs no clock call.
+// fan-out tree costs no clock call. An untraced tree completes on one
+// monotonic read (its sojourn is only a difference); a traced one reads
+// the wall clock its root span needs.
 func (t *ackTree) ackLazy() {
 	if t.pending.Add(-1) == 0 {
-		t.complete(time.Now())
+		if t.trace != 0 {
+			t.complete(time.Now())
+		} else {
+			t.complete(t.arrived.Add(time.Since(t.arrived)))
+		}
 	}
 }
 

@@ -156,11 +156,22 @@ func TestStraddleSeedsStraddle(t *testing.T) {
 	}
 }
 
+// oversizeSegment is a clean segment with a record frame larger than the
+// scan's read buffer between two small ones: the one frame the scan copies
+// out instead of checking in place.
+func oversizeSegment() []byte {
+	seg := frameRecord(segmentHeader(1), 1, []byte("before"))
+	seg = frameRecord(seg, 2, bytes.Repeat([]byte("o"), scanBufSize+1000))
+	seg = frameRecord(seg, 3, []byte("after"))
+	return frameWatermark(seg, 1)
+}
+
 // TestScanMatchesWholeBufferReference: the streaming scan and the replay
 // cursor recover exactly what the whole-buffer scan they replaced did —
 // the Recovered summary, the unacked seqs and payloads, the truncation
 // (reported, and on disk), and the ErrCorrupt verdicts — over every
-// FuzzWALSegment seed, inline and checked in.
+// FuzzWALSegment seed, inline and checked in, and over a frame larger than
+// the read buffer: whole, and torn inside its payload.
 func TestScanMatchesWholeBufferReference(t *testing.T) {
 	seeds := segmentSeeds()
 	corpus, err := filepath.Glob(filepath.Join("testdata", "fuzz", "FuzzWALSegment", "*"))
@@ -170,6 +181,8 @@ func TestScanMatchesWholeBufferReference(t *testing.T) {
 	for _, name := range corpus {
 		seeds = append(seeds, corpusBytes(t, name))
 	}
+	oversize := oversizeSegment()
+	seeds = append(seeds, oversize, oversize[:segHeaderLen+scanBufSize])
 	for i, data := range seeds {
 		t.Run(fmt.Sprint(i), func(t *testing.T) {
 			want, wantUn, wantErr := referenceScan(data)

@@ -91,10 +91,10 @@ func (l *Log) recover() (Recovered, error) {
 }
 
 // scanner is the scan's reusable state: the one read buffer every segment
-// streams through, the frame buffer, and the index being built.
+// streams through, the copy buffer for a frame larger than it, and the
+// index being built.
 type scanner struct {
 	br    *bufio.Reader
-	hdr   [frameHeaderLen]byte
 	frame []byte
 	locs  []recordLoc
 }
@@ -161,6 +161,13 @@ func (l *Log) scanSegment(s *scanner, path string, segIdx uint32, last bool) (se
 			// A record at or below the watermark so far is below the final
 			// one too: it never reaches the index.
 			if seq > l.watermark {
+				if len(s.locs) == cap(s.locs) {
+					// Size the index for the rest of the segment in frames
+					// like this one: a uniform segment takes one allocation,
+					// and 17-byte frames (the smallest) cost 24/17 of the
+					// bytes left.
+					s.locs = slices.Grow(s.locs, int((size-off)/fn)+1)
+				}
 				s.locs = append(s.locs, recordLoc{seq: seq, off: off, seg: segIdx, plen: uint32(len(frame))})
 			}
 			if seq > l.tailSeq {
@@ -189,7 +196,8 @@ func (l *Log) scanSegment(s *scanner, path string, segIdx uint32, last bool) (se
 // the total frame length consumed, and whether the frame is intact. fn ==
 // 0 means a clean end (no bytes left); ok == false with fn > 0 means
 // damage (short header, short payload, CRC mismatch, or an implausible
-// length). err is a failed read, not damage.
+// length). err is a failed read, not damage. A frame that fits the read
+// buffer is checked in place; only a larger one is copied out.
 func (s *scanner) next(remaining int64) (payload []byte, fn int64, ok bool, err error) {
 	if remaining == 0 {
 		return nil, 0, true, nil
@@ -197,26 +205,42 @@ func (s *scanner) next(remaining int64) (payload []byte, fn int64, ok bool, err 
 	if remaining < frameHeaderLen {
 		return nil, remaining, false, nil
 	}
-	if _, err := io.ReadFull(s.br, s.hdr[:]); err != nil {
+	hdr, err := s.br.Peek(frameHeaderLen)
+	if err != nil {
 		return nil, 0, false, err
 	}
-	plen := int64(binary.BigEndian.Uint32(s.hdr[0:4]))
+	plen := int64(binary.BigEndian.Uint32(hdr[0:4]))
+	sum := binary.BigEndian.Uint32(hdr[4:8])
 	// A frame's payload is at least the kind byte; an absurd length is
 	// damage, not a giant record (appends cap well below this).
 	if plen < 1 || plen > 1<<30 {
 		return nil, frameHeaderLen, false, nil
 	}
-	if remaining < frameHeaderLen+plen {
+	fn = frameHeaderLen + plen
+	if remaining < fn {
 		return nil, remaining, false, nil
 	}
-	s.frame = slices.Grow(s.frame[:0], int(plen))[:plen]
-	if _, err := io.ReadFull(s.br, s.frame); err != nil {
-		return nil, 0, false, err
+	if fn <= int64(s.br.Size()) {
+		frame, err := s.br.Peek(int(fn))
+		if err != nil {
+			return nil, 0, false, err
+		}
+		// Peek buffered all fn bytes, so Discard cannot fail, and the
+		// payload stays valid until the next read.
+		payload = frame[frameHeaderLen:]
+		_, _ = s.br.Discard(int(fn))
+	} else {
+		_, _ = s.br.Discard(frameHeaderLen)
+		s.frame = slices.Grow(s.frame[:0], int(plen))[:plen]
+		if _, err := io.ReadFull(s.br, s.frame); err != nil {
+			return nil, 0, false, err
+		}
+		payload = s.frame
 	}
-	if crc32.Checksum(s.frame, castagnoli) != binary.BigEndian.Uint32(s.hdr[4:8]) {
-		return nil, frameHeaderLen + plen, false, nil
+	if crc32.Checksum(payload, castagnoli) != sum {
+		return nil, fn, false, nil
 	}
-	return s.frame, frameHeaderLen + plen, true, nil
+	return payload, fn, true, nil
 }
 
 // ReadUnacked is the replay cursor over the records recovery found above

@@ -256,7 +256,10 @@ const RemoteQueueDepth = 64
 // runBolt processes one bolt's batches in order: build the task instance
 // on first use, run Process with a capturing emitter, time each tuple
 // (the probe aggregates travel home with the result), and write the
-// result frame.
+// result frame. Tuples are timed as the engine's executors time them:
+// the clock is read once as a batch starts, and each tuple's end — the
+// start plus one monotonic read of the time since — is the next one's
+// start.
 func (w *Worker) runBolt(h *hostedBolt) {
 	defer close(h.done)
 	var res resultMsg
@@ -273,6 +276,7 @@ func (w *Worker) runBolt(h *hostedBolt) {
 		res.Traced = res.Traced[:0]
 		res.WaitNS = res.WaitNS[:0]
 		res.ServiceNS = res.ServiceNS[:0]
+		start := time.Now()
 		for i, it := range m.Items {
 			inst, ok := h.instances[it.Task]
 			if !ok {
@@ -280,7 +284,6 @@ func (w *Worker) runBolt(h *hostedBolt) {
 				h.instances[it.Task] = inst
 			}
 			first := len(emits)
-			start := time.Now()
 			err := inst.Process(engine.Tuple{Values: it.Values}, emit)
 			d := time.Since(start)
 			res.BusyNanos += int64(d)
@@ -295,6 +298,7 @@ func (w *Worker) runBolt(h *hostedBolt) {
 				res.ServiceNS = append(res.ServiceNS, int64(d))
 			}
 			res.Emitted = append(res.Emitted, emits[first:len(emits):len(emits)])
+			start = start.Add(d)
 		}
 		putBatchMsg(m)
 		err := w.writeResult(&res)
