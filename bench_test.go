@@ -128,59 +128,33 @@ func BenchmarkFig10ExpB(b *testing.B) {
 }
 
 // BenchmarkTable2Scheduling is Table II's "Scheduling" row measured the
-// canonical Go way: ns/op of one full Algorithm 1 run per Kmax.
+// canonical Go way: ns/op of one full Algorithm 1 run per Kmax — the body
+// `drs-experiments table2` times.
 func BenchmarkTable2Scheduling(b *testing.B) {
-	model, err := vld.Model()
-	if err != nil {
-		b.Fatal(err)
-	}
-	base := model.Rates()
 	for _, kmax := range experiments.Table2Kmaxes() {
-		scale := float64(kmax) / 22.0
-		ops := make([]core.OpRates, len(base))
-		for i, op := range base {
-			ops[i] = core.OpRates{Name: op.Name, Lambda: op.Lambda * scale, Mu: op.Mu}
-		}
-		scaled, err := core.NewModel(model.Lambda0()*scale, ops)
+		step, err := experiments.Table2Scheduling(kmax)
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.Run(kmaxName(kmax), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := scaled.AssignProcessors(kmax); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+		b.Run(kmaxName(kmax), func(b *testing.B) { benchStep(b, step) })
 	}
 }
 
 // BenchmarkTable2Measurement is Table II's "Measurement" row: processing
-// one measurement interval (aggregate, smooth, snapshot).
+// one measurement interval (aggregate, window, snapshot).
 func BenchmarkTable2Measurement(b *testing.B) {
-	meas, err := metrics.NewMeasurer(metrics.MeasurerConfig{
-		OperatorNames: vld.OperatorNames(),
-	})
+	step, err := experiments.Table2Measurement()
 	if err != nil {
 		b.Fatal(err)
 	}
-	rep := metrics.IntervalReport{
-		Duration:         5 * time.Second,
-		ExternalArrivals: 65,
-		Ops: []metrics.OpInterval{
-			{Arrivals: 65, Served: 65, Sampled: 65, BusyTime: 29 * time.Second},
-			{Arrivals: 65, Served: 65, Sampled: 65, BusyTime: 32 * time.Second},
-			{Arrivals: 65, Served: 65, Sampled: 65, BusyTime: time.Second},
-		},
-		SojournCount: 60,
-		SojournTotal: time.Minute,
-	}
+	benchStep(b, step)
+}
+
+// benchStep runs one Table II body b.N times.
+func benchStep(b *testing.B, step func() error) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := meas.AddInterval(rep); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := meas.Snapshot(); err != nil {
+		if err := step(); err != nil {
 			b.Fatal(err)
 		}
 	}

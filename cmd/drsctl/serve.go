@@ -144,8 +144,12 @@ func cmdServe(tf topoFile, args []string) error {
 		fmt.Printf("wal: tail seq %d, watermark %d, replayed %d, %d live segment(s)\n",
 			rep.WALTail, st.Watermark, st.Replayed, rep.WALSegments)
 	}
+	var meanMS float64
+	if rep.Completions > 0 {
+		meanMS = rep.Sojourn.Seconds() * 1e3 / float64(rep.Completions)
+	}
 	fmt.Printf("engine: %d completions, mean sojourn %.1f ms, final alloc %v, %d machines\n",
-		rep.Completions, rep.MeanSojourn.Seconds()*1e3, rep.Alloc, rep.Machines)
+		rep.Completions, meanMS, rep.Alloc, rep.Machines)
 	if *workerListen != "" {
 		fmt.Printf("worker tier: %d executor failure(s) healed, %d replay(s)\n", rep.ExecutorFailures, rep.Replays)
 	}

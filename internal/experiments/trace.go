@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"hash/crc32"
 	"io"
-	"net"
 	"slices"
-	"sync"
 	"time"
 
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/ingest"
+	"github.com/drs-repro/drs/internal/node"
 	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/scenario"
 	"github.com/drs-repro/drs/internal/sim"
@@ -19,10 +19,11 @@ import (
 // The trace experiment: the per-tuple tracing tentpole's golden arc. It
 // replays the chaos scenario's workload — per-tenant recorded arrival
 // traces, token-bucket admission so the surges genuinely shed — through
-// the REAL data plane three times: once all-local at a production
-// sampling rate, once with the stateful stage spread over three live
-// worker daemons on loopback TCP at the same rate, and once all-local
-// with every root sampled. The audit the test locks:
+// the live assembly path (internal/node, over its real TCP front door)
+// three times: once all-local at a production sampling rate, once with
+// the count stage spread over three live worker daemons on loopback TCP
+// at the same rate, and once all-local with every root sampled. The
+// audit the test locks:
 //
 //   - the sampled set is a pure function of the admit sequence: the ids
 //     that complete are exactly {seq : hash(seq) wins}, bit-identical
@@ -40,27 +41,33 @@ const (
 	// tracePerTenant is the offered arrivals per tenant on the unscaled
 	// scenario (never fewer than 200 on a scaled one).
 	tracePerTenant = 600
-	// traceRemoteMachines spreads the count stage over this many workers.
+	// traceRemoteMachines spreads the count stage over this many workers,
+	// two executors each: all six of count's, none of sink's.
 	traceRemoteMachines = 3
 	// traceLocalSpans / traceRemoteSpans are the exact per-trace segment
-	// span counts on the src -> count -> sink chain: gate + two hops of
+	// span counts on the ingest -> count -> sink chain: gate + two hops of
 	// (queue, service), the remote hop adding one shuttle segment.
 	traceLocalSpans  = 5
 	traceRemoteSpans = 6
+	// traceInFlight bounds the sampled roots offered whose trace has not
+	// completed. Every span in the node tracer's rings (4 shards × 1 024,
+	// swept every 250 ms) belongs to such a trace, and a trace emits at
+	// most traceRemoteSpans segments plus its root, so half the rings
+	// always has room: pacing on completions keeps SpansDropped at 0.
+	traceInFlight = 4 * 1024 / (2 * (traceRemoteSpans + 1))
+	// traceInterval is the node's placement and replan cadence, and the
+	// retry-after of a backlog refusal.
+	traceInterval = 10 * time.Millisecond
+	// traceWait bounds each wait on the node: placement, a completion.
+	traceWait = 10 * time.Second
 )
 
-// traceEntry is one admitted tuple of the deterministic workload.
-type traceEntry struct {
-	tenant string
-	key    int
-}
-
 // traceWorkload derives the deterministic workload from the seeded spec
-// exactly like the worker equivalence harness: recorded arrival traces,
-// token-bucket admission at 60% of the mean rate, seeded keys. The
-// admitted entries ARE the offer sequence, so the gate's admit seq space
-// — and with it the sampled set — is identical across variants.
-func traceWorkload(spec scenario.Spec, perTenant int) (entries []traceEntry, shed map[string]int64, err error) {
+// exactly like the worker equivalence harness: recorded arrival traces and
+// token-bucket admission at 60% of the mean rate. The admitted entries —
+// one tenant name each — ARE the offer sequence, so the gate's admit seq
+// space, and with it the sampled set, is identical across variants.
+func traceWorkload(spec scenario.Spec, perTenant int) (tenants []string, shed map[string]int64, err error) {
 	tl, err := scenario.Compile(spec)
 	if err != nil {
 		return nil, nil, err
@@ -75,48 +82,32 @@ func traceWorkload(spec scenario.Spec, perTenant int) (entries []traceEntry, she
 		if err != nil {
 			return nil, nil, err
 		}
-		keys := uint64(spec.Seed)*7919 + uint64(ti)
 		rate := trace.MeanRate() * 0.6
 		const burst = 20.0
 		tokens := burst
 		for i := 0; i < perTenant; i++ {
-			gap := trace.NextInterArrival(nil)
-			tokens += gap * rate
-			if tokens > burst {
-				tokens = burst
-			}
-			keys += 0x9e3779b97f4a7c15
-			z := keys
-			z = (z ^ (z >> 30)) * 0xbf58476d1ce4b9fe
-			z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-			key := int((z ^ (z >> 31)) % 128)
+			tokens = min(burst, tokens+trace.NextInterArrival(nil)*rate)
 			if tokens >= 1 {
 				tokens--
-				entries = append(entries, traceEntry{tenant: ts.Name, key: key})
+				tenants = append(tenants, ts.Name)
 			} else {
 				shed[ts.Name]++
 			}
 		}
 	}
-	return entries, shed, nil
+	return tenants, shed, nil
 }
 
-// traceCountBolts builds the stateful count stage both the serve process
-// and the worker daemons host: per-task running counts keyed by
-// (tenant, key). The factory ignores the seed — the state machine is
-// deterministic — but keeps the worker Build signature.
-func traceCountBolts(int64) (map[string]engine.BoltFactory, error) {
-	return map[string]engine.BoltFactory{"count": newTraceCountBolt}, nil
+// traceHopBolts is the count stage both the node and the worker daemons
+// host: a stateless hop forwarding each record to the sink. It keeps the
+// worker Build signature.
+func traceHopBolts(int64) (map[string]engine.BoltFactory, error) {
+	return map[string]engine.BoltFactory{"count": newTraceHop}, nil
 }
 
-func newTraceCountBolt(int) engine.Bolt {
-	counts := make(map[string]int)
+func newTraceHop(int) engine.Bolt {
 	return engine.BoltFunc(func(tu engine.Tuple, emit engine.Emit) error {
-		tenant := tu.Values[0].(string)
-		key := tu.Values[1].(int)
-		ck := fmt.Sprintf("%s/%d", tenant, key)
-		counts[ck]++
-		emit(engine.Values{tenant, key, counts[ck]})
+		emit(engine.Values{tu.Values[0]})
 		return nil
 	})
 }
@@ -148,7 +139,7 @@ type TraceVariant struct {
 	// the decomposition over every completed trace.
 	SumSojournNS, SumQueueNS, SumServiceNS, SumShuttleNS int64
 	// BookedSojournNS is the engine root log's summed sojourn for the
-	// whole run (all roots, traced or not), read before Stop.
+	// whole run (all roots, traced or not), from the node's closing report.
 	BookedSojournNS int64
 	// SpansDropped is the tracer's ring-overflow count (must be 0).
 	SpansDropped uint64
@@ -180,181 +171,163 @@ type TraceResult struct {
 	BooksReconcile bool
 }
 
-// runTraceVariant pushes the workload through src -> count(fields by key)
-// -> sink with tracing at permille, optionally spreading the count stage
-// over live worker daemons, and returns the full tracing account.
-func runTraceVariant(mode string, entries []traceEntry, permille, remoteMachines int, seed int64) (TraceVariant, error) {
+// runTraceVariant offers the workload over a node's TCP front door to
+// count -> sink on a fixed allocation, with tracing at permille and,
+// optionally, the count stage on live worker daemons, and returns the
+// full tracing account from the node's closing report and trace hook.
+func runTraceVariant(mode string, tenants []string, permille, remoteMachines int, seed int64) (TraceVariant, error) {
 	v := TraceVariant{Mode: mode}
-	var (
-		mu        sync.Mutex
-		completed []obs.Trace
-	)
-	asm := obs.NewAssembler(obs.AssemblerConfig{
-		OnComplete: func(tr obs.Trace) {
-			mu.Lock()
-			completed = append(completed, tr)
-			mu.Unlock()
-		},
-	})
-	tracer := obs.NewTracer(obs.TracerConfig{
-		Shards: 4, ShardCapacity: 1 << 16,
-		SamplePermille: permille,
-		Assembler:      asm,
-		FlushEvery:     time.Millisecond,
-	})
-	gate := ingest.NewGate(ingest.GateConfig{RingCapacity: 1 << 12, Tracer: tracer})
-	topo, err := engine.NewTopology().
-		Spout("src", 1, func(int) engine.Spout {
-			return &engine.NetworkSpout{Source: gate.Ring(), MaxBatch: 64}
-		}).
-		Bolt("count", 8, newTraceCountBolt).
-		Bolt("sink", 2, func(int) engine.Bolt {
-			return engine.BoltFunc(func(engine.Tuple, engine.Emit) error { return nil })
-		}).
-		Fields("src", "count", func(vs engine.Values) uint64 { return uint64(vs[1].(int)) }).
-		Shuffle("count", "sink").
-		Build()
-	if err != nil {
-		return v, err
-	}
-	run, err := topo.Start(engine.RunConfig{
-		Alloc:          map[string]int{"count": 6, "sink": 2},
-		QuiesceTimeout: 10 * time.Second,
-		Tracer:         tracer,
-	})
-	if err != nil {
-		return v, err
-	}
-	defer run.Stop()
-
-	if remoteMachines > 0 {
-		next := 1 // machine 0 is the serve process
-		var bindMu sync.Mutex
-		co := worker.NewCoordinator(worker.CoordinatorConfig{
-			Seed: seed,
-			Bind: func(string, int) (int, error) {
-				bindMu.Lock()
-				defer bindMu.Unlock()
-				id := next
-				next++
-				return id, nil
-			},
-		})
-		defer co.Close()
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return v, err
-		}
-		defer ln.Close()
-		go co.Serve(ln)
-		placement := make(map[int]int, remoteMachines)
-		for i := 0; i < remoteMachines; i++ {
-			w, err := worker.Dial(worker.Config{
-				Addr:  ln.Addr().String(),
-				Name:  fmt.Sprintf("trace-w%d", i+1),
-				Build: traceCountBolts,
-			})
-			if err != nil {
-				return v, err
-			}
-			go w.Run()
-			defer w.Close()
-			placement[w.Machine()] = 2
-		}
-		if err := co.WaitWorkers(remoteMachines, 5*time.Second); err != nil {
-			return v, err
-		}
-		plan := worker.ApplyPlacement(run, run.Allocation(), placement, 0, co.Remote)
-		if plan.Errors != 0 {
-			return v, fmt.Errorf("experiments: trace placement errors: %+v", plan)
-		}
-		if got, _ := run.RemoteBound("count"); got != 6 {
-			return v, fmt.Errorf("experiments: count RemoteBound = %d, want 6", got)
-		}
-	}
-
-	// Offer the workload in order: the only possible refusal is ring
-	// backpressure, so the admit seq of entries[i] is exactly i+1 — the
-	// sampled set is decided before the run ever starts.
-	clients := make(map[string]*ingest.Client)
-	for _, e := range entries {
-		c := clients[e.tenant]
-		if c == nil {
-			c = gate.Client(e.tenant, 1, 0, 0)
-			clients[e.tenant] = c
-		}
-		for {
-			verdict := c.Offer(engine.Values{e.tenant, e.key})
-			if verdict.Admitted {
-				break
-			}
-			if verdict.Reason != ingest.ShedBacklog {
-				return v, fmt.Errorf("experiments: trace offer shed for %v, want backlog-only", verdict.Reason)
-			}
-			time.Sleep(100 * time.Microsecond)
-		}
-	}
-	v.Admitted = int64(len(entries))
-
-	want := int64(len(entries))
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count >= want {
-			break
-		}
-		if time.Now().After(deadline) {
-			return v, fmt.Errorf("experiments: trace %s completions %d/%d — tuples lost", mode, count, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	_, _, v.BookedSojournNS = run.RootTotals()
-	gate.Close()
-	if err := run.Stop(); err != nil {
-		return v, err
-	}
-	if err := tracer.Close(); err != nil {
-		return v, err
-	}
-	v.SpansDropped = tracer.Stats().Dropped
-	v.Assembly = asm.Stats()
-
 	// The expected sampled set is computed from the sampling function
-	// alone — a fresh tracer at the same knob must agree seq by seq.
+	// alone — a fresh tracer at the same knob must agree seq by seq — and
+	// the offers are paced on it.
 	ref := obs.NewTracer(obs.TracerConfig{SamplePermille: permille})
 	defer ref.Close()
-	for seq := uint64(1); seq <= uint64(len(entries)); seq++ {
+	for seq := uint64(1); seq <= uint64(len(tenants)); seq++ {
 		if ref.SampleTrace(seq) {
 			v.SampledExpected++
 		}
 	}
-
-	mu.Lock()
-	defer mu.Unlock()
-	v.TracesCompleted = len(completed)
 	wantSpans := traceLocalSpans
 	if remoteMachines > 0 {
 		wantSpans = traceRemoteSpans
 	}
-	for _, tr := range completed {
-		v.SampledIDs = append(v.SampledIDs, tr.ID)
-		if tr.QueueNS+tr.ServiceNS+tr.ShuttleNS != tr.SojournNS {
-			v.TelescopeViolations++
-		}
-		if tr.Spans != wantSpans {
-			v.SpanViolations++
-		}
-		if tr.ID >= 1 && tr.ID <= uint64(len(entries)) && tr.Tenant != entries[tr.ID-1].tenant {
-			v.TenantViolations++
-		}
-		v.RemoteSegments += tr.Remote
-		v.SumSojournNS += tr.SojournNS
-		v.SumQueueNS += tr.QueueNS
-		v.SumServiceNS += tr.ServiceNS
-		v.SumShuttleNS += tr.ShuttleNS
+	inFlight := make(chan struct{}, traceInFlight)
+	cfg := node.Config{
+		Build: func(b *engine.TopologyBuilder) {
+			b.Bolt("count", 8, newTraceHop).
+				Bolt("sink", 2, func(int) engine.Bolt {
+					return engine.BoltFunc(func(engine.Tuple, engine.Emit) error { return nil })
+				}).
+				// Each tenant's records meet one sink task: the second hop
+				// routes a remote stage's children by key.
+				Fields("count", "sink", func(vs engine.Values) uint64 {
+					return uint64(crc32.ChecksumIEEE(vs[0].([]byte)))
+				})
+		},
+		Entry:           "count",
+		Tasks:           8,
+		Tmax:            1,
+		Interval:        traceInterval,
+		SlotsPerMachine: 2,
+		MaxMachines:     4,
+		TCPAddr:         "127.0.0.1:0",
+		Seed:            seed,
+		TraceSample:     permille,
+		// The hook runs on the tracer's one drainer goroutine, and Drain
+		// returns after it exits: v needs no lock, and until Drain only
+		// the hook touches it.
+		OnTrace: func(tr obs.Trace) {
+			v.TracesCompleted++
+			v.SampledIDs = append(v.SampledIDs, tr.ID)
+			if tr.QueueNS+tr.ServiceNS+tr.ShuttleNS != tr.SojournNS {
+				v.TelescopeViolations++
+			}
+			if tr.Spans != wantSpans {
+				v.SpanViolations++
+			}
+			if tr.ID >= 1 && tr.ID <= uint64(len(tenants)) && tr.Tenant != tenants[tr.ID-1] {
+				v.TenantViolations++
+			}
+			v.RemoteSegments += tr.Remote
+			v.SumSojournNS += tr.SojournNS
+			v.SumQueueNS += tr.QueueNS
+			v.SumServiceNS += tr.ServiceNS
+			v.SumShuttleNS += tr.ShuttleNS
+			select {
+			case <-inFlight:
+			default:
+			}
+		},
+		FixedAlloc: map[string]int{"count": 6, "sink": 2},
 	}
+	if remoteMachines > 0 {
+		cfg.WorkerAddr = "127.0.0.1:0"
+	}
+	n, err := node.Start(cfg)
+	if err != nil {
+		return v, err
+	}
+	defer n.Close()
+
+	if remoteMachines > 0 {
+		addr := n.Status().WorkerAddr
+		for i := 0; i < remoteMachines; i++ {
+			w, err := worker.Dial(worker.Config{Addr: addr, Name: fmt.Sprintf("trace-w%d", i+1), Build: traceHopBolts})
+			if err != nil {
+				return TraceVariant{}, err
+			}
+			go w.Run()
+			defer w.Close()
+		}
+		// The node places executors after each join, on its own
+		// goroutine; every count executor is remote before the first
+		// offer, so every trace has the remote span count.
+		want := cfg.SlotsPerMachine * remoteMachines
+		for wait := 50 * time.Microsecond; n.Status().Remote["count"] != want; wait *= 2 {
+			if wait > traceWait {
+				return TraceVariant{}, fmt.Errorf("experiments: trace count executors not placed on %d workers", remoteMachines)
+			}
+			time.Sleep(wait)
+		}
+	}
+
+	// Offer the workload in order, one record at a time: the only refusal
+	// is ring backpressure, retried after its hint, so the admit seq of
+	// tenants[i] is exactly i+1 — the sampled set is decided before the
+	// run ever starts.
+	if err := offerTrace(n.Status().TCPAddr, tenants, ref, inFlight); err != nil {
+		return TraceVariant{}, err
+	}
+	v.Admitted = int64(len(tenants))
+	rep := n.Drain()
+	if st := rep.Gate; st.ShedRateLimit != 0 || st.ShedOverload != 0 {
+		return v, fmt.Errorf("experiments: trace %s shed %d rate-limited and %d overloaded offers, want backlog-only",
+			mode, st.ShedRateLimit, st.ShedOverload)
+	}
+	if rep.Completions != v.Admitted {
+		return v, fmt.Errorf("experiments: trace %s completions %d/%d — tuples lost", mode, rep.Completions, v.Admitted)
+	}
+	v.BookedSojournNS = int64(rep.Sojourn)
+	v.SpansDropped, v.Assembly = rep.TraceDropped, rep.Traces
 	slices.Sort(v.SampledIDs)
 	return v, nil
+}
+
+// offerTrace sends each tenant's records over its own TCP connection, in
+// workload order. A sampled offer first takes a slot in inFlight, which
+// the trace hook frees when the trace completes.
+func offerTrace(addr string, tenants []string, ref *obs.Tracer, inFlight chan struct{}) error {
+	conns := make(map[string]*ingest.TCPClient)
+	defer func() {
+		for _, c := range conns {
+			c.Close()
+		}
+	}()
+	for i, tenant := range tenants {
+		if ref.SampleTrace(uint64(i + 1)) {
+			select {
+			case inFlight <- struct{}{}:
+			case <-time.After(traceWait):
+				return fmt.Errorf("experiments: trace offer %d waited %v for a sampled trace to complete", i+1, traceWait)
+			}
+		}
+		c := conns[tenant]
+		if c == nil {
+			var err error
+			if c, err = ingest.DialTCP(addr, tenant); err != nil {
+				return err
+			}
+			conns[tenant] = c
+		}
+		ok, retry, err := c.Send([]byte(tenant))
+		for ; err == nil && !ok; ok, retry, err = c.Send([]byte(tenant)) {
+			time.Sleep(retry)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // variantBalanced reports the one-trace-per-sampled-root contract for one
@@ -384,18 +357,18 @@ func RunTraceSpec(spec scenario.Spec, o Options) (TraceResult, error) {
 	spec = spec.Scaled(f)
 	perTenant := max(200, int(tracePerTenant*f))
 	res := TraceResult{Scenario: spec, PerTenant: perTenant}
-	entries, shed, err := traceWorkload(spec, perTenant)
+	tenants, shed, err := traceWorkload(spec, perTenant)
 	if err != nil {
 		return res, err
 	}
 	res.Shed = shed
-	if res.Local, err = runTraceVariant("local", entries, traceSamplePermille, 0, int64(spec.Seed)); err != nil {
+	if res.Local, err = runTraceVariant("local", tenants, traceSamplePermille, 0, int64(spec.Seed)); err != nil {
 		return res, err
 	}
-	if res.Remote, err = runTraceVariant("remote", entries, traceSamplePermille, traceRemoteMachines, int64(spec.Seed)); err != nil {
+	if res.Remote, err = runTraceVariant("remote", tenants, traceSamplePermille, traceRemoteMachines, int64(spec.Seed)); err != nil {
 		return res, err
 	}
-	if res.Full, err = runTraceVariant("full", entries, 1000, 0, int64(spec.Seed)); err != nil {
+	if res.Full, err = runTraceVariant("full", tenants, 1000, 0, int64(spec.Seed)); err != nil {
 		return res, err
 	}
 	res.SampledSetsIdentical = slices.Equal(res.Local.SampledIDs, res.Remote.SampledIDs) &&

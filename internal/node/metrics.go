@@ -47,10 +47,10 @@ func newMetrics(tenant string) *metrics {
 
 // traceAssembler builds the trace assembler whose completed traces fold
 // into this registry: topology-wide queue-wait / service / shuttle
-// breakdown histograms plus per-bolt queue-wait and service families. The
-// assembler runs on the tracer's drainer goroutine; histograms are
-// atomic, so scrapes never block it.
-func (m *metrics) traceAssembler(bolts []string) *obs.Assembler {
+// breakdown histograms plus per-bolt queue-wait and service families —
+// and, when set, hand each to onTrace. The assembler runs on the tracer's
+// drainer goroutine; histograms are atomic, so scrapes never block it.
+func (m *metrics) traceAssembler(bolts []string, onTrace func(obs.Trace)) *obs.Assembler {
 	reg := m.reg
 	boltQ := make(map[string]*obs.Histogram, len(bolts))
 	boltS := make(map[string]*obs.Histogram, len(bolts))
@@ -70,6 +70,7 @@ func (m *metrics) traceAssembler(bolts []string) *obs.Assembler {
 			"Summed remote shuttle time per completed sampled trace.", traceBoundsNS, ""),
 		BoltQueueWait: boltQ,
 		BoltService:   boltS,
+		OnComplete:    onTrace,
 	})
 }
 

@@ -58,13 +58,13 @@ const (
 )
 
 // Config describes a node. Every field is either a deployment setting or
-// a value `drsctl serve` and this package's tests set differently;
-// everything with one value in use is a constant above or a default of
-// the package it configures (the cooldown is loop's 4·Interval, the ring
-// capacity ingest's 4096). The benchmark's SUT will
-// need a completion hook, decorator seams (source, target, stepper,
-// listeners) and a control-off mode before it can assemble through Start;
-// each is addable as one more field here and none exists until then.
+// a value its callers — `drsctl serve`, the trace experiment and this
+// package's tests — set differently; everything with one value in use is
+// a constant above or a default of the package it configures (the
+// cooldown is loop's 4·Interval, the ring capacity ingest's 4096). What
+// the benchmark's SUT still needs before it can assemble through Start is
+// only its decorator seams (source, target, stepper, listeners); each is
+// addable as one more field here and none exists until then.
 type Config struct {
 	// Build declares the bolts and their edges (required); the node adds
 	// the ingest spout in front of Entry.
@@ -103,6 +103,14 @@ type Config struct {
 	// the tracer at DecisionSample / TraceSample permille.
 	DecisionSink, TraceSink     obs.Sink
 	DecisionSample, TraceSample int
+	// OnTrace, when set, receives every completed sampled trace (on the
+	// tracer's drainer goroutine) and enables the tracer without a sink.
+	OnTrace func(obs.Trace)
+	// FixedAlloc, when set, is the executor count per bolt (clipped to
+	// [1, Tasks]) for the node's whole life: the supervisor is built but
+	// never started, and with no snapshot to plan from the gate admits up
+	// to ring backpressure.
+	FixedAlloc map[string]int
 	// Pprof mounts net/http/pprof on the HTTP listener.
 	Pprof bool
 	// Logger receives lifecycle notices and the loop's events; nil
@@ -128,7 +136,7 @@ type Node struct {
 	httpSrv *http.Server
 	tcpL    net.Listener
 
-	httpAddr, tcpAddr string // as bound
+	httpAddr, tcpAddr, workerAddr string // as bound
 
 	stopPlacement, stopCheckpoints func()
 	serving                        sync.WaitGroup // listener goroutines
@@ -140,15 +148,16 @@ type Node struct {
 // Status is one reading of a node: the gate's books and plan, the lease,
 // the pool, the allocation in force and the supervisor's last snapshot.
 type Status struct {
-	// HTTPAddr and TCPAddr are the bound ingest addresses ("" when that
-	// listener is disabled).
-	HTTPAddr, TCPAddr string
+	// HTTPAddr, TCPAddr and WorkerAddr are the bound ingest and worker
+	// registration addresses ("" when that listener is disabled).
+	HTTPAddr, TCPAddr, WorkerAddr string
 	// Gate holds the admission counters and the current shed plan.
 	Gate ingest.GateStats
 	// Granted is the slot count the lease holds; Machines the pool size.
 	Granted, Machines int
-	// Alloc is the executor count per bolt.
-	Alloc map[string]int
+	// Alloc is the executor count per bolt; Remote how many of them are
+	// bound to a worker process.
+	Alloc, Remote map[string]int
 	// Snapshot is the supervisor's latest measurement; Measured is false
 	// until the first one exists. From an applied action until the next
 	// measured round (the cooldown and the measurer's re-warm) its Alloc and
@@ -163,9 +172,14 @@ type Status struct {
 type Report struct {
 	// Status is the final reading.
 	Status
-	// Completions and MeanSojourn are the engine's root-tuple books.
+	// Completions and Sojourn are the engine's root-tuple books: the
+	// roots completed and their summed sojourn.
 	Completions int64
-	MeanSojourn time.Duration
+	Sojourn     time.Duration
+	// TraceDropped and Traces are the tracer's ring-overflow count and
+	// the assembler's closing balance (zero without a tracer).
+	TraceDropped uint64
+	Traces       obs.AssembleStats
 	// WALTail and WALSegments describe the log (zero when not durable).
 	WALTail     uint64
 	WALSegments int
@@ -250,11 +264,11 @@ func (n *Node) boot() error {
 	if cfg.DecisionSink != nil {
 		n.dlog = obs.NewLog(obs.Config{SamplePermille: cfg.DecisionSample, Sink: cfg.DecisionSink})
 	}
-	if cfg.TraceSink != nil {
+	if cfg.TraceSink != nil || cfg.OnTrace != nil {
 		n.tracer = obs.NewTracer(obs.TracerConfig{
 			SamplePermille: cfg.TraceSample,
 			Sink:           cfg.TraceSink,
-			Assembler:      n.metrics.traceAssembler(bolts),
+			Assembler:      n.metrics.traceAssembler(bolts, cfg.OnTrace),
 		})
 	}
 
@@ -309,8 +323,10 @@ func (n *Node) boot() error {
 	if err := n.gate.Start(); err != nil {
 		return err
 	}
-	if err := n.tenant.Start(); err != nil {
-		return err
+	if cfg.FixedAlloc == nil {
+		if err := n.tenant.Start(); err != nil {
+			return err
+		}
 	}
 
 	if cfg.WorkerAddr != "" {
@@ -335,12 +351,17 @@ func (n *Node) boot() error {
 }
 
 // initialAllocation is one executor per bolt on a cold start, or the
-// checkpointed allocation clipped to [1, Tasks] when it still fits the
-// cap; a stale oversized checkpoint falls back to the cold start.
+// fixed (else the checkpointed) allocation clipped to [1, Tasks] when it
+// still fits the cap; a stale oversized checkpoint falls back to the cold
+// start.
 func (n *Node) initialAllocation(bolts []string, maxSlots int) (alloc map[string]int, slots int) {
+	want := n.ckpt.Alloc
+	if n.cfg.FixedAlloc != nil {
+		want = n.cfg.FixedAlloc
+	}
 	alloc = make(map[string]int, len(bolts))
 	for _, name := range bolts {
-		alloc[name] = max(1, min(n.ckpt.Alloc[name], n.cfg.Tasks))
+		alloc[name] = max(1, min(want[name], n.cfg.Tasks))
 		slots += alloc[name]
 	}
 	if slots <= maxSlots {
@@ -409,9 +430,9 @@ func (n *Node) bootWorkers() error {
 	if err != nil {
 		return err
 	}
-	n.workerL = l
+	n.workerL, n.workerAddr = l, l.Addr().String()
 	n.serve(func() error { return n.coord.Serve(l) }, "worker registration")
-	n.notice("worker registration open", "addr", l.Addr().String())
+	n.notice("worker registration open", "addr", n.workerAddr)
 	if n.cfg.MinWorkers > 0 {
 		if err := n.coord.WaitWorkers(n.cfg.MinWorkers, workerWait); err != nil {
 			return err
@@ -502,12 +523,17 @@ func (n *Node) listen() error {
 // Status reads the node's live state.
 func (n *Node) Status() Status {
 	st := Status{
-		HTTPAddr: n.httpAddr,
-		TCPAddr:  n.tcpAddr,
-		Gate:     n.gate.Stats(),
-		Granted:  n.lease.Granted(),
-		Machines: n.pool.Machines(),
-		Alloc:    n.tenant.Run.Allocation(),
+		HTTPAddr:   n.httpAddr,
+		TCPAddr:    n.tcpAddr,
+		WorkerAddr: n.workerAddr,
+		Gate:       n.gate.Stats(),
+		Granted:    n.lease.Granted(),
+		Machines:   n.pool.Machines(),
+		Alloc:      n.tenant.Run.Allocation(),
+		Remote:     make(map[string]int),
+	}
+	for _, b := range n.tenant.Run.BoltNames() {
+		st.Remote[b], _ = n.tenant.Run.RemoteBound(b)
 	}
 	st.Snapshot, st.Measured = n.tenant.Sup.LastSnapshot()
 	return st
@@ -595,6 +621,10 @@ func (n *Node) shutdown(drain bool) {
 		}
 		n.serving.Wait()
 		n.closeObs(n.tracer != nil, n.tracer, n.cfg.TraceSink, "tracer")
+		if drain {
+			// Read after Close: its final sweep folds the last traces.
+			n.report.TraceDropped, n.report.Traces = n.tracer.Stats().Dropped, n.tracer.Assembler().Stats()
+		}
 		n.closeObs(n.dlog != nil, n.dlog, n.cfg.DecisionSink, "decision log")
 		if n.walLog != nil {
 			_ = n.walLog.Close()
@@ -619,7 +649,8 @@ func (n *Node) closeBooks() {
 	}
 	run, sup := n.tenant.Run, n.tenant.Sup
 	n.report.Status = n.Status()
-	n.report.Completions, n.report.MeanSojourn = run.Completions()
+	_, completed, sojourn := run.RootTotals()
+	n.report.Completions, n.report.Sojourn = completed, time.Duration(sojourn)
 	n.report.ExecutorFailures, n.report.Replays = run.ExecutorFailures(), run.Replayed()
 	n.report.Rounds, n.report.History = sup.Rounds(), sup.History()
 }

@@ -3,6 +3,7 @@ package node
 import (
 	"bytes"
 	"log/slog"
+	"maps"
 	"net"
 	"os"
 	"path/filepath"
@@ -377,10 +378,7 @@ func TestWorkerGate(t *testing.T) {
 
 	// Both executors sit on the first machine (two slots each, ascending
 	// order); kill the worker behind it.
-	waitFor(t, "placement onto the workers", func() bool {
-		bound, _ := n.tenant.Run.RemoteBound("extract")
-		return bound == 1
-	})
+	waitFor(t, "placement onto the workers", func() bool { return n.Status().Remote["extract"] == 1 })
 	w1.Close()
 	// The death notice follows the pool Fail of the worker's machine.
 	awaitLog(t, logs, "worker died, executors heal local", 1)
@@ -396,6 +394,79 @@ func TestWorkerGate(t *testing.T) {
 	rep := n.Drain()
 	if rep.Completions != int64(acked) || acked == 0 {
 		t.Errorf("after the kill: %d admitted, %d completed", acked, rep.Completions)
+	}
+}
+
+// TestWorkerJoinsAfterStart: with MinWorkers 0 Start returns at once and
+// reports the worker endpoint it bound; a worker dialling that address
+// afterwards joins, hosts executors and completes records.
+func TestWorkerJoinsAfterStart(t *testing.T) {
+	cfg, logs := testConfig()
+	cfg.WorkerAddr = "127.0.0.1:0"
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	addr := n.Status().WorkerAddr
+	if addr == "" || addr == cfg.WorkerAddr {
+		t.Fatalf("Status().WorkerAddr = %q, want the bound address", addr)
+	}
+	w, err := worker.Dial(worker.Config{Addr: addr, Name: "late",
+		Build: func(seed int64) (map[string]engine.BoltFactory, error) {
+			return OperatorFactories(fastFile, seed), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Close()
+	awaitLog(t, logs, "worker joined", 1)
+	waitFor(t, "placement onto the worker", func() bool {
+		rem := n.Status().Remote
+		return rem["extract"] == 1 && rem["match"] == 1
+	})
+	acked := send(t, n.Status().TCPAddr, "c", "rec", 200)
+	rep := n.Drain()
+	if rep.Completions != int64(acked) || acked == 0 {
+		t.Errorf("through the late worker: %d admitted, %d completed", acked, rep.Completions)
+	}
+	if rep.Remote["extract"]+rep.Remote["match"] != 2 {
+		t.Errorf("closing report remote bindings %v, want both executors on the worker", rep.Remote)
+	}
+}
+
+// TestFixedAllocationHolds: the burst that makes the supervised node act
+// leaves a node on a fixed allocation where it started — no round runs,
+// nothing is decided, and the gate, with no snapshot to plan from, sheds
+// nothing for overload.
+func TestFixedAllocationHolds(t *testing.T) {
+	const burst = 1000
+	run := func(fixed map[string]int) Report {
+		t.Helper()
+		cfg, _ := testConfig()
+		cfg.FixedAlloc = fixed
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		send(t, n.Status().TCPAddr, "burst", "rec", burst)
+		return n.Drain()
+	}
+	if sup := run(nil); sup.Rounds == 0 || len(sup.History) == 0 {
+		t.Fatalf("the supervised node did not act on the burst: %d rounds, history %v", sup.Rounds, sup.History)
+	}
+	fixed := map[string]int{"extract": 3, "match": 3}
+	rep := run(fixed)
+	if rep.Rounds != 0 || len(rep.History) != 0 {
+		t.Errorf("fixed node ran %d rounds, history %v; want none", rep.Rounds, rep.History)
+	}
+	if !maps.Equal(rep.Alloc, fixed) {
+		t.Errorf("final allocation %v, want the fixed %v", rep.Alloc, fixed)
+	}
+	if st := rep.Gate; st.ShedOverload != 0 || rep.Completions != st.Admitted {
+		t.Errorf("fixed node shed %d for overload, completed %d of %d admitted", st.ShedOverload, rep.Completions, st.Admitted)
 	}
 }
 
