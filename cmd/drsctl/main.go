@@ -1,11 +1,11 @@
 // Command drsctl applies the DRS model to a user-supplied topology
 // description: it estimates sojourn times, recommends allocations under a
 // processor budget (Program (4)) or a latency target (Program (6)), can
-// validate a recommendation with a discrete-event simulation, can run the
-// topology live under the DRS Supervisor — the closed §IV control loop:
-// measure, re-solve, rebalance — can run *several* topologies on one
-// shared machine pool under the cluster Scheduler (multi-tenant
-// arbitration with weighted max-min fairness and preemption), and can
+// validate a recommendation with a discrete-event simulation, can run one
+// or several topologies live on a shared machine pool under the cluster
+// Scheduler — each under its own DRS Supervisor, the closed §IV control
+// loop (measure, re-solve, rebalance), the scheduler arbitrating their
+// leases with weighted max-min fairness and preemption — and can
 // `serve` the topology behind the network ingest front end — HTTP/TCP
 // clients in, model-driven admission control and explicit backpressure at
 // the door, scale-out against the offered (pre-shed) arrival rate.
@@ -17,11 +17,11 @@
 //	drsctl -topology topo.json recommend -tmax-ms 500
 //	drsctl -topology topo.json simulate -alloc 10,11,1 -duration 600
 //	drsctl -topology topo.json quantile -q 0.99 -target-ms 2500
-//	drsctl -topology topo.json supervise -tmax-ms 500 -duration 30
-//	drsctl -topology topo.json supervise -kmax 8 -duration 30
 //	drsctl -topology topo.json serve -tmax-ms 500 -http 127.0.0.1:8080 -duration 60
 //	drsctl -topology topo.json serve -tmax-ms 500 -worker-listen 127.0.0.1:9090 -min-workers 2 ...
 //	drsctl -topology topo.json worker -connect 127.0.0.1:9090
+//	drsctl schedule -topologies topo.json -tmax-ms 500 -duration 30
+//	drsctl schedule -topologies topo.json -kmax 8 -duration 30
 //	drsctl schedule -topologies api.json,batch.json -tmax-ms 500,900 -duration 30
 //
 // The topology file format:
@@ -80,7 +80,7 @@ func run(args []string) error {
 		return fmt.Errorf("-topology is required")
 	}
 	if fs.NArg() < 1 {
-		return fmt.Errorf("need a subcommand: model, recommend, simulate, supervise, serve, worker, quantile or schedule")
+		return fmt.Errorf("need a subcommand: model, recommend, simulate, serve, worker, quantile or schedule")
 	}
 	topo, tf, err := loadTopology(*topoPath)
 	if err != nil {
@@ -99,8 +99,6 @@ func run(args []string) error {
 		return cmdRecommend(model, rest)
 	case "simulate":
 		return cmdSimulate(model, tf, rest)
-	case "supervise":
-		return cmdSupervise(tf, rest)
 	case "serve":
 		return cmdServe(tf, rest)
 	case "worker":

@@ -133,8 +133,6 @@ func TestRunSubcommands(t *testing.T) {
 	}
 }
 
-// TestRunErrors: bad input is refused before anything is printed, so no
-// partial table or meaningless estimate precedes the error.
 // TestSimulateSeedAndHop: -seed picks the simulation's random streams (the
 // same seed prints the same report, another seed another one), and
 // -hop-ms adds the network delay the model ignores, so measured ÷
@@ -167,8 +165,11 @@ func TestSimulateSeedAndHop(t *testing.T) {
 	}
 }
 
+// TestRunErrors: bad input is refused before anything is printed, so no
+// partial table or meaningless estimate precedes the error.
 func TestRunErrors(t *testing.T) {
 	path := writeTopo(t, validTopo)
+	live := []string{"schedule", "-topologies", path, "-tmax-ms", "500", "-duration", "2"}
 	cases := [][]string{
 		{},                               // no topology
 		{"-topology", path},              // no subcommand
@@ -181,6 +182,13 @@ func TestRunErrors(t *testing.T) {
 		{"-topology", path, "simulate", "-alloc", "10,11,1", "-duration", "-5"},
 		{"-topology", path, "quantile", "-q", "0", "-target-ms", "100"},
 		{"-topology", path, "quantile", "-q", "1", "-target-ms", "100"},
+		{"schedule", "-topologies", path, "-duration", "1"},                                 // no mode
+		{"schedule", "-topologies", path, "-kmax", "4", "-tmax-ms", "50", "-duration", "1"}, // both modes
+		{"schedule", "-topologies", path, "-kmax", "2", "-duration", "1"},                   // budget below the 3 operators
+		append(live, "-fail-after", "1", "-fail-machines", "-1"),
+		append(live, "-fail-after", "1", "-fail-machines", "0"),
+		append(live, "-fail-after", "2"), // at -duration: the churn would never run
+		append(live, "-fail-after", "1", "-fail-down", "-1"),
 	}
 	for _, args := range cases {
 		out, _, err := runOut(t, args...)
@@ -267,45 +275,55 @@ const fastTopo = `{
   ]
 }`
 
-func TestSuperviseSubcommand(t *testing.T) {
+// TestScheduleOneTopology: one topology file is one tenant on its own
+// lease, in either mode. -kmax holds Program (4) on a fixed grant;
+// -tmax-ms runs Program (6), and the default logger level keeps the
+// loop's Info events quiet.
+func TestScheduleOneTopology(t *testing.T) {
 	path := writeTopo(t, fastTopo)
-	if err := run([]string{"-topology", path, "supervise",
-		"-kmax", "4", "-duration", "2", "-interval-ms", "200"}); err != nil {
-		t.Errorf("supervise -kmax: %v", err)
+	out, _, err := runOut(t, "schedule", "-topologies", path,
+		"-kmax", "4", "-duration", "2", "-interval-ms", "200")
+	if err != nil {
+		t.Errorf("schedule -kmax: %v", err)
 	}
-	_, quiet, err := runOut(t, "-topology", path, "supervise",
+	if !strings.Contains(out, "min-latency") || !strings.Contains(out, " floor=4 granted=4\n") ||
+		!strings.Contains(out, ", granted = 4\n") {
+		t.Errorf("schedule -kmax 4 did not hold a fixed 4-slot grant in min-latency mode:\n%s", out)
+	}
+	_, quiet, err := runOut(t, "schedule", "-topologies", path,
 		"-tmax-ms", "50", "-duration", "2", "-interval-ms", "200")
 	if err != nil {
-		t.Errorf("supervise -tmax-ms: %v", err)
+		t.Errorf("schedule -tmax-ms: %v", err)
 	}
 	if strings.Contains(quiet, "supervisor started") {
 		t.Errorf("the default level logged an Info loop event:\n%s", quiet)
 	}
 	// The live loop's claim: an under-provisioned topology under a latency
-	// target is scaled out — the pool grows past the one machine it starts
-	// on — and ends with a measured sojourn under the target. A measured
-	// E[T] of 0 means no round has measured the allocation in force yet,
-	// never that it converged.
+	// target is scaled out — its grant grows past the registration grant —
+	// and ends with a measured sojourn under the target. A measured E[T]
+	// of 0 means no round has measured the allocation in force yet, never
+	// that it converged.
 	t.Run("scales out under load", func(t *testing.T) {
 		if testing.Short() {
 			t.Skip("seconds-long live run")
 		}
-		out, stderr, err := runOut(t, "-topology", writeTopo(t, busyTopo), "supervise",
-			"-tmax-ms", "80", "-duration", "6", "-interval-ms", "200", "-v")
+		out, stderr, err := runOut(t, "schedule", "-topologies", writeTopo(t, busyTopo),
+			"-tmax-ms", "80", "-duration", "8", "-interval-ms", "200", "-v")
 		if err != nil {
-			t.Fatalf("supervise: %v\n%s", err, out)
+			t.Fatalf("schedule: %v\n%s", err, out)
 		}
-		var kmax0, kmax int
+		var granted0, granted int
 		measured := -1.0
 		for _, line := range strings.Split(out, "\n") {
-			if _, rest, ok := strings.Cut(line, "), Kmax = "); ok {
-				fmt.Sscanf(rest, "%d", &kmax0)
+			if _, rest, ok := strings.Cut(line, " granted="); ok {
+				fmt.Sscanf(rest, "%d", &granted0)
 			}
 			var lambda0 float64
-			fmt.Sscanf(line, "final: lambda0 = %f tuples/s, measured E[T] = %f ms, Kmax = %d", &lambda0, &measured, &kmax)
+			fmt.Sscanf(strings.TrimSpace(line), "final: lambda0 = %f tuples/s, measured E[T] = %f ms, granted = %d",
+				&lambda0, &measured, &granted)
 		}
-		if kmax0 <= 0 || kmax <= kmax0 {
-			t.Errorf("Kmax went %d -> %d, want the pool to grow under load", kmax0, kmax)
+		if granted0 <= 0 || granted <= granted0 {
+			t.Errorf("grant went %d -> %d, want it to grow under load", granted0, granted)
 		}
 		if measured <= 0 || measured > 80 {
 			t.Errorf("final measured E[T] = %.1f ms, want measured and within Tmax 80 ms", measured)
@@ -317,15 +335,6 @@ func TestSuperviseSubcommand(t *testing.T) {
 			t.Logf("output:\n%s", out)
 		}
 	})
-	for _, bad := range [][]string{
-		{"-topology", path, "supervise"},                                 // no mode
-		{"-topology", path, "supervise", "-kmax", "4", "-tmax-ms", "50"}, // both modes
-		{"-topology", path, "supervise", "-kmax", "1", "-duration", "1"}, // budget below initial alloc
-	} {
-		if err := run(bad); err == nil {
-			t.Errorf("run(%v) should error", bad)
-		}
-	}
 }
 
 // busyTopo offers 150 tuples/s to an extract stage one executor serves at

@@ -10,22 +10,26 @@ import (
 
 	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/node"
 )
 
-// cmdSchedule runs several topology files live on ONE shared machine pool:
-// each topology becomes a tenant of the cluster Scheduler, supervised by
-// its own DRS control loop in min-resource mode, and the scheduler
-// arbitrates slot grants among them — weighted max-min fairness over free
-// capacity, preemption toward a violating higher-priority tenant when the
-// pool is maxed out. It is the multi-tenant counterpart of `supervise`.
+// cmdSchedule runs topology files live on ONE shared machine pool: each
+// topology becomes a tenant of the cluster Scheduler, supervised by its own
+// DRS control loop on its lease, and the scheduler arbitrates slot grants
+// among them — weighted max-min fairness over free capacity, preemption
+// toward a violating higher-priority tenant when the pool is maxed out.
+// With one topology it is the closed §IV loop as a CLI: measure,
+// re-solve, rebalance. -tmax-ms runs Program (6), the grant following
+// demand; -kmax runs Program (4) on a fixed grant of that many slots.
 func cmdSchedule(args []string) error {
 	fs := flag.NewFlagSet("schedule", flag.ContinueOnError)
-	topos := fs.String("topologies", "", "comma-separated topology JSON files (required, >= 2)")
-	tmaxMS := fs.String("tmax-ms", "500", "latency target(s) in ms: one value for all tenants, or one per topology")
+	topos := fs.String("topologies", "", "comma-separated topology JSON files (required)")
+	kmaxList := fs.String("kmax", "", "fixed processor budget(s), Program (4): one value for all tenants, or one per topology")
+	tmaxMS := fs.String("tmax-ms", "", "latency target(s) in ms, Program (6): one value for all tenants, or one per topology")
 	weights := fs.String("weights", "1", "max-min weight(s): one value or one per topology")
 	priorities := fs.String("priorities", "", "preemption priorities: one value or one per topology (default: file order, first lowest)")
-	minSlots := fs.String("min-slots", "", "preemption floor(s); default: one slot per operator")
+	minSlots := fs.String("min-slots", "", "preemption floor(s); default: one slot per operator, or the whole -kmax grant")
 	duration := fs.Float64("duration", 30, "wall-clock seconds to run")
 	intervalMS := fs.Int("interval-ms", 1000, "measurement cadence Tm in ms")
 	slots := fs.Int("slots", 4, "executor slots per machine")
@@ -33,17 +37,33 @@ func cmdSchedule(args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	failAfter := fs.Float64("fail-after", 0, "kill machines this many seconds into the run (0 disables)")
 	failCount := fs.Int("fail-machines", 1, "how many machines to kill at -fail-after")
-	failDown := fs.Float64("fail-down", 10, "outage length in seconds before the killed machines recover")
+	failDown := fs.Float64("fail-down", 10, "outage length in seconds before the killed machines recover (0: they stay down)")
 	verbose := fs.Bool("v", false, "log every loop event")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *topos == "" {
+	switch {
+	case *topos == "":
 		return fmt.Errorf("-topologies is required (e.g. -topologies api.json,batch.json)")
+	case (*kmaxList == "") == (*tmaxMS == ""):
+		return fmt.Errorf("pass exactly one of -kmax or -tmax-ms")
+	case *failAfter < 0 || *failAfter > 0 && *failAfter >= *duration:
+		return fmt.Errorf("-fail-after %g must be 0 (no churn) or inside -duration %g", *failAfter, *duration)
+	case *failCount < 1:
+		return fmt.Errorf("-fail-machines must be at least 1, got %d", *failCount)
+	case *failDown < 0:
+		return fmt.Errorf("-fail-down must not be negative, got %g", *failDown)
 	}
 	paths := strings.Split(*topos, ",")
 	n := len(paths)
-	tmaxes, err := parseList(*tmaxMS, n, "tmax-ms", parseFloat)
+	var kmaxes []int
+	var tmaxes []float64
+	var err error
+	if *kmaxList != "" {
+		kmaxes, err = parseList(*kmaxList, n, "kmax", strconv.Atoi)
+	} else {
+		tmaxes, err = parseList(*tmaxMS, n, "tmax-ms", parseFloat)
+	}
 	if err != nil {
 		return err
 	}
@@ -98,38 +118,52 @@ func cmdSchedule(args []string) error {
 			_ = r.Stop()
 		}
 	}()
+	var mode core.Mode
 	for i, path := range paths {
 		_, tf, err := loadTopology(strings.TrimSpace(path))
 		if err != nil {
 			return fmt.Errorf("topology %d (%s): %w", i, path, err)
 		}
-		floor := len(tf.Operators)
+		name := tenantName(path, i)
+		// One executor per operator to start; a -kmax tenant leases its
+		// whole budget up front, as its floor, so the grant stays fixed.
+		initial := len(tf.Operators)
+		var ctrl core.ControllerConfig
+		if kmaxes != nil {
+			if kmaxes[i] < initial {
+				return fmt.Errorf("%s: -kmax %d is below its %d operators", name, kmaxes[i], initial)
+			}
+			initial = kmaxes[i]
+			ctrl = core.ControllerConfig{Mode: core.ModeMinLatency, Kmax: initial}
+		} else {
+			ctrl = core.ControllerConfig{Mode: core.ModeMinResource, Tmax: tmaxes[i] / 1e3}
+		}
+		mode = ctrl.Mode
+		floor := initial
 		if floors != nil {
 			floor = floors[i]
 		}
-		name := tenantName(path, i)
 		lease, err := sched.Register(cluster.TenantConfig{
 			Name:         name,
 			Weight:       ws[i],
 			Priority:     prios[i],
 			MinSlots:     floor,
-			InitialSlots: len(tf.Operators),
+			InitialSlots: initial,
 		})
 		if err != nil {
 			return fmt.Errorf("registering %s: %w", name, err)
 		}
+		tenantSeed := *seed + int64(i)*100003
 		t, err := node.NewTenant(node.TenantConfig{
-			Name:  name,
-			Build: liveTopology(tf, tasks, *seed+int64(i)*100003),
-			Controller: core.ControllerConfig{
-				Mode:                  core.ModeMinResource,
-				Tmax:                  tmaxes[i] / 1e3,
-				ScaleInSlack:          0.2,
-				MaxScaleInUtilization: 0.9,
+			Name: name,
+			Build: func(b *engine.TopologyBuilder) {
+				node.AddOperators(b, tf, tasks, tenantSeed)
+				node.AddSources(b, tf, tenantSeed)
 			},
-			Pool:     lease,
-			Interval: time.Duration(*intervalMS) * time.Millisecond,
-			Logger:   logger,
+			Controller: ctrl,
+			Pool:       lease,
+			Interval:   time.Duration(*intervalMS) * time.Millisecond,
+			Logger:     logger,
 		})
 		if err != nil {
 			return fmt.Errorf("starting %s: %w", name, err)
@@ -138,8 +172,8 @@ func cmdSchedule(args []string) error {
 	}
 
 	st := sched.State()
-	fmt.Printf("scheduling %d topologies on one pool for %.0fs (Tm = %dms): machines=%d capacity=%d\n",
-		n, *duration, *intervalMS, st.Machines, st.Capacity)
+	fmt.Printf("scheduling %d topologies on one pool for %.0fs (Tm = %dms, %s): machines=%d capacity=%d\n",
+		n, *duration, *intervalMS, mode, st.Machines, st.Capacity)
 	for _, ts := range st.Tenants {
 		fmt.Printf("  %-16s weight=%g priority=%d floor=%d granted=%d\n",
 			ts.Name, ts.Weight, ts.Priority, ts.MinSlots, ts.Granted)
@@ -153,24 +187,15 @@ func cmdSchedule(args []string) error {
 	// machines mid-run and recover them after the outage, watching the
 	// scheduler re-arbitrate the leases out of band both times.
 	churnDone := make(chan struct{})
-	if *failAfter >= *duration {
-		fmt.Printf("  !! -fail-after %.0fs is at/past -duration %.0fs; churn injection disabled\n",
-			*failAfter, *duration)
-	}
-	if *failAfter > 0 && *failAfter < *duration {
+	if *failAfter > 0 {
 		// Clamp the outage inside the run: a -fail-down past the end
 		// recovers at the end instead of extending the run.
-		down := *failDown
-		if rest := *duration - *failAfter; down > rest {
-			down = rest
-		}
+		down := min(*failDown, *duration-*failAfter)
 		go func() {
 			defer close(churnDone)
 			time.Sleep(secondsDuration(*failAfter))
 			live := pool.LiveMachines()
-			if len(live) > *failCount {
-				live = live[len(live)-*failCount:]
-			}
+			live = live[max(0, len(live)-*failCount):]
 			var victims []int
 			for _, m := range live {
 				if err := sched.FailMachine(m.ID); err != nil {
@@ -180,7 +205,7 @@ func cmdSchedule(args []string) error {
 				victims = append(victims, m.ID)
 				fmt.Printf("  !! machine %d killed (capacity now %d)\n", m.ID, pool.Kmax())
 			}
-			if *failDown <= 0 {
+			if *failDown == 0 {
 				return
 			}
 			time.Sleep(secondsDuration(down))
@@ -201,18 +226,21 @@ func cmdSchedule(args []string) error {
 		r.Sup.Stop()
 	}
 
-	for _, r := range runs {
+	// The closing grant is the lease's, read after every loop stopped: the
+	// last snapshot's Kmax lags an out-of-band re-grant (a recovered
+	// machine) until the next measured round.
+	st = sched.State()
+	for i, r := range runs {
 		r.WriteHistory(os.Stdout, r.name)
 		if snap, ok := r.Sup.LastSnapshot(); ok {
 			fmt.Printf("  final: lambda0 = %.2f tuples/s, measured E[T] = %.1f ms, granted = %d\n",
-				snap.Lambda0, snap.MeasuredSojourn*1e3, snap.Kmax)
+				snap.Lambda0, snap.MeasuredSojourn*1e3, st.Tenants[i].Granted)
 		}
 	}
 	fmt.Println("\nscheduler history:")
 	for _, ev := range sched.History() {
 		fmt.Printf("  %s\n", ev)
 	}
-	st = sched.State()
 	fmt.Printf("final: machines=%d capacity=%d leased=%d\n", st.Machines, st.Capacity, st.Leased)
 	return nil
 }
@@ -255,3 +283,7 @@ func parseList[T any](s string, n int, flagName string, parse func(string) (T, e
 
 // parseFloat is strconv.ParseFloat at the one precision the flags use.
 func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+
+func secondsDuration(sec float64) time.Duration {
+	return time.Duration(sec * float64(time.Second))
+}

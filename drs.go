@@ -22,8 +22,9 @@
 //     running topology, drains its measurements every Tm seconds, steps
 //     the controller and actuates the verdicts through the resource pool —
 //     with cooldown hysteresis between actions and suppression of
-//     repeatedly-failing rebalances. `drsctl supervise` runs it against
-//     the built-in engine.
+//     repeatedly-failing rebalances. `drsctl schedule` runs it against
+//     the built-in engine, one supervisor per topology on a scheduler
+//     lease.
 //   - The multi-tenant cluster layer (the §V shared-cluster setting): a
 //     Scheduler that owns one machine pool and arbitrates slot leases
 //     among N concurrently supervised topologies — weighted max-min
@@ -214,7 +215,7 @@ type SupervisorEvent = loop.Event
 
 // SupervisorTarget is the system under supervision: measurement intervals
 // out, allocations in. Implement it over your own runtime, or use the
-// built-in engine through internal/loop.EngineTarget (as drsctl supervise
+// built-in engine through internal/loop.EngineTarget (as drsctl schedule
 // does).
 type SupervisorTarget = loop.Target
 

@@ -64,9 +64,6 @@ type PoolConfig struct {
 	// SlotsPerMachine is the executor capacity of one machine (the paper
 	// constrains each machine to 5 executors).
 	SlotsPerMachine int
-	// ReservedSlots are taken off the top of the pool for spouts and the
-	// DRS executor itself (3 in the paper).
-	ReservedSlots int
 	// MaxMachines caps what the negotiator may provision (6 in the paper:
 	// 5 for executors + 1 for Nimbus/ZooKeeper, which we fold into the cap).
 	// A failed machine still occupies the cap until it recovers or is
@@ -74,6 +71,10 @@ type PoolConfig struct {
 	MaxMachines int
 	// Costs prices transitions; zero values mean free transitions.
 	Costs CostModel
+	// reservedSlots are taken off the top of the pool for spouts and the
+	// DRS executor itself: 3 in the paper's pool (PaperPool), none on a
+	// live one, where spouts hold no slot.
+	reservedSlots int
 }
 
 // Validate reports configuration errors.
@@ -81,13 +82,13 @@ func (c PoolConfig) Validate() error {
 	if c.SlotsPerMachine < 1 {
 		return errors.New("cluster: slots per machine must be >= 1")
 	}
-	if c.ReservedSlots < 0 {
+	if c.reservedSlots < 0 {
 		return errors.New("cluster: reserved slots must be >= 0")
 	}
 	if c.MaxMachines < 1 {
 		return errors.New("cluster: max machines must be >= 1")
 	}
-	if c.ReservedSlots >= c.SlotsPerMachine*c.MaxMachines {
+	if c.reservedSlots >= c.SlotsPerMachine*c.MaxMachines {
 		return errors.New("cluster: reserved slots consume the whole pool")
 	}
 	return nil
@@ -324,7 +325,7 @@ func (p *Pool) Kmax() int {
 }
 
 func (p *Pool) kmaxLocked() int {
-	k := p.liveLocked()*p.cfg.SlotsPerMachine - p.cfg.ReservedSlots
+	k := p.liveLocked()*p.cfg.SlotsPerMachine - p.cfg.reservedSlots
 	if k < 0 {
 		k = 0
 	}
@@ -337,7 +338,7 @@ func (p *Pool) kmaxLocked() int {
 func (p *Pool) MaxKmax() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	k := (p.cfg.MaxMachines-p.failedLocked())*p.cfg.SlotsPerMachine - p.cfg.ReservedSlots
+	k := (p.cfg.MaxMachines-p.failedLocked())*p.cfg.SlotsPerMachine - p.cfg.reservedSlots
 	if k < 0 {
 		k = 0
 	}
@@ -349,7 +350,7 @@ func (p *Pool) SlotsPerMachine() int { return p.cfg.SlotsPerMachine }
 
 // ReservedSlots reports the slots taken off the top of the pool for
 // spouts and the DRS executor.
-func (p *Pool) ReservedSlots() int { return p.cfg.ReservedSlots }
+func (p *Pool) ReservedSlots() int { return p.cfg.reservedSlots }
 
 // Costs returns the transition cost model the pool prices changes with.
 func (p *Pool) Costs() CostModel {
@@ -437,7 +438,7 @@ func (p *Pool) releaseLocked(n int) {
 }
 
 func (p *Pool) machinesForLocked(processors int) (machines, kmax int, err error) {
-	need := processors + p.cfg.ReservedSlots
+	need := processors + p.cfg.reservedSlots
 	machines = (need + p.cfg.SlotsPerMachine - 1) / p.cfg.SlotsPerMachine
 	if machines < 1 {
 		machines = 1
@@ -446,7 +447,7 @@ func (p *Pool) machinesForLocked(processors int) (machines, kmax int, err error)
 		return 0, 0, fmt.Errorf("%w: need %d machines, cap %d (%d failed)",
 			ErrNoCapacity, machines, p.cfg.MaxMachines, p.failedLocked())
 	}
-	return machines, machines*p.cfg.SlotsPerMachine - p.cfg.ReservedSlots, nil
+	return machines, machines*p.cfg.SlotsPerMachine - p.cfg.reservedSlots, nil
 }
 
 // PaperPool is the experiment cluster of §V-B: 6 machines, one reserved
@@ -456,8 +457,8 @@ func (p *Pool) machinesForLocked(processors int) (machines, kmax int, err error)
 func PaperPool(startMachines int) (*Pool, error) {
 	return NewPool(PoolConfig{
 		SlotsPerMachine: 5,
-		ReservedSlots:   3,
 		MaxMachines:     5,
 		Costs:           PaperCosts(),
+		reservedSlots:   3,
 	}, startMachines)
 }

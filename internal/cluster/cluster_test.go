@@ -23,9 +23,9 @@ func TestPoolConfigValidation(t *testing.T) {
 		cfg  PoolConfig
 	}{
 		{"zero slots", PoolConfig{SlotsPerMachine: 0, MaxMachines: 1}},
-		{"negative reserved", PoolConfig{SlotsPerMachine: 5, ReservedSlots: -1, MaxMachines: 1}},
+		{"negative reserved", PoolConfig{SlotsPerMachine: 5, reservedSlots: -1, MaxMachines: 1}},
 		{"zero machines", PoolConfig{SlotsPerMachine: 5, MaxMachines: 0}},
-		{"reserved eats pool", PoolConfig{SlotsPerMachine: 5, ReservedSlots: 5, MaxMachines: 1}},
+		{"reserved eats pool", PoolConfig{SlotsPerMachine: 5, reservedSlots: 5, MaxMachines: 1}},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -37,7 +37,7 @@ func TestPoolConfigValidation(t *testing.T) {
 }
 
 func TestNewPoolBounds(t *testing.T) {
-	cfg := PoolConfig{SlotsPerMachine: 5, ReservedSlots: 3, MaxMachines: 5}
+	cfg := PoolConfig{SlotsPerMachine: 5, reservedSlots: 3, MaxMachines: 5}
 	if _, err := NewPool(cfg, 0); err == nil {
 		t.Error("zero start machines should be rejected")
 	}

@@ -495,7 +495,7 @@ func TestSchedulerPropertyRandomOps(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seq) + 1))
 		pool, err := NewPool(PoolConfig{
 			SlotsPerMachine: 1 + rng.Intn(4),
-			ReservedSlots:   rng.Intn(2),
+			reservedSlots:   rng.Intn(2),
 			MaxMachines:     2 + rng.Intn(5),
 		}, 1+rng.Intn(2))
 		if err != nil {

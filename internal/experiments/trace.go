@@ -12,7 +12,7 @@ import (
 	"github.com/drs-repro/drs/internal/node"
 	"github.com/drs-repro/drs/internal/obs"
 	"github.com/drs-repro/drs/internal/scenario"
-	"github.com/drs-repro/drs/internal/sim"
+	"github.com/drs-repro/drs/internal/stats"
 	"github.com/drs-repro/drs/internal/worker"
 )
 
@@ -63,8 +63,8 @@ const (
 )
 
 // traceWorkload derives the deterministic workload from the seeded spec
-// exactly like the worker equivalence harness: recorded arrival traces and
-// token-bucket admission at 60% of the mean rate. The admitted entries —
+// exactly like the worker equivalence harness: seeded arrival gaps and
+// token-bucket admission at 60% of their mean rate. The admitted entries —
 // one tenant name each — ARE the offer sequence, so the gate's admit seq
 // space, and with it the sampled set, is identical across variants.
 func traceWorkload(spec scenario.Spec, perTenant int) (tenants []string, shed map[string]int64, err error) {
@@ -78,15 +78,17 @@ func traceWorkload(spec scenario.Spec, perTenant int) (tenants []string, shed ma
 		if err != nil {
 			return nil, nil, err
 		}
-		trace, err := sim.RecordArrivals(proc, perTenant, uint64(spec.Seed)+uint64(ti)*101)
-		if err != nil {
-			return nil, nil, err
+		rng := stats.NewRNG(uint64(spec.Seed) + uint64(ti)*101)
+		gaps, total := make([]float64, perTenant), 0.0
+		for i := range gaps {
+			gaps[i] = proc.NextInterArrival(rng)
+			total += gaps[i]
 		}
-		rate := trace.MeanRate() * 0.6
+		rate := float64(perTenant) / total * 0.6
 		const burst = 20.0
 		tokens := burst
-		for i := 0; i < perTenant; i++ {
-			tokens = min(burst, tokens+trace.NextInterArrival(nil)*rate)
+		for _, gap := range gaps {
+			tokens = min(burst, tokens+gap*rate)
 			if tokens >= 1 {
 				tokens--
 				tenants = append(tenants, ts.Name)

@@ -1,6 +1,7 @@
 // Package node is the one live assembly path: every caller that runs the
-// DRS stack against the wall clock — `drsctl serve`, `supervise` and
-// `schedule` — builds it here instead of wiring the packages by hand.
+// DRS stack against the wall clock — `drsctl serve` and `schedule`, the
+// trace experiment — builds it here instead of wiring the packages by
+// hand.
 //
 // It has two layers. A Tenant is one supervised live topology: an engine
 // run, a controller and the supervisor over a caller-supplied pool. A
@@ -52,9 +53,6 @@ const (
 	drainTimeout = 10 * time.Second
 	// workerWait bounds the wait for MinWorkers registrations.
 	workerWait = 60 * time.Second
-	// Scale-in hysteresis of the node's min-resource controller.
-	scaleInSlack          = 0.3
-	maxScaleInUtilization = 0.6
 )
 
 // Config describes a node. Every field is either a deployment setting or
@@ -304,16 +302,12 @@ func (n *Node) boot() error {
 	}); err != nil {
 		return err
 	}
-	if n.tenant, err = newTenant(topo, TenantConfig{
-		Name:  tenantName,
-		Alloc: alloc,
-		Controller: core.ControllerConfig{
-			Mode: core.ModeMinResource, Tmax: cfg.Tmax,
-			ScaleInSlack: scaleInSlack, MaxScaleInUtilization: maxScaleInUtilization,
-		},
-		Pool:     n.lease,
-		Interval: cfg.Interval,
-		Logger:   cfg.Logger,
+	if n.tenant, err = newTenant(topo, alloc, TenantConfig{
+		Name:       tenantName,
+		Controller: core.ControllerConfig{Mode: core.ModeMinResource, Tmax: cfg.Tmax},
+		Pool:       n.lease,
+		Interval:   cfg.Interval,
+		Logger:     cfg.Logger,
 	}, front{
 		gate: n.gate, dlog: n.dlog, tracer: n.tracer, resume: resume,
 		sojourn: n.metrics.sojourn, shedFrac: n.metrics.shedFrac,

@@ -7,6 +7,7 @@ import (
 	"os"
 	"time"
 
+	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/ingest"
@@ -21,6 +22,13 @@ const (
 	// minGain is the controller's rebalance threshold: the modelled
 	// sojourn must improve by this share before executors move.
 	minGain = 0.05
+	// scaleInSlack and maxScaleInUtilization are the min-resource scale-in
+	// hysteresis: a release must keep the estimate within 0.7·Tmax and
+	// every operator below 60 % utilization, where the M/M/k estimate
+	// still tracks the live engine. A looser pair (0.2/0.9) flaps a
+	// 150/s-into-100/s topology between 4 and 5 slots at Tmax 80 ms.
+	scaleInSlack          = 0.3
+	maxScaleInUtilization = 0.6
 )
 
 // LevelNotice is the level of lifecycle events — recovery, listeners up,
@@ -54,14 +62,12 @@ type TenantConfig struct {
 	// Build declares the topology — spouts, bolts, edges — on the builder
 	// (required). Bolt declaration order is the operator order.
 	Build func(*engine.TopologyBuilder)
-	// Alloc is the initial executor count per bolt; nil starts every bolt
-	// on one executor.
-	Alloc map[string]int
-	// Controller is the decision policy; MinGain is filled in here.
+	// Controller is the decision policy: the mode and its Tmax or Kmax.
+	// MinGain and the scale-in hysteresis are filled in here.
 	Controller core.ControllerConfig
-	// Pool is the resource negotiator: a loop.FixedPool, a private
-	// cluster.Pool or a scheduler lease (required).
-	Pool loop.Pool
+	// Pool is the tenant's lease on a cluster.Scheduler (required): every
+	// live supervisor is granted its slots by the scheduler.
+	Pool *cluster.Tenant
 	// Interval is the measurement cadence Tm (required); the observe-only
 	// window after an action is loop's default, 4·Interval.
 	Interval time.Duration
@@ -89,14 +95,18 @@ type Tenant struct {
 	Sup *loop.Supervisor
 }
 
-// NewTenant builds the topology, starts it on the initial allocation and
+// NewTenant builds the topology, starts it on one executor per bolt and
 // assembles its control loop; Start sets the loop ticking.
 func NewTenant(cfg TenantConfig) (*Tenant, error) {
 	topo, err := buildTopology(cfg.Build)
 	if err != nil {
 		return nil, err
 	}
-	return newTenant(topo, cfg, front{})
+	alloc := make(map[string]int)
+	for _, name := range topo.BoltNames() {
+		alloc[name] = 1
+	}
+	return newTenant(topo, alloc, cfg, front{})
 }
 
 func buildTopology(build func(*engine.TopologyBuilder)) (*engine.Topology, error) {
@@ -105,14 +115,8 @@ func buildTopology(build func(*engine.TopologyBuilder)) (*engine.Topology, error
 	return b.Build()
 }
 
-func newTenant(topo *engine.Topology, cfg TenantConfig, f front) (*Tenant, error) {
-	alloc := cfg.Alloc
-	if alloc == nil {
-		alloc = make(map[string]int)
-		for _, name := range topo.BoltNames() {
-			alloc[name] = 1
-		}
-	}
+// newTenant starts topo on alloc, the executor count per bolt.
+func newTenant(topo *engine.Topology, alloc map[string]int, cfg TenantConfig, f front) (*Tenant, error) {
 	run, err := topo.Start(engine.RunConfig{
 		Alloc: alloc, QuiesceTimeout: quiesceTimeout, DecisionLog: f.dlog, Tracer: f.tracer,
 	})
@@ -120,6 +124,8 @@ func newTenant(topo *engine.Topology, cfg TenantConfig, f front) (*Tenant, error
 		return nil, err
 	}
 	cfg.Controller.MinGain = minGain
+	cfg.Controller.ScaleInSlack = scaleInSlack
+	cfg.Controller.MaxScaleInUtilization = maxScaleInUtilization
 	ctrl, err := core.NewController(cfg.Controller)
 	if err != nil {
 		_ = run.Stop()

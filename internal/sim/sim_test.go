@@ -536,70 +536,6 @@ func TestSojournQuantilesMatchClosedForm(t *testing.T) {
 	}
 }
 
-func TestTraceReplayIsDeterministic(t *testing.T) {
-	trace, err := RecordArrivals(PoissonArrivals{Rate: 50}, 500, 77)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(trace.MeanRate()-50) > 6 {
-		t.Errorf("trace mean rate = %g, want ~50", trace.MeanRate())
-	}
-	run := func() (int64, float64) {
-		replay, err := NewTraceArrivals(nil)
-		_ = replay
-		if err == nil {
-			t.Fatal("empty trace must be rejected")
-		}
-		tr, err := RecordArrivals(PoissonArrivals{Rate: 50}, 500, 77)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s, err := New(Config{
-			Operators: []OperatorSpec{{Service: stats.Exponential{Rate: 80}}},
-			Sources:   []SourceSpec{{Op: 0, Arrivals: tr}},
-			Alloc:     []int{1},
-			Seed:      5, // same service seed; arrivals fully from the trace
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.RunUntil(30)
-		cs := s.CompletedStats()
-		return cs.Count(), cs.Mean()
-	}
-	c1, m1 := run()
-	c2, m2 := run()
-	if c1 != c2 || m1 != m2 {
-		t.Errorf("trace replay diverged: (%d, %g) vs (%d, %g)", c1, m1, c2, m2)
-	}
-	if c1 == 0 {
-		t.Error("no completions from trace-driven run")
-	}
-}
-
-func TestTraceValidation(t *testing.T) {
-	if _, err := NewTraceArrivals([]float64{0.1, -1}); err == nil {
-		t.Error("negative gap should be rejected")
-	}
-	if _, err := NewTraceArrivals([]float64{0, 0}); err == nil {
-		t.Error("zero-duration trace should be rejected")
-	}
-	if _, err := RecordArrivals(PoissonArrivals{Rate: 1}, 0, 1); err == nil {
-		t.Error("zero-length recording should be rejected")
-	}
-	// Cycling: a 2-gap trace replays periodically.
-	tr, err := NewTraceArrivals([]float64{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{1, 2, 1, 2, 1}
-	for i, w := range want {
-		if got := tr.NextInterArrival(nil); got != w {
-			t.Errorf("gap %d = %g, want %g", i, got, w)
-		}
-	}
-}
-
 // deterministic is a constant service time or hop delay: the fixture
 // that makes a sojourn exact.
 type deterministic struct{ Value float64 }

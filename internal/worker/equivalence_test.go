@@ -9,7 +9,7 @@ import (
 
 	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/scenario"
-	"github.com/drs-repro/drs/internal/sim"
+	"github.com/drs-repro/drs/internal/stats"
 )
 
 // The equivalence harness: the same seeded scenario workload runs through
@@ -29,8 +29,8 @@ type eqEntry struct {
 }
 
 // eqWorkload derives the deterministic workload from a seeded spec:
-// per-tenant recorded arrival traces, token-bucket admission at 60% of
-// the trace's mean rate (so the surges genuinely shed), and seeded key
+// per-tenant seeded arrival gaps, token-bucket admission at 60% of
+// their mean rate (so the surges genuinely shed), and seeded key
 // assignment.
 func eqWorkload(t *testing.T, spec scenario.Spec, perTenant int) (entries []eqEntry, admitted, shed map[string]int64) {
 	t.Helper()
@@ -45,21 +45,18 @@ func eqWorkload(t *testing.T, spec scenario.Spec, perTenant int) (entries []eqEn
 		if err != nil {
 			t.Fatal(err)
 		}
-		trace, err := sim.RecordArrivals(proc, perTenant, uint64(spec.Seed)+uint64(ti)*101)
-		if err != nil {
-			t.Fatal(err)
+		rng := stats.NewRNG(uint64(spec.Seed) + uint64(ti)*101)
+		gaps, total := make([]float64, perTenant), 0.0
+		for i := range gaps {
+			gaps[i] = proc.NextInterArrival(rng)
+			total += gaps[i]
 		}
 		keys := newEqRNG(uint64(spec.Seed)*7919 + uint64(ti))
-		rate := trace.MeanRate() * 0.6
+		rate := float64(perTenant) / total * 0.6
 		const burst = 20.0
-		tokens, now := burst, 0.0
-		for i := 0; i < perTenant; i++ {
-			gap := trace.NextInterArrival(nil)
-			now += gap
-			tokens += gap * rate
-			if tokens > burst {
-				tokens = burst
-			}
+		tokens := burst
+		for _, gap := range gaps {
+			tokens = min(burst, tokens+gap*rate)
 			key := int(keys.next() % 128)
 			if tokens >= 1 {
 				tokens--
