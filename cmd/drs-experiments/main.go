@@ -156,6 +156,12 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	switch {
+	case *duration < 0:
+		return fmt.Errorf("-duration must not be negative, got %g", *duration)
+	case *iters < 1:
+		return fmt.Errorf("-iters must be positive, got %d", *iters)
+	}
 	if fs.NArg() != 1 {
 		fs.Usage()
 		return fmt.Errorf("need exactly one experiment: %s", strings.Join(names(), " "))

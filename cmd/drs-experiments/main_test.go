@@ -35,6 +35,18 @@ func TestRunArgumentValidation(t *testing.T) {
 	if err := run([]string{"-app", "nope", "fig6"}); err == nil {
 		t.Error("unknown app should error")
 	}
+	// A bad value is refused by the flag's name, not read as the default.
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-duration", []string{"-duration", "-5", "table2"}},
+		{"-iters", []string{"-iters", "-3", "table2"}},
+	} {
+		if err := run(c.args); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("run(%v) = %v, want an error naming %s", c.args, err, c.flag)
+		}
+	}
 }
 
 // TestTableDrivesUsageAndAll pins the one table: every row is in the

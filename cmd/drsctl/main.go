@@ -200,6 +200,10 @@ func cmdRecommend(model *drs.Model, args []string) error {
 		return err
 	}
 	switch {
+	case *kmax < 0:
+		return fmt.Errorf("-kmax must not be negative, got %d", *kmax)
+	case *tmaxMS < 0:
+		return fmt.Errorf("-tmax-ms must not be negative, got %g", *tmaxMS)
 	case *kmax > 0 && *tmaxMS > 0:
 		return fmt.Errorf("pass either -kmax or -tmax-ms, not both")
 	case *kmax > 0:

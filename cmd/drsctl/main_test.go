@@ -199,6 +199,34 @@ func TestRunErrors(t *testing.T) {
 			t.Errorf("run(%v) printed before failing:\n%s", args, out)
 		}
 	}
+
+	// A bad flag value is refused by the flag's name before the command
+	// boots, logs or prints anything.
+	serve := func(extra ...string) []string {
+		return append([]string{"-topology", path, "serve", "-tmax-ms", "500", "-http", "127.0.0.1:0", "-duration", "1"}, extra...)
+	}
+	for _, c := range []struct {
+		flag string
+		args []string
+	}{
+		{"-duration", serve("-duration", "-1")},
+		{"-duration", append(live, "-duration", "0")},
+		{"-duration", append(live, "-duration", "-1")},
+		{"-slots", serve("-slots", "0")},
+		{"-max-machines", serve("-max-machines", "0")},
+		{"-client-rate", serve("-client-rate", "-5")},
+		{"-min-workers", serve("-min-workers", "-2")},
+		{"-kmax", []string{"-topology", path, "recommend", "-kmax", "-3"}},
+		{"-tmax-ms", []string{"-topology", path, "recommend", "-tmax-ms", "-3"}},
+	} {
+		out, errOut, err := runOut(t, c.args...)
+		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {
+			t.Errorf("run(%v) = %v, want an error naming %s", c.args, err, c.flag)
+		}
+		if out+errOut != "" {
+			t.Errorf("run(%v) printed before failing:\n%s%s", c.args, out, errOut)
+		}
+	}
 }
 
 // TestUsageMatchesSwitch holds the package doc's Usage block and the

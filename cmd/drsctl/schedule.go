@@ -47,6 +47,8 @@ func cmdSchedule(args []string) error {
 		return fmt.Errorf("-topologies is required (e.g. -topologies api.json,batch.json)")
 	case (*kmaxList == "") == (*tmaxMS == ""):
 		return fmt.Errorf("pass exactly one of -kmax or -tmax-ms")
+	case *duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %g", *duration)
 	case *failAfter < 0 || *failAfter > 0 && *failAfter >= *duration:
 		return fmt.Errorf("-fail-after %g must be 0 (no churn) or inside -duration %g", *failAfter, *duration)
 	case *failCount < 1:

@@ -66,25 +66,31 @@ func cmdServe(tf topoFile, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *tmaxMS <= 0 {
+	switch {
+	case *tmaxMS <= 0:
 		return fmt.Errorf("-tmax-ms is required and must be positive")
-	}
-	if *httpAddr == "" && *tcpAddr == "" {
+	case *duration <= 0:
+		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	case *slots < 1:
+		return fmt.Errorf("-slots must be at least 1, got %d", *slots)
+	case *maxMachines < 1:
+		return fmt.Errorf("-max-machines must be at least 1, got %d", *maxMachines)
+	case *clientRate < 0:
+		return fmt.Errorf("-client-rate must not be negative (0 = unlimited), got %g", *clientRate)
+	case *httpAddr == "" && *tcpAddr == "":
 		return fmt.Errorf("need at least one listener: -http or -tcp")
-	}
-	if *minWorkers > 0 && *workerListen == "" {
+	case *minWorkers < 0:
+		return fmt.Errorf("-min-workers must not be negative, got %d", *minWorkers)
+	case *minWorkers > 0 && *workerListen == "":
 		return fmt.Errorf("-min-workers needs -worker-listen")
-	}
 	// 0 is rejected, not read as "log nothing": obs.NewLog takes a
 	// non-positive rate as "default", i.e. everything. A disabled log is
 	// spelled by omitting -decision-log.
-	if *decisionSample < 1 || *decisionSample > 1000 {
+	case *decisionSample < 1 || *decisionSample > 1000:
 		return fmt.Errorf("-decision-sample wants permille in [1,1000], got %d", *decisionSample)
-	}
-	if *traceSample < 1 || *traceSample > 1000 {
+	case *traceSample < 1 || *traceSample > 1000:
 		return fmt.Errorf("-trace-sample wants permille in [1,1000], got %d", *traceSample)
-	}
-	if *pprofFlag && *httpAddr == "" {
+	case *pprofFlag && *httpAddr == "":
 		return fmt.Errorf("-pprof needs the -http listener")
 	}
 	// Tasks cap executor parallelism per operator, and the optimizer may

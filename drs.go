@@ -336,8 +336,8 @@ type WALRecord = wal.Record
 type WALRecovered = wal.Recovered
 
 // WALCheckpoint is the control-plane state saved next to the segments —
-// the supervisor's allocation, lease grant, round count and cooldown —
-// that a restarted process resumes from. The log itself holds the
+// the supervisor's allocation, round count and cooldown — that a
+// restarted process resumes from; its lease is the allocation's total. The log itself holds the
 // sequence numbers and the completion watermark.
 type WALCheckpoint = wal.Checkpoint
 

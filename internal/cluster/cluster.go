@@ -387,8 +387,10 @@ func (p *Pool) Rebalance() Transition {
 // Resize negotiates the pool to the given Kmax (quantized up to whole live
 // machines) and returns the transition. Growing provisions fresh machines
 // and pays the cold-start cost; shrinking decommissions live machines —
-// stragglers first, then youngest — and pays the release cost; a no-op
-// change returns a zero-cost rebalance-kind transition.
+// stragglers first, then youngest — and pays the release cost; both on
+// top of the rebalance pause. A change within the live machines is a
+// rebalance-kind transition that still charges Costs.Rebalance, which is
+// why the Scheduler resizes only when the machine count moves.
 func (p *Pool) Resize(targetKmax int) (Transition, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

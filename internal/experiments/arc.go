@@ -16,11 +16,12 @@ import (
 	"github.com/drs-repro/drs/internal/stats"
 )
 
-// arc.go is the multi-tenant runner: the one place supervised tenants are
+// arc.go is the supervised runner: the one place supervised tenants are
 // wired to a leased pool on a virtual clock, stepped, audited and booked.
-// The multi-tenant experiments (contention, churn, overload, chaos) are
-// each a spec for it — the pool shape, the tenants' traffic and the
-// events — plus the claims they derive from the Arc it returns.
+// Every supervised experiment is a spec for it — the pool, the tenants
+// and the events — plus the claims it derives from the Arc it returns:
+// the multi-tenant rows (contention, churn, overload, chaos) and the
+// one-tenant Figures 9-10 and baseline (runSolo).
 
 // arcSource is one traffic source of an arc tenant.
 type arcSource struct {
@@ -34,23 +35,81 @@ type arcSource struct {
 	weight float64
 }
 
-// arcTenantSpec is one supervised two-stage tenant: a selectivity-1 chain
-// fed by sources (all on stage 1), both stages serving service per tuple,
-// starting from an even split of the registration grant.
+// arcTenantSpec is one supervised tenant: its lease, the simulation it
+// runs and the stepper that decides for it.
 type arcTenantSpec struct {
-	lease   cluster.TenantConfig
-	service stats.Dist
-	sources []arcSource
+	lease cluster.TenantConfig
+	// names are the simulation's operators, in station order.
+	names []string
+	// build returns the tenant's simulation at seed and the gate clients
+	// its gated sources admit through.
+	build func(seed uint64) (sim.Config, []*gateClient, error)
+	// ctrl configures the DRS controller; its Tmax also sizes the
+	// tenant's admission gate.
+	ctrl core.ControllerConfig
+	// stepper, when non-nil, decides instead of the DRS controller (the
+	// threshold baseline).
+	stepper core.Stepper
+	// seedOffset shifts the tenant's seed, o.seed() plus its index, so
+	// the runs of one figure see independent traffic.
+	seedOffset uint64
 }
 
-// expTenant is an ungated tenant with exponential service at rate mu per
-// processor and a preemption floor, fed by one source.
-func expTenant(name string, priority, floor, initial int, mu float64, arrivals sim.ArrivalProcess) arcTenantSpec {
+// chain is the tenant of the multi-tenant arcs: a two-stage,
+// selectivity-1 chain under a min-resource controller at tmax with
+// scale-in slack.
+type chain struct{ tmax, slack float64 }
+
+// tenant is one chain fed by sources (all on stage 1), both stages
+// serving service per tuple, starting from an even split of the
+// registration grant.
+func (c chain) tenant(lease cluster.TenantConfig, service stats.Dist, sources ...arcSource) arcTenantSpec {
 	return arcTenantSpec{
-		lease:   cluster.TenantConfig{Name: name, Priority: priority, MinSlots: floor, InitialSlots: initial},
-		service: stats.Exponential{Rate: mu},
-		sources: []arcSource{{arrivals: arrivals}},
+		lease: lease,
+		names: []string{"stage1", "stage2"},
+		build: func(seed uint64) (sim.Config, []*gateClient, error) {
+			emit, err := sim.NewFractionalEmission(1)
+			if err != nil {
+				return sim.Config{}, nil, err
+			}
+			var clients []*gateClient
+			specs := make([]sim.SourceSpec, len(sources))
+			for i, src := range sources {
+				specs[i].Arrivals = src.arrivals
+				if src.weight > 0 {
+					gc := &gateClient{ClientStats: ClientStats{Name: src.name, Weight: src.weight}, permille: 1000}
+					clients = append(clients, gc)
+					specs[i].Admit = gc.admit
+				}
+			}
+			return sim.Config{
+				Operators: []sim.OperatorSpec{{Service: service}, {Service: service}},
+				Sources:   specs,
+				Edges:     []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
+				Alloc:     []int{lease.InitialSlots / 2, lease.InitialSlots / 2},
+				Seed:      seed,
+			}, clients, nil
+		},
+		// Slots are granted individually by the scheduler — machine
+		// quantization happens below the leases, not per tenant.
+		ctrl: core.ControllerConfig{
+			Mode:         core.ModeMinResource,
+			Tmax:         c.tmax,
+			MinGain:      0.05,
+			ScaleInSlack: c.slack,
+			// 0.6 pins the scale-in floor at the designed steady-state sizes:
+			// the next-smaller allocation of every tenant runs a stage at
+			// ρ > 0.6, so a noisy (optimistic) snapshot cannot shrink past it.
+			MaxScaleInUtilization: 0.6,
+		},
 	}
+}
+
+// exp is an ungated chain with exponential service at rate mu per
+// processor and a preemption floor, fed by one source.
+func (c chain) exp(name string, priority, floor, initial int, mu float64, arrivals sim.ArrivalProcess) arcTenantSpec {
+	return c.tenant(cluster.TenantConfig{Name: name, Priority: priority, MinSlots: floor, InitialSlots: initial},
+		stats.Exponential{Rate: mu}, arcSource{arrivals: arrivals})
 }
 
 // step is a Poisson source at base tuples/s, multiplied by factor inside
@@ -59,18 +118,22 @@ func (tl timeline) step(base, factor float64) *sim.SteppedRate {
 	return &sim.SteppedRate{Base: sim.PoissonArrivals{Rate: base}, Factor: factor, From: tl.stepFrom, Until: tl.stepUntil}
 }
 
-// arcSpec is one scripted run as data: N tenants leasing slots from one
-// machine pool of up to maxMachines machines of slotsPerMachine slots (one
-// live at the start) under the measured cost model, every tenant's
-// controller in min-resource mode under tmax with scale-in slack, and the
-// time-ordered infrastructure events.
+// arcSpec is one scripted run as data: N tenants leasing slots from the
+// pool the spec builds, and the time-ordered infrastructure events.
 type arcSpec struct {
 	// name labels errors ("chaos: ...", "experiments: chaos run: ...").
-	name                         string
-	slotsPerMachine, maxMachines int
-	tmax, slack                  float64
-	tenants                      []arcTenantSpec
-	events                       []scenario.Event
+	name    string
+	pool    func() (*cluster.Pool, error)
+	tenants []arcTenantSpec
+	events  []scenario.Event
+}
+
+// chainPool is the pool of the chain arcs: up to maxMachines machines of
+// slots slots, one live at the start, under the measured cost model.
+func chainPool(slots, maxMachines int) func() (*cluster.Pool, error) {
+	return func() (*cluster.Pool, error) {
+		return cluster.NewPool(cluster.PoolConfig{SlotsPerMachine: slots, MaxMachines: maxMachines, Costs: cluster.PaperCosts()}, 1)
+	}
 }
 
 // ClientStats is one gated client's front-door books.
@@ -162,8 +225,8 @@ type ArcRound struct {
 	AtSeconds float64
 	// Grants holds each tenant's slot grant, in spec order.
 	Grants []int
-	// Capacity is the live slot count.
-	Capacity int
+	// Machines and Capacity are the live machine and slot counts.
+	Machines, Capacity int
 	// Over is Leased − Capacity (> 0 means a slot double-leased);
 	// BadPlacement reports an overcommitted machine or placed ≠ leased
 	// totals.
@@ -181,6 +244,8 @@ type ArcTenant struct {
 	Name string
 	// InitialGrant is the registration grant.
 	InitialGrant int
+	// FinalAlloc is the allocation in force at the end of the run.
+	FinalAlloc []int
 	// Series is the per-minute sojourn curve of admitted tuples.
 	Series []sim.SeriesPoint
 	// Transitions are the tenant supervisor's applied decisions, failover
@@ -199,10 +264,13 @@ type ArcTenant struct {
 	Clients []ClientStats
 }
 
-// Arc is the multi-tenant runner's result.
+// Arc is the arc runner's result: one run of its leased tenants.
 type Arc struct {
 	// Applied logs every scripted event as resolved at fire time.
 	Applied []string
+	// Killed lists the pool IDs of the machines the scripted fails and
+	// decommissions took, in firing order.
+	Killed []int
 	// Rounds samples the arbitration once per control round.
 	Rounds []ArcRound
 	// Tenants holds the per-tenant accounts, in spec order.
@@ -237,73 +305,46 @@ func (t *arcTenant) dropped() (n int64) {
 // arc's virtual clock, and the tenants in spec order — also the order
 // inside every round.
 type arcRun struct {
-	spec     arcSpec
 	pool     *cluster.Pool
 	sched    *cluster.Scheduler
 	clock    *simClock
 	failures *loopFailures
 	dlog     *obs.Log
 	tenants  []*arcTenant
+	// killed lists the machines the fails and decommissions took.
+	killed []int
 	// killedOf and stragglerOf map a nominal event machine to the actual
 	// pool machine its opening event resolved to, so the closing event
 	// (recover, straggler-off) targets the same machine.
 	killedOf, stragglerOf map[int]int
 }
 
-// start registers a lease and starts one supervised tenant against it.
+// start registers a tenant's lease and starts its simulation and
+// supervisor against it.
 func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 	lease, err := a.sched.Register(ts.lease)
 	if err != nil {
 		return err
 	}
-	emit, err := sim.NewFractionalEmission(1)
+	cfg, clients, err := ts.build(seed + ts.seedOffset)
 	if err != nil {
 		return err
 	}
-	t := &arcTenant{lease: lease}
-	sources := make([]sim.SourceSpec, len(ts.sources))
-	for i, src := range ts.sources {
-		sources[i].Arrivals = src.arrivals
-		if src.weight > 0 {
-			c := &gateClient{ClientStats: ClientStats{Name: src.name, Weight: src.weight}, permille: 1000}
-			t.clients = append(t.clients, c)
-			sources[i].Admit = c.admit
-		}
-	}
-	names := []string{"stage1", "stage2"}
-	t.s, err = sim.New(sim.Config{
-		Operators: []sim.OperatorSpec{
-			{Service: ts.service},
-			{Service: ts.service},
-		},
-		Sources: sources,
-		Edges:   []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
-		Alloc:   []int{ts.lease.InitialSlots / 2, ts.lease.InitialSlots / 2},
-		Seed:    seed,
-	})
-	if err != nil {
+	t := &arcTenant{lease: lease, clients: clients}
+	if t.s, err = sim.New(cfg); err != nil {
 		return err
 	}
 	t.s.EnableSeries(60)
-	// Slots are granted individually by the scheduler — machine
-	// quantization happens below the leases, not per tenant.
-	ctrl, err := core.NewController(core.ControllerConfig{
-		Mode:         core.ModeMinResource,
-		Tmax:         a.spec.tmax,
-		MinGain:      0.05,
-		ScaleInSlack: a.spec.slack,
-		// 0.6 pins the scale-in floor at the designed steady-state sizes:
-		// the next-smaller allocation of every tenant runs a stage at
-		// ρ > 0.6, so a noisy (optimistic) snapshot cannot shrink past it.
-		MaxScaleInUtilization: 0.6,
-	})
-	if err != nil {
-		return err
+	stepper := ts.stepper
+	if stepper == nil {
+		if stepper, err = core.NewController(ts.ctrl); err != nil {
+			return err
+		}
 	}
 	t.sup, err = loop.New(loop.Config{
-		Target:      simTarget{s: t.s, names: names},
-		Operators:   names,
-		Stepper:     ctrl,
+		Target:      simTarget{s: t.s, names: ts.names},
+		Operators:   ts.names,
+		Stepper:     stepper,
 		Pool:        lease,
 		Interval:    secondsToDuration(controlInterval),
 		Cooldown:    secondsToDuration(4 * controlInterval),
@@ -328,16 +369,14 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 // and one shed-plan record per gated tenant per round.
 func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 	var res Arc
-	pool, err := cluster.NewPool(cluster.PoolConfig{
-		SlotsPerMachine: spec.slotsPerMachine,
-		MaxMachines:     spec.maxMachines,
-		Costs:           cluster.PaperCosts(),
-	}, 1)
+	pool, err := spec.pool()
 	if err != nil {
 		return res, err
 	}
+	// The gates' provider cap: every machine the provider may run.
+	maxSlots := pool.MaxKmax()
 	a := &arcRun{
-		spec: spec, pool: pool, clock: &simClock{}, failures: &loopFailures{}, dlog: o.DecisionLog,
+		pool: pool, clock: &simClock{}, failures: &loopFailures{}, dlog: o.DecisionLog,
 		killedOf: make(map[int]int), stragglerOf: make(map[int]int),
 	}
 	a.sched, err = cluster.NewScheduler(cluster.SchedulerConfig{Pool: pool, Clock: a.clock.Now, DecisionLog: a.dlog})
@@ -373,7 +412,7 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 		}
 		st := a.sched.State()
 		r := ArcRound{
-			AtSeconds: t, Capacity: st.Capacity, Over: st.Leased - st.Capacity,
+			AtSeconds: t, Machines: st.Machines, Capacity: st.Capacity, Over: st.Leased - st.Capacity,
 			Gates: make([]GateRound, len(a.tenants)),
 		}
 		placed := 0
@@ -396,7 +435,7 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 			if len(tn.clients) == 0 {
 				continue
 			}
-			g := replan(tn.clients, tn.sup, spec.tmax, spec.slotsPerMachine*spec.maxMachines)
+			g := replan(tn.clients, tn.sup, spec.tenants[i].ctrl.Tmax, maxSlots)
 			r.Gates[i] = g
 			// One auditable record per gated tenant per round, stamped with
 			// simulated time and carrying the round's admitted/shed deltas.
@@ -415,10 +454,10 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 	if err := a.failures.err(); err != nil {
 		return res, fmt.Errorf("experiments: %s run: %w", spec.name, err)
 	}
-	res.SchedulerHistory = a.sched.History()
+	res.SchedulerHistory, res.Killed = a.sched.History(), a.killed
 	for i, tn := range a.tenants {
 		ts := &res.Tenants[i]
-		ts.Series, ts.Transitions = tn.s.Series(), transitionsFrom(tn.sup)
+		ts.Series, ts.Transitions, ts.FinalAlloc = tn.s.Series(), transitionsFrom(tn.sup), tn.s.Allocation()
 		ts.SlotsLost = tn.lease.LostSlots()
 		ts.Dropped, ts.Pending, ts.SimShed = tn.dropped(), tn.s.PendingRoots(), tn.s.ShedArrivals()
 		for _, c := range tn.clients {
@@ -459,6 +498,7 @@ func (a *arcRun) apply(ev scenario.Event) (string, error) {
 			return "", fmt.Errorf("killing machine %d: %w", victim, err)
 		}
 		a.killedOf[ev.Machine] = victim
+		a.killed = append(a.killed, victim)
 		return fmt.Sprintf("t=%5.0fs fail machine %d", ev.At, victim), nil
 	case scenario.KindRecover:
 		id, ok := a.killedOf[ev.Machine]
@@ -509,6 +549,7 @@ func (a *arcRun) apply(ev scenario.Event) (string, error) {
 		if err := a.pool.Decommission(victim); err != nil {
 			return "", fmt.Errorf("decommissioning machine %d: %w", victim, err)
 		}
+		a.killed = append(a.killed, victim)
 		return fmt.Sprintf("t=%5.0fs decommission machine %d", ev.At, victim), nil
 	case scenario.KindPriority:
 		for _, tn := range a.tenants {

@@ -135,10 +135,8 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 	// Every tenant's source follows the timeline's arrival envelope behind
 	// an admission-gate twin, and its stages serve the timeline's service
 	// distribution (exponential, or mean-pinned Pareto for heavy tails).
-	arc := arcSpec{
-		name: "chaos", slotsPerMachine: chaosSlots, maxMachines: chaosMachines,
-		tmax: chaosTmax, slack: chaosSlack, events: tl.Events(),
-	}
+	arc := arcSpec{name: "chaos", pool: chainPool(chaosSlots, chaosMachines), events: tl.Events()}
+	ch := chain{tmax: chaosTmax, slack: chaosSlack}
 	for _, ts := range spec.Tenants {
 		weight := ts.Weight
 		if weight <= 0 {
@@ -152,14 +150,9 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 		if err != nil {
 			return res, err
 		}
-		arc.tenants = append(arc.tenants, arcTenantSpec{
-			lease: cluster.TenantConfig{
-				Name: ts.Name, Priority: ts.Priority,
-				MinSlots: chaosFloor, InitialSlots: chaosInitial,
-			},
-			service: service,
-			sources: []arcSource{{name: ts.Name, weight: weight, arrivals: arrivals}},
-		})
+		arc.tenants = append(arc.tenants, ch.tenant(
+			cluster.TenantConfig{Name: ts.Name, Priority: ts.Priority, MinSlots: chaosFloor, InitialSlots: chaosInitial},
+			service, arcSource{name: ts.Name, weight: weight, arrivals: arrivals}))
 	}
 	res.Arc, err = runArc(arc, timeline{horizon: duration, enableAt: duration / 8}, o)
 	if err != nil {

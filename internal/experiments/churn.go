@@ -71,8 +71,6 @@ type ChurnResult struct {
 	StepFrom, StepUntil float64
 	// KillAt and RecoverAt bound the two-machine outage.
 	KillAt, RecoverAt float64
-	// KilledMachines lists the crashed machines' pool IDs.
-	KilledMachines []int
 	// ReplacementNegotiated reports whether the scheduler provisioned a
 	// fresh machine during the outage (the within-cap replacement).
 	ReplacementNegotiated bool
@@ -90,12 +88,12 @@ func RunChurn(o Options) (ChurnResult, error) {
 	tl := churnPaper.at(o)
 	res := ChurnResult{Tmax: churnTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil,
 		KillAt: tl.killAt, RecoverAt: tl.killAt + tl.killDown}
+	ch := chain{tmax: churnTmax, slack: churnSlack}
 	spec := arcSpec{
-		name: "churn", slotsPerMachine: churnSlots, maxMachines: churnMachines,
-		tmax: churnTmax, slack: churnSlack,
+		name: "churn", pool: chainPool(churnSlots, churnMachines),
 		tenants: []arcTenantSpec{
-			expTenant("steady", 0, churnFloor, churnInitial, churnMu, sim.PoissonArrivals{Rate: churnBaseRate}),
-			expTenant("bursty", 1, churnFloor, churnInitial, churnMu, tl.step(churnBaseRate, churnStepFactor)),
+			ch.exp("steady", 0, churnFloor, churnInitial, churnMu, sim.PoissonArrivals{Rate: churnBaseRate}),
+			ch.exp("bursty", 1, churnFloor, churnInitial, churnMu, tl.step(churnBaseRate, churnStepFactor)),
 		},
 	}
 	// The outage schedule, in time order: both kills, then both
@@ -116,9 +114,6 @@ func RunChurn(o Options) (ChurnResult, error) {
 		if ev.Kind == "pool" && ev.Detail == "scale-out" && at >= res.KillAt && at < res.RecoverAt {
 			res.ReplacementNegotiated = true
 		}
-		if ev.Kind == "machine-fail" {
-			res.KilledMachines = append(res.KilledMachines, machineOf(ev.Detail))
-		}
 	}
 	for _, ts := range res.Tenants {
 		for _, tr := range ts.Transitions {
@@ -132,16 +127,6 @@ func RunChurn(o Options) (ChurnResult, error) {
 	}
 	res.ConvergedAtSeconds, res.RecoverySeconds = churnConvergence(res)
 	return res, nil
-}
-
-// machineOf extracts the machine ID from a lifecycle event's detail line
-// ("machine N"); 0 when the detail has another shape.
-func machineOf(detail string) int {
-	var id int
-	if _, err := fmt.Sscanf(detail, "machine %d", &id); err != nil {
-		return 0
-	}
-	return id
 }
 
 // churnConvergence finds, within the surge window, the first post-kill
@@ -182,7 +167,7 @@ func (r ChurnResult) Print(w io.Writer) {
 	r.printTenants(w)
 	r.printSchedulerHistory(w)
 	fmt.Fprintf(w, "killed machines %v; replacement negotiated within cap: %v\n",
-		r.KilledMachines, r.ReplacementNegotiated)
+		r.Killed, r.ReplacementNegotiated)
 	fmt.Fprintf(w, "slots lost to failures: steady=%d bursty=%d; failover shrinks: %d; preempt shrinks: %d\n",
 		r.Tenants[0].SlotsLost, r.Tenants[1].SlotsLost, r.FailoverShrinks, r.PreemptShrinks)
 	fmt.Fprintf(w, "re-converged under Tmax at t=%.0fs (%.0fs after recovery)\n",

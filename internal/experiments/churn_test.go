@@ -17,8 +17,8 @@ func TestChurnArc(t *testing.T) {
 		t.Skip("27 simulated minutes of two supervised topologies")
 	}
 	r := churn(t)
-	if len(r.KilledMachines) != churnKillCount {
-		t.Fatalf("killed %v, want %d machines down", r.KilledMachines, churnKillCount)
+	if len(r.Killed) != churnKillCount {
+		t.Fatalf("killed %v, want %d machines down", r.Killed, churnKillCount)
 	}
 	if r.MaxLeaseOverCapacity > 0 {
 		t.Fatalf("double-leased slots: %d over capacity", r.MaxLeaseOverCapacity)

@@ -76,13 +76,13 @@ type ContentionResult struct {
 func RunContention(o Options) (ContentionResult, error) {
 	tl := contentionPaper.at(o)
 	res := ContentionResult{Tmax: contentionTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil}
+	ch := chain{tmax: contentionTmax, slack: contentionSlack}
 	var err error
 	res.Arc, err = runArc(arcSpec{
-		name: "contention", slotsPerMachine: contentionSlots, maxMachines: contentionMachines,
-		tmax: contentionTmax, slack: contentionSlack,
+		name: "contention", pool: chainPool(contentionSlots, contentionMachines),
 		tenants: []arcTenantSpec{
-			expTenant("steady", 0, contentionFloor, steadyInitial, contentionMu, sim.PoissonArrivals{Rate: steadyRate}),
-			expTenant("bursty", 1, contentionFloor, burstyInitial, contentionMu, tl.step(burstyBaseRate, burstyStepFactor)),
+			ch.exp("steady", 0, contentionFloor, steadyInitial, contentionMu, sim.PoissonArrivals{Rate: steadyRate}),
+			ch.exp("bursty", 1, contentionFloor, burstyInitial, contentionMu, tl.step(burstyBaseRate, burstyStepFactor)),
 		},
 	}, tl, o)
 	if err != nil {

@@ -1,10 +1,11 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§V) on top of the simulator substrate. A figure is a value
-// over one of three runners — the steady-state sweep (measure), the
-// supervised single-tenant run (runControlled) and the multi-tenant arc
-// (runArc): a spec the runner executes on the figure's paper timeline, the
-// claims derived from the runner's result, and a Print renderer that
-// writes the same rows/series the paper plots. cmd/drs-experiments and the
+// over one of two runners — the steady-state sweep (measure) and the arc
+// (runArc), where every supervisor leases its slots from a
+// cluster.Scheduler, alone for Figures 9-10 and the baseline and shared
+// for the multi-tenant rows: a spec the runner executes on the figure's
+// paper timeline, the claims derived from the runner's result, and a
+// Print renderer that writes the same rows/series the paper plots. cmd/drs-experiments and the
 // repository-level benchmarks are thin wrappers around this package.
 //
 // Absolute numbers differ from the paper (their substrate is a 6-machine
@@ -83,8 +84,9 @@ type Options struct {
 	// run makes — scheduler arbitration and preemptions (with their
 	// Appendix-B inputs), per-round shed plans and supervisor re-fits —
 	// stamped with simulated time, so a replayed scenario's decisions can
-	// be audited against its books. The multi-tenant arcs (contention,
-	// churn, overload, chaos) emit; the other runners ignore it.
+	// be audited against its books. Every arc emits — the multi-tenant
+	// rows and the one-tenant Figures 9-10 and baseline; the other rows
+	// ignore it.
 	//
 	//checkdoc:testonly test hook: the chaos reconciliation test audits every simulated decision against the phase books through it
 	DecisionLog *obs.Log

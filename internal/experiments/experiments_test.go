@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -277,6 +278,40 @@ func TestFigure10ExpB(t *testing.T) {
 		if tr.Action == core.ActionScaleOut {
 			t.Error("ExpB should never scale out")
 		}
+	}
+}
+
+// TestFigureArcsAudited: Figs. 9–10 and the baseline run as one-tenant
+// arcs on the paper's pool, so each run carries the arc's audit — no
+// round leases past capacity, no placement violation — and the Program (4)
+// runs (fig9, baseline) hold their 22-slot grant in every round.
+func TestFigureArcsAudited(t *testing.T) {
+	if testing.Short() {
+		t.Skip("controller simulations")
+	}
+	check := func(name string, r Run, grant int) {
+		t.Helper()
+		if len(r.Rounds) == 0 || r.MaxLeaseOverCapacity > 0 || r.PlacementViolations > 0 {
+			t.Errorf("%s: %d rounds, lease over capacity by %d, %d placement violations",
+				name, len(r.Rounds), r.MaxLeaseOverCapacity, r.PlacementViolations)
+		}
+		for _, round := range r.Rounds {
+			if grant > 0 && round.Grants[0] != grant {
+				t.Errorf("%s: t=%.0fs grant %d, want %d in every round", name, round.AtSeconds, round.Grants[0], grant)
+				break
+			}
+		}
+	}
+	for _, app := range []App{VLD, FPD} {
+		for _, c := range fig9(t, app).Curves {
+			check(fmt.Sprintf("fig9 %s %s", app, allocString(c.Initial)), c, 22)
+		}
+		for _, b := range baseline(t, app).Runs {
+			check(fmt.Sprintf("baseline %s %s", app, b.Policy), b.Run, 22)
+		}
+	}
+	for _, exp := range []Fig10Experiment{ExpA, ExpB} {
+		check("fig10 "+string(exp), fig10(t, exp).Run, 0)
 	}
 }
 

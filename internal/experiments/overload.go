@@ -89,16 +89,13 @@ func RunOverload(o Options) (OverloadResult, error) {
 	res := OverloadResult{Tmax: overloadTmax, StepFrom: tl.stepFrom, StepUntil: tl.stepUntil}
 	var err error
 	res.Arc, err = runArc(arcSpec{
-		name: "overload", slotsPerMachine: overloadSlots, maxMachines: overloadMachines,
-		tmax: overloadTmax, slack: overloadSlack,
-		tenants: []arcTenantSpec{{
-			lease:   cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: overloadInitial},
-			service: stats.Exponential{Rate: overloadMu},
-			sources: []arcSource{
-				{name: "gold", weight: goldWeight, arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}},
-				{name: "bronze", weight: bronzeWeight, arrivals: tl.step(overloadBronzeRate, overloadStepFactor)},
-			},
-		}},
+		name: "overload", pool: chainPool(overloadSlots, overloadMachines),
+		tenants: []arcTenantSpec{chain{tmax: overloadTmax, slack: overloadSlack}.tenant(
+			cluster.TenantConfig{Name: "front", MinSlots: 2, InitialSlots: overloadInitial},
+			stats.Exponential{Rate: overloadMu},
+			arcSource{name: "gold", weight: goldWeight, arrivals: sim.PoissonArrivals{Rate: overloadGoldRate}},
+			arcSource{name: "bronze", weight: bronzeWeight, arrivals: tl.step(overloadBronzeRate, overloadStepFactor)},
+		)},
 	}, tl, o)
 	if err != nil {
 		return res, err

@@ -6,14 +6,15 @@ import (
 	"math"
 	"slices"
 
+	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
 	"github.com/drs-repro/drs/internal/sim"
 )
 
-// runs.go holds the three figures over the supervised single-tenant
-// runner: Figures 9 and 10 and the DRS-vs-threshold baseline are each a
-// list of run specs on a paper timeline, the claims derived from the
-// runs, and a renderer.
+// runs.go holds the three single-tenant figures: Figures 9 and 10 and the
+// DRS-vs-threshold baseline are each a list of one-tenant arcs on the
+// paper's pool and timeline, the claims derived from the runs, and a
+// renderer.
 
 // controllerPaper is Figs. 9 and 10's timeline: 27 minutes, DRS passive
 // for the first 13 and active from minute 14 on. The baseline comparison
@@ -25,6 +26,78 @@ var (
 
 // minLatencyCtrl is Program (4) mode with Kmax fixed at the paper pool's 22.
 var minLatencyCtrl = core.ControllerConfig{Mode: core.ModeMinLatency, Kmax: 22, MinGain: 0.05}
+
+// Run is one single-tenant figure run: the one-tenant arc, its tenant's
+// account, and the allocation and pool that bracket it.
+type Run struct {
+	Arc
+	ArcTenant
+	// Initial is the allocation the run started from.
+	Initial []int
+	// InitialMachines and FinalMachines bracket the live pool; FinalKmax
+	// is its closing capacity (InitialGrant its opening one).
+	InitialMachines, FinalMachines, FinalKmax int
+}
+
+// runSolo runs one application alone on the paper's pool, machines of it
+// live at the start: a one-tenant arc whose lease starts at the initial
+// allocation's total and keeps one slot per operator. ts carries the
+// stepper and the seed offset. The controller only measures before
+// tl.enableAt.
+func runSolo(p appProfile, initial []int, machines int, ts arcTenantSpec, tl timeline, o Options) (Run, error) {
+	total := 0
+	for _, k := range initial {
+		total += k
+	}
+	ts.lease = cluster.TenantConfig{Name: "app", MinSlots: len(initial), InitialSlots: total}
+	ts.names = p.names
+	ts.build = func(seed uint64) (sim.Config, []*gateClient, error) {
+		cfg, err := p.simConfig(initial, seed)
+		return cfg, nil, err
+	}
+	arc, err := runArc(arcSpec{
+		name:    "figure",
+		pool:    func() (*cluster.Pool, error) { return cluster.PaperPool(machines) },
+		tenants: []arcTenantSpec{ts},
+	}, tl, o)
+	if err != nil {
+		return Run{}, err
+	}
+	run := Run{Arc: arc, ArcTenant: arc.Tenants[0], Initial: initial,
+		InitialMachines: machines, FinalMachines: machines, FinalKmax: arc.Tenants[0].InitialGrant}
+	if n := len(arc.Rounds); n > 0 {
+		run.FinalMachines, run.FinalKmax = arc.Rounds[n-1].Machines, arc.Rounds[n-1].Capacity
+	}
+	return run, nil
+}
+
+// window returns the buckets of a per-minute series whose start lies in
+// [from, until).
+func window(series []sim.SeriesPoint, from, until float64) []sim.SeriesPoint {
+	var out []sim.SeriesPoint
+	for _, pt := range series {
+		if pt.Start >= from && pt.Start < until {
+			out = append(out, pt)
+		}
+	}
+	return out
+}
+
+// meanSojourn averages the buckets that saw completions, in seconds; NaN
+// when none did.
+func meanSojourn(series []sim.SeriesPoint) float64 {
+	sum, n := 0.0, 0
+	for _, pt := range series {
+		if !math.IsNaN(pt.MeanSojourn) {
+			sum += pt.MeanSojourn
+			n++
+		}
+	}
+	if n == 0 {
+		return math.NaN()
+	}
+	return sum / float64(n)
+}
 
 // printMinutes renders a per-minute sojourn series in milliseconds, a
 // dash for minutes without completions.
@@ -65,9 +138,7 @@ func RunFigure9(app App, o Options) (Fig9Result, error) {
 	}
 	res := Fig9Result{App: app, Recommended: p.recommended, Converged: true}
 	for i, initial := range fig9Initials[app] {
-		curve, err := runControlled(runSpec{
-			profile: p, initial: initial, machines: 5, ctrl: minLatencyCtrl, seedOffset: uint64(i),
-		}, controllerPaper.at(o), o)
+		curve, err := runSolo(p, initial, 5, arcTenantSpec{ctrl: minLatencyCtrl, seedOffset: uint64(i)}, controllerPaper.at(o), o)
 		if err != nil {
 			return Fig9Result{}, err
 		}
@@ -147,8 +218,7 @@ func RunFigure10(exp Fig10Experiment, o Options) (Fig10Result, error) {
 	}
 	tl := controllerPaper.at(o)
 	res := Fig10Result{Experiment: exp, Tmax: spec.tmax}
-	res.Run, err = runControlled(runSpec{
-		profile: p, initial: spec.initial, machines: spec.machines,
+	res.Run, err = runSolo(p, spec.initial, spec.machines, arcTenantSpec{
 		ctrl: core.ControllerConfig{
 			Mode: core.ModeMinResource,
 			Tmax: spec.tmax,
@@ -178,7 +248,7 @@ func RunFigure10(exp Fig10Experiment, o Options) (Fig10Result, error) {
 // Print renders the curve and its scaling events.
 func (r Fig10Result) Print(w io.Writer) {
 	header(w, fmt.Sprintf("Figure 10 (%s): Tmax = %.0f ms, re-balancing enabled from minute 14", r.Experiment, r.Tmax*1e3))
-	fmt.Fprintf(w, "initial: %d machines, Kmax=%d, %s\n", r.InitialMachines, r.InitialKmax, allocString(r.Initial))
+	fmt.Fprintf(w, "initial: %d machines, Kmax=%d, %s\n", r.InitialMachines, r.InitialGrant, allocString(r.Initial))
 	fmt.Fprintf(w, "final:   %d machines, Kmax=%d, %s\n", r.FinalMachines, r.FinalKmax, allocString(r.FinalAlloc))
 	fmt.Fprint(w, "minute: ")
 	printMinutes(w, r.Series)
@@ -234,11 +304,8 @@ func RunBaseline(app App, o Options) (BaselineResult, error) {
 	tl := baselinePaper.at(o)
 	res := BaselineResult{App: app}
 	for i, pol := range baselinePolicies {
-		run, err := runControlled(runSpec{
-			profile:  p,
-			initial:  []int{8, 12, 2}, // bad for both VLD and FPD profiles
-			machines: 5, ctrl: minLatencyCtrl, stepper: pol.stepper, seedOffset: uint64(i) * 1000,
-		}, tl, o)
+		// (8:12:2) is a bad start for both the VLD and the FPD profile.
+		run, err := runSolo(p, []int{8, 12, 2}, 5, arcTenantSpec{ctrl: minLatencyCtrl, stepper: pol.stepper, seedOffset: uint64(i) * 1000}, tl, o)
 		if err != nil {
 			return BaselineResult{}, err
 		}

@@ -17,11 +17,13 @@
 // model. An allocation is put in force through one path (actuate) and a
 // failed round leaves through one (failRound).
 //
-// A supervisor reaches its machines through the Pool interface, which
-// admits two very different providers: a private cluster.Pool (the
-// single-topology deployment the paper evaluates) or a cluster.Tenant
-// lease handed out by the multi-tenant cluster.Scheduler. Under a lease
-// the protocol becomes request/grant: Resize may be granted only
+// A supervisor reaches its machines through the Pool interface. Every
+// supervisor this module runs — live under internal/node, in virtual time
+// under the experiments' arcs, Figures 9-10 included — holds a
+// cluster.Tenant lease handed out by a cluster.Scheduler, as the paper's
+// DRS gets processors only through its Appendix-B negotiator; a bare
+// cluster.Pool and FixedPool remain valid Pools for library callers.
+// Under a lease the protocol is request/grant: Resize may be granted only
 // partially (the supervisor re-fits its allocation to what it got), the
 // budget can shrink between ticks when a higher-priority tenant preempts
 // slots (the supervisor vacates them gracefully at the next tick), and

@@ -250,7 +250,7 @@ func (n *Node) boot() error {
 			return err
 		}
 		if ok {
-			n.notice("checkpoint resumed", "slots", n.ckpt.Slots, "rounds", n.ckpt.Rounds, "alloc", n.ckpt.Alloc)
+			n.notice("checkpoint resumed", "rounds", n.ckpt.Rounds, "alloc", n.ckpt.Alloc)
 			resume = &loop.PersistedState{
 				Rounds:            n.ckpt.Rounds,
 				CooldownRemaining: time.Duration(n.ckpt.CooldownMS) * time.Millisecond,
@@ -534,12 +534,11 @@ func (n *Node) Status() Status {
 }
 
 // saveCheckpoint persists the control plane beside the segments:
-// allocation, lease grant and hysteresis — what the next boot resumes.
+// allocation, round count and hysteresis — what the next boot resumes.
 func (n *Node) saveCheckpoint() {
 	ps := n.tenant.Sup.PersistedState()
 	err := wal.SaveCheckpoint(n.cfg.WALDir, wal.Checkpoint{
 		Alloc:      n.tenant.Run.Allocation(),
-		Slots:      n.lease.Granted(),
 		Rounds:     ps.Rounds,
 		CooldownMS: ps.CooldownRemaining.Milliseconds(),
 	})

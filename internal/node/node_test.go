@@ -2,6 +2,7 @@ package node
 
 import (
 	"bytes"
+	"encoding/json"
 	"log/slog"
 	"maps"
 	"net"
@@ -270,6 +271,19 @@ func TestDurableRestart(t *testing.T) {
 	rep := second.Drain()
 	if rep.Completions != int64(unacked+sent) {
 		t.Errorf("second life completed %d, want %d replayed + %d fresh", rep.Completions, unacked, sent)
+	}
+	// The drained checkpoint carries what a boot reads, and no lease grant:
+	// the next boot leases the allocation's total.
+	data, err := os.ReadFile(filepath.Join(cfg.WALDir, "checkpoint.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(data, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["slots"]; ok || keys["alloc"] == nil {
+		t.Errorf("drained checkpoint %s: want an alloc key and no slots key", data)
 	}
 	mu.Lock()
 	for i, p := range order {

@@ -1,7 +1,7 @@
 // Checkpoint: the control-plane sidecar to the record log. The WAL makes
 // admitted *data* durable; the checkpoint makes the *decisions* durable —
-// the supervisor's last allocation, the lease grant, its round count and
-// cooldown — so a restarted process resumes scaling from where it was
+// the supervisor's last allocation, its round count and cooldown — so a
+// restarted process resumes scaling from where it was
 // instead of re-learning the workload from a cold controller. Sequence
 // numbers and the watermark are the log's own; the checkpoint does not
 // repeat them.
@@ -25,14 +25,12 @@ const checkpointFile = "checkpoint.json"
 // ignored — it may carry a lease the scheduler must re-grant).
 //
 // It carries what a boot reads. A file written by an older binary may
-// also carry seq, watermark, admitted, completed and shed keys; decoding
-// ignores them.
+// also carry seq, watermark, slots, admitted, completed and shed keys;
+// decoding ignores them.
 type Checkpoint struct {
 	// Alloc is the supervisor's last applied allocation, operator name ->
 	// parallelism.
 	Alloc map[string]int `json:"alloc,omitempty"`
-	// Slots is the tenant's granted slot count at capture time.
-	Slots int `json:"slots"`
 	// Rounds is the supervisor's completed control rounds.
 	Rounds int64 `json:"rounds"`
 	// CooldownMS is the remaining supervisor cooldown at capture time, in

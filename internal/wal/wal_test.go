@@ -425,7 +425,6 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	}
 	want := Checkpoint{
 		Alloc:      map[string]int{"parse": 2, "count": 5},
-		Slots:      7,
 		Rounds:     42,
 		CooldownMS: 1500,
 	}
@@ -436,7 +435,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatalf("LoadCheckpoint: ok=%v err=%v", ok, err)
 	}
-	if got.Slots != want.Slots || got.Alloc["count"] != 5 || got.Rounds != 42 || got.CooldownMS != 1500 {
+	if got.Alloc["count"] != 5 || got.Rounds != 42 || got.CooldownMS != 1500 {
 		t.Fatalf("LoadCheckpoint = %+v, want %+v", got, want)
 	}
 	// Corrupt checkpoint must error, not cold-start.
