@@ -1154,8 +1154,7 @@ func BenchmarkDurableReplay(b *testing.B) {
 // BenchmarkDecisionLog measures the decision log's emit path — the cost a
 // decider pays per record. "emit" is the kept-record path (copy into a
 // ring slot under a shard mutex) with the drain amortized on the clock;
-// "emit-sampled" runs at 100 permille, the mixed kept/thinned
-// profile of a sampled deployment; "encode" is the drainer's canonical
+// "encode" is the drainer's canonical
 // NDJSON encoding of one full preemption record.
 func BenchmarkDecisionLog(b *testing.B) {
 	rec := obs.Record{
@@ -1172,21 +1171,6 @@ func BenchmarkDecisionLog(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			l.Emit(&rec)
 			if i&2047 == 2047 { // drain well before overflow, on the clock
-				l.Sweep(drop)
-			}
-		}
-		if st := l.Stats(); st.Dropped != 0 {
-			b.Fatalf("ring overflowed: %d dropped", st.Dropped)
-		}
-	})
-	b.Run("emit-sampled", func(b *testing.B) {
-		l := obs.NewLog(obs.Config{SamplePermille: 100})
-		defer l.Close()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			l.Emit(&rec)
-			if i&8191 == 8191 {
 				l.Sweep(drop)
 			}
 		}

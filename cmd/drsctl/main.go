@@ -249,6 +249,9 @@ func cmdSimulate(model *drs.Model, tf topoFile, args []string) error {
 	if *duration <= 0 {
 		return fmt.Errorf("-duration must be positive, got %g", *duration)
 	}
+	if *hopMS < 0 {
+		return fmt.Errorf("-hop-ms must not be negative, got %g", *hopMS)
+	}
 	alloc, err := parseAlloc(*allocStr, model.N())
 	if err != nil {
 		return err

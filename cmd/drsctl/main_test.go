@@ -218,6 +218,15 @@ func TestRunErrors(t *testing.T) {
 		{"-min-workers", serve("-min-workers", "-2")},
 		{"-kmax", []string{"-topology", path, "recommend", "-kmax", "-3"}},
 		{"-tmax-ms", []string{"-topology", path, "recommend", "-tmax-ms", "-3"}},
+		{"-interval-ms", serve("-interval-ms", "0")},
+		{"-interval-ms", append(live, "-interval-ms", "-5")},
+		{"-slots", append(live, "-slots", "0")},
+		{"-max-machines", append(live, "-max-machines", "0")},
+		{"-weights", append(live, "-weights", "-1")},
+		{"-weights", append(live, "-weights", "0")},
+		{"-min-slots", append(live, "-min-slots", "-1")},
+		{"-hop-ms", []string{"-topology", path, "simulate", "-alloc", "10,11,1", "-hop-ms", "-5"}},
+		{"-retry-for", []string{"-topology", path, "worker", "-connect", "127.0.0.1:1", "-retry-for", "-1"}},
 	} {
 		out, errOut, err := runOut(t, c.args...)
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {

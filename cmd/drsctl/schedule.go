@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -49,6 +50,12 @@ func cmdSchedule(args []string) error {
 		return fmt.Errorf("pass exactly one of -kmax or -tmax-ms")
 	case *duration <= 0:
 		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	case *intervalMS <= 0:
+		return fmt.Errorf("-interval-ms must be positive, got %d", *intervalMS)
+	case *slots < 1:
+		return fmt.Errorf("-slots must be at least 1, got %d", *slots)
+	case *maxMachines < 1:
+		return fmt.Errorf("-max-machines must be at least 1, got %d", *maxMachines)
 	case *failAfter < 0 || *failAfter > 0 && *failAfter >= *duration:
 		return fmt.Errorf("-fail-after %g must be 0 (no churn) or inside -duration %g", *failAfter, *duration)
 	case *failCount < 1:
@@ -73,6 +80,9 @@ func cmdSchedule(args []string) error {
 	if err != nil {
 		return err
 	}
+	if w := slices.Min(ws); w <= 0 {
+		return fmt.Errorf("-weights must be positive, got %g", w)
+	}
 	prios := make([]int, n)
 	for i := range prios {
 		prios[i] = i
@@ -86,6 +96,9 @@ func cmdSchedule(args []string) error {
 	if *minSlots != "" {
 		if floors, err = parseList(*minSlots, n, "min-slots", strconv.Atoi); err != nil {
 			return err
+		}
+		if f := slices.Min(floors); f < 0 {
+			return fmt.Errorf("-min-slots must not be negative, got %d", f)
 		}
 	}
 

@@ -56,7 +56,6 @@ func cmdServe(tf topoFile, args []string) error {
 	seed := fs.Int64("seed", 1, "workload seed")
 	walDir := fs.String("wal-dir", "", "write-ahead log directory: durable admission (ACK after append) with crash-recovery replay on boot (empty = non-durable)")
 	decisionDir := fs.String("decision-log", "", "decision log directory: every control-plane verdict (grants, preemptions, shed plans, re-fits, heals) as rotating NDJSON (empty = disabled)")
-	decisionSample := fs.Int("decision-sample", 1000, "decision log sampling rate in permille, 1-1000 (1000 = keep everything; omit -decision-log to disable)")
 	workerListen := fs.String("worker-listen", "", "worker registration address: `drsctl worker` processes host executors over framed TCP (empty = all in-process)")
 	minWorkers := fs.Int("min-workers", 0, "workers to wait for before opening the ingest listeners")
 	traceDir := fs.String("trace", "", "trace directory: sampled per-tuple root spans from gate to ack as rotating NDJSON (empty = disabled)")
@@ -71,6 +70,8 @@ func cmdServe(tf topoFile, args []string) error {
 		return fmt.Errorf("-tmax-ms is required and must be positive")
 	case *duration <= 0:
 		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	case *intervalMS <= 0:
+		return fmt.Errorf("-interval-ms must be positive, got %d", *intervalMS)
 	case *slots < 1:
 		return fmt.Errorf("-slots must be at least 1, got %d", *slots)
 	case *maxMachines < 1:
@@ -83,11 +84,6 @@ func cmdServe(tf topoFile, args []string) error {
 		return fmt.Errorf("-min-workers must not be negative, got %d", *minWorkers)
 	case *minWorkers > 0 && *workerListen == "":
 		return fmt.Errorf("-min-workers needs -worker-listen")
-	// 0 is rejected, not read as "log nothing": obs.NewLog takes a
-	// non-positive rate as "default", i.e. everything. A disabled log is
-	// spelled by omitting -decision-log.
-	case *decisionSample < 1 || *decisionSample > 1000:
-		return fmt.Errorf("-decision-sample wants permille in [1,1000], got %d", *decisionSample)
 	case *traceSample < 1 || *traceSample > 1000:
 		return fmt.Errorf("-trace-sample wants permille in [1,1000], got %d", *traceSample)
 	case *pprofFlag && *httpAddr == "":
@@ -99,7 +95,6 @@ func cmdServe(tf topoFile, args []string) error {
 	cfg := node.Config{
 		Build:           func(b *engine.TopologyBuilder) { node.AddOperators(b, tf, tasks, *seed) },
 		Entry:           entryOperator(tf),
-		Tasks:           tasks,
 		Tmax:            *tmaxMS / 1e3,
 		Interval:        time.Duration(*intervalMS) * time.Millisecond,
 		SlotsPerMachine: *slots,
@@ -112,19 +107,18 @@ func cmdServe(tf topoFile, args []string) error {
 		MinWorkers:      *minWorkers,
 		Seed:            *seed,
 		WALDir:          *walDir,
-		DecisionSample:  *decisionSample,
 		TraceSample:     *traceSample,
 		Pprof:           *pprofFlag,
 		Logger:          node.Logger(*verbose),
 	}
 	var err error
 	if *decisionDir != "" {
-		if cfg.DecisionSink, err = obs.NewFileSink(*decisionDir, 0); err != nil {
+		if cfg.DecisionSink, err = obs.NewFileSink(*decisionDir, "decision"); err != nil {
 			return fmt.Errorf("decision log: %w", err)
 		}
 	}
 	if *traceDir != "" {
-		if cfg.TraceSink, err = obs.NewFileSinkNamed(*traceDir, "trace", 0); err != nil {
+		if cfg.TraceSink, err = obs.NewFileSink(*traceDir, "trace"); err != nil {
 			return fmt.Errorf("trace sink: %w", err)
 		}
 	}

@@ -161,18 +161,16 @@ func TestServeSignalDrain(t *testing.T) {
 	}
 }
 
-// TestServeRejectsSamplingOutOfRange: both sampling knobs take permille in
-// [1,1000]. Zero in particular must be refused up front — obs reads a
-// non-positive rate as "default" (keep everything), the opposite of what
-// the flag would appear to say.
+// TestServeRejectsSamplingOutOfRange: the trace sampling knob takes
+// permille in [1,1000]. Zero in particular must be refused up front — obs
+// reads a non-positive rate as "default" (trace everything), the opposite
+// of what the flag would appear to say.
 func TestServeRejectsSamplingOutOfRange(t *testing.T) {
 	path := writeTopo(t, fastTopo)
-	for _, flagName := range []string{"-decision-sample", "-trace-sample"} {
-		for _, v := range []string{"0", "-1", "1001"} {
-			err := run([]string{"-topology", path, "serve", "-tmax-ms", "200", flagName, v})
-			if err == nil || !strings.Contains(err.Error(), flagName+" wants permille in [1,1000]") {
-				t.Errorf("serve %s %s = %v, want a [1,1000] range error", flagName, v, err)
-			}
+	for _, v := range []string{"0", "-1", "1001"} {
+		err := run([]string{"-topology", path, "serve", "-tmax-ms", "200", "-trace-sample", v})
+		if err == nil || !strings.Contains(err.Error(), "-trace-sample wants permille in [1,1000]") {
+			t.Errorf("serve -trace-sample %s = %v, want a [1,1000] range error", v, err)
 		}
 	}
 }

@@ -261,6 +261,16 @@ func (b *TopologyBuilder) Build() (*Topology, error) {
 	}, nil
 }
 
+// Tasks returns each bolt's declared task count — the most executors it
+// can run — keyed by bolt name.
+func (t *Topology) Tasks() map[string]int {
+	tasks := make(map[string]int, len(t.bolts))
+	for _, b := range t.bolts {
+		tasks[b.name] = b.tasks
+	}
+	return tasks
+}
+
 // BoltNames returns the bolt names in declaration order — the operator
 // order used in measurer reports and allocations.
 func (t *Topology) BoltNames() []string {

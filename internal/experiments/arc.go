@@ -149,7 +149,7 @@ type ClientStats struct {
 
 // gateClient is one virtual-time traffic source behind the admission
 // gate: the sim source's Admit hook applies the live gate's thinning
-// verdict (obs.ThinAdmit), driven by the per-round plan.
+// verdict (ingest.ThinAdmit), driven by the per-round plan.
 type gateClient struct {
 	ClientStats
 	seq      uint64
@@ -164,7 +164,7 @@ func (c *gateClient) admit(float64) bool {
 	c.Offered++
 	if p := c.permille; p < 1000 {
 		c.seq++
-		if !obs.ThinAdmit(c.seq, int64(p)) {
+		if !ingest.ThinAdmit(c.seq, int64(p)) {
 			c.Shed++
 			return false
 		}
@@ -347,7 +347,6 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 		Stepper:     stepper,
 		Pool:        lease,
 		Interval:    secondsToDuration(controlInterval),
-		Cooldown:    secondsToDuration(4 * controlInterval),
 		Clock:       a.clock.Now,
 		Logger:      slog.New(a.failures),
 		Tenant:      ts.lease.Name,

@@ -41,8 +41,6 @@ const (
 	// restartSegBytes keeps segments small so the arc exercises rotation
 	// and watermark-driven pruning.
 	restartSegBytes = 4096
-	// restartRing must hold the surge backlog.
-	restartRing = 4096
 )
 
 // restartTorn is the partial frame appended after the kill: a header
@@ -134,7 +132,7 @@ func bootRestartNode(dir string) (*restartNode, wal.Recovered, error) {
 	if err != nil {
 		return nil, rec, err
 	}
-	g := ingest.NewGate(ingest.GateConfig{RingCapacity: restartRing})
+	g := ingest.NewGate(ingest.GateConfig{}) // the default ring holds the surge backlog
 	if err := g.AttachWAL(l); err != nil {
 		l.Close()
 		return nil, rec, err

@@ -207,7 +207,6 @@ func runTraceVariant(mode string, tenants []string, permille, remoteMachines int
 				})
 		},
 		Entry:           "count",
-		Tasks:           8,
 		Tmax:            1,
 		Interval:        traceInterval,
 		SlotsPerMachine: 2,

@@ -3,7 +3,6 @@ package ingest
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"mime"
 	"net/http"
@@ -210,7 +209,6 @@ var clientIDKey = http.CanonicalHeaderKey(ClientIDHeader)
 //	              202 Accepted when everything was admitted, 429 Too Many
 //	              Requests (with a Retry-After header) when anything was
 //	              shed. The JSON body reports the admitted/shed split.
-//	GET  /stats   the gate's cumulative counters and current plan.
 func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
@@ -260,13 +258,6 @@ func Handler(g *Gate, cfg ListenerConfig) http.Handler {
 		p = strconv.AppendQuote(p, t.worst.Reason.String())
 		sc.reply = append(p, "}\n"...)
 		_, _ = w.Write(sc.reply) // a client that hung up has its verdict on the books
-	})
-	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
-		s := g.Stats()
-		w.Header().Set("Content-Type", "application/json")
-		fmt.Fprintf(w, `{"offered":%d,"admitted":%d,"shed_rate_limit":%d,"shed_overload":%d,"shed_backlog":%d,"admit_fraction":%.3f,"sustainable_rate":%.3f,"scale_out_viable":%t}`+"\n",
-			s.Offered, s.Admitted, s.ShedRateLimit, s.ShedOverload, s.ShedBacklog,
-			s.AdmitFraction, s.SustainableRate, s.ScaleOutViable)
 	})
 	return mux
 }

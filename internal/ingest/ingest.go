@@ -351,6 +351,23 @@ func (g *Gate) Close() {
 // permilleScale is the resolution of the per-client thinning fraction.
 const permilleScale = 1000
 
+// ThinAdmit is the gate's deterministic thinning verdict: of every thousand
+// sequence numbers, admit ⌊n·p/1000⌋ − ⌊(n−1)·p/1000⌋ — the exact long-run
+// fraction with no RNG, spread evenly instead of front-loaded, so a steady
+// client meets no bursts of bad luck. permille ≥ 1000 admits everything and
+// ≤ 0 nothing. Client.admit thins with it, and so does the gate's
+// virtual-time twin (experiments' gateClient).
+func ThinAdmit(seq uint64, permille int64) bool {
+	if permille >= permilleScale {
+		return true
+	}
+	if permille <= 0 {
+		return false
+	}
+	p := uint64(permille)
+	return seq*p/permilleScale != (seq-1)*p/permilleScale
+}
+
 // replanScratch is what one Replan round reuses from the last: the client
 // list and the per-client vectors derived from it. replanning serializes
 // whole rounds — in production the run goroutine is the only caller — so a
@@ -649,7 +666,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 				continue
 			}
 		}
-		if permille < permilleScale && !obs.ThinAdmit(c.seq.Add(1), int64(permille)) {
+		if permille < permilleScale && !ThinAdmit(c.seq.Add(1), int64(permille)) {
 			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.ReplanEvery}
 			continue
 		}

@@ -140,6 +140,30 @@ func TestTokenBucket(t *testing.T) {
 	}
 }
 
+func TestThinAdmitSpreadsEvenly(t *testing.T) {
+	// 250 permille keeps exactly one of every four consecutive emissions.
+	kept := 0
+	for seq := uint64(1); seq <= 400; seq++ {
+		if ThinAdmit(seq, 250) {
+			kept++
+		}
+	}
+	if kept != 100 {
+		t.Fatalf("kept %d of 400 at 250 permille, want 100", kept)
+	}
+	for start := uint64(1); start <= 396; start += 4 {
+		window := 0
+		for s := start; s < start+4; s++ {
+			if ThinAdmit(s, 250) {
+				window++
+			}
+		}
+		if window != 1 {
+			t.Fatalf("window starting at %d kept %d, want 1 (even spread)", start, window)
+		}
+	}
+}
+
 func TestPlanAdmissionAdmitsWithinGrant(t *testing.T) {
 	// λ = 3/s on (3,3) of 6 slots, µ = 2: comfortably sustainable.
 	p := PlanAdmission(twoStageSnap(3, 2, 3, 6), 1.5, 16, 3)
@@ -356,15 +380,8 @@ func TestHTTPHandler(t *testing.T) {
 	if code, _, _ := post("b", "rec"); code != 202 {
 		t.Fatalf("client b: %d, want 202", code)
 	}
-	// /stats renders the counters.
-	resp, err := http.Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(b), `"offered":3`) {
-		t.Fatalf("stats %s lacks offered count", b)
+	if n := g.Stats().Offered; n != 3 {
+		t.Fatalf("gate counted %d offered records, want 3", n)
 	}
 	// The admitted payloads are in the ring.
 	if n := g.Ring().Len(); n != 2 {

@@ -221,8 +221,6 @@ func (m *metrics) register(n *Node) {
 	if dlog != nil {
 		reg.Func("drs_decision_log_offered_total", "Decision records offered to the log.",
 			obs.Counter, "", func() float64 { return float64(dlog.Stats().Offered) })
-		reg.Func("drs_decision_log_thinned_total", "Decision records thinned by the sampling knob.",
-			obs.Counter, "", func() float64 { return float64(dlog.Stats().Thinned) })
 		reg.Func("drs_decision_log_dropped_total", "Decision records dropped on ring overflow.",
 			obs.Counter, "", func() float64 { return float64(dlog.Stats().Dropped) })
 	}

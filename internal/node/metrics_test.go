@@ -76,7 +76,7 @@ func TestMetricsContract(t *testing.T) {
 		{"workers", func(c *Config) { c.WorkerAddr = "127.0.0.1:0" }},
 		{"obs", func(c *Config) {
 			c.DecisionSink, c.TraceSink = obs.NewWriterSink(io.Discard), obs.NewWriterSink(io.Discard)
-			c.DecisionSample, c.TraceSample = 1000, 10
+			c.TraceSample = 10
 		}},
 	}
 	var got strings.Builder

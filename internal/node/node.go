@@ -69,9 +69,6 @@ type Config struct {
 	Build func(*engine.TopologyBuilder)
 	// Entry is the bolt ingested records enter at (required).
 	Entry string
-	// Tasks is the per-bolt task count Build declares; it caps a
-	// checkpoint-restored allocation.
-	Tasks int
 	// Tmax is the latency target in seconds the gate and the supervisor
 	// defend (required).
 	Tmax float64
@@ -97,17 +94,18 @@ type Config struct {
 	// WALDir, when set, makes admission durable: ACK after append,
 	// crash-recovery replay on boot, control checkpoints beside the log.
 	WALDir string
-	// DecisionSink and TraceSink, when set, enable the decision log and
-	// the tracer at DecisionSample / TraceSample permille.
-	DecisionSink, TraceSink     obs.Sink
-	DecisionSample, TraceSample int
+	// DecisionSink, when set, enables the decision log, which keeps every
+	// decision. TraceSink, when set, enables the tracer at TraceSample
+	// permille.
+	DecisionSink, TraceSink obs.Sink
+	TraceSample             int
 	// OnTrace, when set, receives every completed sampled trace (on the
 	// tracer's drainer goroutine) and enables the tracer without a sink.
 	OnTrace func(obs.Trace)
 	// FixedAlloc, when set, is the executor count per bolt (clipped to
-	// [1, Tasks]) for the node's whole life: the supervisor is built but
-	// never started, and with no snapshot to plan from the gate admits up
-	// to ring backpressure.
+	// [1, the bolt's tasks]) for the node's whole life: the supervisor is
+	// built but never started, and with no snapshot to plan from the gate
+	// admits up to ring backpressure.
 	FixedAlloc map[string]int
 	// Pprof mounts net/http/pprof on the HTTP listener.
 	Pprof bool
@@ -260,7 +258,7 @@ func (n *Node) boot() error {
 
 	n.metrics = newMetrics(tenantName)
 	if cfg.DecisionSink != nil {
-		n.dlog = obs.NewLog(obs.Config{SamplePermille: cfg.DecisionSample, Sink: cfg.DecisionSink})
+		n.dlog = obs.NewLog(obs.Config{Sink: cfg.DecisionSink})
 	}
 	if cfg.TraceSink != nil || cfg.OnTrace != nil {
 		n.tracer = obs.NewTracer(obs.TracerConfig{
@@ -296,7 +294,7 @@ func (n *Node) boot() error {
 	if err != nil {
 		return err
 	}
-	alloc, slots := n.initialAllocation(bolts, maxSlots)
+	alloc, slots := n.initialAllocation(bolts, topo.Tasks(), maxSlots)
 	if n.lease, err = sched.Register(cluster.TenantConfig{
 		Name: tenantName, MinSlots: len(bolts), InitialSlots: min(slots, maxSlots),
 	}); err != nil {
@@ -345,17 +343,17 @@ func (n *Node) boot() error {
 }
 
 // initialAllocation is one executor per bolt on a cold start, or the
-// fixed (else the checkpointed) allocation clipped to [1, Tasks] when it
-// still fits the cap; a stale oversized checkpoint falls back to the cold
-// start.
-func (n *Node) initialAllocation(bolts []string, maxSlots int) (alloc map[string]int, slots int) {
+// fixed (else the checkpointed) allocation, each bolt's count clipped to
+// [1, its tasks], when it still fits the cap; a stale oversized
+// checkpoint falls back to the cold start.
+func (n *Node) initialAllocation(bolts []string, tasks map[string]int, maxSlots int) (alloc map[string]int, slots int) {
 	want := n.ckpt.Alloc
 	if n.cfg.FixedAlloc != nil {
 		want = n.cfg.FixedAlloc
 	}
 	alloc = make(map[string]int, len(bolts))
 	for _, name := range bolts {
-		alloc[name] = max(1, min(want[name], n.cfg.Tasks))
+		alloc[name] = max(1, min(want[name], tasks[name]))
 		slots += alloc[name]
 	}
 	if slots <= maxSlots {
@@ -498,7 +496,7 @@ func (n *Node) listen() error {
 		n.httpAddr, n.httpSrv = l.Addr().String(), NewHTTPServer(mux, n.cfg.Pprof)
 		n.serve(func() error { return n.httpSrv.Serve(l) }, "http ingest")
 		n.notice("http ingest open", "url", "http://"+n.httpAddr+"/ingest",
-			"stats", "/stats", "metrics", "/metrics", "pprof", n.cfg.Pprof)
+			"metrics", "/metrics", "pprof", n.cfg.Pprof)
 	}
 	if n.cfg.TCPAddr != "" {
 		l, err := net.Listen("tcp", n.cfg.TCPAddr)

@@ -96,7 +96,6 @@ func testConfig() (Config, *syncBuffer) {
 	return Config{
 		Build:           func(b *engine.TopologyBuilder) { AddOperators(b, fastFile, 8, 1) },
 		Entry:           "extract",
-		Tasks:           8,
 		Tmax:            0.2,
 		Interval:        50 * time.Millisecond,
 		SlotsPerMachine: 2,
@@ -202,7 +201,6 @@ func TestDurableRestart(t *testing.T) {
 	// No tick inside the test: the watermark is only synced by Drain, so a
 	// dropped node leaves every admitted record unacked on disk.
 	cfg.Interval = time.Hour
-	cfg.Tasks = 1
 	cfg.Build = func(b *engine.TopologyBuilder) {
 		b.Bolt("extract", 1, func(int) engine.Bolt {
 			return engine.BoltFunc(func(tu engine.Tuple, _ engine.Emit) error {
@@ -481,6 +479,30 @@ func TestFixedAllocationHolds(t *testing.T) {
 	}
 	if st := rep.Gate; st.ShedOverload != 0 || rep.Completions != st.Admitted {
 		t.Errorf("fixed node shed %d for overload, completed %d of %d admitted", st.ShedOverload, rep.Completions, st.Admitted)
+	}
+}
+
+// TestFixedAllocationClipsToBoltTasks: a fixed count above one bolt's own
+// task count boots with that bolt at its tasks, while a bolt with more
+// tasks keeps the count it was given.
+func TestFixedAllocationClipsToBoltTasks(t *testing.T) {
+	tf := topology.File{
+		Operators: []topology.FileOperator{{Name: "extract", ServiceRate: 5000}, {Name: "sink", ServiceRate: 5000}},
+		Edges:     []topology.FileEdge{{From: "extract", To: "sink", Selectivity: 1}},
+	}
+	cfg, _ := testConfig()
+	cfg.Build = func(b *engine.TopologyBuilder) {
+		f := OperatorFactories(tf, 1)
+		b.Bolt("extract", 8, f["extract"]).Bolt("sink", 2, f["sink"]).ShuffleOn("e0", "extract", "sink")
+	}
+	cfg.FixedAlloc = map[string]int{"extract": 3, "sink": 3}
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	if got, want := n.Drain().Alloc, map[string]int{"extract": 3, "sink": 2}; !maps.Equal(got, want) {
+		t.Errorf("allocation %v, want %v", got, want)
 	}
 }
 

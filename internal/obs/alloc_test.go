@@ -27,18 +27,6 @@ func TestEmitZeroAllocs(t *testing.T) {
 	}
 }
 
-func TestEmitSampledOutZeroAllocs(t *testing.T) {
-	if RaceEnabled {
-		t.Skip("AllocsPerRun is unreliable under -race")
-	}
-	l := newLog(Config{SamplePermille: 1}, 1, 16, 0)
-	rec := Record{Kind: KindGrant, Tenant: "t"}
-	allocs := testing.AllocsPerRun(10000, func() { l.Emit(&rec) })
-	if allocs != 0 {
-		t.Fatalf("sampled-out Emit allocates %.1f/op, want 0", allocs)
-	}
-}
-
 func TestHistogramObserveZeroAllocs(t *testing.T) {
 	if RaceEnabled {
 		t.Skip("AllocsPerRun is unreliable under -race")

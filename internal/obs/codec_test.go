@@ -36,8 +36,8 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 func TestCodecOmitsZeroFields(t *testing.T) {
-	enc := AppendRecord(nil, &Record{Seq: 9, At: 100, Kind: KindRelease, Tenant: "t"})
-	want := `{"seq":9,"at":100,"kind":"release","tenant":"t"}`
+	enc := AppendRecord(nil, &Record{Seq: 9, At: 100, Kind: KindGrant, Tenant: "t"})
+	want := `{"seq":9,"at":100,"kind":"grant","tenant":"t"}`
 	if string(enc) != want {
 		t.Fatalf("encoding = %s, want %s", enc, want)
 	}

@@ -4,7 +4,7 @@
 // metrics registry. Log and Tracer are two instantiations of one record
 // pipeline (pipe.go) on the decision-log plugin idiom popularized by OPA:
 // emitters copy fixed-shape records into a sharded ring buffer
-// (sample-then-store, drop-counter on overflow, never block), and a single
+// (drop-counter on overflow, never block), and a single
 // drainer goroutine encodes NDJSON to a sink off the hot path. The
 // package depends only on the standard library so every
 // subsystem (engine, cluster, ingest, loop, worker, wal) can emit into it
@@ -13,7 +13,6 @@ package obs
 
 import (
 	"cmp"
-	"sync/atomic"
 	"time"
 )
 
@@ -154,14 +153,10 @@ type Record struct {
 	Detail      string  // short tag: an action word, or a decision's reason
 }
 
-// Config configures a Log. The zero value is usable: sampling every
-// record, no sink (manual Sweep only). The rings are the pipe defaults,
-// 4 shards x 1024 records swept every 250ms.
+// Config configures a Log. The zero value is usable: no sink (manual
+// Sweep only). The rings are the pipe defaults, 4 shards x 1024 records
+// swept every 250ms.
 type Config struct {
-	// SamplePermille keeps N records per 1000 emissions (default 1000 =
-	// keep everything). Sampling is deterministic over the emission
-	// sequence, so identical runs keep identical records.
-	SamplePermille int
 	// Sink receives drained NDJSON batches. Nil means no drainer
 	// goroutine runs; records wait in the rings for a manual Sweep.
 	Sink Sink
@@ -171,14 +166,13 @@ type Config struct {
 	Now func() time.Time
 }
 
-// Log is a bounded, sharded, sampled decision log: the pipe[Record]
-// instantiation. Its own policy is the seq-thinning sampler and the At
-// stamp. All methods are nil-safe: a nil *Log ignores emissions, so
-// wiring is optional everywhere and the disabled path costs one branch.
+// Log is a bounded, sharded decision log: the pipe[Record]
+// instantiation. It keeps every decision; its own policy is the At stamp.
+// All methods are nil-safe: a nil *Log ignores emissions, so wiring is
+// optional everywhere and the disabled path costs one branch.
 type Log struct {
-	p       pipe[Record]
-	now     func() time.Time
-	thinned atomic.Uint64 // records skipped by sampling
+	p   pipe[Record]
+	now func() time.Time
 }
 
 // NewLog builds a decision log. If cfg.Sink is non-nil a single drainer
@@ -192,26 +186,9 @@ func newLog(cfg Config, shards, capacity int, flushEvery time.Duration) *Log {
 	if l.now == nil {
 		l.now = time.Now
 	}
-	l.p.init(shards, capacity, cfg.SamplePermille, flushEvery, cfg.Sink,
+	l.p.init(shards, capacity, flushEvery, cfg.Sink,
 		func(a, b Record) int { return cmp.Compare(a.Seq, b.Seq) }, AppendRecord, nil)
 	return l
-}
-
-// ThinAdmit is the deterministic thinning verdict: of every thousand
-// sequence numbers, admit ⌊n·p/1000⌋ − ⌊(n−1)·p/1000⌋ — the exact long-run
-// fraction with no RNG, spread evenly instead of front-loaded, so a steady
-// client meets no bursts of bad luck. permille ≥ 1000 admits everything and
-// ≤ 0 nothing. The decision log's sampler, the ingest gate and its
-// virtual-time twin (experiments' gateClient) all thin with it.
-func ThinAdmit(seq uint64, permille int64) bool {
-	if permille >= permilleScale {
-		return true
-	}
-	if permille <= 0 {
-		return false
-	}
-	p := uint64(permille)
-	return seq*p/permilleScale != (seq-1)*p/permilleScale
 }
 
 // Emit records one decision. The record is copied by value into a ring
@@ -225,10 +202,6 @@ func (l *Log) Emit(r *Record) {
 		return
 	}
 	seq := l.p.seq.Add(1)
-	if !ThinAdmit(seq, l.p.permille) {
-		l.thinned.Add(1)
-		return
-	}
 	at := r.At
 	if at == 0 {
 		at = l.now().UnixNano()
@@ -241,19 +214,17 @@ func (l *Log) Emit(r *Record) {
 
 // Stats is a point-in-time account of the log's traffic.
 type Stats struct {
-	Offered uint64 // Emit calls seen (pre-sampling)
-	Thinned uint64 // emissions skipped by the sampling knob
+	Offered uint64 // Emit calls seen
 	Dropped uint64 // records lost to ring overflow
 }
 
-// Stats reports emission/sampling/drop counters. Safe on a nil log.
+// Stats reports emission/drop counters. Safe on a nil log.
 func (l *Log) Stats() Stats {
 	if l == nil {
 		return Stats{}
 	}
 	return Stats{
 		Offered: l.p.seq.Load(),
-		Thinned: l.thinned.Load(),
 		Dropped: l.p.dropped.Load(),
 	}
 }

@@ -62,57 +62,6 @@ func TestLogNilSafe(t *testing.T) {
 	}
 }
 
-func TestLogSamplingDeterministic(t *testing.T) {
-	l := newLog(Config{SamplePermille: 100, Now: fixedClock()}, 2, 2048, 0)
-	for i := 0; i < 1000; i++ {
-		l.Emit(&Record{Kind: KindRefit, Tenant: "a"})
-	}
-	n := 0
-	l.Sweep(func(*Record) { n++ })
-	if n != 100 {
-		t.Fatalf("kept %d of 1000 at 100 permille, want exactly 100 (deterministic thinning)", n)
-	}
-	st := l.Stats()
-	if st.Thinned != 900 {
-		t.Fatalf("thinned %d, want 900", st.Thinned)
-	}
-
-	// The default keeps everything.
-	all := newLog(Config{Now: fixedClock()}, 2, 2048, 0)
-	for i := 0; i < 50; i++ {
-		all.Emit(&Record{Kind: KindRefit, Tenant: "a"})
-	}
-	n = 0
-	all.Sweep(func(*Record) { n++ })
-	if n != 50 {
-		t.Fatalf("kept %d of 50 at the default rate, want 50", n)
-	}
-}
-
-func TestThinAdmitSpreadsEvenly(t *testing.T) {
-	// 250 permille keeps exactly one of every four consecutive emissions.
-	kept := 0
-	for seq := uint64(1); seq <= 400; seq++ {
-		if ThinAdmit(seq, 250) {
-			kept++
-		}
-	}
-	if kept != 100 {
-		t.Fatalf("kept %d of 400 at 250 permille, want 100", kept)
-	}
-	for start := uint64(1); start <= 396; start += 4 {
-		window := 0
-		for s := start; s < start+4; s++ {
-			if ThinAdmit(s, 250) {
-				window++
-			}
-		}
-		if window != 1 {
-			t.Fatalf("window starting at %d kept %d, want 1 (even spread)", start, window)
-		}
-	}
-}
-
 func TestLogDrainerFlushesNDJSONToSink(t *testing.T) {
 	var buf bytes.Buffer
 	l := newLog(Config{Sink: NewWriterSink(&buf), Now: fixedClock()}, 2, 128, time.Millisecond)
@@ -166,10 +115,11 @@ func TestKindNamesRoundTrip(t *testing.T) {
 
 func TestFileSinkRotates(t *testing.T) {
 	dir := t.TempDir()
-	s, err := NewFileSink(dir, 64)
+	s, err := NewFileSink(dir, "decision")
 	if err != nil {
 		t.Fatalf("new file sink: %v", err)
 	}
+	s.maxBytes = 64
 	line := []byte(strings.Repeat("x", 40) + "\n")
 	for i := 0; i < 4; i++ {
 		s.Write(line)

@@ -19,9 +19,6 @@ const (
 	defaultFlushEvery    = 250 * time.Millisecond
 )
 
-// permilleScale is the denominator of the sampling knob.
-const permilleScale = 1000
-
 // initialShardCapacity is what a shard starts with. A pipe sized for its
 // worst sweep (the benchmark's tracer: 8 x 65 536 x 88 B = 44 MiB) would
 // otherwise pre-zero that much live heap nobody writes to, and the GC goal
@@ -45,9 +42,8 @@ type pipe[T any] struct {
 	mask   uint64
 	max    int // per-shard bound (the shard capacity): a shard this full drops
 
-	seq      atomic.Uint64 // emissions offered
-	permille int64         // sampling rate, fixed at init
-	dropped  atomic.Uint64 // records lost to ring overflow
+	seq     atomic.Uint64 // emissions offered
+	dropped atomic.Uint64 // records lost to ring overflow
 
 	// The three per-type hooks are fixed at init and run on the drainer
 	// only (bySeq also under a manual sweep) — never on the emit path.
@@ -68,7 +64,7 @@ type pipe[T any] struct {
 // choice is a mask, not a mod), applies the defaults, and starts the
 // drainer goroutine when there is a sink or a fold hook to drain into;
 // otherwise records wait in the rings for a manual collect.
-func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration, sink Sink,
+func (p *pipe[T]) init(shards, capacity int, flushEvery time.Duration, sink Sink,
 	bySeq func(a, b T) int, enc func([]byte, *T) []byte, fold func([]T)) {
 	if shards <= 0 {
 		shards = defaultShards
@@ -80,9 +76,6 @@ func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration,
 	if capacity <= 0 {
 		capacity = defaultShardCapacity
 	}
-	if permille <= 0 || permille > permilleScale {
-		permille = permilleScale
-	}
 	if flushEvery <= 0 {
 		flushEvery = defaultFlushEvery
 	}
@@ -91,7 +84,6 @@ func (p *pipe[T]) init(shards, capacity, permille int, flushEvery time.Duration,
 		p.shards[i] = &shard[T]{buf: make([]T, 0, min(initialShardCapacity, capacity))}
 	}
 	p.mask, p.max = uint64(pow-1), capacity
-	p.permille = int64(permille)
 	p.bySeq, p.enc, p.fold = bySeq, enc, fold
 	p.sink, p.flushEvery = sink, flushEvery
 	p.stop, p.done = make(chan struct{}), make(chan struct{})

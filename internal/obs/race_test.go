@@ -12,12 +12,11 @@ import (
 // sink, /metrics being scraped and histograms observing — all at once.
 // Run under -race it proves the log and registry are data-race free;
 // without -race it still shakes out lost records and torn counters. The
-// log thins at 500 permille, so every emission lands in one of kept,
-// thinned or dropped.
+// log keeps every decision, so every emission is either kept or dropped.
 func TestConcurrentDecidersDrainerScrape(t *testing.T) {
 	var sinkBuf bytes.Buffer
 	sink := NewWriterSink(&sinkBuf)
-	l := newLog(Config{SamplePermille: 500, Sink: sink}, 8, 4096, 100*time.Microsecond)
+	l := newLog(Config{Sink: sink}, 8, 4096, 100*time.Microsecond)
 	reg := NewRegistry()
 	reg.Func("drs_obs_offered_total", "Decision emissions offered.", Counter, "",
 		func() float64 { return float64(l.Stats().Offered) })
@@ -62,12 +61,12 @@ func TestConcurrentDecidersDrainerScrape(t *testing.T) {
 	if st.Offered != deciders*perG {
 		t.Fatalf("offered %d, want %d", st.Offered, deciders*perG)
 	}
-	// Every offered emission is accounted: kept (reached the sink),
-	// thinned, or dropped.
+	// Every offered emission is accounted: kept (reached the sink) or
+	// dropped.
 	kept := uint64(bytes.Count(sinkBuf.Bytes(), []byte{'\n'}))
-	if kept+st.Thinned+st.Dropped != st.Offered {
-		t.Fatalf("accounting leak: kept %d + thinned %d + dropped %d != offered %d",
-			kept, st.Thinned, st.Dropped, st.Offered)
+	if kept+st.Dropped != st.Offered {
+		t.Fatalf("accounting leak: kept %d + dropped %d != offered %d",
+			kept, st.Dropped, st.Offered)
 	}
 	// Everything that reached the sink parses.
 	for _, line := range bytes.Split(bytes.TrimSpace(sinkBuf.Bytes()), []byte{'\n'}) {

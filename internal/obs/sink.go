@@ -18,10 +18,13 @@ type Sink interface {
 	Close() error
 }
 
+// fileSinkMaxBytes is a FileSink segment's rotation bound.
+const fileSinkMaxBytes = 64 << 20
+
 // FileSink writes NDJSON batches to <prefix>-NNNNNN.ndjson files in a
-// directory, rotating to a new file once the current one passes
-// MaxBytes. Rotation keeps individual files tail-able and lets operators
-// ship or prune closed segments; records are never split across files.
+// directory, rotating to a new file once the current one passes 64 MiB.
+// Rotation keeps individual files tail-able and lets operators ship or
+// prune closed segments; records are never split across files.
 type FileSink struct {
 	dir      string
 	prefix   string
@@ -34,23 +37,14 @@ type FileSink struct {
 	err     error // first write error; sticky, reported by Close
 }
 
-// NewFileSink opens a rotating decision-NNNNNN.ndjson sink in dir,
-// creating it if needed. maxBytes <= 0 defaults to 64 MiB per file.
-func NewFileSink(dir string, maxBytes int64) (*FileSink, error) {
-	return NewFileSinkNamed(dir, "decision", maxBytes)
-}
-
-// NewFileSinkNamed opens a rotating <prefix>-NNNNNN.ndjson sink in dir —
-// the decision log and the trace stream share one directory without
-// colliding segment names.
-func NewFileSinkNamed(dir, prefix string, maxBytes int64) (*FileSink, error) {
-	if maxBytes <= 0 {
-		maxBytes = 64 << 20
-	}
+// NewFileSink opens a rotating <prefix>-NNNNNN.ndjson sink in dir,
+// creating it if needed — the decision log and the trace stream share one
+// directory without colliding segment names.
+func NewFileSink(dir, prefix string) (*FileSink, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("obs: file sink: %w", err)
 	}
-	s := &FileSink{dir: dir, prefix: prefix, maxBytes: maxBytes}
+	s := &FileSink{dir: dir, prefix: prefix, maxBytes: fileSinkMaxBytes}
 	if err := s.rotateLocked(); err != nil {
 		return nil, err
 	}

@@ -114,20 +114,27 @@ type TracerConfig struct {
 // *Tracer samples nothing and ignores spans, so the disabled path costs
 // one branch.
 type Tracer struct {
-	p   pipe[SpanRecord]
-	asm *Assembler
+	p        pipe[SpanRecord]
+	permille uint64 // roots kept per permilleScale, in (0, permilleScale]
+	asm      *Assembler
 }
+
+// permilleScale is the denominator of the sampling knob.
+const permilleScale = 1000
 
 // NewTracer builds a tracer. If cfg.Sink or cfg.Assembler is non-nil a
 // single drainer goroutine starts sweeping the rings; Close stops it,
 // flushes, and finalizes the assembler.
 func NewTracer(cfg TracerConfig) *Tracer {
-	t := &Tracer{asm: cfg.Assembler}
+	t := &Tracer{permille: permilleScale, asm: cfg.Assembler}
+	if cfg.SamplePermille > 0 && cfg.SamplePermille < permilleScale {
+		t.permille = uint64(cfg.SamplePermille)
+	}
 	var fold func([]SpanRecord)
 	if t.asm != nil {
 		fold = t.feed
 	}
-	t.p.init(cfg.Shards, cfg.ShardCapacity, cfg.SamplePermille, cfg.FlushEvery, cfg.Sink,
+	t.p.init(cfg.Shards, cfg.ShardCapacity, cfg.FlushEvery, cfg.Sink,
 		func(a, b SpanRecord) int { return cmp.Compare(a.Seq, b.Seq) }, AppendSpan, fold)
 	return t
 }
@@ -163,10 +170,10 @@ func (t *Tracer) SampleTrace(id uint64) bool {
 	if t == nil || id == 0 {
 		return false
 	}
-	if t.p.permille >= permilleScale {
+	if t.permille == permilleScale {
 		return true
 	}
-	return traceMix(id)%permilleScale < uint64(t.p.permille)
+	return traceMix(id)%permilleScale < t.permille
 }
 
 // EmitSpan records one segment of a sampled trace. The span is copied by
