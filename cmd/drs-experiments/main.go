@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 
@@ -157,8 +158,8 @@ func run(args []string) error {
 		return err
 	}
 	switch {
-	case *duration < 0:
-		return fmt.Errorf("-duration must not be negative, got %g", *duration)
+	case !(*duration >= 0) || math.IsInf(*duration, 1):
+		return fmt.Errorf("-duration must be non-negative and finite, got %g", *duration)
 	case *iters < 1:
 		return fmt.Errorf("-iters must be positive, got %d", *iters)
 	}

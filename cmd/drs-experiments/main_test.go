@@ -41,6 +41,7 @@ func TestRunArgumentValidation(t *testing.T) {
 		args []string
 	}{
 		{"-duration", []string{"-duration", "-5", "table2"}},
+		{"-duration", []string{"-duration", "nan", "fig8"}},
 		{"-iters", []string{"-iters", "-3", "table2"}},
 	} {
 		if err := run(c.args); err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {

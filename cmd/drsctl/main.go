@@ -43,6 +43,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -120,10 +121,10 @@ func cmdQuantile(model *drs.Model, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *targetMS <= 0 {
-		return fmt.Errorf("-target-ms is required and must be positive")
+	if !positive(*targetMS) {
+		return fmt.Errorf("-target-ms is required and must be positive and finite, got %g", *targetMS)
 	}
-	if *q <= 0 || *q >= 1 {
+	if !(*q > 0 && *q < 1) {
 		return fmt.Errorf("-q must be in (0,1), got %g", *q)
 	}
 	target := *targetMS / 1e3
@@ -140,6 +141,12 @@ func cmdQuantile(model *drs.Model, args []string) error {
 	fmt.Printf("total processors: %d\n", total)
 	return nil
 }
+
+// positive and nonNegative are the float flags' checks. Each is written
+// as the values it accepts, so NaN fails it, and no float flag means
+// anything at +Inf.
+func positive(x float64) bool    { return x > 0 && !math.IsInf(x, 1) }
+func nonNegative(x float64) bool { return x >= 0 && !math.IsInf(x, 1) }
 
 func loadTopology(path string) (*drs.Topology, topoFile, error) {
 	return topology.Load(path)
@@ -202,8 +209,8 @@ func cmdRecommend(model *drs.Model, args []string) error {
 	switch {
 	case *kmax < 0:
 		return fmt.Errorf("-kmax must not be negative, got %d", *kmax)
-	case *tmaxMS < 0:
-		return fmt.Errorf("-tmax-ms must not be negative, got %g", *tmaxMS)
+	case !nonNegative(*tmaxMS):
+		return fmt.Errorf("-tmax-ms must be non-negative and finite, got %g", *tmaxMS)
 	case *kmax > 0 && *tmaxMS > 0:
 		return fmt.Errorf("pass either -kmax or -tmax-ms, not both")
 	case *kmax > 0:
@@ -246,11 +253,11 @@ func cmdSimulate(model *drs.Model, tf topoFile, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *duration <= 0 {
-		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	if !positive(*duration) {
+		return fmt.Errorf("-duration must be positive and finite, got %g", *duration)
 	}
-	if *hopMS < 0 {
-		return fmt.Errorf("-hop-ms must not be negative, got %g", *hopMS)
+	if !nonNegative(*hopMS) {
+		return fmt.Errorf("-hop-ms must be non-negative and finite, got %g", *hopMS)
 	}
 	alloc, err := parseAlloc(*allocStr, model.N())
 	if err != nil {

@@ -227,6 +227,26 @@ func TestRunErrors(t *testing.T) {
 		{"-min-slots", append(live, "-min-slots", "-1")},
 		{"-hop-ms", []string{"-topology", path, "simulate", "-alloc", "10,11,1", "-hop-ms", "-5"}},
 		{"-retry-for", []string{"-topology", path, "worker", "-connect", "127.0.0.1:1", "-retry-for", "-1"}},
+		// A pool of 8 machines x 4 slots can neither hold a floor of 100
+		// nor lease 100 slots up front; scenario refuses a negative
+		// priority, and so does schedule.
+		{"-min-slots", append(live, "-min-slots", "100")},
+		{"-kmax", []string{"schedule", "-topologies", path, "-kmax", "100", "-duration", "2"}},
+		{"-priorities", append(live, "-priorities", "-5")},
+		// A float check that says what it refuses lets NaN through, and no
+		// target or duration means anything at +Inf.
+		{"-tmax-ms", serve("-tmax-ms", "nan")},
+		{"-tmax-ms", serve("-tmax-ms", "inf")},
+		{"-duration", serve("-duration", "nan")},
+		{"-client-rate", serve("-client-rate", "nan")},
+		{"-tmax-ms", append(live, "-tmax-ms", "nan")},
+		{"-weights", append(live, "-weights", "nan")},
+		{"-duration", append(live, "-duration", "nan")},
+		{"-q", []string{"-topology", path, "quantile", "-q", "nan", "-target-ms", "100"}},
+		{"-target-ms", []string{"-topology", path, "quantile", "-target-ms", "nan"}},
+		{"-duration", []string{"-topology", path, "simulate", "-alloc", "10,11,1", "-duration", "nan"}},
+		{"-hop-ms", []string{"-topology", path, "simulate", "-alloc", "10,11,1", "-hop-ms", "nan"}},
+		{"-tmax-ms", []string{"-topology", path, "recommend", "-tmax-ms", "nan"}},
 	} {
 		out, errOut, err := runOut(t, c.args...)
 		if err == nil || !strings.HasPrefix(err.Error(), c.flag+" ") {

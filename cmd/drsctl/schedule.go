@@ -48,20 +48,20 @@ func cmdSchedule(args []string) error {
 		return fmt.Errorf("-topologies is required (e.g. -topologies api.json,batch.json)")
 	case (*kmaxList == "") == (*tmaxMS == ""):
 		return fmt.Errorf("pass exactly one of -kmax or -tmax-ms")
-	case *duration <= 0:
-		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	case !positive(*duration):
+		return fmt.Errorf("-duration must be positive and finite, got %g", *duration)
 	case *intervalMS <= 0:
 		return fmt.Errorf("-interval-ms must be positive, got %d", *intervalMS)
 	case *slots < 1:
 		return fmt.Errorf("-slots must be at least 1, got %d", *slots)
 	case *maxMachines < 1:
 		return fmt.Errorf("-max-machines must be at least 1, got %d", *maxMachines)
-	case *failAfter < 0 || *failAfter > 0 && *failAfter >= *duration:
+	case !(*failAfter == 0 || *failAfter > 0 && *failAfter < *duration):
 		return fmt.Errorf("-fail-after %g must be 0 (no churn) or inside -duration %g", *failAfter, *duration)
 	case *failCount < 1:
 		return fmt.Errorf("-fail-machines must be at least 1, got %d", *failCount)
-	case *failDown < 0:
-		return fmt.Errorf("-fail-down must not be negative, got %g", *failDown)
+	case !nonNegative(*failDown):
+		return fmt.Errorf("-fail-down must be non-negative and finite, got %g", *failDown)
 	}
 	paths := strings.Split(*topos, ",")
 	n := len(paths)
@@ -80,9 +80,6 @@ func cmdSchedule(args []string) error {
 	if err != nil {
 		return err
 	}
-	if w := slices.Min(ws); w <= 0 {
-		return fmt.Errorf("-weights must be positive, got %g", w)
-	}
 	prios := make([]int, n)
 	for i := range prios {
 		prios[i] = i
@@ -97,14 +94,28 @@ func cmdSchedule(args []string) error {
 		if floors, err = parseList(*minSlots, n, "min-slots", strconv.Atoi); err != nil {
 			return err
 		}
-		if f := slices.Min(floors); f < 0 {
-			return fmt.Errorf("-min-slots must not be negative, got %d", f)
-		}
 	}
 
 	// Tasks cap executor parallelism per operator, and the arbiter may
 	// grant one tenant — and its optimizer one operator — the whole pool.
 	tasks := *slots * *maxMachines
+	// A floor must fit the pool alone; -kmax tenants lease their whole
+	// budgets up front, so the budgets must fit it together.
+	for _, f := range floors {
+		if f < 0 || f > tasks {
+			return fmt.Errorf("-min-slots %d is outside [0, %d], the pool's slots (-slots × -max-machines)", f, tasks)
+		}
+	}
+	leased := 0
+	for _, k := range kmaxes {
+		leased += k
+	}
+	if leased > tasks {
+		return fmt.Errorf("-kmax leases %d slots up front, more than the pool's %d (-slots × -max-machines)", leased, tasks)
+	}
+	if p := slices.Min(prios); p < 0 {
+		return fmt.Errorf("-priorities must not be negative, got %d", p)
+	}
 
 	pool, err := cluster.NewPool(cluster.PoolConfig{
 		SlotsPerMachine: *slots,
@@ -289,15 +300,22 @@ func parseList[T any](s string, n int, flagName string, parse func(string) (T, e
 		}
 		v, err := parse(strings.TrimSpace(p))
 		if err != nil {
-			return nil, fmt.Errorf("bad -%s entry %q: %w", flagName, p, err)
+			return nil, fmt.Errorf("-%s entry %q: %w", flagName, p, err)
 		}
 		out[i] = v
 	}
 	return out, nil
 }
 
-// parseFloat is strconv.ParseFloat at the one precision the flags use.
-func parseFloat(s string) (float64, error) { return strconv.ParseFloat(s, 64) }
+// parseFloat parses an entry of the float lists, -tmax-ms and -weights,
+// each of which wants a positive finite number.
+func parseFloat(s string) (float64, error) {
+	v, err := strconv.ParseFloat(s, 64)
+	if err == nil && !positive(v) {
+		return 0, fmt.Errorf("want a positive finite number, got %g", v)
+	}
+	return v, err
+}
 
 func secondsDuration(sec float64) time.Duration {
 	return time.Duration(sec * float64(time.Second))

@@ -66,18 +66,18 @@ func cmdServe(tf topoFile, args []string) error {
 		return err
 	}
 	switch {
-	case *tmaxMS <= 0:
-		return fmt.Errorf("-tmax-ms is required and must be positive")
-	case *duration <= 0:
-		return fmt.Errorf("-duration must be positive, got %g", *duration)
+	case !positive(*tmaxMS):
+		return fmt.Errorf("-tmax-ms is required and must be positive and finite, got %g", *tmaxMS)
+	case !positive(*duration):
+		return fmt.Errorf("-duration must be positive and finite, got %g", *duration)
 	case *intervalMS <= 0:
 		return fmt.Errorf("-interval-ms must be positive, got %d", *intervalMS)
 	case *slots < 1:
 		return fmt.Errorf("-slots must be at least 1, got %d", *slots)
 	case *maxMachines < 1:
 		return fmt.Errorf("-max-machines must be at least 1, got %d", *maxMachines)
-	case *clientRate < 0:
-		return fmt.Errorf("-client-rate must not be negative (0 = unlimited), got %g", *clientRate)
+	case !nonNegative(*clientRate):
+		return fmt.Errorf("-client-rate must be non-negative and finite (0 = unlimited), got %g", *clientRate)
 	case *httpAddr == "" && *tcpAddr == "":
 		return fmt.Errorf("need at least one listener: -http or -tcp")
 	case *minWorkers < 0:

@@ -44,8 +44,8 @@ func cmdWorker(tf topoFile, args []string) error {
 	if *connect == "" {
 		return fmt.Errorf("-connect is required")
 	}
-	if *retryFor < 0 {
-		return fmt.Errorf("-retry-for must not be negative, got %g", *retryFor)
+	if !nonNegative(*retryFor) {
+		return fmt.Errorf("-retry-for must be non-negative and finite, got %g", *retryFor)
 	}
 	if *pprofFlag && *metricsAddr == "" {
 		return fmt.Errorf("-pprof needs the -metrics listener")

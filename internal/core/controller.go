@@ -160,7 +160,7 @@ func (c ControllerConfig) Validate() error {
 			return errors.New("core: ModeMinLatency requires Kmax > 0")
 		}
 	case ModeMinResource:
-		if c.Tmax <= 0 {
+		if !(c.Tmax > 0) {
 			return errors.New("core: ModeMinResource requires Tmax > 0")
 		}
 	default:

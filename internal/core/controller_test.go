@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"testing"
 )
@@ -31,6 +32,7 @@ func TestControllerConfigValidation(t *testing.T) {
 		{"missing mode", ControllerConfig{}},
 		{"min-latency without kmax", ControllerConfig{Mode: ModeMinLatency}},
 		{"min-resource without tmax", ControllerConfig{Mode: ModeMinResource}},
+		{"min-resource with NaN tmax", ControllerConfig{Mode: ModeMinResource, Tmax: math.NaN()}},
 		{"negative gain", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, MinGain: -0.1}},
 		{"gain >= 1", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, MinGain: 1}},
 		{"bad slack", ControllerConfig{Mode: ModeMinResource, Tmax: 1, ScaleInSlack: 1}},

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"bytes"
+	"math"
 	"testing"
 	"time"
 )
@@ -40,6 +41,60 @@ func TestCodecOmitsZeroFields(t *testing.T) {
 	want := `{"seq":9,"at":100,"kind":"grant","tenant":"t"}`
 	if string(enc) != want {
 		t.Fatalf("encoding = %s, want %s", enc, want)
+	}
+}
+
+// TestCodecWireFormatStable pins the encoding of sample records whose
+// floats lie in [1e-4, 1e6), where encoding/json and strconv's shortest
+// 'g' spelling agree: these lines are byte-for-byte what the hand-written
+// encoder that preceded encoding/json wrote.
+func TestCodecWireFormatStable(t *testing.T) {
+	cases := []struct {
+		rec  Record
+		want string
+	}{
+		{Record{Seq: 1, At: 1700000000123456789, Kind: KindPreempt, Tenant: "gold", Peer: "bronze",
+			From: 8, To: 6, Gain: 0.5, Loss: 0.3333333333333333, Lambda0: 123.456,
+			PeerLambda0: 0.00012, PauseNS: 2000000000, Flag: true, Detail: "guarded"},
+			`{"seq":1,"at":1700000000123456789,"kind":"preempt","tenant":"gold","peer":"bronze","from":8,"to":6,"gain":0.5,"loss":0.3333333333333333,"lambda0":123.456,"peer_lambda0":0.00012,"pause_ns":2000000000,"flag":true,"detail":"guarded"}`},
+		{Record{Seq: 2, At: 2, Kind: KindShedPlan, Tenant: "front", From: 12, To: 16,
+			Gain: 5120, Loss: 97, Lambda0: 999999.875, Fraction: 0.875, Rate: 180.25, Flag: true},
+			`{"seq":2,"at":2,"kind":"shed-plan","tenant":"front","from":12,"to":16,"gain":5120,"loss":97,"lambda0":999999.875,"fraction":0.875,"rate":180.25,"flag":true}`},
+		{Record{Seq: 3, At: 3, Kind: KindRefit, Tenant: "topo-a", From: 3, To: 5, Gain: 0.0371, PauseNS: 150000000, Detail: "scale-out"},
+			`{"seq":3,"at":3,"kind":"refit","tenant":"topo-a","from":3,"to":5,"gain":0.0371,"pause_ns":150000000,"detail":"scale-out"}`},
+		{Record{Seq: 4, At: 4, Kind: KindSuppress, Tenant: "t", Gain: -0.5, Detail: "cooldown"},
+			`{"seq":4,"at":4,"kind":"suppress","tenant":"t","gain":-0.5,"detail":"cooldown"}`},
+		{Record{Seq: math.MaxUint64, At: math.MinInt64, Kind: KindWorkerDeath, Peer: "w-1", To: -3},
+			`{"seq":18446744073709551615,"at":-9223372036854775808,"kind":"worker-death","peer":"w-1","to":-3}`},
+		{Record{Seq: 6, At: 6, Kind: KindGrant, Tenant: "gold", From: 4, To: 8, Gain: math.Copysign(0, -1)},
+			`{"seq":6,"at":6,"kind":"grant","tenant":"gold","from":4,"to":8}`},
+	}
+	for _, c := range cases {
+		if got := AppendRecord(nil, &c.rec); string(got) != c.want {
+			t.Errorf("encoding = %s\nwant       %s", got, c.want)
+		}
+	}
+}
+
+// TestCodecNonFiniteFloats: JSON has no infinity, so a preemption whose
+// claimant's GrowBenefit is +Inf (one more server stabilises an unstable
+// operator) still writes one line ParseRecord accepts — the gain clamped
+// to MaxFloat64 — and a NaN is written as 0, which is omitted.
+func TestCodecNonFiniteFloats(t *testing.T) {
+	in := Record{Seq: 1, At: 1, Kind: KindPreempt, Tenant: "gold", Peer: "bronze",
+		From: 8, To: 6, Gain: math.Inf(1), Loss: math.Inf(-1), Lambda0: math.NaN(), Rate: 3}
+	enc := AppendRecord(nil, &in)
+	got, err := ParseRecord(enc)
+	if err != nil {
+		t.Fatalf("ParseRecord(%s): %v", enc, err)
+	}
+	want := in
+	want.Gain, want.Loss, want.Lambda0 = math.MaxFloat64, -math.MaxFloat64, 0
+	if got != want {
+		t.Fatalf("round trip of %s:\n got  %+v\n want %+v", enc, got, want)
+	}
+	if bytes.ContainsRune(enc, '\n') {
+		t.Fatalf("encoding spans lines: %q", enc)
 	}
 }
 

@@ -13,6 +13,7 @@ package obs
 
 import (
 	"cmp"
+	"fmt"
 	"time"
 )
 
@@ -108,6 +109,19 @@ func KindFromString(s string) (Kind, bool) {
 	return KindInvalid, false
 }
 
+// MarshalText spells the kind by its wire name (the decision log's
+// "kind" field).
+func (k Kind) MarshalText() ([]byte, error) { return []byte(k.String()), nil }
+
+// UnmarshalText reads a wire name; an unknown name is an error.
+func (k *Kind) UnmarshalText(b []byte) error {
+	var ok bool
+	if *k, ok = KindFromString(string(b)); !ok {
+		return fmt.Errorf("unknown kind %q", b)
+	}
+	return nil
+}
+
 // Record is one control decision in fixed shape: every kind uses the same
 // struct so emission is a value copy into a preallocated ring slot — zero
 // heap allocations. String fields must be header copies of strings that
@@ -135,22 +149,22 @@ func KindFromString(s string) (Kind, bool) {
 //   - heal: Peer = bolt name, To = executor slot index.
 //   - worker-join/worker-death: Peer = worker name, To = machine id.
 type Record struct {
-	Seq         uint64  // global emission sequence (assigned by Emit)
-	At          int64   // unix nanoseconds (stamped by Emit when zero)
-	Kind        Kind    // decision kind; see kind docs
-	Tenant      string  // acting tenant/lease/topology ("" when n/a)
-	Peer        string  // counterparty: preemption victim, bolt, worker
-	From        int     // prior value (slots, executors)
-	To          int     // new value (slots, executors, machine id)
-	Gain        float64 // claimant benefit (util/slot) or estimated sojourn
-	Loss        float64 // victim shrink cost (util/slot)
-	Lambda0     float64 // claimant external arrival rate (tuples/s)
-	PeerLambda0 float64 // victim external arrival rate (tuples/s)
-	Fraction    float64 // admit/shed fraction in [0,1]
-	Rate        float64 // sustainable rate (tuples/s)
-	PauseNS     int64   // rebalance pause charged to the decision
-	Flag        bool    // kind-dependent boolean verdict input
-	Detail      string  // short tag: an action word, or a decision's reason
+	Seq         uint64  `json:"seq"`                    // global emission sequence (assigned by Emit)
+	At          int64   `json:"at"`                     // unix nanoseconds (stamped by Emit when zero)
+	Kind        Kind    `json:"kind"`                   // decision kind; see kind docs
+	Tenant      string  `json:"tenant,omitempty"`       // acting tenant/lease/topology ("" when n/a)
+	Peer        string  `json:"peer,omitempty"`         // counterparty: preemption victim, bolt, worker
+	From        int     `json:"from,omitempty"`         // prior value (slots, executors)
+	To          int     `json:"to,omitempty"`           // new value (slots, executors, machine id)
+	Gain        float64 `json:"gain,omitempty"`         // claimant benefit (util/slot) or estimated sojourn
+	Loss        float64 `json:"loss,omitempty"`         // victim shrink cost (util/slot)
+	Lambda0     float64 `json:"lambda0,omitempty"`      // claimant external arrival rate (tuples/s)
+	PeerLambda0 float64 `json:"peer_lambda0,omitempty"` // victim external arrival rate (tuples/s)
+	Fraction    float64 `json:"fraction,omitempty"`     // admit/shed fraction in [0,1]
+	Rate        float64 `json:"rate,omitempty"`         // sustainable rate (tuples/s)
+	PauseNS     int64   `json:"pause_ns,omitempty"`     // rebalance pause charged to the decision
+	Flag        bool    `json:"flag,omitempty"`         // kind-dependent boolean verdict input
+	Detail      string  `json:"detail,omitempty"`       // short tag: an action word, or a decision's reason
 }
 
 // Config configures a Log. The zero value is usable: no sink (manual

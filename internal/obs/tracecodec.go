@@ -3,13 +3,16 @@ package obs
 import (
 	"fmt"
 	"strconv"
+	"unicode/utf8"
 )
 
-// The trace wire format mirrors the decision log's: one JSON object per
-// span, one span per line (NDJSON), canonical encoding (fixed field
-// order, zero-valued optional fields omitted, shortest round-tripping
-// numbers) and strict decoding (unknown fields, trailing data and
-// unknown span kinds are errors).
+// The trace wire format is the decision log's (codec.go): one JSON
+// object per span, one span per line (NDJSON), canonical encoding (fixed
+// field order, zero-valued optional fields omitted) and strict decoding
+// (unknown fields, trailing data and unknown span kinds are errors). The
+// encoder is written by hand, not by encoding/json: the tracer writes a
+// line per sampled record, up to every record at 1000 permille, so the
+// drainer encodes into one reused buffer at zero allocations.
 
 // AppendSpan appends the canonical JSON encoding of r to dst and returns
 // the extended buffer. It allocates only when dst needs to grow, so the
@@ -45,6 +48,49 @@ func AppendSpan(dst []byte, r *SpanRecord) []byte {
 		dst = strconv.AppendInt(dst, r.DurNS, 10)
 	}
 	return append(dst, '}')
+}
+
+// hexDigits spells the low nibble of a \u00XX control escape.
+const hexDigits = "0123456789abcdef"
+
+// appendJSONString appends s as a quoted JSON string, escaping the
+// quote, backslash and control characters and replacing invalid UTF-8
+// with U+FFFD — matching what encoding/json produces on decode, so a
+// decoded span re-encodes canonically.
+func appendJSONString(dst []byte, s string) []byte {
+	dst = append(dst, '"')
+	for i := 0; i < len(s); {
+		c := s[i]
+		if c < utf8.RuneSelf {
+			switch {
+			case c == '"':
+				dst = append(dst, '\\', '"')
+			case c == '\\':
+				dst = append(dst, '\\', '\\')
+			case c == '\n':
+				dst = append(dst, '\\', 'n')
+			case c == '\r':
+				dst = append(dst, '\\', 'r')
+			case c == '\t':
+				dst = append(dst, '\\', 't')
+			case c < 0x20:
+				dst = append(dst, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xf])
+			default:
+				dst = append(dst, c)
+			}
+			i++
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(s[i:])
+		if r == utf8.RuneError && size == 1 {
+			dst = utf8.AppendRune(dst, utf8.RuneError)
+			i++
+			continue
+		}
+		dst = append(dst, s[i:i+size]...)
+		i += size
+	}
+	return append(dst, '"')
 }
 
 // wireSpan is the decode shadow of SpanRecord: same fields, JSON tags
