@@ -389,7 +389,7 @@ func runEngineThroughput(b *testing.B, topo *engine.Topology, cfg engine.RunConf
 		if time.Now().After(deadline) {
 			b.Fatalf("stalled: %d of %d tuples completed", n, b.N)
 		}
-		time.Sleep(20 * time.Microsecond) // poll off the hot path
+		time.Sleep(20 * time.Microsecond) // benchmark's timed loop: a spin would take the engine's CPU
 	}
 	b.StopTimer()
 }
@@ -547,7 +547,7 @@ func BenchmarkEngineStation(b *testing.B) {
 	start := time.Now()
 	const draws = 250
 	for i := 0; i < draws; i++ {
-		time.Sleep(time.Duration(rng.Exp(1) * float64(service)))
+		time.Sleep(time.Duration(rng.Exp(1) * float64(service))) // workload: the drawn service being calibrated
 	}
 	slept := time.Since(start) / draws
 	for _, k := range []int{2, 4, 8} {
@@ -562,7 +562,7 @@ func BenchmarkEngineStation(b *testing.B) {
 					Bolt("station", 4*k, func(task int) engine.Bolt {
 						rng := stats.NewRNG(seed<<16 | uint64(task+1))
 						return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
-							time.Sleep(time.Duration(rng.Exp(1) * float64(service)))
+							time.Sleep(time.Duration(rng.Exp(1) * float64(service))) // workload: modelled service
 							return nil
 						})
 					}).
@@ -575,7 +575,7 @@ func BenchmarkEngineStation(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				time.Sleep(pass)
+				time.Sleep(pass) // benchmark's timed window
 				rep := run.DrainInterval()
 				if err := run.Stop(); err != nil {
 					b.Fatal(err)
@@ -1131,7 +1131,7 @@ func BenchmarkDurableReplay(b *testing.B) {
 			if time.Now().After(deadline) {
 				b.Fatal("replay stalled")
 			}
-			time.Sleep(20 * time.Microsecond) // poll off the hot path
+			time.Sleep(20 * time.Microsecond) // benchmark's timed loop: a spin would take the engine's CPU
 		}
 		openNS += opened.Sub(start)
 		replayNS += time.Since(opened)

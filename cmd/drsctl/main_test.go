@@ -232,6 +232,10 @@ func TestRunErrors(t *testing.T) {
 		// priority, and so does schedule.
 		{"-min-slots", append(live, "-min-slots", "100")},
 		{"-kmax", []string{"schedule", "-topologies", path, "-kmax", "100", "-duration", "2"}},
+		// No lease can hold a floor above a fixed -kmax grant, nor floors
+		// that sum past the pool's 32 slots.
+		{"-min-slots", []string{"schedule", "-topologies", path, "-kmax", "4", "-min-slots", "10", "-duration", "1"}},
+		{"-min-slots", []string{"schedule", "-topologies", path + "," + path, "-tmax-ms", "80", "-min-slots", "20,20", "-duration", "1"}},
 		{"-priorities", append(live, "-priorities", "-5")},
 		// A float check that says what it refuses lets NaN through, and no
 		// target or duration means anything at +Inf.

@@ -99,12 +99,21 @@ func cmdSchedule(args []string) error {
 	// Tasks cap executor parallelism per operator, and the arbiter may
 	// grant one tenant — and its optimizer one operator — the whole pool.
 	tasks := *slots * *maxMachines
-	// A floor must fit the pool alone; -kmax tenants lease their whole
-	// budgets up front, so the budgets must fit it together.
-	for _, f := range floors {
+	// The floors must fit the pool together, and a -kmax tenant's floor its
+	// fixed grant, which never grows; -kmax tenants lease their whole
+	// budgets up front, so the budgets must fit the pool together too.
+	held := 0
+	for i, f := range floors {
 		if f < 0 || f > tasks {
 			return fmt.Errorf("-min-slots %d is outside [0, %d], the pool's slots (-slots × -max-machines)", f, tasks)
 		}
+		if kmaxes != nil && f > kmaxes[i] {
+			return fmt.Errorf("-min-slots %d is above its -kmax %d, a fixed grant that never grows", f, kmaxes[i])
+		}
+		held += f
+	}
+	if held > tasks {
+		return fmt.Errorf("-min-slots floors hold %d slots together, more than the pool's %d (-slots × -max-machines)", held, tasks)
 	}
 	leased := 0
 	for _, k := range kmaxes {

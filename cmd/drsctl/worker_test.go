@@ -43,8 +43,11 @@ func scrapeFamily(t *testing.T, url, family string) (float64, bool) {
 	return 0, false
 }
 
-// waitFor polls cond every 50 ms until it holds, failing the test after
-// 30 s.
+// waitFor polls cond every 50 ms until it holds; the 30 s deadline only
+// bounds a hang. It is a network poll: the worker's endpoint and counters
+// announce nothing the test can await, and each read is an HTTP scrape
+// (and, for the traffic waits, a posted record), so the period paces the
+// scrapes and the offered load rather than guessing at a duration.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
@@ -52,7 +55,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(50 * time.Millisecond) // network poll: paces scrapes and posts
 	}
 }
 

@@ -77,7 +77,7 @@ func (c TenantConfig) validate() error {
 	if c.Name == "" {
 		return errors.New("cluster: tenant name required")
 	}
-	if c.Weight < 0 || c.MinSlots < 0 || c.InitialSlots < 0 {
+	if !(c.Weight >= 0) || c.MinSlots < 0 || c.InitialSlots < 0 {
 		return errors.New("cluster: negative tenant parameters")
 	}
 	return nil

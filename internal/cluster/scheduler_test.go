@@ -396,6 +396,9 @@ func TestRegisterAndRelease(t *testing.T) {
 	if _, err := s.Register(TenantConfig{Name: "a", InitialSlots: 1}); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
+	if _, err := s.Register(TenantConfig{Name: "nan", Weight: math.NaN()}); err == nil {
+		t.Fatal("NaN weight accepted")
+	}
 	// 8 floored slots held; a newcomer needing 5 can only get 2.
 	if _, err := s.Register(TenantConfig{Name: "big", InitialSlots: 5}); !errors.Is(err, ErrNoCapacity) {
 		t.Fatalf("want ErrNoCapacity, got %v", err)

@@ -166,13 +166,13 @@ func (c ControllerConfig) Validate() error {
 	default:
 		return fmt.Errorf("core: unknown mode %v", c.Mode)
 	}
-	if c.MinGain < 0 || c.MinGain >= 1 {
+	if !(c.MinGain >= 0 && c.MinGain < 1) {
 		return errors.New("core: MinGain must be in [0, 1)")
 	}
-	if c.ScaleInSlack < 0 || c.ScaleInSlack >= 1 {
+	if !(c.ScaleInSlack >= 0 && c.ScaleInSlack < 1) {
 		return errors.New("core: ScaleInSlack must be in [0, 1)")
 	}
-	if c.MaxScaleInUtilization < 0 || c.MaxScaleInUtilization >= 1 {
+	if !(c.MaxScaleInUtilization >= 0 && c.MaxScaleInUtilization < 1) {
 		return errors.New("core: MaxScaleInUtilization must be in [0, 1)")
 	}
 	if c.SlotsPerMachine < 0 || c.ReservedSlots < 0 {

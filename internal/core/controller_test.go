@@ -36,6 +36,10 @@ func TestControllerConfigValidation(t *testing.T) {
 		{"negative gain", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, MinGain: -0.1}},
 		{"gain >= 1", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, MinGain: 1}},
 		{"bad slack", ControllerConfig{Mode: ModeMinResource, Tmax: 1, ScaleInSlack: 1}},
+		// A check that says what it refuses lets NaN through.
+		{"NaN gain", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, MinGain: math.NaN()}},
+		{"NaN slack", ControllerConfig{Mode: ModeMinResource, Tmax: 1, ScaleInSlack: math.NaN()}},
+		{"NaN scale-in utilization", ControllerConfig{Mode: ModeMinResource, Tmax: 1, MaxScaleInUtilization: math.NaN()}},
 		{"negative slots", ControllerConfig{Mode: ModeMinLatency, Kmax: 5, SlotsPerMachine: -1}},
 	}
 	for _, tt := range tests {

@@ -70,17 +70,10 @@ func startTopo(t *testing.T, topo *Topology, alloc map[string]int) *Run {
 
 func waitCompleted(t *testing.T, run *Run, want int64) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, fmt.Sprintf("%d tuples to complete", want), func() bool {
 		n, _ := run.Completions()
-		if n >= want {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("timed out: %d of %d tuples completed", n, want)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		return n >= want
+	})
 }
 
 func TestBuilderValidation(t *testing.T) {

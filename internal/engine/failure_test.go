@@ -42,7 +42,9 @@ func (o *taskOrder) assertArrivalOrder(t *testing.T) {
 	}
 }
 
-// waitFor polls cond until it holds, failing the test after five seconds.
+// waitFor spins on cond, yielding between reads, until it holds; the
+// five-second deadline only bounds a hang. It is the package's one wait on
+// state that announces no change.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); {
@@ -65,7 +67,7 @@ func TestFailExecutorReplaysBacklog(t *testing.T) {
 	wrapped := func(task int) Bolt {
 		inner := factory(task)
 		return BoltFunc(func(tu Tuple, emit Emit) error {
-			time.Sleep(200 * time.Microsecond)
+			time.Sleep(200 * time.Microsecond) // workload: modelled service
 			order.record(task, tu)
 			return inner.Process(tu, emit)
 		})
@@ -88,7 +90,13 @@ func TestFailExecutorReplaysBacklog(t *testing.T) {
 	if _, err := run.FailExecutor("work", 0); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(5 * time.Millisecond)
+	// The second crash lands once the run has moved on from the first:
+	// the backlog is still deep, and a completion has come since.
+	completedAtCrash, _ := run.Completions()
+	waitFor(t, "a completion after the first crash", func() bool {
+		n, _ := run.Completions()
+		return n > completedAtCrash
+	})
 	if _, err := run.FailExecutor("work", 1); err != nil {
 		t.Fatal(err)
 	}

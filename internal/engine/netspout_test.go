@@ -78,17 +78,7 @@ func TestNetworkSpoutDeliversBatches(t *testing.T) {
 		src.ch <- Values{i}
 	}
 	src.close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d network tuples completed", count, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, run, n)
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,28 +142,11 @@ func TestNetworkSpoutAckedBatches(t *testing.T) {
 		src.ch <- Values{i}
 	}
 	src.close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
+	waitFor(t, "the acked ranges to cover every tuple", func() bool {
 		src.mu.Lock()
-		doneAll := len(src.completed) > 0 && src.completed[len(src.completed)-1] == n && src.delivered == n
-		// All ranges complete when the max completed end reaches n and
-		// every delivered range has acked.
-		var maxEnd uint64
-		for _, e := range src.completed {
-			if e > maxEnd {
-				maxEnd = e
-			}
-		}
-		doneAll = src.delivered == n && maxEnd == n
-		src.mu.Unlock()
-		if doneAll {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("acked ranges never covered all %d tuples (delivered %d)", n, src.delivered)
-		}
-		time.Sleep(time.Millisecond)
-	}
+		defer src.mu.Unlock()
+		return src.delivered == n && slices.Contains(src.completed, n)
+	})
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
 	}

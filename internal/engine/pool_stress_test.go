@@ -96,7 +96,7 @@ func TestPooledTreesNoLostOrDoubleCountedSojourns(t *testing.T) {
 type slowBolt struct{ d time.Duration }
 
 func (b slowBolt) Process(Tuple, Emit) error {
-	time.Sleep(b.d)
+	time.Sleep(b.d) // workload: modelled service
 	return nil
 }
 

@@ -82,7 +82,7 @@ func (s *trickleSpout) Run(ctx SpoutContext) error {
 		default:
 		}
 		if s.stride > 0 && i%s.stride == 0 {
-			time.Sleep(s.pause)
+			time.Sleep(s.pause) // workload: the spout's pacing
 		}
 		ctx.Emit(Values{i})
 	}
@@ -240,16 +240,10 @@ func TestRemoteShortResultReplays(t *testing.T) {
 // waitRemoteUnbound waits for the asynchronous self-heal to land.
 func waitRemoteUnbound(t *testing.T, run *Run, bolt string) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if got, _ := run.RemoteBound(bolt); got == 0 {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("remote binding never self-healed")
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitFor(t, "the remote binding to self-heal", func() bool {
+		got, _ := run.RemoteBound(bolt)
+		return got == 0
+	})
 }
 
 // lockstepSpout emits the same preallocated tuple once per token on step, so

@@ -86,7 +86,7 @@ func TestShuffleAvoidsBusyExecutor(t *testing.T) {
 					<-release
 					return nil
 				}
-				time.Sleep(slowService)
+				time.Sleep(slowService) // workload: modelled service
 				return nil
 			})
 		}).
@@ -127,7 +127,7 @@ func TestEmitBatchSpreadsOverIdleExecutors(t *testing.T) {
 				if tu.Values[0].(int) >= 0 {
 					<-gate // hold the batch in place while the test counts it
 				}
-				time.Sleep(slowService)
+				time.Sleep(slowService) // workload: modelled service
 				return nil
 			})
 		}).
@@ -176,7 +176,7 @@ func (b *exclusiveBolt) Process(tu Tuple, emit Emit) error {
 	if b.hits != nil {
 		b.hits[tu.Values[0].(int)].Add(1)
 	}
-	time.Sleep(slowService)
+	time.Sleep(slowService) // workload: modelled service
 	b.inside.Store(false)
 	emit(tu.Values)
 	return nil
@@ -217,7 +217,7 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 					}
 					ctx.Emit(Values{i})
 					if i%8 == 0 {
-						time.Sleep(slowService)
+						time.Sleep(slowService) // workload: the spout's pacing
 					}
 				}
 				<-ctx.Done()
@@ -366,7 +366,7 @@ func TestOutstandingBalances(t *testing.T) {
 	const n = 600
 	slowFan := func(int) Bolt {
 		return BoltFunc(func(tu Tuple, emit Emit) error {
-			time.Sleep(20 * time.Microsecond)
+			time.Sleep(20 * time.Microsecond) // workload: modelled service
 			for j := 0; j < 3; j++ {
 				emit(Values{tu.Values[0], j})
 			}

@@ -83,17 +83,7 @@ func TestTraceReconciliationChain(t *testing.T) {
 		src.ch <- Values{i}
 	}
 	src.close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d tuples completed", count, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, run, n)
 	_, _, bookedNS := run.RootTotals()
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
@@ -176,17 +166,7 @@ func TestTraceSampledOutRootsEmitNothing(t *testing.T) {
 		src.ch <- Values{i}
 	}
 	src.close()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d tuples completed", count, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, run, n)
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
 	}
@@ -267,17 +247,7 @@ func TestBatchScopeTracedTelescopes(t *testing.T) {
 		src.ch <- Values{i}
 	}
 	src.close()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if count == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d of %d roots completed", count, n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitCompleted(t, run, n)
 	if err := run.Stop(); err != nil {
 		t.Fatal(err)
 	}

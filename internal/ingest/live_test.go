@@ -22,8 +22,9 @@ import (
 // the Supervisor to scale out to the provider cap → the surge ends and
 // the gate returns to admit-all — with zero admitted tuples lost across
 // the entire run (gate admitted == engine completions after an orderly
-// drain). Wall-clock phases make this a seconds-long test; the assertions
-// are the arc's shape, not exact numbers.
+// drain). The phases run on the wall clock, each ending on the condition
+// its assertions read, so this is a seconds-long test; the assertions are
+// the arc's shape, not exact numbers.
 func TestLiveOverloadArc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("seconds-long live engine arc")
@@ -45,7 +46,7 @@ func TestLiveOverloadArc(t *testing.T) {
 		return func(task int) engine.Bolt {
 			rng := rand.New(rand.NewSource(seed + int64(task)))
 			return engine.BoltFunc(func(_ engine.Tuple, emit engine.Emit) error {
-				time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
+				time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second))) // workload: modelled service
 				emit(engine.Values{0})
 				return nil
 			})
@@ -55,7 +56,7 @@ func TestLiveOverloadArc(t *testing.T) {
 		return func(task int) engine.Bolt {
 			rng := rand.New(rand.NewSource(seed + int64(task)))
 			return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
-				time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second)))
+				time.Sleep(time.Duration(rng.ExpFloat64() / mu * float64(time.Second))) // workload: modelled service
 				return nil
 			})
 		}
@@ -154,22 +155,41 @@ func TestLiveOverloadArc(t *testing.T) {
 	go drive(gold, func() float64 { return baseGold })
 	go drive(bronze, func() float64 { return float64(bronzeRate.Load()) })
 
-	// Phase 1: base load settles.
-	time.Sleep(4 * time.Second)
+	// Each phase ends on the condition its assertions read, or at its
+	// deadline; the assertions then judge what the phase left.
+	until := func(limit time.Duration, cond func() bool) {
+		for deadline := time.Now().Add(limit); !cond() && time.Now().Before(deadline); {
+			runtime.Gosched()
+		}
+	}
+
+	// Phase 1: base load settles. Nothing may shed, so this phase is a
+	// span: the supervisor's first measured snapshot of the base load,
+	// then three more rounds, each a plan the gate could shed on.
+	until(4*time.Second, func() bool {
+		snap, ok := sup.LastSnapshot()
+		return ok && snap.MeasuredSojourn > 0
+	})
+	settled := sup.Rounds() + 3
+	until(4*time.Second, func() bool { return sup.Rounds() >= settled })
 	if st := gate.Stats(); st.ShedOverload > st.Offered/20 {
 		t.Fatalf("base load shed %d of %d offered — nothing should shed before the surge", st.ShedOverload, st.Offered)
 	}
 
-	// Phase 2: bronze surges far beyond the provider cap.
+	// Phase 2: bronze surges far beyond the provider cap, until the grant
+	// reaches the cap and the gate sheds, bronze well before gold.
 	setRate(surgeBrz)
-	time.Sleep(8 * time.Second)
+	until(8*time.Second, func() bool {
+		g, b := gold.shed.Load(), bronze.shed.Load()
+		return b > 0 && g*5 < b && gate.Stats().ShedOverload > 0 && lease.Kmax() == 8
+	})
 	surgeStats := gate.Stats()
 	goldShedSurge, bronzeShedSurge := gold.shed.Load(), bronze.shed.Load()
 	grantAtPeak := lease.Kmax()
 
 	// Phase 3: surge ends; the gate must return to admit-all.
 	setRate(baseBrz)
-	time.Sleep(6 * time.Second)
+	until(6*time.Second, func() bool { return gate.Stats().AdmitFraction >= 0.99 })
 	finalStats := gate.Stats()
 
 	close(stop)

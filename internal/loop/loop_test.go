@@ -3,6 +3,7 @@ package loop
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -848,7 +849,7 @@ func TestLiveEngine(t *testing.T) {
 		Spout("src", 1, func(int) engine.Spout { return &slowSpout{every: 2 * time.Millisecond} }).
 		Bolt("work", 8, func(int) engine.Bolt {
 			return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
-				time.Sleep(500 * time.Microsecond)
+				time.Sleep(500 * time.Microsecond) // workload: modelled service
 				return nil
 			})
 		}).
@@ -883,9 +884,8 @@ func TestLiveEngine(t *testing.T) {
 	if err := sup.Start(); !errors.Is(err, ErrRunning) {
 		t.Fatalf("want ErrRunning on double start, got %v", err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sup.Rounds() < 10 && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); sup.Rounds() < 10 && time.Now().Before(deadline); {
+		runtime.Gosched()
 	}
 	sup.Stop()
 	sup.Stop() // idempotent

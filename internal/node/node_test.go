@@ -105,19 +105,16 @@ func testConfig() (Config, *syncBuffer) {
 	}, logs
 }
 
-// waitFor polls cond until it holds; the deadline only bounds a hang. It
-// is for state that announces no change — executor placement, the
-// goroutine count — so it must sleep between reads; the millisecond is
-// the poll period, not a guess at how long anything takes. Anything the
-// node logs is awaited with awaitLog instead.
+// waitFor spins on cond, yielding between reads, until it holds; the
+// deadline only bounds a hang. It is for state that announces no change —
+// executor placement, the goroutine count. Anything the node logs is
+// awaited with awaitLog instead.
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
-	deadline := time.Now().Add(20 * time.Second)
-	for !cond() {
+	for deadline := time.Now().Add(20 * time.Second); !cond(); runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
-		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -336,7 +336,7 @@ func TestRemoteServiceTimeCoversOneTuple(t *testing.T) {
 	)
 	sleeper := func(int) engine.Bolt {
 		return engine.BoltFunc(func(engine.Tuple, engine.Emit) error {
-			time.Sleep(per)
+			time.Sleep(per) // workload: modelled service
 			return nil
 		})
 	}

@@ -3,6 +3,7 @@ package worker
 import (
 	"fmt"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -155,7 +156,7 @@ func runEq(t *testing.T, spec scenario.Spec, perTenant, remoteMachines int, kill
 					}
 					ctx.Emit(engine.Values{e.tenant, e.key})
 					if i%stride == stride-1 {
-						time.Sleep(time.Millisecond)
+						time.Sleep(time.Millisecond) // workload: the spout's pacing
 					}
 				}
 				<-ctx.Done()
@@ -218,22 +219,13 @@ func runEq(t *testing.T, spec scenario.Spec, perTenant, remoteMachines int, kill
 	close(start)
 
 	want := int64(len(entries))
-	deadline := time.Now().Add(30 * time.Second)
-	for {
-		count, _ := run.Completions()
-		if killOne && victim != nil && count >= want/4 {
-			victim.Close() // mid-surge worker death: executors fail live
-			victim = nil
-		}
-		if count >= want {
-			books.total = count
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("completions %d/%d — tuples lost", count, want)
-		}
-		time.Sleep(time.Millisecond)
+	completions := func() int64 { c, _ := run.Completions(); return c }
+	if killOne && victim != nil {
+		waitFor(t, "a quarter of the surge to complete", func() bool { return completions() >= want/4 })
+		victim.Close() // mid-surge worker death: executors fail live
 	}
+	waitFor(t, "every admitted tuple to complete (none lost)", func() bool { return completions() >= want })
+	books.total = completions()
 	// Drained: every executor's books are back at zero, whether it was a
 	// goroutine here or a shuttle to a worker (or replayed off a dead one).
 	for bolt, n := range run.QueueLengths() {
@@ -246,6 +238,17 @@ func runEq(t *testing.T, spec scenario.Spec, perTenant, remoteMachines int, kill
 		t.Fatalf("stop: %v", err)
 	}
 	return books
+}
+
+// waitFor spins on cond, yielding between reads, until it holds; the
+// deadline only bounds a hang.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); !cond(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
 }
 
 // TestLocalRemoteEquivalence is the harness's headline property: the
