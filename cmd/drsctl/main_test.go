@@ -12,6 +12,7 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 func writeTopo(t *testing.T, content string) string {
@@ -359,6 +360,26 @@ func TestScheduleOneTopology(t *testing.T) {
 	if strings.Contains(quiet, "supervisor started") {
 		t.Errorf("the default level logged an Info loop event:\n%s", quiet)
 	}
+	// An overloaded chain (13/s into 2.2/s and 2/s stages) on a fixed grant
+	// stops one stopGrace past -duration and prints what it stranded, not
+	// after draining its backlog at the service rate.
+	t.Run("stops at -duration and counts what it strands", func(t *testing.T) {
+		begun := time.Now()
+		out, _, err := runOut(t, "schedule", "-topologies", writeTopo(t, validTopo), "-kmax", "4", "-duration", "1")
+		if err != nil {
+			t.Fatalf("schedule: %v\n%s", err, out)
+		}
+		if took, bound := time.Since(begun), time.Second+stopGrace+2*time.Second; took > bound {
+			t.Errorf("schedule -duration 1 took %v, want at most %v", took, bound)
+		}
+		stranded := -1
+		for _, line := range strings.Split(out, "\n") {
+			fmt.Sscanf(line, "  stop: %d roots stranded at the deadline", &stranded)
+		}
+		if stranded <= 0 {
+			t.Errorf("no positive per-tenant stranded count printed:\n%s", out)
+		}
+	})
 	// The live loop's claim: an under-provisioned topology under a latency
 	// target is scaled out — its grant grows past the registration grant —
 	// and ends with a measured sojourn under the target. A measured E[T]

@@ -143,16 +143,13 @@ func cmdSchedule(args []string) error {
 	}
 	logger := node.Logger(*verbose)
 
-	type tenantRun struct {
-		name string
-		*node.Tenant
-	}
-	var runs []tenantRun
-	defer func() {
+	var runs []*node.Tenant
+	stopAll := func(deadline time.Time) {
 		for _, r := range runs {
-			_ = r.Stop()
+			_ = r.Stop(deadline)
 		}
-	}()
+	}
+	defer stopAll(time.Time{}) // an early return strands whatever is in flight
 	var mode core.Mode
 	for i, path := range paths {
 		_, tf, err := loadTopology(strings.TrimSpace(path))
@@ -203,7 +200,7 @@ func cmdSchedule(args []string) error {
 		if err != nil {
 			return fmt.Errorf("starting %s: %w", name, err)
 		}
-		runs = append(runs, tenantRun{name, t})
+		runs = append(runs, t)
 	}
 
 	st := sched.State()
@@ -221,29 +218,24 @@ func cmdSchedule(args []string) error {
 	// The optional machine-churn injection: kill the highest-ID live
 	// machines mid-run and recover them after the outage, watching the
 	// scheduler re-arbitrate the leases out of band both times.
-	churnDone := make(chan struct{})
+	end := time.Now().Add(secondsDuration(*duration))
 	if *failAfter > 0 {
-		// Clamp the outage inside the run: a -fail-down past the end
-		// recovers at the end instead of extending the run.
-		down := min(*failDown, *duration-*failAfter)
-		go func() {
-			defer close(churnDone)
-			time.Sleep(secondsDuration(*failAfter))
-			live := pool.LiveMachines()
-			live = live[max(0, len(live)-*failCount):]
-			var victims []int
-			for _, m := range live {
-				if err := sched.FailMachine(m.ID); err != nil {
-					fmt.Printf("  !! machine %d kill failed: %v\n", m.ID, err)
-					continue
-				}
-				victims = append(victims, m.ID)
-				fmt.Printf("  !! machine %d killed (capacity now %d)\n", m.ID, pool.Kmax())
+		time.Sleep(secondsDuration(*failAfter))
+		live := pool.LiveMachines()
+		live = live[max(0, len(live)-*failCount):]
+		var victims []int
+		for _, m := range live {
+			if err := sched.FailMachine(m.ID); err != nil {
+				fmt.Printf("  !! machine %d kill failed: %v\n", m.ID, err)
+				continue
 			}
-			if *failDown == 0 {
-				return
-			}
-			time.Sleep(secondsDuration(down))
+			victims = append(victims, m.ID)
+			fmt.Printf("  !! machine %d killed (capacity now %d)\n", m.ID, pool.Kmax())
+		}
+		if *failDown > 0 {
+			// Clamp the outage inside the run: a -fail-down past the end
+			// recovers at the end instead of extending the run.
+			time.Sleep(min(secondsDuration(*failDown), time.Until(end)))
 			for _, id := range victims {
 				if err := sched.RecoverMachine(id); err != nil {
 					fmt.Printf("  !! machine %d recovery failed: %v\n", id, err)
@@ -251,26 +243,23 @@ func cmdSchedule(args []string) error {
 				}
 				fmt.Printf("  !! machine %d recovered (capacity now %d)\n", id, pool.Kmax())
 			}
-		}()
-	} else {
-		close(churnDone)
+		}
 	}
-	time.Sleep(secondsDuration(*duration))
-	<-churnDone
-	for _, r := range runs {
-		r.Sup.Stop()
-	}
+	time.Sleep(time.Until(end))
+	stopAll(end.Add(stopGrace))
 
 	// The closing grant is the lease's, read after every loop stopped: the
 	// last snapshot's Kmax lags an out-of-band re-grant (a recovered
 	// machine) until the next measured round.
 	st = sched.State()
 	for i, r := range runs {
-		r.WriteHistory(os.Stdout, r.name)
+		r.WriteHistory(os.Stdout, st.Tenants[i].Name)
 		if snap, ok := r.Sup.LastSnapshot(); ok {
 			fmt.Printf("  final: lambda0 = %.2f tuples/s, measured E[T] = %.1f ms, granted = %d\n",
 				snap.Lambda0, snap.MeasuredSojourn*1e3, st.Tenants[i].Granted)
 		}
+		started, completed, _ := r.Run.RootTotals()
+		fmt.Printf("  stop: %d roots stranded at the deadline\n", started-completed)
 	}
 	fmt.Println("\nscheduler history:")
 	for _, ev := range sched.History() {
@@ -279,6 +268,11 @@ func cmdSchedule(args []string) error {
 	fmt.Printf("final: machines=%d capacity=%d leased=%d\n", st.Machines, st.Capacity, st.Leased)
 	return nil
 }
+
+// stopGrace is how long schedule's tenants drain past -duration, on one
+// deadline for all of them: a tenant still holding work then strands it
+// and counts it, instead of running on through its backlog.
+const stopGrace = time.Second
 
 // tenantName derives a unique tenant name from a topology path.
 func tenantName(path string, i int) string {

@@ -148,8 +148,8 @@ func cmdServe(tf topoFile, args []string) error {
 	if rep.Completions > 0 {
 		meanMS = rep.Sojourn.Seconds() * 1e3 / float64(rep.Completions)
 	}
-	fmt.Printf("engine: %d completions, mean sojourn %.1f ms, final alloc %v, %d machines\n",
-		rep.Completions, meanMS, rep.Alloc, rep.Machines)
+	fmt.Printf("engine: %d completions, %d stranded, mean sojourn %.1f ms, final alloc %v, %d machines\n",
+		rep.Completions, rep.Stranded, meanMS, rep.Alloc, rep.Machines)
 	if *workerListen != "" {
 		fmt.Printf("worker tier: %d executor failure(s) healed, %d replay(s)\n", rep.ExecutorFailures, rep.Replays)
 	}

@@ -221,7 +221,7 @@ func (em *emitter) sealRoot(now time.Time) {
 // shutdown: the batch reroutes through the bolt's refreshed route table
 // (Run.replay) — every swap installs the successor before it closes the
 // displaced queue, so a reload observes the successor at once — and during
-// shutdown its trees resolve on the spot. A reroute is not a replay and
+// shutdown it strands. A reroute is not a replay and
 // does not count in Replayed. Items carry their own tree reference, so
 // batches may mix several roots' children.
 func (em *emitter) pushDests() {

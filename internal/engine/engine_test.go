@@ -458,6 +458,79 @@ func TestStopIsIdempotentAndFinal(t *testing.T) {
 	}
 }
 
+// TestStopDeadline: Stop's drain ends at the last completion or at its
+// deadline, whichever comes first. A bolt parked on a channel holds its
+// first root in service and the rest queued behind it: past a 50 ms
+// QuiesceTimeout Stop returns a TimeoutError that counts every root as
+// stranded, without waiting for the parked tuple, and the books balance.
+// Released once the drain is armed, the bolt's last completion wakes a
+// drain whose deadline is a minute away.
+func TestStopDeadline(t *testing.T) {
+	const roots = 8
+	start := func(t *testing.T, quiesce time.Duration) (run *Run, release chan struct{}) {
+		release, entered := make(chan struct{}), make(chan struct{}, roots)
+		topo, err := NewTopology().
+			Spout("src", 1, func(int) Spout { return &burstSpout{n: roots} }).
+			Bolt("held", 1, func(int) Bolt {
+				return BoltFunc(func(Tuple, Emit) error {
+					entered <- struct{}{}
+					<-release
+					return nil
+				})
+			}).
+			Shuffle("src", "held").
+			Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run, err = topo.Start(RunConfig{Alloc: map[string]int{"held": 1}, QuiesceTimeout: quiesce}); err != nil {
+			t.Fatal(err)
+		}
+		closeAtCleanup(t, release)
+		<-entered
+		waitFor(t, "every root to start", func() bool { started, _, _ := run.RootTotals(); return started == roots })
+		return run, release
+	}
+
+	t.Run("strands at the deadline", func(t *testing.T) {
+		const quiesce = 50 * time.Millisecond
+		run, _ := start(t, quiesce)
+		begun := time.Now()
+		err := run.Stop()
+		if took := time.Since(begun); took > quiesce+2*time.Second {
+			t.Errorf("Stop took %v past a %v deadline", took, quiesce)
+		}
+		var te *TimeoutError
+		if !errors.As(err, &te) || !errors.Is(err, ErrQuiesceTimeout) {
+			t.Fatalf("Stop = %v, want a TimeoutError wrapping ErrQuiesceTimeout", err)
+		}
+		started, completed, _ := run.RootTotals()
+		if te.Stranded != roots || started != completed+te.Stranded {
+			t.Errorf("stranded %d, started %d, completed %d: want %d stranded and started == completed + stranded",
+				te.Stranded, started, completed, roots)
+		}
+	})
+
+	t.Run("last completion wakes the drain", func(t *testing.T) {
+		run, release := start(t, time.Minute)
+		stopped := make(chan error, 1)
+		go func() { stopped <- run.StopBy(time.Now().Add(time.Minute)) }()
+		waitFor(t, "Stop's drain to arm", run.draining.Load)
+		close(release)
+		select {
+		case err := <-stopped:
+			if err != nil {
+				t.Fatalf("Stop = %v after the bolt drained, want nil", err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatal("the last completion did not wake Stop's drain")
+		}
+		if _, completed, _ := run.RootTotals(); completed != roots {
+			t.Errorf("%d of %d roots completed", completed, roots)
+		}
+	})
+}
+
 // popTasks takes the whole ring in one popAll — the queue's only consumer
 // call — and returns the queued task ids in FIFO order; ok is false once
 // the queue is closed and empty.
@@ -613,7 +686,7 @@ func TestRebalanceStormServesEachOnce(t *testing.T) {
 	}
 	topo, err := NewTopology().
 		Spout("src", 2, func(inst int) Spout {
-			return &funcSpout{fn: func(ctx SpoutContext) error {
+			return SpoutFunc(func(ctx SpoutContext) error {
 				tick := time.NewTicker(500 * time.Microsecond)
 				defer tick.Stop()
 				for id := inst * n / 2; id < (inst+1)*n/2; id++ {
@@ -626,7 +699,7 @@ func TestRebalanceStormServesEachOnce(t *testing.T) {
 				}
 				<-ctx.Done()
 				return nil
-			}}
+			})
 		}).
 		Bolt("a", tasks, stage(0)).
 		Bolt("b", tasks, stage(1)).

@@ -57,7 +57,7 @@ func (r *Run) replaceExecutor(bolt string, exec int, remote RemoteExecutor, cras
 	// A Stop that already shut the executors down closed every queue, and
 	// installing a replacement now would leak its goroutine (nothing would
 	// ever close the fresh queue).
-	if r.stopped.Load() {
+	if r.shut.Load() {
 		return 0, ErrStopped
 	}
 	br := r.boltByName(bolt)
@@ -149,37 +149,25 @@ func errUnknownBolt(bolt string) error {
 // replay is the one way back: it re-delivers, in order, tuples an executor
 // left unserved — what a retired executor stranded or left in its queue, a
 // batch an emitter could not push into a closed queue, a remote batch whose
-// transport failed after handoff — through the bolt's current route table.
-// A tuple that cannot land because the run is stopping resolves its tree on
-// the spot, as an immediate delivery would have. Replayed counts only the
-// tuples of a crash or a transport failure, at their callers: a batch that
-// bounced off a retiring queue was rerouted, not lost.
+// transport failed after handoff — to whatever executor the bolt's current
+// route table assigns each task, retrying across route swaps (a second
+// crash can land mid-replay). A tuple that cannot land because Stop shut
+// the executors down strands: its tree stays in flight and Stop counts its
+// root. The retry is otherwise unbounded by design: a queue only closes
+// after its successor route is installed (every swap) or at that shutdown,
+// so a live run always makes progress and a capped retry would have to ack
+// an unprocessed tuple — a silent at-least-once violation. Replayed counts
+// only the tuples of a crash or a transport failure, at their callers: a
+// batch that bounced off a retiring queue was rerouted, not lost.
 func (r *Run) replay(br *boltRuntime, items []queueItem) {
 	for _, it := range items {
-		if !r.redeliverItem(br, it) {
-			it.tup.tree.ackLazy()
+		for {
+			rt := br.route.Load()
+			if rt.execs[rt.assign[it.task]].q.push(it) || r.shut.Load() {
+				break
+			}
+			runtime.Gosched()
 		}
-	}
-}
-
-// redeliverItem pushes one tuple to whatever executor the bolt's current
-// route table assigns its task, retrying across route swaps (a second
-// crash can land mid-replay). It reports false only when the run is
-// stopping. The retry is unbounded by design: a queue only closes after
-// its successor route is installed (every swap) or once stopped is set (a
-// heal during Stop, Stop itself), so a live run always makes progress and
-// a capped retry would have to ack an unprocessed tuple — a silent
-// at-least-once violation.
-func (r *Run) redeliverItem(br *boltRuntime, it queueItem) bool {
-	for {
-		rt := br.route.Load()
-		if rt.execs[rt.assign[it.task]].q.push(it) {
-			return true
-		}
-		if r.stopped.Load() {
-			return false
-		}
-		runtime.Gosched()
 	}
 }
 

@@ -163,11 +163,6 @@ func TestNetworkSpoutAckedBatches(t *testing.T) {
 	}
 }
 
-// funcSpout adapts a closure to Spout for tests.
-type funcSpout struct{ fn func(ctx SpoutContext) error }
-
-func (s *funcSpout) Run(ctx SpoutContext) error { return s.fn(ctx) }
-
 // scriptPop is one scripted pop of a scriptSource.
 type scriptPop struct {
 	vs     []Values

@@ -374,9 +374,10 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 // goroutine: the trigger may be a connection reader that must keep draining
 // completion callbacks, or the victim's own drain loop, which must exit
 // before the retire can finish. Under r.mu the heal swaps in a local
-// replacement (not once the run is stopping) and retires the victim. A
-// Rebalance or BindExecutor that already swapped the victim out retired it
-// itself, replaying what it left, and the heal has nothing to do.
+// replacement (not once Stop shut the executors down) and retires the
+// victim. A Rebalance or BindExecutor that already swapped the victim out
+// retired it itself, replaying what it left, and the heal has nothing to
+// do.
 func (r *Run) failRemoteBinding(br *boltRuntime, ex *executor) {
 	if !ex.failed.CompareAndSwap(false, true) {
 		return
@@ -389,7 +390,7 @@ func (r *Run) failRemoteBinding(br *boltRuntime, ex *executor) {
 		if idx < 0 {
 			return
 		}
-		if !r.stopped.Load() {
+		if !r.shut.Load() {
 			r.swapExecutorLocked(br, idx, nil)
 		}
 		r.retireLocked(br, ex, true)

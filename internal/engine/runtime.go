@@ -11,9 +11,37 @@ import (
 	"github.com/drs-repro/drs/internal/obs"
 )
 
-// ErrQuiesceTimeout is the cause Stop wraps when in-flight tuples have not
-// drained within RunConfig.QuiesceTimeout.
+// ErrQuiesceTimeout is the Cause of the TimeoutError Stop returns when
+// in-flight tuples have not drained by its deadline.
 var ErrQuiesceTimeout = errors.New("engine: quiesce timeout; tuples still in flight")
+
+// TimeoutError is Stop's error when the drain's deadline passed with roots
+// in flight. Those roots are stranded: the executors are stopped at their
+// next tuple boundary and serve nothing more, and no completion callback
+// fires for them. A tuple already in service at the deadline may still
+// finish it, so a later RootTotals can show up to one completion per
+// executor more. errors.Is(err, ErrQuiesceTimeout) holds.
+type TimeoutError struct {
+	// Name is the operation that timed out.
+	Name string
+	// MaxTime is the drain's budget: from the Stop call to its deadline.
+	MaxTime time.Duration
+	// Cause is ErrQuiesceTimeout.
+	Cause error
+	// Stranded counts the roots in flight at the deadline.
+	Stranded int64
+}
+
+// Error names the operation, its budget, the stranded count and the cause.
+func (e *TimeoutError) Error() string {
+	return fmt.Sprintf("%s timed out (maxTime=%v), %d roots stranded: %v", e.Name, e.MaxTime, e.Stranded, e.Cause)
+}
+
+// Unwrap returns the cause, ErrQuiesceTimeout; errors.Is calls it through
+// this interface.
+func (e *TimeoutError) Unwrap() error { return e.Cause }
+
+var _ interface{ Unwrap() error } = (*TimeoutError)(nil)
 
 // ErrStopped is returned for operations on a stopped run.
 var ErrStopped = errors.New("engine: topology stopped")
@@ -23,8 +51,8 @@ type RunConfig struct {
 	// Alloc maps bolt name to executor count. Every bolt must be present;
 	// counts must be in [1, tasks].
 	Alloc map[string]int
-	// QuiesceTimeout bounds Stop's wait for in-flight tuples to drain.
-	// Default 10s.
+	// QuiesceTimeout bounds Stop's wait for in-flight tuples to drain
+	// (StopBy takes its deadline from the caller instead). Default 10s.
 	QuiesceTimeout time.Duration
 	// DecisionLog, when set, receives engine self-heal events (a failed
 	// remote binding swapped for a local replacement). Emission happens on
@@ -197,6 +225,11 @@ type Run struct {
 	spouts []*spoutRuntime
 
 	roots rootLog
+	// draining is set once Stop's drain waits for the in-flight roots: from
+	// then on each root completion checks whether it was the last and, if
+	// so, clears it and closes quiet, which wakes the drain.
+	draining atomic.Bool
+	quiet    chan struct{}
 
 	spoutErrCount atomic.Int64
 	spoutLastErr  atomic.Pointer[error]
@@ -213,8 +246,9 @@ type Run struct {
 	lastCompleted int64
 	lastNanos     int64
 
-	mu      sync.Mutex // serializes route swaps and Stop's shutdown
-	stopped atomic.Bool
+	mu      sync.Mutex  // serializes route swaps and Stop's shutdown
+	stopped atomic.Bool // Stop has begun: the spouts stop, injection ends
+	shut    atomic.Bool // Stop shut the executors down (set under mu): no more swaps
 	done    chan struct{}
 	wg      sync.WaitGroup // spout goroutines
 	execWG  sync.WaitGroup // executor goroutines
@@ -229,6 +263,7 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 		topo:      t,
 		cfg:       cfg,
 		done:      make(chan struct{}),
+		quiet:     make(chan struct{}),
 		lastDrain: time.Now(),
 	}
 	r.bolts = make([]*boltRuntime, len(t.bolts))
@@ -679,7 +714,7 @@ func (r *Run) BoltTotals(bolt string) (arrivals, served int64, err error) {
 func (r *Run) Rebalance(alloc map[string]int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.stopped.Load() {
+	if r.shut.Load() {
 		return ErrStopped // a fresh executor set would outlive Stop's shutdown
 	}
 	// Validate first: reject before disturbing anything.
@@ -709,36 +744,53 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 	return nil
 }
 
-// Stop shuts the topology down: spouts first, then a drain bounded by
-// QuiesceTimeout, then the executors. Safe to call once; later calls return
-// ErrStopped. The drain needs no lock — the spouts are gone and stopped
-// refuses new swaps — so a Rebalance or a self-heal already under way
-// finishes alongside it.
-func (r *Run) Stop() error {
+// Stop is StopBy with a deadline RunConfig.QuiesceTimeout away.
+func (r *Run) Stop() error { return r.StopBy(time.Now().Add(r.cfg.QuiesceTimeout)) }
+
+// StopBy shuts the topology down: spouts first, then a drain that ends when
+// the last in-flight root completes or at deadline, whichever comes first,
+// then the executors. Safe to call once; later calls return ErrStopped.
+// The drain needs no lock — the spouts are gone, and swaps are refused
+// only once the executors are shut down — so a Rebalance, a placement or a
+// self-heal lands alongside it. A drained run waits for its executors to
+// exit; at the deadline every executor is stopped at its next tuple
+// boundary instead, and StopBy returns a *TimeoutError counting the
+// stranded roots without waiting for a tuple still in service.
+func (r *Run) StopBy(deadline time.Time) error {
+	maxTime := time.Until(deadline)
 	if !r.stopped.CompareAndSwap(false, true) {
 		return ErrStopped
 	}
 	close(r.done)
 	r.wg.Wait() // spouts gone; no new roots
-	deadline := time.Now().Add(r.cfg.QuiesceTimeout)
-	for r.roots.pending() > 0 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
+	// Armed before the read: a completion either sees draining or is
+	// counted by the read.
+	r.draining.Store(true)
+	if r.roots.pending() > 0 {
+		select {
+		case <-r.quiet:
+		case <-time.After(time.Until(deadline)):
+		}
 	}
-	drained := r.roots.pending() == 0
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.shut.Store(true)
 	r.shutdownExecutors()
-	r.execWG.Wait()
-	if !drained {
-		return fmt.Errorf("engine: stopped with tuples in flight: %w", ErrQuiesceTimeout)
+	if r.roots.pending() == 0 {
+		r.execWG.Wait()
+		return nil
 	}
-	return nil
+	return &TimeoutError{Name: "engine drain", MaxTime: maxTime, Cause: ErrQuiesceTimeout, Stranded: r.roots.pending()}
 }
 
+// shutdownExecutors flips every executor's kill switch and closes its
+// queue: an idle executor exits, and a busy one — only at Stop's deadline
+// is one busy — stops at its current tuple boundary, its backlog stranded.
 func (r *Run) shutdownExecutors() {
 	for _, br := range r.bolts {
 		if rt := br.route.Load(); rt != nil {
 			for _, ex := range rt.execs {
+				ex.crashed.Store(true)
 				ex.q.close()
 				// A remote drain loop may be parked on its in-flight
 				// window behind a wedged transport; release it so Stop

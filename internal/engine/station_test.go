@@ -18,7 +18,7 @@ import (
 // Emit, anything longer as one EmitBatch.
 func feedSpout(feed <-chan []Values) func(int) Spout {
 	return func(int) Spout {
-		return &funcSpout{fn: func(ctx SpoutContext) error {
+		return SpoutFunc(func(ctx SpoutContext) error {
 			for {
 				select {
 				case <-ctx.Done():
@@ -31,7 +31,7 @@ func feedSpout(feed <-chan []Values) func(int) Spout {
 					}
 				}
 			}
-		}}
+		})
 	}
 }
 
@@ -208,7 +208,7 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 	bolts := make([]*exclusiveBolt, tasks)
 	topo, err := NewTopology().
 		Spout("src", 2, func(int) Spout {
-			return &funcSpout{fn: func(ctx SpoutContext) error {
+			return SpoutFunc(func(ctx SpoutContext) error {
 				for i := 0; i < n/2; i++ {
 					select {
 					case <-ctx.Done():
@@ -222,7 +222,7 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 				}
 				<-ctx.Done()
 				return nil
-			}}
+			})
 		}).
 		Bolt("work", tasks, func(task int) Bolt {
 			bolts[task] = &exclusiveBolt{overlaps: &overlaps}

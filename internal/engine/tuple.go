@@ -150,6 +150,11 @@ func (t *ackTree) complete(now time.Time) {
 	}
 	t.run = nil
 	treePool.Put(t)
+	// The last completion wakes a draining Stop, after the batch callback:
+	// the woken Stop may close the books that callback feeds.
+	if r.draining.Load() && r.roots.pending() == 0 && r.draining.CompareAndSwap(true, false) {
+		close(r.quiet)
+	}
 }
 
 // batchAck is the countdown behind an injected batch's completion
@@ -192,9 +197,12 @@ type rootShard struct {
 // add when a root starts, two on the shard's own line when it completes.
 // Everything else is derived: external arrivals and per-interval sojourn
 // sums are differences between folds (the drainer keeps the previous fold
-// under its own lock), and the pending count — the signal Stop's drain
-// waits on — is started minus completed. All counters are monotonic, so no
-// drain ever races a record.
+// under its own lock), and the pending count is started minus completed.
+// Stop's drain is signalled, not polled: it arms Run.draining, and from
+// then on each completion — one atomic load on the hot path until then —
+// reads pending and wakes the drain when it reads zero. What is still
+// pending at the drain's deadline is the stranded count. All counters are
+// monotonic, so no drain ever races a record.
 type rootLog struct {
 	shards [logShards]rootShard
 }

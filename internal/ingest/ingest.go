@@ -331,8 +331,9 @@ func (g *Gate) run(stop <-chan struct{}, done chan<- struct{}) {
 
 // Close shuts the front door: the replanning loop stops, new offers are
 // refused, and the hand-off ring closes — the NetworkSpout drains what
-// was already admitted and then exits, so an orderly shutdown (Close the
-// gate, then Stop the engine) loses no admitted tuple.
+// was already admitted and then exits. The engine drops a batch popped
+// once its Stop has begun, so an orderly shutdown that loses no admitted
+// tuple waits for that exit before it stops the engine (node.Drain).
 func (g *Gate) Close() {
 	if !g.closed.CompareAndSwap(false, true) {
 		return

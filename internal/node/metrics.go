@@ -135,8 +135,7 @@ func (m *metrics) register(n *Node) {
 		obs.Counter, "", func() float64 { _, c, _ := run.RootTotals(); return float64(c) })
 	reg.Func("drs_engine_sojourn_seconds_total", "Summed end-to-end sojourn of completed root tuples.",
 		obs.Counter, "", func() float64 { _, _, ns := run.RootTotals(); return float64(ns) / 1e9 })
-	for _, b := range run.BoltNames() {
-		bolt := b
+	for _, bolt := range run.BoltNames() {
 		labels := fmt.Sprintf("bolt=%q", bolt)
 		reg.Func("drs_engine_bolt_arrivals_total", "Tuples that arrived at each bolt.",
 			obs.Counter, labels, func() float64 { a, _, _ := run.BoltTotals(bolt); return float64(a) })

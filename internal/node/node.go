@@ -48,8 +48,9 @@ const (
 	spoutName = "ingest"
 	// spoutMaxBatch is the most payloads one ring pop injects.
 	spoutMaxBatch = 256
-	// drainTimeout bounds the wait for admitted records to finish: a
-	// wedged engine must not make shutdown hang.
+	// drainTimeout bounds Drain's wait for admitted records to finish: a
+	// wedged engine must not make shutdown hang. What is still in flight
+	// then strands (Report.Stranded).
 	drainTimeout = 10 * time.Second
 	// workerWait bounds the wait for MinWorkers registrations.
 	workerWait = 60 * time.Second
@@ -136,6 +137,9 @@ type Node struct {
 
 	stopPlacement, stopCheckpoints func()
 	serving                        sync.WaitGroup // listener goroutines
+	// ingested closes when the ingest spout returns: the gate is closed
+	// and the spout has injected everything its ring held.
+	ingested chan struct{}
 
 	once   sync.Once // the one shutdown
 	report Report
@@ -169,9 +173,11 @@ type Report struct {
 	// Status is the final reading.
 	Status
 	// Completions and Sojourn are the engine's root-tuple books: the
-	// roots completed and their summed sojourn.
-	Completions int64
-	Sojourn     time.Duration
+	// roots completed and their summed sojourn. Stranded counts the roots
+	// started and not completed: what the drain's deadline cut off. A
+	// durable node leaves them unacked in the WAL for the next boot.
+	Completions, Stranded int64
+	Sojourn               time.Duration
 	// TraceDropped and Traces are the tracer's ring-overflow count and
 	// the assembler's closing balance (zero without a tracer).
 	TraceDropped uint64
@@ -223,10 +229,14 @@ func (n *Node) notice(msg string, args ...any) {
 
 func (n *Node) boot() error {
 	cfg := n.cfg
+	n.ingested = make(chan struct{})
 	topo, err := buildTopology(func(b *engine.TopologyBuilder) {
 		cfg.Build(b)
 		b.Spout(spoutName, 1, func(int) engine.Spout {
-			return &engine.NetworkSpout{Source: n.gate.Source(), MaxBatch: spoutMaxBatch}
+			return engine.SpoutFunc(func(ctx engine.SpoutContext) error {
+				defer close(n.ingested)
+				return (&engine.NetworkSpout{Source: n.gate.Source(), MaxBatch: spoutMaxBatch}).Run(ctx)
+			})
 		})
 		b.Shuffle(spoutName, cfg.Entry)
 	})
@@ -549,20 +559,23 @@ func (n *Node) saveCheckpoint() {
 // record, and returns the closing account. Each step has a reason:
 //
 //  1. listeners close — nothing new is offered;
-//  2. the gate closes — the ring refuses pushes and the spout drains it;
-//  3. wait until the ring is empty and every started root completed
-//     (bounded): the books must be read after the work, not beside it;
-//  4. the supervisor stops — no rebalance may land mid-teardown;
-//  5. placement stops, then the workers go: they took part in the drain,
-//     and a batch still in flight when a shuttle closes replays local;
-//  6. the checkpoint ticker stops, so the final checkpoint is the last;
-//  7. the engine stops — every completion callback has now fired;
-//  8. the watermark syncs and the final checkpoint is written, so the
-//     next boot replays only what truly never finished.
+//  2. the gate closes — the ring refuses pushes, and the ingest spout
+//     injects what the ring still holds and returns: the engine drops a
+//     batch popped once its Stop has begun;
+//  3. the engine stops (engine.Run.StopBy): one drain, woken by the last
+//     completion and bounded by drainTimeout, through which the supervisor
+//     and placement still act — what is still in flight at the deadline
+//     strands, counted in Report.Stranded. It comes before the worker tier
+//     goes: remote executors need their transport to finish;
+//  4. the supervisor stops, then placement, then the workers go;
+//  5. the checkpoint ticker stops, so the final checkpoint is the last;
+//  6. the watermark syncs and the final checkpoint is written, so the
+//     next boot replays only what truly never finished — stranded
+//     records included.
 //
 // Drain is idempotent: later calls return the first call's report.
 func (n *Node) Drain() Report {
-	n.shutdown(true)
+	n.shutdown(time.Now().Add(drainTimeout))
 	return n.report
 }
 
@@ -570,10 +583,13 @@ func (n *Node) Drain() Report {
 // engine, the log — in Drain's order but without waiting for admitted
 // records or writing the final checkpoint: the cleanup of a failed Start,
 // and a crash as far as the WAL can tell. A no-op after Drain.
-func (n *Node) Close() { n.shutdown(false) }
+func (n *Node) Close() { n.shutdown(time.Time{}) }
 
-func (n *Node) shutdown(drain bool) {
+// shutdown drains by deadline, or — at the zero deadline, Close — waits
+// for nothing.
+func (n *Node) shutdown(deadline time.Time) {
 	n.once.Do(func() {
+		drain := !deadline.IsZero()
 		if n.httpSrv != nil {
 			_ = n.httpSrv.Close()
 		}
@@ -583,13 +599,15 @@ func (n *Node) shutdown(drain bool) {
 		if n.gate != nil {
 			n.gate.Close()
 		}
-		if drain {
-			deadline := time.Now().Add(drainTimeout)
-			for !n.quiet() && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
+		// Close's zero deadline is long past: it waits for nothing.
+		select {
+		case <-n.ingested:
+		case <-time.After(time.Until(deadline)):
 		}
 		if n.tenant != nil {
+			if err := n.tenant.Run.StopBy(deadline); err != nil && drain {
+				n.log.Warn("engine stopped with records in flight", "err", err)
+			}
 			n.tenant.Sup.Stop()
 		}
 		if n.stopPlacement != nil {
@@ -601,11 +619,6 @@ func (n *Node) shutdown(drain bool) {
 		}
 		if n.stopCheckpoints != nil {
 			n.stopCheckpoints()
-		}
-		if n.tenant != nil {
-			if err := n.tenant.Run.Stop(); err != nil && drain {
-				n.log.Warn("engine stopped with records in flight", "err", err)
-			}
 		}
 		if drain {
 			n.closeBooks()
@@ -623,12 +636,6 @@ func (n *Node) shutdown(drain bool) {
 	})
 }
 
-// quiet reports whether everything admitted has been fully processed.
-func (n *Node) quiet() bool {
-	started, completed, _ := n.tenant.Run.RootTotals()
-	return n.gate.Ring().Len() == 0 && started == completed
-}
-
 // closeBooks makes the drained state durable and fills the report.
 func (n *Node) closeBooks() {
 	if n.walLog != nil {
@@ -640,8 +647,8 @@ func (n *Node) closeBooks() {
 	}
 	run, sup := n.tenant.Run, n.tenant.Sup
 	n.report.Status = n.Status()
-	_, completed, sojourn := run.RootTotals()
-	n.report.Completions, n.report.Sojourn = completed, time.Duration(sojourn)
+	started, completed, sojourn := run.RootTotals()
+	n.report.Completions, n.report.Stranded, n.report.Sojourn = completed, started-completed, time.Duration(sojourn)
 	n.report.ExecutorFailures, n.report.Replays = run.ExecutorFailures(), run.Replayed()
 	n.report.Rounds, n.report.History = sup.Rounds(), sup.History()
 }

@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"maps"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -153,32 +154,103 @@ func send(t *testing.T, addr, id, prefix string, n int) (admitted int) {
 
 // TestBooksBalance: records offered over a real loopback TCP listener are
 // each either acknowledged and fully processed or refused and counted —
-// after Drain, admitted == completed and the shed counters add up.
+// after Drain, admitted == completed and the shed counters add up, also
+// for a burst still in the ring when Drain begins. A drain whose deadline
+// cuts a backlog short strands it and still balances,
+// admitted == completed + stranded; a durable node leaves exactly the
+// stranded records unacked in its WAL for the next boot.
 func TestBooksBalance(t *testing.T) {
-	cfg, _ := testConfig()
-	// A tight token bucket, so the burst is part admitted, part shed.
-	cfg.Clients = ingest.ListenerConfig{Rate: 100, Burst: 150}
-	n, err := Start(cfg)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("drained", func(t *testing.T) {
+		cfg, _ := testConfig()
+		// A tight token bucket, so the burst is part admitted, part shed.
+		cfg.Clients = ingest.ListenerConfig{Rate: 100, Burst: 150}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		const offered = 600
+		acked := send(t, n.Status().TCPAddr, "burst", "rec", offered)
+		rep := n.Drain()
+		st := rep.Gate
+		if st.Offered != offered {
+			t.Errorf("gate saw %d offers, client made %d", st.Offered, offered)
+		}
+		if st.Admitted != int64(acked) || acked == 0 || acked == offered {
+			t.Errorf("gate admitted %d, client saw %d acks of %d (want a split)", st.Admitted, acked, offered)
+		}
+		if shed := st.ShedRateLimit + st.ShedOverload + st.ShedBacklog; st.Admitted+shed != st.Offered {
+			t.Errorf("books: admitted %d + shed %d != offered %d", st.Admitted, shed, st.Offered)
+		}
+		if rep.Completions != st.Admitted || rep.Stranded != 0 {
+			t.Errorf("engine completed %d and stranded %d of %d admitted", rep.Completions, rep.Stranded, st.Admitted)
+		}
+	})
+
+	// One NDJSON burst fills the ring faster than the spout empties it, so
+	// Drain begins with records still there; the engine drops a batch
+	// popped once its Stop has begun, so Drain must wait for the spout.
+	t.Run("burst still in the ring", func(t *testing.T) {
+		cfg, _ := testConfig()
+		cfg.HTTPAddr = "127.0.0.1:0"
+		cfg.FixedAlloc = map[string]int{"extract": 3, "match": 3}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer n.Close()
+		resp, err := http.Post("http://"+n.Status().HTTPAddr+"/ingest", "application/x-ndjson",
+			strings.NewReader(strings.Repeat("rec\n", 2000)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		rep := n.Drain()
+		if rep.Gate.Admitted == 0 || rep.Completions != rep.Gate.Admitted || rep.Stranded != 0 {
+			t.Errorf("completed %d and stranded %d of %d admitted", rep.Completions, rep.Stranded, rep.Gate.Admitted)
+		}
+	})
+
+	// stranded drains, by a 50 ms deadline, a node whose entry bolt parks
+	// on a channel until the test ends: the whole backlog strands.
+	stranded := func(t *testing.T, walDir string) Report {
+		cfg, _ := testConfig()
+		cfg.WALDir = walDir
+		cfg.FixedAlloc = map[string]int{"extract": 1}
+		release := make(chan struct{})
+		t.Cleanup(func() { close(release) })
+		cfg.Build = func(b *engine.TopologyBuilder) {
+			b.Bolt("extract", 1, func(int) engine.Bolt {
+				return engine.BoltFunc(func(engine.Tuple, engine.Emit) error { <-release; return nil })
+			})
+		}
+		n, err := Start(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(n.Close)
+		acked := send(t, n.Status().TCPAddr, "c", "rec", 20)
+		n.shutdown(time.Now().Add(50 * time.Millisecond))
+		rep := n.report
+		if acked == 0 || rep.Stranded != int64(acked) || rep.Gate.Admitted != rep.Completions+rep.Stranded {
+			t.Errorf("acked %d, admitted %d, completed %d, stranded %d: want every ack stranded and admitted == completed + stranded",
+				acked, rep.Gate.Admitted, rep.Completions, rep.Stranded)
+		}
+		return rep
 	}
-	defer n.Close()
-	const offered = 600
-	acked := send(t, n.Status().TCPAddr, "burst", "rec", offered)
-	rep := n.Drain()
-	st := rep.Gate
-	if st.Offered != offered {
-		t.Errorf("gate saw %d offers, client made %d", st.Offered, offered)
-	}
-	if st.Admitted != int64(acked) || acked == 0 || acked == offered {
-		t.Errorf("gate admitted %d, client saw %d acks of %d (want a split)", st.Admitted, acked, offered)
-	}
-	if shed := st.ShedRateLimit + st.ShedOverload + st.ShedBacklog; st.Admitted+shed != st.Offered {
-		t.Errorf("books: admitted %d + shed %d != offered %d", st.Admitted, shed, st.Offered)
-	}
-	if rep.Completions != st.Admitted {
-		t.Errorf("engine completed %d of %d admitted", rep.Completions, st.Admitted)
-	}
+	t.Run("stranded", func(t *testing.T) { stranded(t, "") })
+	t.Run("stranded durable replays", func(t *testing.T) {
+		dir := t.TempDir()
+		rep := stranded(t, dir)
+		l, rec, err := wal.Open(wal.Options{Dir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		if int64(rec.Unacked) != rep.Stranded {
+			t.Errorf("the next Open finds %d unacked records, want the %d stranded", rec.Unacked, rep.Stranded)
+		}
+	})
 }
 
 // TestDurableRestart: a node dropped without Drain replays exactly its

@@ -17,8 +17,6 @@ import (
 
 // One value in use across every live caller, so constants, not options.
 const (
-	// quiesceTimeout bounds the engine's drain wait on stop.
-	quiesceTimeout = 30 * time.Second
 	// minGain is the controller's rebalance threshold: the modelled
 	// sojourn must improve by this share before executors move.
 	minGain = 0.05
@@ -117,18 +115,15 @@ func buildTopology(build func(*engine.TopologyBuilder)) (*engine.Topology, error
 
 // newTenant starts topo on alloc, the executor count per bolt.
 func newTenant(topo *engine.Topology, alloc map[string]int, cfg TenantConfig, f front) (*Tenant, error) {
-	run, err := topo.Start(engine.RunConfig{
-		Alloc: alloc, QuiesceTimeout: quiesceTimeout, DecisionLog: f.dlog, Tracer: f.tracer,
-	})
-	if err != nil {
-		return nil, err
-	}
 	cfg.Controller.MinGain = minGain
 	cfg.Controller.ScaleInSlack = scaleInSlack
 	cfg.Controller.MaxScaleInUtilization = maxScaleInUtilization
 	ctrl, err := core.NewController(cfg.Controller)
 	if err != nil {
-		_ = run.Stop()
+		return nil, err
+	}
+	run, err := topo.Start(engine.RunConfig{Alloc: alloc, DecisionLog: f.dlog, Tracer: f.tracer})
+	if err != nil {
 		return nil, err
 	}
 	target := loop.EngineTarget(run)
@@ -166,11 +161,13 @@ func newTenant(topo *engine.Topology, alloc map[string]int, cfg TenantConfig, f 
 func (t *Tenant) Start() error { return t.Sup.Start() }
 
 // Stop halts the control loop, then the run: spouts first, a drain of the
-// trees in flight, then the executors. A nil error is the zero-loss
-// proof — every injected tuple completed.
-func (t *Tenant) Stop() error {
+// trees in flight that the last completion ends, or deadline, then the
+// executors (engine.Run.StopBy). A nil error is the zero-loss proof —
+// every injected tuple completed; otherwise it is an *engine.TimeoutError
+// counting the roots stranded at the deadline.
+func (t *Tenant) Stop(deadline time.Time) error {
 	t.Sup.Stop()
-	return t.Run.Stop()
+	return t.Run.StopBy(deadline)
 }
 
 // WriteHistory renders the supervisor's closing account — the round count

@@ -48,7 +48,6 @@ func OperatorFactories(tf topology.File, seed int64) map[string]engine.BoltFacto
 	}
 	factories := make(map[string]engine.BoltFactory, len(tf.Operators))
 	for i, op := range tf.Operators {
-		op := op
 		edges := outs[op.Name]
 		taskSeed := seed + int64(i)*1009
 		factories[op.Name] = func(task int) engine.Bolt {
