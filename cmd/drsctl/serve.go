@@ -4,6 +4,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"net"
 	"os"
 	"os/signal"
 	"syscall"
@@ -103,7 +104,6 @@ func cmdServe(tf topoFile, args []string) error {
 		Clients:         ingest.ListenerConfig{Rate: *clientRate},
 		HTTPAddr:        *httpAddr,
 		TCPAddr:         *tcpAddr,
-		WorkerAddr:      *workerListen,
 		MinWorkers:      *minWorkers,
 		Seed:            *seed,
 		WALDir:          *walDir,
@@ -120,6 +120,11 @@ func cmdServe(tf topoFile, args []string) error {
 	if *traceDir != "" {
 		if cfg.TraceSink, err = obs.NewFileSink(*traceDir, "trace"); err != nil {
 			return fmt.Errorf("trace sink: %w", err)
+		}
+	}
+	if *workerListen != "" {
+		if cfg.WorkerListener, err = net.Listen("tcp", *workerListen); err != nil {
+			return fmt.Errorf("worker listener: %w", err)
 		}
 	}
 	n, err := node.Start(cfg)

@@ -319,8 +319,7 @@ func (c *Controller) scaleOutOrRebalance(model *Model, s Snapshot, curKmax int) 
 				Target:     cloneInts(target),
 				TargetKmax: targetKmax,
 				Estimated:  est,
-				Reason: fmt.Sprintf("measured E[T] %.1fms > Tmax %.1fms; growing pool %d -> %d",
-					s.MeasuredSojourn*1e3, c.cfg.Tmax*1e3, curKmax, targetKmax),
+				Reason:     fmt.Sprintf("%s; growing pool %d -> %d", c.violation(model, s), curKmax, targetKmax),
 			}, nil
 		}
 	} else if !errors.Is(err, ErrUnreachableTarget) {
@@ -352,6 +351,21 @@ func (c *Controller) scaleOutOrRebalance(model *Model, s Snapshot, curKmax int) 
 	}
 	return Decision{Action: ActionRebalance, Target: cloneInts(target), TargetKmax: curKmax, Estimated: est,
 		Reason: "violating Tmax; rebalancing within current pool"}, nil
+}
+
+// violation names the check of Model.Violates that fired: the measured
+// sojourn when it is above Tmax, else Equation (3)'s estimate for the
+// allocation in force, in words when an unstable operator leaves it
+// unbounded.
+func (c *Controller) violation(model *Model, s Snapshot) string {
+	tmax := c.cfg.Tmax * 1e3
+	if s.MeasuredSojourn > c.cfg.Tmax {
+		return fmt.Sprintf("measured E[T] %.1fms > Tmax %.1fms", s.MeasuredSojourn*1e3, tmax)
+	}
+	if est, _ := model.ExpectedSojourn(s.Alloc); !math.IsInf(est, 1) {
+		return fmt.Sprintf("estimated E[T] %.1fms > Tmax %.1fms", est*1e3, tmax)
+	}
+	return fmt.Sprintf("estimated E[T] unbounded > Tmax %.1fms", tmax)
 }
 
 // maybeScaleIn releases machines only when the tightened target still fits

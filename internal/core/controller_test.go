@@ -145,6 +145,38 @@ func TestMinResourceScaleOut(t *testing.T) {
 	}
 }
 
+// TestScaleOutReasonNamesTheCheck: Model.Violates fires on the measured
+// sojourn or on Equation (3)'s estimate for the allocation in force, and a
+// scale-out's reason quotes the one that fired — the estimate when the
+// measurement is within Tmax, in words when an unstable operator leaves it
+// unbounded.
+func TestScaleOutReasonNamesTheCheck(t *testing.T) {
+	for _, tc := range []struct {
+		alloc    []int
+		measured float64
+		want     string
+	}{
+		{[]int{8, 8, 1}, 1.35, "measured E[T] 1350.0ms > Tmax 1100.0ms; growing pool 17 -> 22"},
+		{[]int{8, 8, 1}, 0.9, "estimated E[T] 1138.0ms > Tmax 1100.0ms; growing pool 17 -> 22"},
+		{[]int{6, 6, 1}, 0.9, "estimated E[T] unbounded > Tmax 1100.0ms; growing pool 17 -> 22"},
+	} {
+		c, err := NewController(ControllerConfig{
+			Mode: ModeMinResource, Tmax: 1.1,
+			SlotsPerMachine: 5, ReservedSlots: 3,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := c.Step(vldSnapshot(tc.alloc, 17, tc.measured))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.Action != ActionScaleOut || d.Reason != tc.want {
+			t.Errorf("alloc %v measured %gs: %v %q, want scale-out %q", tc.alloc, tc.measured, d.Action, d.Reason, tc.want)
+		}
+	}
+}
+
 func TestMinResourceScaleIn(t *testing.T) {
 	// Paper ExpB shape: loose Tmax, oversized pool; expect release of a
 	// machine down to the 4-worker pool (17) at (8:8:1).

@@ -686,7 +686,7 @@ func TestRebalanceStormServesEachOnce(t *testing.T) {
 	}
 	topo, err := NewTopology().
 		Spout("src", 2, func(inst int) Spout {
-			return SpoutFunc(func(ctx SpoutContext) error {
+			return spoutFunc(func(ctx SpoutContext) error {
 				tick := time.NewTicker(500 * time.Microsecond)
 				defer tick.Stop()
 				for id := inst * n / 2; id < (inst+1)*n/2; id++ {

@@ -25,9 +25,10 @@ type AckBatchSource interface {
 	// callback for the popped batch: it fires exactly once, after every
 	// root in the batch completes, on an engine goroutine, so it must be
 	// fast and non-blocking. It fires at once for an empty batch and never
-	// for a batch that reaches a stopped run — an unprocessed record must
-	// not advance a durability watermark. ack may be nil for a batch that
-	// needs no completion tracking.
+	// for a batch with a root that did not complete, one Stop stranded
+	// included — an unprocessed record must not advance a durability
+	// watermark. ack may be nil for a batch that needs no completion
+	// tracking.
 	PopBatchAcked(done <-chan struct{}, buf []Values) (batch []Values, ack func(), ok bool)
 }
 

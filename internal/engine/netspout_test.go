@@ -218,9 +218,10 @@ func (s tracedScript) PopBatchTraced(done <-chan struct{}, _ []Values, _ []uint6
 // TestNetworkSpoutInjectionContract holds the one injection body's
 // contract at the engine boundary, for each way NetworkSpout drains a
 // source: an empty batch fires its callback before the spout pops again; a
-// batch that reaches a stopped run builds no root and never fires its
-// callback — an unprocessed record must not advance the WAL watermark; and
-// traces close for exactly the roots injected with a nonzero trace id.
+// batch popped after Stop began is injected like any other — its roots
+// start and complete inside Stop's drain and its callback fires once, so an
+// admitted record is never dropped uncounted; and traces close for exactly
+// the roots injected with a nonzero trace id.
 func TestNetworkSpoutInjectionContract(t *testing.T) {
 	for _, tc := range []struct {
 		name          string
@@ -242,10 +243,11 @@ func TestNetworkSpoutInjectionContract(t *testing.T) {
 					traced = append(traced, tr.ID)
 					mu.Unlock()
 				}})})
-			var emptyFired, lateFired atomic.Bool
+			var emptyFired atomic.Bool
+			var lateFired atomic.Int32
 			batchDone := make(chan struct{})
 			src := &scriptSource{pops: make(chan scriptPop),
-				late: scriptPop{vs: []Values{{-1}}, traces: []uint64{99}, ack: func() { lateFired.Store(true) }}}
+				late: scriptPop{vs: []Values{{-1}}, traces: []uint64{99}, ack: func() { lateFired.Add(1) }}}
 			topo, err := NewTopology().
 				Spout("net", 1, func(int) Spout { return &NetworkSpout{Source: tc.wrap(src)} }).
 				Bolt("sink", 2, func(int) Bolt { return BoltFunc(func(Tuple, Emit) error { return nil }) }).
@@ -279,11 +281,15 @@ func TestNetworkSpoutInjectionContract(t *testing.T) {
 			if err := run.Stop(); err != nil {
 				t.Fatal(err)
 			}
-			if started, _, _ := run.RootTotals(); started != 4 {
-				t.Errorf("%d roots started, want 4: the batch popped after Stop built roots", started)
+			if started, completed, _ := run.RootTotals(); started != 5 || completed != 5 {
+				t.Errorf("%d roots started and %d completed, want 5 and 5: the batch popped after Stop was dropped", started, completed)
 			}
-			if lateFired.Load() {
-				t.Error("a batch injected into a stopped run fired its callback")
+			wantFired := int32(0)
+			if tc.acked {
+				wantFired = 1
+			}
+			if fired := lateFired.Load(); fired != wantFired {
+				t.Errorf("the batch popped after Stop fired its callback %d times, want %d", fired, wantFired)
 			}
 			if err := tracer.Close(); err != nil {
 				t.Fatal(err)
@@ -293,7 +299,7 @@ func TestNetworkSpoutInjectionContract(t *testing.T) {
 			slices.Sort(traced)
 			var want []uint64
 			if tc.traced {
-				want = []uint64{7, 9}
+				want = []uint64{7, 9, 99}
 			}
 			if !slices.Equal(traced, want) {
 				t.Errorf("traces closed for ids %v, want %v", traced, want)

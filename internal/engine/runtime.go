@@ -247,7 +247,7 @@ type Run struct {
 	lastNanos     int64
 
 	mu      sync.Mutex  // serializes route swaps and Stop's shutdown
-	stopped atomic.Bool // Stop has begun: the spouts stop, injection ends
+	stopped atomic.Bool // Stop has begun: the spouts stop
 	shut    atomic.Bool // Stop shut the executors down (set under mu): no more swaps
 	done    chan struct{}
 	wg      sync.WaitGroup // spout goroutines
@@ -507,10 +507,11 @@ func (c *spoutCtx) EmitBatch(vs []Values) { c.inject(vs, nil, nil) }
 // before any root can complete (a childless root completes inside its own
 // seal). When done is non-nil it fires exactly once, after every root
 // completes: the countdown is installed at the batch size before the first
-// root is built, it fires at once for an empty batch, and a stopped run
-// drops the batch *without* firing it — an unprocessed record must never
-// advance a durability watermark; it is replayed from the log on the next
-// boot. A root whose traces[i] is nonzero inherits that trace id and the
+// root is built, and it fires at once for an empty batch. A batch popped
+// after Stop began is injected like any other: Stop reads the books only
+// once its spouts have returned, so its drain runs the batch or strands
+// it, counted, and done never fires for a record that did not complete. A
+// root whose traces[i] is nonzero inherits that trace id and the
 // batch's arrival wall stamp, which doubles as the emitter handoff, so a
 // traced root's first hop measures queue wait from the moment the batch
 // left the source.
@@ -520,9 +521,6 @@ func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 		if done != nil {
 			done()
 		}
-		return
-	}
-	if r.stopped.Load() {
 		return
 	}
 	var b *batchAck

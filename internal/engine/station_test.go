@@ -14,11 +14,16 @@ import (
 // the executor with the least outstanding work (emitter.leastLoaded), and
 // the outstanding count it reads balances on every path a tuple can take.
 
+// spoutFunc adapts a function to the Spout interface.
+type spoutFunc func(ctx SpoutContext) error
+
+func (f spoutFunc) Run(ctx SpoutContext) error { return f(ctx) }
+
 // feedSpout emits whatever the test sends it: a one-element slice through
 // Emit, anything longer as one EmitBatch.
 func feedSpout(feed <-chan []Values) func(int) Spout {
 	return func(int) Spout {
-		return SpoutFunc(func(ctx SpoutContext) error {
+		return spoutFunc(func(ctx SpoutContext) error {
 			for {
 				select {
 				case <-ctx.Done():
@@ -208,7 +213,7 @@ func TestShuffleStormTaskExclusive(t *testing.T) {
 	bolts := make([]*exclusiveBolt, tasks)
 	topo, err := NewTopology().
 		Spout("src", 2, func(int) Spout {
-			return SpoutFunc(func(ctx SpoutContext) error {
+			return spoutFunc(func(ctx SpoutContext) error {
 				for i := 0; i < n/2; i++ {
 					select {
 					case <-ctx.Done():

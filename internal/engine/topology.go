@@ -11,12 +11,6 @@ type Spout interface {
 	Run(ctx SpoutContext) error
 }
 
-// SpoutFunc adapts a function to the Spout interface.
-type SpoutFunc func(ctx SpoutContext) error
-
-// Run calls the function.
-func (f SpoutFunc) Run(ctx SpoutContext) error { return f(ctx) }
-
 // SpoutContext is passed to a running spout instance. Its methods must be
 // called from the spout's Run goroutine only (each instance owns an
 // unsynchronized emitter; see the Spout doc). A source whose batches need

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"net"
 	"slices"
 	"time"
 
@@ -58,7 +59,7 @@ const (
 	// traceInterval is the node's placement and replan cadence, and the
 	// retry-after of a backlog refusal.
 	traceInterval = 10 * time.Millisecond
-	// traceWait bounds each wait on the node: placement, a completion.
+	// traceWait bounds the wait for a sampled trace to complete.
 	traceWait = 10 * time.Second
 )
 
@@ -242,34 +243,33 @@ func runTraceVariant(mode string, tenants []string, permille, remoteMachines int
 		FixedAlloc: map[string]int{"count": 6, "sink": 2},
 	}
 	if remoteMachines > 0 {
-		cfg.WorkerAddr = "127.0.0.1:0"
+		// Start returns once MinWorkers workers have joined and the
+		// executors are placed on them, so the workers dial alongside it;
+		// each runs until the node's shutdown closes its connection.
+		l, err := net.Listen("tcp", "127.0.0.1:0")
+		if err != nil {
+			return v, err
+		}
+		cfg.WorkerListener, cfg.MinWorkers = l, remoteMachines
+		for i := range remoteMachines {
+			go func() {
+				w, err := worker.Dial(worker.Config{Addr: l.Addr().String(), Name: fmt.Sprintf("trace-w%d", i+1), Build: traceHopBolts})
+				if err == nil {
+					defer w.Close()
+					w.Run()
+				}
+			}()
+		}
 	}
 	n, err := node.Start(cfg)
 	if err != nil {
 		return v, err
 	}
 	defer n.Close()
-
-	if remoteMachines > 0 {
-		addr := n.Status().WorkerAddr
-		for i := 0; i < remoteMachines; i++ {
-			w, err := worker.Dial(worker.Config{Addr: addr, Name: fmt.Sprintf("trace-w%d", i+1), Build: traceHopBolts})
-			if err != nil {
-				return TraceVariant{}, err
-			}
-			go w.Run()
-			defer w.Close()
-		}
-		// The node places executors after each join, on its own
-		// goroutine; every count executor is remote before the first
-		// offer, so every trace has the remote span count.
-		want := cfg.SlotsPerMachine * remoteMachines
-		for wait := 50 * time.Microsecond; n.Status().Remote["count"] != want; wait *= 2 {
-			if wait > traceWait {
-				return TraceVariant{}, fmt.Errorf("experiments: trace count executors not placed on %d workers", remoteMachines)
-			}
-			time.Sleep(wait)
-		}
+	// Every count executor is remote before the first offer, so every
+	// trace has the remote span count.
+	if got, want := n.Status().Remote["count"], cfg.SlotsPerMachine*remoteMachines; got != want {
+		return TraceVariant{}, fmt.Errorf("experiments: trace placed %d count executors on %d workers at Start, want %d", got, remoteMachines, want)
 	}
 
 	// Offer the workload in order, one record at a time: the only refusal

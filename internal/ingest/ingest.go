@@ -331,9 +331,8 @@ func (g *Gate) run(stop <-chan struct{}, done chan<- struct{}) {
 
 // Close shuts the front door: the replanning loop stops, new offers are
 // refused, and the hand-off ring closes — the NetworkSpout drains what
-// was already admitted and then exits. The engine drops a batch popped
-// once its Stop has begun, so an orderly shutdown that loses no admitted
-// tuple waits for that exit before it stops the engine (node.Drain).
+// was already admitted and then exits, so the engine's Stop, called after
+// Close, runs every admitted tuple or strands it, counted (node.Drain).
 func (g *Gate) Close() {
 	if !g.closed.CompareAndSwap(false, true) {
 		return

@@ -499,8 +499,7 @@ func (s *Supervisor) Tick() {
 	s.mu.Lock()
 	// snap.Ops is the measurer's scratch, overwritten by its next Snapshot
 	// call: the models copy it into supervisor-owned storage. An invalid
-	// round (λ̂0 = 0 on an idle front door) goes to the stepper as measured
-	// and is refused there.
+	// round (λ̂0 = 0 on an idle front door) is recorded, then held below.
 	s.modelOK = s.admitted.Reset(snap.Lambda0, snap.Ops) == nil && s.offered.Scale(&s.admitted, scale) == nil
 	if s.modelOK {
 		snap.Ops = s.offered.Ops()
@@ -515,6 +514,14 @@ func (s *Supervisor) Tick() {
 	s.reportTenant(snap, shedFraction > 0)
 	s.cfg.Sojourn.Observe(snap.MeasuredSojourn)
 	s.cfg.ShedFrac.Observe(shedFraction)
+	if !s.modelOK {
+		// No model prices this round — an idle front door measured no
+		// arrivals — so no decision can be judged: hold and re-measure.
+		if s.debugEnabled() {
+			s.log.Debug("no valid model this round; holding", slog.Float64("lambda0", snap.Lambda0))
+		}
+		return
+	}
 
 	d, err := s.cfg.Stepper.Step(snap)
 	if err != nil {

@@ -3,6 +3,7 @@ package loop
 import (
 	"bytes"
 	"errors"
+	"log/slog"
 	"runtime"
 	"sync"
 	"testing"
@@ -234,6 +235,43 @@ func TestCooldown(t *testing.T) {
 	}
 	if src.resets != 2 {
 		t.Fatalf("want a measurer reset per applied action, got %d", src.resets)
+	}
+}
+
+// TestIdleRoundHolds: a round whose measurement holds no arrivals (λ̂0 = 0,
+// an idle front door) has no model to judge it by; it is recorded and held
+// without a warning, and nothing is actuated.
+func TestIdleRoundHolds(t *testing.T) {
+	clock := newFakeClock()
+	target := &fakeTarget{alloc: map[string]int{"a": 1}}
+	ctrl, err := core.NewController(core.ControllerConfig{Mode: core.ModeMinResource, Tmax: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var warnings bytes.Buffer
+	sup, err := New(Config{
+		Target:    target,
+		Operators: []string{"a"},
+		Stepper:   ctrl,
+		Pool:      FixedPool(4),
+		Source:    &fakeSource{snap: core.Snapshot{Ops: []core.OpRates{{Name: "a", Mu: 2}}}},
+		Interval:  time.Second,
+		Clock:     clock.Now,
+		Logger:    slog.New(slog.NewTextHandler(&warnings, &slog.HandlerOptions{Level: slog.LevelWarn})),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		sup.Tick()
+		clock.advance(time.Second)
+	}
+	if warnings.Len() != 0 {
+		t.Errorf("idle rounds logged warnings:\n%s", warnings.String())
+	}
+	if _, measured := sup.LastSnapshot(); !measured || sup.Rounds() != 3 || target.rebalances() != 0 {
+		t.Errorf("measured %v, %d rounds, %d rebalances: want 3 recorded rounds and no action",
+			measured, sup.Rounds(), target.rebalances())
 	}
 }
 

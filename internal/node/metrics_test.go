@@ -73,7 +73,7 @@ func TestMetricsContract(t *testing.T) {
 	}{
 		{"plain", func(*Config) {}},
 		{"wal", func(c *Config) { c.WALDir = t.TempDir() }},
-		{"workers", func(c *Config) { c.WorkerAddr = "127.0.0.1:0" }},
+		{"workers", func(c *Config) { c.WorkerListener = listen(t) }},
 		{"obs", func(c *Config) {
 			c.DecisionSink, c.TraceSink = obs.NewWriterSink(io.Discard), obs.NewWriterSink(io.Discard)
 			c.TraceSample = 10

@@ -83,9 +83,13 @@ type Config struct {
 	// Clients carries the per-client shedding weights and token buckets.
 	Clients ingest.ListenerConfig
 	// HTTPAddr and TCPAddr are the ingest listen addresses ("" disables
-	// that listener). WorkerAddr, when set, opens the worker registration
-	// endpoint.
-	HTTPAddr, TCPAddr, WorkerAddr string
+	// that listener); they open last, so an early client is refused rather
+	// than parked in an accept queue.
+	HTTPAddr, TCPAddr string
+	// WorkerListener, when set, is the worker registration endpoint, bound
+	// by the caller, who therefore knows its address. The node owns it from
+	// Start on and closes it at shutdown, a failed Start's included.
+	WorkerListener net.Listener
 	// MinWorkers keeps the ingest listeners shut until that many workers
 	// have registered.
 	MinWorkers int
@@ -129,17 +133,13 @@ type Node struct {
 	lease   *cluster.Tenant
 	tenant  *Tenant
 	coord   *worker.Coordinator
-	workerL net.Listener
 	httpSrv *http.Server
 	tcpL    net.Listener
 
-	httpAddr, tcpAddr, workerAddr string // as bound
+	httpAddr, tcpAddr string // as bound
 
 	stopPlacement, stopCheckpoints func()
 	serving                        sync.WaitGroup // listener goroutines
-	// ingested closes when the ingest spout returns: the gate is closed
-	// and the spout has injected everything its ring held.
-	ingested chan struct{}
 
 	once   sync.Once // the one shutdown
 	report Report
@@ -148,9 +148,9 @@ type Node struct {
 // Status is one reading of a node: the gate's books and plan, the lease,
 // the pool, the allocation in force and the supervisor's last snapshot.
 type Status struct {
-	// HTTPAddr, TCPAddr and WorkerAddr are the bound ingest and worker
-	// registration addresses ("" when that listener is disabled).
-	HTTPAddr, TCPAddr, WorkerAddr string
+	// HTTPAddr and TCPAddr are the bound ingest addresses ("" when that
+	// listener is disabled).
+	HTTPAddr, TCPAddr string
 	// Gate holds the admission counters and the current shed plan.
 	Gate ingest.GateStats
 	// Granted is the slot count the lease holds; Machines the pool size.
@@ -201,15 +201,16 @@ type Report struct {
 //     the supervisor's hysteresis;
 //  2. gate, then the engine behind it, then the control loop — the gate
 //     must exist for the spout to drain, the run for the loop to measure;
-//  3. the worker tier, waiting for MinWorkers — executors are placed
-//     before traffic, not under it;
+//  3. the worker tier: wait for MinWorkers, then one placement pass —
+//     executors are placed before traffic, not under it;
 //  4. replay the recovered unacked records BEFORE any listener opens, so
 //     replayed and fresh traffic never interleave and every re-injected
 //     record is already in the log;
 //  5. checkpoints and /metrics, which read the assembled components;
 //  6. the listeners, last.
 //
-// A failed Start releases everything it had opened.
+// A failed Start releases everything it had opened, and the worker
+// listener and sinks it was handed.
 func Start(cfg Config) (*Node, error) {
 	n := &Node{cfg: cfg, log: cfg.Logger}
 	if n.log == nil {
@@ -229,14 +230,10 @@ func (n *Node) notice(msg string, args ...any) {
 
 func (n *Node) boot() error {
 	cfg := n.cfg
-	n.ingested = make(chan struct{})
 	topo, err := buildTopology(func(b *engine.TopologyBuilder) {
 		cfg.Build(b)
 		b.Spout(spoutName, 1, func(int) engine.Spout {
-			return engine.SpoutFunc(func(ctx engine.SpoutContext) error {
-				defer close(n.ingested)
-				return (&engine.NetworkSpout{Source: n.gate.Source(), MaxBatch: spoutMaxBatch}).Run(ctx)
-			})
+			return &engine.NetworkSpout{Source: n.gate.Source(), MaxBatch: spoutMaxBatch}
 		})
 		b.Shuffle(spoutName, cfg.Entry)
 	})
@@ -331,7 +328,7 @@ func (n *Node) boot() error {
 		}
 	}
 
-	if cfg.WorkerAddr != "" {
+	if cfg.WorkerListener != nil {
 		if err := n.bootWorkers(); err != nil {
 			return err
 		}
@@ -428,32 +425,31 @@ func (n *Node) bootWorkers() error {
 		}
 		replace()
 	})
-	l, err := net.Listen("tcp", n.cfg.WorkerAddr)
-	if err != nil {
-		return err
-	}
-	n.workerL, n.workerAddr = l, l.Addr().String()
+	l := n.cfg.WorkerListener
 	n.serve(func() error { return n.coord.Serve(l) }, "worker registration")
-	n.notice("worker registration open", "addr", n.workerAddr)
+	n.notice("worker registration open", "addr", l.Addr().String())
 	if n.cfg.MinWorkers > 0 {
 		if err := n.coord.WaitWorkers(n.cfg.MinWorkers, workerWait); err != nil {
 			return err
 		}
 	}
-	// Placement re-application: every control interval (and on every
-	// join, death or churn event) the engine's current allocation is
-	// spread over the live workers, SlotsPerMachine executors each,
-	// remainder local. Idempotent bindings make the steady-state pass a
-	// no-op; after a Rebalance (which rebuilds executors local) the next
-	// pass pushes them back out.
-	n.stopPlacement = every(n.cfg.Interval, nudge, func() {
+	// Placement: the engine's current allocation spread over the live
+	// workers, SlotsPerMachine executors each, remainder local. One pass
+	// runs here, so the replay and the first request already find the
+	// executors remote; then one every control interval and on every join,
+	// death or churn event. Idempotent bindings make the steady-state pass
+	// a no-op; after a Rebalance (which rebuilds executors local) or a
+	// transport self-heal the next pass pushes them back out.
+	place := func() {
 		machines := n.coord.Workers()
 		placement := make(map[int]int, len(machines))
 		for _, m := range machines {
 			placement[m] = n.cfg.SlotsPerMachine
 		}
 		worker.ApplyPlacement(n.tenant.Run, n.tenant.Run.Allocation(), placement, 0, n.coord.Remote)
-	})
+	}
+	place()
+	n.stopPlacement = every(n.cfg.Interval, nudge, place)
 	return nil
 }
 
@@ -525,14 +521,13 @@ func (n *Node) listen() error {
 // Status reads the node's live state.
 func (n *Node) Status() Status {
 	st := Status{
-		HTTPAddr:   n.httpAddr,
-		TCPAddr:    n.tcpAddr,
-		WorkerAddr: n.workerAddr,
-		Gate:       n.gate.Stats(),
-		Granted:    n.lease.Granted(),
-		Machines:   n.pool.Machines(),
-		Alloc:      n.tenant.Run.Allocation(),
-		Remote:     make(map[string]int),
+		HTTPAddr: n.httpAddr,
+		TCPAddr:  n.tcpAddr,
+		Gate:     n.gate.Stats(),
+		Granted:  n.lease.Granted(),
+		Machines: n.pool.Machines(),
+		Alloc:    n.tenant.Run.Allocation(),
+		Remote:   make(map[string]int),
 	}
 	for _, b := range n.tenant.Run.BoltNames() {
 		st.Remote[b], _ = n.tenant.Run.RemoteBound(b)
@@ -559,10 +554,10 @@ func (n *Node) saveCheckpoint() {
 // record, and returns the closing account. Each step has a reason:
 //
 //  1. listeners close — nothing new is offered;
-//  2. the gate closes — the ring refuses pushes, and the ingest spout
-//     injects what the ring still holds and returns: the engine drops a
-//     batch popped once its Stop has begun;
-//  3. the engine stops (engine.Run.StopBy): one drain, woken by the last
+//  2. the gate closes — the ring refuses pushes but still hands the
+//     ingest spout what it holds;
+//  3. the engine stops (engine.Run.StopBy): the spout injects the ring's
+//     last records and returns, then one drain, woken by the last
 //     completion and bounded by drainTimeout, through which the supervisor
 //     and placement still act — what is still in flight at the deadline
 //     strands, counted in Report.Stranded. It comes before the worker tier
@@ -599,11 +594,6 @@ func (n *Node) shutdown(deadline time.Time) {
 		if n.gate != nil {
 			n.gate.Close()
 		}
-		// Close's zero deadline is long past: it waits for nothing.
-		select {
-		case <-n.ingested:
-		case <-time.After(time.Until(deadline)):
-		}
 		if n.tenant != nil {
 			if err := n.tenant.Run.StopBy(deadline); err != nil && drain {
 				n.log.Warn("engine stopped with records in flight", "err", err)
@@ -613,8 +603,10 @@ func (n *Node) shutdown(deadline time.Time) {
 		if n.stopPlacement != nil {
 			n.stopPlacement()
 		}
-		if n.workerL != nil {
-			_ = n.workerL.Close()
+		if n.cfg.WorkerListener != nil {
+			_ = n.cfg.WorkerListener.Close()
+		}
+		if n.coord != nil {
 			n.coord.Close()
 		}
 		if n.stopCheckpoints != nil {

@@ -119,6 +119,17 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 	}
 }
 
+// listen binds a loopback listener for the node to take over.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	l, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 // freeAddr reserves a loopback port and releases it for the node to claim
 // (a small race, fine for a test).
 func freeAddr(t *testing.T) string {
@@ -188,8 +199,8 @@ func TestBooksBalance(t *testing.T) {
 	})
 
 	// One NDJSON burst fills the ring faster than the spout empties it, so
-	// Drain begins with records still there; the engine drops a batch
-	// popped once its Stop has begun, so Drain must wait for the spout.
+	// Drain begins with records still there: the closed ring still hands
+	// them to the spout, and the engine's drain runs every one.
 	t.Run("burst still in the ring", func(t *testing.T) {
 		cfg, _ := testConfig()
 		cfg.HTTPAddr = "127.0.0.1:0"
@@ -411,16 +422,16 @@ func TestOldCheckpointResumes(t *testing.T) {
 }
 
 // TestWorkerGate: MinWorkers keeps Start from returning until that many
-// workers joined; a killed worker surfaces as a failed pool machine, its
-// executors heal, and the books still balance.
+// workers joined, and Start returns with the executors already placed on
+// them; a killed worker surfaces as a failed pool machine, its executors
+// heal, and the books still balance.
 func TestWorkerGate(t *testing.T) {
 	cfg, logs := testConfig()
-	cfg.WorkerAddr = freeAddr(t)
+	cfg.WorkerListener = listen(t)
 	cfg.MinWorkers = 2
 	cfg.Seed = 7
 	dial := func(name string) *worker.Worker {
-		awaitLog(t, logs, "worker registration open", 1)
-		w, err := worker.Dial(worker.Config{Addr: cfg.WorkerAddr, Name: name,
+		w, err := worker.Dial(worker.Config{Addr: cfg.WorkerListener.Addr().String(), Name: name,
 			Build: func(seed int64) (map[string]engine.BoltFactory, error) {
 				return OperatorFactories(fastFile, seed), nil
 			}})
@@ -458,8 +469,10 @@ func TestWorkerGate(t *testing.T) {
 	}
 
 	// Both executors sit on the first machine (two slots each, ascending
-	// order); kill the worker behind it.
-	waitFor(t, "placement onto the workers", func() bool { return n.Status().Remote["extract"] == 1 })
+	// order), placed before Start returned; kill the worker behind it.
+	if rem := n.Status().Remote; rem["extract"] != 1 || rem["match"] != 1 {
+		t.Fatalf("remote executors %v when Start returned, want extract and match on the first worker", rem)
+	}
 	w1.Close()
 	// The death notice follows the pool Fail of the worker's machine.
 	awaitLog(t, logs, "worker died, executors heal local", 1)
@@ -478,22 +491,18 @@ func TestWorkerGate(t *testing.T) {
 	}
 }
 
-// TestWorkerJoinsAfterStart: with MinWorkers 0 Start returns at once and
-// reports the worker endpoint it bound; a worker dialling that address
-// afterwards joins, hosts executors and completes records.
+// TestWorkerJoinsAfterStart: with MinWorkers 0 Start returns at once; a
+// worker dialling the node's listener afterwards joins, is placed by the
+// join's nudge, hosts executors and completes records.
 func TestWorkerJoinsAfterStart(t *testing.T) {
 	cfg, logs := testConfig()
-	cfg.WorkerAddr = "127.0.0.1:0"
+	cfg.WorkerListener = listen(t)
 	n, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer n.Close()
-	addr := n.Status().WorkerAddr
-	if addr == "" || addr == cfg.WorkerAddr {
-		t.Fatalf("Status().WorkerAddr = %q, want the bound address", addr)
-	}
-	w, err := worker.Dial(worker.Config{Addr: addr, Name: "late",
+	w, err := worker.Dial(worker.Config{Addr: cfg.WorkerListener.Addr().String(), Name: "late",
 		Build: func(seed int64) (map[string]engine.BoltFactory, error) {
 			return OperatorFactories(fastFile, seed), nil
 		}})
@@ -579,7 +588,7 @@ func TestFixedAllocationClipsToBoltTasks(t *testing.T) {
 // the first's report, Close after it is a no-op, and a Start that fails at
 // its very last step — a taken TCP port, after the WAL, the engine, the
 // worker endpoint and the HTTP listener are all up — gives everything
-// back.
+// back, the worker listener it was handed included.
 func TestDrainIdempotentAndFailedStartLeaksNothing(t *testing.T) {
 	cfg, _ := testConfig()
 	n, err := Start(cfg)
@@ -600,7 +609,7 @@ func TestDrainIdempotentAndFailedStartLeaksNothing(t *testing.T) {
 	defer taken.Close()
 	before := runtime.NumGoroutine()
 	cfg.WALDir = t.TempDir()
-	cfg.WorkerAddr = freeAddr(t)
+	cfg.WorkerListener = listen(t)
 	cfg.HTTPAddr = freeAddr(t)
 	cfg.TCPAddr = taken.Addr().String()
 	if n, err := Start(cfg); err == nil {
@@ -608,7 +617,7 @@ func TestDrainIdempotentAndFailedStartLeaksNothing(t *testing.T) {
 		t.Fatal("Start succeeded on a taken TCP port")
 	}
 	waitFor(t, "the failed Start's goroutines to exit", func() bool { return runtime.NumGoroutine() <= before })
-	for _, addr := range []string{cfg.HTTPAddr, cfg.WorkerAddr} {
+	for _, addr := range []string{cfg.HTTPAddr, cfg.WorkerListener.Addr().String()} {
 		l, err := net.Listen("tcp", addr)
 		if err != nil {
 			t.Errorf("listener on %s leaked: %v", addr, err)
