@@ -4,20 +4,17 @@ import "fmt"
 
 // Worker registration: the bridge between the pool's simulated machine
 // lifecycle and real worker processes. A machine id can be leased to one
-// worker process at a time; while the lease holds, the machine's fate and
-// the process's fate are tied in both directions — the serve wiring fails
-// the machine when the worker's heartbeat lease lapses, and kills the
-// worker's connection when the pool fails the machine (so a scripted
-// churn event revokes a real process's lease, not just a counter).
+// worker process at a time; the serve wiring fails the machine when the
+// worker's heartbeat lease lapses or its connection dies, and a
+// replacement process re-backs and recovers it.
 
 // AddChurnListener registers a machine-lifecycle listener: the Scheduler
-// that arbitrates the pool (NewScheduler registers it, first), and the
-// worker coordinator, which revokes live worker connections when a
-// worker-backed machine fails. Listeners run after the transition is
-// applied and outside the pool lock, in registration order, so they may
-// call back into the pool. A transition fires the listeners registered
-// when it was applied: the list only grows, so its snapshot under the
-// lock stays valid after the lock is released.
+// that arbitrates the pool (NewScheduler registers it). Listeners run
+// after the transition is applied and outside the pool lock, in
+// registration order, so they may call back into the pool. A transition
+// fires the listeners registered when it was applied: the list only
+// grows, so its snapshot under the lock stays valid after the lock is
+// released.
 func (p *Pool) AddChurnListener(fn func(ChurnEvent)) {
 	if fn == nil {
 		return

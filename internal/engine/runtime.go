@@ -307,7 +307,7 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 				return nil, fmt.Errorf("engine: spout %q: factory returned nil for instance %d", sr.spec.name, inst)
 			}
 			r.wg.Add(1)
-			go r.runSpout(si, inst, spout)
+			go r.runSpout(si, spout)
 		}
 	}
 	return r, nil
@@ -470,10 +470,9 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 // runSpout drives one spout instance. A failing spout ends that instance
 // only; the topology keeps running on the remaining sources, and the error
 // is retained for inspection.
-func (r *Run) runSpout(si, instance int, spout Spout) {
+func (r *Run) runSpout(si int, spout Spout) {
 	defer r.wg.Done()
-	sc := &spoutCtx{run: r, spoutIdx: si, instance: instance,
-		shard: treeShardSeq.Add(1), em: newEmitter(r)}
+	sc := &spoutCtx{run: r, spoutIdx: si, shard: treeShardSeq.Add(1), em: newEmitter(r)}
 	if err := spout.Run(sc); err != nil && !errors.Is(err, ErrStopped) {
 		r.spoutErrCount.Add(1)
 		r.spoutLastErr.Store(&err)
@@ -483,7 +482,6 @@ func (r *Run) runSpout(si, instance int, spout Spout) {
 type spoutCtx struct {
 	run      *Run
 	spoutIdx int
-	instance int
 	shard    uint32 // root-log shard for batch start accounting
 	em       *emitter
 	one      [1]Values // Emit's batch of one
@@ -549,9 +547,6 @@ func (c *spoutCtx) inject(vs []Values, traces []uint64, done func()) {
 
 // Done exposes the stop signal.
 func (c *spoutCtx) Done() <-chan struct{} { return c.run.done }
-
-// Instance reports the spout instance index.
-func (c *spoutCtx) Instance() int { return c.instance }
 
 // Allocation reports the current executor count per bolt.
 func (r *Run) Allocation() map[string]int {

@@ -23,11 +23,11 @@ type SpoutContext interface {
 	// processing tree, but the whole batch shares one timestamp and one
 	// enqueue per destination executor (source micro-batching; use it when
 	// the source naturally yields tuples in chunks).
+	//
+	//checkdoc:testonly a test seam: the station tests and BenchmarkEngineStation batch a spout through it
 	EmitBatch(vs []Values)
 	// Done is closed when the spout must stop.
 	Done() <-chan struct{}
-	// Instance is this spout instance's index (0-based).
-	Instance() int
 }
 
 // Bolt processes tuples. One instance exists per task; the engine

@@ -138,6 +138,7 @@ type Node struct {
 
 	httpAddr, tcpAddr string // as bound
 
+	nudge                          chan struct{} // wakes placement: a join, a death, a Rebalance
 	stopPlacement, stopCheckpoints func()
 	serving                        sync.WaitGroup // listener goroutines
 
@@ -212,7 +213,7 @@ type Report struct {
 // A failed Start releases everything it had opened, and the worker
 // listener and sinks it was handed.
 func Start(cfg Config) (*Node, error) {
-	n := &Node{cfg: cfg, log: cfg.Logger}
+	n := &Node{cfg: cfg, log: cfg.Logger, nudge: make(chan struct{}, 1)}
 	if n.log == nil {
 		n.log = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -315,7 +316,7 @@ func (n *Node) boot() error {
 		Logger:     cfg.Logger,
 	}, front{
 		gate: n.gate, dlog: n.dlog, tracer: n.tracer, resume: resume,
-		sojourn: n.metrics.sojourn, shedFrac: n.metrics.shedFrac,
+		sojourn: n.metrics.sojourn, shedFrac: n.metrics.shedFrac, rebalanced: n.replace,
 	}); err != nil {
 		return err
 	}
@@ -372,19 +373,21 @@ func (n *Node) initialAllocation(bolts []string, tasks map[string]int, maxSlots 
 	return alloc, len(bolts)
 }
 
-// bootWorkers opens the worker tier: remote processes register here,
-// lease a pool machine, and host executors over the framed shuttle.
-// Machine fate and process fate are tied both ways — a lapsed heartbeat
-// lease fails the pool machine, and a scripted pool Fail of a
-// worker-backed machine severs the real connection.
-func (n *Node) bootWorkers() error {
-	nudge := make(chan struct{}, 1)
-	replace := func() {
-		select {
-		case nudge <- struct{}{}:
-		default:
-		}
+// replace wakes the placement goroutine without blocking: one pending
+// nudge covers any number of events. Without a worker tier nothing reads
+// it.
+func (n *Node) replace() {
+	select {
+	case n.nudge <- struct{}{}:
+	default:
 	}
+}
+
+// bootWorkers opens the worker tier: remote processes register here,
+// lease a pool machine, and host executors over the framed shuttle. A
+// process's death fails its pool machine; a replacement process re-backs
+// it.
+func (n *Node) bootWorkers() error {
 	var synthetic atomic.Int64 // ids past the pool when it is full
 	n.coord = worker.NewCoordinator(worker.CoordinatorConfig{
 		Seed:        n.cfg.Seed,
@@ -408,22 +411,19 @@ func (n *Node) bootWorkers() error {
 		},
 		OnJoin: func(machine int) {
 			n.notice("worker joined", "machine", machine)
-			replace()
+			n.replace()
 		},
 		OnDeath: func(machine int) {
-			n.pool.UnbindWorker(machine)
 			// A dead worker is a dead machine; ignore the error for
-			// synthetic ids and machines the pool already failed.
+			// synthetic ids and machines the pool already failed. Fail
+			// comes before the unbind: a replacement that binds between
+			// the two takes another machine, one that binds later finds
+			// this one failed and recovers it, and none is failed under.
 			_ = n.pool.Fail(machine)
+			n.pool.UnbindWorker(machine)
 			n.notice("worker died, executors heal local", "machine", machine)
-			replace()
+			n.replace()
 		},
-	})
-	n.pool.AddChurnListener(func(ev cluster.ChurnEvent) {
-		if ev.Kind == "machine-fail" {
-			n.coord.DropWorker(ev.Machine)
-		}
-		replace()
 	})
 	l := n.cfg.WorkerListener
 	n.serve(func() error { return n.coord.Serve(l) }, "worker registration")
@@ -436,10 +436,11 @@ func (n *Node) bootWorkers() error {
 	// Placement: the engine's current allocation spread over the live
 	// workers, SlotsPerMachine executors each, remainder local. One pass
 	// runs here, so the replay and the first request already find the
-	// executors remote; then one every control interval and on every join,
-	// death or churn event. Idempotent bindings make the steady-state pass
-	// a no-op; after a Rebalance (which rebuilds executors local) or a
-	// transport self-heal the next pass pushes them back out.
+	// executors remote; then one on every join, death and supervised
+	// Rebalance (which rebuilds the changed bolts' executors local), and
+	// one every control interval, the reconcile for what no event covers:
+	// a transport self-heal. Idempotent bindings make the steady-state
+	// pass a no-op.
 	place := func() {
 		machines := n.coord.Workers()
 		placement := make(map[int]int, len(machines))
@@ -449,7 +450,7 @@ func (n *Node) bootWorkers() error {
 		worker.ApplyPlacement(n.tenant.Run, n.tenant.Run.Allocation(), placement, 0, n.coord.Remote)
 	}
 	place()
-	n.stopPlacement = every(n.cfg.Interval, nudge, place)
+	n.stopPlacement = every(n.cfg.Interval, n.nudge, place)
 	return nil
 }
 

@@ -526,6 +526,58 @@ func TestWorkerJoinsAfterStart(t *testing.T) {
 	}
 }
 
+// TestRebalanceNudgesPlacement: a supervised Rebalance rebuilds the
+// changed bolts' executors in-process, and the node places them on its
+// worker in the same round, not on its next interval pass (an hour here).
+// The pool machine no worker backs is failed first, so the hand-run round
+// is a forced shrink, and every nudge before it is spent once the
+// worker's join has been placed.
+func TestRebalanceNudgesPlacement(t *testing.T) {
+	cfg, _ := testConfig()
+	cfg.Interval = time.Hour
+	cfg.MaxMachines = 2
+	cfg.FixedAlloc = map[string]int{"extract": 2, "match": 2}
+	cfg.WorkerListener = listen(t)
+	n, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Close()
+	machines := n.pool.MachineList()
+	if len(machines) != 2 {
+		t.Fatalf("%d pool machines, want 2", len(machines))
+	}
+	// A joining worker backs the first unbacked machine in list order.
+	if err := n.pool.Fail(machines[1].ID); err != nil {
+		t.Fatal(err)
+	}
+	w, err := worker.Dial(worker.Config{Addr: cfg.WorkerListener.Addr().String(), Name: "w",
+		Build: func(seed int64) (map[string]engine.BoltFactory, error) {
+			return OperatorFactories(fastFile, seed), nil
+		}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	go w.Run()
+	defer w.Close()
+	waitFor(t, "the join's placement", func() bool {
+		rem := n.Status().Remote
+		return rem["extract"]+rem["match"] == cfg.SlotsPerMachine
+	})
+	if w.Machine() != machines[0].ID {
+		t.Fatalf("worker backs machine %d, want %d", w.Machine(), machines[0].ID)
+	}
+
+	n.tenant.Sup.Tick()
+	if alloc := n.Status().Alloc; alloc["extract"] != 1 || alloc["match"] != 1 {
+		t.Fatalf("allocation %v after the forced shrink, want one executor per bolt", alloc)
+	}
+	waitFor(t, "the rebuilt executors placed on the worker", func() bool {
+		rem := n.Status().Remote
+		return rem["extract"] == 1 && rem["match"] == 1
+	})
+}
+
 // TestFixedAllocationHolds: the burst that makes the supervised node act
 // leaves a node on a fixed allocation where it started — no round runs,
 // nothing is decided, and the gate, with no snapshot to plan from, sheds

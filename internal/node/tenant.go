@@ -82,6 +82,19 @@ type front struct {
 	tracer            *obs.Tracer
 	resume            *loop.PersistedState
 	sojourn, shedFrac *obs.Histogram
+	rebalanced        func() // runs after each supervised Rebalance
+}
+
+// placingTarget nudges placement once each Rebalance returns: a Rebalance
+// rebuilds the changed bolts' executors local.
+type placingTarget struct {
+	loop.Target
+	nudge func()
+}
+
+func (t placingTarget) Rebalance(alloc map[string]int, pause time.Duration) error {
+	defer t.nudge()
+	return t.Target.Rebalance(alloc, pause)
 }
 
 // Tenant is one supervised live topology: a started engine run and the
@@ -127,6 +140,9 @@ func newTenant(topo *engine.Topology, alloc map[string]int, cfg TenantConfig, f 
 		return nil, err
 	}
 	target := loop.EngineTarget(run)
+	if f.rebalanced != nil {
+		target = placingTarget{target, f.rebalanced}
+	}
 	if f.gate != nil {
 		target = ingest.SupervisedTarget{Inner: target, Gate: f.gate}
 	}

@@ -625,7 +625,3 @@ func (s *ShapedRate) NextInterArrival(r *stats.RNG) float64 {
 	s.clock += gap
 	return gap
 }
-
-// MeanRate reports the base rate: surges and diurnal swings are
-// transients around it, and sizing logic should see the long-run mean.
-func (s *ShapedRate) MeanRate() float64 { return s.Base.MeanRate() }

@@ -23,8 +23,6 @@ import (
 type ArrivalProcess interface {
 	// NextInterArrival returns the time in seconds until the next arrival.
 	NextInterArrival(r *stats.RNG) float64
-	// MeanRate reports the long-run average arrivals per second.
-	MeanRate() float64
 }
 
 // PoissonArrivals is a Poisson process at Rate per second (exponential
@@ -35,9 +33,6 @@ type PoissonArrivals struct {
 
 // NextInterArrival draws an exponential gap.
 func (p PoissonArrivals) NextInterArrival(r *stats.RNG) float64 { return r.Exp(p.Rate) }
-
-// MeanRate returns Rate.
-func (p PoissonArrivals) MeanRate() float64 { return p.Rate }
 
 // ModulatedRate redraws the instantaneous rate from RateDist every Period
 // seconds and emits Poisson arrivals at that rate meanwhile. It reproduces
@@ -66,9 +61,6 @@ func (m *ModulatedRate) NextInterArrival(r *stats.RNG) float64 {
 	m.clock += gap
 	return gap
 }
-
-// MeanRate returns the mean of the rate distribution.
-func (m *ModulatedRate) MeanRate() float64 { return m.RateDist.Mean() }
 
 // SteppedRate multiplies a base arrival process's rate by Factor during
 // the window [From, Until) of simulated time — a load step and its
@@ -100,18 +92,12 @@ func (s *SteppedRate) NextInterArrival(r *stats.RNG) float64 {
 	return gap
 }
 
-// MeanRate reports the base rate: the step is a transient, and the
-// traffic equations should size for the steady state outside the window.
-func (s *SteppedRate) MeanRate() float64 { return s.Base.MeanRate() }
-
 // EmissionModel decides how many child tuples a processed tuple emits on
 // one edge. Its long-run mean must equal the edge's selectivity for the
 // traffic equations to hold.
 type EmissionModel interface {
 	// Count samples the number of children for one processed tuple.
 	Count(r *stats.RNG) int
-	// Mean reports the expected count (the selectivity).
-	Mean() float64
 }
 
 // FractionalEmission emits floor(Selectivity) children always, plus one
@@ -139,9 +125,6 @@ func (f FractionalEmission) Count(r *stats.RNG) int {
 	return base
 }
 
-// Mean returns the selectivity.
-func (f FractionalEmission) Mean() float64 { return f.Selectivity }
-
 // PoissonEmission emits a Poisson-distributed number of children with the
 // given mean — higher variance, e.g. "SIFT features per frame may vary
 // dramatically" (§V-A).
@@ -151,6 +134,3 @@ type PoissonEmission struct {
 
 // Count samples Poisson(Selectivity).
 func (p PoissonEmission) Count(r *stats.RNG) int { return r.Poisson(p.Selectivity) }
-
-// Mean returns the selectivity.
-func (p PoissonEmission) Mean() float64 { return p.Selectivity }

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"math"
 	"testing"
 
@@ -411,9 +410,6 @@ func TestConfigValidation(t *testing.T) {
 func TestModulatedRateMean(t *testing.T) {
 	r := stats.NewRNG(15)
 	m := &ModulatedRate{RateDist: stats.Uniform{Lo: 1, Hi: 25}, Period: 1}
-	if math.Abs(m.MeanRate()-13) > 1e-9 {
-		t.Errorf("mean rate = %g, want 13", m.MeanRate())
-	}
 	// Long-run arrival count over T seconds ~ 13*T.
 	clock, n := 0.0, 0
 	for clock < 5000 {
@@ -542,13 +538,11 @@ type deterministic struct{ Value float64 }
 
 func (d deterministic) Sample(*stats.RNG) float64 { return d.Value }
 func (d deterministic) Mean() float64             { return d.Value }
-func (d deterministic) String() string            { return fmt.Sprintf("Det(%g)", d.Value) }
 
 // deterministicArrivals spaces arrivals exactly 1/Rate apart.
 type deterministicArrivals struct{ Rate float64 }
 
 func (d deterministicArrivals) NextInterArrival(*stats.RNG) float64 { return 1 / d.Rate }
-func (d deterministicArrivals) MeanRate() float64                   { return d.Rate }
 
 // finiteArrivals emits exactly n evenly-spaced tuples, then goes silent —
 // so a test can let the system drain completely.
@@ -564,8 +558,6 @@ func (f *finiteArrivals) NextInterArrival(*stats.RNG) float64 {
 	f.n--
 	return 1 / f.rate
 }
-
-func (f *finiteArrivals) MeanRate() float64 { return f.rate }
 
 // TestPendingRootsDrainsToZero: in-flight trees are visible while work is
 // queued and the counter returns to zero once the system drains.

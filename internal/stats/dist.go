@@ -14,9 +14,9 @@ type Dist interface {
 	// Sample draws one value using the provided generator.
 	Sample(r *RNG) float64
 	// Mean reports the distribution's expected value.
+	//
+	//checkdoc:testonly a reference: TestDistMeans compares sample means against it, and the scenario tests a compiled service time's mean
 	Mean() float64
-	// String describes the distribution for logs and reports.
-	String() string
 }
 
 // Exponential is an exponential distribution with the given Rate (mean 1/Rate).
@@ -30,9 +30,6 @@ func (e Exponential) Sample(r *RNG) float64 { return r.Exp(e.Rate) }
 // Mean returns 1/Rate.
 func (e Exponential) Mean() float64 { return 1 / e.Rate }
 
-// String renders the distribution for logs and reports.
-func (e Exponential) String() string { return fmt.Sprintf("Exp(rate=%g)", e.Rate) }
-
 // Uniform is a uniform distribution on [Lo, Hi).
 type Uniform struct {
 	Lo, Hi float64
@@ -43,9 +40,6 @@ func (u Uniform) Sample(r *RNG) float64 { return r.Uniform(u.Lo, u.Hi) }
 
 // Mean returns (Lo+Hi)/2.
 func (u Uniform) Mean() float64 { return (u.Lo + u.Hi) / 2 }
-
-// String renders the distribution for logs and reports.
-func (u Uniform) String() string { return fmt.Sprintf("Uniform[%g,%g)", u.Lo, u.Hi) }
 
 // LogNormal is a lognormal distribution, exp(N(Mu, Sigma)). Heavy-tailed
 // service times (e.g. per-frame SIFT cost) are modeled with it.
@@ -60,9 +54,6 @@ func (l LogNormal) Sample(r *RNG) float64 { return r.LogNormal(l.Mu, l.Sigma) }
 func (l LogNormal) Mean() float64 {
 	return math.Exp(l.Mu + l.Sigma*l.Sigma/2)
 }
-
-// String renders the distribution for logs and reports.
-func (l LogNormal) String() string { return fmt.Sprintf("LogNormal(mu=%g,sigma=%g)", l.Mu, l.Sigma) }
 
 // Pareto is a Pareto distribution on [Scale, ∞) with tail exponent Alpha —
 // the canonical heavy-tailed service-time model for straggler studies:
@@ -95,6 +86,3 @@ func (p Pareto) Mean() float64 {
 	}
 	return p.Alpha * p.Scale / (p.Alpha - 1)
 }
-
-// String renders the distribution for logs and reports.
-func (p Pareto) String() string { return fmt.Sprintf("Pareto(scale=%g,alpha=%g)", p.Scale, p.Alpha) }

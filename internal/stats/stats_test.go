@@ -86,7 +86,7 @@ func TestDistMeans(t *testing.T) {
 		}
 		want := d.Mean()
 		if math.Abs(s.Mean()-want) > 0.02*want+1e-9 {
-			t.Errorf("%s: sample mean %g, analytic mean %g", d, s.Mean(), want)
+			t.Errorf("%#v: sample mean %g, analytic mean %g", d, s.Mean(), want)
 		}
 	}
 }

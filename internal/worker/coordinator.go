@@ -206,19 +206,6 @@ func (c *Coordinator) Remote(machine int) engine.RemoteExecutor {
 	return nil
 }
 
-// DropWorker severs a machine's worker connection, if one is live: the
-// reader fails its in-flight batches and the death path runs exactly as
-// if the process had died. The serve wiring routes pool machine kills
-// here, so a scripted `Fail` revokes a real worker's lease.
-func (c *Coordinator) DropWorker(machine int) bool {
-	s := c.Shuttle(machine)
-	if s == nil {
-		return false
-	}
-	s.shutdown()
-	return true
-}
-
 // Workers reports the connected machine ids in ascending order.
 func (c *Coordinator) Workers() []int {
 	c.mu.Lock()

@@ -35,6 +35,10 @@ const rootModule = "github.com/drs-repro/drs"
 //   - an exported package-level name no non-test file uses;
 //   - an exported method no non-test file calls that implements no
 //     interface method;
+//   - a method of an exported interface that no non-test file calls,
+//     either through the interface or as a concrete method of that name
+//     whose receiver implements it; a call inside an implementation of
+//     the same method (a delegator) does not count;
 //   - a field of an exported …Config or …Options struct that no non-test
 //     file outside the struct's own package sets,
 //
@@ -276,6 +280,8 @@ func (d surfaceDecl) use() string {
 	switch d.kind {
 	case "method":
 		return "non-test caller or interface"
+	case "interface method":
+		return "non-test call outside its own implementations"
 	case "field":
 		return "non-test set outside package " + d.obj.Pkg().Name()
 	}
@@ -289,6 +295,13 @@ type surfaceAudit struct {
 	uses       map[types.Object]bool // referenced by a non-test file
 	setOutside map[types.Object]bool // fields set outside their package
 	ifaces     map[string][]*types.Interface
+	calls      map[string][]methodCall // method references by method name
+}
+
+// methodCall is a non-test reference to a method, and the method whose
+// body makes it (nil outside a method).
+type methodCall struct {
+	callee, caller *types.Func
 }
 
 func (a *surfaceAudit) used(d surfaceDecl) bool {
@@ -297,20 +310,48 @@ func (a *surfaceAudit) used(d surfaceDecl) bool {
 		return a.setOutside[d.obj]
 	case "method":
 		return a.uses[d.obj] || a.implementsInterface(d.obj.(*types.Func))
+	case "interface method":
+		return a.calledThrough(d.obj.(*types.Func))
 	}
 	return a.uses[d.obj]
+}
+
+// calledThrough reports whether a non-test file calls the interface method
+// m, through the interface or as a concrete method of m's name whose
+// receiver implements it, outside every implementation of m.
+func (a *surfaceAudit) calledThrough(m *types.Func) bool {
+	iface := recvType(m).Underlying().(*types.Interface)
+	for _, c := range a.calls[m.Name()] {
+		if c.caller != nil && c.caller.Name() == m.Name() && implements(recvType(c.caller), iface) {
+			continue
+		}
+		if c.callee == m || !types.IsInterface(recvType(c.callee)) && implements(recvType(c.callee), iface) {
+			return true
+		}
+	}
+	return false
+}
+
+// recvType is a method's receiver type, a pointer unwrapped.
+func recvType(m *types.Func) types.Type {
+	recv := m.Type().(*types.Signature).Recv().Type()
+	if p, ok := recv.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return recv
+}
+
+// implements reports whether t or *t satisfies iface.
+func implements(t types.Type, iface *types.Interface) bool {
+	return types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface)
 }
 
 // implementsInterface reports whether m's receiver type satisfies some
 // interface that has a method of m's name, so a call through that
 // interface may reach m.
 func (a *surfaceAudit) implementsInterface(m *types.Func) bool {
-	recv := m.Type().(*types.Signature).Recv().Type()
-	if p, ok := recv.(*types.Pointer); ok {
-		recv = p.Elem()
-	}
 	for _, iface := range a.ifaces[m.Name()] {
-		if types.Implements(recv, iface) || types.Implements(types.NewPointer(recv), iface) {
+		if implements(recvType(m), iface) {
 			return true
 		}
 	}
@@ -386,6 +427,7 @@ func newSurfaceAudit(t *testing.T) *surfaceAudit {
 		uses:       make(map[types.Object]bool),
 		setOutside: make(map[types.Object]bool),
 		ifaces:     make(map[string][]*types.Interface),
+		calls:      make(map[string][]methodCall),
 	}
 	conf := types.Config{Importer: importerFunc(func(path string) (*types.Package, error) {
 		if p, ok := checked[path]; ok {
@@ -521,6 +563,7 @@ func (a *surfaceAudit) declare(fset *token.FileSet, info *types.Info, f *ast.Fil
 					obj := info.Defs[sp.Name]
 					if !facade {
 						add(sp.Name.Pos(), "type", pkgName+"."+sp.Name.Name, obj, d.Doc, sp.Doc)
+						declareInterfaceMethods(info, sp, pkgName, add)
 					}
 					declareFields(sp, obj, pkgName, add)
 				case *ast.ValueSpec:
@@ -530,6 +573,23 @@ func (a *surfaceAudit) declare(fset *token.FileSet, info *types.Info, f *ast.Fil
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// declareInterfaceMethods records the exported methods an exported
+// interface declares itself (an embedded interface's are declared with it).
+func declareInterfaceMethods(info *types.Info, sp *ast.TypeSpec, pkgName string,
+	add func(token.Pos, string, string, types.Object, ...*ast.CommentGroup)) {
+	it, ok := sp.Type.(*ast.InterfaceType)
+	if !ok {
+		return
+	}
+	for _, fld := range it.Methods.List {
+		for _, id := range fld.Names {
+			if id.IsExported() {
+				add(id.Pos(), "interface method", pkgName+"."+sp.Name.Name+"."+id.Name, info.Defs[id], fld.Doc)
 			}
 		}
 	}
@@ -568,7 +628,8 @@ func declareFields(sp *ast.TypeSpec, obj types.Object, pkgName string,
 	}
 }
 
-// index records every object f's code references and every field it sets
+// index records every object f's code references, every method it
+// references with the method whose body does so, and every field it sets
 // outside the field's own package: a composite-literal element, the left
 // side of an assignment or ++/--, or an address taken (a flag binding).
 func (a *surfaceAudit) index(info *types.Info, pkg *types.Package, f *ast.File) {
@@ -589,49 +650,57 @@ func (a *surfaceAudit) index(info *types.Info, pkg *types.Package, f *ast.File) 
 		}
 	}
 	receiver := make(map[*ast.Ident]bool)
-	ast.Inspect(f, func(n ast.Node) bool {
-		switch x := n.(type) {
-		case *ast.FuncDecl:
+	for _, decl := range f.Decls {
+		var caller *types.Func
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+			caller = info.Defs[fd.Name].(*types.Func)
 			// A method's receiver names its type without using it.
-			if x.Recv != nil {
-				ast.Inspect(x.Recv, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						receiver[id] = true
-					}
-					return true
-				})
-			}
-		case *ast.Ident:
-			if obj := info.Uses[x]; obj != nil && !receiver[x] {
-				a.uses[origin(obj)] = true
-			}
-		case *ast.CompositeLit:
-			st, ok := info.Types[x].Type.Underlying().(*types.Struct)
-			if !ok {
-				break
-			}
-			for i, el := range x.Elts {
-				if kv, ok := el.(*ast.KeyValueExpr); ok {
-					set(info.Uses[kv.Key.(*ast.Ident)])
-				} else {
-					set(st.Field(i))
+			ast.Inspect(fd.Recv, func(n ast.Node) bool {
+				if id, ok := n.(*ast.Ident); ok {
+					receiver[id] = true
 				}
-			}
-		case *ast.AssignStmt:
-			for _, lhs := range x.Lhs {
-				setExpr(lhs)
-			}
-		case *ast.IncDecStmt:
-			setExpr(x.X)
-		case *ast.UnaryExpr:
-			if x.Op == token.AND {
-				setExpr(x.X)
-			}
-		case *ast.InterfaceType:
-			a.addInterface(info.Types[x].Type)
+				return true
+			})
 		}
-		return true
-	})
+		ast.Inspect(decl, func(n ast.Node) bool {
+			switch x := n.(type) {
+			case *ast.Ident:
+				obj := info.Uses[x]
+				if obj == nil || receiver[x] {
+					break
+				}
+				a.uses[origin(obj)] = true
+				if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Recv() != nil {
+					a.calls[fn.Name()] = append(a.calls[fn.Name()], methodCall{callee: fn.Origin(), caller: caller})
+				}
+			case *ast.CompositeLit:
+				st, ok := info.Types[x].Type.Underlying().(*types.Struct)
+				if !ok {
+					break
+				}
+				for i, el := range x.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						set(info.Uses[kv.Key.(*ast.Ident)])
+					} else {
+						set(st.Field(i))
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range x.Lhs {
+					setExpr(lhs)
+				}
+			case *ast.IncDecStmt:
+				setExpr(x.X)
+			case *ast.UnaryExpr:
+				if x.Op == token.AND {
+					setExpr(x.X)
+				}
+			case *ast.InterfaceType:
+				a.addInterface(info.Types[x].Type)
+			}
+			return true
+		})
+	}
 }
 
 // origin maps an object of an instantiated generic type to its
