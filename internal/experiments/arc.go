@@ -8,6 +8,7 @@ import (
 
 	"github.com/drs-repro/drs/internal/cluster"
 	"github.com/drs-repro/drs/internal/core"
+	"github.com/drs-repro/drs/internal/engine"
 	"github.com/drs-repro/drs/internal/ingest"
 	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/obs"
@@ -28,9 +29,8 @@ type arcSource struct {
 	// name labels the client behind the admission gate.
 	name     string
 	arrivals sim.ArrivalProcess
-	// weight, when positive, puts the source behind the tenant's admission
-	// gate: every round the DRS admission policy (ingest.PlanAdmission —
-	// the same code the network gate runs) sizes what the provider cap
+	// weight, when positive, puts the source behind the tenant's
+	// ingest.Gate: every round its Replan sizes what the provider cap
 	// holds under Tmax and sheds the rest lowest-weight-first.
 	weight float64
 }
@@ -41,9 +41,11 @@ type arcTenantSpec struct {
 	lease cluster.TenantConfig
 	// names are the simulation's operators, in station order.
 	names []string
-	// build returns the tenant's simulation at seed and the gate clients
-	// its gated sources admit through.
-	build func(seed uint64) (sim.Config, []*gateClient, error)
+	// build returns the tenant's simulation at seed.
+	build func(seed uint64) (sim.Config, error)
+	// sources, when set, are the simulation's sources in order; those
+	// with a weight admit through the tenant's gate.
+	sources []arcSource
 	// ctrl configures the DRS controller; its Tmax also sizes the
 	// tenant's admission gate.
 	ctrl core.ControllerConfig
@@ -65,22 +67,17 @@ type chain struct{ tmax, slack float64 }
 // registration grant.
 func (c chain) tenant(lease cluster.TenantConfig, service stats.Dist, sources ...arcSource) arcTenantSpec {
 	return arcTenantSpec{
-		lease: lease,
-		names: []string{"stage1", "stage2"},
-		build: func(seed uint64) (sim.Config, []*gateClient, error) {
+		lease:   lease,
+		names:   []string{"stage1", "stage2"},
+		sources: sources,
+		build: func(seed uint64) (sim.Config, error) {
 			emit, err := sim.NewFractionalEmission(1)
 			if err != nil {
-				return sim.Config{}, nil, err
+				return sim.Config{}, err
 			}
-			var clients []*gateClient
 			specs := make([]sim.SourceSpec, len(sources))
 			for i, src := range sources {
 				specs[i].Arrivals = src.arrivals
-				if src.weight > 0 {
-					gc := &gateClient{ClientStats: ClientStats{Name: src.name, Weight: src.weight}, permille: 1000}
-					clients = append(clients, gc)
-					specs[i].Admit = gc.admit
-				}
 			}
 			return sim.Config{
 				Operators: []sim.OperatorSpec{{Service: service}, {Service: service}},
@@ -88,7 +85,7 @@ func (c chain) tenant(lease cluster.TenantConfig, service stats.Dist, sources ..
 				Edges:     []sim.EdgeSpec{{From: 0, To: 1, Emit: emit}},
 				Alloc:     []int{lease.InitialSlots / 2, lease.InitialSlots / 2},
 				Seed:      seed,
-			}, clients, nil
+			}, nil
 		},
 		// Slots are granted individually by the scheduler — machine
 		// quantization happens below the leases, not per tenant.
@@ -114,8 +111,13 @@ func (c chain) exp(name string, priority, floor, initial int, mu float64, arriva
 
 // step is a Poisson source at base tuples/s, multiplied by factor inside
 // the timeline's load-step window.
-func (tl timeline) step(base, factor float64) *sim.SteppedRate {
-	return &sim.SteppedRate{Base: sim.PoissonArrivals{Rate: base}, Factor: factor, From: tl.stepFrom, Until: tl.stepUntil}
+func (tl timeline) step(base, factor float64) *sim.ShapedRate {
+	return &sim.ShapedRate{Base: sim.PoissonArrivals{Rate: base}, Envelope: func(t float64) float64 {
+		if t >= tl.stepFrom && t < tl.stepUntil {
+			return factor
+		}
+		return 1
+	}}
 }
 
 // arcSpec is one scripted run as data: N tenants leasing slots from the
@@ -147,28 +149,31 @@ type ClientStats struct {
 	ShedFraction float64
 }
 
-// gateClient is one virtual-time traffic source behind the admission
-// gate: the sim source's Admit hook applies the live gate's thinning
-// verdict (ingest.ThinAdmit), driven by the per-round plan.
-type gateClient struct {
+// arcPayload is the one payload every gated source offers: the simulator
+// carries the tuple itself, so the gate's copy is popped straight back.
+var arcPayload = engine.Values{"tuple"}
+
+// arcClient is one virtual-time traffic source behind its tenant's
+// ingest.Gate, and its books.
+type arcClient struct {
 	ClientStats
-	seq      uint64
-	permille uint32
+	client *ingest.Client
+	ring   *ingest.Ring
+	pop    [1]engine.Values
 	// last is the previous replan round's reading.
 	last ClientStats
 }
 
-// admit is the sim-side twin of ingest's Offer fast path: the same
-// thinning verdict, minus the network.
-func (c *gateClient) admit(float64) bool {
+// admit is the sim source's Admit hook: it offers one record through the
+// gate and, when the gate admits it, pops it back out of the ring, which
+// would otherwise fill and shed as backlog.
+func (c *arcClient) admit(float64) bool {
 	c.Offered++
-	if p := c.permille; p < 1000 {
-		c.seq++
-		if !ingest.ThinAdmit(c.seq, int64(p)) {
-			c.Shed++
-			return false
-		}
+	if !c.client.Offer(arcPayload).Admitted {
+		c.Shed++
+		return false
 	}
+	c.ring.PopBatch(nil, c.pop[:0])
 	c.Admitted++
 	return true
 }
@@ -177,43 +182,24 @@ func (c *gateClient) admit(float64) bool {
 // plan put in force for the next round, and what its clients offered, got
 // admitted and had shed since the previous one.
 type GateRound struct {
-	Plan ingest.Plan
-	// PlannedAlloc and PlannedKmax are the allocation total and the grant
-	// of the snapshot the plan was sized on (0 before the first one).
-	PlannedAlloc, PlannedKmax int
+	Plan                      ingest.Plan
 	OfferedRate, AdmittedRate float64 // tuples/s over the round
 	Offered, Admitted, Shed   int64   // record deltas over the round
 }
 
-// replan re-aims the clients' admission exactly as the live gate does
-// each round: read the supervisor's latest (demand-scaled) snapshot, size
-// the sustainable rate for maxSlots under tmax, and split it by client
-// weight.
-func replan(clients []*gateClient, sup *loop.Supervisor, tmax float64, maxSlots int) GateRound {
-	var g GateRound
-	rates := make([]float64, len(clients))
-	weights := make([]float64, len(clients))
-	ids := make([]string, len(clients))
-	for i, c := range clients {
-		rates[i] = float64(c.Offered-c.last.Offered) / controlInterval
-		g.OfferedRate += rates[i]
+// gateRound reads the tenant's gate after its Replan.
+func (t *arcTenant) gateRound() GateRound {
+	st := t.gate.Stats()
+	g := GateRound{Plan: ingest.Plan{
+		SustainableRate: st.SustainableRate, AdmitFraction: st.AdmitFraction, ScaleOutViable: st.ScaleOutViable,
+	}}
+	for _, c := range t.clients {
+		g.OfferedRate += float64(c.Offered-c.last.Offered) / controlInterval
 		g.AdmittedRate += float64(c.Admitted-c.last.Admitted) / controlInterval
 		g.Offered += c.Offered - c.last.Offered
 		g.Admitted += c.Admitted - c.last.Admitted
 		g.Shed += c.Shed - c.last.Shed
 		c.last = c.ClientStats
-		weights[i], ids[i] = c.Weight, c.Name
-	}
-	g.Plan = ingest.Plan{AdmitFraction: 1, SustainableRate: g.OfferedRate, ScaleOutViable: true}
-	if snap, ok := sup.LastSnapshot(); ok {
-		g.Plan = ingest.PlanAdmission(snap, tmax, maxSlots, g.OfferedRate)
-		for _, k := range snap.Alloc {
-			g.PlannedAlloc += k
-		}
-		g.PlannedKmax = snap.Kmax
-	}
-	for i, p := range ingest.AdmitPermilles(nil, g.Plan, weights, ids, rates) {
-		clients[i].permille = p
 	}
 	return g
 }
@@ -250,7 +236,7 @@ type ArcTenant struct {
 	Series []sim.SeriesPoint
 	// Transitions are the tenant supervisor's applied decisions, failover
 	// and preemption shrinks included.
-	Transitions []Transition
+	Transitions []loop.Event
 	// SlotsLost is the scheduler's cumulative failure-loss attribution.
 	SlotsLost int
 	// Dropped and Pending audit the zero-loss claim: queue drops over both
@@ -284,13 +270,14 @@ type Arc struct {
 	DroppedTuples, PendingAtEnd int64
 }
 
-// arcTenant bundles one running tenant's lease, simulator, supervisor and
-// gate clients.
+// arcTenant bundles one running tenant's lease, simulator, supervisor,
+// and — when it has weighted sources — its gate and their clients.
 type arcTenant struct {
 	lease   *cluster.Tenant
 	s       *sim.Sim
 	sup     *loop.Supervisor
-	clients []*gateClient
+	gate    *ingest.Gate
+	clients []*arcClient
 }
 
 // dropped sums the tenant's queue drops over both stages.
@@ -326,11 +313,26 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 	if err != nil {
 		return err
 	}
-	cfg, clients, err := ts.build(seed + ts.seedOffset)
+	cfg, err := ts.build(seed + ts.seedOffset)
 	if err != nil {
 		return err
 	}
-	t := &arcTenant{lease: lease, clients: clients}
+	t := &arcTenant{lease: lease}
+	for i, src := range ts.sources {
+		if src.weight <= 0 {
+			continue
+		}
+		if t.gate == nil {
+			t.gate = ingest.NewGate(ingest.GateConfig{
+				Name: ts.lease.Name, Tmax: ts.ctrl.Tmax, MaxSlots: a.pool.MaxKmax(),
+				ReplanEvery: secondsToDuration(controlInterval), Now: a.clock.Now, DecisionLog: a.dlog,
+			})
+		}
+		c := &arcClient{ClientStats: ClientStats{Name: src.name, Weight: src.weight},
+			client: t.gate.Client(src.name, src.weight, 0, 0), ring: t.gate.Ring()}
+		t.clients = append(t.clients, c)
+		cfg.Sources[i].Admit = c.admit
+	}
 	if t.s, err = sim.New(cfg); err != nil {
 		return err
 	}
@@ -355,6 +357,9 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 	if err != nil {
 		return err
 	}
+	if t.gate != nil {
+		t.gate.SetControl(t.sup)
+	}
 	a.tenants = append(a.tenants, t)
 	return nil
 }
@@ -363,17 +368,15 @@ func (a *arcRun) start(ts arcTenantSpec, seed uint64) error {
 // to tl.horizon. Every round: advance each tenant's simulator, set the
 // clock, fire the due events, let each supervisor measure (before
 // tl.enableAt) or decide (from it on), audit the leases and the placement,
-// re-aim every admission gate, and book the round. A non-nil
-// o.DecisionLog receives the scheduler's and every supervisor's decisions
-// and one shed-plan record per gated tenant per round.
+// replan every admission gate, and book the round. A non-nil
+// o.DecisionLog receives the scheduler's, every supervisor's and every
+// gate's decisions: one shed-plan record per gated tenant per round.
 func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 	var res Arc
 	pool, err := spec.pool()
 	if err != nil {
 		return res, err
 	}
-	// The gates' provider cap: every machine the provider may run.
-	maxSlots := pool.MaxKmax()
 	a := &arcRun{
 		pool: pool, clock: &simClock{}, failures: &loopFailures{}, dlog: o.DecisionLog,
 		killedOf: make(map[int]int), stragglerOf: make(map[int]int),
@@ -431,22 +434,10 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 		for i, tn := range a.tenants {
 			r.Grants = append(r.Grants, tn.lease.Kmax())
 			r.Dropped += tn.dropped()
-			if len(tn.clients) == 0 {
-				continue
+			if tn.gate != nil {
+				tn.gate.Replan()
+				r.Gates[i] = tn.gateRound()
 			}
-			g := replan(tn.clients, tn.sup, spec.tenants[i].ctrl.Tmax, maxSlots)
-			r.Gates[i] = g
-			// One auditable record per gated tenant per round, stamped with
-			// simulated time and carrying the round's admitted/shed deltas.
-			// (Emit is a no-op on a nil log.)
-			a.dlog.Emit(&obs.Record{
-				At:   simEpoch.Add(secondsToDuration(t)).UnixNano(),
-				Kind: obs.KindShedPlan, Tenant: res.Tenants[i].Name,
-				From: g.PlannedAlloc, To: g.PlannedKmax,
-				Fraction: g.Plan.AdmitFraction, Rate: g.Plan.SustainableRate,
-				Lambda0: g.OfferedRate, Flag: g.Plan.ScaleOutViable,
-				Gain: float64(g.Admitted), Loss: float64(g.Shed),
-			})
 		}
 		res.Rounds = append(res.Rounds, r)
 	}
@@ -456,9 +447,17 @@ func runArc(spec arcSpec, tl timeline, o Options) (Arc, error) {
 	res.SchedulerHistory, res.Killed = a.sched.History(), a.killed
 	for i, tn := range a.tenants {
 		ts := &res.Tenants[i]
-		ts.Series, ts.Transitions, ts.FinalAlloc = tn.s.Series(), transitionsFrom(tn.sup), tn.s.Allocation()
+		ts.Series, ts.FinalAlloc = tn.s.Series(), tn.s.Allocation()
+		for _, ev := range tn.sup.History() {
+			if ev.Applied {
+				ts.Transitions = append(ts.Transitions, ev)
+			}
+		}
 		ts.SlotsLost = tn.lease.LostSlots()
 		ts.Dropped, ts.Pending, ts.SimShed = tn.dropped(), tn.s.PendingRoots(), tn.s.ShedArrivals()
+		if tn.gate != nil {
+			tn.gate.Close()
+		}
 		for _, c := range tn.clients {
 			if c.Offered > 0 {
 				c.ShedFraction = float64(c.Shed) / float64(c.Offered)
@@ -614,7 +613,7 @@ func (ts ArcTenant) printTransitions(w io.Writer) {
 			mark = " [preempted]"
 		}
 		fmt.Fprintf(w, "  %-6s t=%5.0fs %-10s -> %s, Kmax=%d (pause %.1fs)%s: %s\n",
-			ts.Name, tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, mark, tr.Reason)
+			ts.Name, simSeconds(tr.At), tr.Action, allocString(tr.Target), tr.Kmax, tr.Pause.Seconds(), mark, tr.Reason)
 	}
 }
 
@@ -633,7 +632,7 @@ func (r Arc) printTenants(w io.Writer) {
 func (r Arc) printSchedulerHistory(w io.Writer) {
 	fmt.Fprintln(w, "scheduler history:")
 	for _, ev := range r.SchedulerHistory {
-		fmt.Fprintf(w, "  t=%5.0fs %s\n", ev.At.Sub(simEpoch).Seconds(), ev)
+		fmt.Fprintf(w, "  t=%5.0fs %s\n", simSeconds(ev.At), ev)
 	}
 }
 

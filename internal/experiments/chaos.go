@@ -133,8 +133,9 @@ func RunChaosSpec(spec scenario.Spec, o Options) (ChaosResult, error) {
 	res := ChaosResult{Scenario: spec, Tmax: chaosTmax}
 
 	// Every tenant's source follows the timeline's arrival envelope behind
-	// an admission-gate twin, and its stages serve the timeline's service
-	// distribution (exponential, or mean-pinned Pareto for heavy tails).
+	// the tenant's own ingest.Gate, and its stages serve the timeline's
+	// service distribution (exponential, or mean-pinned Pareto for heavy
+	// tails).
 	arc := arcSpec{name: "chaos", pool: chainPool(chaosSlots, chaosMachines), events: tl.Events()}
 	ch := chain{tmax: chaosTmax, slack: chaosSlack}
 	for _, ts := range spec.Tenants {

@@ -64,7 +64,7 @@ func TestChurnArc(t *testing.T) {
 	}
 	// Failover shrinks must land at (or right after) the kill, not before.
 	for _, tr := range slices.Concat(r.Tenants[0].Transitions, r.Tenants[1].Transitions) {
-		if tr.SlotsLost && tr.AtSeconds < r.KillAt {
+		if tr.SlotsLost && simSeconds(tr.At) < r.KillAt {
 			t.Fatalf("failover shrink before the kill: %+v", tr)
 		}
 	}

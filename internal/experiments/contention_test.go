@@ -34,7 +34,7 @@ func TestContentionArc(t *testing.T) {
 	for _, tr := range r.Tenants[0].Transitions {
 		if tr.Preempted {
 			steadyShrinks++
-			if tr.AtSeconds < r.StepFrom {
+			if simSeconds(tr.At) < r.StepFrom {
 				t.Fatalf("steady preempted before the surge began: %+v", tr)
 			}
 		}

@@ -198,8 +198,8 @@ func TestFigure9VLDConvergence(t *testing.T) {
 			t.Errorf("non-optimal initial %v never rebalanced", c.Initial)
 		}
 		for _, tr := range c.Transitions {
-			if tr.AtSeconds < 13*60 {
-				t.Errorf("transition at %.0fs while re-balancing was disabled", tr.AtSeconds)
+			if simSeconds(tr.At) < 13*60 {
+				t.Errorf("transition at %.0fs while re-balancing was disabled", simSeconds(tr.At))
 			}
 		}
 	}

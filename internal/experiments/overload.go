@@ -13,12 +13,11 @@ import (
 // The overload experiment: the shedding study (`drs-experiments shedding`)
 // made closed-loop. Where that study compares three *static* responses to
 // overload, this one runs the live control stack end to end in virtual
-// time: two clients offer traffic through the DRS admission policy
-// (ingest.PlanAdmission — the same code the network gate runs), the
-// admitted stream feeds a supervised two-stage tenant, and the
-// offered-vs-admitted split flows through the interval reports so the
-// Supervisor provisions against *true demand* rather than the post-shed
-// remainder.
+// time: two clients offer traffic through the live front door's
+// ingest.Gate, whose shed policy is the DRS model, the admitted stream
+// feeds a supervised two-stage tenant, and the offered-vs-admitted split
+// flows through the interval reports so the Supervisor provisions against
+// *true demand* rather than the post-shed remainder.
 //
 // Both stages serve µ = 2/s per processor under Tmax = 1.5 s on 4-slot
 // machines with a 4-machine provider cap (16 slots):
@@ -156,7 +155,7 @@ func (r OverloadResult) Print(w io.Writer) {
 			kind = " [preempted]"
 		}
 		fmt.Fprintf(w, "  t=%5.0fs %-9s -> %v Kmax=%d pause=%.1fs%s (%s)\n",
-			tr.AtSeconds, tr.Action, tr.Alloc, tr.Kmax, tr.PauseSeconds, kind, tr.Reason)
+			simSeconds(tr.At), tr.Action, tr.Target, tr.Kmax, tr.Pause.Seconds(), kind, tr.Reason)
 	}
 	fmt.Fprintf(w, "shed during surge: %v (persistent at the cap: %v); admit-all restored after surge: %v\n",
 		r.ShedDuringSurge, r.PersistentShedSeen, r.AdmitAllRestored)

@@ -51,10 +51,7 @@ func runSolo(p appProfile, initial []int, machines int, ts arcTenantSpec, tl tim
 	}
 	ts.lease = cluster.TenantConfig{Name: "app", MinSlots: len(initial), InitialSlots: total}
 	ts.names = p.names
-	ts.build = func(seed uint64) (sim.Config, []*gateClient, error) {
-		cfg, err := p.simConfig(initial, seed)
-		return cfg, nil, err
-	}
+	ts.build = func(seed uint64) (sim.Config, error) { return p.simConfig(initial, seed) }
 	arc, err := runArc(arcSpec{
 		name:    "figure",
 		pool:    func() (*cluster.Pool, error) { return cluster.PaperPool(machines) },
@@ -160,7 +157,7 @@ func (r Fig9Result) Print(w io.Writer) {
 		fmt.Fprintln(w, " (ms)")
 		for _, tr := range c.Transitions {
 			fmt.Fprintf(w, "  t=%4.0fs %-10s -> %s (pause %.1fs): %s\n",
-				tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.PauseSeconds, tr.Reason)
+				simSeconds(tr.At), tr.Action, allocString(tr.Target), tr.Pause.Seconds(), tr.Reason)
 		}
 	}
 	fmt.Fprintf(w, "\nall curves converged to DRS's recommendation %s: %v\n",
@@ -239,7 +236,7 @@ func RunFigure10(exp Fig10Experiment, o Options) (Fig10Result, error) {
 	// Steady state after the last transition (skip 2 buckets of settling).
 	lastAt := tl.enableAt
 	if n := len(res.Transitions); n > 0 {
-		lastAt = res.Transitions[n-1].AtSeconds
+		lastAt = simSeconds(res.Transitions[n-1].At)
 	}
 	res.MeetsTargetAfter = meanSojourn(window(res.Series, lastAt+120, math.Inf(1))) <= res.Tmax
 	return res, nil
@@ -255,7 +252,7 @@ func (r Fig10Result) Print(w io.Writer) {
 	fmt.Fprintln(w, " (ms)")
 	for _, tr := range r.Transitions {
 		fmt.Fprintf(w, "  t=%4.0fs %-10s -> %s, Kmax=%d (pause %.1fs): %s\n",
-			tr.AtSeconds, tr.Action, allocString(tr.Alloc), tr.Kmax, tr.PauseSeconds, tr.Reason)
+			simSeconds(tr.At), tr.Action, allocString(tr.Target), tr.Kmax, tr.Pause.Seconds(), tr.Reason)
 	}
 	fmt.Fprintf(w, "steady state after scaling meets Tmax: %v\n", r.MeetsTargetAfter)
 }
@@ -329,7 +326,7 @@ func (r BaselineResult) Print(w io.Writer) {
 	}
 	for _, run := range r.Runs {
 		for _, tr := range run.Transitions {
-			fmt.Fprintf(w, "  [%s] t=%4.0fs -> %s: %s\n", run.Policy, tr.AtSeconds, allocString(tr.Alloc), tr.Reason)
+			fmt.Fprintf(w, "  [%s] t=%4.0fs -> %s: %s\n", run.Policy, simSeconds(tr.At), allocString(tr.Target), tr.Reason)
 		}
 	}
 	fmt.Fprintf(w, "DRS at least as good with at most two moves: %v\n", r.DRSWins)

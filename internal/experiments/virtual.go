@@ -8,62 +8,19 @@ import (
 	"sync"
 	"time"
 
-	"github.com/drs-repro/drs/internal/core"
-	"github.com/drs-repro/drs/internal/loop"
 	"github.com/drs-repro/drs/internal/metrics"
 	"github.com/drs-repro/drs/internal/sim"
 )
 
 // virtual.go adapts the supervisor to virtual time: the simulator as its
-// target, the simulated clock, the capture of its first failure, and the
-// applied decisions read back off its history.
-
-// Transition records one applied controller decision during a run.
-type Transition struct {
-	// AtSeconds is the simulated time of the action.
-	AtSeconds float64
-	// Action is the controller's verdict.
-	Action core.Action
-	// Alloc is the allocation put in force.
-	Alloc []int
-	// Kmax is the lease's grant after the action.
-	Kmax int
-	// PauseSeconds is the modeled service disruption.
-	PauseSeconds float64
-	// Preempted marks a forced shrink: the cluster arbiter moved this
-	// tenant's slots to another topology (multi-tenant runs only).
-	Preempted bool
-	// SlotsLost marks a failover shrink: machine failure took the slots
-	// and the supervisor re-fit to the surviving grant (churn runs only).
-	SlotsLost bool
-	// Reason is the controller's justification.
-	Reason string
-}
-
-// transitionsFrom extracts the applied decisions of a supervised run.
-func transitionsFrom(sup *loop.Supervisor) []Transition {
-	var transitions []Transition
-	for _, ev := range sup.History() {
-		if !ev.Applied {
-			continue
-		}
-		transitions = append(transitions, Transition{
-			AtSeconds:    ev.At.Sub(simEpoch).Seconds(),
-			Action:       ev.Action,
-			Alloc:        append([]int(nil), ev.Target...),
-			Kmax:         ev.Kmax,
-			PauseSeconds: ev.Pause.Seconds(),
-			Preempted:    ev.Preempted,
-			SlotsLost:    ev.SlotsLost,
-			Reason:       ev.Reason,
-		})
-	}
-	return transitions
-}
+// target, the simulated clock and the capture of its first failure.
 
 // simEpoch anchors the virtual clock: simulated second t maps to
 // simEpoch + t on the supervisor's clock.
 var simEpoch = time.Unix(0, 0).UTC()
+
+// simSeconds is the simulated second a virtual-clock time stands for.
+func simSeconds(at time.Time) float64 { return at.Sub(simEpoch).Seconds() }
 
 // simClock adapts simulated seconds to the supervisor's and scheduler's
 // Clock (its Now method value).

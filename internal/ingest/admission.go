@@ -12,9 +12,9 @@ import (
 // every operator below this load factor.
 const stabilityRho = 0.95
 
-// Plan is one replanning round's cluster-level admission verdict — the
-// pure-policy core shared by the live Gate and the virtual-time overload
-// experiment.
+// Plan is one replanning round's cluster-level admission verdict: what
+// Gate.Replan puts in force, whether the gate fronts a live node or a
+// virtual-time arc, and what GateStats echoes.
 type Plan struct {
 	// SustainableRate is the largest admitted external rate (tuples/s) the
 	// *current* grant is predicted to hold under Tmax, per the Eq. 3 model
@@ -33,12 +33,10 @@ type Plan struct {
 }
 
 // headroom tightens the planning target to Tmax·(1−headroom): the admitted
-// traffic keeps a noise margin below the hard limit. It is applied here,
-// where the plan is computed, so the live gate and the virtual-time arcs
-// cannot drift apart.
+// traffic keeps a noise margin below the hard limit.
 const headroom = 0.1
 
-// PlanAdmission computes the admission plan from the supervisor's latest
+// planAdmission computes the admission plan from the supervisor's latest
 // control snapshot. snap carries the measured (admitted) rates, the
 // allocation in force and the granted budget Kmax; tmax is the hard
 // latency target, planned against with the headroom above; offeredRate is
@@ -50,7 +48,7 @@ const headroom = 0.1
 // (Model.MaxScale) — admit exactly that much. On any model failure it
 // fails open (admit all) — shedding must be justified by the model, never
 // by its absence.
-func PlanAdmission(snap core.Snapshot, tmax float64, maxSlots int, offeredRate float64) Plan {
+func planAdmission(snap core.Snapshot, tmax float64, maxSlots int, offeredRate float64) Plan {
 	admitAll := Plan{SustainableRate: offeredRate, AdmitFraction: 1, ScaleOutViable: true}
 	if tmax <= 0 || offeredRate <= 0 || snap.Lambda0 <= 0 || len(snap.Ops) == 0 || snap.Kmax <= 0 {
 		return admitAll

@@ -282,7 +282,7 @@ func TestDurableAckCycleAllocs(t *testing.T) {
 }
 
 // TestReplanAllocsOutsidePlan holds a replanning round with two clients,
-// the decision log on, to PlanAdmission's own allocations plus at most
+// the decision log on, to planAdmission's own allocations plus at most
 // four: the client list, the per-client vectors and the fill order live on
 // the gate across rounds.
 func TestReplanAllocsOutsidePlan(t *testing.T) {
@@ -317,13 +317,13 @@ func TestReplanAllocsOutsidePlan(t *testing.T) {
 		round()
 		round()
 		whole := testing.AllocsPerRun(100, round)
-		plan := testing.AllocsPerRun(100, func() { PlanAdmission(c.snap, 1.5, 32, 18) })
+		plan := testing.AllocsPerRun(100, func() { planAdmission(c.snap, 1.5, 32, 18) })
 		if shedding := g.Stats().AdmitFraction < 1; shedding != (c.name == "shedding") {
 			t.Errorf("%s: admit fraction %.3f", c.name, g.Stats().AdmitFraction)
 		}
-		t.Logf("%s: %.0f allocs/round, %.0f of them PlanAdmission's", c.name, whole, plan)
+		t.Logf("%s: %.0f allocs/round, %.0f of them planAdmission's", c.name, whole, plan)
 		if whole-plan > 4 {
-			t.Errorf("%s: Replan allocated %.0f/round outside PlanAdmission's %.0f, want <= 4", c.name, whole-plan, plan)
+			t.Errorf("%s: Replan allocated %.0f/round outside planAdmission's %.0f, want <= 4", c.name, whole-plan, plan)
 		}
 		g.Close()
 		dlog.Close()
@@ -374,17 +374,17 @@ func TestPlanAdmissionPlanAndAllocs(t *testing.T) {
 			rate: 0x402a000000000000, fraction: 0x3ff0000000000000, viable: true},
 	} {
 		want := Plan{SustainableRate: math.Float64frombits(c.rate), AdmitFraction: math.Float64frombits(c.fraction), ScaleOutViable: c.viable}
-		if got := PlanAdmission(c.snap, c.tmax, c.maxSlots, c.offered); got != want {
+		if got := planAdmission(c.snap, c.tmax, c.maxSlots, c.offered); got != want {
 			t.Errorf("%s: plan %+v (rate %#x, fraction %#x), want %+v", c.name, got,
 				math.Float64bits(got.SustainableRate), math.Float64bits(got.AdmitFraction), want)
 		}
 		if obs.RaceEnabled {
 			continue // AllocsPerRun is unreliable under -race
 		}
-		allocs := testing.AllocsPerRun(100, func() { PlanAdmission(c.snap, c.tmax, c.maxSlots, c.offered) })
+		allocs := testing.AllocsPerRun(100, func() { planAdmission(c.snap, c.tmax, c.maxSlots, c.offered) })
 		t.Logf("%s: %.0f allocs/plan", c.name, allocs)
 		if allocs > 16 {
-			t.Errorf("%s: PlanAdmission allocated %.0f/op, want <= 16", c.name, allocs)
+			t.Errorf("%s: planAdmission allocated %.0f/op, want <= 16", c.name, allocs)
 		}
 	}
 }

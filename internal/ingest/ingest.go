@@ -18,7 +18,7 @@
 //   - Gate: per-client token buckets (contract enforcement) in front of a
 //     cluster-level admission controller (capacity protection). Every
 //     replanning round the gate reads the Supervisor's latest snapshot
-//     and runs PlanAdmission: the largest demand scaling whose Program
+//     and runs planAdmission: the largest demand scaling whose Program
 //     (6) allocation still fits the granted Kmax is admitted; the excess
 //     is shed lowest-weight-clients-first by deterministic thinning. The
 //     Appendix-B guard (ScaleOutViable) tells a transient shed — machines
@@ -133,17 +133,18 @@ type GateConfig struct {
 	// the backpressure hint of overload/backlog sheds — the earliest the
 	// verdict can change.
 	ReplanEvery time.Duration
-	// Now overrides the clock; nil uses time.Now.
-	//
-	//checkdoc:testonly test seam: the gate's tests drive replanning and the token buckets from a fake clock
+	// Now overrides the clock; nil uses time.Now. The virtual-time arcs
+	// set it to the simulated clock.
 	Now func() time.Time
 	// Name labels this gate's records in the decision log (default
 	// "gate").
 	Name string
 	// DecisionLog, when set, receives one shed-plan record per Replan
-	// round: offered rate, sustainable rate, admit fraction and the
-	// Appendix-B scale-out verdict. Replan runs off the admit path, so
-	// the 0-alloc Offer fast path is untouched.
+	// round, stamped with the gate's clock: offered rate, sustainable
+	// rate, admit fraction, the Appendix-B scale-out verdict, and the
+	// records admitted and refused (overload or backlog) since the
+	// previous round. Replan runs off the admit path, so the 0-alloc Offer
+	// fast path is untouched.
 	DecisionLog *obs.Log
 	// Tracer, when set, samples admitted records at the ring push: a
 	// record whose admission seq wins the tracer's deterministic hash
@@ -196,6 +197,10 @@ type Gate struct {
 	control ControlSource
 	planned struct {
 		lastAt time.Time
+		// admitted and lost are the admitted and the overload+backlog
+		// refusal totals at lastAt, which the next round's record counts
+		// its Gain and Loss from.
+		admitted, lost int64
 	}
 	scratch replanScratch
 
@@ -351,13 +356,12 @@ func (g *Gate) Close() {
 // permilleScale is the resolution of the per-client thinning fraction.
 const permilleScale = 1000
 
-// ThinAdmit is the gate's deterministic thinning verdict: of every thousand
+// thinAdmit is the gate's deterministic thinning verdict: of every thousand
 // sequence numbers, admit ⌊n·p/1000⌋ − ⌊(n−1)·p/1000⌋ — the exact long-run
 // fraction with no RNG, spread evenly instead of front-loaded, so a steady
 // client meets no bursts of bad luck. permille ≥ 1000 admits everything and
-// ≤ 0 nothing. Client.admit thins with it, and so does the gate's
-// virtual-time twin (experiments' gateClient).
-func ThinAdmit(seq uint64, permille int64) bool {
+// ≤ 0 nothing. Client.admit thins with it.
+func thinAdmit(seq uint64, permille int64) bool {
 	if permille >= permilleScale {
 		return true
 	}
@@ -394,6 +398,9 @@ func (g *Gate) Replan() {
 	sc.list = g.clients.snapshot(sc.list[:0])
 	last := g.planned.lastAt
 	g.planned.lastAt = now
+	admitted, lost := g.admitted.Load(), g.shedOverload.Load()+g.shedBacklog.Load()
+	gain, loss := admitted-g.planned.admitted, lost-g.planned.lost
+	g.planned.admitted, g.planned.lost = admitted, lost
 
 	// Per-client offered rates over the round just ended. Rate-limited
 	// refusals are excluded: a client hammering past its own contract is
@@ -417,7 +424,7 @@ func (g *Gate) Replan() {
 	plannedAlloc, plannedKmax := 0, 0
 	if control != nil && g.cfg.Tmax > 0 {
 		if snap, ok := control.LastSnapshot(); ok {
-			plan = PlanAdmission(snap, g.cfg.Tmax, g.cfg.MaxSlots, provisioningRate)
+			plan = planAdmission(snap, g.cfg.Tmax, g.cfg.MaxSlots, provisioningRate)
 			for _, k := range snap.Alloc {
 				plannedAlloc += k
 			}
@@ -429,10 +436,11 @@ func (g *Gate) Replan() {
 	g.scaleOutViable.Store(plan.ScaleOutViable)
 	if g.cfg.DecisionLog != nil {
 		g.cfg.DecisionLog.Emit(&obs.Record{
-			Kind: obs.KindShedPlan, Tenant: g.cfg.Name,
+			At: now.UnixNano(), Kind: obs.KindShedPlan, Tenant: g.cfg.Name,
 			From: plannedAlloc, To: plannedKmax,
 			Fraction: plan.AdmitFraction, Rate: plan.SustainableRate,
 			Lambda0: provisioningRate, Flag: plan.ScaleOutViable,
+			Gain: float64(gain), Loss: float64(loss),
 		})
 	}
 
@@ -444,7 +452,7 @@ func (g *Gate) Replan() {
 			sc.weights, sc.ids = append(sc.weights, c.weight), append(sc.ids, c.id)
 		}
 	}
-	sc.permilles = AdmitPermilles(sc.permilles, plan, sc.weights, sc.ids, sc.rates)
+	sc.permilles = admitPermilles(sc.permilles, plan, sc.weights, sc.ids, sc.rates)
 	for i, p := range sc.permilles {
 		sc.list[i].admitPermille.Store(p)
 	}
@@ -461,7 +469,7 @@ func (g *Gate) Replan() {
 // evictIdle drops from the registry every client of the round that a fresh
 // one would equal: no caller holds it, its rate this round was 0 and its
 // token bucket has refilled to its burst. A fresh client starts at the
-// plan-wide fraction, which is what AdmitPermilles gives an idle one, so
+// plan-wide fraction, which is what admitPermilles gives an idle one, so
 // the only state lost is the thinning seq. It then clears the round's list
 // and ids, so the scratch pins nothing it evicted. It allocates nothing.
 func (g *Gate) evictIdle(nowNanos int64) {
@@ -477,7 +485,7 @@ func (g *Gate) evictIdle(nowNanos int64) {
 	clear(sc.ids)
 }
 
-// AdmitPermilles distributes one plan's sustainable budget across
+// admitPermilles distributes one plan's sustainable budget across
 // clients: the budget is filled highest-weight-first (ties break by id
 // for determinism), so the marginal — partially admitted — client and
 // everyone below it are the cheapest traffic. Idle clients get the
@@ -487,9 +495,8 @@ func (g *Gate) evictIdle(nowNanos int64) {
 // from an earlier call (nil the first time): the result reuses its storage
 // — one element per client, and while shedding as many again behind them
 // for the fill order — so a caller that hands the result back allocates
-// nothing once it has grown. Exported so virtual-time drivers (the
-// overload experiment) run the exact distribution the live gate runs.
-func AdmitPermilles(dst []uint32, plan Plan, weights []float64, ids []string, rates []float64) []uint32 {
+// nothing once it has grown.
+func admitPermilles(dst []uint32, plan Plan, weights []float64, ids []string, rates []float64) []uint32 {
 	n := len(rates)
 	if plan.AdmitFraction >= 1 {
 		out := slices.Grow(dst[:0], n)[:n]
@@ -666,7 +673,7 @@ func (c *Client) admit(offers []offer, recs [][]byte) [][]byte {
 				continue
 			}
 		}
-		if permille < permilleScale && !ThinAdmit(c.seq.Add(1), int64(permille)) {
+		if permille < permilleScale && !thinAdmit(c.seq.Add(1), int64(permille)) {
 			o.verdict = Verdict{Reason: ShedOverload, RetryAfter: g.cfg.ReplanEvery}
 			continue
 		}

@@ -147,7 +147,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 	// 250 permille keeps exactly one of every four consecutive emissions.
 	kept := 0
 	for seq := uint64(1); seq <= 400; seq++ {
-		if ThinAdmit(seq, 250) {
+		if thinAdmit(seq, 250) {
 			kept++
 		}
 	}
@@ -157,7 +157,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 	for start := uint64(1); start <= 396; start += 4 {
 		window := 0
 		for s := start; s < start+4; s++ {
-			if ThinAdmit(s, 250) {
+			if thinAdmit(s, 250) {
 				window++
 			}
 		}
@@ -169,7 +169,7 @@ func TestThinAdmitSpreadsEvenly(t *testing.T) {
 
 func TestPlanAdmissionAdmitsWithinGrant(t *testing.T) {
 	// λ = 3/s on (3,3) of 6 slots, µ = 2: comfortably sustainable.
-	p := PlanAdmission(twoStageSnap(3, 2, 3, 6), 1.5, 16, 3)
+	p := planAdmission(twoStageSnap(3, 2, 3, 6), 1.5, 16, 3)
 	if p.AdmitFraction != 1 {
 		t.Fatalf("admit fraction %.2f, want 1 within the grant", p.AdmitFraction)
 	}
@@ -182,7 +182,7 @@ func TestPlanAdmissionShedsBeyondGrant(t *testing.T) {
 	// Offered 18/s against a 6-slot grant: must shed most of it, and with
 	// a 16-slot cap the demand (≈22 slots) is beyond the provider.
 	snap := twoStageSnap(3, 2, 3, 6)
-	p := PlanAdmission(snap, 1.5, 16, 18)
+	p := planAdmission(snap, 1.5, 16, 18)
 	if p.AdmitFraction >= 1 || p.AdmitFraction <= 0 {
 		t.Fatalf("admit fraction %.2f, want partial shed", p.AdmitFraction)
 	}
@@ -193,11 +193,11 @@ func TestPlanAdmissionShedsBeyondGrant(t *testing.T) {
 		t.Fatal("22-slot demand must not be viable under a 16-slot cap")
 	}
 	// The same demand under a roomy cap is viable (transient shed).
-	if p := PlanAdmission(snap, 1.5, 64, 18); !p.ScaleOutViable {
+	if p := planAdmission(snap, 1.5, 64, 18); !p.ScaleOutViable {
 		t.Fatal("22-slot demand must be viable under a 64-slot cap")
 	}
 	// And a larger grant sustains more.
-	big := PlanAdmission(twoStageSnap(3, 2, 8, 16), 1.5, 16, 18)
+	big := planAdmission(twoStageSnap(3, 2, 8, 16), 1.5, 16, 18)
 	if big.SustainableRate <= p.SustainableRate {
 		t.Fatalf("16-slot grant sustains %.2f <= 6-slot grant's %.2f", big.SustainableRate, p.SustainableRate)
 	}
@@ -209,17 +209,17 @@ func TestPlanAdmissionDrainCorrection(t *testing.T) {
 	// (Tmax less the headroom) over measured.
 	snap := twoStageSnap(3, 2, 3, 6)
 	snap.MeasuredSojourn = 4.5
-	p := PlanAdmission(snap, 1.5, 16, 3)
+	p := planAdmission(snap, 1.5, 16, 3)
 	if p.AdmitFraction > 0.31 || p.AdmitFraction < 0.29 {
 		t.Fatalf("admit fraction %.2f, want ≈ 0.9·1.5/4.5 = 0.30", p.AdmitFraction)
 	}
 }
 
 func TestPlanAdmissionFailsOpen(t *testing.T) {
-	if p := PlanAdmission(core.Snapshot{}, 1.5, 16, 10); p.AdmitFraction != 1 {
+	if p := planAdmission(core.Snapshot{}, 1.5, 16, 10); p.AdmitFraction != 1 {
 		t.Fatalf("empty snapshot must admit all, got %.2f", p.AdmitFraction)
 	}
-	if p := PlanAdmission(twoStageSnap(3, 2, 3, 6), 0, 16, 10); p.AdmitFraction != 1 {
+	if p := planAdmission(twoStageSnap(3, 2, 3, 6), 0, 16, 10); p.AdmitFraction != 1 {
 		t.Fatalf("zero Tmax must admit all, got %.2f", p.AdmitFraction)
 	}
 }
@@ -228,7 +228,7 @@ func TestPlanAdmissionStabilityFallback(t *testing.T) {
 	// Tmax below the two-stage service floor (2 × 0.5s = 1s): latency is
 	// unreachable at any allocation, but overload 18/s against 6 slots
 	// must still be bounded by stability (ρ ≤ 0.95 per operator).
-	p := PlanAdmission(twoStageSnap(3, 2, 3, 6), 0.8, 16, 18)
+	p := planAdmission(twoStageSnap(3, 2, 3, 6), 0.8, 16, 18)
 	if p.AdmitFraction >= 1 {
 		t.Fatal("stability fallback must still shed an 18/s offer against 6 slots")
 	}
@@ -750,5 +750,61 @@ func TestReplanPlansOnGrantInForce(t *testing.T) {
 	})
 	if want := [][2]int{{8, 8}, {10, 10}}; fmt.Sprint(planned) != fmt.Sprint(want) {
 		t.Errorf("shed-plan records planned on (alloc, Kmax) %v, want %v", planned, want)
+	}
+}
+
+// TestShedPlanRecordCountsRound holds each shed-plan record to the round
+// it closes: At is the gate's clock at the Replan, Gain the records
+// admitted since the previous Replan and Loss those refused as overload or
+// backlog. The second round sheds both ways: the plan thins the client and
+// the undrained ring fills.
+func TestShedPlanRecordCountsRound(t *testing.T) {
+	dlog := obs.NewLog(obs.Config{})
+	defer dlog.Close()
+	clock := time.Unix(100, 0)
+	g := NewGate(GateConfig{Tmax: 1.5, MaxSlots: 16, RingCapacity: 64, DecisionLog: dlog,
+		Now: func() time.Time { return clock }})
+	defer g.Close()
+	control := &scriptedControl{}
+	control.set(twoStageSnap(3, 2, 8, 16))
+	g.SetControl(control)
+	cl := g.Client("c", 1, 0, 0)
+	payload := engine.Values{[]byte("r")}
+	round := func(n int) (admitted, refused int64) {
+		for range n {
+			if cl.Offer(payload).Admitted {
+				admitted++
+			} else {
+				refused++
+			}
+		}
+		clock = clock.Add(time.Second)
+		g.Replan()
+		return admitted, refused
+	}
+
+	round(32) // admit-all until the first plan, which sheds 32/s
+	admitted, refused := round(200)
+	if st := g.Stats(); st.ShedOverload == 0 || st.ShedBacklog == 0 {
+		t.Fatalf("second round refused %d overload and %d backlog, want both", st.ShedOverload, st.ShedBacklog)
+	}
+	var plans []obs.Record
+	dlog.Sweep(func(r *obs.Record) {
+		if r.Kind == obs.KindShedPlan {
+			plans = append(plans, *r)
+		}
+	})
+	if len(plans) != 2 {
+		t.Fatalf("%d shed-plan records, want 2", len(plans))
+	}
+	if r := plans[0]; r.Gain != 32 || r.Loss != 0 {
+		t.Errorf("first record gain %.0f loss %.0f, want 32 and 0", r.Gain, r.Loss)
+	}
+	r := plans[1]
+	if r.At != clock.UnixNano() {
+		t.Errorf("second record at %d, want the gate's clock %d", r.At, clock.UnixNano())
+	}
+	if int64(r.Gain) != admitted || int64(r.Loss) != refused {
+		t.Errorf("second record gain %.0f loss %.0f, want %d admitted and %d refused", r.Gain, r.Loss, admitted, refused)
 	}
 }

@@ -133,7 +133,7 @@ func (m *clientMap) evict(c *Client) bool {
 }
 
 // snapshot appends every registered client to dst (shard order; callers
-// needing determinism sort downstream, which AdmitPermilles does).
+// needing determinism sort downstream, which admitPermilles does).
 func (m *clientMap) snapshot(dst []*Client) []*Client {
 	for i := range m.shards {
 		s := &m.shards[i]

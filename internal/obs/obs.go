@@ -133,11 +133,11 @@ func (k *Kind) UnmarshalText(b []byte) error {
 //     ShrinkCost, Lambda0/PeerLambda0 = claimant/victim external arrival
 //     rates, PauseNS = rebalance pause charged by the Appendix-B verdict,
 //     Flag = the tenant pair was priority-ordered (claimant outranks victim).
-//   - shed-plan: Tenant = plan scope, Fraction = admit fraction,
+//   - shed-plan (emitted by ingest.Gate.Replan alone): At = the gate's
+//     clock, Tenant = plan scope, Fraction = admit fraction,
 //     Rate = sustainable rate (tuples/s), Lambda0 = offered rate,
-//     Flag = scale-out viable, Gain/Loss = admitted/shed record deltas
-//     since the previous plan (scenario drivers; the live gate leaves
-//     them zero).
+//     Flag = scale-out viable, Gain = records admitted and Loss = records
+//     refused as overload or backlog since the previous plan.
 //   - refit/suppress/refit-failed: Tenant = topology, Detail = the
 //     decision's reason (the controller's, or the forced shrink's cause),
 //     From -> To = executor total in force before the event -> the

@@ -1,5 +1,13 @@
 package scenario
 
+import _ "embed"
+
+// chaosJSON is the canonical spec, the same file `ingestload -trace` and
+// `drs-experiments -scenario` load.
+//
+//go:embed chaos.json
+var chaosJSON []byte
+
 // Chaos returns the canonical everything-at-once scenario the `chaos`
 // experiment golden-locks and `ingestload -trace` replays live: two
 // tenants over a 24-minute arc — "gold" riding a compressed diurnal day
@@ -7,61 +15,13 @@ package scenario
 // — plus a correlated two-tenant surge, a scripted mid-flash machine
 // kill, a straggler window, a priority inversion and its repair, and a
 // decommission in the cooldown. Scaled copies (Spec.Scaled) drive the
-// short test runs; the JSON twin lives in scenarios/chaos.json.
+// short test runs. It parses internal/scenario/chaos.json, embedded, and
+// panics if that file does not parse, like regexp.MustCompile: the file
+// is checked in, and every chaos test parses it.
 func Chaos() Spec {
-	return Spec{
-		Name:            "chaos",
-		Seed:            11,
-		DurationSeconds: 1440,
-		Tenants: []TenantSpec{
-			{
-				Name:     "gold",
-				Weight:   3,
-				Priority: 2,
-				BaseRate: 3,
-				Diurnal: &DiurnalSpec{
-					PeriodSeconds: 720,
-					Amplitude:     0.4,
-				},
-				ServiceTailAlpha: 2.5,
-			},
-			{
-				Name:     "bronze",
-				Weight:   1,
-				Priority: 1,
-				BaseRate: 3,
-				Surges: []SurgeSpec{
-					// The flash crowd: 8x for nine minutes, far past what
-					// admission can grant — the shed-but-never-lose phase.
-					{From: 540, Until: 1080, Factor: 8},
-				},
-			},
-		},
-		Surges: []MultiSurgeSpec{
-			// Correlated morning surge: both tenants jump together, starts
-			// jittered so the fronts do not land in lock-step.
-			{Tenants: []string{"gold", "bronze"}, From: 240, Until: 420, Factor: 2, JitterSeconds: 30},
-		},
-		Churn: ChurnSpec{
-			Kills: []KillSpec{
-				// Machine dies mid-flash-crowd: churn x overload layered.
-				{Machine: 3, At: 660, Down: 120},
-			},
-		},
-		Stragglers: []StragglerSpec{
-			// Straggler storm while the flash crowd is still on.
-			{Machine: 2, From: 840, Until: 960},
-		},
-		Policy: []PolicySpec{
-			// Priority inversion: bronze outranks gold mid-flash, forcing
-			// preemption toward the surging tenant; repaired in cooldown.
-			{At: 780, Tenant: "bronze", Priority: 3},
-			{At: 1260, Tenant: "bronze", Priority: 1},
-		},
-		Decommissions: []DecommissionSpec{
-			// Permanent capacity loss during cooldown: the arc must settle
-			// on a smaller pool, not just recover the old one.
-			{Machine: 4, At: 1200},
-		},
+	_, spec, err := Parse(chaosJSON)
+	if err != nil {
+		panic("scenario: embedded chaos.json: " + err.Error())
 	}
+	return spec
 }

@@ -580,7 +580,7 @@ func (tl *Timeline) Arrivals(tenant string) (sim.ArrivalProcess, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &ShapedRate{
+	return &sim.ShapedRate{
 		Base:     sim.PoissonArrivals{Rate: tl.spec.Tenants[i].BaseRate},
 		Envelope: env,
 	}, nil
@@ -598,30 +598,4 @@ func (tl *Timeline) Service(tenant string, mu float64) (stats.Dist, error) {
 		return stats.NewParetoWithMean(1/mu, a)
 	}
 	return stats.Exponential{Rate: mu}, nil
-}
-
-// ShapedRate modulates a base arrival process by a deterministic
-// time-varying envelope: the gap drawn from the base process is divided
-// by the envelope's factor at the gap's start — the SteppedRate idiom
-// generalized from one window to an arbitrary positive envelope. The
-// process tracks time by accumulating its own gaps, so it needs no clock
-// plumbing.
-type ShapedRate struct {
-	// Base is the underlying arrival process (required).
-	Base sim.ArrivalProcess
-	// Envelope maps scenario time to a strictly positive rate factor.
-	Envelope func(t float64) float64
-
-	clock float64
-}
-
-// NextInterArrival draws from the base process, compressing or stretching
-// the gap by the envelope factor in force when it starts.
-func (s *ShapedRate) NextInterArrival(r *stats.RNG) float64 {
-	gap := s.Base.NextInterArrival(r)
-	if f := s.Envelope(s.clock); f > 0 {
-		gap /= f
-	}
-	s.clock += gap
-	return gap
 }

@@ -62,31 +62,29 @@ func (m *ModulatedRate) NextInterArrival(r *stats.RNG) float64 {
 	return gap
 }
 
-// SteppedRate multiplies a base arrival process's rate by Factor during
-// the window [From, Until) of simulated time — a load step and its
-// recovery in one process. It drives the multi-tenant contention
-// experiment: one tenant's input surges for a stretch, forcing the
-// scheduler to shift slots toward it and back. The process tracks time by
-// accumulating its own inter-arrival gaps, so it needs no clock plumbing
-// (like ModulatedRate); a gap straddling a boundary is drawn at the rate
-// in force when it starts.
-type SteppedRate struct {
+// ShapedRate modulates a base arrival process by a deterministic
+// time-varying envelope: the gap drawn from the base process is divided
+// by the envelope's factor at the gap's start. One envelope is a load step
+// (a factor inside a window, 1 outside it); another is a scenario's
+// diurnal day with its flash crowds. The process tracks time by
+// accumulating its own gaps, so it needs no clock plumbing (like
+// ModulatedRate); a gap straddling a change is drawn at the factor in
+// force when it starts.
+type ShapedRate struct {
 	// Base is the underlying arrival process (required).
 	Base ArrivalProcess
-	// Factor scales the base rate inside the window (e.g. 2 doubles it).
-	Factor float64
-	// From and Until bound the stepped window in simulated seconds.
-	From, Until float64
+	// Envelope maps simulated time to a strictly positive rate factor.
+	Envelope func(t float64) float64
 
 	clock float64
 }
 
-// NextInterArrival draws from the base process, compressing (or
-// stretching) the gap by Factor while inside the window.
-func (s *SteppedRate) NextInterArrival(r *stats.RNG) float64 {
+// NextInterArrival draws from the base process, compressing or stretching
+// the gap by the envelope factor in force when it starts.
+func (s *ShapedRate) NextInterArrival(r *stats.RNG) float64 {
 	gap := s.Base.NextInterArrival(r)
-	if s.clock >= s.From && s.clock < s.Until && s.Factor > 0 {
-		gap /= s.Factor
+	if f := s.Envelope(s.clock); f > 0 {
+		gap /= f
 	}
 	s.clock += gap
 	return gap

@@ -7,7 +7,7 @@
 //
 //	ingestload -url http://127.0.0.1:8080/ingest -clients 4 -rate 100 -duration 5
 //	ingestload -tcp 127.0.0.1:7070 -clients 2 -rate 50 -duration 5
-//	ingestload -url http://127.0.0.1:8080/ingest -trace scenarios/chaos.json -speedup 60
+//	ingestload -url http://127.0.0.1:8080/ingest -trace internal/scenario/chaos.json -speedup 60
 //
 // With -trace, ingestload replays a scenario spec (internal/scenario)
 // against the live front door: one paced worker per tenant draws the same
