@@ -8,7 +8,7 @@ import (
 // destBatch accumulates the tuples one emit scope routed to one executor.
 type destBatch struct {
 	ex    *executor
-	to    int // destination bolt index, for crash re-routing
+	to    int // destination bolt index, for re-routing off a closed queue
 	items []queueItem
 }
 
@@ -217,13 +217,12 @@ func (em *emitter) sealRoot(now time.Time) {
 }
 
 // pushDests delivers every buffered destination batch with one enqueue
-// each. A closed destination queue means a retired or crashed executor, or
-// shutdown: the batch reroutes through the bolt's refreshed route table
-// (Run.replay) — every swap installs the successor before it closes the
-// displaced queue, so a reload observes the successor at once — and during
-// shutdown it strands. A reroute is not a replay and
-// does not count in Replayed. Items carry their own tree reference, so
-// batches may mix several roots' children.
+// each. A closed destination queue means a displaced executor whose backlog
+// was just handed over: the batch reroutes through the bolt's route table
+// (Run.replay), which names the successor as soon as the handover that
+// closed the queue publishes it. A reroute is not a replay and does not
+// count in Replayed. Items carry their own tree reference, so batches may
+// mix several roots' children.
 func (em *emitter) pushDests() {
 	for i := 0; i < em.ndests; i++ {
 		d := &em.dests[i]

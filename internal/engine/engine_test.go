@@ -533,7 +533,7 @@ func TestStopDeadline(t *testing.T) {
 
 // popTasks takes the whole ring in one popAll — the queue's only consumer
 // call — and returns the queued task ids in FIFO order; ok is false once
-// the queue is closed and empty.
+// the queue is halted.
 func popTasks(q *queue) (tasks []int, ok bool) {
 	ring, head, n, ok := q.popAll(nil)
 	for i := 0; i < n; i++ {
@@ -553,28 +553,43 @@ func TestQueueBasics(t *testing.T) {
 	if got, ok := popTasks(q); !ok || !slices.Equal(got, []int{1}) {
 		t.Errorf("popAll = (%v, %v), want [1]", got, ok)
 	}
-	q.close()
+	if got := q.seize(); len(got) != 0 {
+		t.Errorf("seize of an empty queue took %d items", len(got))
+	}
 	if q.push(queueItem{}) {
-		t.Error("push after close should fail")
+		t.Error("push after seize should fail")
 	}
 	if q.pushBatch([]queueItem{{task: 2}, {task: 3}}) {
-		t.Error("pushBatch after close should fail")
+		t.Error("pushBatch after seize should fail")
 	}
+	q.halt()
 	if got, ok := popTasks(q); ok {
-		t.Errorf("popAll on closed empty queue = (%v, true), should report closed", got)
+		t.Errorf("popAll on a halted queue = (%v, true), should report the stop", got)
 	}
 }
 
+// TestQueueDrainsAfterClose: a halted queue still takes pushes and hands
+// out nothing, and seize then closes it and takes the whole backlog in FIFO
+// order, leaving nothing behind.
 func TestQueueDrainsAfterClose(t *testing.T) {
 	q := newQueue()
 	q.push(queueItem{task: 1})
-	q.pushBatch([]queueItem{{task: 2}, {task: 3}})
-	q.close()
-	if got, ok := popTasks(q); !ok || !slices.Equal(got, []int{1, 2, 3}) {
-		t.Fatalf("popAll after close = (%v, %v), want the backlog [1 2 3]", got, ok)
+	q.halt()
+	if !q.pushBatch([]queueItem{{task: 2}, {task: 3}}) {
+		t.Fatal("pushBatch on a halted queue failed")
 	}
-	if _, ok := popTasks(q); ok {
-		t.Error("queue should be exhausted")
+	if got, ok := popTasks(q); ok {
+		t.Fatalf("popAll on a halted queue = (%v, true), should report the stop", got)
+	}
+	var got []int
+	for _, it := range q.seize() {
+		got = append(got, it.task)
+	}
+	if !slices.Equal(got, []int{1, 2, 3}) {
+		t.Fatalf("seize = %v, want the backlog [1 2 3]", got)
+	}
+	if rest := q.seize(); len(rest) != 0 || q.outstanding() != 0 {
+		t.Errorf("second seize took %d items, outstanding %d: the queue should be exhausted", len(rest), q.outstanding())
 	}
 }
 
@@ -597,17 +612,10 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 			}
 		}()
 	}
-	go func() {
-		wg.Wait()
-		q.close()
-	}()
 	consumed := 0
 	next := [producers]int{}
-	for {
-		tasks, ok := popTasks(q)
-		if !ok {
-			break
-		}
+	for consumed < producers*per {
+		tasks, _ := popTasks(q)
 		for _, task := range tasks {
 			p, i := task/per, task%per
 			if i != next[p] {
@@ -617,8 +625,9 @@ func TestQueueConcurrentProducersConsumers(t *testing.T) {
 			consumed++
 		}
 	}
-	if consumed != producers*per {
-		t.Errorf("consumed %d, want %d", consumed, producers*per)
+	wg.Wait()
+	if consumed != producers*per || q.outstanding() != consumed {
+		t.Errorf("consumed %d with %d outstanding, want %d and %d", consumed, q.outstanding(), producers*per, producers*per)
 	}
 }
 

@@ -398,7 +398,7 @@ func TestBatchScopeCrashDeliversBuffered(t *testing.T) {
 		_, err := run.FailExecutor("mid", 0)
 		failed <- err
 	}()
-	waitFor(t, "the crash flag", victim.crashed.Load)
+	waitFor(t, "the stop switch", victim.q.halted.Load)
 	free()
 	if err := <-failed; err != nil {
 		t.Fatal(err)

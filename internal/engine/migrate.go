@@ -62,8 +62,9 @@ func planAssignment(old []int, nOld, n int) (assign []int, moved int) {
 	return assign, moved
 }
 
-// naiveAssignment is the baseline the ablation benchmarks compare against:
-// task t goes to executor t % n regardless of history.
+// naiveAssignment deals task t to executor t % n regardless of history: a
+// bolt's first assignment, and the baseline the ablation benchmarks compare
+// planAssignment against.
 func naiveAssignment(old []int, n int) (assign []int, moved int) {
 	assign = make([]int, len(old))
 	for t := range assign {

@@ -57,7 +57,12 @@ type queue struct {
 	n       int         // live item count
 	peak    int         // max live count since the queue last went empty
 	waiting int         // poppers parked in cond.Wait
-	closed  bool
+	closed  bool        // pushes are refused: the queue was seized
+	// halted is the consumer's stop switch (executor.stop): popAll returns
+	// nothing once it is set, and the drain loop reads it, without the lock,
+	// at every tuple boundary. Pushes are still taken. Set under mu, so a
+	// popper cannot park past it.
+	halted atomic.Bool
 	// out counts the outstanding items: pushed and not yet served, so the
 	// popped batch the consumer is working through is still in it. It is
 	// the load signal shuffle routing reads without the lock
@@ -154,15 +159,18 @@ func (q *queue) pushBatch(its []queueItem) bool {
 	return true
 }
 
-// popAll blocks until items are available (or the queue is closed and
-// empty), then takes the entire ring in O(1): the queue keeps spare as its
-// new (empty) ring, and the caller gets the old one to iterate in place —
-// no copy happens under the lock. spare must be a cleared full-length ring
-// from a previous popAll (or nil). The returned items live at
-// ring[(head+i) % len(ring)] for i in [0, n).
+// popAll blocks until items are available or the queue is halted, then takes the entire ring in O(1): the queue keeps
+// spare as its new (empty) ring, and the caller gets the old one to iterate
+// in place — no copy happens under the lock. spare must be a cleared
+// full-length ring from a previous popAll (or nil). The returned items live
+// at ring[(head+i) % len(ring)] for i in [0, n).
 func (q *queue) popAll(spare []queueItem) (ring []queueItem, head, n int, ok bool) {
 	q.mu.Lock()
 	for {
+		if q.halted.Load() {
+			q.mu.Unlock()
+			return nil, 0, 0, false
+		}
 		if q.n > 0 {
 			ring, head, n = q.buf, q.head, q.n
 			if cap(spare) > shrinkCap && q.peak*4 < cap(spare) {
@@ -175,38 +183,35 @@ func (q *queue) popAll(spare []queueItem) (ring []queueItem, head, n int, ok boo
 			q.mu.Unlock()
 			return ring, head, n, true
 		}
-		if q.closed {
-			q.mu.Unlock()
-			return nil, 0, 0, false
-		}
 		q.waiting++
 		q.cond.Wait()
 		q.waiting--
 	}
 }
 
-// close wakes the parked consumer; pending items are still drained by
-// popAll.
-func (q *queue) close() {
+// halt sets the stop switch and wakes the parked consumer; it reports
+// whether this call set it.
+func (q *queue) halt() bool {
 	q.mu.Lock()
-	q.closed = true
+	first := !q.halted.Swap(true)
 	q.mu.Unlock()
 	q.cond.Broadcast()
+	return first
 }
 
-// seize takes the backlog a closed queue still holds after its consumer
-// exited without draining it — a crashed executor, or a remote one whose
-// send failed — for the caller to replay. A closed queue refuses pushes, so
-// nothing can land behind what seize took.
+// seize closes the queue and takes the backlog it still holds, for the
+// caller to hand over; its consumer has exited without draining it. A
+// closed queue refuses pushes, so nothing can land behind what seize took.
 func (q *queue) seize() []queueItem {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	q.closed = true
 	if q.n == 0 {
 		return nil
 	}
 	out := make([]queueItem, q.n)
 	q.copyOutLocked(out)
-	q.served(q.n) // seized for replay: counted again where they land
+	q.served(q.n) // seized for a handover: counted again where they land
 	q.buf, q.head, q.n, q.peak = nil, 0, 0, 0
 	return out
 }

@@ -27,9 +27,9 @@ import (
 //     tuple's tree — the same sequence runExecutor performs inline;
 //   - failure: a transport error replays the affected batch through the
 //     current route table (Run.replay — at-least-once, never
-//     ack-without-processing) and self-heals the binding by swapping in a
-//     local replacement and retiring the victim: the swap and retire behind
-//     replaceExecutor, whose stranded tail and backlog replay the same way.
+//     ack-without-processing) and self-heals the binding by installing a
+//     local replacement (Run.install), which starts with the victim's
+//     stranded tail and backlog.
 //
 // Exactly-once applies at the engine's accounting layer (each tree resolves
 // once); the application-level guarantee stays at-least-once: a batch whose
@@ -125,10 +125,9 @@ func StreamTagString(v any) (string, bool) {
 
 // BindExecutor points one of a bolt's route-table slots at a remote
 // destination (or back at a local goroutine when remote is nil) through
-// FailExecutor's slot-replacement path (replaceExecutor): the replacement
-// is installed first, inheriting the victim's probe, then the victim
-// retires, draining its own backlog before it exits — so rebinding
-// mid-traffic loses nothing.
+// FailExecutor's slot-replacement path (replaceExecutor): the victim stops
+// at its tuple (remote: batch) boundary and the replacement, inheriting its
+// probe, starts with its backlog — so rebinding mid-traffic loses nothing.
 // Binding the executor to the RemoteExecutor value it already has is a
 // no-op. Note a Rebalance rebuilds a bolt's executors local; callers owning
 // a placement re-apply their bindings after every allocation change.
@@ -216,8 +215,8 @@ func (p *pinBatch) complete(res RemoteResult, rerr error) {
 // runRemoteExecutor is the drain loop of a remote-bound executor: the same
 // popAll cadence as the local hot loop, but each batch ships through the
 // transport instead of a Process call. The in-flight window (sem) bounds
-// unacked batches; the kill channel unblocks the window wait when a crash
-// needs this goroutine gone while the transport is wedged.
+// unacked batches; the kill channel unblocks the window wait when the
+// executor stops while the transport is wedged.
 func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)
@@ -234,9 +233,9 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 		}
 		mask := len(ring) - 1
 		for base := 0; base < n; {
-			// A crash ends the drain at a batch boundary; the unsent
-			// remainder strands for the retirer to replay.
-			if ex.crashed.Load() {
+			// A stop ends the drain at a batch boundary; the unsent
+			// remainder strands for install to hand over.
+			if ex.q.halted.Load() {
 				ex.strandRing(ring, head+base, n-base)
 				return
 			}
@@ -274,7 +273,7 @@ func (r *Run) runRemoteExecutor(br *boltRuntime, ex *executor) {
 				<-ex.sem
 				// This batch was pinned but never handed off; it strands
 				// together with the ring remainder, whatever is still
-				// queued stays for the retirer, and the binding self-heals
+				// queued stays for install, and the binding self-heals
 				// to a local replacement.
 				ex.strandPin(pin)
 				ex.strandRing(ring, head+base+cnt, n-base-cnt)
@@ -373,11 +372,11 @@ func (r *Run) applyRemote(br *boltRuntime, em *emitter, ex *executor, pin *pinBa
 // failure of an executor counts it failed and starts the heal on its own
 // goroutine: the trigger may be a connection reader that must keep draining
 // completion callbacks, or the victim's own drain loop, which must exit
-// before the retire can finish. Under r.mu the heal swaps in a local
-// replacement (not once Stop shut the executors down) and retires the
-// victim. A Rebalance or BindExecutor that already swapped the victim out
-// retired it itself, replaying what it left, and the heal has nothing to
-// do.
+// before the handover can finish. Under r.mu the heal installs a local
+// replacement in the victim's slot, unless Stop already shut the executors
+// down. A Rebalance or BindExecutor that already displaced the victim handed
+// over what it left (counted in Replayed, the victim being failed), and the
+// heal has nothing to do.
 func (r *Run) failRemoteBinding(br *boltRuntime, ex *executor) {
 	if !ex.failed.CompareAndSwap(false, true) {
 		return
@@ -386,14 +385,12 @@ func (r *Run) failRemoteBinding(br *boltRuntime, ex *executor) {
 	go func() {
 		r.mu.Lock()
 		defer r.mu.Unlock()
-		idx := slices.Index(br.route.Load().execs, ex)
-		if idx < 0 {
+		rt := br.route.Load()
+		idx := slices.Index(rt.execs, ex)
+		if idx < 0 || r.shut.Load() {
 			return
 		}
-		if !r.shut.Load() {
-			r.swapExecutorLocked(br, idx, nil)
-		}
-		r.retireLocked(br, ex, true)
+		r.install(br, rt.withExecutor(idx, newExecutor(ex.probe, nil)))
 		if r.cfg.DecisionLog != nil {
 			r.cfg.DecisionLog.Emit(&obs.Record{
 				Kind: obs.KindHeal, Peer: br.spec.name, To: idx,

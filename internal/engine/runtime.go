@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,25 +73,12 @@ type executor struct {
 	q     *queue
 	probe *metrics.ExecutorProbe
 	done  chan struct{}
-	// crashed is the failure-injection kill switch: the executor checks it
-	// at every tuple boundary (a remote drain loop, at every batch
-	// boundary) and, when set, strands the unprocessed tail of its
-	// in-progress batch for the retirer instead of draining it — a real
-	// crash does not get to finish its backlog.
-	crashed atomic.Bool
-	// after, when non-nil, is closed once the executors this one replaces
-	// have exited. A local drain loop waits on it before its first tuple: a
-	// displaced executor finishes the tuple it is in (a retiring one, its
-	// whole backlog), and the task instance it is inside must not be
-	// entered by its successor meanwhile. The
-	// queue takes pushes from the moment the route table names it.
-	after <-chan struct{}
 	// winN and winOver are the open vote window of boltRuntime.noteService:
 	// service samples seen, and how many of them exceeded handoffCost.
 	winN, winOver int64
-	// stranded collects, oldest first, the items the dying drain loop —
+	// stranded collects, oldest first, the items the stopped drain loop —
 	// local or remote — could not serve or hand off. Only that loop writes
-	// it; the retirer reads it once the goroutine has exited (done closed).
+	// it; install reads it once the goroutine has exited (done closed).
 	stranded []queueItem
 
 	// Remote-binding state; all nil/zero for local executors.
@@ -98,31 +86,42 @@ type executor struct {
 	// sem is the in-flight window: one slot per unacked ProcessBatch.
 	sem chan struct{}
 	// kill unblocks a drain loop parked on the in-flight window when the
-	// executor crashes and the retirer needs the goroutine gone.
-	kill     chan struct{}
-	killOnce sync.Once
+	// executor stops.
+	kill chan struct{}
 	// failed is set by the executor's first transport failure, which counts
 	// it failed and files its self-heal (failRemoteBinding), or by its
-	// crash, which is counted already: either way, once.
+	// crash, which is counted already: either way, once. What a failed
+	// executor leaves behind counts in Replayed.
 	failed atomic.Bool
 }
 
-// killRemote releases a remote drain loop blocked on its in-flight window.
-// No-op for local executors.
-func (ex *executor) killRemote() {
-	if ex.kill != nil {
-		ex.killOnce.Do(func() { close(ex.kill) })
+// newExecutor builds an executor that is not running yet (install starts
+// it): local when remote is nil, a remote drain loop's state otherwise.
+func newExecutor(probe *metrics.ExecutorProbe, remote RemoteExecutor) *executor {
+	ex := &executor{q: newQueue(), probe: probe, done: make(chan struct{}), remote: remote}
+	if remote != nil {
+		ex.sem = make(chan struct{}, RemoteInflight)
+		ex.kill = make(chan struct{})
+	}
+	return ex
+}
+
+// stop flips the executor's stop switch: its drain loop ends at its next
+// tuple boundary (a remote one, at its next batch boundary, or at once if
+// it is parked on its queue or its in-flight window) and strands what it
+// has not served. The queue stays open until the executor has exited, so
+// a tuple still in service — a self-looping bolt's — can emit into it.
+func (ex *executor) stop() {
+	if ex.q.halt() && ex.kill != nil {
+		close(ex.kill)
 	}
 }
 
 // strandRing parks the unhandled ring tail [start, start+count) for the
-// retirer. Called only by the executor's own drain loop before it exits.
-// Stranded items leave the queue's outstanding count: the retirer's replay
-// counts them on the executor they land on.
+// handover. Called only by the executor's own drain loop before it exits.
+// Stranded items leave the queue's outstanding count: install counts
+// them again on the executor they land on.
 func (ex *executor) strandRing(ring []queueItem, start, count int) {
-	if count <= 0 {
-		return
-	}
 	mask := len(ring) - 1
 	for i := 0; i < count; i++ {
 		ex.stranded = append(ex.stranded, ring[(start+i)&mask])
@@ -297,7 +296,7 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 	}
 	// Spin up executors per the initial allocation, then the spouts.
 	for i, br := range r.bolts {
-		r.installExecutors(br, cfg.Alloc[t.bolts[i].name], nil)
+		r.install(br, newRoute(br, cfg.Alloc[t.bolts[i].name]))
 	}
 	for si, sr := range r.spouts {
 		for inst := 0; inst < sr.spec.instances; inst++ {
@@ -313,36 +312,93 @@ func (t *Topology) Start(cfg RunConfig) (*Run, error) {
 	return r, nil
 }
 
-// installExecutors builds a fresh executor set for a bolt. On the first
-// install tasks are spread round-robin; on a rebalance the new assignment
-// is migration-aware — it keeps as many tasks as possible on their current
-// executor index (planAssignment), minimizing moved state per the paper's
-// future-work direction [42]. The fresh executors start serving once after
-// is closed (at once when it is nil).
-func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
-	old := br.route.Load()
+// newRoute builds a fresh, not yet running executor set of n for a bolt.
+// On the first install tasks are spread round-robin; on a rebalance the new
+// assignment is migration-aware — it keeps as many tasks as possible on
+// their current executor index (planAssignment), minimizing moved state per
+// the paper's future-work direction [42].
+func newRoute(br *boltRuntime, n int) *routeTable {
 	rt := &routeTable{execs: make([]*executor, n)}
-	if old == nil {
-		rt.assign = make([]int, br.spec.tasks)
-		for task := 0; task < br.spec.tasks; task++ {
-			rt.assign[task] = task % n
-		}
+	if old := br.route.Load(); old == nil {
+		rt.assign, _ = naiveAssignment(make([]int, br.spec.tasks), n)
 	} else {
 		rt.assign, _ = planAssignment(old.assign, len(old.execs), n)
 	}
 	rt.owned = ownedTasks(rt.assign, n)
-	for i := 0; i < n; i++ {
-		ex := &executor{
-			q:     newQueue(),
-			probe: metrics.NewExecutorProbe(),
-			done:  make(chan struct{}),
-			after: after,
-		}
-		rt.execs[i] = ex
-		r.execWG.Add(1)
-		go r.runExecutor(br, ex)
+	for i := range rt.execs {
+		rt.execs[i] = newExecutor(metrics.NewExecutorProbe(), nil)
 	}
-	br.route.Store(rt)
+	return rt
+}
+
+// withExecutor returns a copy of rt whose slot exec holds ex; the task
+// assignment is shared, untouched.
+func (rt *routeTable) withExecutor(exec int, ex *executor) *routeTable {
+	next := &routeTable{execs: slices.Clone(rt.execs), assign: rt.assign, owned: rt.owned}
+	next.execs[exec] = ex
+	return next
+}
+
+// install makes next the bolt's route table — the one step behind Start,
+// Rebalance, BindExecutor, FailExecutor and the remote self-heal. Every
+// executor of the current table that next displaces stops at its tuple
+// (remote: batch) boundary, and install waits for all of them to exit: it
+// waits on no executor's backlog, only on the tuples they are in. Then each
+// displaced queue closes, and what its executor stranded, then what the
+// queue still holds, lands oldest first in the queue of the executor next
+// assigns its task, so each task keeps its arrival order. Only then is next published
+// and its fresh executors started: no two executors are ever inside one
+// task instance, and no executor waits on another. An emit that bounces
+// off a closed queue meanwhile reroutes once next is published
+// (Run.replay). What a failed executor leaves counts in Replayed; a healthy
+// handoff counts nowhere. Batches a remote executor already handed to its
+// transport complete there and are not handed over, so nothing is served
+// twice. Arrival probes are not re-counted. Caller holds r.mu, or owns the
+// run (Start).
+func (r *Run) install(br *boltRuntime, next *routeTable) {
+	var cur, gone []*executor
+	if rt := br.route.Load(); rt != nil {
+		cur = rt.execs
+	}
+	for _, ex := range cur {
+		if !slices.Contains(next.execs, ex) {
+			ex.stop()
+			gone = append(gone, ex)
+		}
+	}
+	// No displaced queue closes while a displaced executor is still in
+	// service: a self-looping bolt's tuple may emit into a sibling's queue,
+	// and a push that bounced there would retry on the old table, which is
+	// not replaced before that executor exits.
+	for _, ex := range gone {
+		<-ex.done
+	}
+	backlog := make([][]queueItem, len(next.execs))
+	for _, ex := range gone {
+		left := append(ex.stranded, ex.q.seize()...)
+		if ex.failed.Load() {
+			r.replayed.Add(int64(len(left)))
+		}
+		for _, it := range left {
+			e := next.assign[it.task]
+			backlog[e] = append(backlog[e], it)
+		}
+	}
+	for e, items := range backlog {
+		next.execs[e].q.pushBatch(items)
+	}
+	br.route.Store(next)
+	for _, ex := range next.execs {
+		if slices.Contains(cur, ex) {
+			continue
+		}
+		r.execWG.Add(1)
+		if ex.remote != nil {
+			go r.runRemoteExecutor(br, ex)
+		} else {
+			go r.runExecutor(br, ex)
+		}
+	}
 }
 
 // runExecutor is the executor hot loop: it drains its input queue in
@@ -355,7 +411,7 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 // bolt's tuples, whose children must not wait behind a sibling's
 // service; a traced tuple, which first delivers what earlier tuples
 // buffered, so its handoff stamps and fork see only its own children; and
-// a crash, which delivers the served tuples' children before the tail
+// a stop, which delivers the served tuples' children before the tail
 // strands. Every untraced tuple is timed with one monotonic clock read:
 // the clock is read when popAll returns, and each tuple's end stamp —
 // the start plus the monotonic time since it — is its ack time and the
@@ -364,9 +420,6 @@ func (r *Run) installExecutors(br *boltRuntime, n int, after <-chan struct{}) {
 func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 	defer r.execWG.Done()
 	defer close(ex.done)
-	if ex.after != nil {
-		<-ex.after
-	}
 	em := newEmitter(r)
 	emit := Emit(func(v Values) { em.emit(br.outEdges, v) })
 	tracer := r.cfg.Tracer
@@ -379,31 +432,29 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 		}
 		now := time.Now() // popAll may have blocked: a fresh start
 		mask := len(ring) - 1
-		// Probe observations accumulate locally and fold into the shared
-		// probe once per batch.
-		var busyNanos int64
-		var over int64 // tuples served in longer than handoffCost
-		// The queue's outstanding count drops as tuples are served: one by
-		// one where routing reads it (a slow bolt), once a batch otherwise —
-		// a fast bolt's batch is over in microseconds and only a scrape
-		// reads its count. Each drop comes before the ack of the tuple it
-		// covers: once no root is pending no executor has anything
-		// outstanding.
+		// Served tuples leave the queue's outstanding count and fold into
+		// the shared probe step at a time: one by one where routing reads
+		// the count (a slow bolt), and where an interval that ends
+		// mid-batch must see each service; once a batch otherwise — a fast
+		// bolt's batch is over in microseconds and only a scrape reads its
+		// count. Each drop comes before the ack of the tuple it covers:
+		// once no root is pending no executor has anything outstanding.
+		var busyNanos int64 // service of the tuples not folded yet
+		var over int64      // tuples served in longer than handoffCost
 		slow := br.slow.Load()
 		step := n
 		if slow {
 			step = 1
 		}
-		settled := 0 // tuples of this batch already taken off the count
+		settled := 0 // tuples of this batch already folded and taken off the count
 		for i := 0; i < n; i++ {
-			// A crash ends service at the tuple boundary: the children of
+			// A stop ends service at the tuple boundary: the children of
 			// the tuples served so far are forked onto their trees and go
-			// out, and the batch's unprocessed tail strands for the retirer
-			// to replay (one relaxed atomic load per tuple buys the failure
-			// domain).
-			if ex.crashed.Load() {
+			// out, and the batch's unprocessed tail strands for install
+			// to hand over (one relaxed atomic load per tuple).
+			if ex.q.halted.Load() {
 				em.pushDests()
-				ex.probe.TuplesServed(int64(i), busyNanos)
+				ex.probe.TuplesServed(int64(i-settled), busyNanos)
 				ex.q.served(i - settled)
 				ex.strandRing(ring, head+i, n-i)
 				return
@@ -446,22 +497,22 @@ func (r *Run) runExecutor(br *boltRuntime, ex *executor) {
 				end = now.Add(time.Since(now))
 			}
 			*it = queueItem{} // release references before handing the ring back
-			if i+1-settled == step {
-				ex.q.served(step)
-				settled = i + 1
-			}
 			d := end.Sub(now)
 			if d > handoffCost {
 				over++
 			}
 			busyNanos += int64(d)
+			if i+1-settled == step {
+				ex.probe.TuplesServed(int64(step), busyNanos)
+				ex.q.served(step)
+				settled, busyNanos = i+1, 0
+			}
 			// The ack carries the end stamp so a completing leaf closes its
 			// trace exactly at its own service end.
 			tree.ack(end)
 			now = end
 		}
 		em.pushDests()
-		ex.probe.TuplesServed(int64(n), busyNanos)
 		br.noteService(ex, int64(n), over)
 		spare = ring
 	}
@@ -699,11 +750,10 @@ func (r *Run) BoltTotals(bolt string) (arrivals, served int64, err error) {
 // improved JVM-reusing rebalance, which keeps task state in place. Only the
 // bolts whose counts change are touched, and nothing else stops: spouts keep
 // injecting and the other bolts keep serving. Each changed bolt gets a fresh
-// executor set under a migration-aware route table; then each displaced
-// executor retires (retireLocked), draining its own backlog before it exits,
-// and only then does the fresh set start serving — so per-task FIFO and task
-// exclusivity hold. Rebalance waits for the retiring executors and for
-// nothing else.
+// executor set under a migration-aware route table (install): each
+// displaced executor stops at its tuple boundary and its successors start
+// with its backlog, so per-task FIFO and task exclusivity hold. Rebalance
+// waits for the tuples the displaced executors are in, and for nothing else.
 func (r *Run) Rebalance(alloc map[string]int) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -725,14 +775,7 @@ func (r *Run) Rebalance(alloc map[string]int) error {
 		}
 	}
 	for i, n := range changed {
-		br := r.bolts[i]
-		old := br.route.Load()
-		retired := make(chan struct{})
-		r.installExecutors(br, n, retired)
-		for _, ex := range old.execs {
-			r.retireLocked(br, ex, false)
-		}
-		close(retired)
+		r.install(r.bolts[i], newRoute(r.bolts[i], n))
 	}
 	return nil
 }
@@ -776,19 +819,16 @@ func (r *Run) StopBy(deadline time.Time) error {
 	return &TimeoutError{Name: "engine drain", MaxTime: maxTime, Cause: ErrQuiesceTimeout, Stranded: r.roots.pending()}
 }
 
-// shutdownExecutors flips every executor's kill switch and closes its
-// queue: an idle executor exits, and a busy one — only at Stop's deadline
-// is one busy — stops at its current tuple boundary, its backlog stranded.
+// shutdownExecutors stops every executor: an idle executor exits, and a
+// busy one — only at Stop's deadline is one busy — stops at its current
+// tuple boundary, its backlog stranded. A remote drain loop parked on its
+// in-flight window behind a wedged transport is released too, so Stop
+// cannot hang (the drain already decided the outcome).
 func (r *Run) shutdownExecutors() {
 	for _, br := range r.bolts {
 		if rt := br.route.Load(); rt != nil {
 			for _, ex := range rt.execs {
-				ex.crashed.Store(true)
-				ex.q.close()
-				// A remote drain loop may be parked on its in-flight
-				// window behind a wedged transport; release it so Stop
-				// cannot hang (the drain already decided the outcome).
-				ex.killRemote()
+				ex.stop()
 			}
 		}
 	}

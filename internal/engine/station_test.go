@@ -355,7 +355,6 @@ func TestOutstandingBalances(t *testing.T) {
 			t.Fatalf("popped %d, outstanding %d: a popped batch is still outstanding", n, q.outstanding())
 		}
 		q.pushBatch([]queueItem{{task: 4}, {task: 5}})
-		q.close()
 		if got := len(q.seize()); got != 2 || q.outstanding() != 3 {
 			t.Fatalf("captured %d, outstanding %d: the seized backlog must leave the books, the batch in service stay", got, q.outstanding())
 		}

@@ -71,7 +71,8 @@ type Target interface {
 }
 
 // engineTarget adapts *engine.Run. The live engine pays its real pause —
-// the changed bolts' retiring executors draining — so the modeled pause is
+// the changed bolts' displaced executors finishing the tuple each is in,
+// their backlogs handed to the successors — so the modeled pause is
 // dropped.
 type engineTarget struct{ r *engine.Run }
 
